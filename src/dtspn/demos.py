@@ -18,6 +18,7 @@ from .dubins import Pose
 from .env import DtspnEnv, EnvConfig, SimState, advance
 from .expert import ExpertPath, plan
 from .instance import Instance, generate
+from .learn import discounted_return
 
 MAGIC = b"DTSPDEMO"
 VERSION = 1
@@ -155,13 +156,6 @@ def track_target(sim: SimState, expert_path: ExpertPath, lookahead: int = 2) -> 
     return expert_path.waypoints[idx]
 
 
-def discounted_return(rewards: np.ndarray, gamma: float = GAMMA) -> float:
-    g = 0.0
-    for r in rewards[::-1]:
-        g = r + gamma * g
-    return float(g)
-
-
 def collect(instance: Instance, expert_path: ExpertPath,
             config: Optional[EnvConfig] = None, lookahead: int = 2) -> Demonstration:
     """Roll the greedy controller through a train-mode env and record the
@@ -210,7 +204,7 @@ def collect(instance: Instance, expert_path: ExpertPath,
         dones=np.asarray(dones, dtype=np.uint8),
         sensed_all=True,
         return_undiscounted=float(rew_arr.sum()),
-        return_discounted=discounted_return(rew_arr))
+        return_discounted=discounted_return(rew_arr, GAMMA))
 
 
 def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,

@@ -12,7 +12,7 @@ from .demos import greedy_action, track_target
 from .env import DtspnEnv, EnvConfig, Observation
 from .expert import ExpertPath, plan
 from .instance import Instance
-from .learn import ModelBundle, act
+from .learn import ModelBundle, act, discounted_return
 
 CSV_COLUMNS = ("t", "x", "y", "theta", "action", "r_imitation", "r_goal",
                "newly_sensed", "done")
@@ -46,12 +46,6 @@ class EpisodeRecord:
 
     def total_reward(self) -> float:
         return float(self.rewards.sum())
-
-    def discounted_return(self, gamma: float = 0.95) -> float:
-        g = 0.0
-        for r in self.rewards[::-1]:
-            g = r + gamma * g
-        return float(g)
 
 
 @dataclass
@@ -196,7 +190,7 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
     times = [r.wall_time for r in records if r.sensed_all]
     metrics = Metrics(
         avg_reward=float(np.mean([r.total_reward() for r in records])),
-        avg_return=float(np.mean([r.discounted_return(gamma)
+        avg_return=float(np.mean([discounted_return(r.rewards, gamma)
                                   for r in records])),
         sensing_rate=float(np.mean(rates)),
         mean_time=float(np.mean(times)) if times else None,

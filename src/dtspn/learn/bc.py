@@ -7,9 +7,10 @@ from typing import Optional
 import numpy as np
 
 from .config import TrainConfig
-from .nets import AdamState, ModelBundle, adam_step, backward, forward_cached
+from .nets import (AdamState, ModelBundle, adam_step, backward, forward_cached,
+                   log_softmax)
 
-_EVAL_CHUNK = 8192
+EVAL_CHUNK = 8192
 
 
 def episode_split(n_episodes: int, rng: np.random.Generator):
@@ -22,7 +23,9 @@ def episode_split(n_episodes: int, rng: np.random.Generator):
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
-def _stack(dataset, idxs, use_privileged: bool, priv_dim: int):
+def stack(dataset, idxs, use_privileged: bool, priv_dim: int):
+    """Transitions of the given episodes as (commons, privileged, actions)
+    rows; without use_privileged the privileged block is zeros."""
     commons = np.vstack([dataset[i].commons for i in idxs])
     if use_privileged:
         privs = np.vstack([dataset[i].privileged for i in idxs])
@@ -32,9 +35,30 @@ def _stack(dataset, idxs, use_privileged: bool, priv_dim: int):
     return commons, privs, actions
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+def encode(bundle: ModelBundle, commons, privs) -> np.ndarray:
+    """Encoder latents of many rows, computed in chunks."""
+    out = np.empty((len(commons), bundle.z_dim))
+    for s in range(0, len(commons), EVAL_CHUNK):
+        out[s:s + EVAL_CHUNK], _ = forward_cached(
+            bundle.encoder,
+            np.concatenate([commons[s:s + EVAL_CHUNK], privs[s:s + EVAL_CHUNK]],
+                           axis=1))
+    return out
+
+
+def return_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """Discounted return from each step to the end of the episode."""
+    out = np.empty(len(rewards))
+    g = 0.0
+    for i in range(len(rewards) - 1, -1, -1):
+        g = rewards[i] + gamma * g
+        out[i] = g
+    return out
+
+
+def discounted_return(rewards: np.ndarray, gamma: float) -> float:
+    """Discounted return of a whole episode; 0 for an empty one."""
+    return float(return_to_go(rewards, gamma)[0]) if len(rewards) else 0.0
 
 
 def _policy_forward(bundle: ModelBundle, commons, privs):
@@ -52,11 +76,11 @@ def _ce_eval(bundle: ModelBundle, commons, privs, actions):
         return float("nan"), float("nan")
     loss = 0.0
     correct = 0
-    for s in range(0, n, _EVAL_CHUNK):
-        c, p, a = commons[s:s + _EVAL_CHUNK], privs[s:s + _EVAL_CHUNK], \
-            actions[s:s + _EVAL_CHUNK]
+    for s in range(0, n, EVAL_CHUNK):
+        c, p, a = commons[s:s + EVAL_CHUNK], privs[s:s + EVAL_CHUNK], \
+            actions[s:s + EVAL_CHUNK]
         _, _, logits, _ = _policy_forward(bundle, c, p)
-        lp = _log_softmax(logits)
+        lp = log_softmax(logits)
         loss -= lp[np.arange(len(a)), a].sum()
         correct += int((np.argmax(logits, axis=1) == a).sum())
     return loss / n, correct / n
@@ -70,8 +94,8 @@ def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     train_eps, val_eps = episode_split(len(dataset), rng)
     pd = bundle.priv_dim
-    xc, xp, y = _stack(dataset, train_eps, use_privileged, pd)
-    vc, vp, vy = _stack(dataset, val_eps, use_privileged, pd)
+    xc, xp, y = stack(dataset, train_eps, use_privileged, pd)
+    vc, vp, vy = stack(dataset, val_eps, use_privileged, pd)
     n = len(y)
     if n == 0:
         raise ValueError("training split has no transitions")
@@ -89,7 +113,7 @@ def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
             c, p, a = xc[mb], xp[mb], y[mb]
             b = len(mb)
             z, enc_cache, logits, pol_cache = _policy_forward(bundle, c, p)
-            lp = _log_softmax(logits)
+            lp = log_softmax(logits)
             probs = np.exp(lp)
             ep_loss -= lp[np.arange(b), a].sum()
             ep_correct += int((np.argmax(logits, axis=1) == a).sum())
@@ -111,15 +135,6 @@ def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
     return bundle, metrics
 
 
-def return_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    out = np.empty(len(rewards))
-    g = 0.0
-    for i in range(len(rewards) - 1, -1, -1):
-        g = rewards[i] + gamma * g
-        out[i] = g
-    return out
-
-
 def critic_init(dataset, bundle: ModelBundle, config: TrainConfig,
                 use_privileged: bool = True, epochs: Optional[int] = None):
     """Regress the critic onto discounted expert return-to-go with the
@@ -134,24 +149,15 @@ def critic_init(dataset, bundle: ModelBundle, config: TrainConfig,
         return np.concatenate(
             [return_to_go(dataset[i].rewards, config.gamma) for i in idxs])
 
-    xc, xp, _ = _stack(dataset, train_eps, use_privileged, pd)
-    vc, vp, _ = _stack(dataset, val_eps, use_privileged, pd)
+    xc, xp, _ = stack(dataset, train_eps, use_privileged, pd)
+    vc, vp, _ = stack(dataset, val_eps, use_privileged, pd)
     ty, vty = targets(train_eps), targets(val_eps)
     n = len(ty)
     if n == 0:
         raise ValueError("training split has no transitions")
 
-    def encode(c, p):
-        out = np.empty((len(c), bundle.z_dim))
-        for s in range(0, len(c), _EVAL_CHUNK):
-            out[s:s + _EVAL_CHUNK], _ = forward_cached(
-                bundle.encoder,
-                np.concatenate([c[s:s + _EVAL_CHUNK], p[s:s + _EVAL_CHUNK]],
-                               axis=1))
-        return out
-
-    xin = np.concatenate([xc, encode(xc, xp)], axis=1)
-    vin = np.concatenate([vc, encode(vc, vp)], axis=1)
+    xin = np.concatenate([xc, encode(bundle, xc, xp)], axis=1)
+    vin = np.concatenate([vc, encode(bundle, vc, vp)], axis=1)
 
     cri_state = AdamState.for_network(bundle.critic)
     metrics = {"train_mse": [], "val_mse": [],

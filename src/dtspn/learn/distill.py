@@ -4,31 +4,19 @@ frozen encoder's latent from common observations alone."""
 import numpy as np
 
 from .config import TrainConfig
-from .bc import episode_split
+from .bc import EVAL_CHUNK, encode, episode_split, stack
 from .nets import AdamState, ModelBundle, adam_step, backward, forward_cached
-
-_CHUNK = 8192
-
-
-def _encode_targets(bundle: ModelBundle, commons, privs):
-    out = np.empty((len(commons), bundle.z_dim))
-    for s in range(0, len(commons), _CHUNK):
-        out[s:s + _CHUNK], _ = forward_cached(
-            bundle.encoder,
-            np.concatenate([commons[s:s + _CHUNK], privs[s:s + _CHUNK]],
-                           axis=1))
-    return out
 
 
 def _agreement(bundle: ModelBundle, commons, z_true, z_pred) -> float:
     hits = 0
-    for s in range(0, len(commons), _CHUNK):
-        c = commons[s:s + _CHUNK]
+    for s in range(0, len(commons), EVAL_CHUNK):
+        c = commons[s:s + EVAL_CHUNK]
         lt, _ = forward_cached(bundle.policy,
-                               np.concatenate([c, z_true[s:s + _CHUNK]],
+                               np.concatenate([c, z_true[s:s + EVAL_CHUNK]],
                                               axis=1))
         lp, _ = forward_cached(bundle.policy,
-                               np.concatenate([c, z_pred[s:s + _CHUNK]],
+                               np.concatenate([c, z_pred[s:s + EVAL_CHUNK]],
                                               axis=1))
         hits += int((np.argmax(lt, axis=1) == np.argmax(lp, axis=1)).sum())
     return hits / len(commons)
@@ -47,17 +35,13 @@ def distill_adaptation(dataset, bundle: ModelBundle, config: TrainConfig,
     rng = np.random.default_rng(config.seed + 2)
     train_eps, val_eps = episode_split(len(dataset), rng)
 
-    def stack(idxs):
-        c = np.vstack([dataset[i].commons for i in idxs])
-        p = np.vstack([dataset[i].privileged for i in idxs])
-        return c, p
-
-    xc, xp = stack(train_eps)
-    vc, vp = stack(val_eps)
+    pd = bundle.priv_dim
+    xc, xp, _ = stack(dataset, train_eps, True, pd)
+    vc, vp, _ = stack(dataset, val_eps, True, pd)
     if len(xc) == 0 or len(vc) == 0:
         raise ValueError("a split has no transitions")
-    zt = _encode_targets(bundle, xc, xp)
-    vzt = _encode_targets(bundle, vc, vp)
+    zt = encode(bundle, xc, xp)
+    vzt = encode(bundle, vc, vp)
 
     ada_state = AdamState.for_network(bundle.adaptation)
     n = len(xc)

@@ -221,13 +221,22 @@ class ModelBundle:
     def n_actions(self) -> int:
         return self.policy.out_dim
 
-    def copy(self) -> "ModelBundle":
-        return ModelBundle(self.encoder.copy(), self.policy.copy(),
-                           self.critic.copy(), self.adaptation.copy())
+    @property
+    def networks(self) -> Tuple[NetworkParams, ...]:
+        return (self.encoder, self.policy, self.critic, self.adaptation)
+
+    def copy(self, out: Optional["ModelBundle"] = None) -> "ModelBundle":
+        """Deep copy of every parameter array.  With out, the values are
+        written into out's own arrays in place and out is returned."""
+        if out is None:
+            return ModelBundle(*(net.copy() for net in self.networks))
+        for dst, src in zip(out.networks, self.networks):
+            for d, s in zip(dst.weights + dst.biases, src.weights + src.biases):
+                d[...] = s
+        return out
 
     def finite(self) -> bool:
-        return (self.encoder.finite() and self.policy.finite() and
-                self.critic.finite() and self.adaptation.finite())
+        return all(net.finite() for net in self.networks)
 
 
 def init_bundle(common_dim: int, priv_dim: int = 12, z_dim: int = Z_DIM,
@@ -246,6 +255,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
 
 
 def act(bundle: ModelBundle, common_obs: np.ndarray, use_privileged: bool,
@@ -281,7 +295,7 @@ def _pack_network(params: NetworkParams) -> bytes:
 
 def save_bundle(bundle: ModelBundle, path: str) -> None:
     payload = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, 4)]
-    for net in (bundle.encoder, bundle.policy, bundle.critic, bundle.adaptation):
+    for net in bundle.networks:
         payload.append(_pack_network(net))
     blob = b"".join(payload)
     digest = hashlib.sha256(blob).digest()

@@ -5,7 +5,8 @@ trains on its own with the latent treated as a constant input."""
 import numpy as np
 
 from .config import TrainConfig
-from .nets import AdamState, ModelBundle, adam_step, backward, forward_cached
+from .nets import (AdamState, ModelBundle, adam_step, backward, forward_cached,
+                   log_softmax)
 
 
 def compute_gae(rewards, values, dones, last_value, gamma, lam):
@@ -25,11 +26,6 @@ def compute_gae(rewards, values, dones, last_value, gamma, lam):
     return adv, adv + values
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
-
-
 def clipped_surrogate(ratio, adv, clip):
     """Per-sample clipped objective min(r*A, clip(r)*A) and its derivative
     with respect to log-prob.  The derivative is zero exactly where the
@@ -40,16 +36,6 @@ def clipped_surrogate(ratio, adv, clip):
     obj = np.minimum(raw, clipped * adv)
     dobj_dlogp = np.where(raw <= clipped * adv, raw, 0.0)
     return obj, dobj_dlogp
-
-
-def _copy_into(dst: ModelBundle, src: ModelBundle) -> None:
-    for d_net, s_net in ((dst.encoder, src.encoder), (dst.policy, src.policy),
-                         (dst.critic, src.critic),
-                         (dst.adaptation, src.adaptation)):
-        for dw, sw in zip(d_net.weights, s_net.weights):
-            dw[...] = sw
-        for db, sb in zip(d_net.biases, s_net.biases):
-            db[...] = sb
 
 
 def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
@@ -112,7 +98,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                                   np.concatenate([c, p])[None, :])
             x = np.concatenate([c, z[0]])[None, :]
             logits, _ = forward_cached(bundle.policy, x)
-            lp = _log_softmax(logits[0])
+            lp = log_softmax(logits[0])
             a = int(rng.choice(n_act, p=np.exp(lp)))
             v, _ = forward_cached(bundle.critic, x)
             obs2, rew, done, _ = env.step(a)
@@ -150,7 +136,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
         curve.append(avg_reward)
         if ep_returns and avg_reward > best_reward:
             best_reward = avg_reward
-            _copy_into(best, bundle)
+            bundle.copy(out=best)
 
         actor_on = steps_done > critic_warmup_steps
         idx = np.arange(r_steps)
@@ -164,7 +150,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                     bundle.encoder, np.concatenate([c, p], axis=1))
                 x = np.concatenate([c, z], axis=1)
                 logits, pol_cache = forward_cached(bundle.policy, x)
-                lsm = _log_softmax(logits)
+                lsm = log_softmax(logits)
                 probs = np.exp(lsm)
                 lp = lsm[np.arange(b), actions[mb]]
                 ratio = np.exp(lp - logp_old[mb])
@@ -195,5 +181,5 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 f"(batch {len(curve)}): non-finite parameters")
 
     if best_reward > -np.inf:
-        _copy_into(bundle, best)
+        best.copy(out=bundle)
     return bundle, curve

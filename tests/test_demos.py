@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 
-from dtspn.demos import (DemoDataset, DemoFormatError, TrackingFailure,
+from dtspn.demos import (DemoDataset, DemoFormatError, GAMMA, TrackingFailure,
                          _HEADER, MAGIC, collect, collect_batch,
-                         discounted_return, greedy_action, load_dataset,
+                         greedy_action, load_dataset,
                          make_meta, replay_rewards, save_dataset,
                          track_target)
 from dtspn.dubins import Pose
 from dtspn.env import DtspnEnv, EnvConfig, advance
 from dtspn.expert import ExpertPath, plan
 from dtspn.instance import Instance, generate
+from dtspn.learn import discounted_return
 
 
 def straight_path(start: Pose, n: int, spacing: float) -> ExpertPath:
@@ -78,7 +79,7 @@ def test_collect_straight_corridor():
     assert np.all(d.rewards[:-1] == 0.1)
     assert d.rewards[-1] == 10.0
     assert abs(d.return_undiscounted - d.rewards.sum()) < 1e-9
-    assert abs(d.return_discounted - discounted_return(d.rewards)) < 1e-9
+    assert abs(d.return_discounted - discounted_return(d.rewards, GAMMA)) < 1e-9
     assert d.commons.shape == (len(d), 3 + 4 * 2)
     assert d.privileged.shape == (len(d), 12)
     assert d.dones[-1] == 1 and np.all(d.dones[:-1] == 0)
@@ -152,7 +153,7 @@ def test_collect_batch_and_roundtrip(tmp_path):
     for d in ds:
         assert d.sensed_all
         assert abs(d.return_undiscounted - d.rewards.sum()) < 1e-9
-        assert abs(d.return_discounted - discounted_return(d.rewards)) < 1e-9
+        assert abs(d.return_discounted - discounted_return(d.rewards, GAMMA)) < 1e-9
 
     p = tmp_path / "demos.bin"
     save_dataset(ds, str(p))
