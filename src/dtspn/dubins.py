@@ -49,9 +49,6 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta])
-
 
 @dataclass(frozen=True)
 class DubinsPath:
@@ -83,67 +80,107 @@ def _apply_segment(x, y, theta, kind, param, rho):
             t2)
 
 
-def _word_params(word, alpha, beta, d):
-    """Normalized segment parameters (t, p, q) for one word, or None.
+def _center_distance(p_sq, cx, cy):
+    """Distance between the turn centers of an LSL or RSR path: sqrt(p_sq),
+    or the norm of the center offset (cx, cy) where p_sq is so small that
+    rounding has eaten its digits (sqrt doubles the relative error).  The
+    expanded p_sq elsewhere keeps planner costs unchanged to the last bit,
+    which matters because the tour search breaks exact cost ties."""
+    p = np.sqrt(np.maximum(p_sq, 0.0))
+    near = p_sq < 1e-6
+    p[near] = np.hypot(cx[near], cy[near])
+    return p
 
-    Inputs are the standard normalized coordinates: d is the pose distance
-    over rho, alpha/beta the start/goal headings relative to the connecting
-    line.  Curve parameters are angles; for CSC words p is the straight
-    length over rho.
+
+def _unloop(t, q, p, total):
+    """Keep rounding from adding a loop to an LSL or RSR path, in place.
+
+    When the two turn centers nearly coincide (the goal lies on or near the
+    start's own circle), the heading between them, which splits the total
+    turn into t and q, is uncertain, and t or q can come out just short of
+    a whole turn (or exactly one, as mod2pi rounds a tiny negative angle up
+    to 2pi).  Where rotating that heading onto the start (goal) heading
+    moves the far center by less than SEGMENT_EPS, the whole turn goes into
+    q (t) instead.
     """
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    sb, cb = math.sin(beta), math.cos(beta)
-    cab = math.cos(alpha - beta)
-
-    if word == "LSL":
-        p_sq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sa - sb)
-        if p_sq < 0.0:
-            return None
-        tmp = math.atan2(cb - ca, d + sa - sb)
-        return mod2pi(tmp - alpha), math.sqrt(max(p_sq, 0.0)), mod2pi(beta - tmp)
-    if word == "RSR":
-        p_sq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sb - sa)
-        if p_sq < 0.0:
-            return None
-        tmp = math.atan2(ca - cb, d - sa + sb)
-        return mod2pi(alpha - tmp), math.sqrt(max(p_sq, 0.0)), mod2pi(tmp - beta)
-    if word == "LSR":
-        p_sq = -2.0 + d * d + 2.0 * cab + 2.0 * d * (sa + sb)
-        if p_sq < 0.0:
-            return None
-        p = math.sqrt(p_sq)
-        tmp = math.atan2(-ca - cb, d + sa + sb) - math.atan2(-2.0, p)
-        return mod2pi(tmp - alpha), p, mod2pi(tmp - beta)
-    if word == "RSL":
-        p_sq = -2.0 + d * d + 2.0 * cab - 2.0 * d * (sa + sb)
-        if p_sq < 0.0:
-            return None
-        p = math.sqrt(p_sq)
-        tmp = math.atan2(ca + cb, d - sa - sb) - math.atan2(2.0, p)
-        return mod2pi(alpha - tmp), p, mod2pi(beta - tmp)
-    if word == "RLR":
-        tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
-        if abs(tmp) > 1.0:
-            return None
-        p = mod2pi(TWO_PI - math.acos(tmp))
-        t = mod2pi(alpha - math.atan2(ca - cb, d - sa + sb) + p / 2.0)
-        return t, p, mod2pi(alpha - beta - t + p)
-    if word == "LRL":
-        tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
-        if abs(tmp) > 1.0:
-            return None
-        p = mod2pi(TWO_PI - math.acos(tmp))
-        t = mod2pi(-alpha + math.atan2(cb - ca, d + sa - sb) + p / 2.0)
-        return t, p, mod2pi(beta - alpha - t + p)
-    raise ValueError(f"unknown word {word!r}")
+    near = p * (TWO_PI - t) < SEGMENT_EPS
+    t[near], q[near] = 0.0, mod2pi(total[near])
+    near = p * (TWO_PI - q) < SEGMENT_EPS
+    t[near], q[near] = mod2pi(total[near]), 0.0
 
 
-def _normalized_frame(start: Pose, end: Pose, rho: float):
-    dx = end.x - start.x
-    dy = end.y - start.y
-    big_d = math.hypot(dx, dy)
-    line = math.atan2(dy, dx)
-    return mod2pi(start.theta - line), mod2pi(end.theta - line), big_d / rho
+def _segments(a, b, rho):
+    """Normalized segment parameters (t, p, q) of every word, and feasibility.
+
+    a and b are arrays of (x, y, theta) rows that broadcast against each
+    other.  Each result has shape (6,) + the broadcast shape, words in WORDS
+    order.  Curve parameters are turn angles; for CSC words p is the straight
+    length over rho.  Segments below SEGMENT_EPS are clamped to zero.
+    Entries of infeasible words are finite but meaningless: they are
+    computed from clamped inputs, because NaN slows the remainder operation
+    down severalfold.
+    """
+    dx = b[..., 0] - a[..., 0]
+    dy = b[..., 1] - a[..., 1]
+    line = np.arctan2(dy, dx)
+    # standard normalized frame: start at the origin, goal at (d, 0)
+    alpha = mod2pi(a[..., 2] - line)
+    beta = mod2pi(b[..., 2] - line)
+    d = np.hypot(dx, dy) / rho
+
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    sb, cb = np.sin(beta), np.cos(beta)
+    cab = np.cos(alpha - beta)
+    shape = (6,) + np.shape(d)
+    t, p, q = np.empty(shape), np.empty(shape), np.empty(shape)
+    ok = np.ones(shape, dtype=bool)
+
+    # LSL / RSR are always feasible; p is the distance between the two turn
+    # centers and tmp the heading from one to the other.
+    p_sq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sa - sb)
+    cx, cy = d + sa - sb, cb - ca
+    p[0] = _center_distance(p_sq, cx, cy)
+    tmp = np.arctan2(cy, cx)
+    t[0], q[0] = mod2pi(tmp - alpha), mod2pi(beta - tmp)
+    _unloop(t[0], q[0], p[0], beta - alpha)
+
+    p_sq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sb - sa)
+    cx, cy = d - sa + sb, ca - cb
+    p[1] = _center_distance(p_sq, cx, cy)
+    tmp = np.arctan2(cy, cx)
+    t[1], q[1] = mod2pi(alpha - tmp), mod2pi(tmp - beta)
+    _unloop(t[1], q[1], p[1], alpha - beta)
+
+    # LSR / RSL need circles that do not overlap, p^2 >= 0.  Where they
+    # touch, rounding can make p^2 slightly negative, and rejecting the word
+    # there can leave a path a whole loop longer.
+    p_sq = -2.0 + d * d + 2.0 * cab + 2.0 * d * (sa + sb)
+    ok[2] = p_sq >= -SEGMENT_EPS
+    p[2] = np.sqrt(np.maximum(p_sq, 0.0))
+    tmp = np.arctan2(-ca - cb, d + sa + sb) - np.arctan2(-2.0, p[2])
+    t[2], q[2] = mod2pi(tmp - alpha), mod2pi(tmp - beta)
+
+    p_sq = -2.0 + d * d + 2.0 * cab - 2.0 * d * (sa + sb)
+    ok[3] = p_sq >= -SEGMENT_EPS
+    p[3] = np.sqrt(np.maximum(p_sq, 0.0))
+    tmp = np.arctan2(ca + cb, d - sa - sb) - np.arctan2(2.0, p[3])
+    t[3], q[3] = mod2pi(alpha - tmp), mod2pi(beta - tmp)
+
+    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
+    ok[4] = np.abs(tmp) <= 1.0
+    p[4] = mod2pi(TWO_PI - np.arccos(np.where(ok[4], tmp, 0.0)))
+    t[4] = mod2pi(alpha - np.arctan2(ca - cb, d - sa + sb) + p[4] / 2.0)
+    q[4] = mod2pi(alpha - beta - t[4] + p[4])
+
+    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
+    ok[5] = np.abs(tmp) <= 1.0
+    p[5] = mod2pi(TWO_PI - np.arccos(np.where(ok[5], tmp, 0.0)))
+    t[5] = mod2pi(-alpha + np.arctan2(cb - ca, d + sa - sb) + p[5] / 2.0)
+    q[5] = mod2pi(beta - alpha - t[5] + p[5])
+
+    for seg in (t, p, q):
+        seg[seg < SEGMENT_EPS] = 0.0
+    return t, p, q, ok
 
 
 def shortest_path(start: Pose, end: Pose, rho: float) -> DubinsPath:
@@ -155,24 +192,18 @@ def shortest_path(start: Pose, end: Pose, rho: float) -> DubinsPath:
     """
     if rho <= 0.0:
         raise ValueError("turning radius must be positive")
-    alpha, beta, d = _normalized_frame(start, end, rho)
+    t, p, q, ok = (x[:, 0] for x in
+                   _segments(pose_array([start]), pose_array([end]), rho))
     best = None
     best_cost = math.inf
-    for word in WORDS:
-        params = _word_params(word, alpha, beta, d)
-        if params is None:
-            continue
-        cost = params[0] + params[1] + params[2]
+    for k in np.nonzero(ok)[0]:
+        cost = t[k] + p[k] + q[k]
         if cost < best_cost - 1e-9:
-            best = (word, params)
-            best_cost = cost
-    word, (t, p, q) = best
-    t = 0.0 if t < SEGMENT_EPS else t
-    q = 0.0 if q < SEGMENT_EPS else q
-    p = 0.0 if p < SEGMENT_EPS else p
-    if word[1] == "S":
-        p *= rho
-    return DubinsPath(start=start, word=word, segment_params=(t, p, q), rho=rho)
+            best, best_cost = k, cost
+    word = WORDS[best]
+    straight = rho if word[1] == "S" else 1.0
+    params = (float(t[best]), float(p[best]) * straight, float(q[best]))
+    return DubinsPath(start=start, word=word, segment_params=params, rho=rho)
 
 
 def path_length(path: DubinsPath) -> float:
@@ -232,54 +263,6 @@ def sample_path(path: DubinsPath, spacing: float) -> list[Pose]:
     return [_pose_at(path, total * i / n) for i in range(n + 1)]
 
 
-def _word_params_bulk(alpha, beta, d):
-    """Vectorized (t, p, q) per word for arrays of normalized coordinates.
-
-    Returns an array of shape (6,) + alpha.shape holding the normalized path
-    cost t+p+q per word, with inf where the word is infeasible.
-    """
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    cab = np.cos(alpha - beta)
-    costs = np.full((6,) + np.shape(alpha), np.inf)
-
-    # LSL / RSR are always feasible
-    p_sq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sa - sb)
-    tmp = np.arctan2(cb - ca, d + sa - sb)
-    costs[0] = mod2pi(tmp - alpha) + np.sqrt(np.maximum(p_sq, 0.0)) + mod2pi(beta - tmp)
-
-    p_sq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sb - sa)
-    tmp = np.arctan2(ca - cb, d - sa + sb)
-    costs[1] = mod2pi(alpha - tmp) + np.sqrt(np.maximum(p_sq, 0.0)) + mod2pi(tmp - beta)
-
-    with np.errstate(invalid="ignore"):
-        p_sq = -2.0 + d * d + 2.0 * cab + 2.0 * d * (sa + sb)
-        ok = p_sq >= 0.0
-        p = np.sqrt(np.where(ok, p_sq, np.nan))
-        tmp = np.arctan2(-ca - cb, d + sa + sb) - np.arctan2(-2.0, p)
-        costs[2] = np.where(ok, mod2pi(tmp - alpha) + p + mod2pi(tmp - beta), np.inf)
-
-        p_sq = -2.0 + d * d + 2.0 * cab - 2.0 * d * (sa + sb)
-        ok = p_sq >= 0.0
-        p = np.sqrt(np.where(ok, p_sq, np.nan))
-        tmp = np.arctan2(ca + cb, d - sa - sb) - np.arctan2(2.0, p)
-        costs[3] = np.where(ok, mod2pi(alpha - tmp) + p + mod2pi(beta - tmp), np.inf)
-
-        tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
-        ok = np.abs(tmp) <= 1.0
-        p = mod2pi(TWO_PI - np.arccos(np.where(ok, tmp, 0.0)))
-        t = mod2pi(alpha - np.arctan2(ca - cb, d - sa + sb) + p / 2.0)
-        costs[4] = np.where(ok, t + p + mod2pi(alpha - beta - t + p), np.inf)
-
-        tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
-        ok = np.abs(tmp) <= 1.0
-        p = mod2pi(TWO_PI - np.arccos(np.where(ok, tmp, 0.0)))
-        t = mod2pi(-alpha + np.arctan2(cb - ca, d + sa - sb) + p / 2.0)
-        costs[5] = np.where(ok, t + p + mod2pi(beta - alpha - t + p), np.inf)
-
-    return costs
-
-
 def pose_array(poses) -> np.ndarray:
     """Stack Pose objects (or raw (x, y, theta) rows) into an (n, 3) array."""
     seq = list(poses)
@@ -295,11 +278,5 @@ def length_matrix(from_poses, to_poses, rho: float) -> np.ndarray:
     """
     a = pose_array(from_poses)
     b = pose_array(to_poses)
-    dx = b[None, :, 0] - a[:, None, 0]
-    dy = b[None, :, 1] - a[:, None, 1]
-    big_d = np.hypot(dx, dy)
-    line = np.arctan2(dy, dx)
-    alpha = mod2pi(a[:, None, 2] - line)
-    beta = mod2pi(b[None, :, 2] - line)
-    costs = _word_params_bulk(alpha, beta, big_d / rho)
-    return rho * costs.min(axis=0)
+    t, p, q, ok = _segments(a[:, None, :], b[None, :, :], rho)
+    return rho * np.where(ok, t + p + q, np.inf).min(axis=0)

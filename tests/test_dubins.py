@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtspn.dubins import (
     Pose,
     WORDS,
-    _word_params,
-    _normalized_frame,
+    _segments,
     length_matrix,
     path_endpoint,
     path_length,
+    pose_array,
     sample_path,
     shortest_path,
     shortest_path_length,
@@ -91,13 +92,11 @@ def test_length_lower_bound_and_word_optimality():
         a, b = random_pose(rng, span), random_pose(rng, span)
         best = shortest_path_length(a, b, RHO)
         assert best >= math.hypot(b.x - a.x, b.y - a.y) - 1e-9
-        alpha, beta, d = _normalized_frame(a, b, RHO)
-        for word in WORDS:
-            params = _word_params(word, alpha, beta, d)
-            if params is None:
+        t, p, q, ok = _segments(pose_array([a]), pose_array([b]), RHO)
+        for k, word in enumerate(WORDS):
+            if not ok[k, 0]:
                 continue
-            t, p, q = params
-            total = (RHO * (t + q) + RHO * p) if word[1] == "S" else RHO * (t + p + q)
+            total = RHO * (t[k, 0] + p[k, 0] + q[k, 0])
             assert best <= total + 1e-9
 
 
@@ -187,3 +186,81 @@ def test_pose_theta_normalization():
     assert -math.pi <= Pose(0, 0, -math.pi).theta < math.pi
     assert Pose(0, 0, 2 * math.pi).theta == pytest.approx(0.0, abs=1e-12)
     assert Pose(0, 0, 0.5).theta == 0.5
+
+
+# Property tests near the word-feasibility edges.  Each builds the goal by
+# flying a known path from the start, so the shortest path may not be longer
+# than that path, shortest_path and length_matrix must agree, and the path
+# must land on the goal.
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+coords = st.floats(0.0, 800.0)
+headings = st.floats(-math.pi, math.pi)
+turns = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+sides = st.sampled_from((1, -1))
+tiny = st.sampled_from((0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-5))
+signed_tiny = st.sampled_from((0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9,
+                               -1e-9, 1e-6, -1e-6))
+poses = st.builds(Pose, coords, coords, headings)
+
+
+def assert_consistent(a, b):
+    path = shortest_path(a, b, RHO)
+    length = path_length(path)
+    # shortest_path keeps an earlier word up to 1e-9 longer (normalized)
+    assert abs(length - length_matrix([a], [b], RHO)[0, 0]) <= 1e-9 * RHO + 1e-11
+    x, y, th = reconstruct(path)
+    assert math.hypot(x - b.x, y - b.y) < 1e-6
+    assert abs(wrap(th - b.theta)) < 1e-6
+    return length
+
+
+@PROPERTY
+@given(poses, turns, sides)
+def test_goal_on_own_turning_circle_is_one_arc(a, phi, side):
+    b = Pose(*turn_step(a.x, a.y, a.theta, phi, RHO, side))
+    assert assert_consistent(a, b) <= RHO * phi + 1e-6
+
+
+@PROPERTY
+@given(poses, turns, tiny, turns, sides, sides)
+def test_csc_with_vanishing_straight(a, t, s, q, side1, side2):
+    # p^2 ~ 0: the two turning circles coincide (same side) or touch
+    x, y, th = turn_step(a.x, a.y, a.theta, t, RHO, side1)
+    x, y, th = straight_step(x, y, th, s)
+    b = Pose(*turn_step(x, y, th, q, RHO, side2))
+    assert assert_consistent(a, b) <= RHO * (t + q) + s + 1e-6
+
+
+@PROPERTY
+@given(poses, turns,
+       st.sampled_from((math.pi, math.pi - 1e-12, math.pi + 1e-12,
+                        math.pi - 1e-7, 1e-12, 1e-7, 2.0 * math.pi - 1e-7)),
+       turns, sides)
+def test_ccc_at_the_feasibility_edge(a, t, u, q, side):
+    # |cos| ~ 1 in the CCC formulas: middle arc near pi (outer circles 4 rho
+    # apart) or near zero
+    x, y, th = turn_step(a.x, a.y, a.theta, t, RHO, side)
+    x, y, th = turn_step(x, y, th, u, RHO, -side)
+    b = Pose(*turn_step(x, y, th, q, RHO, side))
+    assert assert_consistent(a, b) <= RHO * (t + u + q) + 1e-6
+
+
+@PROPERTY
+@given(poses, signed_tiny, signed_tiny, st.one_of(signed_tiny, headings))
+def test_nearly_coincident_poses(a, dx, dy, dth):
+    # d ~ 0
+    assert_consistent(a, Pose(a.x + dx, a.y + dy, a.theta + dth))
+
+
+@PROPERTY
+@given(poses, st.floats(0.0, 300.0), signed_tiny, signed_tiny)
+def test_nearly_aligned_poses(a, dist, off, dth):
+    # alpha ~ beta: the goal lies (almost) straight ahead, (almost) aligned
+    th = a.theta + off
+    b = Pose(a.x + dist * math.cos(th), a.y + dist * math.sin(th),
+             a.theta + dth)
+    length = assert_consistent(a, b)
+    if off == 0.0 and dth == 0.0:
+        assert length <= dist + 1e-6
