@@ -172,7 +172,8 @@ def cmd_train_ppo(args) -> int:
         if use_privileged:
             try:
                 pool.append((inst, plan(inst, n_pos=args.pos,
-                                        n_head=args.heads)))
+                                        n_head=args.heads,
+                                        step_dist=cfg.step_dist)))
             except SensingGap:
                 continue
         else:
@@ -274,7 +275,8 @@ def cmd_plot(args) -> int:
     env_kw, _ = _load_config(args.config)
     cfg = _env_config(args, env_kw)
     inst = _load_instance_or_gen(args)
-    epath = plan(inst, n_pos=args.pos, n_head=args.heads)
+    epath = plan(inst, n_pos=args.pos, n_head=args.heads,
+                 step_dist=cfg.step_dist)
     # the expert path rides along even for policy plots: it supplies the
     # dashed overlay and the imitation column of the record
     env = DtspnEnv(inst, epath, mode="eval", config=cfg)

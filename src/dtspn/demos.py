@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .dubins import Pose
-from .env import DtspnEnv, EnvConfig, SimState, advance
+from .env import DtspnEnv, EnvConfig, SimState, advance, config_for
 from .expert import ExpertPath, plan
 from .instance import Instance, generate
 from .learn import discounted_return
@@ -100,7 +100,7 @@ class DemoMeta:
 
     def env_config(self) -> EnvConfig:
         return EnvConfig(turn_radius=self.turn_radius, omega_max=self.omega_max,
-                         dt=self.dt, v=self.v, n_actions=self.n_actions,
+                         dt=self.dt, n_actions=self.n_actions,
                          max_steps_eval=self.max_steps_eval,
                          train_cutoff_dist=self.train_cutoff_dist,
                          sense_substep=self.sense_substep,
@@ -122,8 +122,7 @@ class DemoDataset(List[Demonstration]):
 
 def make_meta(instance: Instance, config: Optional[EnvConfig] = None,
               n_pos: int = 8, n_head: int = 4) -> DemoMeta:
-    if config is None:
-        config = EnvConfig(turn_radius=instance.turn_radius)
+    config = config_for(instance, config)
     return DemoMeta(
         n_tasks=instance.n_tasks, map_width=instance.map_width,
         map_height=instance.map_height, r_sense=instance.r_sense,
@@ -230,7 +229,8 @@ def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
         if meta is None:
             meta = make_meta(x, config, n_pos=n_pos, n_head=n_head)
         try:
-            path = plan(x, n_pos=n_pos, n_head=n_head)
+            path = plan(x, n_pos=n_pos, n_head=n_head,
+                        step_dist=config_for(x, config).step_dist)
             demos.append(collect(x, path, config=config))
         except RuntimeError as e:
             # TrackingFailure from collect or SensingGap from plan
@@ -305,6 +305,10 @@ def load_dataset(path: str) -> DemoDataset:
     if priv_dim != 12:
         raise DemoFormatError(f"privileged dim mismatch: expected 12, "
                               f"found {priv_dim}")
+    if abs(v - omega_max * turn_radius) > 1e-9:
+        raise DemoFormatError(
+            f"inconsistent kinematics: v {v} != omega_max * turn_radius "
+            f"{omega_max * turn_radius}")
     meta = DemoMeta(n_tasks=n_tasks, map_width=map_w, map_height=map_h,
                     r_sense=r_sense, turn_radius=turn_radius, v=v, dt=dt_,
                     omega_max=omega_max, n_actions=n_actions,
@@ -349,8 +353,10 @@ def replay_rewards(demo: Demonstration, meta: DemoMeta) -> np.ndarray:
     path from the metadata and feeding the recorded actions back through a
     fresh env.  Byte-identical output is the replay determinism check."""
     x = meta.instance_for(demo.seed)
-    path = plan(x, n_pos=meta.n_pos, n_head=meta.n_head)
-    env = DtspnEnv(x, path, mode="train", config=meta.env_config())
+    config = meta.env_config()
+    path = plan(x, n_pos=meta.n_pos, n_head=meta.n_head,
+                step_dist=config.step_dist)
+    env = DtspnEnv(x, path, mode="train", config=config)
     env.reset()
     out = np.empty(len(demo))
     for i, a in enumerate(demo.actions):

@@ -19,13 +19,11 @@ from .instance import Instance
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Simulator constants.  v defaults to omega_max * turn_radius so the
-    extreme actions trace exactly the minimum turning circle."""
+    """Simulator constants."""
 
     turn_radius: float = 30.0
     omega_max: float = 0.6 * math.pi
     dt: float = 0.2
-    v: Optional[float] = None
     n_actions: int = 7
     max_steps_eval: int = 300
     train_cutoff_dist: float = 60.0
@@ -33,14 +31,14 @@ class EnvConfig:
     literal_goal_sum: bool = False
 
     def __post_init__(self):
-        if self.v is None:
-            object.__setattr__(self, "v", self.omega_max * self.turn_radius)
         if self.n_actions < 2 or self.n_actions % 2 == 0:
             raise ValueError(f"n_actions must be odd and >= 3, got {self.n_actions}")
-        if abs(self.turn_radius - self.v / self.omega_max) > 1e-9:
-            raise ValueError(
-                f"inconsistent kinematics: turn_radius {self.turn_radius} != "
-                f"v/omega_max {self.v / self.omega_max}")
+
+    @property
+    def v(self) -> float:
+        """Speed at which the extreme actions trace exactly the minimum
+        turning circle."""
+        return self.omega_max * self.turn_radius
 
     @property
     def step_dist(self) -> float:
@@ -51,6 +49,13 @@ class EnvConfig:
         n = self.n_actions
         return tuple(-self.omega_max + 2.0 * self.omega_max * (k / (n - 1))
                      for k in range(n))
+
+
+def config_for(instance: Instance, config: Optional[EnvConfig]) -> EnvConfig:
+    """config, or by default the one for the instance's turning radius."""
+    if config is None:
+        return EnvConfig(turn_radius=instance.turn_radius)
+    return config
 
 
 def advance(x, y, theta, omega, v, dt):
@@ -186,9 +191,8 @@ class DtspnEnv:
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         if mode == "train" and expert_path is None:
             raise ValueError("train mode requires an expert path")
-        if config is None:
-            config = EnvConfig(turn_radius=instance.turn_radius)
-        elif abs(config.turn_radius - instance.turn_radius) > 1e-9:
+        config = config_for(instance, config)
+        if abs(config.turn_radius - instance.turn_radius) > 1e-9:
             raise ValueError(
                 f"config turn_radius {config.turn_radius} does not match "
                 f"instance turn_radius {instance.turn_radius}")

@@ -9,7 +9,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .demos import greedy_action, track_target
-from .env import DtspnEnv, EnvConfig, Observation
+from .env import DtspnEnv, EnvConfig, Observation, config_for
 from .expert import ExpertPath, plan
 from .instance import Instance
 from .learn import ModelBundle, act, discounted_return
@@ -126,7 +126,8 @@ def _expert_episode(x: Instance, config: Optional[EnvConfig],
     # plan time is inside the clock on purpose: the expert row's cost is
     # solving plus tracking
     t0 = time.perf_counter()
-    path = plan(x, n_pos=n_pos, n_head=n_head)
+    config = config_for(x, config)
+    path = plan(x, n_pos=n_pos, n_head=n_head, step_dist=config.step_dist)
     # train mode: the expert is scored on its full tour, which can outlast
     # the policy step cap; the bound below matches the demo collector's
     env = DtspnEnv(x, path, mode="train", config=config)
@@ -165,7 +166,8 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
                 f"checkpoint expects common dim {policy.common_dim}, "
                 f"instances with {n_tasks} tasks produce {want}")
         if pi_eval and expert_paths is None:
-            expert_paths = [plan(x, n_pos=n_pos, n_head=n_head)
+            expert_paths = [plan(x, n_pos=n_pos, n_head=n_head,
+                                 step_dist=config_for(x, config).step_dist)
                             for x in instances]
         act_fn = _bundle_act_fn(policy, pi_eval, zero_priv=False)
     elif policy == "expert":
@@ -209,7 +211,8 @@ def benchmark_speed(instances: Sequence[Instance], bundle: ModelBundle,
     expert_times = []
     for x in instances:
         t0 = time.perf_counter()
-        plan(x, n_pos=n_pos, n_head=n_head)
+        plan(x, n_pos=n_pos, n_head=n_head,
+             step_dist=config_for(x, config).step_dist)
         expert_times.append(time.perf_counter() - t0)
     act_fn = _bundle_act_fn(bundle, pi_eval=False, zero_priv=False)
     policy_times = []

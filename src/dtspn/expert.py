@@ -15,8 +15,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dubins import (TWO_PI, Pose, length_matrix, path_length, sample_path,
-                     shortest_path)
+from .dubins import (TWO_PI, Pose, length_matrix, path_length, pose_array,
+                     sample_path, shortest_path)
 from .instance import Instance
 
 # Smallest cost decrease counted as an improvement; keeps float noise from
@@ -91,7 +91,7 @@ class ExpertPath:
     solve_time: Optional[float] = field(default=None, compare=False)
 
     def waypoint_array(self) -> np.ndarray:
-        return np.array([(p.x, p.y, p.theta) for p in self.waypoints])
+        return pose_array(self.waypoints)
 
 
 def sample_poses(instance: Instance, n_pos: int, n_head: int) -> PoseClusterSet:
@@ -320,8 +320,10 @@ def plan(instance: Instance, n_pos: int = 8, n_head: int = 4, seed: int = 0,
     """Full expert pipeline for one instance.
 
     Tasks already inside sensing range of the start are sensed at reset and
-    excluded from the tour.  The returned polyline spacing defaults to the
-    simulator step distance v*dt = 0.12*pi*turn_radius.
+    excluded from the tour.  The returned polyline spacing is step_dist,
+    which should be the simulator's EnvConfig.step_dist: the privileged
+    encoder assumes one waypoint per env step.  It defaults to the default
+    config's v*dt = 0.12*pi*turn_radius.
     """
     t0 = time.perf_counter()
     if step_dist is None:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+import dtspn.demos as demos_mod
 from dtspn.demos import (DemoDataset, DemoFormatError, GAMMA, TrackingFailure,
                          _HEADER, MAGIC, collect, collect_batch,
                          greedy_action, load_dataset,
@@ -180,6 +181,30 @@ def test_replay_reproduces_rewards_exactly(tmp_path):
         assert again.tobytes() == d.rewards.tobytes()
 
 
+def test_waypoints_follow_env_step_and_replay_stays_exact(monkeypatch):
+    # a shorter step than the default: the planner must space its waypoints
+    # one env step apart, in collection and in replay alike
+    cfg = EnvConfig(dt=0.1)
+    planned = []
+
+    def recording_plan(*args, **kwargs):
+        planned.append(plan(*args, **kwargs))
+        return planned[-1]
+
+    monkeypatch.setattr(demos_mod, "plan", recording_plan)
+    ds, report = collect_batch(2, base_seed=10, n_tasks=3,
+                               map_size=(300.0, 300.0), n_pos=3, n_head=2,
+                               config=cfg)
+    assert report["accepted"] == 2
+    for d in ds:
+        assert replay_rewards(d, ds.meta).tobytes() == d.rewards.tobytes()
+    assert len(planned) >= 4
+    for path in planned:
+        w = path.waypoint_array()
+        gaps = np.hypot(*np.diff(w[:, :2], axis=0).T)
+        assert gaps.max() <= cfg.step_dist + 1e-9
+
+
 def test_empty_dataset_roundtrip(tmp_path):
     x = generate(n_tasks=4, seed=0, map_size=(300.0, 300.0))
     ds = DemoDataset([], meta=make_meta(x))
@@ -248,6 +273,16 @@ def test_load_rejects_malformed_files(tmp_path):
         assert False
     except DemoFormatError as e:
         assert "15" in str(e) and "50" in str(e)
+
+    # header whose speed is not omega_max * turn_radius
+    vals = list(_HEADER.unpack_from(raw, 0))
+    vals[7] = 50.0  # v
+    (tmp_path / "k.bin").write_bytes(_HEADER.pack(*vals) + raw[_HEADER.size:])
+    try:
+        load_dataset(str(tmp_path / "k.bin"))
+        assert False
+    except DemoFormatError as e:
+        assert "kinematics" in str(e) and "50" in str(e)
 
 
 def test_collect_batch_reports_rejections():

@@ -72,10 +72,12 @@ def test_config_defaults_and_validation():
     assert abs(om[-1] - 0.6 * math.pi) < 1e-15
     for a, b in zip(om, om[1:]):
         assert b > a
+    # speed is derived, so it cannot disagree with the turning radius
+    assert EnvConfig(turn_radius=40.0).v == 0.6 * math.pi * 40.0
     try:
-        EnvConfig(v=50.0, turn_radius=30.0)
-        assert False, "inconsistent v/turn_radius accepted"
-    except ValueError:
+        EnvConfig(v=50.0)
+        assert False, "speed accepted as an option"
+    except TypeError:
         pass
     try:
         EnvConfig(n_actions=6)
@@ -355,8 +357,7 @@ def test_env_argument_errors():
     except ValueError:
         pass
     try:
-        DtspnEnv(x, mode="eval", config=EnvConfig(turn_radius=40.0,
-                                                  v=40.0 * 0.6 * math.pi))
+        DtspnEnv(x, mode="eval", config=EnvConfig(turn_radius=40.0))
         assert False, "mismatched turn radius accepted"
     except ValueError:
         pass

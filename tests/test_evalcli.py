@@ -1,10 +1,11 @@
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
 
-from dtspn.cli import main
+from dtspn.cli import build_parser, main
 from dtspn.demos import collect_batch
 from dtspn.env import DtspnEnv
 from dtspn.evaluate import (Metrics, benchmark_speed, evaluate,
@@ -257,6 +258,17 @@ def test_cli_config_validation(tmp_path, capsys):
     cfg.write_text('[1, 2]')
     assert run_cli("demos", "--demos", "1", "--config", str(cfg),
                    "--out", str(tmp_path / "d.bin")) == 1
+
+
+def test_readme_commands_parse():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        commands = [shlex.split(line) for line in f
+                    if line.startswith("dtspn ")]
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_cli_full_pipeline_desk_scale(tmp_path, capsys):
