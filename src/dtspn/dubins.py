@@ -81,11 +81,15 @@ def _apply_segment(x, y, theta, kind, param, rho):
 
 
 def _center_distance(p_sq, cx, cy):
-    """Distance between the turn centers of an LSL or RSR path: sqrt(p_sq),
-    or the norm of the center offset (cx, cy) where p_sq is so small that
-    rounding has eaten its digits (sqrt doubles the relative error).  The
-    expanded p_sq elsewhere keeps planner costs unchanged to the last bit,
-    which matters because the tour search breaks exact cost ties."""
+    """Distance between the turn centers of an LSL or RSR path.
+
+    Near zero, sqrt turns the rounding error of the expanded p_sq (about
+    1e-16 * d^2) into an error of about 1e-8 in p, which moves the path's
+    end by micrometers; there the norm of the center offset (cx, cy) is
+    used instead.  Elsewhere the expanded form stays: the tour search
+    breaks exact cost ties, so planner output moves when costs change in
+    the last bit.
+    """
     p = np.sqrt(np.maximum(p_sq, 0.0))
     near = p_sq < 1e-6
     p[near] = np.hypot(cx[near], cy[near])
