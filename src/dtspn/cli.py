@@ -107,8 +107,11 @@ def cmd_gen(args) -> int:
 
 def cmd_expert(args) -> int:
     out = _need_out(args, "expert")
+    env_kw, _ = _load_config(args.config)
+    cfg = _env_config(args, env_kw)
     inst = _load_instance_or_gen(args)
-    path = plan(inst, n_pos=args.pos, n_head=args.heads, seed=args.seed)
+    path = plan(inst, n_pos=args.pos, n_head=args.heads, seed=args.seed,
+                step_dist=cfg.step_dist)
     expert_mod.save(path, out)
     _summary("expert", tasks=inst.n_tasks, length=path.total_length,
              waypoints=len(path.waypoints), solve_s=path.solve_time, out=out)

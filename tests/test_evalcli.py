@@ -342,6 +342,17 @@ def test_cli_eval_expert_and_mismatch(tmp_path, capsys):
                    "--out", f"{d}/x.ckpt") == 1   # no --ckpt, no --dense
 
 
+def test_cli_expert_spacing_follows_config(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"dt": 0.1}')
+    out = str(tmp_path / "path.txt")
+    assert run_cli("expert", "--tasks", "3", "--map", "300", "300",
+                   "--seed", "4", "--config", str(cfg), "--out", out) == 0
+    w = load_expert(out).waypoint_array()
+    gaps = np.hypot(*np.diff(w[:, :2], axis=0).T)
+    assert gaps.max() <= 0.6 * np.pi * 30.0 * 0.1 + 1e-9
+
+
 def test_cli_expert_plot_and_literal_flag(tmp_path):
     d = str(tmp_path)
     assert run_cli("plot", "--tasks", "2", "--map", "300", "300",
