@@ -110,7 +110,7 @@ def cmd_expert(args) -> int:
     env_kw, _ = _load_config(args.config)
     cfg = _env_config(args, env_kw)
     inst = _load_instance_or_gen(args)
-    path = plan(inst, n_pos=args.pos, n_head=args.heads, seed=args.seed,
+    path = plan(inst, n_pos=args.pos, n_head=args.heads,
                 step_dist=cfg.step_dist)
     expert_mod.save(path, out)
     _summary("expert", tasks=inst.n_tasks, length=path.total_length,

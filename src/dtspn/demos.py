@@ -21,7 +21,9 @@ from .instance import Instance, generate
 from .learn import discounted_return
 
 MAGIC = b"DTSPDEMO"
-VERSION = 1
+# 2: plan() optimizes an open path, so replaying a version-1 file from its
+# header would track different expert paths.
+VERSION = 2
 GAMMA = 0.95
 
 _HEADER = struct.Struct("<8sII4d3dIIddBIIIII")

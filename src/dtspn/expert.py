@@ -1,13 +1,12 @@
 """Sampling-based DTSPN heuristic expert.
 
 Candidate visiting poses are sampled on a circle inside each task's sensing
-disk, a generalized TSP over the clusters (Dubins edge costs) is reduced to an
-asymmetric TSP with zero-cost intra-cluster cycles and big-M offset edges, the
-ATSP is solved by direction-preserving local search, and the decoded tour is
-stitched into a densified waypoint polyline.
+disk.  A generalized TSP over the clusters (Dubins edge costs) is solved for
+an open path from the start: local search over the cluster order, with each
+order scored by a dynamic program that picks one pose per cluster.  The
+chosen poses are stitched into a densified waypoint polyline.
 """
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,9 +18,17 @@ from .dubins import (TWO_PI, Pose, length_matrix, path_length, pose_array,
                      sample_path, shortest_path)
 from .instance import Instance
 
-# Smallest cost decrease counted as an improvement; keeps float noise from
-# the big-M offsets out of the move loop.
-GAIN_EPS = 1e-6
+# Smallest path-length decrease (m) that counts as an improvement, so float
+# noise cannot keep the local search moving.
+IMPROVE_EPS = 1e-9
+
+# Cap on the elements of one (orders, m, m) DP temporary, 16 MB of float64.
+DP_CHUNK_ELEMENTS = 1 << 21
+
+# Largest DP work of one search round over all first clusters (clusters k,
+# padded cluster size m: (k-1) starts * neighbours * k layers * m * m) for
+# which the search restarts from every first cluster.
+RESTART_WORK = 1 << 22
 
 
 class SensingGap(RuntimeError):
@@ -65,19 +72,6 @@ class GtspProblem:
     @property
     def n(self):
         return len(self.cost)
-
-
-@dataclass
-class AtspMatrix:
-    n: int
-    cost: np.ndarray
-    cluster_of: np.ndarray
-    big_m: float
-    succ: np.ndarray            # intra-cluster cycle successor per node
-
-    @property
-    def n_clusters(self):
-        return int(self.cluster_of.max()) + 1
 
 
 @dataclass
@@ -131,194 +125,132 @@ def build_gtsp(clusters: PoseClusterSet, rho: float) -> GtspProblem:
                        n_clusters=len(groups), poses=poses)
 
 
-def noon_bean(gtsp: GtspProblem) -> AtspMatrix:
-    """GTSP -> ATSP: each cluster becomes a zero-cost directed cycle and every
-    outgoing edge is re-attached to the cycle predecessor with a big-M offset,
-    so optimal ATSP tours sweep whole clusters and decode to GTSP tours."""
-    n = gtsp.n
-    cluster_of = gtsp.cluster_of
-    succ = np.arange(n)
-    for c in range(gtsp.n_clusters):
-        nodes = np.nonzero(cluster_of == c)[0]
-        if len(nodes) == 0:
-            raise ValueError(f"cluster {c} is empty")
-        succ[nodes] = np.roll(nodes, -1)
-    finite = np.isfinite(gtsp.cost)
-    big_m = float(gtsp.cost[finite].sum()) + 1.0
-    diff = cluster_of[:, None] != cluster_of[None, :]
-    cost = np.where(diff, big_m + gtsp.cost[succ, :], np.inf)
-    cycle = succ != np.arange(n)
-    cost[np.nonzero(cycle)[0], succ[cycle]] = 0.0
-    return AtspMatrix(n=n, cost=cost, cluster_of=cluster_of.copy(),
-                      big_m=big_m, succ=succ)
+def _blocks(gtsp: GtspProblem):
+    """Cost blocks between clusters, each padded to the largest cluster size m.
 
-
-def tour_cost(cost: np.ndarray, tour) -> float:
-    order = np.asarray(tour)
-    return float(cost[order, np.roll(order, -1)].sum())
-
-
-def _nearest_neighbor(cost, start, n):
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    tour = [start]
-    cur = start
-    for _ in range(n - 1):
-        row = np.where(visited, np.inf, cost[cur])
-        cur = int(np.argmin(row))
-        visited[cur] = True
-        tour.append(cur)
-    return tour
-
-
-def _gather(cost, order):
-    d2 = cost[np.ix_(order, order)]
-    d2r = np.roll(d2, -1, axis=1)
-    edges = np.ascontiguousarray(np.diagonal(d2r))
-    return d2, d2r, edges
-
-
-def _apply_move(order, i, j, k):
-    """Cut after positions i < j < k and swap the two middle segments,
-    keeping every segment's direction."""
-    return np.concatenate((order[:i + 1], order[j + 1:k + 1],
-                           order[i + 1:j + 1], order[k + 1:]))
-
-
-def _sweep(cost, order, window, budget):
-    """One first-improvement pass over the move set.  Returns the new order,
-    whether anything improved, and the number of accepted moves."""
-    n = len(order)
-    moves = 0
-    improved = False
-    d2, d2r, edges = _gather(cost, order)
-
-    i = 0
-    while i <= n - 3:
-        j_hi = min(i + window, n - 2)
-        moved = False
-        for j in range(i + 1, j_hi + 1):
-            base = edges[i] + edges[j] - d2[i, j + 1]
-            gains = base + edges[j + 1:] - d2[j + 1:, i + 1] - d2r[j, j + 1:]
-            k_rel = int(np.argmax(gains))
-            if gains[k_rel] > GAIN_EPS:
-                order = _apply_move(order, i, j, j + 1 + k_rel)
-                d2, d2r, edges = _gather(cost, order)
-                moves += 1
-                improved = True
-                moved = True
-                break
-        if moves >= budget:
-            return order, improved, moves
-        if not moved:
-            i += 1
-
-    # short segments relocated backward to anywhere earlier in the tour
-    j = 1
-    while j <= n - 2:
-        moved = False
-        for seg in (1, 2, 3):
-            k = j + seg
-            if k > n - 1:
-                break
-            base = edges[j] + edges[k] - d2r[j, k]
-            gains = base + edges[:j] - d2[:j, j + 1] - d2[k, 1:j + 1]
-            i_best = int(np.argmax(gains))
-            if gains[i_best] > GAIN_EPS:
-                order = _apply_move(order, i_best, j, k)
-                d2, d2r, edges = _gather(cost, order)
-                moves += 1
-                improved = True
-                moved = True
-                break
-        if moves >= budget:
-            return order, improved, moves
-        if not moved:
-            j += 1
-    return order, improved, moves
-
-
-def solve_atsp(matrix: AtspMatrix, seed: int = 0, max_moves: Optional[int] = None):
-    """Hamiltonian cycle by nearest-neighbor construction plus sequential
-    direction-preserving 3-opt and Or-opt local search; exhaustive for tiny
-    problems.  Deterministic for a given seed."""
-    n = matrix.n
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
-    cost = matrix.cost
-
-    if n <= 8:
-        best_cost, best_perm = math.inf, None
-        for perm in itertools.permutations(range(1, n)):
-            tour = (0,) + perm
-            c = tour_cost(cost, tour)
-            if c < best_cost - 1e-12:
-                best_cost, best_perm = c, tour
-        return list(best_perm)
-
-    if max_moves is None:
-        max_moves = 50 * n
-    sizes = np.bincount(matrix.cluster_of)
-    window = n if n <= 64 else max(12, 2 * int(sizes.max()) + 4)
-
-    if n <= 40:
-        starts = list(range(n))
-    elif n <= 200:
-        rng = np.random.default_rng(seed)
-        extra = [int(s) for s in rng.integers(0, n, size=2)]
-        starts = [0] + [s for s in dict.fromkeys(extra) if s != 0]
-    else:
-        starts = [0]
-
-    best_tour, best_cost = None, math.inf
-    for s in starts:
-        order = np.asarray(_nearest_neighbor(cost, s, n))
-        left = max_moves
-        while left > 0:
-            order, improved, used = _sweep(cost, order, window, left)
-            left -= used
-            if not improved:
-                break
-        c = tour_cost(cost, order)
-        if c < best_cost - 1e-12:
-            best_cost, best_tour = c, order
-    zero = int(np.nonzero(best_tour == 0)[0][0])
-    return list(np.roll(best_tour, -zero))
-
-
-def decode_tour(tour, matrix: AtspMatrix):
-    """One node per cluster, in tour order, start cluster first.
-
-    Proper tours visit each cluster as one contiguous block whose entry node
-    is the decoded pick; fragmented tours fall back to first-encounter repair.
+    Returns blocks (k, k, m, m) with +inf at pads, the DP vector of the start
+    cluster (0 on its nodes, +inf at pads) and nodes (k, m), the node id at
+    each padded slot.
     """
-    n = len(tour)
-    cl = [int(matrix.cluster_of[u]) for u in tour]
-    k = matrix.n_clusters
-    entries = [i for i in range(n) if cl[i] != cl[(i - 1) % n]]
-    if len(entries) == k:
-        ordered = [(cl[i], tour[i]) for i in entries]
-    else:
-        # repair: keep the first node seen from each cluster, tour order
-        seen = {}
-        for i in range(n):
-            seen.setdefault(cl[i], tour[i])
-        ordered = [(c, u) for c, u in seen.items()]
-    found = [c for c, _ in ordered]
-    if sorted(found) != list(range(k)):
-        missing = sorted(set(range(k)) - set(found))
-        raise ValueError(f"tour does not cover clusters {missing}; "
-                         f"non-contiguous blocks could not be repaired")
-    at = found.index(0)
-    ordered = ordered[at:] + ordered[:at]
-    return [u for _, u in ordered]
+    k = gtsp.n_clusters
+    members = [np.nonzero(gtsp.cluster_of == c)[0] for c in range(k)]
+    empty = [c for c, ids in enumerate(members) if len(ids) == 0]
+    if empty:
+        raise ValueError(f"cluster {empty[0]} is empty")
+    m = max(len(ids) for ids in members)
+    nodes = np.zeros((k, m), dtype=int)
+    real = np.zeros((k, m), dtype=bool)
+    for c, ids in enumerate(members):
+        nodes[c, :len(ids)] = ids
+        real[c, :len(ids)] = True
+    blocks = gtsp.cost[nodes[:, None, :, None], nodes[None, :, None, :]]
+    blocks[~(real[:, None, :, None] & real[None, :, None, :])] = np.inf
+    start = np.where(real[0], 0.0, np.inf)
+    return blocks, start, nodes
 
 
-def plan(instance: Instance, n_pos: int = 8, n_head: int = 4, seed: int = 0,
-         step_dist: Optional[float] = None,
-         max_moves: Optional[int] = None) -> ExpertPath:
+def _open_costs(blocks, start, orders):
+    """Open-path cost of each cluster order (rows, start cluster first): a
+    min-plus DP over the cost blocks that picks one pose per cluster.  Rows
+    go through in chunks so the (rows, m, m) temporary stays bounded."""
+    m = len(start)
+    chunk = max(1, DP_CHUNK_ELEMENTS // (m * m))
+    out = np.empty(len(orders))
+    for lo in range(0, len(orders), chunk):
+        rows = orders[lo:lo + chunk]
+        v = np.broadcast_to(start, (len(rows), m))
+        for a, b in zip(rows.T, rows.T[1:]):
+            t = blocks[a, b]
+            t += v[:, :, None]
+            v = t.min(axis=1)
+        out[lo:lo + chunk] = v.min(axis=1)
+    return out
+
+
+def _moves(r):
+    """Position permutations of r clusters: every move of a segment of 1-3
+    clusters to another position and every segment reversal."""
+    ident = list(range(r))
+    perms = set()
+    for s in (1, 2, 3):
+        for i in range(r - s + 1):
+            seg, rest = ident[i:i + s], ident[:i] + ident[i + s:]
+            for j in range(len(rest) + 1):
+                perms.add(tuple(rest[:j] + seg + rest[j:]))
+    for i in range(r):
+        for j in range(i + 2, r + 1):
+            perms.add(tuple(ident[:i] + ident[i:j][::-1] + ident[j:]))
+    perms.discard(tuple(ident))
+    return np.array(sorted(perms), dtype=int).reshape(len(perms), r)
+
+
+def _greedy(blocks, start, first=None):
+    """Greedy DP extension from the start cluster: append the cluster that
+    the cheapest partial path reaches next; `first`, if given, goes first."""
+    order, v = [0], start
+    left = list(range(1, len(blocks)))
+    while left:
+        ext = (v[None, :, None] + blocks[order[-1], left]).min(axis=1)
+        if first is None:
+            j = int(np.argmin(ext.min(axis=1)))
+        else:
+            j, first = left.index(first), None
+        order.append(left.pop(j))
+        v = ext[j]
+    return np.array(order), float(v.min())
+
+
+def _descend(blocks, start, order, cost, moves):
+    """Best-improvement local search: go to the best neighbour until none is
+    shorter by more than IMPROVE_EPS."""
+    while len(moves):
+        cands = np.concatenate(
+            (np.zeros((len(moves), 1), dtype=int), order[1:][moves]), axis=1)
+        costs = _open_costs(blocks, start, cands)
+        i = int(np.argmin(costs))
+        if costs[i] >= cost - IMPROVE_EPS:
+            break
+        order, cost = cands[i], float(costs[i])
+    return order, cost
+
+
+def solve_gtsp(gtsp: GtspProblem) -> list:
+    """One node per cluster, start cluster first, for a short open path.
+
+    The cluster order starts from greedy DP extension and is improved by
+    best-improvement local search over segment moves and reversals; every
+    order is scored by the exact pose-choice DP of _open_costs.  Small
+    problems, where one descent often stops far from the optimum and a
+    descent costs little, get one search per choice of first cluster.
+    """
+    blocks, start, nodes = _blocks(gtsp)
+    k, m = nodes.shape
+    moves = _moves(k - 1)
+    small = (k - 1) * len(moves) * k * m * m <= RESTART_WORK
+    firsts = range(1, k) if small and k > 1 else [None]
+    order, _ = min((_descend(blocks, start, *_greedy(blocks, start, f), moves)
+                    for f in firsts), key=lambda found: found[1])
+
+    # backtrack the DP of the final order
+    v, picks = start, []
+    for a, b in zip(order, order[1:]):
+        t = v[:, None] + blocks[a, b]
+        picks.append(np.argmin(t, axis=0))
+        v = t.min(axis=0)
+    slot = int(np.argmin(v))
+    chosen = [slot]
+    for p in reversed(picks):
+        slot = int(p[slot])
+        chosen.append(slot)
+    return [int(nodes[c, s]) for c, s in zip(order, reversed(chosen))]
+
+
+def plan(instance: Instance, n_pos: int = 8, n_head: int = 4,
+         step_dist: Optional[float] = None) -> ExpertPath:
     """Full expert pipeline for one instance.
 
+    The tour is an open path: it starts at the start pose, with the heading
+    the solver picks, and ends at the last visiting pose, with no return leg.
     Tasks already inside sensing range of the start are sensed at reset and
     excluded from the tour.  The returned polyline spacing is step_dist,
     which should be the simulator's EnvConfig.step_dist: the privileged
@@ -345,10 +277,7 @@ def plan(instance: Instance, n_pos: int = 8, n_head: int = 4, seed: int = 0,
         clusters=tuple(sampled.clusters[i] for i in remaining),
         start_cluster=sampled.start_cluster)
     gtsp = build_gtsp(subset, instance.turn_radius)
-    atsp = noon_bean(gtsp)
-    tour = solve_atsp(atsp, seed=seed, max_moves=max_moves)
-    chosen = decode_tour(tour, atsp)
-    visiting = tuple(gtsp.poses[u] for u in chosen)
+    visiting = tuple(gtsp.poses[u] for u in solve_gtsp(gtsp))
 
     waypoints = [visiting[0]]
     total = 0.0
@@ -384,8 +313,11 @@ def save(ep: ExpertPath, path) -> None:
 
 
 def load(path) -> ExpertPath:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ExpertFormatError(f"not UTF-8 text (byte {exc.start})")
     if not raw or raw[0].strip() != "dtspn-expert v1":
         raise ExpertFormatError("missing 'dtspn-expert v1' header", line=1)
     length = None

@@ -117,8 +117,11 @@ def _floats(parts, count, key, line_no):
 
 
 def load(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"not UTF-8 text (byte {exc.start})")
     if not raw or raw[0].strip() != "dtspn-instance v1":
         raise InstanceFormatError("missing 'dtspn-instance v1' header", line=1)
     fields = {}

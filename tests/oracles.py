@@ -298,8 +298,8 @@ def held_karp_atsp(cost):
 
 
 def gtsp_brute_force(cost, clusters):
-    """Exhaustive cyclic GTSP optimum: one node per cluster, cluster 0 first.
-    Returns (cost, node tour)."""
+    """Exhaustive open-path GTSP optimum: one node per cluster, cluster 0
+    first, no leg back to the start.  Returns (cost, node path)."""
     best, best_tour = math.inf, None
     rest = list(range(1, len(clusters)))
     for first in clusters[0]:
@@ -308,7 +308,7 @@ def gtsp_brute_force(cost, clusters):
             for combo in itertools.product(*pools):
                 nodes = (first,) + combo
                 total = 0.0
-                for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+                for a, b in zip(nodes, nodes[1:]):
                     total += cost[a][b]
                     if total >= best:
                         break

@@ -248,7 +248,17 @@ def test_load_rejects_malformed_files(tmp_path):
         load_dataset(str(tmp_path / "v.bin"))
         assert False
     except DemoFormatError as e:
-        assert "99" in str(e) and "1" in str(e)
+        assert "99" in str(e) and "2" in str(e)
+
+    # version 1 files were planned with the closed-tour solver; replaying
+    # them against today's planner would give different rewards
+    v1 = raw[:8] + (1).to_bytes(4, "little") + raw[12:]
+    (tmp_path / "v1.bin").write_bytes(v1)
+    try:
+        load_dataset(str(tmp_path / "v1.bin"))
+        assert False
+    except DemoFormatError as e:
+        assert "version 1" in str(e)
 
     (tmp_path / "t.bin").write_bytes(raw[: _HEADER.size - 3])
     try:

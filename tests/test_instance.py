@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtspn.dubins import Pose
 from dtspn import instance as inst
@@ -98,3 +99,21 @@ def test_generation_matches_philox_stream():
     rng = np.random.Generator(np.random.Philox(key=123))
     expect = rng.uniform((0.0, 0.0), (800.0, 800.0), size=(5, 2))
     assert np.array_equal(x.task_array(), expect)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_load_fuzz_raises_only_format_errors(tmp_path_factory, data):
+    # byte flips and truncations of a saved file either load or raise
+    # InstanceFormatError; nothing else escapes (non-UTF-8 bytes included)
+    p = tmp_path_factory.mktemp("fuzz") / "i.txt"
+    inst.save(inst.generate(3, seed=4), p)
+    raw = bytearray(p.read_bytes())
+    for at, value in data.draw(st.lists(st.tuples(
+            st.integers(0, len(raw) - 1), st.integers(0, 255)), max_size=4)):
+        raw[at] = value
+    p.write_bytes(bytes(raw[:data.draw(st.integers(0, len(raw)))]))
+    try:
+        inst.load(p)
+    except inst.InstanceFormatError:
+        pass
