@@ -27,7 +27,9 @@ DP_CHUNK_ELEMENTS = 1 << 21
 
 # Largest DP work of one search round over all first clusters (clusters k,
 # padded cluster size m: (k-1) starts * neighbours * k layers * m * m) for
-# which the search restarts from every first cluster.
+# which the search restarts from every first cluster.  At the default 8x4
+# sampling the bound falls between 7 tasks (restarted search 35 ms, cost
+# matrix 46 ms on a 2-core x86 machine) and 8 tasks (70 ms against 56 ms).
 RESTART_WORK = 1 << 22
 
 
@@ -149,20 +151,27 @@ def _blocks(gtsp: GtspProblem):
     return blocks, start, nodes
 
 
+def _dp(blocks, start, rows):
+    """Min-plus DP over cluster orders (rows, start cluster first) that picks
+    one pose per cluster: yields, after each cluster of the rows, the length
+    of the shortest open path ending at each of its poses, shape (rows, m)."""
+    v = np.broadcast_to(start, (len(rows), len(start)))
+    yield v
+    for a, b in zip(rows.T, rows.T[1:]):
+        t = blocks[a, b]
+        t += v[:, :, None]
+        v = t.min(axis=1)
+        yield v
+
+
 def _open_costs(blocks, start, orders):
-    """Open-path cost of each cluster order (rows, start cluster first): a
-    min-plus DP over the cost blocks that picks one pose per cluster.  Rows
-    go through in chunks so the (rows, m, m) temporary stays bounded."""
+    """Open-path length of each cluster order.  Rows go through the DP in
+    chunks so the (rows, m, m) temporary stays bounded."""
     m = len(start)
     chunk = max(1, DP_CHUNK_ELEMENTS // (m * m))
     out = np.empty(len(orders))
     for lo in range(0, len(orders), chunk):
-        rows = orders[lo:lo + chunk]
-        v = np.broadcast_to(start, (len(rows), m))
-        for a, b in zip(rows.T, rows.T[1:]):
-            t = blocks[a, b]
-            t += v[:, :, None]
-            v = t.min(axis=1)
+        *_, v = _dp(blocks, start, orders[lo:lo + chunk])
         out[lo:lo + chunk] = v.min(axis=1)
     return out
 
@@ -184,25 +193,21 @@ def _moves(r):
     return np.array(sorted(perms), dtype=int).reshape(len(perms), r)
 
 
-def _greedy(blocks, start, first=None):
-    """Greedy DP extension from the start cluster: append the cluster that
-    the cheapest partial path reaches next; `first`, if given, goes first."""
-    order, v = [0], start
-    left = list(range(1, len(blocks)))
+def _greedy(blocks, start, head):
+    """Greedy extension of the order prefix head: append the cluster that
+    gives the shortest partial path until every cluster is in."""
+    order = list(head)
+    left = [c for c in range(len(blocks)) if c not in order]
     while left:
-        ext = (v[None, :, None] + blocks[order[-1], left]).min(axis=1)
-        if first is None:
-            j = int(np.argmin(ext.min(axis=1)))
-        else:
-            j, first = left.index(first), None
-        order.append(left.pop(j))
-        v = ext[j]
-    return np.array(order), float(v.min())
+        costs = _open_costs(blocks, start, np.array([order + [c] for c in left]))
+        order.append(left.pop(int(np.argmin(costs))))
+    return np.array(order)
 
 
-def _descend(blocks, start, order, cost, moves):
+def _descend(blocks, start, order, moves):
     """Best-improvement local search: go to the best neighbour until none is
     shorter by more than IMPROVE_EPS."""
+    cost = _open_costs(blocks, start, order[None])[0]
     while len(moves):
         cands = np.concatenate(
             (np.zeros((len(moves), 1), dtype=int), order[1:][moves]), axis=1)
@@ -210,7 +215,7 @@ def _descend(blocks, start, order, cost, moves):
         i = int(np.argmin(costs))
         if costs[i] >= cost - IMPROVE_EPS:
             break
-        order, cost = cands[i], float(costs[i])
+        order, cost = cands[i], costs[i]
     return order, cost
 
 
@@ -219,28 +224,27 @@ def solve_gtsp(gtsp: GtspProblem) -> list:
 
     The cluster order starts from greedy DP extension and is improved by
     best-improvement local search over segment moves and reversals; every
-    order is scored by the exact pose-choice DP of _open_costs.  Small
-    problems, where one descent often stops far from the optimum and a
-    descent costs little, get one search per choice of first cluster.
+    order is scored by the exact pose-choice DP of _dp.  Where the moves
+    do not already reach every order (more than 3 task clusters) but a
+    descent costs little, one descent can stop short of the optimum, so
+    the search runs once per choice of first cluster and keeps the best.
     """
     blocks, start, nodes = _blocks(gtsp)
     k, m = nodes.shape
     moves = _moves(k - 1)
-    small = (k - 1) * len(moves) * k * m * m <= RESTART_WORK
-    firsts = range(1, k) if small and k > 1 else [None]
-    order, _ = min((_descend(blocks, start, *_greedy(blocks, start, f), moves)
-                    for f in firsts), key=lambda found: found[1])
+    exhaustive = len(moves) + 1 == math.factorial(k - 1)
+    restart = (not exhaustive
+               and (k - 1) * len(moves) * k * m * m <= RESTART_WORK)
+    heads = [[0, f] for f in range(1, k)] if restart else [[0]]
+    order, _ = min((_descend(blocks, start, _greedy(blocks, start, h), moves)
+                    for h in heads), key=lambda found: found[1])
 
-    # backtrack the DP of the final order
-    v, picks = start, []
-    for a, b in zip(order, order[1:]):
-        t = v[:, None] + blocks[a, b]
-        picks.append(np.argmin(t, axis=0))
-        v = t.min(axis=0)
-    slot = int(np.argmin(v))
+    # backtrack: the pose of each cluster that the next cluster's pick came from
+    vs = [v[0] for v in _dp(blocks, start, order[None])]
+    slot = int(np.argmin(vs[-1]))
     chosen = [slot]
-    for p in reversed(picks):
-        slot = int(p[slot])
+    for a, b, v in reversed(list(zip(order, order[1:], vs))):
+        slot = int(np.argmin(v + blocks[a, b][:, slot]))
         chosen.append(slot)
     return [int(nodes[c, s]) for c, s in zip(order, reversed(chosen))]
 

@@ -144,6 +144,18 @@ def test_solve_gtsp_near_optimal_small():
     assert hits >= 95
 
 
+def test_solve_gtsp_exact_up_to_three_task_clusters(monkeypatch):
+    # with at most 3 task clusters every order is a neighbour, so one descent
+    # from the greedy start is exact and the search does not restart
+    monkeypatch.setattr(ex, "RESTART_WORK", 0)
+    for seed in range(40):
+        rng = np.random.default_rng(2000 + seed)
+        sizes = list(rng.integers(1, 4, size=int(rng.integers(2, 5))))
+        g = make_gtsp(rng, sizes)
+        best, _ = gtsp_brute_force(g.cost, clusters_from(g.cluster_of))
+        assert open_cost(g, ex.solve_gtsp(g)) == pytest.approx(best, rel=1e-12)
+
+
 def test_dp_matches_brute_force_over_pose_choices():
     rng = np.random.default_rng(5)
     for _ in range(10):
