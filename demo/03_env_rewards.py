@@ -8,11 +8,9 @@ dense imitation term (stay near the expert's track) plus a sparse goal
 term (sense tasks, finish the set); evaluation reads the goal term only.
 """
 
-import numpy as np
-
 from dtspn import DtspnEnv, EnvConfig, generate, plan
-from dtspn.demos import greedy_action, track_target
-from dtspn.env import goal_reward, imitation_reward
+from dtspn.demos import tracker
+from dtspn.env import goal_reward, imitation_reward, run_episode
 
 # the imitation term is deliberately lumpy: free inside 3 m, quadratic
 # up to the cutoff, then a flat penalty
@@ -33,26 +31,15 @@ print(f"observation: common {obs.common.shape[0]} dims, "
       f"privileged {obs.privileged.shape[0]} dims")
 
 # drive with the greedy tracker and watch both channels accumulate
-total_im, total_go, t = 0.0, 0.0, 0
-done = False
-while not done:
-    a = greedy_action(env.state.pose, track_target(env.state, path),
-                      env.config)
-    obs, rew, done, info = env.step(a)
-    total_im += rew.imitation
-    total_go += rew.goal
-    t += 1
-print(f"greedy tracking: {t} steps, imitation total {total_im:.2f}, "
-      f"goal total {total_go:.2f}, sensed {int(np.sum(env.state.sensed))}/6")
+rec = run_episode(env, tracker(env))
+t = len(rec)
+print(f"greedy tracking: {t} steps, imitation total "
+      f"{rec.r_imitation.sum():.2f}, goal total {rec.r_goal.sum():.2f}, "
+      f"sensed {rec.n_sensed}/6")
 
 # a straight-line driver ignores the track and pays for it
 env2 = DtspnEnv(x, path, mode="eval", config=EnvConfig())
-env2.reset()
 straight = env2.config.n_actions // 2
-im2 = 0.0
-for _ in range(t):
-    _, rew, done, _ = env2.step(straight)
-    im2 += rew.imitation
-    if done:
-        break
-print(f"always-straight driver over the same horizon: imitation {im2:.2f}")
+rec2 = run_episode(env2, lambda obs: straight, max_steps=t)
+print(f"always-straight driver over the same horizon: "
+      f"imitation {rec2.r_imitation.sum():.2f}")

@@ -16,12 +16,12 @@ import numpy as np
 
 from . import expert as expert_mod
 from . import instance as instance_mod
-from .demos import (collect_batch, greedy_action, load_dataset, save_dataset,
-                    track_target)
-from .env import DtspnEnv, EnvConfig
-from .evaluate import benchmark_speed, evaluate, run_episode, save_episode_csv
+from .demos import collect_batch, load_dataset, save_dataset, tracker
+from .env import DtspnEnv, EnvConfig, run_episode
+from .evaluate import (benchmark_speed, bundle_actor, evaluate,
+                       save_episode_csv)
 from .expert import SensingGap, plan
-from .learn import (TrainConfig, act, bc_pretrain, critic_init,
+from .learn import (TrainConfig, bc_pretrain, critic_init,
                     distill_adaptation, init_bundle, load_bundle,
                     ppo_finetune, save_bundle)
 from .svg import emit_trajectory_svg
@@ -140,7 +140,7 @@ def cmd_train_bc(args) -> int:
     dataset = load_dataset(args.data)
     meta = dataset.meta
     bundle = init_bundle(meta.common_dim, meta.priv_dim,
-                         n_actions=meta.n_actions, seed=tc.seed)
+                         n_actions=meta.config.n_actions, seed=tc.seed)
     _, metrics = bc_pretrain(dataset, bundle, tc)
     _, critic = critic_init(dataset, bundle, tc)
     save_bundle(bundle, out)
@@ -284,17 +284,9 @@ def cmd_plot(args) -> int:
     # dashed overlay and the imitation column of the record
     env = DtspnEnv(inst, epath, mode="eval", config=cfg)
     if args.expert or args.ckpt is None:
-        def act_fn(obs):
-            return greedy_action(env.state.pose,
-                                 track_target(env.state, epath), env.config)
+        act_fn = tracker(env)
     else:
-        bundle = load_bundle(args.ckpt)
-        if args.pi_eval:
-            def act_fn(obs):
-                return act(bundle, obs.common, True, obs.privileged)
-        else:
-            def act_fn(obs):
-                return act(bundle, obs.common, use_privileged=False)
+        act_fn = bundle_actor(load_bundle(args.ckpt), args.pi_eval)
     record = run_episode(env, act_fn)
     emit_trajectory_svg(record, inst, expert_path=epath, path=out)
     _summary("plot", steps=len(record), sensed=record.n_sensed,

@@ -10,12 +10,13 @@ batch collection can report rejected seeds instead of silently dropping them.
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .dubins import Pose
-from .env import DtspnEnv, EnvConfig, SimState, advance, config_for
+from .env import (PRIV_DIM, DtspnEnv, EnvConfig, Observation, SimState,
+                  advance, config_for, run_episode)
 from .expert import ExpertPath, plan
 from .instance import Instance, generate
 from .learn import discounted_return
@@ -80,38 +81,39 @@ class Demonstration:
 
 @dataclass(frozen=True)
 class DemoMeta:
-    """Everything needed to rebuild the envs that produced a dataset."""
+    """Everything needed to rebuild the envs that produced a dataset: the
+    instance family, the env config and the planner's pose sampling."""
 
     n_tasks: int
     map_width: float
     map_height: float
     r_sense: float
-    turn_radius: float
-    v: float
-    dt: float
-    omega_max: float
-    n_actions: int
-    max_steps_eval: int
-    train_cutoff_dist: float
-    sense_substep: float
-    literal_goal_sum: bool
+    config: EnvConfig
     n_pos: int
     n_head: int
-    common_dim: int
-    priv_dim: int
 
-    def env_config(self) -> EnvConfig:
-        return EnvConfig(turn_radius=self.turn_radius, omega_max=self.omega_max,
-                         dt=self.dt, n_actions=self.n_actions,
-                         max_steps_eval=self.max_steps_eval,
-                         train_cutoff_dist=self.train_cutoff_dist,
-                         sense_substep=self.sense_substep,
-                         literal_goal_sum=self.literal_goal_sum)
+    def __post_init__(self):
+        if min(self.n_tasks, self.n_pos, self.n_head) < 1:
+            raise ValueError(f"n_tasks, n_pos and n_head must be >= 1, got "
+                             f"{(self.n_tasks, self.n_pos, self.n_head)}")
+        for name in ("map_width", "map_height", "r_sense"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+
+    @property
+    def common_dim(self) -> int:
+        return 3 + 4 * self.n_tasks
+
+    @property
+    def priv_dim(self) -> int:
+        return PRIV_DIM
 
     def instance_for(self, seed: int) -> Instance:
         return generate(n_tasks=self.n_tasks, seed=seed,
                         map_size=(self.map_width, self.map_height),
-                        r_sense=self.r_sense, turn_radius=self.turn_radius)
+                        r_sense=self.r_sense,
+                        turn_radius=self.config.turn_radius)
 
 
 class DemoDataset(List[Demonstration]):
@@ -124,18 +126,10 @@ class DemoDataset(List[Demonstration]):
 
 def make_meta(instance: Instance, config: Optional[EnvConfig] = None,
               n_pos: int = 8, n_head: int = 4) -> DemoMeta:
-    config = config_for(instance, config)
     return DemoMeta(
         n_tasks=instance.n_tasks, map_width=instance.map_width,
         map_height=instance.map_height, r_sense=instance.r_sense,
-        turn_radius=instance.turn_radius, v=config.v, dt=config.dt,
-        omega_max=config.omega_max, n_actions=config.n_actions,
-        max_steps_eval=config.max_steps_eval,
-        train_cutoff_dist=config.train_cutoff_dist,
-        sense_substep=config.sense_substep,
-        literal_goal_sum=config.literal_goal_sum,
-        n_pos=n_pos, n_head=n_head,
-        common_dim=3 + 4 * instance.n_tasks, priv_dim=12)
+        config=config_for(instance, config), n_pos=n_pos, n_head=n_head)
 
 
 def greedy_action(pose: Pose, target: Pose, config: EnvConfig) -> int:
@@ -157,55 +151,43 @@ def track_target(sim: SimState, expert_path: ExpertPath, lookahead: int = 2) -> 
     return expert_path.waypoints[idx]
 
 
+def tracker(env: DtspnEnv, lookahead: int = 2) -> Callable[[Observation], int]:
+    """act_fn for run_episode: the greedy controller chasing env's expert
+    path."""
+    def act_fn(obs: Observation) -> int:
+        target = track_target(env.state, env.expert_path, lookahead)
+        return greedy_action(env.state.pose, target, env.config)
+
+    return act_fn
+
+
+def step_cap(expert_path: ExpertPath) -> int:
+    """Step bound for tracking an expert path in a train-mode env, which
+    otherwise stops only on the cutoff or once every task is sensed."""
+    return max(4 * len(expert_path.waypoints), 400)
+
+
 def collect(instance: Instance, expert_path: ExpertPath,
             config: Optional[EnvConfig] = None, lookahead: int = 2) -> Demonstration:
     """Roll the greedy controller through a train-mode env and record the
     episode.  Raises TrackingFailure if the episode hits the cutoff, stalls
     past the step cap, or ends without sensing every task."""
     env = DtspnEnv(instance, expert_path, mode="train", config=config)
-    obs = env.reset()
-    cap = max(4 * len(expert_path.waypoints), 400)
-    common_dim = 3 + 4 * instance.n_tasks
-
-    commons, privs, actions, rewards, dones = [], [], [], [], []
-    max_dev, t = 0.0, 0
-    done = env._finished
-    all_sensed = done
-    while not done:
-        target = track_target(env.state, expert_path, lookahead)
-        a = greedy_action(env.state.pose, target, env.config)
-        next_obs, rew, done, info = env.step(a)
-        commons.append(obs.common)
-        privs.append(obs.privileged)
-        actions.append(a)
-        rewards.append(rew.total)
-        dones.append(done)
-        obs = next_obs
-        t += 1
-        if not math.isnan(rew.r):
-            max_dev = max(max_dev, rew.r)
-        all_sensed = info["all_sensed"]
-        if done and not all_sensed:
-            raise TrackingFailure(
-                f"controller left the expert corridor at step {t} "
-                f"(max deviation {max_dev:.2f} m)", max_dev, t)
-        if not done and t >= cap:
-            raise TrackingFailure(
-                f"episode did not finish within {cap} steps "
-                f"(max deviation {max_dev:.2f} m)", max_dev, t)
-
-    rew_arr = np.asarray(rewards, dtype=float)
+    cap = step_cap(expert_path)
+    rec = run_episode(env, tracker(env, lookahead), max_steps=cap)
+    if not rec.sensed_all:
+        max_dev = max(env.expert_distance(x, y) for x, y, _ in rec.poses)
+        what = (f"controller left the expert corridor at step {len(rec)}"
+                if env.done else f"episode did not finish within {cap} steps")
+        raise TrackingFailure(f"{what} (max deviation {max_dev:.2f} m)",
+                              max_dev, len(rec))
+    rewards = rec.rewards
     return Demonstration(
-        seed=instance.seed,
-        commons=(np.vstack(commons) if commons
-                 else np.zeros((0, common_dim))),
-        privileged=(np.vstack(privs) if privs else np.zeros((0, 12))),
-        actions=np.asarray(actions, dtype=np.uint8),
-        rewards=rew_arr,
-        dones=np.asarray(dones, dtype=np.uint8),
-        sensed_all=True,
-        return_undiscounted=float(rew_arr.sum()),
-        return_discounted=discounted_return(rew_arr, GAMMA))
+        seed=instance.seed, commons=rec.commons, privileged=rec.privileged,
+        actions=rec.actions.astype(np.uint8), rewards=rewards,
+        dones=rec.dones, sensed_all=True,
+        return_undiscounted=float(rewards.sum()),
+        return_discounted=discounted_return(rewards, GAMMA))
 
 
 def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
@@ -260,13 +242,13 @@ def save_dataset(demos, path: str) -> None:
     meta = getattr(demos, "meta", None)
     if meta is None:
         raise ValueError("save_dataset needs a DemoDataset with meta attached")
+    cfg = meta.config
     header = _HEADER.pack(
         MAGIC, VERSION, meta.n_tasks,
-        meta.map_width, meta.map_height, meta.r_sense, meta.turn_radius,
-        meta.v, meta.dt, meta.omega_max,
-        meta.n_actions, meta.max_steps_eval,
-        meta.train_cutoff_dist, meta.sense_substep,
-        int(meta.literal_goal_sum), meta.n_pos, meta.n_head,
+        meta.map_width, meta.map_height, meta.r_sense, cfg.turn_radius,
+        cfg.v, cfg.dt, cfg.omega_max, cfg.n_actions, cfg.max_steps_eval,
+        cfg.train_cutoff_dist, cfg.sense_substep,
+        int(cfg.literal_goal_sum), meta.n_pos, meta.n_head,
         meta.common_dim, meta.priv_dim, len(demos))
     rec = struct.Struct("<QIBdd")
     dt = _transition_dtype(meta.common_dim, meta.priv_dim)
@@ -304,20 +286,26 @@ def load_dataset(path: str) -> DemoDataset:
         raise DemoFormatError(
             f"common dim mismatch: expected {3 + 4 * n_tasks} for "
             f"{n_tasks} tasks, found {common_dim}")
-    if priv_dim != 12:
-        raise DemoFormatError(f"privileged dim mismatch: expected 12, "
-                              f"found {priv_dim}")
-    if abs(v - omega_max * turn_radius) > 1e-9:
+    if priv_dim != PRIV_DIM:
+        raise DemoFormatError(f"privileged dim mismatch: expected "
+                              f"{PRIV_DIM}, found {priv_dim}")
+    if literal > 1:
+        raise DemoFormatError(f"literal_goal_sum flag {literal} is not 0 or 1")
+    try:
+        config = EnvConfig(
+            turn_radius=turn_radius, omega_max=omega_max, dt=dt_,
+            n_actions=n_actions, max_steps_eval=max_steps,
+            train_cutoff_dist=cutoff, sense_substep=substep,
+            literal_goal_sum=bool(literal))
+        meta = DemoMeta(n_tasks=n_tasks, map_width=map_w, map_height=map_h,
+                        r_sense=r_sense, config=config, n_pos=n_pos,
+                        n_head=n_head)
+    except ValueError as e:
+        raise DemoFormatError(f"invalid header: {e}") from None
+    if abs(v - config.v) > 1e-9:
         raise DemoFormatError(
             f"inconsistent kinematics: v {v} != omega_max * turn_radius "
-            f"{omega_max * turn_radius}")
-    meta = DemoMeta(n_tasks=n_tasks, map_width=map_w, map_height=map_h,
-                    r_sense=r_sense, turn_radius=turn_radius, v=v, dt=dt_,
-                    omega_max=omega_max, n_actions=n_actions,
-                    max_steps_eval=max_steps, train_cutoff_dist=cutoff,
-                    sense_substep=substep, literal_goal_sum=bool(literal),
-                    n_pos=n_pos, n_head=n_head,
-                    common_dim=common_dim, priv_dim=priv_dim)
+            f"{config.v}")
     rec = struct.Struct("<QIBdd")
     tdt = _transition_dtype(common_dim, priv_dim)
     off = _HEADER.size
@@ -334,6 +322,9 @@ def load_dataset(path: str) -> DemoDataset:
                 f"bytes, found {len(raw) - off}")
         block = np.frombuffer(raw, dtype=tdt, count=n_tr, offset=off)
         off += nbytes
+        if n_tr and block["action"].max() >= n_actions:
+            raise DemoFormatError(f"record {i}: action out of range "
+                                  f"[0, {n_actions})")
         demos.append(Demonstration(
             seed=seed,
             commons=block["common"].reshape(n_tr, common_dim).copy(),
@@ -355,15 +346,9 @@ def replay_rewards(demo: Demonstration, meta: DemoMeta) -> np.ndarray:
     path from the metadata and feeding the recorded actions back through a
     fresh env.  Byte-identical output is the replay determinism check."""
     x = meta.instance_for(demo.seed)
-    config = meta.env_config()
     path = plan(x, n_pos=meta.n_pos, n_head=meta.n_head,
-                step_dist=config.step_dist)
-    env = DtspnEnv(x, path, mode="train", config=config)
-    env.reset()
-    out = np.empty(len(demo))
-    for i, a in enumerate(demo.actions):
-        _, rew, done, _ = env.step(int(a))
-        out[i] = rew.total
-        if done:
-            return out[:i + 1]
-    return out
+                step_dist=meta.config.step_dist)
+    env = DtspnEnv(x, path, mode="train", config=meta.config)
+    actions = iter(demo.actions)
+    return run_episode(env, lambda obs: int(next(actions)),
+                       max_steps=len(demo)).rewards

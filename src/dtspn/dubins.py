@@ -22,6 +22,11 @@ WORDS = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
 # paths from flipping between adjacent words.
 SEGMENT_EPS = 1e-9
 
+# Pose pairs per _segments call in length_matrix.  The kernel holds about
+# 440 bytes of temporaries per pair, so one chunk needs under 30 MB however
+# many poses there are.
+LENGTH_CHUNK_PAIRS = 1 << 16
+
 
 def normalize_angle(theta: float) -> float:
     """Wrap an angle to [-pi, pi).
@@ -282,5 +287,9 @@ def length_matrix(from_poses, to_poses, rho: float) -> np.ndarray:
     """
     a = pose_array(from_poses)
     b = pose_array(to_poses)
-    t, p, q, ok = _segments(a[:, None, :], b[None, :, :], rho)
-    return rho * np.where(ok, t + p + q, np.inf).min(axis=0)
+    out = np.empty((len(a), len(b)))
+    rows = max(1, LENGTH_CHUNK_PAIRS // max(1, len(b)))
+    for i in range(0, len(a), rows):
+        t, p, q, ok = _segments(a[i:i + rows, None, :], b[None, :, :], rho)
+        out[i:i + rows] = rho * np.where(ok, t + p + q, np.inf).min(axis=0)
+    return out

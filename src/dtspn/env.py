@@ -1,14 +1,15 @@
 """DTSPN MDP simulator.
 
 Exact-arc Dubins stepping over a discrete turn-rate action set, monotone
-per-task sensing flags, common/privileged state encodings, and the two-part
+per-task sensing flags, common/privileged state encodings, the two-part
 reward R = R^I + R^G with the imitation term keyed to the distance from the
-expert polyline.
+expert polyline, and the episode loop every caller but PPO rolls through.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import time
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +34,10 @@ class EnvConfig:
     def __post_init__(self):
         if self.n_actions < 2 or self.n_actions % 2 == 0:
             raise ValueError(f"n_actions must be odd and >= 3, got {self.n_actions}")
+        for name in ("turn_radius", "omega_max", "dt", "sense_substep"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def v(self) -> float:
@@ -152,6 +157,7 @@ def encode_common(sim: SimState, instance: Instance) -> np.ndarray:
 
 
 PROGRESS_WINDOW = 8
+PRIV_DIM = 12               # four waypoints of (dx, dy, dtheta)
 
 
 def encode_privileged(sim: SimState, expert_path: ExpertPath,
@@ -170,7 +176,7 @@ def encode_privileged(sim: SimState, expert_path: ExpertPath,
 
     scale = 0.5 * max(instance.map_width, instance.map_height)
     c, s = math.cos(pose.theta), math.sin(pose.theta)
-    out = np.empty(12)
+    out = np.empty(PRIV_DIM)
     last = len(wp) - 1
     for slot in range(4):
         w = wp[min(sim.progress_idx + 1 + slot, last)]
@@ -183,7 +189,8 @@ def encode_privileged(sim: SimState, expert_path: ExpertPath,
 
 class DtspnEnv:
     """Single-episode simulator.  mode 'train' terminates on the expert-path
-    cutoff and requires an expert path; mode 'eval' caps the step count."""
+    cutoff and requires an expert path; mode 'eval' caps the step count.
+    done is True before the first reset and once the episode has ended."""
 
     def __init__(self, instance: Instance, expert_path: Optional[ExpertPath] = None,
                  mode: str = "eval", config: Optional[EnvConfig] = None):
@@ -201,7 +208,8 @@ class DtspnEnv:
         self.mode = mode
         self.config = config
         self._tasks = instance.task_array()
-        self._sense2 = instance.r_sense ** 2
+        # a product overflows to inf where ** 2 raises OverflowError
+        self._sense2 = instance.r_sense * instance.r_sense
         if expert_path is not None:
             xs = expert_path.waypoint_array()
             self._wx, self._wy = xs[:, 0], xs[:, 1]
@@ -209,7 +217,7 @@ class DtspnEnv:
             self._sy = np.diff(self._wy)
             self._slen2 = np.maximum(self._sx ** 2 + self._sy ** 2, 1e-30)
         self.state: Optional[SimState] = None
-        self._finished = True
+        self.done = True
 
     @property
     def n_tasks(self) -> int:
@@ -255,16 +263,14 @@ class DtspnEnv:
         self.state = SimState(pose=pose,
                               sensed=np.zeros(self.n_tasks, dtype=np.uint8),
                               t=0, progress_idx=0)
-        self._finished = False
         self._mark_sensed([(pose.x, pose.y)])
-        if self.state.sensed.all():
-            self._finished = True
+        self.done = bool(self.state.sensed.all())
         return self._observe()
 
     def step(self, action: int):
         if self.state is None:
             raise RuntimeError("call reset() before step()")
-        if self._finished:
+        if self.done:
             raise RuntimeError("episode is already done; call reset()")
         action = int(action)
         if not 0 <= action < self.config.n_actions:
@@ -299,7 +305,90 @@ class DtspnEnv:
             done = True
         if self.mode == "eval" and self.state.t >= cfg.max_steps_eval:
             done = True
-        self._finished = done
+        self.done = done
         info = {"t": self.state.t, "all_sensed": all_sensed,
                 "pose": self.state.pose, "r": r_dist}
         return self._observe(), reward, done, info
+
+
+@dataclass
+class EpisodeRecord:
+    """One rolled-out episode.  Arrays are row-per-step: the observation each
+    action saw, the action, then the pose and rewards after it.
+    sensed_events lists (step index, task index) pairs in sensing order."""
+
+    instance_seed: int
+    start_pose: Tuple[float, float, float]
+    commons: np.ndarray        # (T, 3 + 4 * n_tasks)
+    privileged: Optional[np.ndarray]  # (T, PRIV_DIM), None without expert path
+    poses: np.ndarray          # (T, 3) pose after each action
+    actions: np.ndarray        # (T,)
+    r_imitation: np.ndarray    # (T,)
+    r_goal: np.ndarray         # (T,)
+    newly_sensed: np.ndarray   # (T,)
+    dones: np.ndarray          # (T,)
+    # step index -1 marks tasks already in range at reset
+    sensed_events: List[Tuple[int, int]] = field(default_factory=list)
+    sensed_all: bool = False
+    n_sensed: int = 0
+    wall_time: float = 0.0
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+    @property
+    def rewards(self) -> np.ndarray:
+        return self.r_imitation + self.r_goal
+
+    def total_reward(self) -> float:
+        return float(self.rewards.sum())
+
+
+def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
+                max_steps: Optional[int] = None) -> EpisodeRecord:
+    """Reset env and step it with act_fn until done or max_steps actions.
+    wall_time covers reset, stepping and act_fn calls, nothing else.
+    max_steps bounds train-mode envs, which otherwise stop only on the
+    cutoff or once every task is sensed."""
+    t0 = time.perf_counter()
+    obs = env.reset()
+    p = env.state.pose
+    start = (p.x, p.y, p.theta)
+    sensed = env.state.sensed.copy()
+    events = [(-1, int(i)) for i in np.nonzero(sensed)[0]]
+    commons, privs, poses, actions, r_im, r_go, newly, dones = \
+        [], [], [], [], [], [], [], []
+    while not env.done and (max_steps is None or len(actions) < max_steps):
+        a = act_fn(obs)
+        commons.append(obs.common)
+        privs.append(obs.privileged)
+        obs, rew, done, _ = env.step(a)
+        p = env.state.pose
+        poses.append((p.x, p.y, p.theta))
+        actions.append(a)
+        r_im.append(rew.imitation)
+        r_go.append(rew.goal)
+        newly.append(rew.newly_sensed)
+        dones.append(done)
+        if rew.newly_sensed:
+            events.extend((len(actions) - 1, int(i))
+                          for i in np.nonzero(env.state.sensed != sensed)[0])
+            sensed = env.state.sensed.copy()
+    wall = time.perf_counter() - t0
+    n = len(actions)
+    return EpisodeRecord(
+        instance_seed=env.instance.seed,
+        start_pose=start,
+        commons=np.array(commons, dtype=float).reshape(n, 3 + 4 * env.n_tasks),
+        privileged=(None if env.expert_path is None else
+                    np.array(privs, dtype=float).reshape(n, PRIV_DIM)),
+        poses=np.array(poses, dtype=float).reshape(n, 3),
+        actions=np.array(actions, dtype=np.int64),
+        r_imitation=np.array(r_im, dtype=float),
+        r_goal=np.array(r_go, dtype=float),
+        newly_sensed=np.array(newly, dtype=np.int64),
+        dones=np.array(dones, dtype=np.uint8),
+        sensed_events=events,
+        sensed_all=bool(env.state.sensed.all()),
+        n_sensed=int(env.state.sensed.sum()),
+        wall_time=wall)

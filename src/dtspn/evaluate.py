@@ -1,51 +1,22 @@
-"""Evaluation harness: per-episode records, aggregate metrics, the
+"""Evaluation harness: aggregate metrics over episode records, the
 expert-vs-policy speed benchmark, and CSV persistence."""
 
 import csv
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .demos import greedy_action, track_target
-from .env import DtspnEnv, EnvConfig, Observation, config_for
+from .demos import step_cap, tracker
+from .env import (DtspnEnv, EnvConfig, EpisodeRecord, Observation, config_for,
+                  run_episode)
 from .expert import ExpertPath, plan
 from .instance import Instance
 from .learn import ModelBundle, act, discounted_return
 
 CSV_COLUMNS = ("t", "x", "y", "theta", "action", "r_imitation", "r_goal",
                "newly_sensed", "done")
-
-
-@dataclass
-class EpisodeRecord:
-    """One evaluated episode.  Arrays are row-per-step; sensed_events lists
-    (step index, task index) pairs in sensing order."""
-
-    instance_seed: int
-    start_pose: Tuple[float, float, float]
-    poses: np.ndarray          # (T, 3) pose after each action
-    actions: np.ndarray        # (T,)
-    r_imitation: np.ndarray    # (T,)
-    r_goal: np.ndarray         # (T,)
-    newly_sensed: np.ndarray   # (T,)
-    dones: np.ndarray          # (T,)
-    # step index -1 marks tasks already in range at reset
-    sensed_events: List[Tuple[int, int]] = field(default_factory=list)
-    sensed_all: bool = False
-    n_sensed: int = 0
-    wall_time: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return self.r_imitation + self.r_goal
-
-    def total_reward(self) -> float:
-        return float(self.rewards.sum())
 
 
 @dataclass
@@ -63,62 +34,15 @@ class Metrics:
             raise ValueError("episodes must be >= 1")
 
 
-def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
-                max_steps: Optional[int] = None) -> EpisodeRecord:
-    """Roll one episode to termination.  wall_time covers reset, stepping,
-    and act_fn calls, nothing else.  max_steps bounds train-mode envs, which
-    otherwise only stop once every task is sensed."""
-    t0 = time.perf_counter()
-    obs = env.reset()
-    poses, actions, r_im, r_go, newly, dones = [], [], [], [], [], []
-    events: List[Tuple[int, int]] = [(-1, int(i))
-                                     for i in np.nonzero(env.state.sensed)[0]]
-    step = 0
-    while not env._finished and (max_steps is None or step < max_steps):
-        a = act_fn(obs)
-        prev = env.state.sensed.copy()
-        obs, rew, done, _ = env.step(a)
-        p = env.state.pose
-        poses.append((p.x, p.y, p.theta))
-        actions.append(a)
-        r_im.append(rew.imitation)
-        r_go.append(rew.goal)
-        newly.append(rew.newly_sensed)
-        dones.append(done)
-        for i in np.nonzero(env.state.sensed != prev)[0]:
-            events.append((step, int(i)))
-        step += 1
-    wall = time.perf_counter() - t0
-    sp = env.instance.start
-    heading = sp.theta if env.expert_path is None else \
-        env.expert_path.waypoints[0].theta
-    return EpisodeRecord(
-        instance_seed=env.instance.seed,
-        start_pose=(sp.x, sp.y, heading),
-        poses=np.array(poses, dtype=float).reshape(len(actions), 3),
-        actions=np.array(actions, dtype=np.int64),
-        r_imitation=np.array(r_im, dtype=float),
-        r_goal=np.array(r_go, dtype=float),
-        newly_sensed=np.array(newly, dtype=np.int64),
-        dones=np.array(dones, dtype=np.uint8),
-        sensed_events=events,
-        sensed_all=bool(env.state.sensed.all()),
-        n_sensed=int(env.state.sensed.sum()),
-        wall_time=wall)
-
-
-def _bundle_act_fn(bundle: ModelBundle, pi_eval: bool, zero_priv: bool):
-    pd = bundle.priv_dim
-    zeros = np.zeros(pd)
-
-    def fn(obs: Observation) -> int:
-        if pi_eval:
-            priv = zeros if (zero_priv or obs.privileged is None) \
-                else obs.privileged
-            return act(bundle, obs.common, True, priv)
-        return act(bundle, obs.common, use_privileged=False)
-
-    return fn
+def bundle_actor(bundle: ModelBundle,
+                 pi_eval: bool) -> Callable[[Observation], int]:
+    """act_fn for run_episode: the adaptation path, or with pi_eval the
+    encoder path on the privileged observation (zeros without one)."""
+    if not pi_eval:
+        return lambda obs: act(bundle, obs.common, use_privileged=False)
+    zeros = np.zeros(bundle.priv_dim)
+    return lambda obs: act(bundle, obs.common, True,
+                           zeros if obs.privileged is None else obs.privileged)
 
 
 def _expert_episode(x: Instance, config: Optional[EnvConfig],
@@ -129,14 +53,9 @@ def _expert_episode(x: Instance, config: Optional[EnvConfig],
     config = config_for(x, config)
     path = plan(x, n_pos=n_pos, n_head=n_head, step_dist=config.step_dist)
     # train mode: the expert is scored on its full tour, which can outlast
-    # the policy step cap; the bound below matches the demo collector's
+    # the policy step cap; the demo collector's bound applies instead
     env = DtspnEnv(x, path, mode="train", config=config)
-
-    def fn(obs: Observation) -> int:
-        target = track_target(env.state, path)
-        return greedy_action(env.state.pose, target, env.config)
-
-    rec = run_episode(env, fn, max_steps=max(4 * len(path.waypoints), 400))
+    rec = run_episode(env, tracker(env), max_steps=step_cap(path))
     rec.wall_time = time.perf_counter() - t0
     return rec
 
@@ -169,7 +88,7 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
             expert_paths = [plan(x, n_pos=n_pos, n_head=n_head,
                                  step_dist=config_for(x, config).step_dist)
                             for x in instances]
-        act_fn = _bundle_act_fn(policy, pi_eval, zero_priv=False)
+        act_fn = bundle_actor(policy, pi_eval)
     elif policy == "expert":
         act_fn = None
     elif callable(policy):
@@ -214,7 +133,7 @@ def benchmark_speed(instances: Sequence[Instance], bundle: ModelBundle,
         plan(x, n_pos=n_pos, n_head=n_head,
              step_dist=config_for(x, config).step_dist)
         expert_times.append(time.perf_counter() - t0)
-    act_fn = _bundle_act_fn(bundle, pi_eval=False, zero_priv=False)
+    act_fn = bundle_actor(bundle, pi_eval=False)
     policy_times = []
     for x in instances:
         env = DtspnEnv(x, mode="eval", config=config)

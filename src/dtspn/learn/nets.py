@@ -339,8 +339,8 @@ def load_bundle(path: str) -> ModelBundle:
                 weights.append(w.reshape(dims[i], dims[i + 1]).copy())
                 biases.append(b.copy())
             nets.append(NetworkParams(tuple(dims), weights, biases))
+        if off == len(blob):
+            return ModelBundle(*nets)
     except (struct.error, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint: {e}") from e
-    if off != len(blob):
-        raise CheckpointError(f"{len(blob) - off} unread bytes in checkpoint")
-    return ModelBundle(*nets)
+    raise CheckpointError(f"{len(blob) - off} unread bytes in checkpoint")

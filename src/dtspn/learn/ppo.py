@@ -67,7 +67,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
         for _ in range(1000):
             e = env_factory()
             o = e.reset()
-            if not e._finished:
+            if not e.done:
                 return e, o
         raise RuntimeError("env factory produced 1000 pre-finished episodes")
 

@@ -6,7 +6,7 @@ with y flipped (SVG grows downward)."""
 
 from typing import Optional
 
-from .evaluate import EpisodeRecord
+from .env import EpisodeRecord
 from .expert import ExpertPath
 from .instance import Instance
 

@@ -1,15 +1,17 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import dtspn.demos as demos_mod
 from dtspn.demos import (DemoDataset, DemoFormatError, GAMMA, TrackingFailure,
                          _HEADER, MAGIC, collect, collect_batch,
                          greedy_action, load_dataset,
                          make_meta, replay_rewards, save_dataset,
-                         track_target)
+                         track_target, tracker)
 from dtspn.dubins import Pose
-from dtspn.env import DtspnEnv, EnvConfig, advance
+from dtspn.env import DtspnEnv, EnvConfig, advance, run_episode
 from dtspn.expert import ExpertPath, plan
 from dtspn.instance import Instance, generate
 from dtspn.learn import discounted_return
@@ -130,15 +132,9 @@ def test_tracking_deviation_is_small_on_planned_paths():
     x = generate(n_tasks=3, seed=5, map_size=(300.0, 300.0))
     path = plan(x, n_pos=3, n_head=2)
     env = DtspnEnv(x, path, mode="train")
-    env.reset()
-    devs = []
-    done = env._finished
-    while not done:
-        target = track_target(env.state, path)
-        a = greedy_action(env.state.pose, target, env.config)
-        _, rew, done, info = env.step(a)
-        devs.append(rew.r)
-    assert info["all_sensed"]
+    rec = run_episode(env, tracker(env))
+    assert rec.sensed_all
+    devs = [env.expert_distance(px, py) for px, py, _ in rec.poses]
     rms = math.sqrt(np.mean(np.square(devs)))
     assert rms <= 5.0, f"tracking RMS {rms:.2f} m"
 
@@ -293,6 +289,76 @@ def test_load_rejects_malformed_files(tmp_path):
         assert False
     except DemoFormatError as e:
         assert "kinematics" in str(e) and "50" in str(e)
+
+
+def test_load_rejects_invalid_header_values(tmp_path):
+    # values the format can hold but that no env config, instance or
+    # planner accepts
+    x = generate(n_tasks=3, seed=0, map_size=(300.0, 300.0))
+    p = tmp_path / "ok.bin"
+    save_dataset(DemoDataset([], meta=make_meta(x)), str(p))
+    raw = p.read_bytes()
+    for field, value, word in ((10, 6, "n_actions"), (3, -300.0, "map_width"),
+                               (5, -58.0, "r_sense"), (5, math.nan, "r_sense"),
+                               (8, -0.2, "dt"), (13, 0.0, "sense_substep"),
+                               (14, 2, "literal_goal_sum"), (15, 0, "n_pos")):
+        vals = list(_HEADER.unpack_from(raw, 0))
+        vals[field] = value
+        bad = tmp_path / "h.bin"
+        bad.write_bytes(_HEADER.pack(*vals) + raw[_HEADER.size:])
+        with pytest.raises(DemoFormatError, match=word):
+            load_dataset(str(bad))
+
+
+def test_load_rejects_out_of_range_action(tmp_path):
+    w = h = 400.0
+    start = Pose(40.0, 200.0, 0.0)
+    sp = 3.6 * math.pi
+    x = Instance(w, h, ((start.x + 10.0 * sp, 200.0),), 50.0, 30.0, start, 0)
+    d = collect(x, straight_path(start, 12, sp))
+    d.actions[3] = 7
+    save_dataset(DemoDataset([d], meta=make_meta(x)), str(tmp_path / "a.bin"))
+    with pytest.raises(DemoFormatError, match="record 0: action"):
+        load_dataset(str(tmp_path / "a.bin"))
+
+
+@pytest.fixture(scope="module")
+def demo_bytes(tmp_path_factory):
+    ds, report = collect_batch(2, base_seed=0, n_tasks=1,
+                               map_size=(300.0, 300.0), n_pos=3, n_head=2)
+    assert report["accepted"] == 2
+    p = tmp_path_factory.mktemp("demos") / "d.bin"
+    save_dataset(ds, str(p))
+    return p.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_load_fuzz_raises_only_format_errors(tmp_path_factory, demo_bytes,
+                                             data):
+    # byte flips (half of them in the header) and truncations either raise
+    # DemoFormatError or load a dataset whose config, instances and envs
+    # can be built
+    raw = bytearray(demo_bytes)
+    at = st.one_of(st.integers(0, _HEADER.size - 1),
+                   st.integers(0, len(raw) - 1))
+    for i, value in data.draw(st.lists(st.tuples(at, st.integers(0, 255)),
+                                       min_size=1, max_size=4)):
+        raw[i] = value
+    end = st.one_of(st.just(len(raw)), st.integers(0, len(raw)))
+    p = tmp_path_factory.mktemp("fuzz") / "d.bin"
+    p.write_bytes(bytes(raw[:data.draw(end)]))
+    try:
+        ds = load_dataset(str(p))
+    except DemoFormatError:
+        return
+    meta = ds.meta
+    for seed in [0] + [d.seed for d in ds]:
+        DtspnEnv(meta.instance_for(seed), mode="eval",
+                 config=meta.config).reset()
+    for d in ds:
+        assert d.commons.shape == (len(d), meta.common_dim)
+        assert (d.actions < meta.config.n_actions).all()
 
 
 def test_collect_batch_reports_rejections():

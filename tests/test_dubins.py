@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dtspn.dubins as dubins_mod
 from dtspn.dubins import (
     Pose,
     WORDS,
@@ -177,6 +179,37 @@ def test_length_matrix_matches_scalar():
         for j in range(9):
             assert mat[i, j] == pytest.approx(
                 shortest_path_length(a[i], b[j], RHO), abs=1e-9)
+
+
+def random_pose_array(rng, n):
+    return np.column_stack([rng.uniform(0.0, 800.0, n),
+                            rng.uniform(0.0, 800.0, n),
+                            rng.uniform(-math.pi, math.pi, n)])
+
+
+def test_length_matrix_chunks_match_one_kernel_call(monkeypatch):
+    rng = np.random.default_rng(43)
+    a, b = random_pose_array(rng, 37), random_pose_array(rng, 11)
+    t, p, q, ok = _segments(a[:, None, :], b[None, :, :], RHO)
+    whole = RHO * np.where(ok, t + p + q, np.inf).min(axis=0)
+    for pairs in (1, 7, 11, 50, 10**6):
+        monkeypatch.setattr(dubins_mod, "LENGTH_CHUNK_PAIRS", pairs)
+        assert length_matrix(a, b, RHO).tobytes() == whole.tobytes()
+    assert length_matrix(a, b[:0], RHO).shape == (37, 0)
+    assert length_matrix(a[:0], b, RHO).shape == (0, 11)
+
+
+def test_length_matrix_memory_stays_bounded():
+    # 1,000 poses: the output is 8 MB; unchunked, the kernel's temporaries
+    # peaked near 290 MB
+    poses = random_pose_array(np.random.default_rng(44), 1000)
+    tracemalloc.start()
+    try:
+        length_matrix(poses, poses, RHO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_pose_theta_normalization():

@@ -164,7 +164,7 @@ def test_reward_decomposition_and_return_bound():
         env.reset()
         total_goal = 0.0
         steps = 0
-        done = env._finished
+        done = env.done
         while not done:
             _, rew, done, _ = env.step(int(rng.integers(7)))
             assert rew.total == rew.imitation + rew.goal
@@ -329,7 +329,7 @@ def test_replay_is_bit_exact():
         obs = [env.reset().common]
         rewards = []
         for a in actions:
-            if env._finished:
+            if env.done:
                 break
             o, rew, done, _ = env.step(a)
             obs.append(o.common)
@@ -386,7 +386,7 @@ def test_step_after_done_raises():
     env = DtspnEnv(x, mode="eval")
     env.reset()
     # the single task is already within range of the start pose
-    assert env._finished
+    assert env.done
     try:
         env.step(3)
         assert False, "step on finished episode accepted"

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from dtspn.cli import build_parser, main
-from dtspn.demos import collect_batch
-from dtspn.env import DtspnEnv
+from dtspn.demos import collect, collect_batch, tracker
+from dtspn.env import DtspnEnv, run_episode
 from dtspn.evaluate import (Metrics, benchmark_speed, evaluate,
-                            load_episode_csv, run_episode, save_episode_csv)
+                            load_episode_csv, save_episode_csv)
 from dtspn.expert import load as load_expert, plan
 from dtspn.instance import generate, load as load_instance
 from dtspn.learn import load_bundle
@@ -137,17 +137,22 @@ def test_expert_time_grows_with_sampling_density():
     assert med(16) > med(8)
 
 
+def test_expert_evaluation_matches_demo_collection():
+    # both roll the greedy tracker through the same episode loop and cap
+    for x in small_instances(4, base=401000):
+        _, (rec,) = evaluate("expert", [x])
+        d = collect(x, plan(x))
+        assert np.array_equal(rec.actions, d.actions)
+        assert rec.rewards.tobytes() == d.rewards.tobytes()
+        assert rec.commons.tobytes() == d.commons.tobytes()
+        assert rec.privileged.tobytes() == d.privileged.tobytes()
+
+
 def test_episode_csv_roundtrip_and_purity(tmp_path):
     inst = generate(3, 801, map_size=(300.0, 300.0))
     path = plan(inst)
     env = DtspnEnv(inst, path, mode="eval")
-    from dtspn.demos import greedy_action, track_target
-
-    def fn(obs):
-        return greedy_action(env.state.pose, track_target(env.state, path),
-                             env.config)
-
-    rec = run_episode(env, fn)
+    rec = run_episode(env, tracker(env))
     before = (rec.poses.tobytes(), rec.actions.tobytes(),
               rec.r_imitation.tobytes())
     out = tmp_path / "ep.csv"
@@ -173,13 +178,7 @@ def test_svg_deterministic_and_counts(tmp_path):
     inst = generate(3, 810, map_size=(300.0, 300.0))
     path = plan(inst)
     env = DtspnEnv(inst, path, mode="eval")
-    from dtspn.demos import greedy_action, track_target
-
-    def fn(obs):
-        return greedy_action(env.state.pose, track_target(env.state, path),
-                             env.config)
-
-    rec = run_episode(env, fn)
+    rec = run_episode(env, tracker(env))
     assert rec.sensed_all
     out = tmp_path / "ep.svg"
     b1 = emit_trajectory_svg(rec, inst, expert_path=path, path=str(out))
@@ -215,13 +214,7 @@ def test_svg_sensing_at_reset_still_counted():
                     start=Pose(150.0, 15.0, 0.0), seed=0)
     path = plan(inst)
     env = DtspnEnv(inst, path, mode="eval")
-    from dtspn.demos import greedy_action, track_target
-
-    def fn(obs):
-        return greedy_action(env.state.pose, track_target(env.state, path),
-                             env.config)
-
-    rec = run_episode(env, fn)
+    rec = run_episode(env, tracker(env))
     assert rec.sensed_all
     assert (-1, 0) in rec.sensed_events
     data = emit_trajectory_svg(rec, inst)

@@ -1,6 +1,9 @@
 import hashlib
+import struct
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtspn.demos import Demonstration
 from dtspn.env import DtspnEnv
@@ -13,6 +16,7 @@ from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
                          forward, gradients, init_bundle, init_network,
                          load_bundle, ppo_finetune, return_to_go, save_bundle,
                          softmax)
+from dtspn.learn.nets import CKPT_MAGIC, CKPT_VERSION, _pack_network
 
 from oracles import discounted_returns, fd_gradients
 
@@ -255,6 +259,47 @@ def test_checkpoint_roundtrip_and_errors(tmp_path):
         assert False
     except CheckpointError as e:
         assert "magic" in str(e)
+
+    # each network well formed, but the policy expects a wider common input
+    other = init_bundle(common_dim=19, seed=9)
+    mixed = b"".join([CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, 4)] + [
+        _pack_network(n) for n in (b.encoder, other.policy, b.critic,
+                                   b.adaptation)])
+    (tmp_path / "mixed.ckpt").write_bytes(
+        mixed + hashlib.sha256(mixed).digest())
+    with pytest.raises(CheckpointError, match="policy"):
+        load_bundle(str(tmp_path / "mixed.ckpt"))
+
+
+@pytest.fixture(scope="module")
+def ckpt_bytes(tmp_path_factory):
+    p = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_bundle(init_bundle(common_dim=7, hidden=4, z_dim=3, seed=1), str(p))
+    return p.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_load_bundle_fuzz_raises_only_checkpoint_errors(tmp_path_factory,
+                                                       ckpt_bytes, data):
+    # byte flips and truncations of the body, under the stored fingerprint
+    # or one recomputed over the damaged body (so the parser itself sees
+    # them), either raise CheckpointError or load a bundle
+    body = bytearray(ckpt_bytes[:-32])
+    for at, value in data.draw(st.lists(st.tuples(
+            st.integers(0, len(body) - 1), st.integers(0, 255)),
+            min_size=1, max_size=4)):
+        body[at] = value
+    end = st.one_of(st.just(len(body)), st.integers(0, len(body)))
+    body = bytes(body[:data.draw(end)])
+    digest = (hashlib.sha256(body).digest() if data.draw(st.booleans())
+              else ckpt_bytes[-32:])
+    p = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    p.write_bytes(body + digest)
+    try:
+        assert isinstance(load_bundle(str(p)), ModelBundle)
+    except CheckpointError:
+        pass
 
 
 def test_episode_split_and_return_to_go():
