@@ -10,7 +10,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar, root
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,6 +135,14 @@ def _csc_eval_s(word, p0, p1, rho, t):
 
 def _ccc_eval_s(word, p0, p1, rho, t, u):
     """Scalar-math twin of _ccc_eval."""
+    dx, dy, total = _ccc_miss_s(word, p0, p1, rho, t, u)
+    return math.hypot(dx, dy), total
+
+
+def _ccc_miss_s(word, p0, p1, rho, t, u):
+    """Endpoint miss (dx, dy) and total length of a CCC word with first turn t
+    and middle turn u.  The miss is smooth and 2*pi-periodic in t and u, so a
+    root finder can drive it to zero from a grid start."""
     s1 = _CCC_SIDES[word]
     x0, y0, th0 = p0
     x1, y1, th1 = p1
@@ -160,7 +168,7 @@ def _ccc_eval_s(word, p0, p1, rho, t, u):
     c3, s3 = math.cos(rot3), math.sin(rot3)
     ex = c3x + c3 * (bx - c3x) - s3 * (by - c3y)
     ey = c3y + s3 * (bx - c3x) + c3 * (by - c3y)
-    return math.hypot(x1 - ex, y1 - ey), rho * (t + u + q)
+    return ex - x1, ey - y1, rho * (t + u + q)
 
 
 def _local_minima(err, thresh):
@@ -239,14 +247,11 @@ def dubins_oracle_length(p0, p1, rho, n_grid=1024, fit_tol=1e-6):
                 if len(starts) == 3:
                     break
 
-            def g(v, w=word):
-                return _ccc_eval_s(w, p0, p1, rho,
-                                   v[0] % TWO_PI, v[1] % TWO_PI)[0]
+            def miss(v, w=word):
+                return _ccc_miss_s(w, p0, p1, rho, v[0], v[1])[:2]
 
             for i, j in starts:
-                res = minimize(g, [tg[i], tg[j]], method="Nelder-Mead",
-                               options={"xatol": 1e-10, "fatol": 1e-12,
-                                        "maxiter": 260})
+                res = root(miss, [tg[i], tg[j]], method="hybr")
                 e, total = _ccc_eval_s(word, p0, p1, rho,
                                        res.x[0] % TWO_PI, res.x[1] % TWO_PI)
                 if e < fit_tol:
