@@ -26,6 +26,8 @@ MAGIC = b"DTSPDEMO"
 # header would track different expert paths.
 VERSION = 2
 GAMMA = 0.95
+# Most sampled poses per task; the planner's pose-pair costs grow as N^2.
+MAX_POSES_PER_TASK = 256
 
 _HEADER = struct.Struct("<8sII4d3dIIddBIIIII")
 
@@ -91,11 +93,17 @@ class DemoMeta:
     config: EnvConfig
     n_pos: int
     n_head: int
+    priv_dim = PRIV_DIM     # a class constant, not a field
 
     def __post_init__(self):
-        if min(self.n_tasks, self.n_pos, self.n_head) < 1:
-            raise ValueError(f"n_tasks, n_pos and n_head must be >= 1, got "
+        if min(self.n_tasks, self.n_pos, self.n_head) < 1 or \
+                self.n_pos * self.n_head > MAX_POSES_PER_TASK:
+            raise ValueError(f"n_tasks, n_pos and n_head must be >= 1 and "
+                             f"n_pos * n_head <= {MAX_POSES_PER_TASK}, got "
                              f"{(self.n_tasks, self.n_pos, self.n_head)}")
+        if self.config.n_actions > 255:
+            raise ValueError(f"n_actions must fit a u1, got "
+                             f"{self.config.n_actions}")
         for name in ("map_width", "map_height", "r_sense"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
@@ -104,10 +112,6 @@ class DemoMeta:
     @property
     def common_dim(self) -> int:
         return 3 + 4 * self.n_tasks
-
-    @property
-    def priv_dim(self) -> int:
-        return PRIV_DIM
 
     def instance_for(self, seed: int) -> Instance:
         return generate(n_tasks=self.n_tasks, seed=seed,
@@ -151,11 +155,11 @@ def track_target(sim: SimState, expert_path: ExpertPath, lookahead: int = 2) -> 
     return expert_path.waypoints[idx]
 
 
-def tracker(env: DtspnEnv, lookahead: int = 2) -> Callable[[Observation], int]:
+def tracker(env: DtspnEnv) -> Callable[[Observation], int]:
     """act_fn for run_episode: the greedy controller chasing env's expert
     path."""
     def act_fn(obs: Observation) -> int:
-        target = track_target(env.state, env.expert_path, lookahead)
+        target = track_target(env.state, env.expert_path)
         return greedy_action(env.state.pose, target, env.config)
 
     return act_fn
@@ -168,13 +172,13 @@ def step_cap(expert_path: ExpertPath) -> int:
 
 
 def collect(instance: Instance, expert_path: ExpertPath,
-            config: Optional[EnvConfig] = None, lookahead: int = 2) -> Demonstration:
+            config: Optional[EnvConfig] = None) -> Demonstration:
     """Roll the greedy controller through a train-mode env and record the
     episode.  Raises TrackingFailure if the episode hits the cutoff, stalls
     past the step cap, or ends without sensing every task."""
     env = DtspnEnv(instance, expert_path, mode="train", config=config)
     cap = step_cap(expert_path)
-    rec = run_episode(env, tracker(env, lookahead), max_steps=cap)
+    rec = run_episode(env, tracker(env), max_steps=cap)
     if not rec.sensed_all:
         max_dev = max(env.expert_distance(x, y) for x, y, _ in rec.poses)
         what = (f"controller left the expert corridor at step {len(rec)}"

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import dtspn.demos as demos_mod
 from dtspn.demos import (DemoDataset, DemoFormatError, GAMMA, TrackingFailure,
-                         _HEADER, MAGIC, collect, collect_batch,
+                         _HEADER, MAGIC, MAX_POSES_PER_TASK, collect,
+                         collect_batch,
                          greedy_action, load_dataset,
                          make_meta, replay_rewards, save_dataset,
                          track_target, tracker)
@@ -301,7 +302,13 @@ def test_load_rejects_invalid_header_values(tmp_path):
     for field, value, word in ((10, 6, "n_actions"), (3, -300.0, "map_width"),
                                (5, -58.0, "r_sense"), (5, math.nan, "r_sense"),
                                (8, -0.2, "dt"), (13, 0.0, "sense_substep"),
-                               (14, 2, "literal_goal_sum"), (15, 0, "n_pos")):
+                               (14, 2, "literal_goal_sum"), (15, 0, "n_pos"),
+                               # one flipped high byte of n_actions (7),
+                               # n_pos (8) or n_head (4)
+                               (10, 7 + 2 ** 24, "n_actions"),
+                               (10, 7 + 2 ** 8, "n_actions"),
+                               (15, 8 + 2 ** 24, "n_pos"),
+                               (16, 4 + 2 ** 16, "n_head")):
         vals = list(_HEADER.unpack_from(raw, 0))
         vals[field] = value
         bad = tmp_path / "h.bin"
@@ -359,6 +366,8 @@ def test_load_fuzz_raises_only_format_errors(tmp_path_factory, demo_bytes,
     for d in ds:
         assert d.commons.shape == (len(d), meta.common_dim)
         assert (d.actions < meta.config.n_actions).all()
+    assert meta.config.n_actions <= 255
+    assert meta.n_pos * meta.n_head <= MAX_POSES_PER_TASK
 
 
 def test_collect_batch_reports_rejections():
