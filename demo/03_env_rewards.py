@@ -19,9 +19,9 @@ for r in (0.0, 3.0, 5.0, 10.0, 30.0, 60.0, 61.0, 200.0):
 
 # the goal term pays a small keep-alive, a bounty per newly sensed task,
 # and a jackpot for clearing the set
-print("step, 0 new:", goal_reward(0, False, 20))
-print("step, 1 new:", goal_reward(1, False, 20))
-print("last task:  ", goal_reward(2, True, 20))
+print("step, 0 new:", goal_reward(0, False))
+print("step, 1 new:", goal_reward(1, False))
+print("last task:  ", goal_reward(2, True))
 
 x = generate(n_tasks=6, seed=11, map_size=(400.0, 400.0))
 path = plan(x)

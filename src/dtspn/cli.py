@@ -6,7 +6,9 @@ files, dimension mismatches), 2 runtime failure (tracking/planning/training
 blowups)."""
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -76,6 +78,22 @@ def _train_config(args, train_kw) -> TrainConfig:
     if getattr(args, "steps", None) is not None:
         kw["steps_budget"] = args.steps
     return TrainConfig(**kw)
+
+
+@contextlib.contextmanager
+def _json_lines(path: Optional[str]):
+    """A callable writing each dict it gets to path as one JSON line (nan
+    and infinities as null), or None without a path."""
+    if path is None:
+        yield None
+        return
+    with open(path, "w") as f:
+        def write(record: dict) -> None:
+            clean = {k: v if not isinstance(v, float) or math.isfinite(v)
+                     else None for k, v in record.items()}
+            f.write(json.dumps(clean, allow_nan=False) + "\n")
+            f.flush()
+        yield write
 
 
 def _instances(args, count: int):
@@ -172,15 +190,14 @@ def cmd_train_ppo(args) -> int:
                                      r_sense=args.sense,
                                      turn_radius=args.turn)
         seed += 1
-        if use_privileged:
-            try:
-                pool.append((inst, plan(inst, n_pos=args.pos,
-                                        n_head=args.heads,
-                                        step_dist=cfg.step_dist)))
-            except SensingGap:
-                continue
-        else:
-            pool.append((inst, None))
+        # train-mode envs need expert paths in both modes: they shape the
+        # reward and cut episodes off; --dense only hides them from the
+        # encoder
+        try:
+            pool.append((inst, plan(inst, n_pos=args.pos, n_head=args.heads,
+                                    step_dist=cfg.step_dist)))
+        except SensingGap:
+            continue
         if seed - args.seed > 4 * want + 40:
             raise RuntimeError("could not assemble a training pool: too many "
                                "instances failed expert planning")
@@ -192,9 +209,10 @@ def cmd_train_ppo(args) -> int:
         return DtspnEnv(inst, epath, mode="train", config=cfg)
 
     t0 = time.perf_counter()
-    _, curve = ppo_finetune(env_factory, bundle, tc,
-                            use_privileged=use_privileged,
-                            critic_warmup_steps=args.warmup)
+    with _json_lines(args.log) as log:
+        _, curve = ppo_finetune(env_factory, bundle, tc,
+                                use_privileged=use_privileged,
+                                critic_warmup_steps=args.warmup, log=log)
     save_bundle(bundle, out)
     finite = [c for c in curve if np.isfinite(c)]
     _summary("train-ppo", steps=tc.steps_budget, pool=len(pool),
@@ -359,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense", action="store_true",
                    help="from-scratch baseline: fresh nets, no privileged "
                         "encoder input")
+    p.add_argument("--log", type=str, default=None, metavar="PATH",
+                   help="write per-batch PPO diagnostics as JSON lines")
     p.add_argument("--literal-eq7", action="store_true")
     p.set_defaults(func=cmd_train_ppo)
 

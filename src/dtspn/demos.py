@@ -159,8 +159,9 @@ def tracker(env: DtspnEnv) -> Callable[[Observation], int]:
     """act_fn for run_episode: the greedy controller chasing env's expert
     path."""
     def act_fn(obs: Observation) -> int:
-        target = track_target(env.state, env.expert_path)
-        return greedy_action(env.state.pose, target, env.config)
+        sim = env.state
+        return greedy_action(sim.pose, track_target(sim, env.expert_path),
+                             env.config)
 
     return act_fn
 

@@ -4,11 +4,21 @@ Exact-arc Dubins stepping over a discrete turn-rate action set, monotone
 per-task sensing flags, common/privileged state encodings, the two-part
 reward R = R^I + R^G with the imitation term keyed to the distance from the
 expert polyline, and the episode loop every caller but PPO rolls through.
+
+One kernel, EnvBatch, steps E envs in lockstep on state held as arrays
+with one row per env; DtspnEnv is its one-row view.  The sensing test,
+the distance to the expert polyline and the progress window run as array
+operations over all rows.  The arc kinematics, the encoders' per-task
+rotations and the rewards run row by row on floats, which for the few
+rows and tasks here costs less than numpy calls, and keeps the scalar
+rounding (math's sin, cos and atan2, Python's pow) the encodings and
+rewards were defined with.  A row is byte-identical to a one-env run.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -49,11 +59,19 @@ class EnvConfig:
     def step_dist(self) -> float:
         return self.v * self.dt
 
-    @property
+    @cached_property
     def omegas(self) -> Tuple[float, ...]:
+        """Turn rate of each action (computed once)."""
         n = self.n_actions
         return tuple(-self.omega_max + 2.0 * self.omega_max * (k / (n - 1))
                      for k in range(n))
+
+    @cached_property
+    def substeps(self) -> Tuple[float, ...]:
+        """Elapsed time at each sensing substep of a step, the last dt
+        exactly (computed once)."""
+        n_sub = max(1, math.ceil(self.step_dist / self.sense_substep))
+        return tuple(self.dt * (k / n_sub) for k in range(1, n_sub + 1))
 
 
 def config_for(instance: Instance, config: Optional[EnvConfig]) -> EnvConfig:
@@ -88,8 +106,8 @@ def imitation_reward(r: float) -> float:
     return 0.0
 
 
-def goal_reward(newly_sensed: int, all_sensed: bool, n_tasks: int,
-                literal: bool = False, total_sensed: Optional[int] = None) -> float:
+def goal_reward(newly_sensed: int, all_sensed: bool, literal: bool = False,
+                total_sensed: Optional[int] = None) -> float:
     """Sensing reward: 10 on completing all tasks, 5 per newly sensed task on
     top of the 0.1 living bonus, else 0.1.
 
@@ -108,6 +126,8 @@ def goal_reward(newly_sensed: int, all_sensed: bool, n_tasks: int,
 
 @dataclass
 class SimState:
+    """One env's state, read off its kernel row."""
+
     pose: Pose
     sensed: np.ndarray          # per-task uint8 flags, monotone within an episode
     t: int
@@ -122,6 +142,8 @@ class Observation:
 
 @dataclass
 class RewardBreakdown:
+    """Floats for one env; arrays with one entry per row from EnvBatch."""
+
     imitation: float
     goal: float
     total: float
@@ -129,68 +151,271 @@ class RewardBreakdown:
     newly_sensed: int
 
 
-def encode_common(sim: SimState, instance: Instance) -> np.ndarray:
-    """[p, per-task (dx, dy, bearing) in the body frame, sensed flags].
+def encode_common(pose, sensed, offsets, frame) -> np.ndarray:
+    """Rows [p, per-task (dx, dy, bearing) in the body frame, sensed flags].
 
-    Positions are normalized by map half-extents, angles by pi.  Body-frame
-    task blocks make the encoding invariant to rigid world rotation.
+    pose (E, 3), sensed (E, n), offsets (E, 2, n) the task positions minus
+    the pose's, frame (E, 3) each row's map half-extents hw, hh and the
+    larger of them.  Positions are normalized by the half-extents, angles
+    by pi.  Body-frame task blocks make the encoding invariant to rigid
+    world rotation.
     """
-    pose = sim.pose
-    hw, hh = 0.5 * instance.map_width, 0.5 * instance.map_height
-    scale = max(hw, hh)
-    out = np.empty(3 + 4 * instance.n_tasks)
-    out[0] = (pose.x - hw) / hw
-    out[1] = (pose.y - hh) / hh
-    out[2] = pose.theta / math.pi
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    for i, (tx, ty) in enumerate(instance.tasks):
-        dx, dy = tx - pose.x, ty - pose.y
-        base = 3 + 3 * i
-        out[base] = (c * dx + s * dy) / scale
-        out[base + 1] = (-s * dx + c * dy) / scale
-        if dx == 0.0 and dy == 0.0:
-            out[base + 2] = 0.0
-        else:
-            out[base + 2] = normalize_angle(math.atan2(dy, dx) - pose.theta) / math.pi
-    out[3 + 3 * instance.n_tasks:] = sim.sensed
-    return out
+    out = []
+    for (x, y, th), flags, (dxs, dys), (hw, hh, scale) in zip(
+            pose.tolist(), sensed.tolist(), offsets.tolist(), frame.tolist()):
+        c, s = math.cos(th), math.sin(th)
+        row = [(x - hw) / hw, (y - hh) / hh, th / math.pi]
+        for dx, dy in zip(dxs, dys):
+            row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
+                    normalize_angle(math.atan2(dy, dx) - th) / math.pi
+                    if dx or dy else 0.0)
+        out.append(row + flags)
+    return np.array(out, dtype=float)
 
 
 PROGRESS_WINDOW = 8
 PRIV_DIM = 12               # four waypoints of (dx, dy, dtheta)
+# waypoints that encode_privileged may index past a row's last one
+WAYPOINT_PAD = PROGRESS_WINDOW + 4
+_SPAN = np.arange(WAYPOINT_PAD + 1)
 
 
-def encode_privileged(sim: SimState, expert_path: ExpertPath,
-                      instance: Instance) -> np.ndarray:
+def encode_privileged(pose, progress, waypoints, frame):
     """Next four expert waypoints, each as (dx, dy, dtheta) relative to the
-    agent pose.  Advances progress_idx to the nearest waypoint in a short
-    window ahead of the current one.  Monotone, and the window keeps a
-    self-crossing tour from yanking progress across the crossing (waypoints
-    are one env step apart, so the agent gains at most one index per step)."""
-    wp = expert_path.waypoints
-    pose = sim.pose
-    xs = expert_path.waypoint_array()
-    tail = xs[sim.progress_idx:sim.progress_idx + PROGRESS_WINDOW + 1]
-    d = np.hypot(tail[:, 0] - pose.x, tail[:, 1] - pose.y)
-    sim.progress_idx += int(np.argmin(d))
+    agent pose; returns the (E, PRIV_DIM) rows and the advanced progress.
 
-    scale = 0.5 * max(instance.map_width, instance.map_height)
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    out = np.empty(PRIV_DIM)
-    last = len(wp) - 1
-    for slot in range(4):
-        w = wp[min(sim.progress_idx + 1 + slot, last)]
-        dx, dy = w.x - pose.x, w.y - pose.y
-        out[3 * slot] = (c * dx + s * dy) / scale
-        out[3 * slot + 1] = (-s * dx + c * dy) / scale
-        out[3 * slot + 2] = normalize_angle(w.theta - pose.theta) / math.pi
-    return out
+    waypoints (E, W, 3) holds each row's polyline followed by at least
+    WAYPOINT_PAD copies of its last waypoint, which stand in for clamping
+    indices to it; frame as for encode_common.  progress moves to the
+    nearest waypoint in a short window ahead of the current one (the first,
+    so never onto a copy).  Monotone, and the window keeps a self-crossing
+    tour from yanking progress across the crossing (waypoints are one env
+    step apart, so the agent gains at most one index per step)."""
+    rows = np.arange(len(pose))[:, None]
+    ahead = waypoints[rows, progress[:, None] + _SPAN] - pose[:, None]
+    window = ahead[:, :PROGRESS_WINDOW + 1]
+    gain = np.hypot(window[:, :, 0], window[:, :, 1]).argmin(axis=1)
+    out = []
+    for th, slots, k, scale in zip(pose[:, 2].tolist(), ahead.tolist(),
+                                   gain.tolist(), frame[:, 2].tolist()):
+        c, s = math.cos(th), math.sin(th)
+        row = []
+        for dx, dy, dth in slots[k + 1:k + 5]:
+            row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
+                    normalize_angle(dth) / math.pi)
+        out.append(row)
+    return np.array(out, dtype=float), progress + gain
+
+
+ALL = slice(None)
+
+
+def _row_pose(row: np.ndarray) -> Pose:
+    """The Pose of a kernel pose row, heading as stored: normalize_angle
+    can return pi, which Pose() would wrap again to -pi."""
+    pose = object.__new__(Pose)
+    for name, value in zip(("x", "y", "theta"), row.tolist()):
+        object.__setattr__(pose, name, value)
+    return pose
+
+
+class EnvBatch:
+    """E envs of one config, mode and task count, stepped in lockstep.
+
+    Row i holds an env's instance and expert path (load) and rolls episodes
+    through reset(rows) and step(actions).  State and per-row constants are
+    arrays with one row per env.  Expert polylines share one padded width:
+    each row repeats its last waypoint and its last segment, which leaves
+    every nearest-point minimum unchanged.  common and privileged hold each
+    row's latest observation; they are replaced, never written in place,
+    so rows handed out earlier keep their values.
+    """
+
+    def __init__(self, envs):
+        envs = list(envs)
+        if not envs:
+            raise ValueError("a batch needs at least one env")
+        first = envs[0]
+        self.config, self.mode = first.config, first.mode
+        self.n_tasks = first.n_tasks
+        self.has_path = first.expert_path is not None
+        e, n = len(envs), self.n_tasks
+        self._tasks = np.empty((e, 2, 1, n))
+        self._frame = np.empty((e, 3))          # hw, hh, max(hw, hh)
+        self._sense2 = np.empty((e, 1, 1))
+        self._start = np.empty((e, 3))
+        width = 1 + WAYPOINT_PAD + max(
+            len(env.expert_path.waypoints) if self.has_path else 0
+            for env in envs)
+        self._waypoints = np.zeros((e, width, 3))
+        # segment j of a row: start (x, y), vector (dx, dy), squared length
+        self._seg_start = np.zeros((e, 2, width))
+        self._seg_vec = np.zeros((e, 2, width))
+        self._seg_len2 = np.ones((e, width))
+        self._no_distance = np.full(e, np.nan)
+        self._no_distance.flags.writeable = False
+        self.pose = np.zeros((e, 3))
+        self.sensed = np.zeros((e, n), dtype=bool)
+        self.all_sensed = np.zeros(e, dtype=bool)
+        self.t = np.zeros(e, dtype=np.int64)
+        self.progress = np.zeros(e, dtype=np.int64)
+        self.done = np.ones(e, dtype=bool)
+        self.common = np.zeros((e, 3 + 4 * n))
+        self.privileged = np.zeros((e, PRIV_DIM)) if self.has_path else None
+        for i, env in enumerate(envs):
+            self.load(i, env)
+
+    def load(self, i: int, env: "DtspnEnv") -> None:
+        """Put env's instance and expert path in row i, which stays done
+        until reset."""
+        if (env.config, env.mode, env.n_tasks, env.expert_path is not None) \
+                != (self.config, self.mode, self.n_tasks, self.has_path):
+            raise ValueError("a batch holds envs of one config, mode, task "
+                             "count and expert-path presence")
+        x = env.instance
+        self._tasks[i, :, 0] = x.task_array().T
+        hw, hh = 0.5 * x.map_width, 0.5 * x.map_height
+        self._frame[i] = hw, hh, max(hw, hh)
+        # a product overflows to inf where ** 2 raises OverflowError
+        self._sense2[i] = x.r_sense * x.r_sense
+        heading = x.start.theta
+        if self.has_path:
+            wp = env.expert_path.waypoint_array()
+            heading = wp[0, 2]
+            self._set_path(i, wp)
+        self._start[i] = x.start.x, x.start.y, normalize_angle(heading)
+        self.done[i] = True
+
+    def _set_path(self, i: int, wp: np.ndarray) -> None:
+        n_w = len(wp)
+        grow = n_w + WAYPOINT_PAD - self._waypoints.shape[1]
+        if grow > 0:
+            self._waypoints = np.concatenate(
+                [self._waypoints, np.repeat(self._waypoints[:, -1:], grow, 1)],
+                axis=1)
+            for name in ("_seg_start", "_seg_vec", "_seg_len2"):
+                a = getattr(self, name)
+                setattr(self, name, np.concatenate(
+                    [a, np.repeat(a[..., -1:], grow, -1)], axis=-1))
+        self._waypoints[i, :n_w] = wp
+        self._waypoints[i, n_w:] = wp[-1]
+        # segment j runs from waypoint j to j + 1; one waypoint makes one
+        # zero-length segment, whose distance is to the waypoint
+        m = max(n_w - 1, 1)
+        start, vec, len2 = (self._seg_start[i], self._seg_vec[i],
+                            self._seg_len2[i])
+        start[:, :m] = wp[:m, 0:2].T
+        vec[:, :m] = (wp[n_w - m:, 0:2] - wp[:m, 0:2]).T
+        len2[:m] = np.maximum(vec[0, :m] ** 2 + vec[1, :m] ** 2, 1e-30)
+        start[:, m:], vec[:, m:], len2[m:] = (start[:, m - 1:m],
+                                              vec[:, m - 1:m], len2[m - 1])
+
+    def expert_distance(self, xy) -> np.ndarray:
+        """Distance from each row's point xy, (E, 2, 1), to the nearest
+        point of that row's expert polyline (segments, not just vertices);
+        nan without expert paths."""
+        if not self.has_path:
+            return self._no_distance
+        # the two-term sums over axis 1 add x first, as (x...) + (y...)
+        rel = xy - self._seg_start
+        t = np.add.reduce(rel * self._seg_vec, axis=1) / self._seg_len2
+        # minimum(maximum()) is np.clip without its wrapper's cost
+        t = np.minimum(np.maximum(t, 0.0), 1.0)
+        gap = xy - (self._seg_start + t[:, None] * self._seg_vec)
+        return np.sqrt(np.minimum.reduce(np.add.reduce(gap * gap, axis=1),
+                                         axis=1))
+
+    def _sense(self, xy, rows):
+        """Mark the tasks within range of any of the points xy, an array of
+        shape (rows, 2, k).  Returns each row's count of newly sensed tasks
+        and the task offsets from its last point, (rows, 2, n)."""
+        d = self._tasks[rows] - xy[:, :, :, None]
+        # summing the two squares over axis 1 adds them in order, x first
+        hit = np.logical_or.reduce(
+            np.add.reduce(d * d, axis=1) <= self._sense2[rows], axis=1)
+        if rows is ALL:
+            newly = np.add.reduce(hit > self.sensed, axis=1)
+            np.logical_or(self.sensed, hit, out=self.sensed)
+        else:
+            sensed = self.sensed[rows]
+            newly = np.add.reduce(hit > sensed, axis=1)
+            self.sensed[rows] = sensed | hit
+        return newly, d[:, :, -1]
+
+    def _observe(self, rows, offsets) -> None:
+        if rows is ALL:
+            pose, sensed, frame = self.pose, self.sensed, self._frame
+        else:
+            pose, sensed, frame = (self.pose[rows], self.sensed[rows],
+                                   self._frame[rows])
+        common = encode_common(pose, sensed, offsets, frame)
+        priv = None
+        if self.has_path:
+            priv, self.progress[rows] = encode_privileged(
+                pose, self.progress[rows], self._waypoints[rows], frame)
+        if rows is not ALL:
+            common, c = self.common.copy(), common
+            common[rows] = c
+            if priv is not None:
+                priv, p = self.privileged.copy(), priv
+                priv[rows] = p
+        self.common, self.privileged = common, priv
+
+    def reset(self, rows=ALL) -> None:
+        """Start a fresh episode in each of rows (ALL or an index array).
+        A row whose start pose already senses every task is done at once."""
+        start = self._start[rows]
+        self.pose[rows] = start
+        self.sensed[rows] = False
+        self.t[rows] = 0
+        self.progress[rows] = 0
+        _, offsets = self._sense(start[:, 0:2, None], rows)
+        self.all_sensed[rows] = self.done[rows] = self.sensed[rows].all(axis=1)
+        self._observe(rows, offsets)
+
+    def step(self, actions) -> RewardBreakdown:
+        """Advance every row by its action (an (E,) int array of indices
+        into config.omegas); every row must have been reset and not be
+        done.  Returns the rows' rewards as arrays; done and all_sensed
+        hold the new flags."""
+        cfg = self.config
+        v, substeps, omegas = cfg.v, cfg.substeps, cfg.omegas
+        points, rows = [], []
+        for (x, y, theta), a in zip(self.pose.tolist(), actions.tolist()):
+            omega = omegas[a]
+            steps = [advance(x, y, theta, omega, v, dt) for dt in substeps]
+            points.append(list(zip(*steps))[0:2])
+            x, y, theta = steps[-1]
+            rows.append((x, y, normalize_angle(theta)))
+        newly, offsets = self._sense(np.array(points), ALL)
+        self.pose = np.array(rows)
+        self.t += 1
+
+        self.all_sensed = all_sensed = np.logical_and.reduce(self.sensed, axis=1)
+        r = self.expert_distance(self.pose[:, 0:2, None])
+        if self.mode == "train":
+            self.done = all_sensed | (r > cfg.train_cutoff_dist)
+        else:
+            self.done = all_sensed | (self.t >= cfg.max_steps_eval)
+        r_im = list(map(imitation_reward, r.tolist()))
+        if cfg.literal_goal_sum:
+            r_goal = [goal_reward(k, a, True, s) for k, a, s in zip(
+                newly.tolist(), all_sensed.tolist(),
+                self.sensed.sum(axis=1).tolist())]
+        else:
+            r_goal = list(map(goal_reward, newly.tolist(), all_sensed.tolist()))
+        im, goal, total = np.array(
+            [r_im, r_goal, [a + b for a, b in zip(r_im, r_goal)]])
+        self._observe(ALL, offsets)
+        return RewardBreakdown(imitation=im, goal=goal, total=total, r=r,
+                               newly_sensed=newly)
 
 
 class DtspnEnv:
-    """Single-episode simulator.  mode 'train' terminates on the expert-path
-    cutoff and requires an expert path; mode 'eval' caps the step count.
-    done is True before the first reset and once the episode has ended."""
+    """Single-episode simulator: the one-row view of an EnvBatch.  mode
+    'train' terminates on the expert-path cutoff and requires an expert
+    path; mode 'eval' caps the step count.  done is True before the first
+    reset and once the episode has ended."""
 
     def __init__(self, instance: Instance, expert_path: Optional[ExpertPath] = None,
                  mode: str = "eval", config: Optional[EnvConfig] = None):
@@ -207,107 +432,66 @@ class DtspnEnv:
         self.expert_path = expert_path
         self.mode = mode
         self.config = config
-        self._tasks = instance.task_array()
-        # a product overflows to inf where ** 2 raises OverflowError
-        self._sense2 = instance.r_sense * instance.r_sense
-        if expert_path is not None:
-            xs = expert_path.waypoint_array()
-            self._wx, self._wy = xs[:, 0], xs[:, 1]
-            self._sx = np.diff(self._wx)
-            self._sy = np.diff(self._wy)
-            self._slen2 = np.maximum(self._sx ** 2 + self._sy ** 2, 1e-30)
-        self.state: Optional[SimState] = None
-        self.done = True
+        self._started = False
+
+    @cached_property
+    def _batch(self) -> EnvBatch:
+        # built on first use: envs handed to a batch of their own never
+        # pay for one
+        return EnvBatch([self])
 
     @property
     def n_tasks(self) -> int:
         return self.instance.n_tasks
 
+    @property
+    def done(self) -> bool:
+        return bool(self._batch.done[0])
+
+    @property
+    def state(self) -> Optional[SimState]:
+        if not self._started:
+            return None
+        b = self._batch
+        return SimState(pose=_row_pose(b.pose[0]),
+                        sensed=b.sensed[0].view(np.uint8),
+                        t=int(b.t[0]), progress_idx=int(b.progress[0]))
+
     def expert_distance(self, x: float, y: float) -> float:
         """Distance to the nearest point of the expert polyline (segments,
         not just vertices)."""
-        if self.expert_path is None:
-            return float("nan")
-        if len(self._wx) == 1:
-            return math.hypot(x - self._wx[0], y - self._wy[0])
-        t = np.clip(((x - self._wx[:-1]) * self._sx +
-                     (y - self._wy[:-1]) * self._sy) / self._slen2, 0.0, 1.0)
-        dx = x - (self._wx[:-1] + t * self._sx)
-        dy = y - (self._wy[:-1] + t * self._sy)
-        return float(np.sqrt(np.min(dx * dx + dy * dy)))
-
-    def _mark_sensed(self, pts) -> int:
-        newly = 0
-        sensed = self.state.sensed
-        for px, py in pts:
-            d2 = (self._tasks[:, 0] - px) ** 2 + (self._tasks[:, 1] - py) ** 2
-            hit = d2 <= self._sense2
-            for i in np.nonzero(hit & (sensed == 0))[0]:
-                sensed[i] = 1
-                newly += 1
-        return newly
+        return float(self._batch.expert_distance(np.array([[[x], [y]]]))[0])
 
     def _observe(self) -> Observation:
-        common = encode_common(self.state, self.instance)
-        priv = None
-        if self.expert_path is not None:
-            priv = encode_privileged(self.state, self.expert_path, self.instance)
-        return Observation(common=common, privileged=priv)
+        b = self._batch
+        return Observation(common=b.common[0],
+                           privileged=None if b.privileged is None
+                           else b.privileged[0])
 
     def reset(self) -> Observation:
-        start = self.instance.start
-        heading = start.theta
-        if self.expert_path is not None:
-            heading = self.expert_path.waypoints[0].theta
-        pose = Pose(start.x, start.y, heading)
-        self.state = SimState(pose=pose,
-                              sensed=np.zeros(self.n_tasks, dtype=np.uint8),
-                              t=0, progress_idx=0)
-        self._mark_sensed([(pose.x, pose.y)])
-        self.done = bool(self.state.sensed.all())
+        self._batch.reset()
+        self._started = True
         return self._observe()
 
     def step(self, action: int):
-        if self.state is None:
+        b = self._batch
+        if not self._started:
             raise RuntimeError("call reset() before step()")
-        if self.done:
+        if b.done[0]:
             raise RuntimeError("episode is already done; call reset()")
         action = int(action)
         if not 0 <= action < self.config.n_actions:
             raise ValueError(f"action {action} out of range "
                              f"[0, {self.config.n_actions})")
-        cfg = self.config
-        omega = cfg.omegas[action]
-        pose = self.state.pose
-
-        n_sub = max(1, math.ceil(cfg.step_dist / cfg.sense_substep))
-        pts = []
-        for k in range(1, n_sub + 1):
-            pts.append(advance(pose.x, pose.y, pose.theta, omega, cfg.v,
-                               cfg.dt * (k / n_sub))[:2])
-        x2, y2, th2 = advance(pose.x, pose.y, pose.theta, omega, cfg.v, cfg.dt)
-        newly = self._mark_sensed(pts)
-        self.state.pose = Pose(x2, y2, th2)
-        self.state.t += 1
-
-        all_sensed = bool(self.state.sensed.all())
-        r_dist = self.expert_distance(x2, y2)
-        r_im = imitation_reward(r_dist)
-        r_goal = goal_reward(newly, all_sensed, self.n_tasks,
-                             literal=cfg.literal_goal_sum,
-                             total_sensed=int(self.state.sensed.sum()))
-        reward = RewardBreakdown(imitation=r_im, goal=r_goal,
-                                 total=r_im + r_goal, r=r_dist,
-                                 newly_sensed=newly)
-
-        done = all_sensed
-        if self.mode == "train" and r_dist > cfg.train_cutoff_dist:
-            done = True
-        if self.mode == "eval" and self.state.t >= cfg.max_steps_eval:
-            done = True
-        self.done = done
-        info = {"t": self.state.t, "all_sensed": all_sensed,
-                "pose": self.state.pose, "r": r_dist}
+        rew = b.step(np.array([action]))
+        (im,), (goal,), (total,), (r,) = (rew.imitation.tolist(),
+                                          rew.goal.tolist(),
+                                          rew.total.tolist(), rew.r.tolist())
+        reward = RewardBreakdown(imitation=im, goal=goal, total=total, r=r,
+                                 newly_sensed=int(rew.newly_sensed[0]))
+        done = bool(b.done[0])
+        info = {"t": int(b.t[0]), "all_sensed": bool(b.all_sensed[0]),
+                "pose": _row_pose(b.pose[0]), "r": r}
         return self._observe(), reward, done, info
 
 
@@ -352,9 +536,9 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
     cutoff or once every task is sensed."""
     t0 = time.perf_counter()
     obs = env.reset()
-    p = env.state.pose
-    start = (p.x, p.y, p.theta)
-    sensed = env.state.sensed.copy()
+    st = env.state
+    start = (st.pose.x, st.pose.y, st.pose.theta)
+    sensed = st.sensed.copy()
     events = [(-1, int(i)) for i in np.nonzero(sensed)[0]]
     commons, privs, poses, actions, r_im, r_go, newly, dones = \
         [], [], [], [], [], [], [], []
@@ -362,8 +546,8 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
         a = act_fn(obs)
         commons.append(obs.common)
         privs.append(obs.privileged)
-        obs, rew, done, _ = env.step(a)
-        p = env.state.pose
+        obs, rew, done, info = env.step(a)
+        p = info["pose"]
         poses.append((p.x, p.y, p.theta))
         actions.append(a)
         r_im.append(rew.imitation)
@@ -371,11 +555,13 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
         newly.append(rew.newly_sensed)
         dones.append(done)
         if rew.newly_sensed:
+            now = env.state.sensed
             events.extend((len(actions) - 1, int(i))
-                          for i in np.nonzero(env.state.sensed != sensed)[0])
-            sensed = env.state.sensed.copy()
+                          for i in np.nonzero(now != sensed)[0])
+            sensed = now.copy()
     wall = time.perf_counter() - t0
     n = len(actions)
+    sensed = env.state.sensed
     return EpisodeRecord(
         instance_seed=env.instance.seed,
         start_pose=start,
@@ -389,6 +575,6 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
         newly_sensed=np.array(newly, dtype=np.int64),
         dones=np.array(dones, dtype=np.uint8),
         sensed_events=events,
-        sensed_all=bool(env.state.sensed.all()),
-        n_sensed=int(env.state.sensed.sum()),
+        sensed_all=bool(sensed.all()),
+        n_sensed=int(sensed.sum()),
         wall_time=wall)

@@ -8,7 +8,7 @@ from .distill import distill_adaptation
 from .nets import (AdamState, CheckpointError, ModelBundle, NetworkParams,
                    act, adam_step, backward, forward, forward_cached,
                    gradients, init_bundle, init_network, load_bundle,
-                   save_bundle, softmax)
+                   sample_categorical, save_bundle, softmax)
 from .ppo import clipped_surrogate, compute_gae, ppo_finetune
 
 __all__ = [
@@ -17,5 +17,5 @@ __all__ = [
     "clipped_surrogate", "compute_gae", "critic_init", "discounted_return",
     "distill_adaptation", "episode_split", "forward", "forward_cached",
     "gradients", "init_bundle", "init_network", "load_bundle", "ppo_finetune",
-    "return_to_go", "save_bundle", "softmax",
+    "return_to_go", "sample_categorical", "save_bundle", "softmax",
 ]

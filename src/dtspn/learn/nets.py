@@ -97,9 +97,10 @@ def forward_cached(params: NetworkParams, x: np.ndarray):
     cache = [h]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i != last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         cache.append(h)
     return cache[-1], cache
 
@@ -262,6 +263,18 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
 
 
+def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw from each row of probs (E, n): the same draws, consuming
+    the same stream, as Generator.choice(n, p=row) row after row, which
+    searches the cumulative sums over their last entry with one uniform
+    each (side right).  Non-finite probabilities raise ValueError."""
+    cdf = np.cumsum(probs, axis=-1)
+    if not np.isfinite(cdf[:, -1]).all():
+        raise ValueError("probabilities are not finite")
+    cdf /= cdf[:, -1:]
+    return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
+
+
 def act(bundle: ModelBundle, common_obs: np.ndarray, use_privileged: bool,
         privileged_obs: Optional[np.ndarray] = None, deterministic: bool = True,
         rng: Optional[np.random.Generator] = None) -> int:
@@ -278,10 +291,10 @@ def act(bundle: ModelBundle, common_obs: np.ndarray, use_privileged: bool,
         z = forward(bundle.adaptation, common_obs)
     logits = forward(bundle.policy, np.concatenate([common_obs, z]))
     if deterministic:
-        return int(np.argmax(logits))
+        return int(logits.argmax())
     if rng is None:
         raise ValueError("sampling requires an rng")
-    return int(rng.choice(len(logits), p=softmax(logits)))
+    return int(sample_categorical(softmax(logits)[None], rng)[0])
 
 
 def _pack_network(params: NetworkParams) -> bytes:

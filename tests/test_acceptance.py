@@ -128,9 +128,9 @@ def test_reward_units_are_exact():
              imitation_reward(10.0) == -0.1,
              imitation_reward(61.0) == -10.0,
              imitation_reward(60.0) == -24.1,
-             goal_reward(0, False, 20) == 0.1,
-             goal_reward(1, False, 20) == 5.1,
-             goal_reward(3, True, 20) == 10.0)
+             goal_reward(0, False) == 0.1,
+             goal_reward(1, False) == 5.1,
+             goal_reward(3, True) == 10.0)
     ok = all(cases)
     report(4, "reward units bit-exact", ok,
            f"{sum(cases)}/7 closed-form doubles match")

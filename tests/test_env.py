@@ -1,11 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 
+from dtspn.demos import collect_batch
 from dtspn.dubins import Pose
-from dtspn.env import (DtspnEnv, EnvConfig, SimState, advance, encode_common,
-                       encode_privileged, goal_reward, imitation_reward)
-from dtspn.expert import ExpertPath
+from dtspn.env import (WAYPOINT_PAD, DtspnEnv, EnvBatch, EnvConfig, advance,
+                       encode_common, encode_privileged, goal_reward,
+                       imitation_reward)
+from dtspn.expert import ExpertPath, plan
 from dtspn.instance import Instance, default_start, generate
 
 
@@ -13,6 +16,25 @@ def straight_expert(start: Pose, n: int, spacing: float) -> ExpertPath:
     wps = tuple(Pose(start.x + k * spacing, start.y, 0.0) for k in range(n))
     return ExpertPath(waypoints=wps, total_length=(n - 1) * spacing,
                       sensed_order=())
+
+
+def common_row(pose, sensed, x: Instance) -> np.ndarray:
+    """encode_common for one pose (x, y, theta) on instance x."""
+    hw, hh = 0.5 * x.map_width, 0.5 * x.map_height
+    pose = np.array([pose])
+    return encode_common(pose, np.array([sensed], dtype=bool),
+                         x.task_array().T[None] - pose[:, 0:2, None],
+                         np.array([[hw, hh, max(hw, hh)]]))[0]
+
+
+def privileged_row(pose, progress, path: ExpertPath, x: Instance):
+    """encode_privileged for one pose; returns (row, new progress)."""
+    wp = path.waypoint_array()
+    padded = np.vstack([wp, np.repeat(wp[-1:], WAYPOINT_PAD, axis=0)])
+    hw, hh = 0.5 * x.map_width, 0.5 * x.map_height
+    v, p = encode_privileged(np.array([pose]), np.array([progress]),
+                             padded[None], np.array([[hw, hh, max(hw, hh)]]))
+    return v[0], int(p[0])
 
 
 def small_instance(tasks, map_size=(200.0, 200.0), r_sense=50.0):
@@ -51,14 +73,14 @@ def test_imitation_reward_branch_shape():
 
 
 def test_goal_reward_exact_values():
-    assert goal_reward(0, False, 5) == 0.1
-    assert goal_reward(1, False, 5) == 5.1
-    assert goal_reward(2, False, 5) == 10.1
-    assert goal_reward(0, True, 5) == 10.0
-    assert goal_reward(1, True, 5) == 10.0
+    assert goal_reward(0, False) == 0.1
+    assert goal_reward(1, False) == 5.1
+    assert goal_reward(2, False) == 10.1
+    assert goal_reward(0, True) == 10.0
+    assert goal_reward(1, True) == 10.0
     # literal cumulative-sum variant pays per sensed task on activation steps
-    assert goal_reward(1, False, 5, literal=True, total_sensed=3) == 15.1
-    assert goal_reward(0, False, 5, literal=True, total_sensed=3) == 0.1
+    assert goal_reward(1, False, literal=True, total_sensed=3) == 15.1
+    assert goal_reward(0, False, literal=True, total_sensed=3) == 0.1
 
 
 def test_config_defaults_and_validation():
@@ -176,9 +198,7 @@ def test_reward_decomposition_and_return_bound():
 
 def test_encode_common_layout_and_values():
     x = small_instance([(120.0, 140.0), (30.0, 60.0)])
-    sim = SimState(pose=Pose(100.0, 100.0, 0.5 * math.pi),
-                   sensed=np.array([1, 0], dtype=np.uint8), t=0, progress_idx=0)
-    v = encode_common(sim, x)
+    v = common_row((100.0, 100.0, 0.5 * math.pi), [1, 0], x)
     assert v.shape == (3 + 4 * 2,)
     assert v[0] == 0.0 and v[1] == 0.0
     assert abs(v[2] - 0.5) < 1e-12
@@ -209,10 +229,10 @@ def test_encode_common_rotation_invariance_of_task_blocks():
         a = Instance(w, h, tuple(tasks), 50.0, 30.0, default_start(w, h), 0)
         b = Instance(w, h, tuple(rot(*t) for t in tasks), 50.0, 30.0,
                      default_start(w, h), 0)
-        sensed = np.zeros(3, dtype=np.uint8)
-        va = encode_common(SimState(Pose(px, py, th), sensed, 0, 0), a)
+        sensed = [0, 0, 0]
+        va = common_row((px, py, th), sensed, a)
         rx, ry = rot(px, py)
-        vb = encode_common(SimState(Pose(rx, ry, th + phi), sensed, 0, 0), b)
+        vb = common_row((rx, ry, Pose(rx, ry, th + phi).theta), sensed, b)
         assert np.allclose(va[3:], vb[3:], atol=1e-9)
 
 
@@ -221,9 +241,7 @@ def test_encode_privileged_straight_line_window():
     start = Pose(40.0, 40.0, 0.0)
     x = Instance(w, h, ((300.0, 300.0),), 50.0, 30.0, start, 0)
     path = straight_expert(start, 12, 10.0)
-    sim = SimState(pose=Pose(start.x, start.y, 0.0),
-                   sensed=np.zeros(1, dtype=np.uint8), t=0, progress_idx=0)
-    v = encode_privileged(sim, path, x)
+    v, _ = privileged_row((start.x, start.y, 0.0), 0, path, x)
     assert v.shape == (12,)
     scale = 200.0
     for slot in range(4):
@@ -231,19 +249,16 @@ def test_encode_privileged_straight_line_window():
         assert v[3 * slot + 1] == 0.0
         assert v[3 * slot + 2] == 0.0
     # near the end of the path the window clamps to the final waypoint
-    sim2 = SimState(pose=Pose(start.x + 109.0, start.y, 0.0),
-                    sensed=np.zeros(1, dtype=np.uint8), t=0, progress_idx=9)
-    v2 = encode_privileged(sim2, path, x)
-    assert sim2.progress_idx == 11
+    v2, progress = privileged_row((start.x + 109.0, start.y, 0.0), 9, path, x)
+    assert progress == 11
     assert np.allclose(v2[0::3], (110.0 - 109.0) / scale)
     # the search window is bounded: a far-ahead nearest waypoint is reached
     # over several updates, never in one jump
-    sim3 = SimState(pose=Pose(start.x + 109.0, start.y, 0.0),
-                    sensed=np.zeros(1, dtype=np.uint8), t=0, progress_idx=0)
-    encode_privileged(sim3, path, x)
-    assert sim3.progress_idx == 8
-    encode_privileged(sim3, path, x)
-    assert sim3.progress_idx == 11
+    pose = (start.x + 109.0, start.y, 0.0)
+    _, progress = privileged_row(pose, 0, path, x)
+    assert progress == 8
+    _, progress = privileged_row(pose, progress, path, x)
+    assert progress == 11
 
 
 def test_encode_privileged_progress_is_monotone():
@@ -252,11 +267,9 @@ def test_encode_privileged_progress_is_monotone():
     x = Instance(w, h, ((300.0, 300.0),), 50.0, 30.0, start, 0)
     path = straight_expert(start, 12, 10.0)
     # pose sits right on waypoint 2, but progress already reached 5
-    sim = SimState(pose=Pose(start.x + 20.0, start.y, 0.0),
-                   sensed=np.zeros(1, dtype=np.uint8), t=0, progress_idx=5)
-    v = encode_privileged(sim, path, x)
-    assert sim.progress_idx == 5
-    assert abs(v[0] - (start.x + 60.0 - sim.pose.x) / 200.0) < 1e-12
+    v, progress = privileged_row((start.x + 20.0, start.y, 0.0), 5, path, x)
+    assert progress == 5
+    assert abs(v[0] - (start.x + 60.0 - (start.x + 20.0)) / 200.0) < 1e-12
 
 
 def test_train_cutoff_and_eval_cap():
@@ -392,3 +405,113 @@ def test_step_after_done_raises():
         assert False, "step on finished episode accepted"
     except RuntimeError:
         pass
+
+
+def _single_run(x, path, mode, config, actions):
+    """One DtspnEnv episode under the given action stream: the observation
+    each action saw, then per step the rewards, done flag and sensed
+    flags."""
+    env = DtspnEnv(x, path, mode=mode, config=config)
+    obs = env.reset()
+    rows = []
+    for a in actions:
+        if env.done:
+            break
+        o = obs
+        obs, rew, done, info = env.step(a)
+        rows.append((o.common.tobytes(), None if o.privileged is None
+                     else o.privileged.tobytes(),
+                     rew.imitation, rew.goal, rew.total, rew.r,
+                     rew.newly_sensed, done, env.state.sensed.tobytes(),
+                     info["pose"]))
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batch_rows_match_single_env_runs(mode):
+    # E rows over different instances, each with its own action stream;
+    # rows end at different steps and are refilled with the next episode
+    config = EnvConfig(max_steps_eval=40)
+    episodes = []
+    for seed in range(30):
+        x = generate(3, 4000 + seed, map_size=(300.0, 300.0))
+        path = plan(x) if mode == "train" else None
+        rng = np.random.default_rng(seed)
+        episodes.append((x, path, rng.integers(0, 7, size=60).tolist()))
+    want = [_single_run(x, p, mode, config, acts) for x, p, acts in episodes]
+    assert len({len(w) for w in want}) >= 3
+
+    e = 4
+    batch = EnvBatch(DtspnEnv(x, p, mode=mode, config=config)
+                     for x, p, _ in episodes[:e])
+    batch.reset()
+    slot = list(range(e))          # episode index held by each row
+    nxt = e
+    got = {i: [] for i in range(e)}
+    while any(s is not None for s in slot):
+        live = [i for i in range(e) if slot[i] is not None]
+        assert not batch.done[live].any()
+        acts = np.array([episodes[slot[i]][2][len(got[slot[i]])]
+                         if slot[i] is not None else 3 for i in range(e)])
+        common, priv = batch.common, batch.privileged
+        rew = batch.step(acts)
+        for i in live:
+            k = slot[i]
+            got[k].append((common[i].tobytes(),
+                           None if priv is None else priv[i].tobytes(),
+                           rew.imitation[i], rew.goal[i], rew.total[i],
+                           rew.r[i], rew.newly_sensed[i], batch.done[i],
+                           batch.sensed[i].view(np.uint8).tobytes(),
+                           tuple(batch.pose[i])))
+            if batch.done[i] or len(got[k]) == len(episodes[k][2]):
+                if nxt < len(episodes):
+                    x, p, _ = episodes[nxt]
+                    batch.load(i, DtspnEnv(x, p, mode=mode, config=config))
+                    batch.reset(np.array([i]))
+                    slot[i] = nxt
+                    got[nxt] = []
+                    nxt += 1
+                else:
+                    slot[i] = None
+    assert nxt == len(episodes)
+    for k, rows in enumerate(want):
+        assert len(got[k]) == len(rows)
+        for g, w in zip(got[k], rows):
+            assert g[:2] == w[:2]
+            # reward floats, distance and flags, compared by their bits
+            assert np.array(g[2:8]).tobytes() == np.array(w[2:8]).tobytes()
+            assert g[8] == w[8]
+            p = w[9]
+            assert g[9] == (p.x, p.y, p.theta)
+
+
+def test_batch_reproduces_collected_demo_bytes():
+    dataset, rep = collect_batch(8, base_seed=4100, n_tasks=3,
+                                 map_size=(300.0, 300.0))
+    assert rep["accepted"] == 8
+    meta = dataset.meta
+    envs = [DtspnEnv(meta.instance_for(d.seed),
+                     plan(meta.instance_for(d.seed), n_pos=meta.n_pos,
+                          n_head=meta.n_head,
+                          step_dist=meta.config.step_dist),
+                     mode="train", config=meta.config) for d in dataset]
+    batch = EnvBatch(envs)
+    batch.reset()
+    n = max(len(d) for d in dataset)
+    assert len({len(d) for d in dataset}) > 1
+    commons = np.zeros((n, len(dataset), meta.common_dim))
+    privs = np.zeros((n, len(dataset), meta.priv_dim))
+    rewards = np.zeros((n, len(dataset)))
+    dones = np.zeros((n, len(dataset)), dtype=np.uint8)
+    for t in range(n):
+        # rows past their demo's end keep flying straight, unread
+        acts = np.array([d.actions[t] if t < len(d) else 3 for d in dataset])
+        commons[t], privs[t] = batch.common, batch.privileged
+        rew = batch.step(acts)
+        rewards[t], dones[t] = rew.total, batch.done
+    for i, d in enumerate(dataset):
+        m = len(d)
+        assert commons[:m, i].tobytes() == d.commons.tobytes()
+        assert privs[:m, i].tobytes() == d.privileged.tobytes()
+        assert rewards[:m, i].tobytes() == d.rewards.tobytes()
+        assert dones[:m, i].tobytes() == d.dones.tobytes()

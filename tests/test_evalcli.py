@@ -335,6 +335,24 @@ def test_cli_eval_expert_and_mismatch(tmp_path, capsys):
                    "--out", f"{d}/x.ckpt") == 1   # no --ckpt, no --dense
 
 
+def test_cli_train_ppo_dense_baseline_and_log(tmp_path):
+    # --dense trains from scratch with the privileged input zeroed; its
+    # train-mode envs still carry expert paths
+    d = str(tmp_path)
+    assert run_cli("train-ppo", "--dense", "--tasks", "3", "--map", "300",
+                   "300", "--steps", "256", "--pool", "4",
+                   "--out", f"{d}/dense.ckpt", "--log", f"{d}/log.jsonl") == 0
+    assert load_bundle(f"{d}/dense.ckpt").common_dim == 15
+    with open(f"{d}/log.jsonl") as f:
+        records = [json.loads(line) for line in f]
+    # the default rollout is 4096 steps, so a 256-step budget is one batch
+    assert len(records) == 1
+    assert records[0]["batch"] == 1 and records[0]["env_steps"] == 4096
+    assert {"approx_kl", "clip_frac", "entropy", "value_loss",
+            "explained_var", "rollout_s", "update_s",
+            "steps_per_s"} <= set(records[0])
+
+
 def test_cli_expert_spacing_follows_config(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"dt": 0.1}')

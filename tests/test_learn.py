@@ -14,8 +14,8 @@ from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
                          bc_pretrain, clipped_surrogate, compute_gae,
                          critic_init, distill_adaptation, episode_split,
                          forward, gradients, init_bundle, init_network,
-                         load_bundle, ppo_finetune, return_to_go, save_bundle,
-                         softmax)
+                         load_bundle, ppo_finetune, return_to_go,
+                         sample_categorical, save_bundle, softmax)
 from dtspn.learn.nets import CKPT_MAGIC, CKPT_VERSION, _pack_network
 
 from oracles import discounted_returns, fd_gradients
@@ -430,6 +430,51 @@ def test_compute_gae_examples_and_bruteforce():
     assert np.allclose(rets, adv + v)
 
 
+def test_compute_gae_columns_are_independent_runs():
+    # (T, E) advantages: each column equals the 1-D run over that env,
+    # bit for bit, with its own bootstrap value
+    rng = np.random.default_rng(12)
+    t_len, e = 9, 5
+    r = rng.normal(size=(t_len, e))
+    v = rng.normal(size=(t_len, e))
+    dones = rng.random((t_len, e)) < 0.2
+    last = rng.normal(size=e)
+    adv, rets = compute_gae(r, v, dones, last, 0.95, 0.9)
+    for j in range(e):
+        a1, r1 = compute_gae(r[:, j], v[:, j], dones[:, j], last[j], 0.95, 0.9)
+        assert adv[:, j].tobytes() == a1.tobytes()
+        assert rets[:, j].tobytes() == r1.tobytes()
+
+
+def test_sample_categorical_matches_generator_choice():
+    rng = np.random.default_rng(3)
+    probs = softmax(rng.normal(scale=3.0, size=(2000, 7)))
+    probs[:50, 2:] = 0.0            # rows with zero-probability tails
+    probs[:50] /= probs[:50].sum(axis=1, keepdims=True)
+    ours = sample_categorical(probs, np.random.default_rng(99))
+    ref = np.random.default_rng(99)
+    theirs = [ref.choice(7, p=row) for row in probs]
+    assert ours.tolist() == theirs
+    # act(deterministic=False) draws through the same sampler
+    b = init_bundle(common_dim=9, seed=0)
+    c = np.random.default_rng(1).normal(size=9)
+    logits = forward(b.policy, np.concatenate([c, forward(b.adaptation, c)]))
+    draws = [act(b, c, False, deterministic=False, rng=g)
+             for g in [np.random.default_rng(5)] for _ in range(200)]
+    ref = np.random.default_rng(5)
+    assert draws == [ref.choice(7, p=softmax(logits)) for _ in range(200)]
+    for bad in (np.nan, np.inf):
+        p = probs[:3].copy()
+        p[1, 4] = bad
+        with pytest.raises(ValueError):
+            sample_categorical(p, np.random.default_rng(0))
+    nan_bundle = init_bundle(common_dim=9, seed=0)
+    nan_bundle.policy.biases[-1][...] = np.nan
+    with pytest.raises(ValueError):
+        act(nan_bundle, c, False, deterministic=False,
+            rng=np.random.default_rng(0))
+
+
 def test_clipped_surrogate_properties():
     rng = np.random.default_rng(0)
     ratio = rng.uniform(0.0, 2.5, size=500)
@@ -483,6 +528,30 @@ def test_ppo_smoke_runs_and_tracks_best():
     assert len(curve) == 2
     assert b.finite()
     assert all(np.isfinite(c) for c in curve)
+
+
+def test_ppo_log_has_one_record_per_batch_and_changes_nothing():
+    cfg = TrainConfig(steps_budget=1024, rollout_steps=512, minibatch=128,
+                      seed=4)
+    runs, records = [], []
+    for log in (None, records.append):
+        b = init_bundle(common_dim=15, seed=2)
+        b, curve = ppo_finetune(make_env_factory(seed=9), b, cfg, log=log)
+        runs.append(b"".join(a.tobytes() for net in b.networks
+                             for a in net.weights + net.biases))
+    assert runs[0] == runs[1]
+    assert len(records) == len(curve) == 2
+    keys = {"batch", "env_steps", "avg_reward", "approx_kl", "clip_frac",
+            "entropy", "value_loss", "explained_var", "rollout_s",
+            "update_s", "steps_per_s"}
+    for k, rec in enumerate(records, 1):
+        assert set(rec) == keys
+        assert rec["batch"] == k and rec["env_steps"] == 512 * k
+        assert 0.0 <= rec["clip_frac"] <= 1.0 and rec["approx_kl"] >= -1e-12
+        assert rec["entropy"] > 0.0 and rec["value_loss"] >= 0.0
+        assert rec["rollout_s"] > 0.0 and rec["update_s"] > 0.0
+        assert np.isclose(rec["steps_per_s"],
+                          512 / (rec["rollout_s"] + rec["update_s"]))
 
 
 def test_ppo_divergence_guard():
