@@ -14,9 +14,9 @@ from .config import TrainConfig
 from .nets import (AdamState, ModelBundle, adam_step, backward, forward_cached,
                    log_softmax, sample_categorical)
 
-# Envs rolled in lockstep.  On a 2-core x86-64 machine one batched forward
-# of the three networks plus the action draw costs 16.2, 12.4 and 11.5 us
-# per env step at 8, 16 and 32 envs.
+# Envs rolled in lockstep.  On a 2-core x86-64 machine one forward of the
+# three networks plus the action draw costs 110-130 us for one env and
+# 19-20, 11-12 and 9-12 us per env at 8, 16 and 32 envs.
 ROLLOUT_ENVS = 16
 
 
@@ -47,11 +47,6 @@ def clipped_surrogate(ratio, adv, clip):
     obj = np.minimum(raw, clipped * adv)
     dobj_dlogp = np.where(raw <= clipped * adv, raw, 0.0)
     return obj, dobj_dlogp
-
-
-def _explained_variance(pred, target) -> float:
-    var = float(np.var(target))
-    return 1.0 - float(np.var(target - pred)) / var if var > 0 else float("nan")
 
 
 def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
@@ -94,9 +89,8 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
     def refill(ended):
         for i in ended:
             for _ in range(1000):
-                if envs.done[i]:
-                    envs.load(i, env_factory())
-                    envs.reset(np.array([i]))
+                envs.load(i, env_factory())
+                envs.reset(np.array([i]))
                 if not envs.done[i]:
                     break
             else:
@@ -155,7 +149,9 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
         commons, privs = commons.reshape(n, cd), privs.reshape(n, pd)
         actions, logp_old = actions.reshape(n), logp_old.reshape(n)
         adv, rets = adv.reshape(n), rets.reshape(n)
-        explained_var = _explained_variance(values.reshape(n), rets)
+        var = float(np.var(rets))
+        explained_var = (1.0 - float(np.var(rets - values.reshape(n))) / var
+                         if var > 0 else float("nan"))
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         avg_reward = float(np.mean(ep_returns)) if ep_returns else float("nan")
