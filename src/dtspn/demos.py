@@ -10,7 +10,7 @@ batch collection can report rejected seeds instead of silently dropping them.
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -45,40 +45,30 @@ class DemoFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Transition:
-    common_obs: np.ndarray
-    privileged_obs: np.ndarray
-    action: int
-    reward: float
-    done: bool
-
-
 @dataclass
 class Demonstration:
-    """One accepted episode.  Arrays are row-per-step; transitions is a
-    convenience view for element-wise access."""
+    """One accepted episode, one row per step.  It senses every task and its
+    returns follow from its rewards, so none of the three is stored."""
 
     seed: int
-    commons: np.ndarray        # (T, common_dim)
-    privileged: np.ndarray     # (T, priv_dim)
+    commons: np.ndarray        # (T, common_dim) float64
+    privileged: np.ndarray     # (T, priv_dim) float64
     actions: np.ndarray        # (T,) uint8
-    rewards: np.ndarray        # (T,)
+    rewards: np.ndarray        # (T,) float64
     dones: np.ndarray          # (T,) uint8
-    sensed_all: bool
-    return_undiscounted: float
-    return_discounted: float
+    sensed_all = True          # a class constant, not a field
 
     def __len__(self) -> int:
         return len(self.actions)
 
     @property
-    def transitions(self) -> Tuple[Transition, ...]:
-        return tuple(
-            Transition(self.commons[i], self.privileged[i],
-                       int(self.actions[i]), float(self.rewards[i]),
-                       bool(self.dones[i]))
-            for i in range(len(self.actions)))
+    def return_undiscounted(self) -> float:
+        # contiguous, as when collected: numpy sums strided views in blocks
+        return float(np.ascontiguousarray(self.rewards).sum())
+
+    @property
+    def return_discounted(self) -> float:
+        return discounted_return(self.rewards, GAMMA)
 
 
 @dataclass(frozen=True)
@@ -120,12 +110,51 @@ class DemoMeta:
                         turn_radius=self.config.turn_radius)
 
 
-class DemoDataset(List[Demonstration]):
-    """A list of demonstrations plus the metadata block they share."""
+def _transition_dtype(common_dim: int, priv_dim: int) -> np.dtype:
+    return np.dtype([("common", "<f8", (common_dim,)),
+                     ("priv", "<f8", (priv_dim,)),
+                     ("reward", "<f8"), ("action", "u1"), ("done", "u1")])
+
+
+class DemoDataset:
+    """Demonstrations copied into one array of the file's transition rows,
+    episode i at rows[offsets[i]:offsets[i+1]] and collected on seeds[i].
+    Items are Demonstrations whose arrays are views of those rows."""
 
     def __init__(self, demos=(), meta: Optional[DemoMeta] = None):
-        super().__init__(demos)
+        demos = list(demos)
+        first = demos[0].commons.shape[1] if demos else 0
         self.meta = meta
+        self.seeds = tuple(d.seed for d in demos)
+        self.offsets = np.cumsum([0] + [len(d) for d in demos])
+        self.rows = np.empty(self.offsets[-1], _transition_dtype(
+            meta.common_dim if meta else first, PRIV_DIM))
+        for d, start, stop in zip(demos, self.offsets, self.offsets[1:]):
+            r = self.rows[start:stop]
+            r["common"], r["priv"], r["reward"], r["action"], r["done"] = (
+                d.commons, d.privileged, d.rewards, d.actions, d.dones)
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return DemoDataset(map(self.__getitem__, range(len(self))[i]),
+                               meta=self.meta)
+        i = range(len(self))[i]
+        r = self.rows[self.offsets[i]:self.offsets[i + 1]]
+        return Demonstration(self.seeds[i], r["common"], r["priv"],
+                             r["action"], r["reward"], r["done"])
+
+    def rows_of(self, episodes, use_privileged: bool = True):
+        """The given episodes' rows in order: contiguous commons, privileged
+        (zeros without use_privileged) and int64 actions."""
+        idx = np.concatenate([np.arange(0)] + [
+            np.arange(self.offsets[i], self.offsets[i + 1]) for i in episodes])
+        commons = self.rows["common"][idx]
+        privs = (self.rows["priv"][idx] if use_privileged
+                 else np.zeros((len(idx), PRIV_DIM)))
+        return commons, privs, self.rows["action"][idx].astype(np.int64)
 
 
 def make_meta(instance: Instance, config: Optional[EnvConfig] = None,
@@ -186,13 +215,8 @@ def collect(instance: Instance, expert_path: ExpertPath,
                 if env.done else f"episode did not finish within {cap} steps")
         raise TrackingFailure(f"{what} (max deviation {max_dev:.2f} m)",
                               max_dev, len(rec))
-    rewards = rec.rewards
-    return Demonstration(
-        seed=instance.seed, commons=rec.commons, privileged=rec.privileged,
-        actions=rec.actions.astype(np.uint8), rewards=rewards,
-        dones=rec.dones, sensed_all=True,
-        return_undiscounted=float(rewards.sum()),
-        return_discounted=discounted_return(rewards, GAMMA))
+    return Demonstration(instance.seed, rec.commons, rec.privileged,
+                         rec.actions.astype(np.uint8), rec.rewards, rec.dones)
 
 
 def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
@@ -200,14 +224,16 @@ def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
                   r_sense: float = 58.0, turn_radius: float = 30.0,
                   n_pos: int = 8, n_head: int = 4,
                   config: Optional[EnvConfig] = None,
-                  max_attempts: Optional[int] = None,
-                  progress=None):
+                  max_attempts: Optional[int] = None):
     """Collect demonstrations over consecutive instance seeds until n_demos
     are accepted (or max_attempts seeds tried).  Returns (dataset, report)
     where report lists every rejected seed with its reason."""
+    if n_demos < 0:
+        raise ValueError(f"n_demos must be >= 0, got {n_demos}")
     if max_attempts is None:
         max_attempts = 2 * n_demos + 20
-    meta = None
+    meta = make_meta(generate(n_tasks, base_seed, map_size, r_sense,
+                              turn_radius), config, n_pos=n_pos, n_head=n_head)
     demos = []
     rejected = []
     seed = base_seed
@@ -215,19 +241,15 @@ def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
     while len(demos) < n_demos and attempts < max_attempts:
         x = generate(n_tasks=n_tasks, seed=seed, map_size=map_size,
                      r_sense=r_sense, turn_radius=turn_radius)
-        if meta is None:
-            meta = make_meta(x, config, n_pos=n_pos, n_head=n_head)
         try:
             path = plan(x, n_pos=n_pos, n_head=n_head,
-                        step_dist=config_for(x, config).step_dist)
+                        step_dist=meta.config.step_dist)
             demos.append(collect(x, path, config=config))
         except RuntimeError as e:
             # TrackingFailure from collect or SensingGap from plan
             rejected.append((seed, str(e)))
         seed += 1
         attempts += 1
-        if progress is not None:
-            progress(attempts, len(demos))
     report = {
         "attempted": attempts,
         "accepted": len(demos),
@@ -237,14 +259,12 @@ def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
     return DemoDataset(demos, meta=meta), report
 
 
-def _transition_dtype(common_dim: int, priv_dim: int) -> np.dtype:
-    return np.dtype([("common", "<f8", (common_dim,)),
-                     ("priv", "<f8", (priv_dim,)),
-                     ("reward", "<f8"), ("action", "u1"), ("done", "u1")])
+# seed, row count, sensed_all (always 1), undiscounted and discounted return
+_RECORD = struct.Struct("<QIBdd")
 
 
-def save_dataset(demos, path: str) -> None:
-    meta = getattr(demos, "meta", None)
+def save_dataset(demos: DemoDataset, path: str) -> None:
+    meta = demos.meta
     if meta is None:
         raise ValueError("save_dataset needs a DemoDataset with meta attached")
     cfg = meta.config
@@ -255,24 +275,12 @@ def save_dataset(demos, path: str) -> None:
         cfg.train_cutoff_dist, cfg.sense_substep,
         int(cfg.literal_goal_sum), meta.n_pos, meta.n_head,
         meta.common_dim, meta.priv_dim, len(demos))
-    rec = struct.Struct("<QIBdd")
-    dt = _transition_dtype(meta.common_dim, meta.priv_dim)
     with open(path, "wb") as f:
         f.write(header)
-        for d in demos:
-            if d.commons.shape[1:] != (meta.common_dim,):
-                raise ValueError(
-                    f"demonstration shape mismatch: expected common dim "
-                    f"{meta.common_dim}, found {d.commons.shape[1]}")
-            f.write(rec.pack(d.seed, len(d), int(d.sensed_all),
-                             d.return_undiscounted, d.return_discounted))
-            block = np.empty(len(d), dtype=dt)
-            block["common"] = d.commons
-            block["priv"] = d.privileged
-            block["reward"] = d.rewards
-            block["action"] = d.actions
-            block["done"] = d.dones
-            f.write(block.tobytes())
+        for d, start, stop in zip(demos, demos.offsets, demos.offsets[1:]):
+            f.write(_RECORD.pack(d.seed, len(d), 1, d.return_undiscounted,
+                                 d.return_discounted))
+            f.write(demos.rows[start:stop].tobytes())
 
 
 def load_dataset(path: str) -> DemoDataset:
@@ -311,15 +319,14 @@ def load_dataset(path: str) -> DemoDataset:
         raise DemoFormatError(
             f"inconsistent kinematics: v {v} != omega_max * turn_radius "
             f"{config.v}")
-    rec = struct.Struct("<QIBdd")
     tdt = _transition_dtype(common_dim, priv_dim)
     off = _HEADER.size
     demos = []
     for i in range(count):
-        if off + rec.size > len(raw):
+        if off + _RECORD.size > len(raw):
             raise DemoFormatError(f"truncated record {i} at byte {off}")
-        seed, n_tr, sensed_all, r_u, r_d = rec.unpack_from(raw, off)
-        off += rec.size
+        seed, n_tr, sensed_all, *returns = _RECORD.unpack_from(raw, off)
+        off += _RECORD.size
         nbytes = n_tr * tdt.itemsize
         if off + nbytes > len(raw):
             raise DemoFormatError(
@@ -327,19 +334,25 @@ def load_dataset(path: str) -> DemoDataset:
                 f"bytes, found {len(raw) - off}")
         block = np.frombuffer(raw, dtype=tdt, count=n_tr, offset=off)
         off += nbytes
-        if n_tr and block["action"].max() >= n_actions:
+        d = Demonstration(seed, block["common"], block["priv"],
+                          block["action"], block["reward"], block["done"])
+        if sensed_all != 1:
+            raise DemoFormatError(f"record {i}: sensed_all {sensed_all} != 1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            recomputed = (d.return_undiscounted, d.return_discounted)
+        for kind, stored, r in zip(("undiscounted", "discounted"), returns,
+                                   recomputed):
+            if not abs(r - stored) <= 1e-9:     # so that NaN fails too
+                raise DemoFormatError(
+                    f"record {i}: stored {kind} return {stored!r} differs "
+                    f"from {r!r} recomputed from its rewards")
+        if n_tr and d.actions.max() >= n_actions:
             raise DemoFormatError(f"record {i}: action out of range "
                                   f"[0, {n_actions})")
-        demos.append(Demonstration(
-            seed=seed,
-            commons=block["common"].reshape(n_tr, common_dim).copy(),
-            privileged=block["priv"].reshape(n_tr, priv_dim).copy(),
-            actions=block["action"].copy(),
-            rewards=block["reward"].copy(),
-            dones=block["done"].copy(),
-            sensed_all=bool(sensed_all),
-            return_undiscounted=r_u,
-            return_discounted=r_d))
+        if n_tr and (d.dones[-1] != 1 or d.dones[:-1].any()):
+            raise DemoFormatError(f"record {i}: done must be 0 before the "
+                                  f"last row and 1 on it")
+        demos.append(d)
     if off != len(raw):
         raise DemoFormatError(f"{len(raw) - off} trailing bytes after "
                               f"{count} records")

@@ -23,18 +23,6 @@ def episode_split(n_episodes: int, rng: np.random.Generator):
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
-def stack(dataset, idxs, use_privileged: bool, priv_dim: int):
-    """Transitions of the given episodes as (commons, privileged, actions)
-    rows; without use_privileged the privileged block is zeros."""
-    commons = np.vstack([dataset[i].commons for i in idxs])
-    if use_privileged:
-        privs = np.vstack([dataset[i].privileged for i in idxs])
-    else:
-        privs = np.zeros((len(commons), priv_dim))
-    actions = np.concatenate([dataset[i].actions for i in idxs]).astype(np.int64)
-    return commons, privs, actions
-
-
 def encode(bundle: ModelBundle, commons, privs) -> np.ndarray:
     """Encoder latents of many rows, computed in chunks."""
     out = np.empty((len(commons), bundle.z_dim))
@@ -93,9 +81,8 @@ def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
     no-PI ablation.  Returns (bundle, metrics) with per-epoch curves."""
     rng = np.random.default_rng(config.seed)
     train_eps, val_eps = episode_split(len(dataset), rng)
-    pd = bundle.priv_dim
-    xc, xp, y = stack(dataset, train_eps, use_privileged, pd)
-    vc, vp, vy = stack(dataset, val_eps, use_privileged, pd)
+    xc, xp, y = dataset.rows_of(train_eps, use_privileged)
+    vc, vp, vy = dataset.rows_of(val_eps, use_privileged)
     n = len(y)
     if n == 0:
         raise ValueError("training split has no transitions")
@@ -143,14 +130,13 @@ def critic_init(dataset, bundle: ModelBundle, config: TrainConfig,
         epochs = config.bc_epochs
     rng = np.random.default_rng(config.seed + 1)
     train_eps, val_eps = episode_split(len(dataset), rng)
-    pd = bundle.priv_dim
 
     def targets(idxs):
         return np.concatenate(
             [return_to_go(dataset[i].rewards, config.gamma) for i in idxs])
 
-    xc, xp, _ = stack(dataset, train_eps, use_privileged, pd)
-    vc, vp, _ = stack(dataset, val_eps, use_privileged, pd)
+    xc, xp, _ = dataset.rows_of(train_eps, use_privileged)
+    vc, vp, _ = dataset.rows_of(val_eps, use_privileged)
     ty, vty = targets(train_eps), targets(val_eps)
     n = len(ty)
     if n == 0:

@@ -4,7 +4,7 @@ frozen encoder's latent from common observations alone."""
 import numpy as np
 
 from .config import TrainConfig
-from .bc import EVAL_CHUNK, encode, episode_split, stack
+from .bc import EVAL_CHUNK, encode, episode_split
 from .nets import AdamState, ModelBundle, adam_step, backward, forward_cached
 
 
@@ -34,10 +34,8 @@ def distill_adaptation(dataset, bundle: ModelBundle, config: TrainConfig,
     """
     rng = np.random.default_rng(config.seed + 2)
     train_eps, val_eps = episode_split(len(dataset), rng)
-
-    pd = bundle.priv_dim
-    xc, xp, _ = stack(dataset, train_eps, True, pd)
-    vc, vp, _ = stack(dataset, val_eps, True, pd)
+    xc, xp, _ = dataset.rows_of(train_eps)
+    vc, vp, _ = dataset.rows_of(val_eps)
     if len(xc) == 0 or len(vc) == 0:
         raise ValueError("a split has no transitions")
     zt = encode(bundle, xc, xp)

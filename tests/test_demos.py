@@ -1,12 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dtspn.demos as demos_mod
-from dtspn.demos import (DemoDataset, DemoFormatError, GAMMA, TrackingFailure,
-                         _HEADER, MAGIC, MAX_POSES_PER_TASK, collect,
+from dtspn.demos import (DemoDataset, DemoFormatError, Demonstration, GAMMA,
+                         TrackingFailure, _HEADER, _RECORD, MAGIC,
+                         MAX_POSES_PER_TASK, _transition_dtype, collect,
                          collect_batch,
                          greedy_action, load_dataset,
                          make_meta, replay_rewards, save_dataset,
@@ -211,19 +213,6 @@ def test_empty_dataset_roundtrip(tmp_path):
     assert len(back) == 0 and back.meta == ds.meta
 
 
-def test_transitions_view():
-    w = h = 400.0
-    start = Pose(40.0, 200.0, 0.0)
-    sp = 3.6 * math.pi
-    x = Instance(w, h, ((start.x + 10.0 * sp, 200.0),), 50.0, 30.0, start, 0)
-    d = collect(x, straight_path(start, 12, sp))
-    trs = d.transitions
-    assert len(trs) == len(d)
-    assert trs[0].action == int(d.actions[0])
-    assert trs[-1].done and not trs[0].done
-    assert np.array_equal(trs[2].common_obs, d.commons[2])
-
-
 def test_load_rejects_malformed_files(tmp_path):
     x = generate(n_tasks=3, seed=0, map_size=(300.0, 300.0))
     ds = DemoDataset([], meta=make_meta(x))
@@ -317,25 +306,187 @@ def test_load_rejects_invalid_header_values(tmp_path):
             load_dataset(str(bad))
 
 
-def test_load_rejects_out_of_range_action(tmp_path):
+def corridor_demo():
+    """A one-task instance and the demonstration that tracks a straight
+    expert path through it."""
     w = h = 400.0
     start = Pose(40.0, 200.0, 0.0)
     sp = 3.6 * math.pi
     x = Instance(w, h, ((start.x + 10.0 * sp, 200.0),), 50.0, 30.0, start, 0)
-    d = collect(x, straight_path(start, 12, sp))
+    return x, collect(x, straight_path(start, 12, sp))
+
+
+def test_load_rejects_out_of_range_action(tmp_path):
+    x, d = corridor_demo()
     d.actions[3] = 7
     save_dataset(DemoDataset([d], meta=make_meta(x)), str(tmp_path / "a.bin"))
     with pytest.raises(DemoFormatError, match="record 0: action"):
         load_dataset(str(tmp_path / "a.bin"))
 
 
+def test_load_rejects_records_whose_stored_fields_disagree_with_rows(tmp_path):
+    x, d = corridor_demo()
+    n = len(d)
+    assert n > 3
+    p = tmp_path / "ok.bin"
+    save_dataset(DemoDataset([d, d], meta=make_meta(x)), str(p))
+    raw = p.read_bytes()
+    assert len(load_dataset(str(p))) == 2
+    # second record: its header, then its rows
+    size = _transition_dtype(7, 12).itemsize
+    rec = _HEADER.size + _RECORD.size + n * size
+    done = rec + _RECORD.size + size - 1        # the done byte ends each row
+    nan = struct.pack("<d", math.nan)
+    for at, value, word in (
+            (rec + 12, [0], "sensed_all"),
+            # the high byte of each stored return flipped, or a NaN return
+            (rec + 20, [raw[rec + 20] ^ 0xFF], "stored undiscounted"),
+            (rec + 28, [raw[rec + 28] ^ 0xFF], "stored discounted"),
+            (rec + 13, nan, "stored undiscounted"),
+            (rec + 21, nan, "stored discounted"),
+            (done, [5], "done"),
+            (done + (n // 2) * size, [1], "done"),
+            (done + (n - 1) * size, [0], "done")):
+        bad = bytearray(raw)
+        bad[at:at + len(value)] = bytes(value)
+        (tmp_path / "bad.bin").write_bytes(bytes(bad))
+        with pytest.raises(DemoFormatError, match=f"record 1: .*{word}"):
+            load_dataset(str(tmp_path / "bad.bin"))
+
+
+def reference_save_dataset(demos, path: str) -> None:
+    """The record-by-record writer that predates the row store, kept to pin
+    the file layout."""
+    meta = demos.meta
+    cfg = meta.config
+    header = _HEADER.pack(
+        MAGIC, 2, meta.n_tasks,
+        meta.map_width, meta.map_height, meta.r_sense, cfg.turn_radius,
+        cfg.v, cfg.dt, cfg.omega_max, cfg.n_actions, cfg.max_steps_eval,
+        cfg.train_cutoff_dist, cfg.sense_substep,
+        int(cfg.literal_goal_sum), meta.n_pos, meta.n_head,
+        meta.common_dim, meta.priv_dim, len(demos))
+    rec = struct.Struct("<QIBdd")
+    dt = _transition_dtype(meta.common_dim, meta.priv_dim)
+    with open(path, "wb") as f:
+        f.write(header)
+        for d in demos:
+            f.write(rec.pack(d.seed, len(d), int(d.sensed_all),
+                             d.return_undiscounted, d.return_discounted))
+            block = np.empty(len(d), dtype=dt)
+            block["common"] = d.commons
+            block["priv"] = d.privileged
+            block["reward"] = d.rewards
+            block["action"] = d.actions
+            block["done"] = d.dones
+            f.write(block.tobytes())
+
+
 @pytest.fixture(scope="module")
-def demo_bytes(tmp_path_factory):
+def small_batch():
     ds, report = collect_batch(2, base_seed=0, n_tasks=1,
                                map_size=(300.0, 300.0), n_pos=3, n_head=2)
     assert report["accepted"] == 2
+    return ds
+
+
+def test_save_matches_reference_writer(tmp_path, small_batch):
+    x = Instance(200.0, 200.0, ((110.0, 20.0),), 50.0, 30.0,
+                 Pose(100.0, 10.0, 0.0), 0)
+    presensed = collect(x, ExpertPath(waypoints=(x.start,), total_length=0.0,
+                                      sensed_order=(0,)))
+    assert len(presensed) == 0
+    for ds in (small_batch, DemoDataset([], meta=small_batch.meta),
+               DemoDataset([presensed], meta=make_meta(x))):
+        save_dataset(ds, str(tmp_path / "new.bin"))
+        reference_save_dataset(ds, str(tmp_path / "ref.bin"))
+        raw = (tmp_path / "new.bin").read_bytes()
+        assert raw == (tmp_path / "ref.bin").read_bytes()
+        back = load_dataset(str(tmp_path / "new.bin"))
+        save_dataset(back, str(tmp_path / "again.bin"))
+        assert (tmp_path / "again.bin").read_bytes() == raw
+
+
+def reference_stack(dataset, idxs, use_privileged: bool, priv_dim: int):
+    """Per-episode vstack that predates DemoDataset.rows_of."""
+    commons = np.vstack([dataset[i].commons for i in idxs])
+    if use_privileged:
+        privs = np.vstack([dataset[i].privileged for i in idxs])
+    else:
+        privs = np.zeros((len(commons), priv_dim))
+    actions = np.concatenate([dataset[i].actions for i in idxs]).astype(np.int64)
+    return commons, privs, actions
+
+
+def test_rows_of_matches_per_episode_stack():
+    rng = np.random.default_rng(3)
+    demos = []
+    for e, n in enumerate([5, 0, 17, 1, 9, 0, 12, 30]):
+        dones = np.zeros(n, dtype=np.uint8)
+        dones[-1:] = 1
+        demos.append(Demonstration(
+            seed=e, commons=rng.normal(size=(n, 11)),
+            privileged=rng.normal(size=(n, 12)),
+            actions=rng.integers(0, 7, n).astype(np.uint8),
+            rewards=rng.normal(size=n), dones=dones))
+    ds = DemoDataset(demos)
+    subsets = [rng.choice(len(ds), size=k, replace=False)
+               for k in (1, 2, 3, 5, 8) for _ in range(4)]
+    subsets += [np.sort(s) for s in subsets] + [[1, 5]]
+    for idxs in subsets:
+        for use_privileged in (True, False):
+            new = ds.rows_of(idxs, use_privileged)
+            old = reference_stack(ds, idxs, use_privileged, 12)
+            for a, b in zip(new, old):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.flags.c_contiguous
+                assert a.tobytes() == b.tobytes()
+    # the vstack needs at least one episode; the row store yields no rows
+    with pytest.raises(ValueError):
+        reference_stack(ds, [], True, 12)
+    c, p, a = ds.rows_of([])
+    assert c.shape == (0, 11) and p.shape == (0, 12) and a.shape == (0,)
+    assert (c.dtype, p.dtype, a.dtype) == (np.float64, np.float64, np.int64)
+
+
+def test_dataset_items_are_views_of_the_rows(small_batch):
+    ds = small_batch
+    assert len(ds.offsets) == len(ds) + 1 and ds.offsets[-1] == len(ds.rows)
+    for i, d in enumerate(ds):
+        assert np.shares_memory(d.commons, ds.rows)
+        assert d.seed == ds.seeds[i] and len(d) == np.diff(ds.offsets)[i]
+        assert (d.commons.dtype, d.privileged.dtype, d.actions.dtype,
+                d.rewards.dtype, d.dones.dtype) == (
+            np.float64, np.float64, np.uint8, np.float64, np.uint8)
+        assert d.return_undiscounted == float(np.array(d.rewards).sum())
+        assert d.return_discounted == discounted_return(d.rewards, GAMMA)
+    assert ds[-1].seed == ds.seeds[-1]
+    head = ds[:1]
+    assert isinstance(head, DemoDataset) and head.meta == ds.meta
+    assert len(head) == 1 and head[0].rewards.tobytes() == \
+        ds[0].rewards.tobytes()
+    with pytest.raises(IndexError):
+        ds[len(ds)]
+
+
+def test_long_episode_return_is_the_contiguous_sum():
+    # numpy sums a strided view in blocks of 8192 rows, which rounds
+    # differently from the one contiguous sum made at collection
+    rng = np.random.default_rng(5)
+    n = 9000
+    rewards = 10.0 * rng.normal(size=n)
+    dones = np.zeros(n, dtype=np.uint8)
+    dones[-1] = 1
+    ds = DemoDataset([Demonstration(0, np.zeros((n, 7)), np.zeros((n, 12)),
+                                    np.zeros(n, dtype=np.uint8), rewards,
+                                    dones)])
+    assert ds[0].return_undiscounted == float(rewards.sum())
+
+
+@pytest.fixture(scope="module")
+def demo_bytes(tmp_path_factory, small_batch):
     p = tmp_path_factory.mktemp("demos") / "d.bin"
-    save_dataset(ds, str(p))
+    save_dataset(small_batch, str(p))
     return p.read_bytes()
 
 
@@ -345,7 +496,7 @@ def test_load_fuzz_raises_only_format_errors(tmp_path_factory, demo_bytes,
                                              data):
     # byte flips (half of them in the header) and truncations either raise
     # DemoFormatError or load a dataset whose config, instances and envs
-    # can be built
+    # can be built and whose stored fields agree with its rows
     raw = bytearray(demo_bytes)
     at = st.one_of(st.integers(0, _HEADER.size - 1),
                    st.integers(0, len(raw) - 1))
@@ -353,8 +504,9 @@ def test_load_fuzz_raises_only_format_errors(tmp_path_factory, demo_bytes,
                                        min_size=1, max_size=4)):
         raw[i] = value
     end = st.one_of(st.just(len(raw)), st.integers(0, len(raw)))
+    raw = bytes(raw[:data.draw(end)])
     p = tmp_path_factory.mktemp("fuzz") / "d.bin"
-    p.write_bytes(bytes(raw[:data.draw(end)]))
+    p.write_bytes(raw)
     try:
         ds = load_dataset(str(p))
     except DemoFormatError:
@@ -363,9 +515,17 @@ def test_load_fuzz_raises_only_format_errors(tmp_path_factory, demo_bytes,
     for seed in [0] + [d.seed for d in ds]:
         DtspnEnv(meta.instance_for(seed), mode="eval",
                  config=meta.config).reset()
+    off = _HEADER.size
     for d in ds:
         assert d.commons.shape == (len(d), meta.common_dim)
         assert (d.actions < meta.config.n_actions).all()
+        seed, n, sensed_all, r_u, r_d = _RECORD.unpack_from(raw, off)
+        assert (seed, n, sensed_all) == (d.seed, len(d), 1)
+        assert abs(r_u - float(np.array(d.rewards).sum())) <= 1e-9
+        assert abs(r_d - discounted_return(d.rewards, GAMMA)) <= 1e-9
+        assert list(d.dones) == [0] * (len(d) - 1) + [1] * (len(d) > 0)
+        off += _RECORD.size + n * ds.rows.itemsize
+    assert off == len(raw)
     assert meta.config.n_actions <= 255
     assert meta.n_pos * meta.n_head <= MAX_POSES_PER_TASK
 
@@ -380,3 +540,16 @@ def test_collect_batch_reports_rejections():
     if report["accepted"] == 0:
         assert len(report["rejected"]) == 2
         assert report["accept_rate"] == 0.0
+
+
+def test_collect_batch_of_zero_demos_saves_an_empty_dataset(tmp_path):
+    ds, report = collect_batch(0, n_tasks=3, map_size=(300.0, 300.0),
+                               n_pos=3, n_head=2)
+    assert len(ds) == 0 and report["attempted"] == 0
+    assert ds.meta == make_meta(generate(3, 0, map_size=(300.0, 300.0)),
+                                n_pos=3, n_head=2)
+    save_dataset(ds, str(tmp_path / "e.bin"))
+    back = load_dataset(str(tmp_path / "e.bin"))
+    assert len(back) == 0 and back.meta == ds.meta
+    with pytest.raises(ValueError, match="n_demos"):
+        collect_batch(-2, n_tasks=3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dtspn.cli import build_parser, main
-from dtspn.demos import collect, collect_batch, tracker
+from dtspn.demos import collect, collect_batch, load_dataset, tracker
 from dtspn.env import DtspnEnv, run_episode
 from dtspn.evaluate import (Metrics, benchmark_speed, evaluate,
                             load_episode_csv, save_episode_csv)
@@ -251,6 +251,17 @@ def test_cli_config_validation(tmp_path, capsys):
     cfg.write_text('[1, 2]')
     assert run_cli("demos", "--demos", "1", "--config", str(cfg),
                    "--out", str(tmp_path / "d.bin")) == 1
+
+
+def test_cli_demos_zero_writes_empty_dataset(tmp_path, capsys):
+    out = tmp_path / "d.bin"
+    assert run_cli("demos", "--demos", "0", "--tasks", "3",
+                   "--out", str(out)) == 0
+    assert "accepted=0" in capsys.readouterr().out
+    dataset = load_dataset(str(out))
+    assert len(dataset) == 0 and dataset.meta.n_tasks == 3
+    assert run_cli("demos", "--demos", "-2", "--out", str(out)) == 1
+    assert "n_demos" in capsys.readouterr().err
 
 
 def test_readme_commands_parse():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtspn.demos import Demonstration
+from dtspn.demos import DemoDataset, Demonstration
 from dtspn.env import DtspnEnv
 from dtspn.expert import plan
 from dtspn.instance import generate
@@ -342,10 +342,8 @@ def synthetic_dataset(n_episodes=12, ep_len=30, common_dim=9, seed=0,
         dones[-1] = 1
         out.append(Demonstration(
             seed=e, commons=c, privileged=p, actions=a, rewards=rew,
-            dones=dones, sensed_all=True,
-            return_undiscounted=float(rew.sum()),
-            return_discounted=float(discounted_returns(rew, 0.95)[0])))
-    return out
+            dones=dones))
+    return DemoDataset(out)
 
 
 def test_bc_learns_and_is_deterministic():
