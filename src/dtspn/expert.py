@@ -7,6 +7,7 @@ order scored by a dynamic program that picks one pose per cluster.  The
 chosen poses are stitched into a densified waypoint polyline.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -22,14 +23,15 @@ from .instance import Instance
 # noise cannot keep the local search moving.
 IMPROVE_EPS = 1e-9
 
-# Cap on the elements of one (orders, m, m) DP temporary, 16 MB of float64.
+# Cap on the elements of one (prefixes, m, m) DP temporary, 16 MB of float64.
 DP_CHUNK_ELEMENTS = 1 << 21
 
 # Largest DP work of one search round over all first clusters (clusters k,
 # padded cluster size m: (k-1) starts * neighbours * k layers * m * m) for
 # which the search restarts from every first cluster.  At the default 8x4
 # sampling the bound falls between 7 tasks (restarted search 35 ms, cost
-# matrix 46 ms on a 2-core x86 machine) and 8 tasks (70 ms against 56 ms).
+# matrix 46 ms on a 2-core x86 machine) and 8 tasks (70 ms against 56 ms),
+# timed when every neighbour was scored by the full DP.
 RESTART_WORK = 1 << 22
 
 
@@ -151,69 +153,115 @@ def _blocks(gtsp: GtspProblem):
     return blocks, start, nodes
 
 
-def _dp(blocks, start, rows):
-    """Min-plus DP over cluster orders (rows, start cluster first) that picks
-    one pose per cluster: yields, after each cluster of the rows, the length
-    of the shortest open path ending at each of its poses, shape (rows, m)."""
-    v = np.broadcast_to(start, (len(rows), len(start)))
-    yield v
-    for a, b in zip(rows.T, rows.T[1:]):
-        t = blocks[a, b]
-        t += v[:, :, None]
-        v = t.min(axis=1)
-        yield v
+def _step(blocks, v, a, b):
+    """One step of the min-plus DP that picks one pose per cluster: from the
+    shortest open paths v (rows, m) ending at each pose of clusters a, those
+    ending at each pose of clusters b.  a and b are index arrays (so the
+    gathered blocks are a copy); a row of v may serve every row."""
+    t = blocks[a, b]
+    t += v[:, :, None]
+    return t.min(axis=1)
 
 
-def _open_costs(blocks, start, orders):
-    """Open-path length of each cluster order.  Rows go through the DP in
-    chunks so the (rows, m, m) temporary stays bounded."""
+def _prefix_tree(rows):
+    """Prefix tree of rows whose equal prefixes are adjacent (as in sorted
+    rows): for each column d >= 1, the first row of each distinct prefix
+    rows[:, :d+1] and the index of its parent among the distinct prefixes
+    rows[:, :d]; the number of distinct first entries; and the index of
+    each row among the distinct rows."""
+    new = np.ones(rows.shape, dtype=bool)
+    new[1:] = np.logical_or.accumulate(rows[1:] != rows[:-1], axis=1)
+    ids = np.cumsum(new, axis=0) - 1
+    first = [col.nonzero()[0] for col in new.T]
+    levels = tuple((f, ids[f, d - 1]) for d, f in enumerate(first[1:], 1))
+    return levels, len(first[0]), ids[:, -1]
+
+
+def _open_costs(blocks, start, orders, tree, bound):
+    """Open-path length of each cluster order (rows, start cluster first,
+    with tree = _prefix_tree(orders)).
+
+    The DP of _step runs over the prefix tree: the vector of a prefix
+    (shortest partial paths ending at each pose of its last cluster) is
+    computed once per distinct prefix, from its parent's, in chunks so the
+    (prefixes, m, m) temporary stays bounded.  Costs are non-negative, so a
+    prefix's smallest entry bounds every completion from below: a prefix
+    whose smallest entry is >= bound is not extended, and its rows score inf.
+    """
+    levels, n_first, last = tree
     m = len(start)
     chunk = max(1, DP_CHUNK_ELEMENTS // (m * m))
-    out = np.empty(len(orders))
-    for lo in range(0, len(orders), chunk):
-        *_, v = _dp(blocks, start, orders[lo:lo + chunk])
-        out[lo:lo + chunk] = v.min(axis=1)
-    return out
+    v = np.repeat(start[None], n_first, axis=0)
+    live = np.full(n_first, start.min() < bound)
+    for d, (first, parent) in enumerate(levels, start=1):
+        grow = live[parent].nonzero()[0]
+        v_next = np.full((len(first), m), np.inf)
+        live = np.zeros(len(first), dtype=bool)
+        for lo in range(0, len(grow), chunk):
+            p = grow[lo:lo + chunk]
+            r = first[p]
+            u = _step(blocks, v[parent[p]], orders[r, d - 1], orders[r, d])
+            v_next[p] = u
+            live[p] = u.min(axis=1) < bound
+        v = v_next
+    return v.min(axis=1)[last]
 
 
-def _moves(r):
-    """Position permutations of r clusters: every move of a segment of 1-3
-    clusters to another position and every segment reversal."""
-    ident = list(range(r))
+@functools.lru_cache(maxsize=16)
+def _moves(k):
+    """Neighbours of an order of k clusters, as read-only position rows
+    (start cluster first, lexicographically sorted), with their
+    _prefix_tree: every move of a segment of 1-3 task clusters to another
+    position and every segment reversal."""
+    ident = list(range(1, k))
     perms = set()
     for s in (1, 2, 3):
-        for i in range(r - s + 1):
+        for i in range(k - s):
             seg, rest = ident[i:i + s], ident[:i] + ident[i + s:]
             for j in range(len(rest) + 1):
                 perms.add(tuple(rest[:j] + seg + rest[j:]))
-    for i in range(r):
-        for j in range(i + 2, r + 1):
+    for i in range(k - 1):
+        for j in range(i + 2, k):
             perms.add(tuple(ident[:i] + ident[i:j][::-1] + ident[j:]))
     perms.discard(tuple(ident))
-    return np.array(sorted(perms), dtype=int).reshape(len(perms), r)
+    rows = np.array([(0,) + p for p in sorted(perms)],
+                    dtype=int).reshape(len(perms), k)
+    tree = _prefix_tree(rows)
+    for a in (rows, tree[2], *(x for level in tree[0] for x in level)):
+        a.flags.writeable = False
+    return rows, tree
 
 
 def _greedy(blocks, start, head):
     """Greedy extension of the order prefix head: append the cluster that
-    gives the shortest partial path until every cluster is in."""
+    gives the shortest partial path until every cluster is in.  The
+    candidates share the current order as prefix, so its DP vector is
+    carried along.  Returns the order and its open-path length."""
     order = list(head)
+    v = start[None]
+    for a, b in zip(order, order[1:]):
+        v = _step(blocks, v, [a], [b])
+    cost = v.min()
     left = [c for c in range(len(blocks)) if c not in order]
     while left:
-        costs = _open_costs(blocks, start, np.array([order + [c] for c in left]))
-        order.append(left.pop(int(np.argmin(costs))))
-    return np.array(order)
-
-
-def _descend(blocks, start, order, moves):
-    """Best-improvement local search: go to the best neighbour until none is
-    shorter by more than IMPROVE_EPS."""
-    cost = _open_costs(blocks, start, order[None])[0]
-    while len(moves):
-        cands = np.concatenate(
-            (np.zeros((len(moves), 1), dtype=int), order[1:][moves]), axis=1)
-        costs = _open_costs(blocks, start, cands)
+        u = _step(blocks, v, [order[-1]], left)
+        costs = u.min(axis=1)
         i = int(np.argmin(costs))
-        if costs[i] >= cost - IMPROVE_EPS:
+        v, cost = u[i:i + 1], costs[i]
+        order.append(left.pop(i))
+    return np.array(order), cost
+
+
+def _descend(blocks, start, order, cost, moves, tree):
+    """Best-improvement local search from an order of open-path length cost:
+    go to the best neighbour until none is shorter by more than IMPROVE_EPS.
+    Neighbours that cannot beat that margin are dropped unscored."""
+    while len(moves):
+        cands = order[moves]
+        bound = cost - IMPROVE_EPS
+        costs = _open_costs(blocks, start, cands, tree, bound)
+        i = int(np.argmin(costs))
+        if costs[i] >= bound:
             break
         order, cost = cands[i], costs[i]
     return order, cost
@@ -224,27 +272,33 @@ def solve_gtsp(gtsp: GtspProblem) -> list:
 
     The cluster order starts from greedy DP extension and is improved by
     best-improvement local search over segment moves and reversals; every
-    order is scored by the exact pose-choice DP of _dp.  Where the moves
-    do not already reach every order (more than 3 task clusters) but a
-    descent costs little, one descent can stop short of the optimum, so
+    order is scored by the exact pose-choice DP of _step.  Where the
+    moves do not already reach every order (more than 3 task clusters) but
+    a descent costs little, one descent can stop short of the optimum, so
     the search runs once per choice of first cluster and keeps the best.
+    Costs must be non-negative (inf allowed).
     """
+    if not (gtsp.cost >= 0).all():
+        raise ValueError("GTSP costs must be non-negative and not NaN")
     blocks, start, nodes = _blocks(gtsp)
     k, m = nodes.shape
-    moves = _moves(k - 1)
+    moves, tree = _moves(k)
     exhaustive = len(moves) + 1 == math.factorial(k - 1)
     restart = (not exhaustive
                and (k - 1) * len(moves) * k * m * m <= RESTART_WORK)
     heads = [[0, f] for f in range(1, k)] if restart else [[0]]
-    order, _ = min((_descend(blocks, start, _greedy(blocks, start, h), moves)
-                    for h in heads), key=lambda found: found[1])
+    order, _ = min((_descend(blocks, start, *_greedy(blocks, start, h),
+                             moves, tree) for h in heads),
+                   key=lambda found: found[1])
 
     # backtrack: the pose of each cluster that the next cluster's pick came from
-    vs = [v[0] for v in _dp(blocks, start, order[None])]
+    vs = [start[None]]
+    for a, b in zip(order, order[1:]):
+        vs.append(_step(blocks, vs[-1], [a], [b]))
     slot = int(np.argmin(vs[-1]))
     chosen = [slot]
     for a, b, v in reversed(list(zip(order, order[1:], vs))):
-        slot = int(np.argmin(v + blocks[a, b][:, slot]))
+        slot = int(np.argmin(v[0] + blocks[a, b][:, slot]))
         chosen.append(slot)
     return [int(nodes[c, s]) for c, s in zip(order, reversed(chosen))]
 

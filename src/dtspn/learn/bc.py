@@ -35,13 +35,15 @@ def encode(bundle: ModelBundle, commons, privs) -> np.ndarray:
 
 
 def return_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """Discounted return from each step to the end of the episode."""
-    out = np.empty(len(rewards))
+    """Discounted return from each step to the end of the episode.  The
+    loop runs on Python floats, which round as float64 does."""
+    rewards = np.asarray(rewards, dtype=np.float64).tolist()
+    out = [0.0] * len(rewards)
     g = 0.0
     for i in range(len(rewards) - 1, -1, -1):
         g = rewards[i] + gamma * g
         out[i] = g
-    return out
+    return np.array(out, dtype=np.float64)
 
 
 def discounted_return(rewards: np.ndarray, gamma: float) -> float:

@@ -322,6 +322,109 @@ def gtsp_brute_force(cost, clusters):
     return best, best_tour
 
 
+def gtsp_blocks(cost, cluster_of, n_clusters):
+    """Cost blocks (k, k, m, m) between clusters padded with +inf to the
+    largest cluster size m, the start cluster's DP vector and the node id
+    at each padded slot (k, m)."""
+    members = [np.nonzero(np.asarray(cluster_of) == c)[0]
+               for c in range(n_clusters)]
+    m = max(len(ids) for ids in members)
+    nodes = np.zeros((n_clusters, m), dtype=int)
+    blocks = np.full((n_clusters, n_clusters, m, m), np.inf)
+    for a, ia in enumerate(members):
+        nodes[a, :len(ia)] = ia
+        for b, ib in enumerate(members):
+            blocks[a, b, :len(ia), :len(ib)] = cost[np.ix_(ia, ib)]
+    start = np.full(m, np.inf)
+    start[:len(members[0])] = 0.0
+    return blocks, start, nodes
+
+
+def gtsp_dp(blocks, start, orders):
+    """Plain pose-choice DP over cluster orders (rows, start cluster first):
+    the vector of shortest open paths ending at each pose after each column,
+    every row computed in full."""
+    v = np.broadcast_to(start, (len(orders), len(start)))
+    yield v
+    for a, b in zip(orders.T, orders.T[1:]):
+        t = blocks[a, b]
+        t += v[:, :, None]
+        v = t.min(axis=1)
+        yield v
+
+
+def gtsp_open_costs(blocks, start, orders):
+    """Open-path length of each cluster order by the plain DP."""
+    *_, v = gtsp_dp(blocks, start, orders)
+    return v.min(axis=1)
+
+
+def gtsp_moves(r):
+    """Position permutations of r clusters: every move of a segment of 1-3
+    clusters to another position and every segment reversal, sorted."""
+    ident = list(range(r))
+    perms = set()
+    for s in (1, 2, 3):
+        for i in range(r - s + 1):
+            seg, rest = ident[i:i + s], ident[:i] + ident[i + s:]
+            for j in range(len(rest) + 1):
+                perms.add(tuple(rest[:j] + seg + rest[j:]))
+    for i in range(r):
+        for j in range(i + 2, r + 1):
+            perms.add(tuple(ident[:i] + ident[i:j][::-1] + ident[j:]))
+    perms.discard(tuple(ident))
+    return np.array(sorted(perms), dtype=int).reshape(len(perms), r)
+
+
+def gtsp_search_full_rescoring(cost, cluster_of, n_clusters, improve_eps,
+                               restart_work):
+    """Open-path GTSP node list by the cluster-order search that rescores
+    every neighbour with the full DP: greedy DP extension, best-improvement
+    descent over gtsp_moves until no neighbour is shorter by more than
+    improve_eps, one search per first cluster when the moves do not reach
+    every order and (k-1) * moves * k * m * m <= restart_work, then the
+    pose choice by backtracking."""
+    blocks, start, nodes = gtsp_blocks(cost, cluster_of, n_clusters)
+    k, m = nodes.shape
+
+    def greedy(head):
+        order = list(head)
+        left = [c for c in range(k) if c not in order]
+        while left:
+            costs = gtsp_open_costs(
+                blocks, start, np.array([order + [c] for c in left]))
+            order.append(left.pop(int(np.argmin(costs))))
+        return np.array(order)
+
+    def descend(order):
+        cost = gtsp_open_costs(blocks, start, order[None])[0]
+        while len(moves):
+            cands = np.concatenate(
+                (np.zeros((len(moves), 1), dtype=int), order[1:][moves]),
+                axis=1)
+            costs = gtsp_open_costs(blocks, start, cands)
+            i = int(np.argmin(costs))
+            if costs[i] >= cost - improve_eps:
+                break
+            order, cost = cands[i], costs[i]
+        return order, cost
+
+    moves = gtsp_moves(k - 1)
+    exhaustive = len(moves) + 1 == math.factorial(k - 1)
+    restart = (not exhaustive
+               and (k - 1) * len(moves) * k * m * m <= restart_work)
+    heads = [[0, f] for f in range(1, k)] if restart else [[0]]
+    order, _ = min((descend(greedy(h)) for h in heads),
+                   key=lambda found: found[1])
+    vs = [v[0] for v in gtsp_dp(blocks, start, order[None])]
+    slot = int(np.argmin(vs[-1]))
+    chosen = [slot]
+    for a, b, v in reversed(list(zip(order, order[1:], vs))):
+        slot = int(np.argmin(v + blocks[a, b][:, slot]))
+        chosen.append(slot)
+    return [int(nodes[c, s]) for c, s in zip(order, reversed(chosen))]
+
+
 def fd_gradients(fun, arrays, h=1e-5):
     """Central finite differences of scalar fun() with respect to each array
     in `arrays`, perturbed in place."""

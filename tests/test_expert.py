@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from dtspn.dubins import Pose, shortest_path_length
 from dtspn import expert as ex
 from dtspn import instance as inst
-from oracles import gtsp_brute_force, held_karp_atsp
+from oracles import (gtsp_brute_force, gtsp_moves, gtsp_open_costs,
+                     gtsp_search_full_rescoring, held_karp_atsp)
 
 
 def make_gtsp(rng, sizes, lo=1.0, hi=100.0):
@@ -18,6 +19,38 @@ def make_gtsp(rng, sizes, lo=1.0, hi=100.0):
     cost = rng.uniform(lo, hi, size=(n, n))
     cost[cluster_of[:, None] == cluster_of[None, :]] = np.inf
     return ex.GtspProblem(cost=cost, cluster_of=cluster_of, n_clusters=len(sizes))
+
+
+def rough_gtsp(rng, k, max_size=5):
+    """Random GTSP of k clusters of 1..max_size nodes, made hard on the
+    scorer: uniform costs, integer costs 0-4 (many exact ties) or costs
+    within 1e-6 of 0 or of 1 (tiny improvements), and some +inf edges."""
+    sizes = list(rng.integers(1, max_size + 1, size=k))
+    g = make_gtsp(rng, sizes)
+    finite = np.isfinite(g.cost)
+    kind = rng.integers(3)
+    if kind == 1:
+        g.cost[finite] = rng.integers(0, 5, size=int(finite.sum()))
+    elif kind == 2:
+        g.cost[finite] = rng.choice((0.0, 1.0)) + rng.uniform(
+            0.0, 1e-6, size=int(finite.sum()))
+    g.cost[rng.random(g.cost.shape) < rng.uniform(0.0, 0.3)] = np.inf
+    return g
+
+
+def score(blocks, start, orders, bound=np.inf):
+    """ex._open_costs of rows in any order: sorted for the prefix tree,
+    then put back."""
+    perm = np.lexsort(orders.T[::-1])
+    out = np.empty(len(orders))
+    out[perm] = ex._open_costs(blocks, start, orders[perm],
+                               ex._prefix_tree(orders[perm]), bound)
+    return out
+
+
+def search_reference(g):
+    return gtsp_search_full_rescoring(g.cost, g.cluster_of, g.n_clusters,
+                                      ex.IMPROVE_EPS, ex.RESTART_WORK)
 
 
 def clusters_from(cluster_of):
@@ -165,11 +198,81 @@ def test_dp_matches_brute_force_over_pose_choices():
         blocks, start, _ = ex._blocks(g)
         orders = np.array([[0] + list(rng.permutation(np.arange(1, 5)))
                            for _ in range(6)])
-        got = ex._open_costs(blocks, start, orders)
+        got = score(blocks, start, orders)
         for order, cost in zip(orders, got):
             best = min(open_cost(g, nodes) for nodes in
                        itertools.product(*(cl[c] for c in order)))
             assert cost == pytest.approx(best, rel=1e-12)
+
+
+def test_moves_keep_the_neighbourhood_and_its_order():
+    for k in range(1, 12):
+        rows, _ = ex._moves(k)
+        want = gtsp_moves(k - 1)
+        assert np.array_equal(rows[:, 1:], 1 + want) and not rows[:, 0].any()
+        assert ex._moves(k)[0] is rows and not rows.flags.writeable
+
+
+@pytest.mark.parametrize("chunk", [1 << 21, 7, 1])
+def test_open_costs_equal_plain_dp_on_every_neighbour(monkeypatch, chunk):
+    # bit-equal to the plain DP, sorted (cached tree) or shuffled rows alike
+    monkeypatch.setattr(ex, "DP_CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(40)
+    for _ in range(12 if chunk == 1 else 40):
+        g = rough_gtsp(rng, int(rng.integers(2, 11)))
+        blocks, start, _ = ex._blocks(g)
+        order = np.concatenate(([0], 1 + rng.permutation(g.n_clusters - 1)))
+        rows, tree = ex._moves(g.n_clusters)
+        cands = order[rows]
+        want = gtsp_open_costs(blocks, start, cands)
+        assert np.array_equal(
+            ex._open_costs(blocks, start, cands, tree, np.inf), want)
+        shuffled = rng.permutation(len(cands))
+        assert np.array_equal(score(blocks, start, cands[shuffled]),
+                              want[shuffled])
+
+
+def test_open_costs_with_a_bound_drops_only_rows_that_cannot_beat_it():
+    rng = np.random.default_rng(41)
+    dropped = 0
+    for _ in range(60):
+        g = rough_gtsp(rng, int(rng.integers(3, 11)))
+        blocks, start, _ = ex._blocks(g)
+        order = np.concatenate(([0], 1 + rng.permutation(g.n_clusters - 1)))
+        rows, tree = ex._moves(g.n_clusters)
+        cands = order[rows]
+        want = gtsp_open_costs(blocks, start, cands)
+        finite = want[np.isfinite(want)]
+        bound = (rng.choice(finite) if len(finite) and rng.random() < 0.8
+                 else rng.choice([0.0, np.inf]))
+        got = ex._open_costs(blocks, start, cands, tree, bound)
+        kept = np.isfinite(got)
+        assert np.array_equal(got[kept], want[kept])
+        assert np.all(want[~kept] >= bound)
+        dropped += int((~kept & np.isfinite(want)).sum())
+    assert dropped > 300
+
+
+def test_solve_gtsp_matches_full_rescoring_search_on_random_gtsps():
+    rng = np.random.default_rng(42)
+    for _ in range(120):
+        g = rough_gtsp(rng, int(rng.integers(1, 12)), max_size=4)
+        assert ex.solve_gtsp(g) == search_reference(g)
+
+
+def test_solve_gtsp_matches_full_rescoring_search_on_planner_instances():
+    for n, seed in itertools.product(range(3, 13), (500, 600)):
+        x = inst.generate(n, seed + n)
+        g = ex.build_gtsp(ex.sample_poses(x, 8, 4), x.turn_radius)
+        assert ex.solve_gtsp(g) == search_reference(g), (n, seed)
+
+
+@pytest.mark.parametrize("bad", [-1e-12, np.nan])
+def test_solve_gtsp_rejects_negative_and_nan_costs(bad):
+    g = make_gtsp(np.random.default_rng(9), [2, 3, 2])
+    g.cost[0, 3] = bad
+    with pytest.raises(ValueError, match="non-negative"):
+        ex.solve_gtsp(g)
 
 
 def test_solve_gtsp_local_optimum_and_consistent_path():

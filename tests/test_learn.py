@@ -320,6 +320,15 @@ def test_episode_split_and_return_to_go():
     assert np.allclose(return_to_go(r, 0.93), discounted_returns(r, 0.93))
 
 
+def test_return_to_go_bytes_equal_the_numpy_scalar_loop():
+    rng = np.random.default_rng(1)
+    for n, gamma in ((1, 0.95), (4000, 0.99), (4000, 0.93), (517, 0.5)):
+        r = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-8, 8, n)
+        assert (return_to_go(r, gamma).tobytes()
+                == discounted_returns(r, gamma).tobytes())
+    assert return_to_go(np.zeros(0), 0.9).shape == (0,)
+
+
 def synthetic_dataset(n_episodes=12, ep_len=30, common_dim=9, seed=0,
                       rule="common", reward_from_obs=False):
     """Toy demonstrations.  The action depends on a common feature
