@@ -174,6 +174,8 @@ def cmd_train_ppo(args) -> int:
     tc = _train_config(args, train_kw)
     cfg = _env_config(args, env_kw)
     use_privileged = not args.dense
+    if args.pool < 1:
+        raise ValueError(f"--pool must be >= 1, got {args.pool}")
     if args.ckpt is not None:
         bundle = load_bundle(args.ckpt)
     elif args.dense:
@@ -185,6 +187,9 @@ def cmd_train_ppo(args) -> int:
     pool = []
     seed, want = args.seed, args.pool
     while len(pool) < want:
+        if seed - args.seed > 4 * want + 40:
+            raise RuntimeError("could not assemble a training pool: too many "
+                               "instances failed expert planning")
         inst = instance_mod.generate(args.tasks, seed,
                                      map_size=tuple(args.map),
                                      r_sense=args.sense,
@@ -198,9 +203,6 @@ def cmd_train_ppo(args) -> int:
                                     step_dist=cfg.step_dist)))
         except SensingGap:
             continue
-        if seed - args.seed > 4 * want + 40:
-            raise RuntimeError("could not assemble a training pool: too many "
-                               "instances failed expert planning")
     counter = [0]
 
     def env_factory() -> DtspnEnv:
@@ -352,9 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     _add_sampling(p)
     p.add_argument("--demos", type=int, default=100, metavar="N")
-    p.add_argument("--literal-eq7", action="store_true",
-                   help="pay the mid-episode goal bonus on the cumulative "
-                        "sensed count instead of newly sensed tasks")
     p.set_defaults(func=cmd_demos)
 
     p = sub.add_parser("train-bc",
@@ -379,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "encoder input")
     p.add_argument("--log", type=str, default=None, metavar="PATH",
                    help="write per-batch PPO diagnostics as JSON lines")
-    p.add_argument("--literal-eq7", action="store_true")
     p.set_defaults(func=cmd_train_ppo)
 
     p = sub.add_parser("distill",
@@ -402,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi-eval", action="store_true",
                    help="use the encoder on expert privileged obs instead "
                         "of the adaptation net")
-    p.add_argument("--literal-eq7", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="expert vs policy wall-clock benchmark")
@@ -419,8 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expert", action="store_true")
     p.add_argument("--instance", type=str, default=None, metavar="PATH")
     p.add_argument("--pi-eval", action="store_true")
-    p.add_argument("--literal-eq7", action="store_true")
     p.set_defaults(func=cmd_plot)
+
+    for stage in ("demos", "train-ppo", "eval", "plot"):
+        sub.choices[stage].add_argument(
+            "--literal-eq7", action="store_true",
+            help="pay the mid-episode goal bonus on the cumulative "
+                 "sensed count instead of newly sensed tasks")
 
     return parser
 

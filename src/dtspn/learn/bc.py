@@ -1,14 +1,14 @@
 """Behavioral cloning initialization of the policy (with the privileged
 encoder in the loop) and MSE initialization of the critic on expert
-return-to-go."""
+return-to-go, through the regression loop distillation uses too."""
 
 from typing import Optional
 
 import numpy as np
 
 from .config import TrainConfig
-from .nets import (AdamState, ModelBundle, adam_step, backward, forward_cached,
-                   log_softmax)
+from .nets import (AdamState, ModelBundle, actor_forward, actor_step,
+                   adam_step, backward, forward_cached, log_softmax)
 
 EVAL_CHUNK = 8192
 
@@ -51,12 +51,24 @@ def discounted_return(rewards: np.ndarray, gamma: float) -> float:
     return float(return_to_go(rewards, gamma)[0]) if len(rewards) else 0.0
 
 
-def _policy_forward(bundle: ModelBundle, commons, privs):
-    z, enc_cache = forward_cached(bundle.encoder,
-                                  np.concatenate([commons, privs], axis=1))
-    logits, pol_cache = forward_cached(bundle.policy,
-                                       np.concatenate([commons, z], axis=1))
-    return z, enc_cache, logits, pol_cache
+def regress(net, inputs, targets, lr: float, batch: int, epochs: int,
+            rng: np.random.Generator):
+    """Fit net to targets (one row per input row) by minibatch squared
+    error under its own Adam state, in a fresh rng.permutation order each
+    epoch.  Yields each epoch's training squared error per row."""
+    state = AdamState.for_network(net)
+    n = len(inputs)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        se = 0.0
+        for s in range(0, n, batch):
+            mb = order[s:s + batch]
+            out, cache = forward_cached(net, inputs[mb])
+            err = out - targets[mb]
+            se += float(np.sum(err ** 2))
+            gw, gb, _ = backward(net, cache, (2.0 / len(mb)) * err)
+            adam_step(net, gw, gb, state, lr)
+        yield se / n
 
 
 def _ce_eval(bundle: ModelBundle, commons, privs, actions):
@@ -69,7 +81,7 @@ def _ce_eval(bundle: ModelBundle, commons, privs, actions):
     for s in range(0, n, EVAL_CHUNK):
         c, p, a = commons[s:s + EVAL_CHUNK], privs[s:s + EVAL_CHUNK], \
             actions[s:s + EVAL_CHUNK]
-        _, _, logits, _ = _policy_forward(bundle, c, p)
+        logits = actor_forward(bundle, c, p)[0]
         lp = log_softmax(logits)
         loss -= lp[np.arange(len(a)), a].sum()
         correct += int((np.argmax(logits, axis=1) == a).sum())
@@ -89,8 +101,8 @@ def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
     if n == 0:
         raise ValueError("training split has no transitions")
 
-    enc_state = AdamState.for_network(bundle.encoder)
-    pol_state = AdamState.for_network(bundle.policy)
+    states = [AdamState.for_network(net)
+              for net in (bundle.encoder, bundle.policy)]
     metrics = {"train_loss": [], "train_acc": [], "val_loss": [], "val_acc": []}
 
     for _ in range(config.bc_epochs):
@@ -101,7 +113,7 @@ def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
             mb = order[s:s + config.bc_batch]
             c, p, a = xc[mb], xp[mb], y[mb]
             b = len(mb)
-            z, enc_cache, logits, pol_cache = _policy_forward(bundle, c, p)
+            logits, _, caches = actor_forward(bundle, c, p)
             lp = log_softmax(logits)
             probs = np.exp(lp)
             ep_loss -= lp[np.arange(b), a].sum()
@@ -109,11 +121,7 @@ def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
             dlogits = probs
             dlogits[np.arange(b), a] -= 1.0
             dlogits /= b
-            gw_p, gb_p, gin = backward(bundle.policy, pol_cache, dlogits)
-            gw_e, gb_e, _ = backward(bundle.encoder, enc_cache,
-                                     gin[:, bundle.common_dim:])
-            adam_step(bundle.policy, gw_p, gb_p, pol_state, config.bc_lr)
-            adam_step(bundle.encoder, gw_e, gb_e, enc_state, config.bc_lr)
+            actor_step(bundle, caches, dlogits, states, config.bc_lr)
         if not (bundle.encoder.finite() and bundle.policy.finite()):
             raise RuntimeError("non-finite parameters during cloning")
         vl, va = _ce_eval(bundle, vc, vp, vy)
@@ -140,30 +148,18 @@ def critic_init(dataset, bundle: ModelBundle, config: TrainConfig,
     xc, xp, _ = dataset.rows_of(train_eps, use_privileged)
     vc, vp, _ = dataset.rows_of(val_eps, use_privileged)
     ty, vty = targets(train_eps), targets(val_eps)
-    n = len(ty)
-    if n == 0:
+    if len(ty) == 0:
         raise ValueError("training split has no transitions")
 
     xin = np.concatenate([xc, encode(bundle, xc, xp)], axis=1)
     vin = np.concatenate([vc, encode(bundle, vc, vp)], axis=1)
 
-    cri_state = AdamState.for_network(bundle.critic)
     metrics = {"train_mse": [], "val_mse": [],
                "val_target_variance": float(np.var(vty))}
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        ep_se = 0.0
-        for s in range(0, n, config.bc_batch):
-            mb = order[s:s + config.bc_batch]
-            b = len(mb)
-            v, cache = forward_cached(bundle.critic, xin[mb])
-            err = v[:, 0] - ty[mb]
-            ep_se += float(np.sum(err ** 2))
-            gw, gb, _ = backward(bundle.critic, cache,
-                                 (2.0 / b) * err[:, None])
-            adam_step(bundle.critic, gw, gb, cri_state, config.ppo_critic_lr)
+    for mse in regress(bundle.critic, xin, ty[:, None], config.ppo_critic_lr,
+                       config.bc_batch, epochs, rng):
         vv, _ = forward_cached(bundle.critic, vin)
-        metrics["train_mse"].append(ep_se / n)
+        metrics["train_mse"].append(mse)
         metrics["val_mse"].append(float(np.mean((vv[:, 0] - vty) ** 2)))
     if not bundle.critic.finite():
         raise RuntimeError("non-finite critic parameters")

@@ -4,8 +4,8 @@ frozen encoder's latent from common observations alone."""
 import numpy as np
 
 from .config import TrainConfig
-from .bc import EVAL_CHUNK, encode, episode_split
-from .nets import AdamState, ModelBundle, adam_step, backward, forward_cached
+from .bc import EVAL_CHUNK, encode, episode_split, regress
+from .nets import ModelBundle, forward_cached
 
 
 def _agreement(bundle: ModelBundle, commons, z_true, z_pred) -> float:
@@ -41,21 +41,8 @@ def distill_adaptation(dataset, bundle: ModelBundle, config: TrainConfig,
     zt = encode(bundle, xc, xp)
     vzt = encode(bundle, vc, vp)
 
-    ada_state = AdamState.for_network(bundle.adaptation)
-    n = len(xc)
-    train_curve = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        se = 0.0
-        for s in range(0, n, config.bc_batch):
-            mb = order[s:s + config.bc_batch]
-            b = len(mb)
-            zp, cache = forward_cached(bundle.adaptation, xc[mb])
-            err = zp - zt[mb]
-            se += float(np.sum(err ** 2))
-            gw, gb, _ = backward(bundle.adaptation, cache, (2.0 / b) * err)
-            adam_step(bundle.adaptation, gw, gb, ada_state, config.bc_lr)
-        train_curve.append(se / n)
+    train_curve = list(regress(bundle.adaptation, xc, zt, config.bc_lr,
+                               config.bc_batch, epochs, rng))
     if not bundle.adaptation.finite():
         raise RuntimeError("non-finite adaptation parameters")
 

@@ -29,7 +29,6 @@ class NetworkParams:
     layer_dims: Tuple[int, ...]
     weights: List[np.ndarray]
     biases: List[np.ndarray]
-    activation: str = "tanh"    # hidden layers; the output layer is identity
 
     def __post_init__(self):
         dims = tuple(self.layer_dims)
@@ -52,8 +51,7 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         return NetworkParams(tuple(self.layer_dims),
                              [w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases],
-                             self.activation)
+                             [b.copy() for b in self.biases])
 
     def finite(self) -> bool:
         return (all(np.all(np.isfinite(w)) for w in self.weights) and
@@ -275,26 +273,51 @@ def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarra
     return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
 
 
+def actor_forward(bundle: ModelBundle, commons: np.ndarray,
+                  privs: Optional[np.ndarray] = None):
+    """Policy logits of rows of commons, with z from the encoder on
+    [commons, privs] or, without privs, from the adaptation net.  Returns
+    (logits, x, caches): x = [commons, z] is also the critic's input."""
+    if privs is None:
+        z, lat_cache = forward_cached(bundle.adaptation, commons)
+    else:
+        z, lat_cache = forward_cached(
+            bundle.encoder, np.concatenate([commons, privs], axis=1))
+    x = np.concatenate([commons, z], axis=1)
+    logits, pol_cache = forward_cached(bundle.policy, x)
+    return logits, x, (lat_cache, pol_cache)
+
+
+def actor_step(bundle: ModelBundle, caches, dlogits: np.ndarray, states,
+               lr: float) -> None:
+    """Adam steps of policy and encoder (states: their AdamStates, in that
+    order) for a loss with gradient dlogits at an encoder-path forward."""
+    enc_cache, pol_cache = caches
+    enc_state, pol_state = states
+    gw_p, gb_p, gin = backward(bundle.policy, pol_cache, dlogits)
+    gw_e, gb_e, _ = backward(bundle.encoder, enc_cache,
+                             gin[:, bundle.common_dim:])
+    adam_step(bundle.policy, gw_p, gb_p, pol_state, lr)
+    adam_step(bundle.encoder, gw_e, gb_e, enc_state, lr)
+
+
 def act(bundle: ModelBundle, common_obs: np.ndarray, use_privileged: bool,
         privileged_obs: Optional[np.ndarray] = None, deterministic: bool = True,
         rng: Optional[np.random.Generator] = None) -> int:
     """Action from the PI path (encoder) or the PI-free path (adaptation).
     argmax breaks ties toward the lowest index; sampling needs an rng."""
-    common_obs = np.asarray(common_obs, dtype=float)
+    privs = None
     if use_privileged:
         if privileged_obs is None:
             raise ValueError("privileged_obs required when use_privileged")
-        z = forward(bundle.encoder,
-                    np.concatenate([common_obs, np.asarray(privileged_obs,
-                                                           dtype=float)]))
-    else:
-        z = forward(bundle.adaptation, common_obs)
-    logits = forward(bundle.policy, np.concatenate([common_obs, z]))
+        privs = np.asarray(privileged_obs, dtype=float)[None]
+    logits = actor_forward(bundle, np.asarray(common_obs, dtype=float)[None],
+                           privs)[0]
     if deterministic:
         return int(logits.argmax())
     if rng is None:
         raise ValueError("sampling requires an rng")
-    return int(sample_categorical(softmax(logits)[None], rng)[0])
+    return int(sample_categorical(softmax(logits), rng)[0])
 
 
 def _pack_network(params: NetworkParams) -> bytes:

@@ -11,8 +11,9 @@ import numpy as np
 
 from ..env import EnvBatch
 from .config import TrainConfig
-from .nets import (AdamState, ModelBundle, adam_step, backward, forward_cached,
-                   log_softmax, sample_categorical)
+from .nets import (AdamState, ModelBundle, actor_forward, actor_step,
+                   adam_step, backward, forward_cached, log_softmax,
+                   sample_categorical)
 
 # Envs rolled in lockstep.  On a 2-core x86-64 machine one forward of the
 # three networks plus the action draw costs 110-130 us for one env and
@@ -72,8 +73,8 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
     cd, pd = bundle.common_dim, bundle.priv_dim
     n_env = math.gcd(ROLLOUT_ENVS, config.rollout_steps)
     t_len = config.rollout_steps // n_env
-    enc_state = AdamState.for_network(bundle.encoder)
-    pol_state = AdamState.for_network(bundle.policy)
+    actor_states = [AdamState.for_network(net)
+                    for net in (bundle.encoder, bundle.policy)]
     cri_state = AdamState.for_network(bundle.critic)
 
     best = bundle.copy()
@@ -97,14 +98,10 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 raise RuntimeError(
                     "env factory produced 1000 pre-finished episodes")
 
-    def latent_inputs():
-        c = envs.common
+    def observed():
         if use_privileged and envs.privileged is not None:
-            p = envs.privileged
-        else:
-            p = no_priv
-        z, _ = forward_cached(bundle.encoder, np.concatenate([c, p], axis=1))
-        return c, p, np.concatenate([c, z], axis=1)
+            return envs.common, envs.privileged
+        return envs.common, no_priv
 
     refill(np.flatnonzero(envs.done))
     while steps_done < config.steps_budget:
@@ -119,8 +116,8 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
         ep_returns = []
 
         for t in range(t_len):
-            c, p, x = latent_inputs()
-            logits, _ = forward_cached(bundle.policy, x)
+            c, p = observed()
+            logits, x, _ = actor_forward(bundle, c, p)
             lsm = log_softmax(logits)
             a = sample_categorical(np.exp(lsm), rng)
             v, _ = forward_cached(bundle.critic, x)
@@ -139,7 +136,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 ep_acc[ended] = 0.0
                 refill(ended)
         steps_done += config.rollout_steps
-        _, _, x = latent_inputs()
+        x = actor_forward(bundle, *observed())[1]
         last_value = forward_cached(bundle.critic, x)[0][:, 0]
         t1 = time.perf_counter()
 
@@ -169,11 +166,8 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
             for s in range(0, n, config.minibatch):
                 mb = idx[s:s + config.minibatch]
                 b = len(mb)
-                c, p = commons[mb], privs[mb]
-                z, enc_cache = forward_cached(
-                    bundle.encoder, np.concatenate([c, p], axis=1))
-                x = np.concatenate([c, z], axis=1)
-                logits, pol_cache = forward_cached(bundle.policy, x)
+                logits, x, caches = actor_forward(bundle, commons[mb],
+                                                  privs[mb])
                 lsm = log_softmax(logits)
                 probs = np.exp(lsm)
                 lp = lsm[np.arange(b), actions[mb]]
@@ -186,18 +180,13 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 ent = -(probs * lsm).sum(axis=1, keepdims=True)
                 if config.entropy_coef != 0.0:
                     dlogits += (config.entropy_coef / b) * probs * (lsm + ent)
-                gw_p, gb_p, gin = backward(bundle.policy, pol_cache, dlogits)
-                gw_e, gb_e, _ = backward(bundle.encoder, enc_cache,
-                                         gin[:, cd:])
+                if actor_on:
+                    actor_step(bundle, caches, dlogits, actor_states,
+                               config.ppo_actor_lr)
                 v, cri_cache = forward_cached(bundle.critic, x)
                 err = v[:, 0] - rets[mb]
                 gw_c, gb_c, _ = backward(bundle.critic, cri_cache,
                                          (2.0 / b) * err[:, None])
-                if actor_on:
-                    adam_step(bundle.policy, gw_p, gb_p, pol_state,
-                              config.ppo_actor_lr)
-                    adam_step(bundle.encoder, gw_e, gb_e, enc_state,
-                              config.ppo_actor_lr)
                 adam_step(bundle.critic, gw_c, gb_c, cri_state,
                           config.ppo_critic_lr)
                 stats += (np.mean(ratio - 1.0 - log_ratio),

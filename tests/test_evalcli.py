@@ -10,7 +10,7 @@ from dtspn.demos import collect, collect_batch, load_dataset, tracker
 from dtspn.env import DtspnEnv, run_episode
 from dtspn.evaluate import (Metrics, benchmark_speed, evaluate,
                             load_episode_csv, save_episode_csv)
-from dtspn.expert import load as load_expert, plan
+from dtspn.expert import SensingGap, load as load_expert, plan
 from dtspn.instance import generate, load as load_instance
 from dtspn.learn import load_bundle
 from dtspn.svg import emit_trajectory_svg
@@ -362,6 +362,30 @@ def test_cli_train_ppo_dense_baseline_and_log(tmp_path):
     assert {"approx_kl", "clip_frac", "entropy", "value_loss",
             "explained_var", "rollout_s", "update_s",
             "steps_per_s"} <= set(records[0])
+
+
+def test_cli_train_ppo_gives_up_when_every_plan_fails(tmp_path, monkeypatch,
+                                                     capsys):
+    tried = []
+
+    def failing_plan(inst, **_):
+        tried.append(inst.seed)
+        raise SensingGap(0, 99.0)
+
+    monkeypatch.setattr("dtspn.cli.plan", failing_plan)
+    assert run_cli("train-ppo", "--dense", "--tasks", "3", "--map", "300",
+                   "300", "--pool", "2", "--steps", "16",
+                   "--out", str(tmp_path / "x.ckpt")) == 2
+    assert "could not assemble a training pool" in capsys.readouterr().err
+    # the seed bound, 4 * pool + 40, is checked once per seed tried
+    assert tried == list(range(4 * 2 + 41))
+
+
+def test_cli_train_ppo_rejects_an_empty_pool(tmp_path, capsys):
+    for pool in ("0", "-3"):
+        assert run_cli("train-ppo", "--dense", "--tasks", "3", "--pool", pool,
+                       "--out", str(tmp_path / "x.ckpt")) == 1
+        assert "--pool" in capsys.readouterr().err
 
 
 def test_cli_expert_spacing_follows_config(tmp_path):

@@ -16,7 +16,9 @@ from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
                          forward, gradients, init_bundle, init_network,
                          load_bundle, ppo_finetune, return_to_go,
                          sample_categorical, save_bundle, softmax)
-from dtspn.learn.nets import CKPT_MAGIC, CKPT_VERSION, _pack_network
+from dtspn.learn.bc import regress
+from dtspn.learn.nets import (CKPT_MAGIC, CKPT_VERSION, _pack_network,
+                              actor_forward)
 
 from oracles import discounted_returns, fd_gradients
 
@@ -208,6 +210,24 @@ def test_act_logit_shift_invariance():
         a1 = act(b, c, True, p)
         b.policy.biases[-1] -= 3.7
         assert a0 == a1
+
+
+def test_act_on_each_row_matches_one_actor_forward_over_all_rows():
+    b = init_bundle(common_dim=9, seed=8)
+    rng = np.random.default_rng(2)
+    commons = rng.normal(size=(40, 9))
+    privs = rng.normal(size=(40, 12))
+    for use_privileged in (True, False):
+        logits, x, _ = actor_forward(b, commons,
+                                     privs if use_privileged else None)
+        assert logits.shape == (40, 7) and x.shape == (40, 9 + 32)
+        assert np.array_equal(x[:, :9], commons)
+        for i in range(40):
+            one = actor_forward(b, commons[i:i + 1],
+                                privs[i:i + 1] if use_privileged else None)[0]
+            assert np.allclose(one[0], logits[i], rtol=0.0, atol=1e-12)
+            assert act(b, commons[i], use_privileged, privs[i]) == \
+                int(logits[i].argmax())
 
 
 def test_softmax_rows_sum_to_one():
@@ -416,6 +436,19 @@ def test_critic_init_beats_mean_predictor_and_freezes_encoder():
         assert w0.tobytes() == w1.tobytes()
 
 
+def test_regress_at_zero_lr_changes_no_parameter():
+    net = small_net((5, 8, 2), seed=4)
+    before = _pack_network(net)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(50, 5)), rng.normal(size=(50, 2))
+    curve = list(regress(net, x, y, 0.0, 16, 3, rng))
+    assert _pack_network(net) == before
+    # nothing moved, so every epoch sees the same error up to the order
+    # its minibatches are summed in
+    assert len(curve) == 3 and curve[0] > 0.0
+    assert np.allclose(curve, curve[0], rtol=1e-12, atol=0.0)
+
+
 def test_compute_gae_examples_and_bruteforce():
     adv, rets = compute_gae(np.array([1.0, 1.0]), np.array([0.0, 0.0]),
                             np.array([False, True]), 5.0, 1.0, 1.0)
@@ -524,6 +557,26 @@ def test_ppo_zero_lr_is_identity():
             assert w0.tobytes() == w1.tobytes()
         for c0, c1 in zip(n0.biases, n1.biases):
             assert c0.tobytes() == c1.tobytes()
+
+
+def test_ppo_critic_warmup_over_the_whole_budget_trains_only_the_critic():
+    b = init_bundle(common_dim=15, seed=4)
+    before = [_pack_network(net) for net in (b.encoder, b.policy, b.critic)]
+    live = []   # the parameters in training after each batch's update
+
+    def log(_):
+        live.append([_pack_network(net)
+                     for net in (b.encoder, b.policy, b.critic)])
+
+    cfg = TrainConfig(steps_budget=512, rollout_steps=256, minibatch=64,
+                      seed=0)
+    ppo_finetune(make_env_factory(), b, cfg, critic_warmup_steps=512,
+                 log=log)
+    assert len(live) == 2
+    for enc, pol, cri in live:
+        assert enc == before[0] and pol == before[1]
+        assert cri != before[2]
+    assert live[0][2] != live[1][2]
 
 
 def test_ppo_smoke_runs_and_tracks_best():
