@@ -290,7 +290,7 @@ def actor_forward(bundle: ModelBundle, commons: np.ndarray,
 
 def actor_step(bundle: ModelBundle, caches, dlogits: np.ndarray, states,
                lr: float) -> None:
-    """Adam steps of policy and encoder (states: their AdamStates, in that
+    """Adam steps of encoder and policy (states: their AdamStates, in that
     order) for a loss with gradient dlogits at an encoder-path forward."""
     enc_cache, pol_cache = caches
     enc_state, pol_state = states
