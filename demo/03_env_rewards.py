@@ -26,9 +26,10 @@ print("last task:  ", goal_reward(2, True))
 x = generate(n_tasks=6, seed=11, map_size=(400.0, 400.0))
 path = plan(x)
 env = DtspnEnv(x, path, mode="eval", config=EnvConfig())
-obs = env.reset()
-print(f"observation: common {obs.common.shape[0]} dims, "
-      f"privileged {obs.privileged.shape[0]} dims")
+# env.batch is the env's one-row simulator; run_episode resets and steps it
+env.batch.reset()
+print(f"observation: common {env.batch.common.shape[1]} dims, "
+      f"privileged {env.batch.privileged.shape[1]} dims")
 
 # drive with the greedy tracker and watch both channels accumulate
 rec = run_episode(env, tracker(env))

@@ -7,6 +7,7 @@ blowups)."""
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -28,8 +29,11 @@ from .learn import (TrainConfig, bc_pretrain, critic_init,
                     ppo_finetune, save_bundle)
 from .svg import emit_trajectory_svg
 
-_ENV_FIELDS = set(EnvConfig.__dataclass_fields__)
-_TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__)
+_ENV_FIELDS = {f.name: f.type for f in dataclasses.fields(EnvConfig)}
+_TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+# the JSON values each field type accepts; bool is an int subclass, so
+# true and false are told apart from numbers separately
+_JSON_TYPES = {bool: bool, int: int, float: (int, float)}
 
 
 def _fmt(v) -> str:
@@ -45,7 +49,9 @@ def _summary(stage: str, **kv) -> None:
 
 def _load_config(path: Optional[str]):
     """Split a flat JSON dict into env-config and train-config overrides.
-    Unknown keys are a validation error naming the offending token."""
+    Unknown keys and values whose JSON type does not match their field
+    (integers for int fields, numbers for float fields, true or false for
+    bool fields) are validation errors naming the offending key."""
     if path is None:
         return {}, {}
     with open(path) as f:
@@ -55,12 +61,14 @@ def _load_config(path: Optional[str]):
                          f"got {type(raw).__name__}")
     env_kw, train_kw = {}, {}
     for key, val in raw.items():
-        if key in _ENV_FIELDS:
-            env_kw[key] = val
-        elif key in _TRAIN_FIELDS:
-            train_kw[key] = val
-        else:
+        kind = _ENV_FIELDS.get(key) or _TRAIN_FIELDS.get(key)
+        if kind is None:
             raise ValueError(f"config {path}: unknown key '{key}'")
+        if isinstance(val, bool) != (kind is bool) or \
+                not isinstance(val, _JSON_TYPES[kind]):
+            raise ValueError(f"config {path}: '{key}' must be "
+                             f"{kind.__name__}, got {json.dumps(val)}")
+        (env_kw if key in _ENV_FIELDS else train_kw)[key] = val
     return env_kw, train_kw
 
 
@@ -219,7 +227,8 @@ def cmd_train_ppo(args) -> int:
     finite = [c for c in curve if np.isfinite(c)]
     _summary("train-ppo", steps=tc.steps_budget, pool=len(pool),
              best_avg_return=max(finite) if finite else float("nan"),
-             last_avg_return=curve[-1], wall_s=time.perf_counter() - t0,
+             last_avg_return=curve[-1] if curve else float("nan"),
+             wall_s=time.perf_counter() - t0,
              out=out)
     return 0
 

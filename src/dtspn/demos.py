@@ -15,8 +15,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .dubins import Pose
-from .env import (PRIV_DIM, DtspnEnv, EnvConfig, Observation, SimState,
-                  advance, config_for, run_episode)
+from .env import (PRIV_DIM, DtspnEnv, EnvConfig, Observation, advance,
+                  config_for, run_episode)
 from .expert import ExpertPath, plan
 from .instance import Instance, generate
 from .learn import discounted_return
@@ -165,32 +165,31 @@ def make_meta(instance: Instance, config: Optional[EnvConfig] = None,
         config=config_for(instance, config), n_pos=n_pos, n_head=n_head)
 
 
-def greedy_action(pose: Pose, target: Pose, config: EnvConfig) -> int:
-    """Action whose exact one-step successor lands closest to the target
-    position; ties go to the smaller turn-rate magnitude."""
+def greedy_action(x: float, y: float, theta: float, target: Pose,
+                  config: EnvConfig) -> int:
+    """Action whose exact one-step successor from pose (x, y, theta) lands
+    closest to the target position; ties go to the smaller turn-rate
+    magnitude."""
     best = None
     for k, omega in enumerate(config.omegas):
-        x, y, _ = advance(pose.x, pose.y, pose.theta, omega, config.v, config.dt)
-        key = (math.hypot(x - target.x, y - target.y), abs(omega), k)
+        nx, ny, _ = advance(x, y, theta, omega, config.v, config.dt)
+        key = (math.hypot(nx - target.x, ny - target.y), abs(omega), k)
         if best is None or key < best[0]:
             best = (key, k)
     return best[1]
 
 
-def track_target(sim: SimState, expert_path: ExpertPath, lookahead: int = 2) -> Pose:
-    """Waypoint the controller should chase: lookahead steps past the current
-    progress index, clamped to the end of the path."""
-    idx = min(sim.progress_idx + lookahead, len(expert_path.waypoints) - 1)
-    return expert_path.waypoints[idx]
-
-
 def tracker(env: DtspnEnv) -> Callable[[Observation], int]:
-    """act_fn for run_episode: the greedy controller chasing env's expert
-    path."""
+    """act_fn for run_episode: the greedy controller chasing the waypoint
+    two past the progress index of env's batch, clamped to the end of the
+    expert path.  The pose goes in as its stored floats: a Pose would wrap
+    a heading of pi to -pi."""
+    b, waypoints, config = env.batch, env.expert_path.waypoints, env.config
+    last = len(waypoints) - 1
+
     def act_fn(obs: Observation) -> int:
-        sim = env.state
-        return greedy_action(sim.pose, track_target(sim, env.expert_path),
-                             env.config)
+        target = waypoints[min(int(b.progress[0]) + 2, last)]
+        return greedy_action(*b.pose[0].tolist(), target, config)
 
     return act_fn
 
@@ -210,9 +209,11 @@ def collect(instance: Instance, expert_path: ExpertPath,
     cap = step_cap(expert_path)
     rec = run_episode(env, tracker(env), max_steps=cap)
     if not rec.sensed_all:
-        max_dev = max(env.expert_distance(x, y) for x, y, _ in rec.poses)
+        max_dev = float(env.batch.expert_distance(rec.poses[:, 0:2, None])
+                        .max())
         what = (f"controller left the expert corridor at step {len(rec)}"
-                if env.done else f"episode did not finish within {cap} steps")
+                if env.batch.done[0]
+                else f"episode did not finish within {cap} steps")
         raise TrackingFailure(f"{what} (max deviation {max_dev:.2f} m)",
                               max_dev, len(rec))
     return Demonstration(instance.seed, rec.commons, rec.privileged,

@@ -6,7 +6,8 @@ reward R = R^I + R^G with the imitation term keyed to the distance from the
 expert polyline, and the episode loop every caller but PPO rolls through.
 
 One kernel, EnvBatch, steps E envs in lockstep on state held as arrays
-with one row per env; DtspnEnv is its one-row view.  The sensing test,
+with one row per env; DtspnEnv describes one env and owns its one-row
+batch, which run_episode rolls.  The sensing test,
 the distance to the expert polyline and the progress window run as array
 operations over all rows.  The arc kinematics, the encoders' per-task
 rotations and the rewards run row by row on floats, which for the few
@@ -23,7 +24,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .dubins import Pose, normalize_angle
+from .dubins import normalize_angle
 from .expert import ExpertPath
 from .instance import Instance
 
@@ -125,16 +126,6 @@ def goal_reward(newly_sensed: int, all_sensed: bool, literal: bool = False,
 
 
 @dataclass
-class SimState:
-    """One env's state, read off its kernel row."""
-
-    pose: Pose
-    sensed: np.ndarray          # per-task uint8 flags, monotone within an episode
-    t: int
-    progress_idx: int
-
-
-@dataclass
 class Observation:
     common: np.ndarray
     privileged: Optional[np.ndarray] = None
@@ -142,13 +133,13 @@ class Observation:
 
 @dataclass
 class RewardBreakdown:
-    """Floats for one env; arrays with one entry per row from EnvBatch."""
+    """One step's rewards, one entry per EnvBatch row."""
 
-    imitation: float
-    goal: float
-    total: float
-    r: float                    # distance to the expert polyline, nan without one
-    newly_sensed: int
+    imitation: np.ndarray
+    goal: np.ndarray
+    total: np.ndarray
+    r: np.ndarray               # distance to the expert polyline, nan without one
+    newly_sensed: np.ndarray
 
 
 def encode_common(pose, sensed, offsets, frame) -> np.ndarray:
@@ -208,15 +199,6 @@ def encode_privileged(pose, progress, waypoints, frame):
 
 
 ALL = slice(None)
-
-
-def _row_pose(row: np.ndarray) -> Pose:
-    """The Pose of a kernel pose row, heading as stored: normalize_angle
-    can return pi, which Pose() would wrap again to -pi."""
-    pose = object.__new__(Pose)
-    for name, value in zip(("x", "y", "theta"), row.tolist()):
-        object.__setattr__(pose, name, value)
-    return pose
 
 
 class EnvBatch:
@@ -313,7 +295,8 @@ class EnvBatch:
     def expert_distance(self, xy) -> np.ndarray:
         """Distance from each row's point xy, (E, 2, 1), to the nearest
         point of that row's expert polyline (segments, not just vertices);
-        nan without expert paths."""
+        nan without expert paths.  A one-row batch takes T points as
+        (T, 2, 1) and gives each the same bits as a call of its own."""
         if not self.has_path:
             return self._no_distance
         # the two-term sums over axis 1 add x first, as (x...) + (y...)
@@ -375,13 +358,20 @@ class EnvBatch:
 
     def step(self, actions) -> RewardBreakdown:
         """Advance every row by its action (an (E,) int array of indices
-        into config.omegas); every row must have been reset and not be
-        done.  Returns the rows' rewards as arrays; done and all_sensed
-        hold the new flags."""
+        into config.omegas).  Returns the rows' rewards; done and
+        all_sensed hold the new flags.  Raises RuntimeError if any row is
+        done (as every row is until its first reset) and ValueError on an
+        action outside [0, n_actions), before changing any state."""
+        if self.done.any():
+            raise RuntimeError("a row is done or was never reset; reset it "
+                               "before stepping")
         cfg = self.config
         v, substeps, omegas = cfg.v, cfg.substeps, cfg.omegas
         points, rows = [], []
         for (x, y, theta), a in zip(self.pose.tolist(), actions.tolist()):
+            if not 0 <= a < cfg.n_actions:
+                raise ValueError(f"action {a} out of range "
+                                 f"[0, {cfg.n_actions})")
             omega = omegas[a]
             steps = [advance(x, y, theta, omega, v, dt) for dt in substeps]
             points.append(list(zip(*steps))[0:2])
@@ -412,10 +402,10 @@ class EnvBatch:
 
 
 class DtspnEnv:
-    """Single-episode simulator: the one-row view of an EnvBatch.  mode
-    'train' terminates on the expert-path cutoff and requires an expert
-    path; mode 'eval' caps the step count.  done is True before the first
-    reset and once the episode has ended."""
+    """One env: an instance, its expert path (if any), a mode and a config.
+    mode 'train' terminates on the expert-path cutoff and requires an expert
+    path; mode 'eval' caps the step count.  batch is the env's own one-row
+    EnvBatch, which run_episode resets and steps."""
 
     def __init__(self, instance: Instance, expert_path: Optional[ExpertPath] = None,
                  mode: str = "eval", config: Optional[EnvConfig] = None):
@@ -432,10 +422,9 @@ class DtspnEnv:
         self.expert_path = expert_path
         self.mode = mode
         self.config = config
-        self._started = False
 
     @cached_property
-    def _batch(self) -> EnvBatch:
+    def batch(self) -> EnvBatch:
         # built on first use: envs handed to a batch of their own never
         # pay for one
         return EnvBatch([self])
@@ -443,56 +432,6 @@ class DtspnEnv:
     @property
     def n_tasks(self) -> int:
         return self.instance.n_tasks
-
-    @property
-    def done(self) -> bool:
-        return bool(self._batch.done[0])
-
-    @property
-    def state(self) -> Optional[SimState]:
-        if not self._started:
-            return None
-        b = self._batch
-        return SimState(pose=_row_pose(b.pose[0]),
-                        sensed=b.sensed[0].view(np.uint8),
-                        t=int(b.t[0]), progress_idx=int(b.progress[0]))
-
-    def expert_distance(self, x: float, y: float) -> float:
-        """Distance to the nearest point of the expert polyline (segments,
-        not just vertices)."""
-        return float(self._batch.expert_distance(np.array([[[x], [y]]]))[0])
-
-    def _observe(self) -> Observation:
-        b = self._batch
-        return Observation(common=b.common[0],
-                           privileged=None if b.privileged is None
-                           else b.privileged[0])
-
-    def reset(self) -> Observation:
-        self._batch.reset()
-        self._started = True
-        return self._observe()
-
-    def step(self, action: int):
-        b = self._batch
-        if not self._started:
-            raise RuntimeError("call reset() before step()")
-        if b.done[0]:
-            raise RuntimeError("episode is already done; call reset()")
-        action = int(action)
-        if not 0 <= action < self.config.n_actions:
-            raise ValueError(f"action {action} out of range "
-                             f"[0, {self.config.n_actions})")
-        rew = b.step(np.array([action]))
-        (im,), (goal,), (total,), (r,) = (rew.imitation.tolist(),
-                                          rew.goal.tolist(),
-                                          rew.total.tolist(), rew.r.tolist())
-        reward = RewardBreakdown(imitation=im, goal=goal, total=total, r=r,
-                                 newly_sensed=int(rew.newly_sensed[0]))
-        done = bool(b.done[0])
-        info = {"t": int(b.t[0]), "all_sensed": bool(b.all_sensed[0]),
-                "pose": _row_pose(b.pose[0]), "r": r}
-        return self._observe(), reward, done, info
 
 
 @dataclass
@@ -530,38 +469,39 @@ class EpisodeRecord:
 
 def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
                 max_steps: Optional[int] = None) -> EpisodeRecord:
-    """Reset env and step it with act_fn until done or max_steps actions.
-    wall_time covers reset, stepping and act_fn calls, nothing else.
-    max_steps bounds train-mode envs, which otherwise stop only on the
-    cutoff or once every task is sensed."""
+    """Reset env's batch and step it with act_fn until done or max_steps
+    actions.  wall_time covers reset, stepping and act_fn calls, nothing
+    else.  max_steps bounds train-mode envs, which otherwise stop only on
+    the cutoff or once every task is sensed."""
     t0 = time.perf_counter()
-    obs = env.reset()
-    st = env.state
-    start = (st.pose.x, st.pose.y, st.pose.theta)
-    sensed = st.sensed.copy()
+    b = env.batch
+    b.reset()
+    start = tuple(b.pose[0].tolist())
+    sensed = b.sensed[0].copy()
     events = [(-1, int(i)) for i in np.nonzero(sensed)[0]]
     commons, privs, poses, actions, r_im, r_go, newly, dones = \
         [], [], [], [], [], [], [], []
-    while not env.done and (max_steps is None or len(actions) < max_steps):
+    while not b.done[0] and (max_steps is None or len(actions) < max_steps):
+        obs = Observation(b.common[0], None if b.privileged is None
+                          else b.privileged[0])
         a = act_fn(obs)
         commons.append(obs.common)
         privs.append(obs.privileged)
-        obs, rew, done, info = env.step(a)
-        p = info["pose"]
-        poses.append((p.x, p.y, p.theta))
+        rew = b.step(np.array([a]))
+        poses.append(b.pose[0])
         actions.append(a)
-        r_im.append(rew.imitation)
-        r_go.append(rew.goal)
-        newly.append(rew.newly_sensed)
-        dones.append(done)
-        if rew.newly_sensed:
-            now = env.state.sensed
+        r_im.append(rew.imitation[0])
+        r_go.append(rew.goal[0])
+        newly.append(rew.newly_sensed[0])
+        dones.append(b.done[0])
+        if rew.newly_sensed[0]:
+            now = b.sensed[0]
             events.extend((len(actions) - 1, int(i))
                           for i in np.nonzero(now != sensed)[0])
             sensed = now.copy()
     wall = time.perf_counter() - t0
     n = len(actions)
-    sensed = env.state.sensed
+    sensed = b.sensed[0]
     return EpisodeRecord(
         instance_seed=env.instance.seed,
         start_pose=start,

@@ -8,10 +8,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .demos import step_cap, tracker
+from .demos import GAMMA, step_cap, tracker
 from .env import (DtspnEnv, EnvConfig, EpisodeRecord, Observation, config_for,
                   run_episode)
-from .expert import ExpertPath, plan
+from .expert import plan
 from .instance import Instance
 from .learn import ModelBundle, act, discounted_return
 
@@ -64,30 +64,31 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
              instances: Sequence[Instance],
              config: Optional[EnvConfig] = None,
              pi_eval: bool = False,
-             expert_paths: Optional[Sequence[ExpertPath]] = None,
-             n_pos: int = 8, n_head: int = 4,
-             gamma: float = 0.95):
-    """Run eval-mode episodes over the instances and aggregate Metrics.
+             n_pos: int = 8, n_head: int = 4):
+    """Run eval-mode episodes over the instances and aggregate Metrics;
+    avg_return discounts by the demonstrations' GAMMA.
 
     policy is a ModelBundle (adaptation path, or encoder path with pi_eval),
     the string "expert" (plan + greedy tracking, plan time on the clock), or
-    a callable observation -> action.  expert_paths, when given, are attached
-    to the envs so records carry imitation rewards; they are planned outside
-    the timed region.
+    a callable observation -> action.  With pi_eval, expert paths are
+    planned outside the timed region and attached to the envs, so the
+    encoder sees privileged observations and records carry imitation
+    rewards.
     """
     if not instances:
         raise ValueError("no instances to evaluate")
     n_tasks = instances[0].n_tasks
+    paths = [None] * len(instances)
     if isinstance(policy, ModelBundle):
         want = 3 + 4 * n_tasks
         if policy.common_dim != want:
             raise ValueError(
                 f"checkpoint expects common dim {policy.common_dim}, "
                 f"instances with {n_tasks} tasks produce {want}")
-        if pi_eval and expert_paths is None:
-            expert_paths = [plan(x, n_pos=n_pos, n_head=n_head,
-                                 step_dist=config_for(x, config).step_dist)
-                            for x in instances]
+        if pi_eval:
+            paths = [plan(x, n_pos=n_pos, n_head=n_head,
+                          step_dist=config_for(x, config).step_dist)
+                     for x in instances]
         act_fn = bundle_actor(policy, pi_eval)
     elif policy == "expert":
         act_fn = None
@@ -98,11 +99,10 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
                          f"got {type(policy).__name__}")
 
     records = []
-    for k, x in enumerate(instances):
+    for x, path in zip(instances, paths):
         if act_fn is None:
             rec = _expert_episode(x, config, n_pos, n_head)
         else:
-            path = expert_paths[k] if expert_paths is not None else None
             env = DtspnEnv(x, path, mode="eval", config=config)
             rec = run_episode(env, act_fn)
         records.append(rec)
@@ -111,7 +111,7 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
     times = [r.wall_time for r in records if r.sensed_all]
     metrics = Metrics(
         avg_reward=float(np.mean([r.total_reward() for r in records])),
-        avg_return=float(np.mean([discounted_return(r.rewards, gamma)
+        avg_return=float(np.mean([discounted_return(r.rewards, GAMMA)
                                   for r in records])),
         sensing_rate=float(np.mean(rates)),
         mean_time=float(np.mean(times)) if times else None,

@@ -12,7 +12,7 @@ from dtspn.demos import (DemoDataset, DemoFormatError, Demonstration, GAMMA,
                          collect_batch,
                          greedy_action, load_dataset,
                          make_meta, replay_rewards, save_dataset,
-                         track_target, tracker)
+                         tracker)
 from dtspn.dubins import Pose
 from dtspn.env import DtspnEnv, EnvConfig, advance, run_episode
 from dtspn.expert import ExpertPath, plan
@@ -28,18 +28,18 @@ def straight_path(start: Pose, n: int, spacing: float) -> ExpertPath:
 
 def test_greedy_action_examples():
     cfg = EnvConfig()
-    pose = Pose(0.0, 0.0, 0.0)
+    pose = (0.0, 0.0, 0.0)
     # dead ahead at one step's distance: straight wins
-    assert greedy_action(pose, Pose(cfg.step_dist, 0.0, 0.0), cfg) == 3
+    assert greedy_action(*pose, Pose(cfg.step_dist, 0.0, 0.0), cfg) == 3
     # bearing +90 nearby: hard left
-    a = greedy_action(pose, Pose(0.0, 10.0, 0.0), cfg)
+    a = greedy_action(*pose, Pose(0.0, 10.0, 0.0), cfg)
     assert a == cfg.n_actions - 1
     assert cfg.omegas[a] == cfg.omega_max
     # bearing -90: hard right
-    a = greedy_action(pose, Pose(0.0, -10.0, 0.0), cfg)
+    a = greedy_action(*pose, Pose(0.0, -10.0, 0.0), cfg)
     assert a == 0 and cfg.omegas[a] == -cfg.omega_max
     # directly behind: both extremes tie, the index order picks the right turn
-    assert greedy_action(pose, Pose(-50.0, 0.0, 0.0), cfg) in (0, cfg.n_actions - 1)
+    assert greedy_action(*pose, Pose(-50.0, 0.0, 0.0), cfg) in (0, cfg.n_actions - 1)
 
 
 def test_greedy_action_is_exhaustively_optimal():
@@ -49,7 +49,7 @@ def test_greedy_action_is_exhaustively_optimal():
         pose = Pose(rng.uniform(-100, 100), rng.uniform(-100, 100),
                     rng.uniform(-math.pi, math.pi))
         target = Pose(rng.uniform(-100, 100), rng.uniform(-100, 100), 0.0)
-        a = greedy_action(pose, target, cfg)
+        a = greedy_action(pose.x, pose.y, pose.theta, target, cfg)
         dists = []
         for omega in cfg.omegas:
             x, y, _ = advance(pose.x, pose.y, pose.theta, omega, cfg.v, cfg.dt)
@@ -57,18 +57,22 @@ def test_greedy_action_is_exhaustively_optimal():
         assert dists[a] <= min(dists) + 1e-12
 
 
-def test_track_target_lookahead_and_clamp():
+def test_tracker_chases_two_waypoints_ahead_clamped_to_the_end(monkeypatch):
     start = Pose(40.0, 200.0, 0.0)
     path = straight_path(start, 10, 10.0)
-    from dtspn.env import SimState
-    sim = SimState(pose=start, sensed=np.zeros(1, dtype=np.uint8),
-                   t=0, progress_idx=0)
-    assert track_target(sim, path) == path.waypoints[2]
-    assert track_target(sim, path, lookahead=0) == path.waypoints[0]
-    sim.progress_idx = 9
-    assert track_target(sim, path) == path.waypoints[9]
-    sim.progress_idx = 8
-    assert track_target(sim, path, lookahead=5) == path.waypoints[9]
+    x = Instance(400.0, 400.0, ((390.0, 390.0),), 5.0, 30.0, start, 0)
+    env = DtspnEnv(x, path, mode="train")
+    b = env.batch
+    b.reset()
+    targets = []
+    monkeypatch.setattr(demos_mod, "greedy_action",
+                        lambda px, py, th, target, cfg: targets.append(
+                            (px, py, th, target)) or 3)
+    act_fn = tracker(env)
+    for progress, want in ((0, 2), (7, 9), (8, 9), (9, 9)):
+        b.progress[0] = progress
+        assert act_fn(None) == 3
+        assert targets[-1] == (*b.pose[0].tolist(), path.waypoints[want])
 
 
 def test_collect_straight_corridor():
@@ -137,7 +141,7 @@ def test_tracking_deviation_is_small_on_planned_paths():
     env = DtspnEnv(x, path, mode="train")
     rec = run_episode(env, tracker(env))
     assert rec.sensed_all
-    devs = [env.expert_distance(px, py) for px, py, _ in rec.poses]
+    devs = env.batch.expert_distance(rec.poses[:, 0:2, None])
     rms = math.sqrt(np.mean(np.square(devs)))
     assert rms <= 5.0, f"tracking RMS {rms:.2f} m"
 
@@ -514,7 +518,7 @@ def test_load_fuzz_raises_only_format_errors(tmp_path_factory, demo_bytes,
     meta = ds.meta
     for seed in [0] + [d.seed for d in ds]:
         DtspnEnv(meta.instance_for(seed), mode="eval",
-                 config=meta.config).reset()
+                 config=meta.config).batch.reset()
     off = _HEADER.size
     for d in ds:
         assert d.commons.shape == (len(d), meta.common_dim)

@@ -133,13 +133,14 @@ def test_advance_straight_and_arc():
 def test_env_straight_motion_and_heading():
     x = small_instance([(180.0, 180.0)])
     env = DtspnEnv(x, mode="eval")
-    env.reset()
-    p0 = env.state.pose
-    env.step(3)
-    p1 = env.state.pose
-    assert p1.theta == p0.theta
-    assert abs(p1.x - (p0.x + env.config.step_dist)) < 1e-12
-    assert abs(p1.y - p0.y) < 1e-12
+    b = env.batch
+    b.reset()
+    x0, y0, th0 = b.pose[0].tolist()
+    b.step(np.array([3]))
+    x1, y1, th1 = b.pose[0].tolist()
+    assert th1 == th0
+    assert abs(x1 - (x0 + env.config.step_dist)) < 1e-12
+    assert abs(y1 - y0) < 1e-12
 
 
 def test_sensing_is_monotone_and_marks_along_arc():
@@ -148,50 +149,49 @@ def test_sensing_is_monotone_and_marks_along_arc():
     start = default_start(200.0, 200.0)
     sub = start.x + 3.6 * math.pi / 3.0
     x = small_instance([(sub, start.y + 1.0)], r_sense=2.0)
-    env = DtspnEnv(x, mode="eval")
-    env.reset()
-    assert env.state.sensed.sum() == 0
-    _, rew, done, _ = env.step(3)
-    assert rew.newly_sensed == 1
-    assert done and rew.goal == 10.0
+    b = DtspnEnv(x, mode="eval").batch
+    b.reset()
+    assert b.sensed[0].sum() == 0
+    rew = b.step(np.array([3]))
+    assert rew.newly_sensed[0] == 1
+    assert b.done[0] and rew.goal[0] == 10.0
 
     # with sub-sampling disabled (one sample per step) the same task is missed
     coarse = EnvConfig(sense_substep=1e9)
-    env2 = DtspnEnv(x, mode="eval", config=coarse)
-    env2.reset()
-    _, rew2, done2, _ = env2.step(3)
-    assert rew2.newly_sensed == 0 and not done2
+    b2 = DtspnEnv(x, mode="eval", config=coarse).batch
+    b2.reset()
+    rew2 = b2.step(np.array([3]))
+    assert rew2.newly_sensed[0] == 0 and not b2.done[0]
 
 
 def test_sensed_flags_never_clear():
     x = generate(n_tasks=6, seed=3, map_size=(400.0, 400.0))
-    env = DtspnEnv(x, mode="eval")
-    env.reset()
+    b = DtspnEnv(x, mode="eval").batch
+    b.reset()
     rng = np.random.default_rng(0)
-    prev = env.state.sensed.copy()
+    prev = b.sensed[0].copy()
     for _ in range(120):
-        _, _, done, _ = env.step(int(rng.integers(7)))
-        cur = env.state.sensed
+        b.step(np.array([int(rng.integers(7))]))
+        cur = b.sensed[0]
         assert np.all(cur >= prev)
         prev = cur.copy()
-        if done:
+        if b.done[0]:
             break
 
 
 def test_reward_decomposition_and_return_bound():
     x = generate(n_tasks=4, seed=11, map_size=(300.0, 300.0))
-    env = DtspnEnv(x, mode="eval")
+    b = DtspnEnv(x, mode="eval").batch
     rng = np.random.default_rng(5)
     for _ in range(3):
-        env.reset()
+        b.reset()
         total_goal = 0.0
         steps = 0
-        done = env.done
-        while not done:
-            _, rew, done, _ = env.step(int(rng.integers(7)))
-            assert rew.total == rew.imitation + rew.goal
-            assert rew.imitation == 0.0  # no expert path attached
-            total_goal += rew.goal
+        while not b.done[0]:
+            rew = b.step(np.array([int(rng.integers(7))]))
+            assert rew.total[0] == rew.imitation[0] + rew.goal[0]
+            assert rew.imitation[0] == 0.0  # no expert path attached
+            total_goal += rew.goal[0]
             steps += 1
         assert total_goal <= 0.1 * steps + 5.0 * x.n_tasks + 10.0 + 1e-9
 
@@ -278,23 +278,22 @@ def test_train_cutoff_and_eval_cap():
     x = Instance(w, h, ((390.0, 390.0),), 5.0, 30.0, start, 0)
     point_path = ExpertPath(waypoints=(Pose(200.0, 200.0, 0.0),),
                             total_length=0.0, sensed_order=())
-    env = DtspnEnv(x, expert_path=point_path, mode="train")
-    env.reset()
-    done = False
+    b = DtspnEnv(x, expert_path=point_path, mode="train").batch
+    b.reset()
     steps = 0
-    while not done:
-        _, rew, done, info = env.step(3)
+    while not b.done[0]:
+        rew = b.step(np.array([3]))
         steps += 1
     # straight run leaves the 60 m tube after ceil(60 / step_dist) + 1 steps
     assert steps == 6
-    assert rew.imitation == -10.0 and not info["all_sensed"]
+    assert rew.imitation[0] == -10.0 and not b.all_sensed[0]
 
     env2 = DtspnEnv(x, expert_path=point_path, mode="eval")
-    env2.reset()
-    done = False
+    b2 = env2.batch
+    b2.reset()
     steps = 0
-    while not done:
-        _, rew, done, _ = env2.step(3)
+    while not b2.done[0]:
+        b2.step(np.array([3]))
         steps += 1
     assert steps == env2.config.max_steps_eval
 
@@ -304,17 +303,18 @@ def test_imitation_reward_follows_polyline_distance():
     start = Pose(50.0, 200.0, 0.0)
     x = Instance(w, h, ((390.0, 390.0),), 5.0, 30.0, start, 0)
     path = straight_expert(start, 30, 10.0)
-    env = DtspnEnv(x, expert_path=path, mode="train")
-    env.reset()
+    b = DtspnEnv(x, expert_path=path, mode="train").batch
+    b.reset()
     # drift upward with a gentle left action; r should match point-to-segment
     # distance to the horizontal line y = 200 while x stays in [50, 340]
     for _ in range(4):
-        _, rew, done, _ = env.step(4)
-        p = env.state.pose
-        if 50.0 <= p.x <= 340.0:
-            assert abs(rew.r - abs(p.y - 200.0)) < 1e-9
-        assert rew.imitation == imitation_reward(rew.r)
-        if done:
+        rew = b.step(np.array([4]))
+        px, py, _ = b.pose[0].tolist()
+        r = float(rew.r[0])
+        if 50.0 <= px <= 340.0:
+            assert abs(r - abs(py - 200.0)) < 1e-9
+        assert rew.imitation[0] == imitation_reward(r)
+        if b.done[0]:
             break
 
 
@@ -325,11 +325,21 @@ def test_expert_distance_projects_onto_segments():
     path = ExpertPath(waypoints=(Pose(100.0, 100.0, 0.0),
                                  Pose(200.0, 100.0, 0.0)),
                       total_length=100.0, sensed_order=())
-    env = DtspnEnv(x, expert_path=path, mode="eval")
+    b = DtspnEnv(x, expert_path=path, mode="eval").batch
     # midway above the segment: nearest vertex is ~58.3 away, the segment 30
-    assert abs(env.expert_distance(150.0, 130.0) - 30.0) < 1e-12
+    assert abs(b.expert_distance(np.array([[[150.0], [130.0]]]))[0]
+               - 30.0) < 1e-12
     # beyond the last vertex the endpoint is nearest
-    assert abs(env.expert_distance(260.0, 100.0) - 60.0) < 1e-12
+    assert abs(b.expert_distance(np.array([[[260.0], [100.0]]]))[0]
+               - 60.0) < 1e-12
+    # T points as (T, 2, 1) broadcast against the one row's segments and
+    # give the same bits as one point at a time
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(0.0, 400.0, size=(50, 2, 1))
+    many = b.expert_distance(pts)
+    assert many.shape == (50,)
+    assert many.tobytes() == np.concatenate(
+        [b.expert_distance(p[None]) for p in pts]).tobytes()
 
 
 def test_replay_is_bit_exact():
@@ -338,15 +348,16 @@ def test_replay_is_bit_exact():
     actions = [int(rng.integers(7)) for _ in range(200)]
 
     def run():
-        env = DtspnEnv(x, mode="eval")
-        obs = [env.reset().common]
+        b = DtspnEnv(x, mode="eval").batch
+        b.reset()
+        obs = [b.common[0]]
         rewards = []
         for a in actions:
-            if env.done:
+            if b.done[0]:
                 break
-            o, rew, done, _ = env.step(a)
-            obs.append(o.common)
-            rewards.append(rew.total)
+            rew = b.step(np.array([a]))
+            obs.append(b.common[0])
+            rewards.append(rew.total[0])
         return obs, rewards
 
     obs1, rew1 = run()
@@ -374,56 +385,64 @@ def test_env_argument_errors():
         assert False, "mismatched turn radius accepted"
     except ValueError:
         pass
-    env = DtspnEnv(x, mode="eval")
-    try:
-        env.step(3)
-        assert False, "step before reset accepted"
-    except RuntimeError:
-        pass
-    env.reset()
-    try:
-        env.step(7)
-        assert False, "out-of-range action accepted"
-    except ValueError:
-        pass
-    try:
-        env.step(-1)
-        assert False, "negative action accepted"
-    except ValueError:
-        pass
+    b = DtspnEnv(x, mode="eval").batch
+    # every row is done until its first reset
+    with pytest.raises(RuntimeError):
+        b.step(np.array([3]))
+    assert b.t[0] == 0
+    b.reset()
+    start = b.pose.copy()
+    for a in (-1, b.config.n_actions):
+        with pytest.raises(ValueError):
+            b.step(np.array([a]))
+    # a rejected step changes no row, and a good one still runs
+    two = EnvBatch([DtspnEnv(x, mode="eval"), DtspnEnv(x, mode="eval")])
+    two.reset()
+    with pytest.raises(ValueError):
+        two.step(np.array([3, -1]))
+    assert two.t.tolist() == [0, 0] and b.t[0] == 0
+    assert b.pose.tobytes() == start.tobytes()
+    b.step(np.array([3]))
+    assert b.t[0] == 1
 
 
 def test_step_after_done_raises():
     start = default_start(200.0, 200.0)
     x = small_instance([(start.x + 20.0, start.y)], r_sense=50.0)
-    env = DtspnEnv(x, mode="eval")
-    env.reset()
+    b = DtspnEnv(x, mode="eval").batch
+    b.reset()
     # the single task is already within range of the start pose
-    assert env.done
-    try:
-        env.step(3)
-        assert False, "step on finished episode accepted"
-    except RuntimeError:
-        pass
+    assert b.done[0]
+    with pytest.raises(RuntimeError):
+        b.step(np.array([3]))
+    # one done row stops the whole batch
+    far = small_instance([(180.0, 180.0)])
+    two = EnvBatch([DtspnEnv(far, mode="eval"), DtspnEnv(x, mode="eval")])
+    two.reset()
+    assert two.done.tolist() == [False, True]
+    with pytest.raises(RuntimeError):
+        two.step(np.array([3, 3]))
+    assert two.t.tolist() == [0, 0]
 
 
 def _single_run(x, path, mode, config, actions):
-    """One DtspnEnv episode under the given action stream: the observation
-    each action saw, then per step the rewards, done flag and sensed
-    flags."""
-    env = DtspnEnv(x, path, mode=mode, config=config)
-    obs = env.reset()
+    """One episode in the env's own one-row batch under the given action
+    stream: the observation each action saw, then per step the rewards,
+    done flag, sensed flags and pose."""
+    b = DtspnEnv(x, path, mode=mode, config=config).batch
+    b.reset()
     rows = []
     for a in actions:
-        if env.done:
+        if b.done[0]:
             break
-        o = obs
-        obs, rew, done, info = env.step(a)
-        rows.append((o.common.tobytes(), None if o.privileged is None
-                     else o.privileged.tobytes(),
-                     rew.imitation, rew.goal, rew.total, rew.r,
-                     rew.newly_sensed, done, env.state.sensed.tobytes(),
-                     info["pose"]))
+        common, priv = b.common, b.privileged
+        rew = b.step(np.array([a]))
+        rows.append((common[0].tobytes(),
+                     None if priv is None else priv[0].tobytes(),
+                     rew.imitation[0], rew.goal[0], rew.total[0], rew.r[0],
+                     rew.newly_sensed[0], b.done[0],
+                     b.sensed[0].view(np.uint8).tobytes(),
+                     tuple(b.pose[0].tolist())))
     return rows
 
 
@@ -450,6 +469,11 @@ def test_batch_rows_match_single_env_runs(mode):
     got = {i: [] for i in range(e)}
     while any(s is not None for s in slot):
         live = [i for i in range(e) if slot[i] is not None]
+        # retired rows keep flying, unread; one that ends starts over, as
+        # a batch steps only when no row is done
+        idle = [i for i in range(e) if slot[i] is None and batch.done[i]]
+        if idle:
+            batch.reset(np.array(idle))
         assert not batch.done[live].any()
         acts = np.array([episodes[slot[i]][2][len(got[slot[i]])]
                          if slot[i] is not None else 3 for i in range(e)])
@@ -462,7 +486,7 @@ def test_batch_rows_match_single_env_runs(mode):
                            rew.imitation[i], rew.goal[i], rew.total[i],
                            rew.r[i], rew.newly_sensed[i], batch.done[i],
                            batch.sensed[i].view(np.uint8).tobytes(),
-                           tuple(batch.pose[i])))
+                           tuple(batch.pose[i].tolist())))
             if batch.done[i] or len(got[k]) == len(episodes[k][2]):
                 if nxt < len(episodes):
                     x, p, _ = episodes[nxt]
@@ -481,8 +505,7 @@ def test_batch_rows_match_single_env_runs(mode):
             # reward floats, distance and flags, compared by their bits
             assert np.array(g[2:8]).tobytes() == np.array(w[2:8]).tobytes()
             assert g[8] == w[8]
-            p = w[9]
-            assert g[9] == (p.x, p.y, p.theta)
+            assert g[9] == w[9]
 
 
 def test_batch_reproduces_collected_demo_bytes():
@@ -504,11 +527,13 @@ def test_batch_reproduces_collected_demo_bytes():
     rewards = np.zeros((n, len(dataset)))
     dones = np.zeros((n, len(dataset)), dtype=np.uint8)
     for t in range(n):
-        # rows past their demo's end keep flying straight, unread
+        # rows past their demo's end start over and fly straight, unread
         acts = np.array([d.actions[t] if t < len(d) else 3 for d in dataset])
         commons[t], privs[t] = batch.common, batch.privileged
         rew = batch.step(acts)
         rewards[t], dones[t] = rew.total, batch.done
+        if batch.done.any():
+            batch.reset(np.flatnonzero(batch.done))
     for i, d in enumerate(dataset):
         m = len(d)
         assert commons[:m, i].tobytes() == d.commons.tobytes()

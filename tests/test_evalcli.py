@@ -5,14 +5,14 @@ import shlex
 import numpy as np
 import pytest
 
-from dtspn.cli import build_parser, main
+from dtspn.cli import _load_config, build_parser, main
 from dtspn.demos import collect, collect_batch, load_dataset, tracker
 from dtspn.env import DtspnEnv, run_episode
 from dtspn.evaluate import (Metrics, benchmark_speed, evaluate,
                             load_episode_csv, save_episode_csv)
 from dtspn.expert import SensingGap, load as load_expert, plan
 from dtspn.instance import generate, load as load_instance
-from dtspn.learn import load_bundle
+from dtspn.learn import init_bundle, load_bundle, save_bundle
 from dtspn.svg import emit_trajectory_svg
 
 
@@ -251,6 +251,21 @@ def test_cli_config_validation(tmp_path, capsys):
     cfg.write_text('[1, 2]')
     assert run_cli("demos", "--demos", "1", "--config", str(cfg),
                    "--out", str(tmp_path / "d.bin")) == 1
+    # a value must have its field's JSON type: integers for int fields,
+    # numbers for float fields, true or false for bool fields
+    for key, value in (("dt", '"0.2"'), ("bc_epochs", '"3"'),
+                       ("n_actions", "7.0"), ("n_actions", "true"),
+                       ("gamma", "false"), ("literal_goal_sum", "1"),
+                       ("seed", "null"), ("turn_radius", "[30]")):
+        cfg.write_text(f'{{"{key}": {value}}}')
+        assert run_cli("demos", "--demos", "1", "--config", str(cfg),
+                       "--out", str(tmp_path / "d.bin")) == 1, (key, value)
+        assert f"'{key}'" in capsys.readouterr().err
+    cfg.write_text('{"dt": 1, "n_actions": 5, "literal_goal_sum": true, '
+                   '"gamma": 0.9, "bc_epochs": 0}')
+    env_kw, train_kw = _load_config(str(cfg))
+    assert env_kw == {"dt": 1, "n_actions": 5, "literal_goal_sum": True}
+    assert train_kw == {"gamma": 0.9, "bc_epochs": 0}
 
 
 def test_cli_demos_zero_writes_empty_dataset(tmp_path, capsys):
@@ -386,6 +401,18 @@ def test_cli_train_ppo_rejects_an_empty_pool(tmp_path, capsys):
         assert run_cli("train-ppo", "--dense", "--tasks", "3", "--pool", pool,
                        "--out", str(tmp_path / "x.ckpt")) == 1
         assert "--pool" in capsys.readouterr().err
+
+
+def test_cli_train_ppo_with_no_steps_saves_the_unchanged_bundle(tmp_path,
+                                                                capsys):
+    d = str(tmp_path)
+    assert run_cli("train-ppo", "--dense", "--tasks", "3", "--map", "300",
+                   "300", "--pool", "2", "--steps", "0",
+                   "--out", f"{d}/x.ckpt") == 0
+    assert "best_avg_return=nan last_avg_return=nan" in capsys.readouterr().out
+    save_bundle(init_bundle(15, seed=0), f"{d}/fresh.ckpt")
+    with open(f"{d}/x.ckpt", "rb") as a, open(f"{d}/fresh.ckpt", "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_cli_expert_spacing_follows_config(tmp_path):
