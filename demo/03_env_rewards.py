@@ -12,8 +12,8 @@ from dtspn import DtspnEnv, EnvConfig, generate, plan
 from dtspn.demos import tracker
 from dtspn.env import goal_reward, imitation_reward, run_episode
 
-# the imitation term is deliberately lumpy: free inside 3 m, quadratic
-# up to the cutoff, then a flat penalty
+# the imitation term is deliberately lumpy: 0 up to 5 m, then a parabola
+# from +0.1 down to -24.1 at the 60 m cutoff, then a flat -10
 for r in (0.0, 3.0, 5.0, 10.0, 30.0, 60.0, 61.0, 200.0):
     print(f"  distance {r:5.1f} m -> imitation reward {imitation_reward(r):8.3f}")
 

@@ -7,13 +7,13 @@ expert polyline, and the episode loop every caller but PPO rolls through.
 
 One kernel, EnvBatch, steps E envs in lockstep on state held as arrays
 with one row per env; DtspnEnv describes one env and owns its one-row
-batch, which run_episode rolls.  The sensing test,
-the distance to the expert polyline and the progress window run as array
-operations over all rows.  The arc kinematics, the encoders' per-task
-rotations and the rewards run row by row on floats, which for the few
-rows and tasks here costs less than numpy calls, and keeps the scalar
-rounding (math's sin, cos and atan2, Python's pow) the encodings and
-rewards were defined with.  A row is byte-identical to a one-env run.
+batch, which run_episode rolls.  Per row, the kinematics, the sensing
+test, the common encoding and the rewards run as one pass over Python
+floats, which for the few rows and tasks here costs less than numpy calls
+and keeps the scalar rounding (math's sin, cos and atan2, Python's pow)
+they were defined with.  The distance to the expert polyline and the
+privileged encoding run as array operations over all rows.  A row is
+byte-identical to a one-env run.
 """
 
 import math
@@ -48,6 +48,10 @@ class EnvConfig:
         for name in ("turn_radius", "omega_max", "dt", "sense_substep"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        for name, low in (("max_steps_eval", 1), ("train_cutoff_dist", 0.0)):
+            if not getattr(self, name) >= low:    # NaN fails too
+                raise ValueError(f"{name} must be >= {low}, "
                                  f"got {getattr(self, name)}")
 
     @property
@@ -142,28 +146,6 @@ class RewardBreakdown:
     newly_sensed: np.ndarray
 
 
-def encode_common(pose, sensed, offsets, frame) -> np.ndarray:
-    """Rows [p, per-task (dx, dy, bearing) in the body frame, sensed flags].
-
-    pose (E, 3), sensed (E, n), offsets (E, 2, n) the task positions minus
-    the pose's, frame (E, 3) each row's map half-extents hw, hh and the
-    larger of them.  Positions are normalized by the half-extents, angles
-    by pi.  Body-frame task blocks make the encoding invariant to rigid
-    world rotation.
-    """
-    out = []
-    for (x, y, th), flags, (dxs, dys), (hw, hh, scale) in zip(
-            pose.tolist(), sensed.tolist(), offsets.tolist(), frame.tolist()):
-        c, s = math.cos(th), math.sin(th)
-        row = [(x - hw) / hw, (y - hh) / hh, th / math.pi]
-        for dx, dy in zip(dxs, dys):
-            row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
-                    normalize_angle(math.atan2(dy, dx) - th) / math.pi
-                    if dx or dy else 0.0)
-        out.append(row + flags)
-    return np.array(out, dtype=float)
-
-
 PROGRESS_WINDOW = 8
 PRIV_DIM = 12               # four waypoints of (dx, dy, dtheta)
 # waypoints that encode_privileged may index past a row's last one
@@ -177,9 +159,9 @@ def encode_privileged(pose, progress, waypoints, frame):
 
     waypoints (E, W, 3) holds each row's polyline followed by at least
     WAYPOINT_PAD copies of its last waypoint, which stand in for clamping
-    indices to it; frame as for encode_common.  progress moves to the
-    nearest waypoint in a short window ahead of the current one (the first,
-    so never onto a copy).  Monotone, and the window keeps a self-crossing
+    indices to it; frame (E, 3) holds each row's map half-extents hw, hh
+    and the larger of them.  progress moves to the nearest waypoint in a
+    short window ahead of the current one (the first, so never onto a copy).  Monotone, and the window keeps a self-crossing
     tour from yanking progress across the crossing (waypoints are one env
     step apart, so the agent gains at most one index per step)."""
     rows = np.arange(len(pose))[:, None]
@@ -205,10 +187,12 @@ class EnvBatch:
     """E envs of one config, mode and task count, stepped in lockstep.
 
     Row i holds an env's instance and expert path (load) and rolls episodes
-    through reset(rows) and step(actions).  State and per-row constants are
-    arrays with one row per env.  Expert polylines share one padded width:
-    each row repeats its last waypoint and its last segment, which leaves
-    every nearest-point minimum unchanged.  common and privileged hold each
+    through reset(rows) and step(actions).  State is arrays with one row
+    per env.  _pass tests a task against the substeps only within
+    r_sense + step_dist of the step's end, which drops no hit: a chord is
+    no longer than its arc.  Expert polylines share one padded width: each
+    row repeats its last waypoint and segment, which leaves every
+    nearest-point minimum unchanged.  common and privileged hold each
     row's latest observation; they are replaced, never written in place,
     so rows handed out earlier keep their values.
     """
@@ -222,9 +206,9 @@ class EnvBatch:
         self.n_tasks = first.n_tasks
         self.has_path = first.expert_path is not None
         e, n = len(envs), self.n_tasks
-        self._tasks = np.empty((e, 2, 1, n))
+        # per row: task (x, y) pairs, frame, r_sense^2, filter radius^2
+        self._consts = [None] * e
         self._frame = np.empty((e, 3))          # hw, hh, max(hw, hh)
-        self._sense2 = np.empty((e, 1, 1))
         self._start = np.empty((e, 3))
         width = 1 + WAYPOINT_PAD + max(
             len(env.expert_path.waypoints) if self.has_path else 0
@@ -255,11 +239,12 @@ class EnvBatch:
             raise ValueError("a batch holds envs of one config, mode, task "
                              "count and expert-path presence")
         x = env.instance
-        self._tasks[i, :, 0] = x.task_array().T
         hw, hh = 0.5 * x.map_width, 0.5 * x.map_height
-        self._frame[i] = hw, hh, max(hw, hh)
-        # a product overflows to inf where ** 2 raises OverflowError
-        self._sense2[i] = x.r_sense * x.r_sense
+        self._frame[i] = frame = hw, hh, max(hw, hh)
+        # products overflow to inf where ** 2 raises OverflowError
+        near = x.r_sense + self.config.step_dist
+        self._consts[i] = (x.task_array().tolist(), frame,
+                           x.r_sense * x.r_sense, near * near)
         heading = x.start.theta
         if self.has_path:
             wp = env.expert_path.waypoint_array()
@@ -308,34 +293,39 @@ class EnvBatch:
         return np.sqrt(np.minimum.reduce(np.add.reduce(gap * gap, axis=1),
                                          axis=1))
 
-    def _sense(self, xy, rows):
-        """Mark the tasks within range of any of the points xy, an array of
-        shape (rows, 2, k).  Returns each row's count of newly sensed tasks
-        and the task offsets from its last point, (rows, 2, n)."""
-        d = self._tasks[rows] - xy[:, :, :, None]
-        # summing the two squares over axis 1 adds them in order, x first
-        hit = np.logical_or.reduce(
-            np.add.reduce(d * d, axis=1) <= self._sense2[rows], axis=1)
-        if rows is ALL:
-            newly = np.add.reduce(hit > self.sensed, axis=1)
-            np.logical_or(self.sensed, hit, out=self.sensed)
-        else:
-            sensed = self.sensed[rows]
-            newly = np.add.reduce(hit > sensed, axis=1)
-            self.sensed[rows] = sensed | hit
-        return newly, d[:, :, -1]
+    def _pass(self, i, flags, x, y, th, path=()):
+        """Row i's sensing and common encoding at pose (x, y, th), reached
+        through the earlier substep poses path.  Marks the tasks within
+        range of any of those points in flags, row i's sensed list, and in
+        the sensed array (one element at a time is cheapest).  Returns
+        the common row [pose, per-task (dx, dy, bearing) in the body frame,
+        flags], positions normalized by the map half-extents and angles by
+        pi, and the count of newly sensed tasks."""
+        tasks, (hw, hh, scale), r2, near2 = self._consts[i]
+        c, s = math.cos(th), math.sin(th)
+        row = [(x - hw) / hw, (y - hh) / hh, th / math.pi]
+        newly = 0
+        for j, (tx, ty) in enumerate(tasks):
+            dx, dy = tx - x, ty - y
+            if not flags[j]:
+                d2 = dx * dx + dy * dy
+                if d2 <= near2 and (d2 <= r2 or any(
+                        (tx - px) * (tx - px) + (ty - py) * (ty - py) <= r2
+                        for px, py, _ in path)):
+                    flags[j] = self.sensed[i, j] = True
+                    newly += 1
+            row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
+                    normalize_angle(math.atan2(dy, dx) - th) / math.pi
+                    if dx or dy else 0.0)
+        return row + flags, newly
 
-    def _observe(self, rows, offsets) -> None:
-        if rows is ALL:
-            pose, sensed, frame = self.pose, self.sensed, self._frame
-        else:
-            pose, sensed, frame = (self.pose[rows], self.sensed[rows],
-                                   self._frame[rows])
-        common = encode_common(pose, sensed, offsets, frame)
+    def _observe(self, rows, commons) -> None:
+        common = np.array(commons, dtype=float)
         priv = None
         if self.has_path:
             priv, self.progress[rows] = encode_privileged(
-                pose, self.progress[rows], self._waypoints[rows], frame)
+                self.pose[rows], self.progress[rows], self._waypoints[rows],
+                self._frame[rows])
         if rows is not ALL:
             common, c = self.common.copy(), common
             common[rows] = c
@@ -352,9 +342,11 @@ class EnvBatch:
         self.sensed[rows] = False
         self.t[rows] = 0
         self.progress[rows] = 0
-        _, offsets = self._sense(start[:, 0:2, None], rows)
+        commons = [self._pass(i, [False] * self.n_tasks, *pose)[0]
+                   for i, pose in zip(np.arange(len(self.done))[rows].tolist(),
+                                      start.tolist())]
         self.all_sensed[rows] = self.done[rows] = self.sensed[rows].all(axis=1)
-        self._observe(rows, offsets)
+        self._observe(rows, commons)
 
     def step(self, actions) -> RewardBreakdown:
         """Advance every row by its action (an (E,) int array of indices
@@ -362,43 +354,47 @@ class EnvBatch:
         all_sensed hold the new flags.  Raises RuntimeError if any row is
         done (as every row is until its first reset) and ValueError on an
         action outside [0, n_actions), before changing any state."""
-        if self.done.any():
+        if True in self.done.tolist():
             raise RuntimeError("a row is done or was never reset; reset it "
                                "before stepping")
         cfg = self.config
         v, substeps, omegas = cfg.v, cfg.substeps, cfg.omegas
-        points, rows = [], []
-        for (x, y, theta), a in zip(self.pose.tolist(), actions.tolist()):
+        actions = actions.tolist()
+        for a in actions:
             if not 0 <= a < cfg.n_actions:
                 raise ValueError(f"action {a} out of range "
                                  f"[0, {cfg.n_actions})")
-            omega = omegas[a]
-            steps = [advance(x, y, theta, omega, v, dt) for dt in substeps]
-            points.append(list(zip(*steps))[0:2])
-            x, y, theta = steps[-1]
-            rows.append((x, y, normalize_angle(theta)))
-        newly, offsets = self._sense(np.array(points), ALL)
-        self.pose = np.array(rows)
-        self.t += 1
-
-        self.all_sensed = all_sensed = np.logical_and.reduce(self.sensed, axis=1)
+        poses, commons, newly, all_sensed = [], [], [], []
+        sensed = self.sensed.tolist()
+        for i, ((x, y, theta), a, flags) in enumerate(zip(
+                self.pose.tolist(), actions, sensed)):
+            path = [advance(x, y, theta, omegas[a], v, dt) for dt in substeps]
+            x, y, theta = path.pop()
+            theta = normalize_angle(theta)
+            row, k = self._pass(i, flags, x, y, theta, path)
+            poses.append((x, y, theta))
+            commons.append(row)
+            newly.append(k)
+            all_sensed.append(False not in flags)
+        self.pose = np.array(poses)
+        t = [k + 1 for k in self.t.tolist()]
+        self.t = np.array(t)
         r = self.expert_distance(self.pose[:, 0:2, None])
+        dist = r.tolist()
         if self.mode == "train":
-            self.done = all_sensed | (r > cfg.train_cutoff_dist)
+            ends = [d > cfg.train_cutoff_dist for d in dist]
         else:
-            self.done = all_sensed | (self.t >= cfg.max_steps_eval)
-        r_im = list(map(imitation_reward, r.tolist()))
-        if cfg.literal_goal_sum:
-            r_goal = [goal_reward(k, a, True, s) for k, a, s in zip(
-                newly.tolist(), all_sensed.tolist(),
-                self.sensed.sum(axis=1).tolist())]
-        else:
-            r_goal = list(map(goal_reward, newly.tolist(), all_sensed.tolist()))
+            ends = [k >= cfg.max_steps_eval for k in t]
+        self.all_sensed = np.array(all_sensed)
+        self.done = np.array([a or e for a, e in zip(all_sensed, ends)])
+        r_im = list(map(imitation_reward, dist))
+        r_goal = [goal_reward(k, a, cfg.literal_goal_sum, s) for k, a, s
+                  in zip(newly, all_sensed, map(sum, sensed))]
         im, goal, total = np.array(
             [r_im, r_goal, [a + b for a, b in zip(r_im, r_goal)]])
-        self._observe(ALL, offsets)
+        self._observe(ALL, commons)
         return RewardBreakdown(imitation=im, goal=goal, total=total, r=r,
-                               newly_sensed=newly)
+                               newly_sensed=np.array(newly))
 
 
 class DtspnEnv:
@@ -481,20 +477,23 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
     events = [(-1, int(i)) for i in np.nonzero(sensed)[0]]
     commons, privs, poses, actions, r_im, r_go, newly, dones = \
         [], [], [], [], [], [], [], []
-    while not b.done[0] and (max_steps is None or len(actions) < max_steps):
+    (done,) = b.done.tolist()
+    while not done and (max_steps is None or len(actions) < max_steps):
         obs = Observation(b.common[0], None if b.privileged is None
                           else b.privileged[0])
         a = act_fn(obs)
         commons.append(obs.common)
         privs.append(obs.privileged)
         rew = b.step(np.array([a]))
-        poses.append(b.pose[0])
+        # tolist reads the row's values for less than numpy-scalar indexing
+        poses.extend(b.pose.tolist())
         actions.append(a)
-        r_im.append(rew.imitation[0])
-        r_go.append(rew.goal[0])
-        newly.append(rew.newly_sensed[0])
-        dones.append(b.done[0])
-        if rew.newly_sensed[0]:
+        r_im.extend(rew.imitation.tolist())
+        r_go.extend(rew.goal.tolist())
+        (k,), (done,) = rew.newly_sensed.tolist(), b.done.tolist()
+        newly.append(k)
+        dones.append(done)
+        if k:
             now = b.sensed[0]
             events.extend((len(actions) - 1, int(i))
                           for i in np.nonzero(now != sensed)[0])

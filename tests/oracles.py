@@ -3,7 +3,11 @@
 Nothing in here reuses the closed-form machinery from the package: arcs are
 advanced with rotation matrices about explicit turn centers, tour optima come
 from dynamic programming or plain enumeration, and gradients from central
-differences.  Slower than the real code on purpose.
+differences.  Slower than the real code on purpose.  The one exception is
+ReferenceBatch, EnvBatch with the array-level sensing and common encoding
+it ran before its per-row pass: it shares EnvBatch's loading, kinematics,
+expert distance and privileged encoding, and is kept as the byte-for-byte
+reference for the rest.
 """
 
 import itertools
@@ -11,6 +15,10 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar, root
+
+from dtspn.dubins import normalize_angle
+from dtspn.env import (ALL, EnvBatch, RewardBreakdown, advance,
+                       encode_privileged, goal_reward, imitation_reward)
 
 TWO_PI = 2.0 * math.pi
 
@@ -452,3 +460,122 @@ def discounted_returns(rewards, gamma):
         acc = rewards[i] + gamma * acc
         out[i] = acc
     return out
+
+
+def encode_common(pose, sensed, offsets, frame) -> np.ndarray:
+    """Rows [p, per-task (dx, dy, bearing) in the body frame, sensed flags].
+
+    pose (E, 3), sensed (E, n), offsets (E, 2, n) the task positions minus
+    the pose's, frame (E, 3) each row's map half-extents hw, hh and the
+    larger of them.  Positions are normalized by the half-extents, angles
+    by pi.
+    """
+    out = []
+    for (x, y, th), flags, (dxs, dys), (hw, hh, scale) in zip(
+            pose.tolist(), sensed.tolist(), offsets.tolist(), frame.tolist()):
+        c, s = math.cos(th), math.sin(th)
+        row = [(x - hw) / hw, (y - hh) / hh, th / math.pi]
+        for dx, dy in zip(dxs, dys):
+            row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
+                    normalize_angle(math.atan2(dy, dx) - th) / math.pi
+                    if dx or dy else 0.0)
+        out.append(row + flags)
+    return np.array(out, dtype=float)
+
+
+def sense(tasks, sense2, xy, sensed):
+    """Mark in sensed, (rows, n), the tasks, (rows, 2, 1, n), within range
+    (squared, (rows, 1, 1)) of any of the points xy, (rows, 2, k), testing
+    every point against every task.  Returns each row's count of newly
+    sensed tasks and the task offsets from its last point, (rows, 2, n)."""
+    d = tasks - xy[:, :, :, None]
+    # summing the two squares over axis 1 adds them in order, x first
+    hit = np.logical_or.reduce(np.add.reduce(d * d, axis=1) <= sense2, axis=1)
+    newly = np.add.reduce(hit > sensed, axis=1)
+    np.logical_or(sensed, hit, out=sensed)
+    return newly, d[:, :, -1]
+
+
+class ReferenceBatch(EnvBatch):
+    """EnvBatch whose reset and step sense every substep point of every
+    row as one array (sense) and then encode all rows (encode_common)."""
+
+    def __init__(self, envs):
+        envs = list(envs)
+        e, n = len(envs), envs[0].n_tasks
+        self._tasks = np.empty((e, 2, 1, n))
+        self._sense2 = np.empty((e, 1, 1))
+        super().__init__(envs)
+
+    def load(self, i, env):
+        super().load(i, env)
+        x = env.instance
+        self._tasks[i, :, 0] = x.task_array().T
+        self._sense2[i] = x.r_sense * x.r_sense
+
+    def _observe_offsets(self, rows, offsets):
+        if rows is ALL:
+            pose, sensed, frame = self.pose, self.sensed, self._frame
+        else:
+            pose, sensed, frame = (self.pose[rows], self.sensed[rows],
+                                   self._frame[rows])
+        common = encode_common(pose, sensed, offsets, frame)
+        priv = None
+        if self.has_path:
+            priv, self.progress[rows] = encode_privileged(
+                pose, self.progress[rows], self._waypoints[rows], frame)
+        if rows is not ALL:
+            common, c = self.common.copy(), common
+            common[rows] = c
+            if priv is not None:
+                priv, p = self.privileged.copy(), priv
+                priv[rows] = p
+        self.common, self.privileged = common, priv
+
+    def reset(self, rows=ALL):
+        start = self._start[rows]
+        self.pose[rows] = start
+        self.t[rows] = 0
+        self.progress[rows] = 0
+        sensed = np.zeros((len(start), self.n_tasks), dtype=bool)
+        _, offsets = sense(self._tasks[rows], self._sense2[rows],
+                           start[:, 0:2, None], sensed)
+        self.sensed[rows] = sensed
+        self.all_sensed[rows] = self.done[rows] = sensed.all(axis=1)
+        self._observe_offsets(rows, offsets)
+
+    def step(self, actions):
+        if self.done.any():
+            raise RuntimeError("a row is done or was never reset")
+        cfg = self.config
+        points, rows = [], []
+        for (x, y, theta), a in zip(self.pose.tolist(), actions.tolist()):
+            if not 0 <= a < cfg.n_actions:
+                raise ValueError(f"action {a} out of range")
+            steps = [advance(x, y, theta, cfg.omegas[a], cfg.v, dt)
+                     for dt in cfg.substeps]
+            points.append(list(zip(*steps))[0:2])
+            x, y, theta = steps[-1]
+            rows.append((x, y, normalize_angle(theta)))
+        newly, offsets = sense(self._tasks, self._sense2, np.array(points),
+                               self.sensed)
+        self.pose = np.array(rows)
+        self.t += 1
+        self.all_sensed = all_sensed = np.logical_and.reduce(self.sensed, axis=1)
+        r = self.expert_distance(self.pose[:, 0:2, None])
+        if self.mode == "train":
+            self.done = all_sensed | (r > cfg.train_cutoff_dist)
+        else:
+            self.done = all_sensed | (self.t >= cfg.max_steps_eval)
+        r_im = list(map(imitation_reward, r.tolist()))
+        if cfg.literal_goal_sum:
+            r_goal = [goal_reward(k, a, True, s) for k, a, s in zip(
+                newly.tolist(), all_sensed.tolist(),
+                self.sensed.sum(axis=1).tolist())]
+        else:
+            r_goal = list(map(goal_reward, newly.tolist(), all_sensed.tolist()))
+        im, goal, total = np.array(
+            [r_im, r_goal, [a + b for a, b in zip(r_im, r_goal)]])
+        self._observe_offsets(ALL, offsets)
+        return RewardBreakdown(imitation=im, goal=goal, total=total, r=r,
+                               newly_sensed=newly)

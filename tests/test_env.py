@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtspn.demos import collect_batch
-from dtspn.dubins import Pose
+from dtspn.dubins import Pose, normalize_angle
 from dtspn.env import (WAYPOINT_PAD, DtspnEnv, EnvBatch, EnvConfig, advance,
-                       encode_common, encode_privileged, goal_reward,
-                       imitation_reward)
+                       encode_privileged, goal_reward, imitation_reward)
 from dtspn.expert import ExpertPath, plan
 from dtspn.instance import Instance, default_start, generate
+from oracles import ReferenceBatch, sense
 
 
 def straight_expert(start: Pose, n: int, spacing: float) -> ExpertPath:
@@ -19,12 +20,11 @@ def straight_expert(start: Pose, n: int, spacing: float) -> ExpertPath:
 
 
 def common_row(pose, sensed, x: Instance) -> np.ndarray:
-    """encode_common for one pose (x, y, theta) on instance x."""
-    hw, hh = 0.5 * x.map_width, 0.5 * x.map_height
-    pose = np.array([pose])
-    return encode_common(pose, np.array([sensed], dtype=bool),
-                         x.task_array().T[None] - pose[:, 0:2, None],
-                         np.array([[hw, hh, max(hw, hh)]]))[0]
+    """The common encoding EnvBatch's per-row pass gives one pose (x, y,
+    theta) on instance x with the given sensed flags (a task within range
+    of the pose is marked too)."""
+    b = DtspnEnv(x, mode="eval").batch
+    return np.array(b._pass(0, [bool(f) for f in sensed], *pose)[0])
 
 
 def privileged_row(pose, progress, path: ExpertPath, x: Instance):
@@ -540,3 +540,172 @@ def test_batch_reproduces_collected_demo_bytes():
         assert privs[:m, i].tobytes() == d.privileged.tobytes()
         assert rewards[:m, i].tobytes() == d.rewards.tobytes()
         assert dones[:m, i].tobytes() == d.dones.tobytes()
+
+
+def _state_bytes(b):
+    """Everything a row exposes after reset or step, as bytes."""
+    return [a.tobytes() for a in (b.common, b.pose, b.sensed, b.all_sensed,
+                                  b.done, b.t, b.progress)] + [
+        None if b.privileged is None else b.privileged.tobytes()]
+
+
+def _reward_bytes(rew):
+    return [(a.dtype.str, a.tobytes()) for a in (
+        rew.imitation, rew.goal, rew.total, rew.r, rew.newly_sensed)]
+
+
+def _polyline_through_tasks(x: Instance) -> ExpertPath:
+    """A cheap stand-in for a planned tour: the start, then each task."""
+    pts = [(x.start.x, x.start.y)] + list(x.tasks)
+    wps = tuple(Pose(ax, ay, math.atan2(by - ay, bx - ax))
+                for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[-1:]))
+    return ExpertPath(waypoints=wps, total_length=0.0, sensed_order=())
+
+
+def _run_pair(envs, pool, actions_of):
+    """Step an EnvBatch and a ReferenceBatch over the same envs and
+    actions, refilling ended rows from pool, and check after every reset
+    and step that the two agree byte for byte.  Returns the refill count."""
+    got, ref = EnvBatch(envs), ReferenceBatch(envs)
+    got.reset()
+    ref.reset()
+    assert _state_bytes(got) == _state_bytes(ref)
+    refills = 0
+    for t, acts in enumerate(actions_of):
+        if got.done.any():
+            ended = np.flatnonzero(got.done)
+            for i in ended.tolist():
+                env = pool[refills % len(pool)]
+                got.load(i, env)
+                ref.load(i, env)
+                refills += 1
+            got.reset(ended)
+            ref.reset(ended)
+            assert _state_bytes(got) == _state_bytes(ref)
+            if got.done.any():
+                continue
+        assert _reward_bytes(got.step(acts)) == _reward_bytes(ref.step(acts))
+        assert _state_bytes(got) == _state_bytes(ref), t
+    return refills
+
+
+@pytest.mark.parametrize("e", [1, 4, 16])
+@pytest.mark.parametrize("n", [3, 20])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_step_and_reset_match_the_array_reference(e, n, mode):
+    # random actions over instances whose rows end at different steps and
+    # are refilled; train rows follow a polyline through the tasks, eval
+    # rows fly without one, except with e=4, where they carry one and the
+    # goal reward sums cumulatively
+    size = (300.0, 300.0) if n == 3 else (800.0, 800.0)
+    with_path = mode == "train" or e == 4
+    config = EnvConfig(max_steps_eval=30, train_cutoff_dist=25.0,
+                       literal_goal_sum=mode == "eval" and e == 4)
+    pool = []
+    for seed in range(e + 12):
+        x = generate(n, 6000 + seed, map_size=size)
+        pool.append(DtspnEnv(x, _polyline_through_tasks(x) if with_path
+                             else None, mode=mode, config=config))
+    rng = np.random.default_rng(e * 100 + n)
+    actions = rng.integers(0, 7, size=(120, e))
+    refills = _run_pair(pool[:e], pool[e:], actions)
+    assert refills >= e
+
+
+def _one_row_pair(x, actions, path=None, mode="eval", config=None):
+    env = DtspnEnv(x, path, mode=mode, config=config)
+    return _run_pair([env], [env], [np.array([a]) for a in actions])
+
+
+def test_step_matches_the_array_reference_on_edge_geometry():
+    cfg = EnvConfig()
+    start = default_start(200.0, 200.0)
+    # a task within range of a middle substep only, on a straight step and
+    # on the hardest left turn
+    for a in (3, 6):
+        pts = [advance(start.x, start.y, start.theta, cfg.omegas[a], cfg.v,
+                       dt) for dt in cfg.substeps]
+        mx, my, mth = pts[len(pts) // 2 - 1]
+        task = (mx - 1.9 * math.sin(mth), my + 1.9 * math.cos(mth))
+        x = small_instance([task, (180.0, 180.0)], r_sense=2.0)
+        for px, py in [(start.x, start.y), pts[-1][:2]]:
+            assert math.hypot(task[0] - px, task[1] - py) > 2.0
+        b = DtspnEnv(x, mode="eval").batch
+        b.reset()
+        assert b.step(np.array([a])).newly_sensed[0] == 1
+        _one_row_pair(x, [a, 3])
+    # a task exactly at the start pose and one exactly at the first step's
+    # end: offsets (0, 0) encode the bearing as 0.0
+    end = advance(start.x, start.y, start.theta, 0.0, cfg.v, cfg.dt)
+    x = small_instance([(start.x, start.y), end[:2], (180.0, 180.0)],
+                       r_sense=0.5)
+    b = DtspnEnv(x, mode="eval").batch
+    b.reset()
+    assert b.common[0, 5] == 0.0
+    b.step(np.array([3]))
+    assert b.common[0, 8] == 0.0 and b.sensed[0].tolist() == [1, 1, 0]
+    _one_row_pair(x, [3, 3, 2])
+    # headings that wrap across +-pi, with tasks straight behind the pose
+    for th, a in ((math.pi - 0.05, 6), (math.pi, 0), (-math.pi + 0.05, 0)):
+        s = Pose(100.0, 100.0, th)
+        tasks = [(100.0 - 40.0 * math.cos(th), 100.0 - 40.0 * math.sin(th)),
+                 (20.0, 100.0), (100.0, 20.0)]
+        x = Instance(200.0, 200.0, tuple(tasks), 5.0, 30.0, s, 0)
+        _one_row_pair(x, [a] * 12 + [3] * 4)
+    # r_sense whose square overflows to inf senses every task at reset
+    for r_sense in (1e155, 1e200):
+        x = small_instance([(180.0, 180.0), (10.0, 20.0)], r_sense=r_sense)
+        b = DtspnEnv(x, mode="eval").batch
+        b.reset()
+        assert b.done[0] and b.all_sensed[0]
+        _one_row_pair(x, [])
+    # large coordinates, with an expert path in train mode and without
+    big = 1e9
+    s = default_start(big, big)
+    rng = np.random.default_rng(4)
+    tasks = [(s.x + dx, s.y + dy)
+             for dx, dy in rng.uniform(-150.0, 150.0, size=(6, 2)).tolist()]
+    x = Instance(big, big, tuple(tasks), 58.0, 30.0, s, 0)
+    acts = rng.integers(0, 7, size=80).tolist()
+    _one_row_pair(x, acts)
+    _one_row_pair(x, acts, _polyline_through_tasks(x), mode="train",
+                  config=EnvConfig(train_cutoff_dist=1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-math.pi, math.pi), st.integers(0, 6),
+       st.floats(0.5, 120.0), st.floats(-1e-9, 1e-9),
+       st.sampled_from([0.5, 2.0, 5.0, 1e9]), st.integers(0, 2 ** 32 - 1))
+def test_far_task_filter_never_drops_a_hit(theta, a, r_sense, slack,
+                                           substep, seed):
+    # one task at r_sense + slack from each substep point: the per-row pass,
+    # which tests substeps only for tasks near the step's end, senses
+    # exactly the tasks that testing every point against every task does
+    cfg = EnvConfig(sense_substep=substep)
+    x0, y0 = 1000.0, 1000.0
+    pts = [advance(x0, y0, theta, cfg.omegas[a], cfg.v, dt)
+           for dt in cfg.substeps]
+    bearings = np.random.default_rng(seed).uniform(-math.pi, math.pi,
+                                                   size=len(pts))
+    tasks = [(px + (r_sense + slack) * math.cos(phi),
+              py + (r_sense + slack) * math.sin(phi))
+             for (px, py, _), phi in zip(pts, bearings.tolist())]
+    x = Instance(2000.0, 2000.0, tuple(tasks), r_sense, 30.0,
+                 Pose(x0, y0, 0.0), 0)
+    b = DtspnEnv(x, mode="eval", config=cfg).batch
+    ex, ey, eth = pts[-1]
+    flags = [False] * len(tasks)
+    _, newly = b._pass(0, flags, ex, ey, normalize_angle(eth), pts[:-1])
+    want = np.zeros((1, len(tasks)), dtype=bool)
+    k, _ = sense(x.task_array().T[None, :, None], np.full((1, 1, 1),
+                 r_sense * r_sense), np.array(pts)[:, 0:2].T[None], want)
+    assert flags == want[0].tolist() and newly == k[0]
+
+
+def test_config_rejects_empty_eval_cap_and_bad_cutoff():
+    for kw in ({"max_steps_eval": 0}, {"max_steps_eval": -3},
+               {"train_cutoff_dist": -1.0}, {"train_cutoff_dist": math.nan}):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            EnvConfig(**kw)
+    assert EnvConfig(max_steps_eval=1, train_cutoff_dist=0.0).max_steps_eval == 1
+    assert EnvConfig(train_cutoff_dist=math.inf).train_cutoff_dist == math.inf

@@ -268,6 +268,18 @@ def test_cli_config_validation(tmp_path, capsys):
     assert train_kw == {"gamma": 0.9, "bc_epochs": 0}
 
 
+def test_cli_config_rejects_empty_eval_cap_and_bad_cutoff(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    for key, value in (("max_steps_eval", "0"), ("max_steps_eval", "-1"),
+                       ("train_cutoff_dist", "-2.0"),
+                       ("train_cutoff_dist", "NaN")):
+        cfg.write_text(f'{{"{key}": {value}}}')
+        assert run_cli("demos", "--demos", "1", "--config", str(cfg),
+                       "--out", str(tmp_path / "d.bin")) == 1, (key, value)
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "d.bin").exists()
+
+
 def test_cli_demos_zero_writes_empty_dataset(tmp_path, capsys):
     out = tmp_path / "d.bin"
     assert run_cli("demos", "--demos", "0", "--tasks", "3",
