@@ -543,10 +543,11 @@ def test_batch_reproduces_collected_demo_bytes():
 
 
 def _state_bytes(b):
-    """Everything a row exposes after reset or step, as bytes."""
-    return [a.tobytes() for a in (b.common, b.pose, b.sensed, b.all_sensed,
-                                  b.done, b.t, b.progress)] + [
-        None if b.privileged is None else b.privileged.tobytes()]
+    """Everything a row exposes after reset or step, as dtypes and bytes."""
+    return [(a.dtype.str, a.tobytes()) for a in (
+        b.common, b.pose, b.sensed, b.all_sensed, b.done, b.t,
+        b.progress)] + [None if b.privileged is None
+                        else b.privileged.tobytes()]
 
 
 def _reward_bytes(rew):
