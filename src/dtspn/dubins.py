@@ -22,9 +22,9 @@ WORDS = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
 # paths from flipping between adjacent words.
 SEGMENT_EPS = 1e-9
 
-# Pose pairs per _segments call in length_matrix.  The kernel holds about
-# 440 bytes of temporaries per pair, so one chunk needs under 30 MB however
-# many poses there are.
+# Pose pairs per _segments call in length_matrix.  The kernel's peak is
+# about 310 bytes per pair, its results included (tracemalloc), so one chunk
+# needs about 20 MB however many poses there are.
 LENGTH_CHUNK_PAIRS = 1 << 16
 
 
@@ -40,7 +40,12 @@ def normalize_angle(theta: float) -> float:
 
 
 def mod2pi(theta):
-    return theta % TWO_PI
+    """theta % TWO_PI bit for bit, without the quotient that % also computes:
+    fmod's remainder plus TWO_PI where it is negative and plus 0.0
+    elsewhere, which turns -0.0 into +0.0 as % does."""
+    r = np.fmod(theta, TWO_PI)
+    r += (r < 0.0) * TWO_PI
+    return r
 
 
 @dataclass(frozen=True)
@@ -125,9 +130,10 @@ def _segments(a, b, rho):
     other.  Each result has shape (6,) + the broadcast shape, words in WORDS
     order.  Curve parameters are turn angles; for CSC words p is the straight
     length over rho.  Segments below SEGMENT_EPS are clamped to zero.
-    Entries of infeasible words are finite but meaningless: they are
-    computed from clamped inputs, because NaN slows the remainder operation
-    down severalfold.
+    Entries of infeasible words are finite but meaningless, so callers mask
+    them with ok: LSR and RSL are computed from clamped inputs, which keeps
+    sqrt free of NaN and warnings, and RLR and LRL are zero wherever
+    neither of them is feasible.
     """
     dx = b[..., 0] - a[..., 0]
     dy = b[..., 1] - a[..., 1]
@@ -141,7 +147,7 @@ def _segments(a, b, rho):
     sb, cb = np.sin(beta), np.cos(beta)
     cab = np.cos(alpha - beta)
     shape = (6,) + np.shape(d)
-    t, p, q = np.empty(shape), np.empty(shape), np.empty(shape)
+    t, p, q = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     ok = np.ones(shape, dtype=bool)
 
     # LSL / RSR are always feasible; p is the distance between the two turn
@@ -175,17 +181,29 @@ def _segments(a, b, rho):
     tmp = np.arctan2(ca + cb, d - sa - sb) - np.arctan2(2.0, p[3])
     t[3], q[3] = mod2pi(alpha - tmp), mod2pi(beta - tmp)
 
-    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
-    ok[4] = np.abs(tmp) <= 1.0
-    p[4] = mod2pi(TWO_PI - np.arccos(np.where(ok[4], tmp, 0.0)))
-    t[4] = mod2pi(alpha - np.arctan2(ca - cb, d - sa + sb) + p[4] / 2.0)
-    q[4] = mod2pi(alpha - beta - t[4] + p[4])
+    # RLR / LRL need |tmp| <= 1 (outer circles at most 4 rho apart), which
+    # holds for about 12 % of a 20-task plan's pairs; their angles are
+    # computed only there.  The subset comes from ok, not from a bound on d,
+    # so rounding cannot drop a feasible pair.  Elsewhere both words are 0.
+    tmp4 = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
+    tmp5 = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
+    ok[4] = np.abs(tmp4) <= 1.0
+    ok[5] = np.abs(tmp5) <= 1.0
+    sub = np.flatnonzero(ok[4] | ok[5])
+    # from here on these names hold the subset, flattened
+    alpha, beta, d, sa, ca, sb, cb, tmp4, tmp5 = (
+        x.take(sub) for x in (alpha, beta, d, sa, ca, sb, cb, tmp4, tmp5))
 
-    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
-    ok[5] = np.abs(tmp) <= 1.0
-    p[5] = mod2pi(TWO_PI - np.arccos(np.where(ok[5], tmp, 0.0)))
-    t[5] = mod2pi(-alpha + np.arctan2(cb - ca, d + sa - sb) + p[5] / 2.0)
-    q[5] = mod2pi(beta - alpha - t[5] + p[5])
+    p4 = mod2pi(TWO_PI - np.arccos(np.clip(tmp4, -1.0, 1.0)))
+    t4 = mod2pi(alpha - np.arctan2(ca - cb, d - sa + sb) + p4 / 2.0)
+    q4 = mod2pi(alpha - beta - t4 + p4)
+
+    p5 = mod2pi(TWO_PI - np.arccos(np.clip(tmp5, -1.0, 1.0)))
+    t5 = mod2pi(-alpha + np.arctan2(cb - ca, d + sa - sb) + p5 / 2.0)
+    q5 = mod2pi(beta - alpha - t5 + p5)
+    for seg, v4, v5 in ((t, t4, t5), (p, p4, p5), (q, q4, q5)):
+        seg[4].put(sub, v4)
+        seg[5].put(sub, v5)
 
     for seg in (t, p, q):
         seg[seg < SEGMENT_EPS] = 0.0
@@ -225,14 +243,6 @@ def path_length(path: DubinsPath) -> float:
 
 def shortest_path_length(start: Pose, end: Pose, rho: float) -> float:
     return path_length(shortest_path(start, end, rho))
-
-
-def path_endpoint(path: DubinsPath) -> Pose:
-    x, y, theta = path.start.x, path.start.y, path.start.theta
-    for kind, param in zip(path.word, path.segment_params):
-        p = param if kind != "S" else param
-        x, y, theta = _apply_segment(x, y, theta, kind, p, path.rho)
-    return Pose(x, y, theta)
 
 
 def _pose_at(path: DubinsPath, s: float) -> Pose:

@@ -1,5 +1,6 @@
 """Problem instances: seeded generation and a line-oriented text format."""
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -45,13 +46,10 @@ class Instance:
 
 
 def validate(instance: Instance) -> None:
-    if instance.map_width <= 0 or instance.map_height <= 0:
-        raise ValueError(f"nonpositive map dimensions "
-                         f"{instance.map_width} x {instance.map_height}")
-    if instance.r_sense <= 0:
-        raise ValueError(f"r_sense must be positive, got {instance.r_sense}")
-    if instance.turn_radius <= 0:
-        raise ValueError(f"turn_radius must be positive, got {instance.turn_radius}")
+    for name in ("map_width", "map_height", "r_sense", "turn_radius"):
+        if not 0.0 < getattr(instance, name) < math.inf:    # NaN fails too
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {getattr(instance, name)}")
     if not instance.tasks:
         raise ValueError("instance has no tasks")
     for i, (x, y) in enumerate(instance.tasks):
@@ -80,8 +78,9 @@ def generate(n_tasks: int, seed: int,
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     w, h = float(map_size[0]), float(map_size[1])
-    if w <= 0 or h <= 0:
-        raise ValueError(f"nonpositive map dimensions {w} x {h}")
+    if not (0.0 < w < math.inf and 0.0 < h < math.inf):    # NaN fails too
+        raise ValueError(f"map dimensions must be positive and finite, "
+                         f"got {w} x {h}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = rng.uniform((0.0, 0.0), (w, h), size=(n_tasks, 2))
     if start is None:

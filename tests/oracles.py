@@ -3,11 +3,18 @@
 Nothing in here reuses the closed-form machinery from the package: arcs are
 advanced with rotation matrices about explicit turn centers, tour optima come
 from dynamic programming or plain enumeration, and gradients from central
-differences.  Slower than the real code on purpose.  The one exception is
-ReferenceBatch, EnvBatch with the array-level sensing and common encoding
-it ran before its per-row pass: it shares EnvBatch's loading, kinematics,
-expert distance and privileged encoding, and is kept as the byte-for-byte
-reference for the rest.
+differences.  Slower than the real code on purpose.  The exceptions are:
+
+- reference_segments, the Dubins kernel as it was before it computed CCC
+  words only where they are feasible and wrapped angles with fmod: every
+  word on every pair, wrapped with %.  It is kept as the byte-for-byte
+  reference for the kernel.
+- path_endpoint, which flies a path with the package's own exact segment
+  step (_apply_segment).
+- ReferenceBatch, EnvBatch with the array-level sensing and common encoding
+  it ran before its per-row pass: it shares EnvBatch's loading, kinematics,
+  expert distance and privileged encoding, and is kept as the byte-for-byte
+  reference for the rest.
 """
 
 import itertools
@@ -16,7 +23,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar, root
 
-from dtspn.dubins import normalize_angle
+from dtspn.dubins import SEGMENT_EPS, Pose, _apply_segment, normalize_angle
 from dtspn.env import (ALL, EnvBatch, RewardBreakdown, advance,
                        encode_privileged, goal_reward, imitation_reward)
 
@@ -44,6 +51,93 @@ def straight_step(x, y, th, length):
 
 _CSC_SIDES = {"LSL": (1, 1), "RSR": (-1, -1), "LSR": (1, -1), "RSL": (-1, 1)}
 _CCC_SIDES = {"LRL": 1, "RLR": -1}
+
+
+def path_endpoint(path):
+    """Pose at the end of a DubinsPath."""
+    x, y, theta = path.start.x, path.start.y, path.start.theta
+    for kind, param in zip(path.word, path.segment_params):
+        x, y, theta = _apply_segment(x, y, theta, kind, param, path.rho)
+    return Pose(x, y, theta)
+
+
+def _mod2pi(theta):
+    return theta % TWO_PI
+
+
+def _center_distance(p_sq, cx, cy):
+    p = np.sqrt(np.maximum(p_sq, 0.0))
+    near = p_sq < 1e-6
+    p[near] = np.hypot(cx[near], cy[near])
+    return p
+
+
+def _unloop(t, q, p, total):
+    near = p * (TWO_PI - t) < SEGMENT_EPS
+    t[near], q[near] = 0.0, _mod2pi(total[near])
+    near = p * (TWO_PI - q) < SEGMENT_EPS
+    t[near], q[near] = _mod2pi(total[near]), 0.0
+
+
+def reference_segments(a, b, rho):
+    """dubins._segments as it was with every word computed on every pair and
+    every angle wrapped with %; same arguments and results.  Its entries of
+    infeasible words differ from the kernel's, the feasible ones may not."""
+    dx = b[..., 0] - a[..., 0]
+    dy = b[..., 1] - a[..., 1]
+    line = np.arctan2(dy, dx)
+    alpha = _mod2pi(a[..., 2] - line)
+    beta = _mod2pi(b[..., 2] - line)
+    d = np.hypot(dx, dy) / rho
+
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    sb, cb = np.sin(beta), np.cos(beta)
+    cab = np.cos(alpha - beta)
+    shape = (6,) + np.shape(d)
+    t, p, q = np.empty(shape), np.empty(shape), np.empty(shape)
+    ok = np.ones(shape, dtype=bool)
+
+    p_sq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sa - sb)
+    cx, cy = d + sa - sb, cb - ca
+    p[0] = _center_distance(p_sq, cx, cy)
+    tmp = np.arctan2(cy, cx)
+    t[0], q[0] = _mod2pi(tmp - alpha), _mod2pi(beta - tmp)
+    _unloop(t[0], q[0], p[0], beta - alpha)
+
+    p_sq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sb - sa)
+    cx, cy = d - sa + sb, ca - cb
+    p[1] = _center_distance(p_sq, cx, cy)
+    tmp = np.arctan2(cy, cx)
+    t[1], q[1] = _mod2pi(alpha - tmp), _mod2pi(tmp - beta)
+    _unloop(t[1], q[1], p[1], alpha - beta)
+
+    p_sq = -2.0 + d * d + 2.0 * cab + 2.0 * d * (sa + sb)
+    ok[2] = p_sq >= -SEGMENT_EPS
+    p[2] = np.sqrt(np.maximum(p_sq, 0.0))
+    tmp = np.arctan2(-ca - cb, d + sa + sb) - np.arctan2(-2.0, p[2])
+    t[2], q[2] = _mod2pi(tmp - alpha), _mod2pi(tmp - beta)
+
+    p_sq = -2.0 + d * d + 2.0 * cab - 2.0 * d * (sa + sb)
+    ok[3] = p_sq >= -SEGMENT_EPS
+    p[3] = np.sqrt(np.maximum(p_sq, 0.0))
+    tmp = np.arctan2(ca + cb, d - sa - sb) - np.arctan2(2.0, p[3])
+    t[3], q[3] = _mod2pi(alpha - tmp), _mod2pi(beta - tmp)
+
+    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
+    ok[4] = np.abs(tmp) <= 1.0
+    p[4] = _mod2pi(TWO_PI - np.arccos(np.where(ok[4], tmp, 0.0)))
+    t[4] = _mod2pi(alpha - np.arctan2(ca - cb, d - sa + sb) + p[4] / 2.0)
+    q[4] = _mod2pi(alpha - beta - t[4] + p[4])
+
+    tmp = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
+    ok[5] = np.abs(tmp) <= 1.0
+    p[5] = _mod2pi(TWO_PI - np.arccos(np.where(ok[5], tmp, 0.0)))
+    t[5] = _mod2pi(-alpha + np.arctan2(cb - ca, d + sa - sb) + p[5] / 2.0)
+    q[5] = _mod2pi(beta - alpha - t[5] + p[5])
+
+    for seg in (t, p, q):
+        seg[seg < SEGMENT_EPS] = 0.0
+    return t, p, q, ok
 
 
 def _csc_eval(word, p0, p1, rho, t):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,18 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 import dtspn.dubins as dubins_mod
 from dtspn.dubins import (
+    TWO_PI,
     Pose,
     WORDS,
     _segments,
     length_matrix,
-    path_endpoint,
+    mod2pi,
     path_length,
     pose_array,
     sample_path,
     shortest_path,
     shortest_path_length,
 )
-from oracles import dubins_oracle_length, straight_step, turn_step, wrap
+from dtspn.expert import sample_poses
+from dtspn.instance import generate
+from oracles import (dubins_oracle_length, path_endpoint, reference_segments,
+                     straight_step, turn_step, wrap)
 
 RHO = 30.0
 
@@ -297,3 +302,116 @@ def test_nearly_aligned_poses(a, dist, off, dth):
     length = assert_consistent(a, b)
     if off == 0.0 and dth == 0.0:
         assert length <= dist + 1e-6
+
+
+# The kernel against reference_segments, the kernel it replaced: every word
+# on every pair, wrapped with %.  Entries of feasible words, lengths and
+# shortest paths must keep their bits.
+
+def test_mod2pi_matches_remainder_bit_for_bit():
+    edges = [0.0, -0.0, 1e-17, -1e-17, TWO_PI, -TWO_PI, 2 * TWO_PI,
+             -2 * TWO_PI, math.nan, 5e-324, -5e-324, 1e300, -1e300,
+             math.nextafter(TWO_PI, 0.0), math.nextafter(-TWO_PI, 0.0)]
+    sweep = np.random.default_rng(61).uniform(-3 * math.pi, 3 * math.pi,
+                                              100_000)
+    for x in (np.array(edges), sweep):
+        assert mod2pi(x).tobytes() == (x % TWO_PI).tobytes()
+    zeros = mod2pi(np.array([0.0, -0.0, TWO_PI, -TWO_PI]))
+    assert (zeros == 0.0).all() and not np.signbit(zeros).any()
+
+
+def reference(fn, *args):
+    """fn(*args) with the kernel swapped for reference_segments."""
+    with mock.patch.object(dubins_mod, "_segments", reference_segments):
+        return fn(*args)
+
+
+def assert_matches_reference(a, b, pairs):
+    """Pose rows a (n, 3) against b (m, 3): feasibility and every feasible
+    word's (t, p, q), the length matrix, and the shortest paths of the
+    (i, j) pairs listed keep the reference kernel's bits."""
+    new = _segments(a[:, None], b[None], RHO)
+    old = reference_segments(a[:, None], b[None], RHO)
+    ok = old[3]
+    assert new[3].tobytes() == ok.tobytes()
+    for x, y in zip(new[:3], old[:3]):
+        assert np.where(ok, x, 0.0).tobytes() == np.where(ok, y, 0.0).tobytes()
+    assert (length_matrix(a, b, RHO).tobytes()
+            == reference(length_matrix, a, b, RHO).tobytes())
+    for i, j in pairs:
+        s, e = Pose(*a[i]), Pose(*b[j])
+        path, ref = shortest_path(s, e, RHO), reference(shortest_path, s, e, RHO)
+        assert path.word == ref.word
+        assert (np.array(path.segment_params).tobytes()
+                == np.array(ref.segment_params).tobytes())
+
+
+@pytest.mark.parametrize("n_tasks, span", [(3, 300.0), (20, 800.0)])
+@pytest.mark.parametrize("seed", [0, 1, 104])
+def test_kernel_matches_reference_on_planner_poses(n_tasks, span, seed):
+    clusters = sample_poses(generate(n_tasks, seed, map_size=(span, span)), 8, 4)
+    poses = pose_array([p for g in (clusters.start_cluster,) + clusters.clusters
+                        for p in g])
+    # shortest paths of 200 pairs where a CCC word is feasible and 100 others
+    ok = reference_segments(poses[:, None], poses[None], RHO)[3]
+    ccc = ok[4] | ok[5]
+    rng = np.random.default_rng(seed)
+    pairs = [pair for where, k in ((ccc, 200), (~ccc, 100))
+             for pair in rng.permutation(np.argwhere(where))[:k].tolist()]
+    assert_matches_reference(poses, poses, pairs)
+
+
+def ulps_from(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+@PROPERTY
+@given(headings, st.sampled_from((0.0, math.pi / 2, -math.pi / 2, math.pi)),
+       signed_tiny, st.one_of(headings, st.sampled_from((0.0, math.pi))),
+       signed_tiny)
+def test_kernel_matches_reference_four_rho_apart(bearing, turn_a, dth_a,
+                                                 turn_b, dth_b):
+    # the goal 4 rho +- 6 ulps from the start, so d straddles 4 (RLR and LRL
+    # can be feasible up to d = 6); turn_a = +-pi/2 with turn_b = 0 puts
+    # both headings across the line, where the outer circles are d rho apart
+    th_a = bearing + turn_a + dth_a
+    goals = []
+    for k in range(-6, 7):
+        dist = ulps_from(4.0 * RHO, k)
+        goals.append((dist * math.cos(bearing), dist * math.sin(bearing),
+                      th_a + turn_b + dth_b))
+    start = np.array([[0.0, 0.0, th_a]])
+    assert_matches_reference(start, np.array(goals),
+                             [(0, j) for j in range(len(goals))])
+
+
+def test_kernel_matches_reference_on_edge_geometry():
+    rng = np.random.default_rng(62)
+    rows, pairs = [], []
+
+    def add(a, b):
+        rows.extend((a, b))
+        pairs.append((len(rows) - 2, len(rows) - 1))
+
+    tiny = (0.0, 1e-15, -1e-15, 1e-12, -1e-9, 1e-6)
+    for _ in range(10):
+        x, y = rng.uniform(0.0, 800.0, 2)
+        th = rng.uniform(-math.pi, math.pi)
+        # coincident and nearly coincident poses, headings equal or not
+        for dx in tiny:
+            add((x, y, th), (x + dx, y - dx, th + rng.choice(tiny)))
+        add((x, y, th), (x, y, th + rng.uniform(-math.pi, math.pi)))
+        # goals on the start's turning circle, either side
+        for phi in (1e-12, 1e-7, math.pi / 2, math.pi, 2 * math.pi - 1e-7,
+                    rng.uniform(0.0, 2 * math.pi)):
+            for side in (1, -1):
+                add((x, y, th), turn_step(x, y, th, phi, RHO, side))
+        # headings at +-pi, unnormalized rows included
+        for ha in (math.pi, -math.pi, math.nextafter(math.pi, 0.0)):
+            for hb in (math.pi, -math.pi, 0.0):
+                add((x, y, ha), (x + rng.uniform(-150.0, 150.0),
+                                 y + rng.uniform(-150.0, 150.0), hb))
+    poses = np.array(rows)
+    assert_matches_reference(poses, poses, pairs)

@@ -241,6 +241,30 @@ def test_cli_gen_and_errors(tmp_path, capsys):
     assert run_cli("eval", "--ckpt", str(tmp_path / "nope.ckpt")) == 1
 
 
+@pytest.mark.parametrize("line", ["sense nan", "sense inf", "turn nan",
+                                  "map inf 300.0"])
+def test_cli_rejects_instance_file_with_nonfinite_size(tmp_path, capsys, line):
+    path = tmp_path / "i.txt"
+    assert run_cli("gen", "--tasks", "3", "--map", "300", "300", "--seed", "5",
+                   "--out", str(path)) == 0
+    key = line.split()[0]
+    path.write_text("".join(line + "\n" if l.startswith(key + " ") else l
+                            for l in path.read_text().splitlines(True)))
+    capsys.readouterr()
+    assert run_cli("eval", "--expert", "--episodes", "1",
+                   "--instance", str(path)) == 1
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["nan", "inf"])
+def test_cli_gen_rejects_nonfinite_map(tmp_path, capsys, width):
+    out = tmp_path / "i.txt"
+    assert run_cli("gen", "--tasks", "3", "--map", width, "300",
+                   "--out", str(out)) == 1
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_validation(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"no_such_field": 3}')

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,43 @@ def test_generate_rejects_bad_args():
         inst.generate(3, seed=1, map_size=(0.0, 100.0))
     with pytest.raises(ValueError):
         inst.generate(3, seed=-1)
+
+
+NONFINITE = [("r_sense", math.nan), ("r_sense", math.inf),
+             ("turn_radius", math.nan), ("turn_radius", math.inf),
+             ("map_width", math.nan), ("map_width", math.inf),
+             ("map_height", math.nan), ("map_height", math.inf)]
+
+
+@pytest.mark.parametrize("name, value", NONFINITE)
+def test_instance_rejects_nonfinite_sizes(name, value):
+    x = inst.generate(3, seed=1)
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        dataclasses.replace(x, **{name: value})
+
+
+@pytest.mark.parametrize("name, value", NONFINITE)
+def test_load_rejects_nonfinite_sizes(tmp_path, name, value):
+    p = tmp_path / "i.txt"
+    inst.save(inst.generate(3, seed=1, map_size=(300.0, 300.0)), p)
+    field, col = {"r_sense": ("sense", 1), "turn_radius": ("turn", 1),
+                  "map_width": ("map", 1), "map_height": ("map", 2)}[name]
+    lines = p.read_text().splitlines()
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] == field:
+            parts[col] = repr(value)
+            lines[i] = " ".join(parts)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(inst.InstanceFormatError,
+                       match=f"{name} must be positive and finite"):
+        inst.load(p)
+
+
+@pytest.mark.parametrize("size", [(math.nan, 100.0), (100.0, math.inf)])
+def test_generate_rejects_nonfinite_map(size):
+    with pytest.raises(ValueError, match="positive and finite"):
+        inst.generate(3, seed=1, map_size=size)
 
 
 def test_task_within_sense_of_start():
