@@ -68,6 +68,22 @@ def test_load_rejects_nonfinite_sizes(tmp_path, name, value):
         inst.load(p)
 
 
+@pytest.mark.parametrize("start", [(math.nan, 5.0, 0.0), (5.0, math.inf, 0.0),
+                                   (5.0, 5.0, math.nan)])
+def test_instance_and_load_reject_nonfinite_start(tmp_path, start):
+    x = inst.generate(3, seed=1)
+    with pytest.raises(ValueError, match="start pose must be finite"):
+        dataclasses.replace(x, start=Pose(*start))
+    p = tmp_path / "i.txt"
+    inst.save(x, p)
+    p.write_text("".join(
+        "start {!r} {!r} {!r}\n".format(*start) if l.startswith("start ")
+        else l for l in p.read_text().splitlines(True)))
+    with pytest.raises(inst.InstanceFormatError,
+                       match="start pose must be finite"):
+        inst.load(p)
+
+
 @pytest.mark.parametrize("size", [(math.nan, 100.0), (100.0, math.inf)])
 def test_generate_rejects_nonfinite_map(size):
     with pytest.raises(ValueError, match="positive and finite"):
