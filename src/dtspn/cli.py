@@ -47,6 +47,11 @@ def _summary(stage: str, **kv) -> None:
     print(" ".join(parts))
 
 
+def _last(curve) -> float:
+    """The last entry of a per-epoch or per-batch curve, nan if none ran."""
+    return curve[-1] if curve else float("nan")
+
+
 def _load_config(path: Optional[str]):
     """Split a flat JSON dict into env-config and train-config overrides.
     Unknown keys and values whose JSON type does not match their field
@@ -171,8 +176,9 @@ def cmd_train_bc(args) -> int:
     _, critic = critic_init(dataset, bundle, tc)
     save_bundle(bundle, out)
     _summary("train-bc", demos=len(dataset), epochs=tc.bc_epochs,
-             val_acc=metrics["val_acc"][-1], val_loss=metrics["val_loss"][-1],
-             critic_val_mse=critic["val_mse"][-1], out=out)
+             val_acc=_last(metrics["val_acc"]),
+             val_loss=_last(metrics["val_loss"]),
+             critic_val_mse=_last(critic["val_mse"]), out=out)
     return 0
 
 
@@ -227,7 +233,7 @@ def cmd_train_ppo(args) -> int:
     finite = [c for c in curve if np.isfinite(c)]
     _summary("train-ppo", steps=tc.steps_budget, pool=len(pool),
              best_avg_return=max(finite) if finite else float("nan"),
-             last_avg_return=curve[-1] if curve else float("nan"),
+             last_avg_return=_last(curve),
              wall_s=time.perf_counter() - t0,
              out=out)
     return 0

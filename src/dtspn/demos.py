@@ -14,10 +14,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .dubins import Pose
-from .env import (PRIV_DIM, DtspnEnv, EnvConfig, Observation, advance,
-                  config_for, run_episode)
-from .expert import ExpertPath, plan
+from .dubins import Pose, advance
+from .env import (PRIV_DIM, DtspnEnv, EnvConfig, Observation, config_for,
+                  run_episode)
+from .expert import MAX_POSES_PER_TASK, ExpertPath, plan
 from .instance import Instance, generate
 from .learn import discounted_return
 
@@ -26,8 +26,6 @@ MAGIC = b"DTSPDEMO"
 # header would track different expert paths.
 VERSION = 2
 GAMMA = 0.95
-# Most sampled poses per task; the planner's pose-pair costs grow as N^2.
-MAX_POSES_PER_TASK = 256
 
 _HEADER = struct.Struct("<8sII4d3dIIddBIIIII")
 

@@ -2,14 +2,15 @@
 
 A Dubins path for a forward-only vehicle with minimum turning radius rho is
 one of six segment words (LSL, RSR, LSR, RSL, RLR, LRL).  This module finds
-the minimum-length word for a pose pair, evaluates lengths in bulk for cost
-matrices, and samples poses exactly on the path arc.
+the minimum-length words for pose pairs, evaluates lengths in bulk for cost
+matrices, and samples poses exactly on the path arc with advance, the one
+exact-arc step that the simulator flies too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,19 +75,14 @@ class DubinsPath:
     rho: float
 
 
-def _apply_segment(x, y, theta, kind, param, rho):
-    """Advance a pose along one exact segment (no chord approximation)."""
-    if kind == "S":
-        return x + param * math.cos(theta), y + param * math.sin(theta), theta
-    if kind == "L":
-        t2 = theta + param
-        return (x + rho * (math.sin(t2) - math.sin(theta)),
-                y - rho * (math.cos(t2) - math.cos(theta)),
-                t2)
-    # right turn: heading decreases
-    t2 = theta - param
-    return (x - rho * (math.sin(t2) - math.sin(theta)),
-            y + rho * (math.cos(t2) - math.cos(theta)),
+def advance(x, y, theta, omega, v, dt):
+    """One exact kinematic step at constant turn rate (arc, not chord)."""
+    if omega == 0.0:
+        return x + v * dt * math.cos(theta), y + v * dt * math.sin(theta), theta
+    t2 = theta + omega * dt
+    r = v / omega
+    return (x + r * (math.sin(t2) - math.sin(theta)),
+            y - r * (math.cos(t2) - math.cos(theta)),
             t2)
 
 
@@ -210,8 +206,9 @@ def _segments(a, b, rho):
     return t, p, q, ok
 
 
-def shortest_path(start: Pose, end: Pose, rho: float) -> DubinsPath:
-    """Minimum-length Dubins path from start to end with turning radius rho.
+def shortest_paths(starts, ends, rho: float) -> list[DubinsPath]:
+    """Minimum-length Dubins path of each (start, end) pose pair with
+    turning radius rho, through one kernel call.
 
     Every pose pair admits at least one word, so this always succeeds.
     Near-zero segments are clamped to exactly zero; length ties within 1e-9
@@ -219,18 +216,28 @@ def shortest_path(start: Pose, end: Pose, rho: float) -> DubinsPath:
     """
     if rho <= 0.0:
         raise ValueError("turning radius must be positive")
-    t, p, q, ok = (x[:, 0] for x in
-                   _segments(pose_array([start]), pose_array([end]), rho))
-    best = None
-    best_cost = math.inf
-    for k in np.nonzero(ok)[0]:
-        cost = t[k] + p[k] + q[k]
-        if cost < best_cost - 1e-9:
-            best, best_cost = k, cost
-    word = WORDS[best]
-    straight = rho if word[1] == "S" else 1.0
-    params = (float(t[best]), float(p[best]) * straight, float(q[best]))
-    return DubinsPath(start=start, word=word, segment_params=params, rho=rho)
+    if len(starts) != len(ends):
+        raise ValueError(f"{len(starts)} start poses but {len(ends)} end poses")
+    t, p, q, ok = (x.T.tolist() for x in
+                   _segments(pose_array(starts), pose_array(ends), rho))
+    paths = []
+    for start, tk, pk, qk, okk in zip(starts, t, p, q, ok):
+        best, best_cost = None, math.inf
+        for k in range(len(WORDS)):
+            cost = tk[k] + pk[k] + qk[k]
+            if okk[k] and cost < best_cost - 1e-9:
+                best, best_cost = k, cost
+        word = WORDS[best]
+        straight = rho if word[1] == "S" else 1.0
+        params = (tk[best], pk[best] * straight, qk[best])
+        paths.append(DubinsPath(start=start, word=word, segment_params=params,
+                                rho=rho))
+    return paths
+
+
+def shortest_path(start: Pose, end: Pose, rho: float) -> DubinsPath:
+    """shortest_paths on one (start, end) pair."""
+    return shortest_paths([start], [end], rho)[0]
 
 
 def path_length(path: DubinsPath) -> float:
@@ -256,13 +263,15 @@ def _pose_at(path: DubinsPath, s: float) -> Pose:
     x, y, theta = path.start.x, path.start.y, path.start.theta
     remaining = s
     for kind, full_param, seg_len in zip(path.word, (t, p, q), lengths):
+        # an advance for a time of param: turn rate +-1 at speed rho, or 0 at 1
+        omega = {"L": 1.0, "S": 0.0, "R": -1.0}[kind]
+        v = path.rho if omega else 1.0
         if remaining >= seg_len:
-            x, y, theta = _apply_segment(x, y, theta, kind, full_param, path.rho)
+            x, y, theta = advance(x, y, theta, omega, v, full_param)
             remaining -= seg_len
         else:
             frac = remaining / seg_len if seg_len > 0.0 else 0.0
-            x, y, theta = _apply_segment(x, y, theta, kind, full_param * frac, path.rho)
-            remaining = 0.0
+            x, y, theta = advance(x, y, theta, omega, v, full_param * frac)
             break
     return Pose(x, y, theta)
 

@@ -1,6 +1,6 @@
 """DTSPN MDP simulator.
 
-Exact-arc Dubins stepping over a discrete turn-rate action set, monotone
+Exact-arc Dubins stepping (dubins.advance) over a discrete turn-rate action set, monotone
 per-task sensing flags, common/privileged state encodings, the two-part
 reward R = R^I + R^G with the imitation term keyed to the distance from the
 expert polyline, and the episode loop every caller but PPO rolls through.
@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .dubins import normalize_angle
+from .dubins import advance, normalize_angle
 from .expert import ExpertPath
 from .instance import Instance
 
@@ -84,17 +84,6 @@ def config_for(instance: Instance, config: Optional[EnvConfig]) -> EnvConfig:
     if config is None:
         return EnvConfig(turn_radius=instance.turn_radius)
     return config
-
-
-def advance(x, y, theta, omega, v, dt):
-    """One exact kinematic step at constant turn rate (arc, not chord)."""
-    if omega == 0.0:
-        return x + v * dt * math.cos(theta), y + v * dt * math.sin(theta), theta
-    t2 = theta + omega * dt
-    r = v / omega
-    return (x + r * (math.sin(t2) - math.sin(theta)),
-            y - r * (math.cos(t2) - math.cos(theta)),
-            t2)
 
 
 def imitation_reward(r: float) -> float:

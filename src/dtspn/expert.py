@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dubins import (TWO_PI, Pose, length_matrix, path_length, pose_array,
-                     sample_path, shortest_path)
+                     sample_path, shortest_paths)
 from .instance import Instance
 
 # Smallest path-length decrease (m) that counts as an improvement, so float
@@ -37,6 +37,9 @@ DP_CHUNK_ELEMENTS = 1 << 21
 # descent) against 41 ms (medians over 10 instances).
 RESTART_WORK = 1 << 22
 
+# Most sampled poses per task; the planner's pose-pair costs grow as N^2.
+MAX_POSES_PER_TASK = 256
+
 
 class SensingGap(RuntimeError):
     """A stitched expert path failed to sense some task (internal error:
@@ -47,14 +50,6 @@ class SensingGap(RuntimeError):
                          f"(closest approach {distance:.3f} m)")
         self.task = task
         self.distance = distance
-
-
-class ExpertFormatError(ValueError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,9 @@ class ExpertPath:
 def sample_poses(instance: Instance, n_pos: int, n_head: int) -> PoseClusterSet:
     """n_pos positions equally spaced on a circle of radius 0.8 * r_sense
     around each task, each with n_head equally spaced headings."""
-    if n_pos < 1 or n_head < 1:
-        raise ValueError(f"n_pos and n_head must be >= 1, got ({n_pos}, {n_head})")
+    if n_pos < 1 or n_head < 1 or n_pos * n_head > MAX_POSES_PER_TASK:
+        raise ValueError(f"n_pos and n_head must be >= 1 and n_pos * n_head "
+                         f"<= {MAX_POSES_PER_TASK}, got ({n_pos}, {n_head})")
     radius = 0.8 * instance.r_sense
     headings = [TWO_PI * k / n_head for k in range(n_head)]
     clusters = []
@@ -342,8 +338,8 @@ def plan(instance: Instance, n_pos: int = 8, n_head: int = 4,
 
     waypoints = [visiting[0]]
     total = 0.0
-    for a, b in zip(visiting, visiting[1:]):
-        leg = shortest_path(a, b, instance.turn_radius)
+    for leg in shortest_paths(visiting[:-1], visiting[1:],
+                              instance.turn_radius):
         total += path_length(leg)
         waypoints.extend(sample_path(leg, step_dist)[1:])
 
@@ -364,6 +360,7 @@ def plan(instance: Instance, n_pos: int = 8, n_head: int = 4,
 
 
 def save(ep: ExpertPath, path) -> None:
+    """Write ep as dtspn-expert v1 text, for inspection: no stage reads it."""
     lines = ["dtspn-expert v1",
              f"length {ep.total_length!r}",
              "order " + " ".join(str(i) for i in ep.sensed_order)]
@@ -371,45 +368,3 @@ def save(ep: ExpertPath, path) -> None:
         lines.append(f"wp {p.x!r} {p.y!r} {p.theta!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load(path) -> ExpertPath:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ExpertFormatError(f"not UTF-8 text (byte {exc.start})")
-    if not raw or raw[0].strip() != "dtspn-expert v1":
-        raise ExpertFormatError("missing 'dtspn-expert v1' header", line=1)
-    length = None
-    order = None
-    waypoints = []
-    for line_no, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, *parts = line.split()
-        try:
-            if key == "length":
-                length = float(parts[0])
-            elif key == "order":
-                order = tuple(int(p) for p in parts)
-            elif key == "wp":
-                if len(parts) != 3:
-                    raise ExpertFormatError(
-                        f"field 'wp' expects 3 numbers, got {len(parts)}", line_no)
-                waypoints.append(Pose(*(float(p) for p in parts)))
-            else:
-                raise ExpertFormatError(f"unknown field '{key}'", line_no)
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, ExpertFormatError):
-                raise
-            raise ExpertFormatError(f"bad value in field '{key}': {parts}", line_no)
-    if length is None:
-        raise ExpertFormatError("missing field 'length'")
-    if order is None:
-        raise ExpertFormatError("missing field 'order'")
-    if not waypoints:
-        raise ExpertFormatError("missing field 'wp' (no waypoints)")
-    return ExpertPath(waypoints=tuple(waypoints), total_length=length,
-                      sensed_order=order)

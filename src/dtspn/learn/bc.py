@@ -56,6 +56,8 @@ def regress(net, inputs, targets, lr: float, batch: int, epochs: int,
     """Fit net to targets (one row per input row) by minibatch squared
     error under its own Adam state, in a fresh rng.permutation order each
     epoch.  Yields each epoch's training squared error per row."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     state = AdamState.for_network(net)
     n = len(inputs)
     for _ in range(epochs):

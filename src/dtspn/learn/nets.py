@@ -103,12 +103,6 @@ def forward_cached(params: NetworkParams, x: np.ndarray):
     return cache[-1], cache
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    xs = np.asarray(x, dtype=float)
-    out, _ = forward_cached(params, xs)
-    return out[0] if xs.ndim == 1 else out
-
-
 def backward(params: NetworkParams, cache, upstream: np.ndarray):
     """Gradients of sum(output * upstream) w.r.t. parameters and input.
 
@@ -130,12 +124,6 @@ def backward(params: NetworkParams, cache, upstream: np.ndarray):
         if i > 0:
             g = g * (1.0 - cache[i] ** 2)
     return gws, gbs, g
-
-
-def gradients(params: NetworkParams, x: np.ndarray, upstream: np.ndarray):
-    """Convenience single-call version of forward_cached + backward."""
-    _, cache = forward_cached(params, x)
-    return backward(params, cache, upstream)
 
 
 @dataclass
@@ -250,12 +238,6 @@ def init_bundle(common_dim: int, priv_dim: int = 12, z_dim: int = Z_DIM,
     return ModelBundle(enc, pol, cri, ada)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     m = logits.max(axis=-1, keepdims=True)
     return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
@@ -317,7 +299,7 @@ def act(bundle: ModelBundle, common_obs: np.ndarray, use_privileged: bool,
         return int(logits.argmax())
     if rng is None:
         raise ValueError("sampling requires an rng")
-    return int(sample_categorical(softmax(logits), rng)[0])
+    return int(sample_categorical(np.exp(log_softmax(logits)), rng)[0])
 
 
 def _pack_network(params: NetworkParams) -> bytes:

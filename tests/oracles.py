@@ -9,8 +9,11 @@ differences.  Slower than the real code on purpose.  The exceptions are:
   words only where they are feasible and wrapped angles with fmod: every
   word on every pair, wrapped with %.  It is kept as the byte-for-byte
   reference for the kernel.
-- path_endpoint, which flies a path with the package's own exact segment
-  step (_apply_segment).
+- apply_segment and reference_pose_at, the sampler's per-segment step as it
+  was before sample_path flew segments with advance, the simulator's step.
+  They are kept as the byte-for-byte reference for sample_path.
+- forward, gradients and softmax, one-call conveniences over the package's
+  forward_cached and backward that only tests use.
 - ReferenceBatch, EnvBatch with the array-level sensing and common encoding
   it ran before its per-row pass: it shares EnvBatch's loading, kinematics,
   expert distance and privileged encoding, and is kept as the byte-for-byte
@@ -23,9 +26,10 @@ import math
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar, root
 
-from dtspn.dubins import SEGMENT_EPS, Pose, _apply_segment, normalize_angle
+from dtspn.dubins import SEGMENT_EPS, Pose, normalize_angle
 from dtspn.env import (ALL, EnvBatch, RewardBreakdown, advance,
                        encode_privileged, goal_reward, imitation_reward)
+from dtspn.learn.nets import backward, forward_cached
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,11 +57,42 @@ _CSC_SIDES = {"LSL": (1, 1), "RSR": (-1, -1), "LSR": (1, -1), "RSL": (-1, 1)}
 _CCC_SIDES = {"LRL": 1, "RLR": -1}
 
 
-def path_endpoint(path):
-    """Pose at the end of a DubinsPath."""
+def apply_segment(x, y, theta, kind, param, rho):
+    """Advance a pose along one exact segment (no chord approximation)."""
+    if kind == "S":
+        return x + param * math.cos(theta), y + param * math.sin(theta), theta
+    if kind == "L":
+        t2 = theta + param
+        return (x + rho * (math.sin(t2) - math.sin(theta)),
+                y - rho * (math.cos(t2) - math.cos(theta)),
+                t2)
+    # right turn: heading decreases
+    t2 = theta - param
+    return (x - rho * (math.sin(t2) - math.sin(theta)),
+            y + rho * (math.cos(t2) - math.cos(theta)),
+            t2)
+
+
+def reference_pose_at(path, s):
+    """Pose after arc length s along a DubinsPath, stepped by apply_segment."""
+    t, p, q = path.segment_params
+    lengths = (
+        path.rho * t,
+        p if path.word[1] == "S" else path.rho * p,
+        path.rho * q,
+    )
     x, y, theta = path.start.x, path.start.y, path.start.theta
-    for kind, param in zip(path.word, path.segment_params):
-        x, y, theta = _apply_segment(x, y, theta, kind, param, path.rho)
+    remaining = s
+    for kind, full_param, seg_len in zip(path.word, (t, p, q), lengths):
+        if remaining >= seg_len:
+            x, y, theta = apply_segment(x, y, theta, kind, full_param, path.rho)
+            remaining -= seg_len
+        else:
+            frac = remaining / seg_len if seg_len > 0.0 else 0.0
+            x, y, theta = apply_segment(x, y, theta, kind, full_param * frac,
+                                        path.rho)
+            remaining = 0.0
+            break
     return Pose(x, y, theta)
 
 
@@ -525,6 +560,25 @@ def gtsp_search_full_rescoring(cost, cluster_of, n_clusters, improve_eps,
         slot = int(np.argmin(v + blocks[a, b][:, slot]))
         chosen.append(slot)
     return [int(nodes[c, s]) for c, s in zip(order, reversed(chosen))]
+
+
+def forward(params, x):
+    """Network output of one input row (1-D x) or of a batch of rows."""
+    xs = np.asarray(x, dtype=float)
+    out, _ = forward_cached(params, xs)
+    return out[0] if xs.ndim == 1 else out
+
+
+def gradients(params, x, upstream):
+    """forward_cached then backward, in one call."""
+    _, cache = forward_cached(params, x)
+    return backward(params, cache, upstream)
+
+
+def softmax(logits):
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def fd_gradients(fun, arrays, h=1e-5):

@@ -21,9 +21,10 @@ from dtspn.instance import generate
 from dtspn.learn import (ModelBundle, TrainConfig, act, bc_pretrain,
                          critic_init, distill_adaptation, init_bundle,
                          ppo_finetune)
-from dtspn.learn.nets import backward, forward, forward_cached, init_network
+from dtspn.learn.nets import backward, forward_cached, init_network
 
-from oracles import dubins_oracle_length, gtsp_brute_force, straight_step, turn_step
+from oracles import (dubins_oracle_length, forward, gtsp_brute_force,
+                     straight_step, turn_step)
 
 
 def report(n, label, ok, detail):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import dtspn.dubins as dubins_mod
 from dtspn.dubins import (
     TWO_PI,
+    DubinsPath,
     Pose,
     WORDS,
     _segments,
@@ -19,11 +20,12 @@ from dtspn.dubins import (
     sample_path,
     shortest_path,
     shortest_path_length,
+    shortest_paths,
 )
 from dtspn.expert import sample_poses
 from dtspn.instance import generate
-from oracles import (dubins_oracle_length, path_endpoint, reference_segments,
-                     straight_step, turn_step, wrap)
+from oracles import (dubins_oracle_length, reference_pose_at,
+                     reference_segments, straight_step, turn_step, wrap)
 
 RHO = 30.0
 
@@ -62,9 +64,9 @@ def test_collinear_aligned_poses_give_straight_path():
 def test_semicircle_turn():
     path = shortest_path(Pose(0, 0, 0), Pose(0, 60, math.pi), RHO)
     assert path_length(path) == pytest.approx(30.0 * math.pi, abs=1e-9)
-    end = path_endpoint(path)
-    assert end.x == pytest.approx(0.0, abs=1e-9)
-    assert end.y == pytest.approx(60.0, abs=1e-9)
+    x, y, _ = reconstruct(path)
+    assert x == pytest.approx(0.0, abs=1e-9)
+    assert y == pytest.approx(60.0, abs=1e-9)
 
 
 def test_shortest_path_is_deterministic():
@@ -154,6 +156,39 @@ def test_sample_path_semicircle_lies_on_circle():
     step = path_length(path) / (len(samples) - 1)
     for a, b in zip(samples, samples[1:]):
         assert wrap(b.theta - a.theta) == pytest.approx(step / RHO, abs=1e-9)
+
+
+def test_shortest_paths_pairs_up_starts_and_ends():
+    a, b = Pose(0.0, 0.0, 0.0), Pose(100.0, 0.0, 0.0)
+    assert shortest_paths([], [], RHO) == []
+    assert shortest_paths([a, b], [b, a], RHO) == [shortest_path(a, b, RHO),
+                                                   shortest_path(b, a, RHO)]
+    with pytest.raises(ValueError):
+        shortest_paths([a, b], [b], RHO)
+    with pytest.raises(ValueError):
+        shortest_paths([a], [b], 0.0)
+
+
+segment_params = st.one_of(st.just(0.0), st.floats(1e-12, 2.0 * math.pi))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.builds(Pose, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                 st.floats(-4.0, 4.0)),
+       st.sampled_from(WORDS), segment_params, segment_params,
+       st.one_of(st.just(0.0), st.floats(1e-12, 500.0)), segment_params,
+       st.sampled_from((RHO, 1.0, 7.25, 55.5)), st.floats(0.5, 40.0))
+def test_sample_path_keeps_the_segment_step_bits(start, word, t, p_turn,
+                                                 p_straight, q, rho, spacing):
+    # zero-length segments included; the middle parameter is a length for
+    # CSC words and a turn angle for CCC words
+    p = p_straight if word[1] == "S" else p_turn
+    path = DubinsPath(start=start, word=word, segment_params=(t, p, q),
+                      rho=rho)
+    with mock.patch.object(dubins_mod, "_pose_at", reference_pose_at):
+        ref = sample_path(path, spacing)
+    got = sample_path(path, spacing)
+    assert pose_array(got).tobytes() == pose_array(ref).tobytes()
 
 
 def test_sample_path_endpoints_and_spacing():
@@ -329,7 +364,8 @@ def reference(fn, *args):
 def assert_matches_reference(a, b, pairs):
     """Pose rows a (n, 3) against b (m, 3): feasibility and every feasible
     word's (t, p, q), the length matrix, and the shortest paths of the
-    (i, j) pairs listed keep the reference kernel's bits."""
+    (i, j) pairs listed, one pair at a time and all in one shortest_paths
+    call, keep the reference kernel's bits."""
     new = _segments(a[:, None], b[None], RHO)
     old = reference_segments(a[:, None], b[None], RHO)
     ok = old[3]
@@ -338,12 +374,15 @@ def assert_matches_reference(a, b, pairs):
         assert np.where(ok, x, 0.0).tobytes() == np.where(ok, y, 0.0).tobytes()
     assert (length_matrix(a, b, RHO).tobytes()
             == reference(length_matrix, a, b, RHO).tobytes())
-    for i, j in pairs:
-        s, e = Pose(*a[i]), Pose(*b[j])
-        path, ref = shortest_path(s, e, RHO), reference(shortest_path, s, e, RHO)
-        assert path.word == ref.word
-        assert (np.array(path.segment_params).tobytes()
-                == np.array(ref.segment_params).tobytes())
+    starts = [Pose(*a[i]) for i, _ in pairs]
+    ends = [Pose(*b[j]) for _, j in pairs]
+    batched = shortest_paths(starts, ends, RHO)
+    for s, e, one in zip(starts, ends, batched):
+        ref = reference(shortest_path, s, e, RHO)
+        for path in (shortest_path(s, e, RHO), one):
+            assert path.word == ref.word
+            assert (np.array(path.segment_params).tobytes()
+                    == np.array(ref.segment_params).tobytes())
 
 
 @pytest.mark.parametrize("n_tasks, span", [(3, 300.0), (20, 800.0)])

@@ -10,7 +10,7 @@ from dtspn.demos import collect, collect_batch, load_dataset, tracker
 from dtspn.env import DtspnEnv, run_episode
 from dtspn.evaluate import (Metrics, benchmark_speed, evaluate,
                             load_episode_csv, save_episode_csv)
-from dtspn.expert import SensingGap, load as load_expert, plan
+from dtspn.expert import SensingGap, plan
 from dtspn.instance import generate, load as load_instance
 from dtspn.learn import init_bundle, load_bundle, save_bundle
 from dtspn.svg import emit_trajectory_svg
@@ -225,6 +225,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def expert_waypoints(path):
+    """The (x, y, theta) rows of the wp lines of a dtspn-expert v1 file."""
+    with open(path, encoding="utf-8") as f:
+        return np.array([[float(v) for v in line.split()[1:]]
+                         for line in f if line.startswith("wp ")])
+
+
 def test_cli_gen_and_errors(tmp_path, capsys):
     out = tmp_path / "i.txt"
     assert run_cli("gen", "--tasks", "4", "--seed", "9",
@@ -336,8 +343,7 @@ def test_cli_full_pipeline_desk_scale(tmp_path, capsys):
                    "--out", f"{d}/i.txt") == 0
     assert run_cli("expert", "--instance", f"{d}/i.txt",
                    "--out", f"{d}/path.txt") == 0
-    ep = load_expert(f"{d}/path.txt")
-    assert len(ep.waypoints) > 2
+    assert len(expert_waypoints(f"{d}/path.txt")) > 2
 
     assert run_cli("demos", *shared, "--seed", "830", "--demos", "8",
                    "--out", f"{d}/demos.bin") == 0
@@ -451,13 +457,53 @@ def test_cli_train_ppo_with_no_steps_saves_the_unchanged_bundle(tmp_path,
         assert a.read() == b.read()
 
 
+@pytest.fixture(scope="module")
+def tiny_demos(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("demos") / "demos.bin")
+    assert run_cli("demos", "--tasks", "2", "--map", "300", "300",
+                   "--seed", "870", "--demos", "4", "--out", path) == 0
+    return path
+
+
+def test_cli_train_bc_with_no_epochs_saves_the_initial_bundle(tmp_path,
+                                                              capsys,
+                                                              tiny_demos):
+    d = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"bc_epochs": 0}')
+    assert run_cli("train-bc", "--data", tiny_demos, "--config", str(cfg),
+                   "--out", f"{d}/bc.ckpt") == 0
+    assert "val_acc=nan val_loss=nan critic_val_mse=nan" in \
+        capsys.readouterr().out
+    save_bundle(init_bundle(11, seed=0), f"{d}/fresh.ckpt")
+    with open(f"{d}/bc.ckpt", "rb") as a, open(f"{d}/fresh.ckpt", "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_cli_distill_rejects_negative_epochs(tmp_path, capsys, tiny_demos):
+    d = str(tmp_path)
+    save_bundle(init_bundle(11, seed=0), f"{d}/b.ckpt")
+    assert run_cli("distill", "--data", tiny_demos, "--ckpt", f"{d}/b.ckpt",
+                   "--epochs", "-3", "--out", f"{d}/out.ckpt") == 1
+    assert "epochs must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(f"{d}/out.ckpt")
+
+
+def test_cli_expert_rejects_a_pose_budget_over_the_bound(tmp_path, capsys):
+    out = str(tmp_path / "path.txt")
+    assert run_cli("expert", "--tasks", "1", "--pos", "17", "--heads", "16",
+                   "--out", out) == 1
+    assert "256" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cli_expert_spacing_follows_config(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"dt": 0.1}')
     out = str(tmp_path / "path.txt")
     assert run_cli("expert", "--tasks", "3", "--map", "300", "300",
                    "--seed", "4", "--config", str(cfg), "--out", out) == 0
-    w = load_expert(out).waypoint_array()
+    w = expert_waypoints(out)
     gaps = np.hypot(*np.diff(w[:, :2], axis=0).T)
     assert gaps.max() <= 0.6 * np.pi * 30.0 * 0.1 + 1e-9
 

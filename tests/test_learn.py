@@ -13,14 +13,14 @@ from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
                          NetworkParams, TrainConfig, act, adam_step,
                          bc_pretrain, clipped_surrogate, compute_gae,
                          critic_init, distill_adaptation, episode_split,
-                         forward, gradients, init_bundle, init_network,
-                         load_bundle, ppo_finetune, return_to_go,
-                         sample_categorical, save_bundle, softmax)
+                         init_bundle, init_network, load_bundle, ppo_finetune,
+                         return_to_go, sample_categorical, save_bundle)
 from dtspn.learn.bc import regress
 from dtspn.learn.nets import (CKPT_MAGIC, CKPT_VERSION, _pack_network,
                               actor_forward)
 
-from oracles import discounted_returns, fd_gradients
+from oracles import (discounted_returns, fd_gradients, forward, gradients,
+                     softmax)
 
 
 def small_net(dims, seed=0):
