@@ -217,7 +217,7 @@ def shortest_paths(starts, ends, rho: float) -> list[DubinsPath]:
     if rho <= 0.0:
         raise ValueError("turning radius must be positive")
     if len(starts) != len(ends):
-        raise ValueError(f"{len(starts)} start poses but {len(ends)} end poses")
+        raise ValueError(f"{len(starts)} starts but {len(ends)} ends")
     t, p, q, ok = (x.T.tolist() for x in
                    _segments(pose_array(starts), pose_array(ends), rho))
     paths = []

@@ -1,6 +1,6 @@
 """DTSPN MDP simulator.
 
-Exact-arc Dubins stepping (dubins.advance) over a discrete turn-rate action set, monotone
+Exact-arc Dubins stepping over a discrete turn-rate action set, monotone
 per-task sensing flags, common/privileged state encodings, the two-part
 reward R = R^I + R^G with the imitation term keyed to the distance from the
 expert polyline, and the episode loop every caller but PPO rolls through.
