@@ -1,7 +1,7 @@
 """Dubins TSP with neighborhoods: heuristic expert, MDP environment, and
 privileged-information policy learning."""
 
-from .dubins import Pose, DubinsPath, shortest_path, shortest_path_length, path_length, sample_path
+from .dubins import Pose, DubinsPath, shortest_path, path_length, sample_path
 from .instance import Instance, generate
 from .expert import ExpertPath, plan
 from .env import DtspnEnv, EnvConfig, Observation
@@ -16,7 +16,6 @@ __all__ = [
     "Pose",
     "DubinsPath",
     "shortest_path",
-    "shortest_path_length",
     "path_length",
     "sample_path",
     "Instance",

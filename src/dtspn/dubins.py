@@ -248,10 +248,6 @@ def path_length(path: DubinsPath) -> float:
     return path.rho * (t + p + q)
 
 
-def shortest_path_length(start: Pose, end: Pose, rho: float) -> float:
-    return path_length(shortest_path(start, end, rho))
-
-
 def _pose_at(path: DubinsPath, s: float) -> Pose:
     """Pose after arc length s along the path."""
     t, p, q = path.segment_params

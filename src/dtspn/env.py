@@ -11,9 +11,10 @@ batch, which run_episode rolls.  Per row, the kinematics, the sensing
 test, the common encoding and the rewards run as one pass over Python
 floats, which for the few rows and tasks here costs less than numpy calls
 and keeps the scalar rounding (math's sin, cos and atan2, Python's pow)
-they were defined with.  The distance to the expert polyline and the
-privileged encoding run as array operations over all rows.  A row is
-byte-identical to a one-env run.
+they were defined with; with an expert path the privileged encoding joins
+that pass.  The distance to the expert polyline, over hundreds of segments
+per row, runs as array operations over all rows.  A row is byte-identical
+to a one-env run.
 """
 
 import math
@@ -137,36 +138,6 @@ class RewardBreakdown:
 
 PROGRESS_WINDOW = 8
 PRIV_DIM = 12               # four waypoints of (dx, dy, dtheta)
-# waypoints that encode_privileged may index past a row's last one
-WAYPOINT_PAD = PROGRESS_WINDOW + 4
-_SPAN = np.arange(WAYPOINT_PAD + 1)
-
-
-def encode_privileged(pose, progress, waypoints, frame):
-    """Next four expert waypoints, each as (dx, dy, dtheta) relative to the
-    agent pose; returns the (E, PRIV_DIM) rows and the advanced progress.
-
-    waypoints (E, W, 3) holds each row's polyline followed by at least
-    WAYPOINT_PAD copies of its last waypoint, which stand in for clamping
-    indices to it; frame (E, 3) holds each row's map half-extents hw, hh
-    and the larger of them.  progress moves to the nearest waypoint in a
-    short window ahead of the current one (the first, so never onto a copy).  Monotone, and the window keeps a self-crossing
-    tour from yanking progress across the crossing (waypoints are one env
-    step apart, so the agent gains at most one index per step)."""
-    rows = np.arange(len(pose))[:, None]
-    ahead = waypoints[rows, progress[:, None] + _SPAN] - pose[:, None]
-    window = ahead[:, :PROGRESS_WINDOW + 1]
-    gain = np.hypot(window[:, :, 0], window[:, :, 1]).argmin(axis=1)
-    out = []
-    for th, slots, k, scale in zip(pose[:, 2].tolist(), ahead.tolist(),
-                                   gain.tolist(), frame[:, 2].tolist()):
-        c, s = math.cos(th), math.sin(th)
-        row = []
-        for dx, dy, dth in slots[k + 1:k + 5]:
-            row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
-                    normalize_angle(dth) / math.pi)
-        out.append(row)
-    return np.array(out, dtype=float), progress + gain
 
 
 ALL = slice(None)
@@ -179,8 +150,8 @@ class EnvBatch:
     through reset(rows) and step(actions).  State is arrays with one row
     per env.  _pass tests a task against the substeps only within
     r_sense + step_dist of the step's end, which drops no hit: a chord is
-    no longer than its arc.  Expert polylines share one padded width: each
-    row repeats its last waypoint and segment, which leaves every
+    no longer than its arc.  Expert polylines share one padded width of
+    segments: each row repeats its last segment, which leaves every
     nearest-point minimum unchanged.  common and privileged hold each
     row's latest observation; they are replaced, never written in place,
     so rows handed out earlier keep their values.
@@ -195,18 +166,15 @@ class EnvBatch:
         self.n_tasks = first.n_tasks
         self.has_path = first.expert_path is not None
         e, n = len(envs), self.n_tasks
-        # per row: task (x, y) pairs, frame, r_sense^2, filter radius^2
+        # per row: task (x, y) pairs, frame (hw, hh, max(hw, hh)),
+        # r_sense^2, filter radius^2, expert waypoints (x, y, theta) or None
         self._consts = [None] * e
-        self._frame = np.empty((e, 3))          # hw, hh, max(hw, hh)
         self._start = np.empty((e, 3))
-        width = 1 + WAYPOINT_PAD + max(
-            len(env.expert_path.waypoints) if self.has_path else 0
-            for env in envs)
-        self._waypoints = np.zeros((e, width, 3))
-        # segment j of a row: start (x, y), vector (dx, dy), squared length
-        self._seg_start = np.zeros((e, 2, width))
-        self._seg_vec = np.zeros((e, 2, width))
-        self._seg_len2 = np.ones((e, width))
+        # segment j of a row: start (x, y), vector (dx, dy), squared length;
+        # _set_path widens them to the most segments loaded
+        self._seg_start = np.zeros((e, 2, 1))
+        self._seg_vec = np.zeros((e, 2, 1))
+        self._seg_len2 = np.ones((e, 1))
         self._no_distance = np.full(e, np.nan)
         self._no_distance.flags.writeable = False
         self.pose = np.zeros((e, 3))
@@ -229,35 +197,29 @@ class EnvBatch:
                              "count and expert-path presence")
         x = env.instance
         hw, hh = 0.5 * x.map_width, 0.5 * x.map_height
-        self._frame[i] = frame = hw, hh, max(hw, hh)
         # products overflow to inf where ** 2 raises OverflowError
         near = x.r_sense + self.config.step_dist
-        self._consts[i] = (x.task_array().tolist(), frame,
-                           x.r_sense * x.r_sense, near * near)
-        heading = x.start.theta
+        heading, waypoints = x.start.theta, None
         if self.has_path:
             wp = env.expert_path.waypoint_array()
-            heading = wp[0, 2]
+            heading, waypoints = wp[0, 2], wp.tolist()
             self._set_path(i, wp)
+        self._consts[i] = (x.task_array().tolist(), (hw, hh, max(hw, hh)),
+                           x.r_sense * x.r_sense, near * near, waypoints)
         self._start[i] = x.start.x, x.start.y, normalize_angle(heading)
         self.done[i] = True
 
     def _set_path(self, i: int, wp: np.ndarray) -> None:
+        # segment j runs from waypoint j to j + 1; one waypoint makes one
+        # zero-length segment, whose distance is to the waypoint
         n_w = len(wp)
-        grow = n_w + WAYPOINT_PAD - self._waypoints.shape[1]
+        m = max(n_w - 1, 1)
+        grow = m - self._seg_len2.shape[1]
         if grow > 0:
-            self._waypoints = np.concatenate(
-                [self._waypoints, np.repeat(self._waypoints[:, -1:], grow, 1)],
-                axis=1)
             for name in ("_seg_start", "_seg_vec", "_seg_len2"):
                 a = getattr(self, name)
                 setattr(self, name, np.concatenate(
                     [a, np.repeat(a[..., -1:], grow, -1)], axis=-1))
-        self._waypoints[i, :n_w] = wp
-        self._waypoints[i, n_w:] = wp[-1]
-        # segment j runs from waypoint j to j + 1; one waypoint makes one
-        # zero-length segment, whose distance is to the waypoint
-        m = max(n_w - 1, 1)
         start, vec, len2 = (self._seg_start[i], self._seg_vec[i],
                             self._seg_len2[i])
         start[:, :m] = wp[:m, 0:2].T
@@ -282,15 +244,24 @@ class EnvBatch:
         return np.sqrt(np.minimum.reduce(np.add.reduce(gap * gap, axis=1),
                                          axis=1))
 
-    def _pass(self, i, flags, x, y, th, path=()):
-        """Row i's sensing and common encoding at pose (x, y, th), reached
+    def _pass(self, i, flags, x, y, th, path=(), progress=0):
+        """Row i's sensing and observations at pose (x, y, th), reached
         through the earlier substep poses path.  Marks the tasks within
         range of any of those points in flags, row i's sensed list, and in
         the sensed array (one element at a time is cheapest).  Returns
         the common row [pose, per-task (dx, dy, bearing) in the body frame,
         flags], positions normalized by the map half-extents and angles by
-        pi, and the count of newly sensed tasks."""
-        tasks, (hw, hh, scale), r2, near2 = self._consts[i]
+        pi; the count of newly sensed tasks; and the privileged row with
+        the advanced progress (None and progress without an expert path).
+
+        The privileged row is the four expert waypoints after progress,
+        the last one standing in past the end, each as (dx, dy, dtheta) in
+        the body frame.  progress first moves to the nearest waypoint (the
+        first of equals) in a short window from it.  Monotone, and the
+        window keeps a self-crossing tour from yanking progress across the
+        crossing (waypoints are one env step apart, so the agent gains at
+        most one index per step)."""
+        tasks, (hw, hh, scale), r2, near2, waypoints = self._consts[i]
         c, s = math.cos(th), math.sin(th)
         row = [(x - hw) / hw, (y - hh) / hh, th / math.pi]
         newly = 0
@@ -306,15 +277,29 @@ class EnvBatch:
             row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
                     normalize_angle(math.atan2(dy, dx) - th) / math.pi
                     if dx or dy else 0.0)
-        return row + flags, newly
+        if waypoints is None:
+            return row + flags, newly, None, progress
+        nearest, gain = math.inf, 0
+        for j, (wx, wy, _) in enumerate(
+                waypoints[progress:progress + PROGRESS_WINDOW + 1]):
+            d = math.hypot(wx - x, wy - y)
+            if d < nearest:
+                nearest, gain = d, j
+        progress += gain
+        slots = waypoints[progress + 1:progress + 5]
+        priv = []
+        for wx, wy, wth in slots + waypoints[-1:] * (4 - len(slots)):
+            dx, dy = wx - x, wy - y
+            priv += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
+                     normalize_angle(wth - th) / math.pi)
+        return row + flags, newly, priv, progress
 
-    def _observe(self, rows, commons) -> None:
+    def _observe(self, rows, commons, privs, progress) -> None:
         common = np.array(commons, dtype=float)
         priv = None
         if self.has_path:
-            priv, self.progress[rows] = encode_privileged(
-                self.pose[rows], self.progress[rows], self._waypoints[rows],
-                self._frame[rows])
+            priv = np.array(privs, dtype=float)
+            self.progress[rows] = progress
         if rows is not ALL:
             common, c = self.common.copy(), common
             common[rows] = c
@@ -330,12 +315,12 @@ class EnvBatch:
         self.pose[rows] = start
         self.sensed[rows] = False
         self.t[rows] = 0
-        self.progress[rows] = 0
-        commons = [self._pass(i, [False] * self.n_tasks, *pose)[0]
-                   for i, pose in zip(np.arange(len(self.done))[rows].tolist(),
-                                      start.tolist())]
+        commons, _, privs, progress = zip(*(
+            self._pass(i, [False] * self.n_tasks, *pose)
+            for i, pose in zip(np.arange(len(self.done))[rows].tolist(),
+                               start.tolist())))
         self.all_sensed[rows] = self.done[rows] = self.sensed[rows].all(axis=1)
-        self._observe(rows, commons)
+        self._observe(rows, commons, privs, progress)
 
     def step(self, actions) -> RewardBreakdown:
         """Advance every row by its action (an (E,) int array of indices
@@ -353,18 +338,17 @@ class EnvBatch:
             if not 0 <= a < cfg.n_actions:
                 raise ValueError(f"action {a} out of range "
                                  f"[0, {cfg.n_actions})")
-        poses, commons, newly, all_sensed = [], [], [], []
+        poses, obs, all_sensed = [], [], []
         sensed = self.sensed.tolist()
-        for i, ((x, y, theta), a, flags) in enumerate(zip(
-                self.pose.tolist(), actions, sensed)):
+        for i, ((x, y, theta), a, flags, k) in enumerate(zip(
+                self.pose.tolist(), actions, sensed, self.progress.tolist())):
             path = [advance(x, y, theta, omegas[a], v, dt) for dt in substeps]
             x, y, theta = path.pop()
             theta = normalize_angle(theta)
-            row, k = self._pass(i, flags, x, y, theta, path)
+            obs.append(self._pass(i, flags, x, y, theta, path, k))
             poses.append((x, y, theta))
-            commons.append(row)
-            newly.append(k)
             all_sensed.append(False not in flags)
+        commons, newly, privs, progress = zip(*obs)
         self.pose = np.array(poses)
         t = [k + 1 for k in self.t.tolist()]
         self.t = np.array(t)
@@ -381,7 +365,7 @@ class EnvBatch:
                   in zip(newly, all_sensed, map(sum, sensed))]
         im, goal, total = np.array(
             [r_im, r_goal, [a + b for a, b in zip(r_im, r_goal)]])
-        self._observe(ALL, commons)
+        self._observe(ALL, commons, privs, progress)
         return RewardBreakdown(imitation=im, goal=goal, total=total, r=r,
                                newly_sensed=np.array(newly))
 

@@ -77,14 +77,14 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
     """
     if not instances:
         raise ValueError("no instances to evaluate")
-    n_tasks = instances[0].n_tasks
     paths = [None] * len(instances)
     if isinstance(policy, ModelBundle):
-        want = 3 + 4 * n_tasks
-        if policy.common_dim != want:
-            raise ValueError(
-                f"checkpoint expects common dim {policy.common_dim}, "
-                f"instances with {n_tasks} tasks produce {want}")
+        for x in instances:
+            want = 3 + 4 * x.n_tasks
+            if policy.common_dim != want:
+                raise ValueError(
+                    f"checkpoint expects common dim {policy.common_dim}, "
+                    f"instances with {x.n_tasks} tasks produce {want}")
         if pi_eval:
             paths = [plan(x, n_pos=n_pos, n_head=n_head,
                           step_dist=config_for(x, config).step_dist)
@@ -107,7 +107,7 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
             rec = run_episode(env, act_fn)
         records.append(rec)
 
-    rates = [r.n_sensed / n_tasks for r in records]
+    rates = [r.n_sensed / x.n_tasks for r, x in zip(records, instances)]
     times = [r.wall_time for r in records if r.sensed_all]
     metrics = Metrics(
         avg_reward=float(np.mean([r.total_reward() for r in records])),

@@ -77,21 +77,21 @@ def init_network(layer_dims: Sequence[int], rng: np.random.Generator,
     return NetworkParams(dims, weights, biases)
 
 
-def _as_batch(x: np.ndarray, d: int, what: str) -> Tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, d: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         if x.shape[0] != d:
             raise ValueError(f"{what}: expected dim {d}, got {x.shape[0]}")
-        return x[None, :], True
+        return x[None, :]
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"{what}: expected (batch, {d}), got {x.shape}")
-    return x, False
+    return x
 
 
 def forward_cached(params: NetworkParams, x: np.ndarray):
     """Returns (output, post-activation cache).  cache[i] is the input to
     layer i; cache[-1] is the network output."""
-    h, _ = _as_batch(x, params.in_dim, "forward input")
+    h = _as_batch(x, params.in_dim, "forward input")
     cache = [h]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -110,7 +110,7 @@ def backward(params: NetworkParams, cache, upstream: np.ndarray):
     grads, input grad); parameter grads are summed over the batch, so pass
     upstream already scaled by 1/batch for means.
     """
-    g, _ = _as_batch(upstream, params.out_dim, "upstream")
+    g = _as_batch(upstream, params.out_dim, "upstream")
     if g.shape[0] != cache[0].shape[0]:
         raise ValueError(f"upstream batch {g.shape[0]} != cached batch "
                          f"{cache[0].shape[0]}")

@@ -13,11 +13,14 @@ differences.  Slower than the real code on purpose.  The exceptions are:
   was before sample_path flew segments with advance, the simulator's step.
   They are kept as the byte-for-byte reference for sample_path.
 - forward, gradients and softmax, one-call conveniences over the package's
-  forward_cached and backward that only tests use.
-- ReferenceBatch, EnvBatch with the array-level sensing and common encoding
-  it ran before its per-row pass: it shares EnvBatch's loading, kinematics,
-  expert distance and privileged encoding, and is kept as the byte-for-byte
-  reference for the rest.
+  forward_cached and backward that only tests use, and shortest_path_length
+  over shortest_path and path_length.
+- encode_privileged, the simulator's privileged encoding as it ran over
+  arrays of padded waypoints before it joined the per-row pass.
+- ReferenceBatch, EnvBatch with the array-level sensing, common encoding
+  and privileged encoding it ran before its per-row pass: it shares
+  EnvBatch's loading, kinematics and expert distance, and is kept as the
+  byte-for-byte reference for the rest.
 """
 
 import itertools
@@ -26,9 +29,10 @@ import math
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar, root
 
-from dtspn.dubins import SEGMENT_EPS, Pose, normalize_angle
-from dtspn.env import (ALL, EnvBatch, RewardBreakdown, advance,
-                       encode_privileged, goal_reward, imitation_reward)
+from dtspn.dubins import (SEGMENT_EPS, Pose, normalize_angle, path_length,
+                          shortest_path)
+from dtspn.env import (ALL, PROGRESS_WINDOW, EnvBatch, RewardBreakdown,
+                       advance, goal_reward, imitation_reward)
 from dtspn.learn.nets import backward, forward_cached
 
 TWO_PI = 2.0 * math.pi
@@ -562,6 +566,10 @@ def gtsp_search_full_rescoring(cost, cluster_of, n_clusters, improve_eps,
     return [int(nodes[c, s]) for c, s in zip(order, reversed(chosen))]
 
 
+def shortest_path_length(start, end, rho):
+    return path_length(shortest_path(start, end, rho))
+
+
 def forward(params, x):
     """Network output of one input row (1-D x) or of a batch of rows."""
     xs = np.asarray(x, dtype=float)
@@ -631,6 +639,50 @@ def encode_common(pose, sensed, offsets, frame) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
+# waypoints that encode_privileged may index past a row's last one
+WAYPOINT_PAD = PROGRESS_WINDOW + 4
+_SPAN = np.arange(WAYPOINT_PAD + 1)
+
+
+def encode_privileged(pose, progress, waypoints, frame):
+    """Next four expert waypoints, each as (dx, dy, dtheta) relative to the
+    agent pose; returns the (E, PRIV_DIM) rows and the advanced progress.
+
+    waypoints (E, W, 3) holds each row's polyline followed by at least
+    WAYPOINT_PAD copies of its last waypoint, which stand in for clamping
+    indices to it; frame (E, 3) holds each row's map half-extents hw, hh
+    and the larger of them.  progress moves to the nearest waypoint in a
+    short window ahead of the current one (the first, so never onto a
+    copy)."""
+    rows = np.arange(len(pose))[:, None]
+    ahead = waypoints[rows, progress[:, None] + _SPAN] - pose[:, None]
+    window = ahead[:, :PROGRESS_WINDOW + 1]
+    gain = np.hypot(window[:, :, 0], window[:, :, 1]).argmin(axis=1)
+    out = []
+    for th, slots, k, scale in zip(pose[:, 2].tolist(), ahead.tolist(),
+                                   gain.tolist(), frame[:, 2].tolist()):
+        c, s = math.cos(th), math.sin(th)
+        row = []
+        for dx, dy, dth in slots[k + 1:k + 5]:
+            row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
+                    normalize_angle(dth) / math.pi)
+        out.append(row)
+    return np.array(out, dtype=float), progress + gain
+
+
+def padded_waypoints(path):
+    """path's waypoint array followed by WAYPOINT_PAD copies of its last
+    waypoint."""
+    wp = path.waypoint_array()
+    return np.vstack([wp, np.repeat(wp[-1:], WAYPOINT_PAD, axis=0)])
+
+
+def map_frame(x):
+    """Instance x's map half-extents and the larger of them."""
+    hw, hh = 0.5 * x.map_width, 0.5 * x.map_height
+    return np.array([hw, hh, max(hw, hh)])
+
+
 def sense(tasks, sense2, xy, sensed):
     """Mark in sensed, (rows, n), the tasks, (rows, 2, 1, n), within range
     (squared, (rows, 1, 1)) of any of the points xy, (rows, 2, k), testing
@@ -646,13 +698,16 @@ def sense(tasks, sense2, xy, sensed):
 
 class ReferenceBatch(EnvBatch):
     """EnvBatch whose reset and step sense every substep point of every
-    row as one array (sense) and then encode all rows (encode_common)."""
+    row as one array (sense) and then encode all rows (encode_common and
+    encode_privileged)."""
 
     def __init__(self, envs):
         envs = list(envs)
         e, n = len(envs), envs[0].n_tasks
         self._tasks = np.empty((e, 2, 1, n))
         self._sense2 = np.empty((e, 1, 1))
+        self._frame = np.empty((e, 3))
+        self._waypoints = np.zeros((e, 1, 3))
         super().__init__(envs)
 
     def load(self, i, env):
@@ -660,6 +715,15 @@ class ReferenceBatch(EnvBatch):
         x = env.instance
         self._tasks[i, :, 0] = x.task_array().T
         self._sense2[i] = x.r_sense * x.r_sense
+        self._frame[i] = map_frame(x)
+        if self.has_path:
+            wp = env.expert_path.waypoint_array()
+            grow = len(wp) + WAYPOINT_PAD - self._waypoints.shape[1]
+            if grow > 0:
+                self._waypoints = np.concatenate([self._waypoints, np.repeat(
+                    self._waypoints[:, -1:], grow, axis=1)], axis=1)
+            self._waypoints[i, :len(wp)] = wp
+            self._waypoints[i, len(wp):] = wp[-1]
 
     def _observe_offsets(self, rows, offsets):
         if rows is ALL:

@@ -19,13 +19,13 @@ from dtspn.dubins import (
     pose_array,
     sample_path,
     shortest_path,
-    shortest_path_length,
     shortest_paths,
 )
 from dtspn.expert import sample_poses
 from dtspn.instance import generate
 from oracles import (dubins_oracle_length, reference_pose_at,
-                     reference_segments, straight_step, turn_step, wrap)
+                     reference_segments, shortest_path_length, straight_step,
+                     turn_step, wrap)
 
 RHO = 30.0
 

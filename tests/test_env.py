@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from dtspn.demos import collect_batch
 from dtspn.dubins import Pose, normalize_angle
-from dtspn.env import (WAYPOINT_PAD, DtspnEnv, EnvBatch, EnvConfig, advance,
-                       encode_privileged, goal_reward, imitation_reward)
+from dtspn.env import (DtspnEnv, EnvBatch, EnvConfig, advance, goal_reward,
+                       imitation_reward)
 from dtspn.expert import ExpertPath, plan
 from dtspn.instance import Instance, default_start, generate
-from oracles import ReferenceBatch, sense
+from oracles import (ReferenceBatch, encode_privileged, map_frame,
+                     padded_waypoints, sense)
 
 
 def straight_expert(start: Pose, n: int, spacing: float) -> ExpertPath:
@@ -28,13 +29,13 @@ def common_row(pose, sensed, x: Instance) -> np.ndarray:
 
 
 def privileged_row(pose, progress, path: ExpertPath, x: Instance):
-    """encode_privileged for one pose; returns (row, new progress)."""
-    wp = path.waypoint_array()
-    padded = np.vstack([wp, np.repeat(wp[-1:], WAYPOINT_PAD, axis=0)])
-    hw, hh = 0.5 * x.map_width, 0.5 * x.map_height
-    v, p = encode_privileged(np.array([pose]), np.array([progress]),
-                             padded[None], np.array([[hw, hh, max(hw, hh)]]))
-    return v[0], int(p[0])
+    """The privileged encoding EnvBatch's per-row pass gives one pose (x, y,
+    theta) from the given progress along path on instance x; returns (row,
+    new progress)."""
+    b = DtspnEnv(x, path, mode="train").batch
+    _, _, row, progress = b._pass(0, [False] * x.n_tasks, *pose,
+                                  progress=progress)
+    return np.array(row), progress
 
 
 def small_instance(tasks, map_size=(200.0, 200.0), r_sense=50.0):
@@ -613,6 +614,80 @@ def test_step_and_reset_match_the_array_reference(e, n, mode):
     assert refills >= e
 
 
+def _flight(start: Pose, actions, config: EnvConfig) -> ExpertPath:
+    """An expert path one env step per waypoint: start, then each pose a
+    flight under actions reaches."""
+    x, y, th = start.x, start.y, start.theta
+    wps = [start]
+    for a in actions:
+        x, y, th = advance(x, y, th, config.omegas[a], config.v, config.dt)
+        wps.append(Pose(x, y, th))
+    return ExpertPath(waypoints=tuple(wps), total_length=0.0, sensed_order=())
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_privileged_rows_match_the_array_encoder(n):
+    # 16 rows rolled along paths of one waypoint up to longer than their
+    # episodes, mostly flying each path's own actions, refilled as they
+    # end: after every reset and step, each row's privileged row and
+    # progress equal the array encoder's from its pose and prior progress.
+    # Every third path repeats each waypoint, whose equal distances the
+    # first of them wins
+    config = EnvConfig()
+    size = (300.0, 300.0) if n == 3 else (800.0, 800.0)
+    rng = np.random.default_rng(n)
+    pool = []
+    for seed, length in enumerate([1, 2, 3, 5, 9, 10, 14, 40, 80, 1] * 3):
+        x = generate(n, 6500 + seed, map_size=size)
+        acts = rng.integers(0, 7, size=length - 1).tolist()
+        path = _flight(x.start, acts, config)
+        if seed % 3 == 2:
+            path = ExpertPath(tuple(w for w in path.waypoints for _ in "ab"),
+                              0.0, ())
+        pool.append((DtspnEnv(x, path, mode="train", config=config), acts))
+    e = 16
+    batch = EnvBatch(env for env, _ in pool[:e])
+    slot = list(range(e))
+
+    def check(rows, before):
+        for i in rows:
+            env = pool[slot[i]][0]
+            want, progress = encode_privileged(
+                batch.pose[i:i + 1], before[i:i + 1],
+                padded_waypoints(env.expert_path)[None],
+                map_frame(env.instance)[None])
+            assert batch.privileged[i].tobytes() == want[0].tobytes()
+            assert batch.progress[i] == progress[0]
+
+    batch.reset()
+    check(range(e), np.zeros(e, dtype=np.int64))
+    refills, clamped, single = 0, 0, 0
+    for _ in range(150):
+        ended = np.flatnonzero(batch.done).tolist()
+        if ended:
+            for i in ended:
+                slot[i] = (e + refills) % len(pool)
+                batch.load(i, pool[slot[i]][0])
+                refills += 1
+            batch.reset(np.array(ended))
+            check(ended, np.zeros(e, dtype=np.int64))
+            if batch.done.any():
+                continue
+        acts = []
+        for i, t in enumerate(batch.t.tolist()):
+            plan_acts = pool[slot[i]][1]
+            follow = t < len(plan_acts) and rng.random() < 0.9
+            acts.append(plan_acts[t] if follow else int(rng.integers(7)))
+        before = batch.progress.copy()
+        batch.step(np.array(acts))
+        check(range(e), before)
+        for i, k in enumerate(batch.progress.tolist()):
+            last = len(pool[slot[i]][0].expert_path.waypoints) - 1
+            clamped += k + 4 > last
+            single += last == 0
+    assert refills >= e and single > 0 and clamped > 0
+
+
 def _one_row_pair(x, actions, path=None, mode="eval", config=None):
     env = DtspnEnv(x, path, mode=mode, config=config)
     return _run_pair([env], [env], [np.array([a]) for a in actions])
@@ -696,7 +771,8 @@ def test_far_task_filter_never_drops_a_hit(theta, a, r_sense, slack,
     b = DtspnEnv(x, mode="eval", config=cfg).batch
     ex, ey, eth = pts[-1]
     flags = [False] * len(tasks)
-    _, newly = b._pass(0, flags, ex, ey, normalize_angle(eth), pts[:-1])
+    _, newly, _, _ = b._pass(0, flags, ex, ey, normalize_angle(eth),
+                             pts[:-1])
     want = np.zeros((1, len(tasks)), dtype=bool)
     k, _ = sense(x.task_array().T[None, :, None], np.full((1, 1, 1),
                  r_sense * r_sense), np.array(pts)[:, 0:2].T[None], want)

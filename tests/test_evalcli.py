@@ -1,6 +1,9 @@
+import glob
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +102,22 @@ def test_evaluate_policy_paths_and_dim_check(tiny_bundle):
     assert m_pi.episodes == 2
     with pytest.raises(ValueError):
         evaluate(tiny_bundle, [generate(7, 3)])
+
+
+def test_evaluate_checks_every_instance_against_the_bundle(tiny_bundle):
+    # the 7-task instance is rejected up front, not in its forward pass
+    with pytest.raises(ValueError, match="checkpoint expects common dim 15, "
+                       "instances with 7 tasks produce 31"):
+        evaluate(tiny_bundle, small_instances(1) + [generate(7, 3)])
+
+
+def test_evaluate_sensing_rate_divides_by_each_instance_task_count():
+    insts = [generate(5, 1, map_size=(300.0, 300.0)),
+             generate(3, 0, map_size=(300.0, 300.0))]
+    metrics, records = evaluate("expert", insts)
+    assert [(r.n_sensed, r.sensed_all) for r in records] == [(5, True),
+                                                             (3, True)]
+    assert metrics.sensing_rate == 1.0
 
 
 def test_benchmark_speed_shape_and_guards(tiny_bundle):
@@ -331,6 +350,21 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+@pytest.mark.parametrize("script", sorted(
+    glob.glob(os.path.join(REPO, "demo", "*.py"))), ids=os.path.basename)
+def test_demo_script_runs(script, tmp_path):
+    # in tmp_path, so the files a demo writes stay out of the checkout
+    path = [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]
+    run = subprocess.run(
+        [sys.executable, script], cwd=tmp_path, capture_output=True,
+        text=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    assert run.returncode == 0, run.stderr
 
 
 def test_cli_full_pipeline_desk_scale(tmp_path, capsys):

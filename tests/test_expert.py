@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from dtspn.dubins import Pose, shortest_path_length
+from dtspn.dubins import Pose
 from dtspn import expert as ex
 from dtspn import instance as inst
 from oracles import (gtsp_brute_force, gtsp_moves, gtsp_open_costs,
-                     gtsp_search_full_rescoring, held_karp_atsp)
+                     gtsp_search_full_rescoring, held_karp_atsp,
+                     shortest_path_length)
 
 
 def make_gtsp(rng, sizes, lo=1.0, hi=100.0):
