@@ -338,17 +338,21 @@ class EnvBatch:
             if not 0 <= a < cfg.n_actions:
                 raise ValueError(f"action {a} out of range "
                                  f"[0, {cfg.n_actions})")
-        poses, obs, all_sensed = [], [], []
+        poses, commons, newly, privs, progress, all_sensed = \
+            [], [], [], [], [], []
         sensed = self.sensed.tolist()
         for i, ((x, y, theta), a, flags, k) in enumerate(zip(
                 self.pose.tolist(), actions, sensed, self.progress.tolist())):
             path = [advance(x, y, theta, omegas[a], v, dt) for dt in substeps]
             x, y, theta = path.pop()
             theta = normalize_angle(theta)
-            obs.append(self._pass(i, flags, x, y, theta, path, k))
+            row, n, priv, k = self._pass(i, flags, x, y, theta, path, k)
             poses.append((x, y, theta))
+            commons.append(row)
+            newly.append(n)
+            privs.append(priv)
+            progress.append(k)
             all_sensed.append(False not in flags)
-        commons, newly, privs, progress = zip(*obs)
         self.pose = np.array(poses)
         t = [k + 1 for k in self.t.tolist()]
         self.t = np.array(t)
