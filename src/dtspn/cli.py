@@ -20,7 +20,7 @@ import numpy as np
 from . import expert as expert_mod
 from . import instance as instance_mod
 from .demos import collect_batch, load_dataset, save_dataset, tracker
-from .env import DtspnEnv, EnvConfig, run_episode
+from .env import DtspnEnv, EnvConfig, config_for, run_episode
 from .evaluate import (benchmark_speed, bundle_actor, evaluate,
                        save_episode_csv)
 from .expert import SensingGap, plan
@@ -31,6 +31,10 @@ from .svg import emit_trajectory_svg
 
 _ENV_FIELDS = {f.name: f.type for f in dataclasses.fields(EnvConfig)}
 _TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+# config fields that a run sets elsewhere, and where
+_SET_ELSEWHERE = {"seed": "--seed", "steps_budget": "--steps",
+                  "turn_radius": "the instances (--turn or the --instance "
+                                 "file)"}
 # the JSON values each field type accepts; bool is an int subclass, so
 # true and false are told apart from numbers separately
 _JSON_TYPES = {bool: bool, int: int, float: (int, float)}
@@ -54,9 +58,10 @@ def _last(curve) -> float:
 
 def _load_config(path: Optional[str]):
     """Split a flat JSON dict into env-config and train-config overrides.
-    Unknown keys and values whose JSON type does not match their field
-    (integers for int fields, numbers for float fields, true or false for
-    bool fields) are validation errors naming the offending key."""
+    Unknown keys, keys set elsewhere (_SET_ELSEWHERE) and values whose JSON
+    type does not match their field (integers for int fields, numbers for
+    float fields, true or false for bool fields) are validation errors
+    naming the offending key."""
     if path is None:
         return {}, {}
     with open(path) as f:
@@ -66,6 +71,9 @@ def _load_config(path: Optional[str]):
                          f"got {type(raw).__name__}")
     env_kw, train_kw = {}, {}
     for key, val in raw.items():
+        if key in _SET_ELSEWHERE:
+            raise ValueError(f"config {path}: '{key}' is set by "
+                             f"{_SET_ELSEWHERE[key]}, not the config file")
         kind = _ENV_FIELDS.get(key) or _TRAIN_FIELDS.get(key)
         if kind is None:
             raise ValueError(f"config {path}: unknown key '{key}'")
@@ -77,20 +85,11 @@ def _load_config(path: Optional[str]):
     return env_kw, train_kw
 
 
-def _env_config(args, env_kw) -> EnvConfig:
-    kw = dict(env_kw)
-    kw.setdefault("turn_radius", args.turn)
-    if getattr(args, "literal_eq7", False):
-        kw["literal_goal_sum"] = True
-    return EnvConfig(**kw)
-
-
-def _train_config(args, train_kw) -> TrainConfig:
-    kw = dict(train_kw)
-    kw.setdefault("seed", args.seed)
-    if getattr(args, "steps", None) is not None:
-        kw["steps_budget"] = args.steps
-    return TrainConfig(**kw)
+def _train_config(args, **flags) -> TrainConfig:
+    """--seed and the given flag values, with the --config file's train
+    keys."""
+    _, train_kw = _load_config(args.config)
+    return TrainConfig(seed=args.seed, **flags, **train_kw)
 
 
 @contextlib.contextmanager
@@ -109,11 +108,21 @@ def _json_lines(path: Optional[str]):
         yield write
 
 
-def _instances(args, count: int):
-    return [instance_mod.generate(args.tasks, args.seed + i,
-                                  map_size=tuple(args.map),
-                                  r_sense=args.sense, turn_radius=args.turn)
-            for i in range(count)]
+def _generate(args, seed: int) -> instance_mod.Instance:
+    return instance_mod.generate(args.tasks, seed, map_size=tuple(args.map),
+                                 r_sense=args.sense, turn_radius=args.turn)
+
+
+def _instances(args, count: int = 1):
+    """The stage's instances, the --instance file or count generated from
+    --seed on, and the env config they run under: config_for's, with the
+    --config file's env keys."""
+    if getattr(args, "instance", None) is not None:
+        xs = [instance_mod.load(args.instance)]
+    else:
+        xs = [_generate(args, args.seed + i) for i in range(count)]
+    env_kw, _ = _load_config(args.config)
+    return xs, dataclasses.replace(config_for(xs[0], None), **env_kw)
 
 
 def _need_out(args, stage: str) -> str:
@@ -122,15 +131,9 @@ def _need_out(args, stage: str) -> str:
     return args.out
 
 
-def _load_instance_or_gen(args):
-    if getattr(args, "instance", None) is not None:
-        return instance_mod.load(args.instance)
-    return _instances(args, 1)[0]
-
-
 def cmd_gen(args) -> int:
     out = _need_out(args, "gen")
-    inst = _instances(args, 1)[0]
+    inst = _generate(args, args.seed)
     instance_mod.save(inst, out)
     _summary("gen", tasks=inst.n_tasks, seed=inst.seed, out=out)
     return 0
@@ -138,11 +141,8 @@ def cmd_gen(args) -> int:
 
 def cmd_expert(args) -> int:
     out = _need_out(args, "expert")
-    env_kw, _ = _load_config(args.config)
-    cfg = _env_config(args, env_kw)
-    inst = _load_instance_or_gen(args)
-    path = plan(inst, n_pos=args.pos, n_head=args.heads,
-                step_dist=cfg.step_dist)
+    (inst,), cfg = _instances(args)
+    path = plan(inst, n_pos=args.pos, n_head=args.heads, config=cfg)
     expert_mod.save(path, out)
     _summary("expert", tasks=inst.n_tasks, length=path.total_length,
              waypoints=len(path.waypoints), solve_s=path.solve_time, out=out)
@@ -151,8 +151,7 @@ def cmd_expert(args) -> int:
 
 def cmd_demos(args) -> int:
     out = _need_out(args, "demos")
-    env_kw, _ = _load_config(args.config)
-    cfg = _env_config(args, env_kw)
+    _, cfg = _instances(args)
     dataset, report = collect_batch(
         args.demos, base_seed=args.seed, n_tasks=args.tasks,
         map_size=tuple(args.map), r_sense=args.sense, turn_radius=args.turn,
@@ -166,8 +165,7 @@ def cmd_demos(args) -> int:
 
 def cmd_train_bc(args) -> int:
     out = _need_out(args, "train-bc")
-    _, train_kw = _load_config(args.config)
-    tc = _train_config(args, train_kw)
+    tc = _train_config(args)
     dataset = load_dataset(args.data)
     meta = dataset.meta
     bundle = init_bundle(meta.common_dim, meta.priv_dim,
@@ -184,9 +182,8 @@ def cmd_train_bc(args) -> int:
 
 def cmd_train_ppo(args) -> int:
     out = _need_out(args, "train-ppo")
-    env_kw, train_kw = _load_config(args.config)
-    tc = _train_config(args, train_kw)
-    cfg = _env_config(args, env_kw)
+    tc = _train_config(args, steps_budget=args.steps)
+    _, cfg = _instances(args)
     use_privileged = not args.dense
     if args.pool < 1:
         raise ValueError(f"--pool must be >= 1, got {args.pool}")
@@ -204,17 +201,14 @@ def cmd_train_ppo(args) -> int:
         if seed - args.seed > 4 * want + 40:
             raise RuntimeError("could not assemble a training pool: too many "
                                "instances failed expert planning")
-        inst = instance_mod.generate(args.tasks, seed,
-                                     map_size=tuple(args.map),
-                                     r_sense=args.sense,
-                                     turn_radius=args.turn)
+        inst = _generate(args, seed)
         seed += 1
         # train-mode envs need expert paths in both modes: they shape the
         # reward and cut episodes off; --dense only hides them from the
         # encoder
         try:
             pool.append((inst, plan(inst, n_pos=args.pos, n_head=args.heads,
-                                    step_dist=cfg.step_dist)))
+                                    config=cfg)))
         except SensingGap:
             continue
     counter = [0]
@@ -241,8 +235,7 @@ def cmd_train_ppo(args) -> int:
 
 def cmd_distill(args) -> int:
     out = _need_out(args, "distill")
-    _, train_kw = _load_config(args.config)
-    tc = _train_config(args, train_kw)
+    tc = _train_config(args)
     dataset = load_dataset(args.data)
     bundle = load_bundle(args.ckpt)
     _, metrics = distill_adaptation(dataset, bundle, tc, epochs=args.epochs)
@@ -255,12 +248,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    env_kw, _ = _load_config(args.config)
-    cfg = _env_config(args, env_kw)
-    if getattr(args, "instance", None) is not None:
-        instances = [instance_mod.load(args.instance)]
-    else:
-        instances = _instances(args, args.episodes)
+    instances, cfg = _instances(args, args.episodes)
     if args.expert:
         policy = "expert"
     else:
@@ -270,35 +258,26 @@ def cmd_eval(args) -> int:
     metrics, records = evaluate(policy, instances, config=cfg,
                                 pi_eval=args.pi_eval,
                                 n_pos=args.pos, n_head=args.heads)
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        for i, rec in enumerate(records):
-            save_episode_csv(rec, os.path.join(args.out,
-                                               f"episode_{i:04d}.csv"))
-        agg = {"avg_reward": metrics.avg_reward,
-               "avg_return": metrics.avg_return,
-               "sensing_rate": metrics.sensing_rate,
-               "episodes": metrics.episodes}
-        if metrics.mean_time is not None:
-            agg["mean_time"] = metrics.mean_time
-        with open(os.path.join(args.out, "metrics.json"), "w") as f:
-            json.dump(agg, f, indent=1, sort_keys=True)
-            f.write("\n")
     kv = dict(episodes=metrics.episodes, sensing_rate=metrics.sensing_rate,
               avg_reward=metrics.avg_reward, avg_return=metrics.avg_return)
     if metrics.mean_time is not None:
         kv["mean_time"] = metrics.mean_time
     if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+        for i, rec in enumerate(records):
+            save_episode_csv(rec, os.path.join(args.out,
+                                               f"episode_{i:04d}.csv"))
+        with open(os.path.join(args.out, "metrics.json"), "w") as f:
+            json.dump(kv, f, indent=1, sort_keys=True)
+            f.write("\n")
         kv["out"] = args.out
     _summary("eval", **kv)
     return 0
 
 
 def cmd_bench(args) -> int:
-    env_kw, _ = _load_config(args.config)
-    cfg = _env_config(args, env_kw)
+    instances, cfg = _instances(args, args.episodes)
     bundle = load_bundle(args.ckpt)
-    instances = _instances(args, args.episodes)
     report = benchmark_speed(instances, bundle, config=cfg,
                              n_pos=args.pos, n_head=args.heads)
     _summary("bench", instances=report["instances"],
@@ -310,11 +289,8 @@ def cmd_bench(args) -> int:
 
 def cmd_plot(args) -> int:
     out = _need_out(args, "plot")
-    env_kw, _ = _load_config(args.config)
-    cfg = _env_config(args, env_kw)
-    inst = _load_instance_or_gen(args)
-    epath = plan(inst, n_pos=args.pos, n_head=args.heads,
-                 step_dist=cfg.step_dist)
+    (inst,), cfg = _instances(args)
+    epath = plan(inst, n_pos=args.pos, n_head=args.heads, config=cfg)
     # the expert path rides along even for policy plots: it supplies the
     # dashed overlay and the imitation column of the record
     env = DtspnEnv(inst, epath, mode="eval", config=cfg)
@@ -329,16 +305,14 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+def _add_generation(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tasks", type=int, default=20)
     p.add_argument("--map", nargs=2, type=float, default=(800.0, 800.0),
                    metavar=("W", "H"))
     p.add_argument("--sense", type=float, default=58.0, metavar="R")
-    p.add_argument("--turn", type=float, default=30.0, metavar="RHO")
-    p.add_argument("--out", type=str, default=None, metavar="PATH")
-    p.add_argument("--config", type=str, default=None, metavar="PATH",
-                   help="JSON file of env/train config overrides")
+    p.add_argument("--turn", type=float, default=30.0, metavar="RHO",
+                   help="turning radius of generated instances, which the "
+                        "env takes too")
 
 
 def _add_sampling(p: argparse.ArgumentParser) -> None:
@@ -348,6 +322,23 @@ def _add_sampling(p: argparse.ArgumentParser) -> None:
                    help="candidate headings per position")
 
 
+def _add_config(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", type=str, default=None, metavar="PATH",
+                   help="JSON object of EnvConfig and TrainConfig fields, "
+                        "except seed (--seed), steps_budget (--steps) and "
+                        "turn_radius (from the instances)")
+
+
+def _add_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", type=str, default=None, metavar="PATH")
+
+
+def _add_instance(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--instance", type=str, default=None, metavar="PATH",
+                   help="use this instance file, and its turning radius, "
+                        "instead of generating one")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtspn",
@@ -355,35 +346,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "demonstration pipeline, and learned controller.")
     sub = parser.add_subparsers(dest="stage", required=True)
 
-    p = sub.add_parser("gen", help="write a random problem instance")
-    _add_shared(p)
-    p.set_defaults(func=cmd_gen)
+    def stage(name, func, help, *groups):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--seed", type=int, default=0)
+        for add in groups:
+            add(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("expert", help="plan an expert path for one instance")
-    _add_shared(p)
-    _add_sampling(p)
-    p.add_argument("--instance", type=str, default=None, metavar="PATH")
-    p.set_defaults(func=cmd_expert)
+    env = (_add_generation, _add_sampling, _add_config)
 
-    p = sub.add_parser("demos", help="collect expert demonstrations")
-    _add_shared(p)
-    _add_sampling(p)
+    stage("gen", cmd_gen, "write a random problem instance",
+          _add_generation, _add_out)
+
+    stage("expert", cmd_expert, "plan an expert path for one instance",
+          *env, _add_out, _add_instance)
+
+    p = stage("demos", cmd_demos, "collect expert demonstrations",
+              *env, _add_out)
     p.add_argument("--demos", type=int, default=100, metavar="N")
-    p.set_defaults(func=cmd_demos)
 
-    p = sub.add_parser("train-bc",
-                       help="behavior cloning + critic warm start")
-    _add_shared(p)
+    p = stage("train-bc", cmd_train_bc,
+              "behavior cloning + critic warm start", _add_config, _add_out)
     p.add_argument("--data", type=str, required=True, metavar="PATH",
                    help="demonstration dataset")
-    p.set_defaults(func=cmd_train_bc)
 
-    p = sub.add_parser("train-ppo", help="on-policy fine-tuning")
-    _add_shared(p)
-    _add_sampling(p)
+    p = stage("train-ppo", cmd_train_ppo, "on-policy fine-tuning",
+              *env, _add_out)
     p.add_argument("--ckpt", type=str, default=None, metavar="PATH")
-    p.add_argument("--steps", type=int, default=None, metavar="N",
-                   help="environment step budget")
+    p.add_argument("--steps", type=int, default=TrainConfig.steps_budget,
+                   metavar="N", help="environment step budget")
     p.add_argument("--pool", type=int, default=32, metavar="N",
                    help="training instance pool size")
     p.add_argument("--warmup", type=int, default=0, metavar="N",
@@ -393,51 +385,34 @@ def build_parser() -> argparse.ArgumentParser:
                         "encoder input")
     p.add_argument("--log", type=str, default=None, metavar="PATH",
                    help="write per-batch PPO diagnostics as JSON lines")
-    p.set_defaults(func=cmd_train_ppo)
 
-    p = sub.add_parser("distill",
-                       help="fit the adaptation net to encoder outputs")
-    _add_shared(p)
+    p = stage("distill", cmd_distill,
+              "fit the adaptation net to encoder outputs",
+              _add_config, _add_out)
     p.add_argument("--data", type=str, required=True, metavar="PATH")
     p.add_argument("--ckpt", type=str, required=True, metavar="PATH")
     p.add_argument("--epochs", type=int, default=20, metavar="N")
-    p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("eval", help="run eval episodes and report metrics")
-    _add_shared(p)
-    _add_sampling(p)
+    p = stage("eval", cmd_eval, "run eval episodes and report metrics",
+              *env, _add_out, _add_instance)
     p.add_argument("--ckpt", type=str, default=None, metavar="PATH")
     p.add_argument("--expert", action="store_true",
                    help="replay the expert instead of a checkpoint")
-    p.add_argument("--instance", type=str, default=None, metavar="PATH",
-                   help="evaluate this instance file instead of generating")
     p.add_argument("--episodes", type=int, default=50, metavar="N")
     p.add_argument("--pi-eval", action="store_true",
                    help="use the encoder on expert privileged obs instead "
                         "of the adaptation net")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="expert vs policy wall-clock benchmark")
-    _add_shared(p)
-    _add_sampling(p)
+    p = stage("bench", cmd_bench, "expert vs policy wall-clock benchmark",
+              *env)
     p.add_argument("--ckpt", type=str, required=True, metavar="PATH")
     p.add_argument("--episodes", type=int, default=10, metavar="N")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("plot", help="render one episode as SVG")
-    _add_shared(p)
-    _add_sampling(p)
+    p = stage("plot", cmd_plot, "render one episode as SVG",
+              *env, _add_out, _add_instance)
     p.add_argument("--ckpt", type=str, default=None, metavar="PATH")
     p.add_argument("--expert", action="store_true")
-    p.add_argument("--instance", type=str, default=None, metavar="PATH")
     p.add_argument("--pi-eval", action="store_true")
-    p.set_defaults(func=cmd_plot)
-
-    for stage in ("demos", "train-ppo", "eval", "plot"):
-        sub.choices[stage].add_argument(
-            "--literal-eq7", action="store_true",
-            help="pay the mid-episode goal bonus on the cumulative "
-                 "sensed count instead of newly sensed tasks")
 
     return parser
 

@@ -241,8 +241,7 @@ def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
         x = generate(n_tasks=n_tasks, seed=seed, map_size=map_size,
                      r_sense=r_sense, turn_radius=turn_radius)
         try:
-            path = plan(x, n_pos=n_pos, n_head=n_head,
-                        step_dist=meta.config.step_dist)
+            path = plan(x, n_pos=n_pos, n_head=n_head, config=meta.config)
             demos.append(collect(x, path, config=config))
         except RuntimeError as e:
             # TrackingFailure from collect or SensingGap from plan
@@ -363,8 +362,7 @@ def replay_rewards(demo: Demonstration, meta: DemoMeta) -> np.ndarray:
     path from the metadata and feeding the recorded actions back through a
     fresh env.  Byte-identical output is the replay determinism check."""
     x = meta.instance_for(demo.seed)
-    path = plan(x, n_pos=meta.n_pos, n_head=meta.n_head,
-                step_dist=meta.config.step_dist)
+    path = plan(x, n_pos=meta.n_pos, n_head=meta.n_head, config=meta.config)
     env = DtspnEnv(x, path, mode="train", config=meta.config)
     actions = iter(demo.actions)
     return run_episode(env, lambda obs: int(next(actions)),

@@ -21,13 +21,15 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .dubins import advance, normalize_angle
-from .expert import ExpertPath
 from .instance import Instance
+
+if TYPE_CHECKING:           # expert imports config_for from here
+    from .expert import ExpertPath
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,15 @@ class EnvConfig:
 
 
 def config_for(instance: Instance, config: Optional[EnvConfig]) -> EnvConfig:
-    """config, or by default the one for the instance's turning radius."""
+    """The config instance runs under: config, or by default the one for
+    the instance's turning radius.  Raises ValueError if config's turning
+    radius is not the instance's."""
     if config is None:
         return EnvConfig(turn_radius=instance.turn_radius)
+    if abs(config.turn_radius - instance.turn_radius) > 1e-9:
+        raise ValueError(
+            f"config turn_radius {config.turn_radius} does not match "
+            f"instance turn_radius {instance.turn_radius}")
     return config
 
 
@@ -310,15 +318,18 @@ class EnvBatch:
 
     def reset(self, rows=ALL) -> None:
         """Start a fresh episode in each of rows (ALL or an index array).
-        A row whose start pose already senses every task is done at once."""
+        A row whose start pose already senses every task is done at once;
+        an empty index array changes nothing."""
+        index = np.arange(len(self.done))[rows].tolist()
+        if not index:
+            return
         start = self._start[rows]
         self.pose[rows] = start
         self.sensed[rows] = False
         self.t[rows] = 0
         commons, _, privs, progress = zip(*(
             self._pass(i, [False] * self.n_tasks, *pose)
-            for i, pose in zip(np.arange(len(self.done))[rows].tolist(),
-                               start.tolist())))
+            for i, pose in zip(index, start.tolist())))
         self.all_sensed[rows] = self.done[rows] = self.sensed[rows].all(axis=1)
         self._observe(rows, commons, privs, progress)
 
@@ -380,21 +391,17 @@ class DtspnEnv:
     path; mode 'eval' caps the step count.  batch is the env's own one-row
     EnvBatch, which run_episode resets and steps."""
 
-    def __init__(self, instance: Instance, expert_path: Optional[ExpertPath] = None,
+    def __init__(self, instance: Instance,
+                 expert_path: Optional["ExpertPath"] = None,
                  mode: str = "eval", config: Optional[EnvConfig] = None):
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         if mode == "train" and expert_path is None:
             raise ValueError("train mode requires an expert path")
-        config = config_for(instance, config)
-        if abs(config.turn_radius - instance.turn_radius) > 1e-9:
-            raise ValueError(
-                f"config turn_radius {config.turn_radius} does not match "
-                f"instance turn_radius {instance.turn_radius}")
         self.instance = instance
         self.expert_path = expert_path
         self.mode = mode
-        self.config = config
+        self.config = config_for(instance, config)
 
     @cached_property
     def batch(self) -> EnvBatch:
@@ -413,7 +420,6 @@ class EpisodeRecord:
     action saw, the action, then the pose and rewards after it.
     sensed_events lists (step index, task index) pairs in sensing order."""
 
-    instance_seed: int
     start_pose: Tuple[float, float, float]
     commons: np.ndarray        # (T, 3 + 4 * n_tasks)
     privileged: Optional[np.ndarray]  # (T, PRIV_DIM), None without expert path
@@ -479,7 +485,6 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
     n = len(actions)
     sensed = b.sensed[0]
     return EpisodeRecord(
-        instance_seed=env.instance.seed,
         start_pose=start,
         commons=np.array(commons, dtype=float).reshape(n, 3 + 4 * env.n_tasks),
         privileged=(None if env.expert_path is None else

@@ -9,8 +9,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .demos import GAMMA, step_cap, tracker
-from .env import (DtspnEnv, EnvConfig, EpisodeRecord, Observation, config_for,
-                  run_episode)
+from .env import DtspnEnv, EnvConfig, EpisodeRecord, Observation, run_episode
 from .expert import plan
 from .instance import Instance
 from .learn import ModelBundle, act, discounted_return
@@ -50,8 +49,7 @@ def _expert_episode(x: Instance, config: Optional[EnvConfig],
     # plan time is inside the clock on purpose: the expert row's cost is
     # solving plus tracking
     t0 = time.perf_counter()
-    config = config_for(x, config)
-    path = plan(x, n_pos=n_pos, n_head=n_head, step_dist=config.step_dist)
+    path = plan(x, n_pos=n_pos, n_head=n_head, config=config)
     # train mode: the expert is scored on its full tour, which can outlast
     # the policy step cap; the demo collector's bound applies instead
     env = DtspnEnv(x, path, mode="train", config=config)
@@ -86,8 +84,7 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
                     f"checkpoint expects common dim {policy.common_dim}, "
                     f"instances with {x.n_tasks} tasks produce {want}")
         if pi_eval:
-            paths = [plan(x, n_pos=n_pos, n_head=n_head,
-                          step_dist=config_for(x, config).step_dist)
+            paths = [plan(x, n_pos=n_pos, n_head=n_head, config=config)
                      for x in instances]
         act_fn = bundle_actor(policy, pi_eval)
     elif policy == "expert":
@@ -122,27 +119,21 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
 def benchmark_speed(instances: Sequence[Instance], bundle: ModelBundle,
                     config: Optional[EnvConfig] = None,
                     n_pos: int = 8, n_head: int = 4) -> dict:
-    """Median wall-clock of expert plan() vs PI-free policy rollout per
-    instance.  The ratio is the headline number; absolute values are
-    machine-dependent."""
+    """Median wall-clock of expert plan() vs PI-free policy rollout (the
+    evaluate episodes' wall_time) per instance.  The ratio is the headline
+    number; absolute values are machine-dependent."""
     if len(instances) < 10:
         raise ValueError(f"need at least 10 instances, got {len(instances)}")
     expert_times = []
     for x in instances:
         t0 = time.perf_counter()
-        plan(x, n_pos=n_pos, n_head=n_head,
-             step_dist=config_for(x, config).step_dist)
+        plan(x, n_pos=n_pos, n_head=n_head, config=config)
         expert_times.append(time.perf_counter() - t0)
-    act_fn = bundle_actor(bundle, pi_eval=False)
-    policy_times = []
-    for x in instances:
-        env = DtspnEnv(x, mode="eval", config=config)
-        rec = run_episode(env, act_fn)
-        policy_times.append(rec.wall_time)
+    _, records = evaluate(bundle, instances, config=config)
     report = {
         "instances": len(instances),
         "expert_median_s": float(np.median(expert_times)),
-        "policy_median_s": float(np.median(policy_times)),
+        "policy_median_s": float(np.median([r.wall_time for r in records])),
     }
     report["ratio"] = report["expert_median_s"] / report["policy_median_s"]
     return report

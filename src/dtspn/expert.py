@@ -17,6 +17,7 @@ import numpy as np
 
 from .dubins import (TWO_PI, Pose, length_matrix, path_length, pose_array,
                      sample_path, shortest_paths)
+from .env import EnvConfig, config_for
 from .instance import Instance
 
 # Smallest path-length decrease (m) that counts as an improvement, so float
@@ -303,20 +304,19 @@ def solve_gtsp(gtsp: GtspProblem) -> list:
 
 
 def plan(instance: Instance, n_pos: int = 8, n_head: int = 4,
-         step_dist: Optional[float] = None) -> ExpertPath:
+         config: Optional[EnvConfig] = None) -> ExpertPath:
     """Full expert pipeline for one instance.
 
     The tour is an open path: it starts at the start pose, with the heading
     the solver picks, and ends at the last visiting pose, with no return leg.
     Tasks already inside sensing range of the start are sensed at reset and
-    excluded from the tour.  The returned polyline spacing is step_dist,
-    which should be the simulator's EnvConfig.step_dist: the privileged
-    encoder assumes one waypoint per env step.  It defaults to the default
-    config's v*dt = 0.12*pi*turn_radius.
+    excluded from the tour.  Waypoints are one env step apart, the
+    step_dist of config_for(instance, config), since the privileged encoder
+    reads one waypoint per env step; a config whose turning radius is not
+    the instance's raises ValueError.
     """
     t0 = time.perf_counter()
-    if step_dist is None:
-        step_dist = 0.12 * math.pi * instance.turn_radius
+    step_dist = config_for(instance, config).step_dist
     start = instance.start
     tasks = instance.task_array()
     d_start = np.hypot(tasks[:, 0] - start.x, tasks[:, 1] - start.y)

@@ -407,6 +407,18 @@ def test_env_argument_errors():
     assert b.t[0] == 1
 
 
+def test_reset_of_no_rows_changes_nothing():
+    x = small_instance([(180.0, 180.0)])
+    for path in (None, _polyline_through_tasks(x)):
+        two = EnvBatch([DtspnEnv(x, path, mode="eval"),
+                        DtspnEnv(x, path, mode="eval")])
+        two.reset()
+        two.step(np.array([3, 5]))
+        before = _state_bytes(two)
+        two.reset(np.array([], dtype=int))
+        assert _state_bytes(two) == before
+
+
 def test_step_after_done_raises():
     start = default_start(200.0, 200.0)
     x = small_instance([(start.x + 20.0, start.y)], r_sense=50.0)
@@ -516,8 +528,7 @@ def test_batch_reproduces_collected_demo_bytes():
     meta = dataset.meta
     envs = [DtspnEnv(meta.instance_for(d.seed),
                      plan(meta.instance_for(d.seed), n_pos=meta.n_pos,
-                          n_head=meta.n_head,
-                          step_dist=meta.config.step_dist),
+                          n_head=meta.n_head, config=meta.config),
                      mode="train", config=meta.config) for d in dataset]
     batch = EnvBatch(envs)
     batch.reset()

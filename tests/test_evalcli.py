@@ -306,11 +306,20 @@ def test_cli_config_validation(tmp_path, capsys):
     for key, value in (("dt", '"0.2"'), ("bc_epochs", '"3"'),
                        ("n_actions", "7.0"), ("n_actions", "true"),
                        ("gamma", "false"), ("literal_goal_sum", "1"),
-                       ("seed", "null"), ("turn_radius", "[30]")):
+                       ("bc_batch", "null"), ("omega_max", "[30]")):
         cfg.write_text(f'{{"{key}": {value}}}')
         assert run_cli("demos", "--demos", "1", "--config", str(cfg),
                        "--out", str(tmp_path / "d.bin")) == 1, (key, value)
         assert f"'{key}'" in capsys.readouterr().err
+    # a value that a flag or the instances set is not a config key
+    for key, flag in (("seed", "--seed"), ("turn_radius", "--turn"),
+                      ("steps_budget", "--steps")):
+        cfg.write_text(f'{{"{key}": 7}}')
+        assert run_cli("demos", "--demos", "0", "--config", str(cfg),
+                       "--out", str(tmp_path / "d.bin")) == 1, key
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and flag in err
+    assert not (tmp_path / "d.bin").exists()
     cfg.write_text('{"dt": 1, "n_actions": 5, "literal_goal_sum": true, '
                    '"gamma": 0.9, "bc_epochs": 0}')
     env_kw, train_kw = _load_config(str(cfg))
@@ -547,6 +556,35 @@ def test_cli_expert_plot_and_literal_flag(tmp_path):
     assert run_cli("plot", "--tasks", "2", "--map", "300", "300",
                    "--seed", "880", "--expert", "--out", f"{d}/e.svg") == 0
     assert os.path.getsize(f"{d}/e.svg") > 500
+    cfg = tmp_path / "lit.json"
+    cfg.write_text('{"literal_goal_sum": true}')
     assert run_cli("demos", "--tasks", "2", "--map", "300", "300",
-                   "--seed", "890", "--demos", "2", "--literal-eq7",
+                   "--seed", "890", "--demos", "2", "--config", str(cfg),
                    "--out", f"{d}/lit.bin") == 0
+    assert load_dataset(f"{d}/lit.bin").meta.config.literal_goal_sum
+
+
+def test_cli_instance_file_sets_the_env_radius(tmp_path):
+    d = str(tmp_path)
+    assert run_cli("gen", "--tasks", "3", "--map", "300", "300",
+                   "--turn", "20", "--out", f"{d}/i20.txt") == 0
+    want = plan(load_instance(f"{d}/i20.txt")).waypoint_array()
+    assert run_cli("expert", "--instance", f"{d}/i20.txt",
+                   "--out", f"{d}/p.txt") == 0
+    assert expert_waypoints(f"{d}/p.txt").tobytes() == want.tobytes()
+    # no --turn needed to agree with the file
+    assert run_cli("eval", "--expert", "--instance", f"{d}/i20.txt") == 0
+    assert run_cli("plot", "--expert", "--instance", f"{d}/i20.txt",
+                   "--out", f"{d}/e.svg") == 0
+
+
+def test_cli_stages_reject_flags_they_do_not_read(tmp_path, tiny_demos):
+    d = str(tmp_path)
+    save_bundle(init_bundle(11, seed=0), f"{d}/b.ckpt")
+    for argv in (["train-bc", "--data", tiny_demos, "--tasks", "2"],
+                 ["distill", "--data", tiny_demos, "--ckpt", f"{d}/b.ckpt",
+                  "--tasks", "2"],
+                 ["gen", "--config", f"{d}/c.json"]):
+        assert run_cli(*argv, "--out", f"{d}/x") == 1, argv
+    assert run_cli("bench", "--ckpt", f"{d}/b.ckpt", "--out", f"{d}/x") == 1
+    assert not os.path.exists(f"{d}/x")

@@ -6,6 +6,7 @@ import pytest
 
 from dtspn.dubins import Pose
 from dtspn import expert as ex
+from dtspn.env import DtspnEnv, EnvConfig
 from dtspn import instance as inst
 from oracles import (gtsp_brute_force, gtsp_moves, gtsp_open_costs,
                      gtsp_search_full_rescoring, held_karp_atsp,
@@ -361,6 +362,22 @@ def test_plan_senses_all_and_length_consistent():
     # the polyline starts at the start position with the chosen heading
     assert ep.waypoints[0].x == x.start.x
     assert ep.waypoints[0].y == x.start.y
+
+
+def test_plan_spacing_follows_the_env_config_of_the_instance():
+    x = inst.generate(3, seed=11, turn_radius=20.0)
+    ep = ex.plan(x, n_pos=3, n_head=2)
+    assert ep == ex.plan(x, n_pos=3, n_head=2,
+                         config=EnvConfig(turn_radius=20.0))
+    wp = ep.waypoint_array()
+    gaps = np.hypot(np.diff(wp[:, 0]), np.diff(wp[:, 1]))
+    assert gaps.max() <= EnvConfig(turn_radius=20.0).step_dist + 1e-9
+    # a config for another radius is refused, as DtspnEnv refuses it
+    y = inst.generate(3, seed=11)
+    for bad in (lambda: ex.plan(y, config=EnvConfig(turn_radius=20.0)),
+                lambda: DtspnEnv(y, config=EnvConfig(turn_radius=20.0))):
+        with pytest.raises(ValueError, match="does not match"):
+            bad()
 
 
 def test_plan_matches_exhaustive_gtsp_oracle():
