@@ -116,8 +116,12 @@ def _generate(args, seed: int) -> instance_mod.Instance:
 def _instances(args, count: int = 1):
     """The stage's instances, the --instance file or count generated from
     --seed on, and the env config they run under: config_for's, with the
-    --config file's env keys."""
+    --config file's env keys.  The file excludes generation flags."""
     if getattr(args, "instance", None) is not None:
+        clash = [f"--{f}" for f in sorted(getattr(args, "given", ()))
+                 if f != "episodes" or args.episodes != 1]
+        if clash:
+            raise ValueError(f"--instance excludes {', '.join(clash)}")
         xs = [instance_mod.load(args.instance)]
     else:
         xs = [_generate(args, args.seed + i) for i in range(count)]
@@ -125,46 +129,37 @@ def _instances(args, count: int = 1):
     return xs, dataclasses.replace(config_for(xs[0], None), **env_kw)
 
 
-def _need_out(args, stage: str) -> str:
-    if args.out is None:
-        raise ValueError(f"{stage} requires --out PATH")
-    return args.out
-
-
 def cmd_gen(args) -> int:
-    out = _need_out(args, "gen")
     inst = _generate(args, args.seed)
-    instance_mod.save(inst, out)
-    _summary("gen", tasks=inst.n_tasks, seed=inst.seed, out=out)
+    instance_mod.save(inst, args.out)
+    _summary("gen", tasks=inst.n_tasks, seed=inst.seed, out=args.out)
     return 0
 
 
 def cmd_expert(args) -> int:
-    out = _need_out(args, "expert")
     (inst,), cfg = _instances(args)
     path = plan(inst, n_pos=args.pos, n_head=args.heads, config=cfg)
-    expert_mod.save(path, out)
+    expert_mod.save(path, args.out)
     _summary("expert", tasks=inst.n_tasks, length=path.total_length,
-             waypoints=len(path.waypoints), solve_s=path.solve_time, out=out)
+             waypoints=len(path.waypoints), solve_s=path.solve_time,
+             out=args.out)
     return 0
 
 
 def cmd_demos(args) -> int:
-    out = _need_out(args, "demos")
     _, cfg = _instances(args)
     dataset, report = collect_batch(
         args.demos, base_seed=args.seed, n_tasks=args.tasks,
         map_size=tuple(args.map), r_sense=args.sense, turn_radius=args.turn,
         n_pos=args.pos, n_head=args.heads, config=cfg)
-    save_dataset(dataset, out)
+    save_dataset(dataset, args.out)
     _summary("demos", accepted=report["accepted"],
              attempted=report["attempted"],
-             accept_rate=report["accept_rate"], out=out)
+             accept_rate=report["accept_rate"], out=args.out)
     return 0
 
 
 def cmd_train_bc(args) -> int:
-    out = _need_out(args, "train-bc")
     tc = _train_config(args)
     dataset = load_dataset(args.data)
     meta = dataset.meta
@@ -172,16 +167,15 @@ def cmd_train_bc(args) -> int:
                          n_actions=meta.config.n_actions, seed=tc.seed)
     _, metrics = bc_pretrain(dataset, bundle, tc)
     _, critic = critic_init(dataset, bundle, tc)
-    save_bundle(bundle, out)
+    save_bundle(bundle, args.out)
     _summary("train-bc", demos=len(dataset), epochs=tc.bc_epochs,
              val_acc=_last(metrics["val_acc"]),
              val_loss=_last(metrics["val_loss"]),
-             critic_val_mse=_last(critic["val_mse"]), out=out)
+             critic_val_mse=_last(critic["val_mse"]), out=args.out)
     return 0
 
 
 def cmd_train_ppo(args) -> int:
-    out = _need_out(args, "train-ppo")
     tc = _train_config(args, steps_budget=args.steps)
     _, cfg = _instances(args)
     use_privileged = not args.dense
@@ -223,27 +217,26 @@ def cmd_train_ppo(args) -> int:
         _, curve = ppo_finetune(env_factory, bundle, tc,
                                 use_privileged=use_privileged,
                                 critic_warmup_steps=args.warmup, log=log)
-    save_bundle(bundle, out)
+    save_bundle(bundle, args.out)
     finite = [c for c in curve if np.isfinite(c)]
     _summary("train-ppo", steps=tc.steps_budget, pool=len(pool),
              best_avg_return=max(finite) if finite else float("nan"),
              last_avg_return=_last(curve),
              wall_s=time.perf_counter() - t0,
-             out=out)
+             out=args.out)
     return 0
 
 
 def cmd_distill(args) -> int:
-    out = _need_out(args, "distill")
     tc = _train_config(args)
     dataset = load_dataset(args.data)
     bundle = load_bundle(args.ckpt)
     _, metrics = distill_adaptation(dataset, bundle, tc, epochs=args.epochs)
-    save_bundle(bundle, out)
+    save_bundle(bundle, args.out)
     _summary("distill", epochs=args.epochs,
              heldout_mse=metrics["heldout_mse"],
              heldout_z_variance=metrics["heldout_z_variance"],
-             action_agreement=metrics["action_agreement"], out=out)
+             action_agreement=metrics["action_agreement"], out=args.out)
     return 0
 
 
@@ -288,7 +281,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    out = _need_out(args, "plot")
     (inst,), cfg = _instances(args)
     epath = plan(inst, n_pos=args.pos, n_head=args.heads, config=cfg)
     # the expert path rides along even for policy plots: it supplies the
@@ -299,20 +291,29 @@ def cmd_plot(args) -> int:
     else:
         act_fn = bundle_actor(load_bundle(args.ckpt), args.pi_eval)
     record = run_episode(env, act_fn)
-    emit_trajectory_svg(record, inst, expert_path=epath, path=out)
+    emit_trajectory_svg(record, inst, expert_path=epath, path=args.out)
     _summary("plot", steps=len(record), sensed=record.n_sensed,
-             tasks=inst.n_tasks, out=out)
+             tasks=inst.n_tasks, out=args.out)
     return 0
 
 
+class _Given(argparse.Action):
+    """Store, noting the flag in the namespace's given set."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", set()) | {self.dest}
+
+
 def _add_generation(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tasks", type=int, default=20)
+    p.add_argument("--tasks", type=int, default=20, action=_Given)
     p.add_argument("--map", nargs=2, type=float, default=(800.0, 800.0),
-                   metavar=("W", "H"))
-    p.add_argument("--sense", type=float, default=58.0, metavar="R")
+                   metavar=("W", "H"), action=_Given)
+    p.add_argument("--sense", type=float, default=58.0, metavar="R",
+                   action=_Given)
     p.add_argument("--turn", type=float, default=30.0, metavar="RHO",
-                   help="turning radius of generated instances, which the "
-                        "env takes too")
+                   action=_Given, help="turning radius of generated "
+                                       "instances, which the env takes too")
 
 
 def _add_sampling(p: argparse.ArgumentParser) -> None:
@@ -330,13 +331,14 @@ def _add_config(p: argparse.ArgumentParser) -> None:
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", type=str, default=None, metavar="PATH")
+    p.add_argument("--out", type=str, required=True, metavar="PATH")
 
 
 def _add_instance(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", type=str, default=None, metavar="PATH",
                    help="use this instance file, and its turning radius, "
-                        "instead of generating one")
+                        "instead of generating one; excludes --tasks, "
+                        "--map, --sense and --turn")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,11 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=20, metavar="N")
 
     p = stage("eval", cmd_eval, "run eval episodes and report metrics",
-              *env, _add_out, _add_instance)
+              *env, _add_instance)
+    p.add_argument("--out", type=str, default=None, metavar="DIR",
+                   help="write episode CSVs and metrics.json here")
     p.add_argument("--ckpt", type=str, default=None, metavar="PATH")
     p.add_argument("--expert", action="store_true",
                    help="replay the expert instead of a checkpoint")
-    p.add_argument("--episodes", type=int, default=50, metavar="N")
+    p.add_argument("--episodes", type=int, default=50, metavar="N",
+                   action=_Given, help="instances to generate (one with "
+                                       "--instance)")
     p.add_argument("--pi-eval", action="store_true",
                    help="use the encoder on expert privileged obs instead "
                         "of the adaptation net")

@@ -186,8 +186,8 @@ def tracker(env: DtspnEnv) -> Callable[[Observation], int]:
     last = len(waypoints) - 1
 
     def act_fn(obs: Observation) -> int:
-        target = waypoints[min(int(b.progress[0]) + 2, last)]
-        return greedy_action(*b.pose[0].tolist(), target, config)
+        target = waypoints[min(b.progress[0] + 2, last)]
+        return greedy_action(*b.pose[0], target, config)
 
     return act_fn
 

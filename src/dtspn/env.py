@@ -5,22 +5,23 @@ per-task sensing flags, common/privileged state encodings, the two-part
 reward R = R^I + R^G with the imitation term keyed to the distance from the
 expert polyline, and the episode loop every caller but PPO rolls through.
 
-One kernel, EnvBatch, steps E envs in lockstep on state held as arrays
-with one row per env; DtspnEnv describes one env and owns its one-row
-batch, which run_episode rolls.  Per row, the kinematics, the sensing
-test, the common encoding and the rewards run as one pass over Python
-floats, which for the few rows and tasks here costs less than numpy calls
-and keeps the scalar rounding (math's sin, cos and atan2, Python's pow)
-they were defined with; with an expert path the privileged encoding joins
-that pass.  The distance to the expert polyline, over hundreds of segments
-per row, runs as array operations over all rows.  A row is byte-identical
-to a one-env run.
+One kernel, EnvBatch, steps E envs in lockstep; DtspnEnv describes one
+env and owns its one-row batch, which run_episode rolls.  Per row, the
+kinematics, the sensing test, the encodings and the rewards run as one
+pass over Python floats, which for the few rows and tasks here costs less
+than numpy calls and keeps the scalar rounding (math's sin, cos and atan2,
+Python's pow) they were defined with.  So the state is Python lists, one
+entry per env, and a step builds arrays only for their consumers: the
+observations for the networks and, with expert paths, the points whose
+distance to the polyline (hundreds of segments per row) runs as array
+operations over all rows.  A row is byte-identical to a one-env run.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
@@ -109,21 +110,19 @@ def imitation_reward(r: float) -> float:
     return 0.0
 
 
-def goal_reward(newly_sensed: int, all_sensed: bool, literal: bool = False,
+def goal_reward(newly_sensed: int, all_sensed: bool,
                 total_sensed: Optional[int] = None) -> float:
     """Sensing reward: 10 on completing all tasks, 5 per newly sensed task on
     top of the 0.1 living bonus, else 0.1.
 
-    With literal=True the middle branch pays 5 per *cumulative* sensed task on
-    activation steps instead of 5 per newly sensed one.
+    Given total_sensed (the literal_goal_sum variant), the middle branch
+    pays 5 per *cumulative* sensed task on activation steps instead.
     """
     if all_sensed:
         return 10.0
     if newly_sensed > 0:
-        if literal:
-            count = newly_sensed if total_sensed is None else total_sensed
-            return 0.1 + 5.0 * count
-        return 0.1 + 5.0 * newly_sensed
+        count = newly_sensed if total_sensed is None else total_sensed
+        return 0.1 + 5.0 * count
     return 0.1
 
 
@@ -137,11 +136,11 @@ class Observation:
 class RewardBreakdown:
     """One step's rewards, one entry per EnvBatch row."""
 
-    imitation: np.ndarray
-    goal: np.ndarray
-    total: np.ndarray
-    r: np.ndarray               # distance to the expert polyline, nan without one
-    newly_sensed: np.ndarray
+    imitation: List[float]
+    goal: List[float]
+    total: List[float]
+    r: List[float]              # distance to the expert polyline, nan without one
+    newly_sensed: List[int]
 
 
 PROGRESS_WINDOW = 8
@@ -155,14 +154,16 @@ class EnvBatch:
     """E envs of one config, mode and task count, stepped in lockstep.
 
     Row i holds an env's instance and expert path (load) and rolls episodes
-    through reset(rows) and step(actions).  State is arrays with one row
-    per env.  _pass tests a task against the substeps only within
-    r_sense + step_dist of the step's end, which drops no hit: a chord is
-    no longer than its arc.  Expert polylines share one padded width of
-    segments: each row repeats its last segment, which leaves every
-    nearest-point minimum unchanged.  common and privileged hold each
-    row's latest observation; they are replaced, never written in place,
-    so rows handed out earlier keep their values.
+    through reset(rows) and step(actions).  State is lists with one entry
+    per row: pose tuples, sensed flag lists (which _pass marks in place),
+    all_sensed, done, t and progress.  _pass tests a task against the
+    substeps only within r_sense + step_dist of the step's end, which drops
+    no hit: a chord is no longer than its arc.  Expert polylines share one
+    padded width of segments: each row repeats its last segment, which
+    leaves every nearest-point minimum unchanged.  common and privileged
+    are arrays of each row's latest observation, for the networks; they
+    are replaced, never written in place, so rows handed out earlier keep
+    their values.
     """
 
     def __init__(self, envs):
@@ -177,20 +178,16 @@ class EnvBatch:
         # per row: task (x, y) pairs, frame (hw, hh, max(hw, hh)),
         # r_sense^2, filter radius^2, expert waypoints (x, y, theta) or None
         self._consts = [None] * e
-        self._start = np.empty((e, 3))
+        self._start = [None] * e
         # segment j of a row: start (x, y), vector (dx, dy), squared length;
         # _set_path widens them to the most segments loaded
         self._seg_start = np.zeros((e, 2, 1))
         self._seg_vec = np.zeros((e, 2, 1))
         self._seg_len2 = np.ones((e, 1))
-        self._no_distance = np.full(e, np.nan)
-        self._no_distance.flags.writeable = False
-        self.pose = np.zeros((e, 3))
-        self.sensed = np.zeros((e, n), dtype=bool)
-        self.all_sensed = np.zeros(e, dtype=bool)
-        self.t = np.zeros(e, dtype=np.int64)
-        self.progress = np.zeros(e, dtype=np.int64)
-        self.done = np.ones(e, dtype=bool)
+        self.pose = [(0.0, 0.0, 0.0)] * e
+        self.sensed = [[False] * n for _ in range(e)]
+        self.all_sensed, self.done = [False] * e, [True] * e
+        self.t, self.progress = [0] * e, [0] * e
         self.common = np.zeros((e, 3 + 4 * n))
         self.privileged = np.zeros((e, PRIV_DIM)) if self.has_path else None
         for i, env in enumerate(envs):
@@ -207,14 +204,15 @@ class EnvBatch:
         hw, hh = 0.5 * x.map_width, 0.5 * x.map_height
         # products overflow to inf where ** 2 raises OverflowError
         near = x.r_sense + self.config.step_dist
-        heading, waypoints = x.start.theta, None
+        heading, waypoints = float(x.start.theta), None
         if self.has_path:
             wp = env.expert_path.waypoint_array()
-            heading, waypoints = wp[0, 2], wp.tolist()
+            heading, waypoints = float(wp[0, 2]), wp.tolist()
             self._set_path(i, wp)
         self._consts[i] = (x.task_array().tolist(), (hw, hh, max(hw, hh)),
                            x.r_sense * x.r_sense, near * near, waypoints)
-        self._start[i] = x.start.x, x.start.y, normalize_angle(heading)
+        self._start[i] = (float(x.start.x), float(x.start.y),
+                          normalize_angle(heading))
         self.done[i] = True
 
     def _set_path(self, i: int, wp: np.ndarray) -> None:
@@ -238,11 +236,9 @@ class EnvBatch:
 
     def expert_distance(self, xy) -> np.ndarray:
         """Distance from each row's point xy, (E, 2, 1), to the nearest
-        point of that row's expert polyline (segments, not just vertices);
-        nan without expert paths.  A one-row batch takes T points as
+        point of that row's expert polyline (segments, not just vertices),
+        for rows with expert paths.  A one-row batch takes T points as
         (T, 2, 1) and gives each the same bits as a call of its own."""
-        if not self.has_path:
-            return self._no_distance
         # the two-term sums over axis 1 add x first, as (x...) + (y...)
         rel = xy - self._seg_start
         t = np.add.reduce(rel * self._seg_vec, axis=1) / self._seg_len2
@@ -255,8 +251,7 @@ class EnvBatch:
     def _pass(self, i, flags, x, y, th, path=(), progress=0):
         """Row i's sensing and observations at pose (x, y, th), reached
         through the earlier substep poses path.  Marks the tasks within
-        range of any of those points in flags, row i's sensed list, and in
-        the sensed array (one element at a time is cheapest).  Returns
+        range of any of those points in flags, row i's sensed list.  Returns
         the common row [pose, per-task (dx, dy, bearing) in the body frame,
         flags], positions normalized by the map half-extents and angles by
         pi; the count of newly sensed tasks; and the privileged row with
@@ -280,13 +275,14 @@ class EnvBatch:
                 if d2 <= near2 and (d2 <= r2 or any(
                         (tx - px) * (tx - px) + (ty - py) * (ty - py) <= r2
                         for px, py, _ in path)):
-                    flags[j] = self.sensed[i, j] = True
+                    flags[j] = True
                     newly += 1
             row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
                     normalize_angle(math.atan2(dy, dx) - th) / math.pi
                     if dx or dy else 0.0)
+        row += flags
         if waypoints is None:
-            return row + flags, newly, None, progress
+            return row, newly, None, progress
         nearest, gain = math.inf, 0
         for j, (wx, wy, _) in enumerate(
                 waypoints[progress:progress + PROGRESS_WINDOW + 1]):
@@ -300,14 +296,17 @@ class EnvBatch:
             dx, dy = wx - x, wy - y
             priv += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
                      normalize_angle(wth - th) / math.pi)
-        return row + flags, newly, priv, progress
+        return row, newly, priv, progress
 
-    def _observe(self, rows, commons, privs, progress) -> None:
-        common = np.array(commons, dtype=float)
+    def _observe(self, rows, commons, privs) -> None:
+        # fromiter over the chained rows skips np.array's nested-list scan
+        n, m = len(commons), self.common.shape[1]
+        common = np.fromiter(chain.from_iterable(commons), float,
+                             n * m).reshape(n, m)
         priv = None
         if self.has_path:
-            priv = np.array(privs, dtype=float)
-            self.progress[rows] = progress
+            priv = np.fromiter(chain.from_iterable(privs), float,
+                               n * PRIV_DIM).reshape(n, PRIV_DIM)
         if rows is not ALL:
             common, c = self.common.copy(), common
             common[rows] = c
@@ -321,17 +320,16 @@ class EnvBatch:
         A row whose start pose already senses every task is done at once;
         an empty index array changes nothing."""
         index = np.arange(len(self.done))[rows].tolist()
-        if not index:
-            return
-        start = self._start[rows]
-        self.pose[rows] = start
-        self.sensed[rows] = False
-        self.t[rows] = 0
-        commons, _, privs, progress = zip(*(
-            self._pass(i, [False] * self.n_tasks, *pose)
-            for i, pose in zip(index, start.tolist())))
-        self.all_sensed[rows] = self.done[rows] = self.sensed[rows].all(axis=1)
-        self._observe(rows, commons, privs, progress)
+        commons, privs = [], []
+        for i in index:
+            self.pose[i] = pose = self._start[i]
+            self.sensed[i] = flags = [False] * self.n_tasks
+            row, _, priv, self.progress[i] = self._pass(i, flags, *pose)
+            self.t[i] = 0
+            self.all_sensed[i] = self.done[i] = False not in flags
+            commons.append(row)
+            privs.append(priv)
+        self._observe(rows if rows is ALL else index, commons, privs)
 
     def step(self, actions) -> RewardBreakdown:
         """Advance every row by its action (an (E,) int array of indices
@@ -339,7 +337,7 @@ class EnvBatch:
         all_sensed hold the new flags.  Raises RuntimeError if any row is
         done (as every row is until its first reset) and ValueError on an
         action outside [0, n_actions), before changing any state."""
-        if True in self.done.tolist():
+        if True in self.done:
             raise RuntimeError("a row is done or was never reset; reset it "
                                "before stepping")
         cfg = self.config
@@ -351,9 +349,8 @@ class EnvBatch:
                                  f"[0, {cfg.n_actions})")
         poses, commons, newly, privs, progress, all_sensed = \
             [], [], [], [], [], []
-        sensed = self.sensed.tolist()
         for i, ((x, y, theta), a, flags, k) in enumerate(zip(
-                self.pose.tolist(), actions, sensed, self.progress.tolist())):
+                self.pose, actions, self.sensed, self.progress)):
             path = [advance(x, y, theta, omegas[a], v, dt) for dt in substeps]
             x, y, theta = path.pop()
             theta = normalize_angle(theta)
@@ -364,25 +361,25 @@ class EnvBatch:
             privs.append(priv)
             progress.append(k)
             all_sensed.append(False not in flags)
-        self.pose = np.array(poses)
-        t = [k + 1 for k in self.t.tolist()]
-        self.t = np.array(t)
-        r = self.expert_distance(self.pose[:, 0:2, None])
-        dist = r.tolist()
-        if self.mode == "train":
-            ends = [d > cfg.train_cutoff_dist for d in dist]
+        self.pose, self.progress, self.all_sensed = poses, progress, all_sensed
+        self.t = t = [k + 1 for k in self.t]
+        if self.has_path:
+            dist = self.expert_distance(np.array(poses)[:, 0:2, None]).tolist()
+            r_im = list(map(imitation_reward, dist))
+        else:       # imitation_reward(nan) is 0.0
+            dist, r_im = [math.nan] * len(t), [0.0] * len(t)
+        ends = ([d > cfg.train_cutoff_dist for d in dist]
+                if self.mode == "train" else
+                [k >= cfg.max_steps_eval for k in t])
+        self.done = [a or e for a, e in zip(all_sensed, ends)]
+        if cfg.literal_goal_sum:
+            r_goal = list(map(goal_reward, newly, all_sensed,
+                              map(sum, self.sensed)))
         else:
-            ends = [k >= cfg.max_steps_eval for k in t]
-        self.all_sensed = np.array(all_sensed)
-        self.done = np.array([a or e for a, e in zip(all_sensed, ends)])
-        r_im = list(map(imitation_reward, dist))
-        r_goal = [goal_reward(k, a, cfg.literal_goal_sum, s) for k, a, s
-                  in zip(newly, all_sensed, map(sum, sensed))]
-        im, goal, total = np.array(
-            [r_im, r_goal, [a + b for a, b in zip(r_im, r_goal)]])
-        self._observe(ALL, commons, privs, progress)
-        return RewardBreakdown(imitation=im, goal=goal, total=total, r=r,
-                               newly_sensed=np.array(newly))
+            r_goal = list(map(goal_reward, newly, all_sensed))
+        self._observe(ALL, commons, privs)
+        total = [a + b for a, b in zip(r_im, r_goal)]
+        return RewardBreakdown(r_im, r_goal, total, dist, newly)
 
 
 class DtspnEnv:
@@ -455,12 +452,11 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
     t0 = time.perf_counter()
     b = env.batch
     b.reset()
-    start = tuple(b.pose[0].tolist())
-    sensed = b.sensed[0].copy()
-    events = [(-1, int(i)) for i in np.nonzero(sensed)[0]]
+    start, flags = b.pose[0], b.sensed[0]    # step marks flags in place
+    events = [(-1, j) for j, f in enumerate(flags) if f]
     commons, privs, poses, actions, r_im, r_go, newly, dones = \
         [], [], [], [], [], [], [], []
-    (done,) = b.done.tolist()
+    done = b.done[0]
     while not done and (max_steps is None or len(actions) < max_steps):
         obs = Observation(b.common[0], None if b.privileged is None
                           else b.privileged[0])
@@ -468,22 +464,19 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
         commons.append(obs.common)
         privs.append(obs.privileged)
         rew = b.step(np.array([a]))
-        # tolist reads the row's values for less than numpy-scalar indexing
-        poses.extend(b.pose.tolist())
+        poses.append(b.pose[0])
         actions.append(a)
-        r_im.extend(rew.imitation.tolist())
-        r_go.extend(rew.goal.tolist())
-        (k,), (done,) = rew.newly_sensed.tolist(), b.done.tolist()
+        r_im += rew.imitation
+        r_go += rew.goal
+        (k,), done = rew.newly_sensed, b.done[0]
         newly.append(k)
         dones.append(done)
         if k:
-            now = b.sensed[0]
-            events.extend((len(actions) - 1, int(i))
-                          for i in np.nonzero(now != sensed)[0])
-            sensed = now.copy()
+            seen = {j for _, j in events}
+            events += [(len(actions) - 1, j) for j, f in enumerate(flags)
+                       if f and j not in seen]
     wall = time.perf_counter() - t0
     n = len(actions)
-    sensed = b.sensed[0]
     return EpisodeRecord(
         start_pose=start,
         commons=np.array(commons, dtype=float).reshape(n, 3 + 4 * env.n_tasks),
@@ -496,6 +489,6 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
         newly_sensed=np.array(newly, dtype=np.int64),
         dones=np.array(dones, dtype=np.uint8),
         sensed_events=events,
-        sensed_all=bool(sensed.all()),
-        n_sensed=int(sensed.sum()),
+        sensed_all=b.all_sensed[0],
+        n_sensed=sum(flags),
         wall_time=wall)

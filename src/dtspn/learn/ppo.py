@@ -130,7 +130,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
             values[t] = v[:, 0]
             logp_old[t] = lsm[rows, a]
             ep_acc += rew.total
-            if envs.done.any():
+            if True in envs.done:
                 ended = np.flatnonzero(envs.done)
                 ep_returns.extend(ep_acc[ended].tolist())
                 ep_acc[ended] = 0.0

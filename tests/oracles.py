@@ -699,7 +699,9 @@ def sense(tasks, sense2, xy, sensed):
 class ReferenceBatch(EnvBatch):
     """EnvBatch whose reset and step sense every substep point of every
     row as one array (sense) and then encode all rows (encode_common and
-    encode_privileged)."""
+    encode_privileged).  Its state is arrays with one row per env, where
+    EnvBatch keeps lists: pose (E, 3), sensed (E, n), all_sensed, done, t
+    and progress (E,); only load and expert_distance are EnvBatch's."""
 
     def __init__(self, envs):
         envs = list(envs)
@@ -708,10 +710,18 @@ class ReferenceBatch(EnvBatch):
         self._sense2 = np.empty((e, 1, 1))
         self._frame = np.empty((e, 3))
         self._waypoints = np.zeros((e, 1, 3))
+        self._starts = np.empty((e, 3))
         super().__init__(envs)
+        self.pose = np.zeros((e, 3))
+        self.sensed = np.zeros((e, n), dtype=bool)
+        self.all_sensed = np.zeros(e, dtype=bool)
+        self.t = np.zeros(e, dtype=np.int64)
+        self.progress = np.zeros(e, dtype=np.int64)
+        self.done = np.ones(e, dtype=bool)
 
     def load(self, i, env):
         super().load(i, env)
+        self._starts[i] = self._start[i]
         x = env.instance
         self._tasks[i, :, 0] = x.task_array().T
         self._sense2[i] = x.r_sense * x.r_sense
@@ -745,7 +755,7 @@ class ReferenceBatch(EnvBatch):
         self.common, self.privileged = common, priv
 
     def reset(self, rows=ALL):
-        start = self._start[rows]
+        start = self._starts[rows]
         self.pose[rows] = start
         self.t[rows] = 0
         self.progress[rows] = 0
@@ -774,14 +784,15 @@ class ReferenceBatch(EnvBatch):
         self.pose = np.array(rows)
         self.t += 1
         self.all_sensed = all_sensed = np.logical_and.reduce(self.sensed, axis=1)
-        r = self.expert_distance(self.pose[:, 0:2, None])
+        r = (self.expert_distance(self.pose[:, 0:2, None]) if self.has_path
+             else np.full(len(self.pose), np.nan))
         if self.mode == "train":
             self.done = all_sensed | (r > cfg.train_cutoff_dist)
         else:
             self.done = all_sensed | (self.t >= cfg.max_steps_eval)
         r_im = list(map(imitation_reward, r.tolist()))
         if cfg.literal_goal_sum:
-            r_goal = [goal_reward(k, a, True, s) for k, a, s in zip(
+            r_goal = [goal_reward(k, a, s) for k, a, s in zip(
                 newly.tolist(), all_sensed.tolist(),
                 self.sensed.sum(axis=1).tolist())]
         else:

@@ -72,7 +72,7 @@ def test_tracker_chases_two_waypoints_ahead_clamped_to_the_end(monkeypatch):
     for progress, want in ((0, 2), (7, 9), (8, 9), (9, 9)):
         b.progress[0] = progress
         assert act_fn(None) == 3
-        assert targets[-1] == (*b.pose[0].tolist(), path.waypoints[want])
+        assert targets[-1] == (*b.pose[0], path.waypoints[want])
 
 
 def test_collect_straight_corridor():

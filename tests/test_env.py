@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtspn.demos import collect_batch
+from dtspn.demos import collect_batch, greedy_action, step_cap, tracker
 from dtspn.dubins import Pose, normalize_angle
-from dtspn.env import (DtspnEnv, EnvBatch, EnvConfig, advance, goal_reward,
-                       imitation_reward)
+from dtspn.env import (DtspnEnv, EnvBatch, EnvConfig, Observation, advance,
+                       goal_reward, imitation_reward, run_episode)
+from dtspn.evaluate import bundle_actor
+from dtspn.learn import init_bundle
 from dtspn.expert import ExpertPath, plan
 from dtspn.instance import Instance, default_start, generate
 from oracles import (ReferenceBatch, encode_privileged, map_frame,
@@ -80,8 +82,8 @@ def test_goal_reward_exact_values():
     assert goal_reward(0, True) == 10.0
     assert goal_reward(1, True) == 10.0
     # literal cumulative-sum variant pays per sensed task on activation steps
-    assert goal_reward(1, False, literal=True, total_sensed=3) == 15.1
-    assert goal_reward(0, False, literal=True, total_sensed=3) == 0.1
+    assert goal_reward(1, False, total_sensed=3) == 15.1
+    assert goal_reward(0, False, total_sensed=3) == 0.1
 
 
 def test_config_defaults_and_validation():
@@ -136,9 +138,9 @@ def test_env_straight_motion_and_heading():
     env = DtspnEnv(x, mode="eval")
     b = env.batch
     b.reset()
-    x0, y0, th0 = b.pose[0].tolist()
+    x0, y0, th0 = b.pose[0]
     b.step(np.array([3]))
-    x1, y1, th1 = b.pose[0].tolist()
+    x1, y1, th1 = b.pose[0]
     assert th1 == th0
     assert abs(x1 - (x0 + env.config.step_dist)) < 1e-12
     assert abs(y1 - y0) < 1e-12
@@ -152,7 +154,7 @@ def test_sensing_is_monotone_and_marks_along_arc():
     x = small_instance([(sub, start.y + 1.0)], r_sense=2.0)
     b = DtspnEnv(x, mode="eval").batch
     b.reset()
-    assert b.sensed[0].sum() == 0
+    assert not any(b.sensed[0])
     rew = b.step(np.array([3]))
     assert rew.newly_sensed[0] == 1
     assert b.done[0] and rew.goal[0] == 10.0
@@ -174,7 +176,7 @@ def test_sensed_flags_never_clear():
     for _ in range(120):
         b.step(np.array([int(rng.integers(7))]))
         cur = b.sensed[0]
-        assert np.all(cur >= prev)
+        assert all(c >= p for c, p in zip(cur, prev))
         prev = cur.copy()
         if b.done[0]:
             break
@@ -310,7 +312,7 @@ def test_imitation_reward_follows_polyline_distance():
     # distance to the horizontal line y = 200 while x stays in [50, 340]
     for _ in range(4):
         rew = b.step(np.array([4]))
-        px, py, _ = b.pose[0].tolist()
+        px, py, _ = b.pose[0]
         r = float(rew.r[0])
         if 50.0 <= px <= 340.0:
             assert abs(r - abs(py - 200.0)) < 1e-9
@@ -392,7 +394,7 @@ def test_env_argument_errors():
         b.step(np.array([3]))
     assert b.t[0] == 0
     b.reset()
-    start = b.pose.copy()
+    start = np.array(b.pose)
     for a in (-1, b.config.n_actions):
         with pytest.raises(ValueError):
             b.step(np.array([a]))
@@ -401,8 +403,8 @@ def test_env_argument_errors():
     two.reset()
     with pytest.raises(ValueError):
         two.step(np.array([3, -1]))
-    assert two.t.tolist() == [0, 0] and b.t[0] == 0
-    assert b.pose.tobytes() == start.tobytes()
+    assert two.t == [0, 0] and b.t[0] == 0
+    assert np.array(b.pose).tobytes() == start.tobytes()
     b.step(np.array([3]))
     assert b.t[0] == 1
 
@@ -432,10 +434,10 @@ def test_step_after_done_raises():
     far = small_instance([(180.0, 180.0)])
     two = EnvBatch([DtspnEnv(far, mode="eval"), DtspnEnv(x, mode="eval")])
     two.reset()
-    assert two.done.tolist() == [False, True]
+    assert two.done == [False, True]
     with pytest.raises(RuntimeError):
         two.step(np.array([3, 3]))
-    assert two.t.tolist() == [0, 0]
+    assert two.t == [0, 0]
 
 
 def _single_run(x, path, mode, config, actions):
@@ -453,9 +455,8 @@ def _single_run(x, path, mode, config, actions):
         rows.append((common[0].tobytes(),
                      None if priv is None else priv[0].tobytes(),
                      rew.imitation[0], rew.goal[0], rew.total[0], rew.r[0],
-                     rew.newly_sensed[0], b.done[0],
-                     b.sensed[0].view(np.uint8).tobytes(),
-                     tuple(b.pose[0].tolist())))
+                     rew.newly_sensed[0], b.done[0], bytes(b.sensed[0]),
+                     b.pose[0]))
     return rows
 
 
@@ -487,7 +488,7 @@ def test_batch_rows_match_single_env_runs(mode):
         idle = [i for i in range(e) if slot[i] is None and batch.done[i]]
         if idle:
             batch.reset(np.array(idle))
-        assert not batch.done[live].any()
+        assert not any(batch.done[i] for i in live)
         acts = np.array([episodes[slot[i]][2][len(got[slot[i]])]
                          if slot[i] is not None else 3 for i in range(e)])
         common, priv = batch.common, batch.privileged
@@ -498,8 +499,7 @@ def test_batch_rows_match_single_env_runs(mode):
                            None if priv is None else priv[i].tobytes(),
                            rew.imitation[i], rew.goal[i], rew.total[i],
                            rew.r[i], rew.newly_sensed[i], batch.done[i],
-                           batch.sensed[i].view(np.uint8).tobytes(),
-                           tuple(batch.pose[i].tolist())))
+                           bytes(batch.sensed[i]), batch.pose[i]))
             if batch.done[i] or len(got[k]) == len(episodes[k][2]):
                 if nxt < len(episodes):
                     x, p, _ = episodes[nxt]
@@ -544,7 +544,7 @@ def test_batch_reproduces_collected_demo_bytes():
         commons[t], privs[t] = batch.common, batch.privileged
         rew = batch.step(acts)
         rewards[t], dones[t] = rew.total, batch.done
-        if batch.done.any():
+        if any(batch.done):
             batch.reset(np.flatnonzero(batch.done))
     for i, d in enumerate(dataset):
         m = len(d)
@@ -554,17 +554,30 @@ def test_batch_reproduces_collected_demo_bytes():
         assert dones[:m, i].tobytes() == d.dones.tobytes()
 
 
+def _as_array(values, kind):
+    """values as an array: EnvBatch's lists (whose entries must be plain
+    Python numbers of type kind) or ReferenceBatch's arrays."""
+    if isinstance(values, list):
+        flat = [v for row in values
+                for v in (row if isinstance(row, (list, tuple)) else [row])]
+        assert {type(v) for v in flat} <= {kind}, kind
+    return np.array(values)
+
+
 def _state_bytes(b):
     """Everything a row exposes after reset or step, as dtypes and bytes."""
     return [(a.dtype.str, a.tobytes()) for a in (
-        b.common, b.pose, b.sensed, b.all_sensed, b.done, b.t,
-        b.progress)] + [None if b.privileged is None
-                        else b.privileged.tobytes()]
+        b.common, _as_array(b.pose, float), _as_array(b.sensed, bool),
+        _as_array(b.all_sensed, bool), _as_array(b.done, bool),
+        _as_array(b.t, int), _as_array(b.progress, int))] + [
+            None if b.privileged is None else b.privileged.tobytes()]
 
 
 def _reward_bytes(rew):
     return [(a.dtype.str, a.tobytes()) for a in (
-        rew.imitation, rew.goal, rew.total, rew.r, rew.newly_sensed)]
+        _as_array(rew.imitation, float), _as_array(rew.goal, float),
+        _as_array(rew.total, float), _as_array(rew.r, float),
+        _as_array(rew.newly_sensed, int))]
 
 
 def _polyline_through_tasks(x: Instance) -> ExpertPath:
@@ -585,7 +598,7 @@ def _run_pair(envs, pool, actions_of):
     assert _state_bytes(got) == _state_bytes(ref)
     refills = 0
     for t, acts in enumerate(actions_of):
-        if got.done.any():
+        if any(got.done):
             ended = np.flatnonzero(got.done)
             for i in ended.tolist():
                 env = pool[refills % len(pool)]
@@ -595,7 +608,7 @@ def _run_pair(envs, pool, actions_of):
             got.reset(ended)
             ref.reset(ended)
             assert _state_bytes(got) == _state_bytes(ref)
-            if got.done.any():
+            if any(got.done):
                 continue
         assert _reward_bytes(got.step(acts)) == _reward_bytes(ref.step(acts))
         assert _state_bytes(got) == _state_bytes(ref), t
@@ -664,7 +677,7 @@ def test_privileged_rows_match_the_array_encoder(n):
         for i in rows:
             env = pool[slot[i]][0]
             want, progress = encode_privileged(
-                batch.pose[i:i + 1], before[i:i + 1],
+                np.array(batch.pose[i:i + 1]), before[i:i + 1],
                 padded_waypoints(env.expert_path)[None],
                 map_frame(env.instance)[None])
             assert batch.privileged[i].tobytes() == want[0].tobytes()
@@ -682,17 +695,17 @@ def test_privileged_rows_match_the_array_encoder(n):
                 refills += 1
             batch.reset(np.array(ended))
             check(ended, np.zeros(e, dtype=np.int64))
-            if batch.done.any():
+            if any(batch.done):
                 continue
         acts = []
-        for i, t in enumerate(batch.t.tolist()):
+        for i, t in enumerate(batch.t):
             plan_acts = pool[slot[i]][1]
             follow = t < len(plan_acts) and rng.random() < 0.9
             acts.append(plan_acts[t] if follow else int(rng.integers(7)))
-        before = batch.progress.copy()
+        before = np.array(batch.progress)
         batch.step(np.array(acts))
         check(range(e), before)
-        for i, k in enumerate(batch.progress.tolist()):
+        for i, k in enumerate(batch.progress):
             last = len(pool[slot[i]][0].expert_path.waypoints) - 1
             clamped += k + 4 > last
             single += last == 0
@@ -730,7 +743,7 @@ def test_step_matches_the_array_reference_on_edge_geometry():
     b.reset()
     assert b.common[0, 5] == 0.0
     b.step(np.array([3]))
-    assert b.common[0, 8] == 0.0 and b.sensed[0].tolist() == [1, 1, 0]
+    assert b.common[0, 8] == 0.0 and b.sensed[0] == [True, True, False]
     _one_row_pair(x, [3, 3, 2])
     # headings that wrap across +-pi, with tasks straight behind the pose
     for th, a in ((math.pi - 0.05, 6), (math.pi, 0), (-math.pi + 0.05, 0)):
@@ -757,6 +770,88 @@ def test_step_matches_the_array_reference_on_edge_geometry():
     _one_row_pair(x, acts)
     _one_row_pair(x, acts, _polyline_through_tasks(x), mode="train",
                   config=EnvConfig(train_cutoff_dist=1e3))
+
+
+def _reference_record(env, choose, max_steps=None):
+    """run_episode's record fields, assembled by stepping a ReferenceBatch
+    of env by hand; choose(ref, obs) picks each action."""
+    ref = ReferenceBatch([env])
+    ref.reset()
+    sensed = ref.sensed[0].copy()
+    events = [(-1, int(j)) for j in np.flatnonzero(sensed)]
+    steps = []
+    while not ref.done[0] and (max_steps is None or len(steps) < max_steps):
+        obs = Observation(ref.common[0], None if ref.privileged is None
+                          else ref.privileged[0])
+        a = choose(ref, obs)
+        rew = ref.step(np.array([a]))
+        steps.append((obs.common, obs.privileged, ref.pose[0], a,
+                      rew.imitation[0], rew.goal[0], rew.newly_sensed[0],
+                      ref.done[0]))
+        events += [(len(steps) - 1, int(j))
+                   for j in np.flatnonzero(ref.sensed[0] & ~sensed)]
+        sensed = ref.sensed[0].copy()
+    commons, privs, poses, actions, r_im, r_goal, newly, dones = zip(*steps)
+    return dict(
+        start_pose=tuple(ref._starts[0].tolist()),
+        commons=np.array(commons),
+        privileged=None if privs[0] is None else np.array(privs),
+        poses=np.array(poses), actions=np.array(actions, dtype=np.int64),
+        r_imitation=np.array(r_im), r_goal=np.array(r_goal),
+        newly_sensed=np.array(newly, dtype=np.int64),
+        dones=np.array(dones, dtype=np.uint8), sensed_events=events,
+        sensed_all=bool(sensed.all()), n_sensed=int(sensed.sum()))
+
+
+def _assert_record_matches(rec, want):
+    for name, value in want.items():
+        got = getattr(rec, name)
+        if isinstance(value, np.ndarray):
+            assert (got.dtype.str, got.shape, got.tobytes()) == \
+                (value.dtype.str, value.shape, value.tobytes()), name
+        else:
+            assert got == value and type(got) is type(value), name
+    assert [type(v) for v in rec.start_pose] == [float] * 3
+    assert {type(v) for e in rec.sensed_events for v in e} <= {int}
+
+
+def test_run_episode_matches_reference_steps():
+    # an eval row without a path under a bundle actor
+    x = generate(20, 104, map_size=(800.0, 800.0))
+    env = DtspnEnv(x, mode="eval", config=EnvConfig(max_steps_eval=120))
+    act_fn = bundle_actor(init_bundle(common_dim=83, seed=0), False)
+    rec = run_episode(env, act_fn)
+    want = _reference_record(env, lambda ref, obs: act_fn(obs))
+    assert len(rec) == 120 and rec.privileged is None
+    _assert_record_matches(rec, want)
+
+    # a train row tracking its expert path, with a step cap
+    x = generate(3, 4101, map_size=(300.0, 300.0))
+    path = plan(x)
+    env = DtspnEnv(x, path, mode="train")
+    last = len(path.waypoints) - 1
+
+    def follow(ref, obs):
+        target = path.waypoints[min(int(ref.progress[0]) + 2, last)]
+        return greedy_action(*ref.pose[0].tolist(), target, env.config)
+
+    rec = run_episode(env, tracker(env), max_steps=step_cap(path))
+    want = _reference_record(env, follow, max_steps=step_cap(path))
+    assert rec.sensed_all and rec.privileged is not None
+    _assert_record_matches(rec, want)
+
+    # a task in range at reset, then two sensed on one step (mirror images
+    # across the straight flight line), then a far one left unsensed
+    s = Pose(100.0, 100.0, 0.0)
+    x = Instance(400.0, 400.0, ((110.0, 100.0), (140.0, 110.0),
+                                (140.0, 90.0), (380.0, 380.0)), 15.0, 30.0,
+                 s, 0)
+    env = DtspnEnv(x, mode="eval", config=EnvConfig(max_steps_eval=12))
+    rec = run_episode(env, lambda obs: 3)
+    want = _reference_record(env, lambda ref, obs: 3)
+    assert rec.sensed_events[0] == (-1, 0) and 2 in rec.newly_sensed.tolist()
+    assert not rec.sensed_all and rec.n_sensed == 3
+    _assert_record_matches(rec, want)
 
 
 @settings(max_examples=300, deadline=None)

@@ -578,6 +578,34 @@ def test_cli_instance_file_sets_the_env_radius(tmp_path):
                    "--out", f"{d}/e.svg") == 0
 
 
+def test_cli_instance_excludes_generation_flags(tmp_path, capsys):
+    d = str(tmp_path)
+    assert run_cli("gen", "--tasks", "3", "--map", "300", "300",
+                   "--turn", "20", "--out", f"{d}/i20.txt") == 0
+    inst = ["--instance", f"{d}/i20.txt"]
+    stages = (["expert", "--out", f"{d}/p.txt"], ["eval", "--expert"],
+              ["plot", "--expert", "--out", f"{d}/e.svg"])
+    flags = (["--tasks", "9"], ["--map", "300", "300"], ["--sense", "40"],
+             ["--turn", "50"])
+    capsys.readouterr()
+    for stage in stages:
+        for flag in flags:
+            assert run_cli(*stage, *inst, *flag) == 1, (stage, flag)
+            assert flag[0] in capsys.readouterr().err, (stage, flag)
+    assert not os.path.exists(f"{d}/p.txt")
+    assert not os.path.exists(f"{d}/e.svg")
+    # an --instance run is one episode: --episodes may only say so
+    assert run_cli("eval", "--expert", *inst, "--turn", "50", "--tasks", "9",
+                   "--episodes", "7", "--seed", "3") == 1
+    err = capsys.readouterr().err
+    assert all(f in err for f in ("--episodes", "--tasks", "--turn"))
+    assert run_cli("eval", "--expert", *inst, "--episodes", "7") == 1
+    assert "--episodes" in capsys.readouterr().err
+    for extra in ([], ["--episodes", "1"]):
+        assert run_cli("eval", "--expert", *inst, *extra) == 0
+        assert "episodes=1 " in capsys.readouterr().out
+
+
 def test_cli_stages_reject_flags_they_do_not_read(tmp_path, tiny_demos):
     d = str(tmp_path)
     save_bundle(init_bundle(11, seed=0), f"{d}/b.ckpt")
