@@ -21,8 +21,8 @@ from . import expert as expert_mod
 from . import instance as instance_mod
 from .demos import collect_batch, load_dataset, save_dataset, tracker
 from .env import DtspnEnv, EnvConfig, config_for, run_episode
-from .evaluate import (benchmark_speed, bundle_actor, evaluate,
-                       save_episode_csv)
+from .evaluate import (benchmark_speed, bundle_actor, check_common_dim,
+                       evaluate, save_episode_csv)
 from .expert import SensingGap, plan
 from .learn import (TrainConfig, bc_pretrain, critic_init,
                     distill_adaptation, init_bundle, load_bundle,
@@ -183,6 +183,7 @@ def cmd_train_ppo(args) -> int:
         raise ValueError(f"--pool must be >= 1, got {args.pool}")
     if args.ckpt is not None:
         bundle = load_bundle(args.ckpt)
+        check_common_dim(bundle, args.tasks)
     elif args.dense:
         bundle = init_bundle(3 + 4 * args.tasks, seed=tc.seed)
     else:
@@ -231,6 +232,7 @@ def cmd_distill(args) -> int:
     tc = _train_config(args)
     dataset = load_dataset(args.data)
     bundle = load_bundle(args.ckpt)
+    check_common_dim(bundle, dataset.meta.n_tasks, "demonstrations")
     _, metrics = distill_adaptation(dataset, bundle, tc, epochs=args.epochs)
     save_bundle(bundle, args.out)
     _summary("distill", epochs=args.epochs,

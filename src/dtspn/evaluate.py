@@ -44,6 +44,15 @@ def bundle_actor(bundle: ModelBundle,
                            zeros if obs.privileged is None else obs.privileged)
 
 
+def check_common_dim(bundle: ModelBundle, n_tasks: int,
+                     source: str = "instances") -> None:
+    """ValueError unless bundle takes the common observation of n_tasks."""
+    if bundle.common_dim != 3 + 4 * n_tasks:
+        raise ValueError(f"checkpoint expects common dim {bundle.common_dim}, "
+                         f"{source} with {n_tasks} tasks produce "
+                         f"{3 + 4 * n_tasks}")
+
+
 def _expert_episode(x: Instance, config: Optional[EnvConfig],
                     n_pos: int, n_head: int) -> EpisodeRecord:
     # plan time is inside the clock on purpose: the expert row's cost is
@@ -78,11 +87,7 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
     paths = [None] * len(instances)
     if isinstance(policy, ModelBundle):
         for x in instances:
-            want = 3 + 4 * x.n_tasks
-            if policy.common_dim != want:
-                raise ValueError(
-                    f"checkpoint expects common dim {policy.common_dim}, "
-                    f"instances with {x.n_tasks} tasks produce {want}")
+            check_common_dim(policy, x.n_tasks)
         if pi_eval:
             paths = [plan(x, n_pos=n_pos, n_head=n_head, config=config)
                      for x in instances]

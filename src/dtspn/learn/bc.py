@@ -58,7 +58,7 @@ def regress(net, inputs, targets, lr: float, batch: int, epochs: int,
     epoch.  Yields each epoch's training squared error per row."""
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    state = AdamState.for_network(net)
+    state = AdamState(net)
     n = len(inputs)
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -68,8 +68,8 @@ def regress(net, inputs, targets, lr: float, batch: int, epochs: int,
             out, cache = forward_cached(net, inputs[mb])
             err = out - targets[mb]
             se += float(np.sum(err ** 2))
-            gw, gb, _ = backward(net, cache, (2.0 / len(mb)) * err)
-            adam_step(net, gw, gb, state, lr)
+            grad, _ = backward(net, cache, (2.0 / len(mb)) * err)
+            adam_step(net, grad, state, lr)
         yield se / n
 
 
@@ -103,8 +103,7 @@ def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
     if n == 0:
         raise ValueError("training split has no transitions")
 
-    states = [AdamState.for_network(net)
-              for net in (bundle.encoder, bundle.policy)]
+    states = [AdamState(bundle.encoder), AdamState(bundle.policy)]
     metrics = {"train_loss": [], "train_acc": [], "val_loss": [], "val_acc": []}
 
     for _ in range(config.bc_epochs):

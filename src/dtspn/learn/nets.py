@@ -4,12 +4,17 @@ Everything is float64 numpy.  Layers are x @ W + b with tanh on hidden
 layers and identity on the output.  The backward pass returns parameter
 gradients and the gradient with respect to the input, which is how policy
 gradients chain back into the encoder.
+
+A network's parameters are one contiguous float64 buffer, flat, laid out
+w0, b0, w1, b1, ... (weights row-major) as checkpoints store them; its
+weights and biases lists hold views of it, made by _views alone.
+Gradients and Adam's moments are buffers of the same layout.
 """
 
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,21 +29,39 @@ class CheckpointError(ValueError):
     pass
 
 
-@dataclass
-class NetworkParams:
-    layer_dims: Tuple[int, ...]
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
+def n_params(layer_dims: Sequence[int]) -> int:
+    """Parameter count of a network with these layer dims."""
+    return sum((a + 1) * b for a, b in zip(layer_dims, layer_dims[1:]))
 
-    def __post_init__(self):
-        dims = tuple(self.layer_dims)
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ValueError("layer count does not match parameter count")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
-                raise ValueError(
-                    f"layer {i}: expected shapes {(dims[i], dims[i + 1])} / "
-                    f"({dims[i + 1]},), got {w.shape} / {b.shape}")
+
+def _views(flat: np.ndarray, dims: Tuple[int, ...]):
+    """Weight and bias views of flat, laid out w0, b0, w1, b1, ..."""
+    weights, biases, off = [], [], 0
+    for a, b in zip(dims, dims[1:]):
+        weights.append(flat[off:off + a * b].reshape(a, b))
+        biases.append(flat[off + a * b:off + a * b + b])
+        off += a * b + b
+    return weights, biases
+
+
+class NetworkParams:
+    """The parameters of one network: flat, a 1-D C-contiguous float64
+    buffer of n_params(layer_dims) entries, and the per-layer weights and
+    biases lists of views of it."""
+
+    def __init__(self, layer_dims: Sequence[int], flat: np.ndarray):
+        dims = tuple(int(d) for d in layer_dims)
+        if len(dims) < 2:
+            raise ValueError(f"a network needs two or more layer dims, "
+                             f"got {dims}")
+        if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and
+                flat.dtype == np.float64 and flat.flags.c_contiguous and
+                flat.size == n_params(dims)):
+            raise ValueError(f"layer dims {dims} take a 1-D contiguous "
+                             f"float64 array of {n_params(dims)} parameters")
+        self.layer_dims = dims
+        self.flat = flat
+        self.weights, self.biases = _views(flat, dims)
 
     @property
     def in_dim(self) -> int:
@@ -49,13 +72,10 @@ class NetworkParams:
         return self.layer_dims[-1]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(tuple(self.layer_dims),
-                             [w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases])
+        return NetworkParams(self.layer_dims, self.flat.copy())
 
     def finite(self) -> bool:
-        return (all(np.all(np.isfinite(w)) for w in self.weights) and
-                all(np.all(np.isfinite(b)) for b in self.biases))
+        return bool(np.isfinite(self.flat).all())
 
 
 def init_network(layer_dims: Sequence[int], rng: np.random.Generator,
@@ -63,18 +83,15 @@ def init_network(layer_dims: Sequence[int], rng: np.random.Generator,
     """Uniform fan-in init, U(-1/sqrt(n_in), 1/sqrt(n_in)) for weights and
     biases; out_scale shrinks the last layer (0.01 for the policy head keeps
     the initial action distribution near uniform)."""
-    dims = tuple(int(d) for d in layer_dims)
-    weights, biases = [], []
-    for i in range(len(dims) - 1):
-        bound = 1.0 / np.sqrt(dims[i])
-        w = rng.uniform(-bound, bound, size=(dims[i], dims[i + 1]))
-        b = rng.uniform(-bound, bound, size=dims[i + 1])
-        if i == len(dims) - 2:
+    net = NetworkParams(layer_dims, np.empty(n_params(layer_dims)))
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+        if i == len(net.weights) - 1:
             w *= out_scale
             b *= out_scale
-        weights.append(w)
-        biases.append(b)
-    return NetworkParams(dims, weights, biases)
+    return net
 
 
 def _as_batch(x: np.ndarray, d: int, what: str) -> np.ndarray:
@@ -106,60 +123,48 @@ def forward_cached(params: NetworkParams, x: np.ndarray):
 def backward(params: NetworkParams, cache, upstream: np.ndarray):
     """Gradients of sum(output * upstream) w.r.t. parameters and input.
 
-    upstream has the output's batch shape.  Returns (weight grads, bias
-    grads, input grad); parameter grads are summed over the batch, so pass
+    upstream has the output's batch shape.  Returns (grad, input grad),
+    grad a NetworkParams of params' dims summed over the batch, so pass
     upstream already scaled by 1/batch for means.
     """
     g = _as_batch(upstream, params.out_dim, "upstream")
     if g.shape[0] != cache[0].shape[0]:
         raise ValueError(f"upstream batch {g.shape[0]} != cached batch "
                          f"{cache[0].shape[0]}")
-    n = len(params.weights)
-    gws: List[Optional[np.ndarray]] = [None] * n
-    gbs: List[Optional[np.ndarray]] = [None] * n
-    for i in range(n - 1, -1, -1):
-        gws[i] = cache[i].T @ g
-        gbs[i] = g.sum(axis=0)
+    grad = NetworkParams(params.layer_dims, np.empty_like(params.flat))
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.matmul(cache[i].T, g, out=grad.weights[i])
+        g.sum(axis=0, out=grad.biases[i])
         g = g @ params.weights[i].T
         if i > 0:
             g = g * (1.0 - cache[i] ** 2)
-    return gws, gbs, g
+    return grad, g
 
 
-@dataclass
 class AdamState:
-    """Moment-based adaptive update with bias correction,
-    beta = (0.9, 0.999), eps = 1e-8."""
+    """Moment-based adaptive update with bias correction, beta = (0.9,
+    0.999), eps = 1e-8: one network's moments, in its layout, and steps."""
 
-    m_w: List[np.ndarray]
-    v_w: List[np.ndarray]
-    m_b: List[np.ndarray]
-    v_b: List[np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def for_network(cls, params: NetworkParams) -> "AdamState":
-        return cls(m_w=[np.zeros_like(w) for w in params.weights],
-                   v_w=[np.zeros_like(w) for w in params.weights],
-                   m_b=[np.zeros_like(b) for b in params.biases],
-                   v_b=[np.zeros_like(b) for b in params.biases])
+    def __init__(self, params: NetworkParams):
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self.t = 0
 
 
-def adam_step(params: NetworkParams, gws, gbs, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: NetworkParams, grad: NetworkParams, state: AdamState,
+              lr: float, beta1: float = 0.9, beta2: float = 0.999,
+              eps: float = 1e-8) -> None:
     if lr == 0.0:
         return
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    for i in range(len(params.weights)):
-        for p, g, m, v in ((params.weights[i], gws[i], state.m_w[i], state.v_w[i]),
-                           (params.biases[i], gbs[i], state.m_b[i], state.v_b[i])):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    g, m, v = grad.flat, state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 @dataclass
@@ -218,8 +223,7 @@ class ModelBundle:
         if out is None:
             return ModelBundle(*(net.copy() for net in self.networks))
         for dst, src in zip(out.networks, self.networks):
-            for d, s in zip(dst.weights + dst.biases, src.weights + src.biases):
-                d[...] = s
+            dst.flat[...] = src.flat
         return out
 
     def finite(self) -> bool:
@@ -276,11 +280,10 @@ def actor_step(bundle: ModelBundle, caches, dlogits: np.ndarray, states,
     order) for a loss with gradient dlogits at an encoder-path forward."""
     enc_cache, pol_cache = caches
     enc_state, pol_state = states
-    gw_p, gb_p, gin = backward(bundle.policy, pol_cache, dlogits)
-    gw_e, gb_e, _ = backward(bundle.encoder, enc_cache,
-                             gin[:, bundle.common_dim:])
-    adam_step(bundle.policy, gw_p, gb_p, pol_state, lr)
-    adam_step(bundle.encoder, gw_e, gb_e, enc_state, lr)
+    grad_p, gin = backward(bundle.policy, pol_cache, dlogits)
+    grad_e, _ = backward(bundle.encoder, enc_cache, gin[:, bundle.common_dim:])
+    adam_step(bundle.policy, grad_p, pol_state, lr)
+    adam_step(bundle.encoder, grad_e, enc_state, lr)
 
 
 def act(bundle: ModelBundle, common_obs: np.ndarray, use_privileged: bool,
@@ -303,19 +306,14 @@ def act(bundle: ModelBundle, common_obs: np.ndarray, use_privileged: bool,
 
 
 def _pack_network(params: NetworkParams) -> bytes:
-    out = [struct.pack("<I", len(params.layer_dims))]
-    out.append(struct.pack(f"<{len(params.layer_dims)}I", *params.layer_dims))
-    for w, b in zip(params.weights, params.biases):
-        out.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        out.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(out)
+    dims = params.layer_dims
+    return (struct.pack(f"<I{len(dims)}I", len(dims), *dims) +
+            params.flat.astype("<f8", copy=False).tobytes())
 
 
 def save_bundle(bundle: ModelBundle, path: str) -> None:
-    payload = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, 4)]
-    for net in bundle.networks:
-        payload.append(_pack_network(net))
-    blob = b"".join(payload)
+    blob = b"".join([CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, 4)] +
+                    [_pack_network(net) for net in bundle.networks])
     digest = hashlib.sha256(blob).digest()
     with open(path, "wb") as f:
         f.write(blob)
@@ -343,20 +341,15 @@ def load_bundle(path: str) -> ModelBundle:
     try:
         for _ in range(4):
             (n_dims,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            dims = struct.unpack_from(f"<{n_dims}I", blob, off)
-            off += 4 * n_dims
-            weights, biases = [], []
-            for i in range(n_dims - 1):
-                nw = dims[i] * dims[i + 1]
-                w = np.frombuffer(blob, dtype="<f8", count=nw, offset=off)
-                off += 8 * nw
-                b = np.frombuffer(blob, dtype="<f8", count=dims[i + 1],
-                                  offset=off)
-                off += 8 * dims[i + 1]
-                weights.append(w.reshape(dims[i], dims[i + 1]).copy())
-                biases.append(b.copy())
-            nets.append(NetworkParams(tuple(dims), weights, biases))
+            dims = struct.unpack_from(f"<{n_dims}I", blob, off + 4)
+            off += 4 + 4 * n_dims
+            count = n_params(dims)
+            if 8 * count > len(blob) - off:
+                raise CheckpointError(f"layer dims take {count} parameters, "
+                                      f"{len(blob) - off} bytes remain")
+            flat = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+            off += 8 * count
+            nets.append(NetworkParams(dims, flat.astype(np.float64)))
         if off == len(blob):
             return ModelBundle(*nets)
     except (struct.error, ValueError) as e:

@@ -73,9 +73,8 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
     cd, pd = bundle.common_dim, bundle.priv_dim
     n_env = math.gcd(ROLLOUT_ENVS, config.rollout_steps)
     t_len = config.rollout_steps // n_env
-    actor_states = [AdamState.for_network(net)
-                    for net in (bundle.encoder, bundle.policy)]
-    cri_state = AdamState.for_network(bundle.critic)
+    actor_states = [AdamState(bundle.encoder), AdamState(bundle.policy)]
+    cri_state = AdamState(bundle.critic)
 
     best = bundle.copy()
     best_reward = -np.inf
@@ -185,9 +184,9 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                                config.ppo_actor_lr)
                 v, cri_cache = forward_cached(bundle.critic, x)
                 err = v[:, 0] - rets[mb]
-                gw_c, gb_c, _ = backward(bundle.critic, cri_cache,
-                                         (2.0 / b) * err[:, None])
-                adam_step(bundle.critic, gw_c, gb_c, cri_state,
+                grad_c, _ = backward(bundle.critic, cri_cache,
+                                     (2.0 / b) * err[:, None])
+                adam_step(bundle.critic, grad_c, cri_state,
                           config.ppo_critic_lr)
                 stats += (np.mean(ratio - 1.0 - log_ratio),
                           np.mean(np.abs(ratio - 1.0) > config.ppo_clip),

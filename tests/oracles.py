@@ -15,6 +15,11 @@ differences.  Slower than the real code on purpose.  The exceptions are:
 - forward, gradients and softmax, one-call conveniences over the package's
   forward_cached and backward that only tests use, and shortest_path_length
   over shortest_path and path_length.
+- reference_backward, ReferenceAdam, reference_adam_step and
+  reference_pack_network, the network code as it ran before parameters,
+  gradients and moments shared one flat buffer per network: one array per
+  layer's weights and biases, and a loop over them.  They are kept as the
+  byte-for-byte reference for backward, adam_step and save_bundle.
 - encode_privileged, the simulator's privileged encoding as it ran over
   arrays of padded waypoints before it joined the per-row pass.
 - ReferenceBatch, EnvBatch with the array-level sensing, common encoding
@@ -25,6 +30,7 @@ differences.  Slower than the real code on purpose.  The exceptions are:
 
 import itertools
 import math
+import struct
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar, root
@@ -578,9 +584,67 @@ def forward(params, x):
 
 
 def gradients(params, x, upstream):
-    """forward_cached then backward, in one call."""
+    """forward_cached then backward, in one call: (weight grads, bias
+    grads, input grad), the parameter grads as per-layer lists."""
     _, cache = forward_cached(params, x)
-    return backward(params, cache, upstream)
+    grad, gin = backward(params, cache, upstream)
+    return grad.weights, grad.biases, gin
+
+
+def reference_backward(params, cache, upstream):
+    """backward with a fresh array per layer gradient: returns (weight
+    grads, bias grads, input grad)."""
+    g = np.asarray(upstream, dtype=float).reshape(len(cache[0]), -1)
+    n = len(params.weights)
+    gws, gbs = [None] * n, [None] * n
+    for i in range(n - 1, -1, -1):
+        gws[i] = cache[i].T @ g
+        gbs[i] = g.sum(axis=0)
+        g = g @ params.weights[i].T
+        if i > 0:
+            g = g * (1.0 - cache[i] ** 2)
+    return gws, gbs, g
+
+
+class ReferenceAdam:
+    """Adam moments as four per-layer lists and the step count."""
+
+    def __init__(self, params):
+        self.m_w = [np.zeros_like(w) for w in params.weights]
+        self.v_w = [np.zeros_like(w) for w in params.weights]
+        self.m_b = [np.zeros_like(b) for b in params.biases]
+        self.v_b = [np.zeros_like(b) for b in params.biases]
+        self.t = 0
+
+
+def reference_adam_step(params, gws, gbs, state, lr, beta1=0.9,
+                        beta2=0.999, eps=1e-8):
+    """adam_step one layer array at a time, in place in params' arrays."""
+    if lr == 0.0:
+        return
+    state.t += 1
+    c1 = 1.0 - beta1 ** state.t
+    c2 = 1.0 - beta2 ** state.t
+    for i in range(len(params.weights)):
+        for p, g, m, v in ((params.weights[i], gws[i], state.m_w[i],
+                            state.v_w[i]),
+                           (params.biases[i], gbs[i], state.m_b[i],
+                            state.v_b[i])):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def reference_pack_network(params):
+    """A network's checkpoint record written layer by layer."""
+    out = [struct.pack("<I", len(params.layer_dims))]
+    out.append(struct.pack(f"<{len(params.layer_dims)}I", *params.layer_dims))
+    for w, b in zip(params.weights, params.biases):
+        out.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
+        out.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    return b"".join(out)
 
 
 def softmax(logits):

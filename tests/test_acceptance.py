@@ -154,13 +154,13 @@ def test_network_gradients_match_finite_differences():
         x = rng.normal(size=(4, dims[0]))
         v = rng.normal(size=(4, dims[-1]))
         out, cache = forward_cached(params, x)
-        gws, gbs, _ = backward(params, cache, v)
+        grad, _ = backward(params, cache, v)
         for _ in range(100):
             li = int(rng.integers(len(params.weights)))
             use_bias = rng.random() < 0.2
             arr = params.biases[li] if use_bias else params.weights[li]
             idx = tuple(int(rng.integers(s)) for s in arr.shape)
-            analytic = (gbs[li] if use_bias else gws[li])[idx]
+            analytic = (grad.biases[li] if use_bias else grad.weights[li])[idx]
             old = arr[idx]
             arr[idx] = old + h
             fp = float((forward(params, x) * v).sum())

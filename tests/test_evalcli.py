@@ -532,6 +532,31 @@ def test_cli_distill_rejects_negative_epochs(tmp_path, capsys, tiny_demos):
     assert not os.path.exists(f"{d}/out.ckpt")
 
 
+def test_cli_train_ppo_checks_the_checkpoint_before_planning(
+        tmp_path, monkeypatch, capsys):
+    planned = []
+    monkeypatch.setattr("dtspn.cli.plan",
+                        lambda *a, **k: planned.append(a) or plan(*a, **k))
+    save_bundle(init_bundle(15, seed=0), str(tmp_path / "b.ckpt"))
+    assert run_cli("train-ppo", "--ckpt", str(tmp_path / "b.ckpt"),
+                   "--tasks", "20", "--steps", "256",
+                   "--out", str(tmp_path / "x.ckpt")) == 1
+    assert ("checkpoint expects common dim 15, instances with 20 tasks "
+            "produce 83") in capsys.readouterr().err
+    assert planned == [] and not (tmp_path / "x.ckpt").exists()
+
+
+def test_cli_distill_checks_the_checkpoint_against_the_data(tmp_path, capsys,
+                                                           tiny_demos):
+    save_bundle(init_bundle(15, seed=0), str(tmp_path / "b.ckpt"))
+    assert run_cli("distill", "--data", tiny_demos,
+                   "--ckpt", str(tmp_path / "b.ckpt"),
+                   "--out", str(tmp_path / "out.ckpt")) == 1
+    assert ("checkpoint expects common dim 15, demonstrations with 2 tasks "
+            "produce 11") in capsys.readouterr().err
+    assert not (tmp_path / "out.ckpt").exists()
+
+
 def test_cli_expert_rejects_a_pose_budget_over_the_bound(tmp_path, capsys):
     out = str(tmp_path / "path.txt")
     assert run_cli("expert", "--tasks", "1", "--pos", "17", "--heads", "16",

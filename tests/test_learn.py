@@ -17,10 +17,11 @@ from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
                          return_to_go, sample_categorical, save_bundle)
 from dtspn.learn.bc import regress
 from dtspn.learn.nets import (CKPT_MAGIC, CKPT_VERSION, _pack_network,
-                              actor_forward)
+                              actor_forward, backward, forward_cached)
 
-from oracles import (discounted_returns, fd_gradients, forward, gradients,
-                     softmax)
+from oracles import (ReferenceAdam, discounted_returns, fd_gradients, forward,
+                     gradients, reference_adam_step, reference_backward,
+                     reference_pack_network, softmax)
 
 
 def small_net(dims, seed=0):
@@ -28,12 +29,11 @@ def small_net(dims, seed=0):
 
 
 def test_forward_trivial_cases():
-    zero = NetworkParams((3, 4, 2),
-                         [np.zeros((3, 4)), np.zeros((4, 2))],
-                         [np.zeros(4), np.zeros(2)])
+    zero = NetworkParams((3, 4, 2), np.zeros(3 * 4 + 4 + 4 * 2 + 2))
     assert np.all(forward(zero, np.array([1.0, -2.0, 3.0])) == 0.0)
 
-    ident = NetworkParams((3, 3), [np.eye(3)], [np.zeros(3)])
+    ident = NetworkParams((3, 3), np.concatenate([np.eye(3).ravel(),
+                                                  np.zeros(3)]))
     x = np.array([0.3, -1.7, 2.0])
     assert np.allclose(forward(ident, x), x)
 
@@ -77,9 +77,8 @@ def test_gradients_zero_upstream_and_linear_closed_form():
     assert all(np.all(g == 0.0) for g in gw + gb)
     assert np.all(gx == 0.0)
 
-    lin = NetworkParams((3, 2), [np.array([[1.0, 2.0], [0.5, -1.0],
-                                           [3.0, 0.0]])],
-                        [np.zeros(2)])
+    lin = NetworkParams((3, 2), np.array([1.0, 2.0, 0.5, -1.0, 3.0, 0.0,
+                                          0.0, 0.0]))
     x = np.array([1.0, -2.0, 0.5])
     u = np.array([2.0, -1.0])
     gw, gb, gx = gradients(lin, x, u)
@@ -108,18 +107,100 @@ def test_gradients_batched_sum_over_batch():
 
 
 def test_adam_step_and_zero_lr():
-    net = NetworkParams((1, 1), [np.zeros((1, 1))], [np.zeros(1)])
-    st = AdamState.for_network(net)
-    adam_step(net, [np.array([[4.0]])], [np.array([0.5])], st, lr=0.01)
+    net = NetworkParams((1, 1), np.zeros(2))
+    st = AdamState(net)
+    adam_step(net, NetworkParams((1, 1), np.array([4.0, 0.5])), st, lr=0.01)
     # bias-corrected first step moves by about -lr * sign(grad)
     assert abs(net.weights[0][0, 0] + 0.01) < 1e-6
     assert abs(net.biases[0][0] + 0.01) < 1e-6
     assert st.t == 1
 
     before_w = net.weights[0].copy()
-    adam_step(net, [np.array([[9.0]])], [np.array([9.0])], st, lr=0.0)
+    adam_step(net, NetworkParams((1, 1), np.array([9.0, 9.0])), st, lr=0.0)
     assert net.weights[0].tobytes() == before_w.tobytes()
     assert st.t == 1
+
+
+@pytest.mark.parametrize("common_dim", [15, 83])
+def test_backward_matches_the_per_layer_reference(common_dim):
+    # the 3-task and 20-task bundles' networks, one row and a 512-row batch
+    b = init_bundle(common_dim=common_dim, seed=5)
+    rng = np.random.default_rng(common_dim)
+    for net in b.networks:
+        for rows in (1, 512):
+            _, cache = forward_cached(net, rng.normal(size=(rows, net.in_dim)))
+            up = rng.normal(size=(rows, net.out_dim))
+            grad, gin = backward(net, cache, up)
+            gws, gbs, ref_gin = reference_backward(net, cache, up)
+            assert grad.layer_dims == net.layer_dims
+            for ours, ref in zip(grad.weights + grad.biases + [gin],
+                                 gws + gbs + [ref_gin]):
+                assert ours.shape == ref.shape
+                assert ours.tobytes() == ref.tobytes()
+
+
+def test_adam_step_matches_the_per_layer_reference():
+    net = init_bundle(common_dim=15, seed=6).policy
+    ref = net.copy()
+    st, ref_st = AdamState(net), ReferenceAdam(ref)
+    rng = np.random.default_rng(6)
+    for lr in (0.003, 0.003, 0.0, 0.001, 0.003):
+        _, cache = forward_cached(net, rng.normal(size=(64, net.in_dim)))
+        grad, _ = backward(net, cache, rng.normal(size=(64, net.out_dim)))
+        adam_step(net, grad, st, lr)
+        reference_adam_step(ref, grad.weights, grad.biases, ref_st, lr)
+        assert st.t == ref_st.t
+        assert net.flat.tobytes() == ref.flat.tobytes()
+        m, v = (NetworkParams(net.layer_dims, a) for a in (st.m, st.v))
+        for ours, theirs in ((m.weights, ref_st.m_w), (m.biases, ref_st.m_b),
+                             (v.weights, ref_st.v_w), (v.biases, ref_st.v_b)):
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(ours, theirs))
+    assert st.t == 4
+
+
+def test_parameter_views_share_the_flat_buffer():
+    net = small_net((4, 6, 3), seed=2)
+    net.weights[1][2, 1] = 7.5
+    net.biases[0][3] = -2.0
+    assert 7.5 in net.flat and -2.0 in net.flat
+    net.flat[...] = np.arange(net.flat.size)
+    assert net.weights[0][0, 1] == 1.0 and net.biases[1][-1] == net.flat[-1]
+    assert all(np.shares_memory(a, net.flat)
+               for a in net.weights + net.biases)
+
+    twin = net.copy()
+    assert twin.flat.tobytes() == net.flat.tobytes()
+    assert not any(np.shares_memory(a, net.flat)
+                   for a in [twin.flat] + twin.weights + twin.biases)
+    twin.weights[0][...] = 0.0
+    assert net.weights[0][0, 1] == 1.0
+
+
+def test_bundle_copy_into_out_keeps_out_buffers():
+    src, out = init_bundle(common_dim=9, seed=1), init_bundle(common_dim=9,
+                                                              seed=2)
+    flats = [net.flat for net in out.networks]
+    first_weights = [net.weights[0] for net in out.networks]
+    assert src.copy(out=out) is out
+    for net, flat, w0, ref in zip(out.networks, flats, first_weights,
+                                  src.networks):
+        assert net.flat is flat and net.weights[0] is w0
+        assert flat.tobytes() == ref.flat.tobytes()
+        assert not np.shares_memory(flat, ref.flat)
+
+
+def test_network_params_rejects_bad_buffers():
+    dims = (3, 4, 2)
+    NetworkParams(dims, np.zeros(26))
+    for bad in (np.zeros((2, 13)), np.zeros(26, dtype=np.float32),
+                np.zeros(25), np.zeros(27), np.zeros(52)[::2],
+                np.zeros(26, dtype=">f8"), [0.0] * 26):
+        with pytest.raises(ValueError):
+            NetworkParams(dims, bad)
+    for short in ((), (3,)):
+        with pytest.raises(ValueError):
+            NetworkParams(short, np.zeros(0))
 
 
 def test_init_bundle_shapes_and_policy_scale():
@@ -157,11 +238,11 @@ def pi_free_twin(common_dim=9, seed=4):
     is the same function restricted to the common inputs."""
     b = init_bundle(common_dim=common_dim, seed=seed)
     b.encoder.weights[0][common_dim:, :] = 0.0
-    ada = NetworkParams(
-        (common_dim,) + b.encoder.layer_dims[1:],
-        [b.encoder.weights[0][:common_dim].copy()] +
-        [w.copy() for w in b.encoder.weights[1:]],
-        [x.copy() for x in b.encoder.biases])
+    ada = init_network((common_dim,) + b.encoder.layer_dims[1:],
+                       np.random.default_rng(0))
+    for dst, src in zip(ada.weights + ada.biases,
+                        b.encoder.weights + b.encoder.biases):
+        dst[...] = src[:len(dst)]
     return ModelBundle(b.encoder, b.policy, b.critic, ada)
 
 
@@ -289,6 +370,53 @@ def test_checkpoint_roundtrip_and_errors(tmp_path):
         mixed + hashlib.sha256(mixed).digest())
     with pytest.raises(CheckpointError, match="policy"):
         load_bundle(str(tmp_path / "mixed.ckpt"))
+
+
+def write_ckpt(path, records):
+    """A checkpoint of these network records under a matching fingerprint."""
+    body = b"".join([CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, 4)] +
+                    records)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    return str(path)
+
+
+def test_save_bundle_bytes_match_the_per_layer_reference(tmp_path):
+    for common_dim in (15, 83):
+        b = init_bundle(common_dim=common_dim, seed=7)
+        save_bundle(b, str(tmp_path / "m.ckpt"))
+        ref = write_ckpt(tmp_path / "ref.ckpt",
+                         [reference_pack_network(n) for n in b.networks])
+        with open(ref, "rb") as f:
+            assert (tmp_path / "m.ckpt").read_bytes() == f.read()
+
+
+def test_loaded_parameters_are_writeable_and_own_their_memory(tmp_path):
+    b = init_bundle(common_dim=15, seed=8)
+    save_bundle(b, str(tmp_path / "m.ckpt"))
+    back = load_bundle(str(tmp_path / "m.ckpt"))
+    for net in back.networks:
+        assert net.flat.flags.writeable and net.flat.flags.owndata
+        assert net.flat.dtype == np.float64
+    _, cache = forward_cached(back.critic, np.ones((2, back.critic.in_dim)))
+    grad, _ = backward(back.critic, cache, np.ones((2, 1)))
+    adam_step(back.critic, grad, AdamState(back.critic), 0.01)
+    assert back.critic.flat.tobytes() != b.critic.flat.tobytes()
+
+
+def test_load_bundle_rejects_impossible_layer_dims(tmp_path):
+    b = init_bundle(common_dim=7, hidden=4, z_dim=3, seed=1)
+    rest = [_pack_network(n) for n in b.networks[1:]]
+    # a parameter count past what a C size holds, under a valid fingerprint
+    huge = struct.pack("<3I", 2, 2 ** 32 - 1, 2 ** 32 - 1)
+    with pytest.raises(CheckpointError, match="parameters"):
+        load_bundle(write_ckpt(tmp_path / "huge.ckpt", [huge] + rest))
+    # one-dim encoder and adaptation: networks without a layer, whose
+    # dims alone would pass the bundle's checks
+    one = struct.pack("<2I", 1, 5)
+    rec = [one, _pack_network(small_net((10, 4, 7))),
+           _pack_network(small_net((10, 4, 1))), one]
+    with pytest.raises(CheckpointError, match="two or more layer dims"):
+        load_bundle(write_ckpt(tmp_path / "one.ckpt", rec))
 
 
 @pytest.fixture(scope="module")
