@@ -284,14 +284,18 @@ def cmd_bench(args) -> int:
 
 def cmd_plot(args) -> int:
     (inst,), cfg = _instances(args)
+    bundle = None
+    if not args.expert and args.ckpt is not None:
+        bundle = load_bundle(args.ckpt)
+        check_common_dim(bundle, inst.n_tasks)
     epath = plan(inst, n_pos=args.pos, n_head=args.heads, config=cfg)
     # the expert path rides along even for policy plots: it supplies the
     # dashed overlay and the imitation column of the record
     env = DtspnEnv(inst, epath, mode="eval", config=cfg)
-    if args.expert or args.ckpt is None:
+    if bundle is None:
         act_fn = tracker(env)
     else:
-        act_fn = bundle_actor(load_bundle(args.ckpt), args.pi_eval)
+        act_fn = bundle_actor(bundle, args.pi_eval)
     record = run_episode(env, act_fn)
     emit_trajectory_svg(record, inst, expert_path=epath, path=args.out)
     _summary("plot", steps=len(record), sensed=record.n_sensed,

@@ -23,10 +23,12 @@ WORDS = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
 # paths from flipping between adjacent words.
 SEGMENT_EPS = 1e-9
 
-# Pose pairs per _segments call in length_matrix.  The kernel's peak is
-# about 310 bytes per pair, its results included (tracemalloc), so one chunk
-# needs about 20 MB however many poses there are.
-LENGTH_CHUNK_PAIRS = 1 << 16
+# Pose pairs per chunk of length_matrix.  A chunk's peak is about 250-280
+# bytes per pair (tracemalloc), so one chunk needs about 4 MB however many
+# poses there are, near the 2 MB L2 cache a core of a 2-core x86 machine
+# has.  There, 20-task and 40-task cost matrices took about as long at
+# 2^14 and 2^15 pairs, and 5-15 % longer at 2^13 and 2^16.
+LENGTH_CHUNK_PAIRS = 1 << 14
 
 
 def normalize_angle(theta: float) -> float:
@@ -102,21 +104,124 @@ def _center_distance(p_sq, cx, cy):
     return p
 
 
-def _unloop(t, q, p, total):
+def _unloop(t, q, p, x, y):
     """Keep rounding from adding a loop to an LSL or RSR path, in place.
 
     When the two turn centers nearly coincide (the goal lies on or near the
     start's own circle), the heading between them, which splits the total
-    turn into t and q, is uncertain, and t or q can come out just short of
-    a whole turn (or exactly one, as mod2pi rounds a tiny negative angle up
-    to 2pi).  Where rotating that heading onto the start (goal) heading
-    moves the far center by less than SEGMENT_EPS, the whole turn goes into
-    q (t) instead.
+    turn x - y into t and q, is uncertain, and t or q can come out just
+    short of a whole turn (or exactly one, as mod2pi rounds a tiny negative
+    angle up to 2pi).  Where rotating that heading onto the start (goal)
+    heading moves the far center by less than SEGMENT_EPS, the whole turn
+    goes into q (t) instead.
     """
     near = p * (TWO_PI - t) < SEGMENT_EPS
-    t[near], q[near] = 0.0, mod2pi(total[near])
+    t[near], q[near] = 0.0, mod2pi(x[near] - y[near])
     near = p * (TWO_PI - q) < SEGMENT_EPS
-    t[near], q[near] = mod2pi(total[near]), 0.0
+    t[near], q[near] = mod2pi(x[near] - y[near]), 0.0
+
+
+def _clamp(*segs):
+    """Clamp segment parameters below SEGMENT_EPS to zero, in place."""
+    for seg in segs:
+        seg[seg < SEGMENT_EPS] = 0.0
+    return segs
+
+
+def _words(alpha, beta, d, sa, ca, sb, cb):
+    """Normalized segment parameters (sub, t, p, q) of each word, in WORDS
+    order, from the standard frame: start at the origin with heading alpha,
+    goal at (d, 0) with heading beta, sa = sin(alpha) and so on, as 1-D
+    arrays of one length n.
+
+    sub is None where t, p and q have n entries, else the indices of the
+    entries that they hold.  Curve parameters are turn angles; for CSC
+    words p is the straight length over rho.  Segments below SEGMENT_EPS
+    are clamped to zero, and t is +inf wherever the word is infeasible, so
+    that t + p + q is the word's length over rho or +inf.
+    """
+    dd = d * d
+    d2 = 2.0 * d
+    cab2 = 2.0 * np.cos(alpha - beta)
+
+    # LSL / RSR are always feasible; p is the distance between the two turn
+    # centers and tmp the heading from one to the other.
+    csc = 2.0 + dd - cab2
+    y0 = d2 * (sa - sb)
+    cx, cy = d + sa - sb, cb - ca
+    p = _center_distance(csc + y0, cx, cy)
+    tmp0 = np.arctan2(cy, cx)
+    t, q = mod2pi(tmp0 - alpha), mod2pi(beta - tmp0)
+    _unloop(t, q, p, beta, alpha)
+    yield (None,) + _clamp(t, p, q)
+
+    y1 = d2 * (sb - sa)
+    cx, cy = d - sa + sb, ca - cb
+    p = _center_distance(csc + y1, cx, cy)
+    tmp1 = np.arctan2(cy, cx)
+    t, q = mod2pi(alpha - tmp1), mod2pi(tmp1 - beta)
+    _unloop(t, q, p, alpha, beta)
+    yield (None,) + _clamp(t, p, q)
+
+    # LSR / RSL need circles that do not overlap, p^2 >= 0.  Where they
+    # touch, rounding can make p^2 slightly negative, and rejecting the word
+    # there can leave a path a whole loop longer.
+    csc = -2.0 + dd + cab2
+    y2 = d2 * (sa + sb)
+    p_sq = csc + y2
+    p = np.sqrt(np.maximum(p_sq, 0.0))
+    tmp = np.arctan2(-ca - cb, d + sa + sb) - np.arctan2(-2.0, p)
+    t, q = mod2pi(tmp - alpha), mod2pi(tmp - beta)
+    _clamp(t, p, q)
+    t[p_sq < -SEGMENT_EPS] = np.inf
+    yield None, t, p, q
+
+    p_sq = csc - y2
+    p = np.sqrt(np.maximum(p_sq, 0.0))
+    tmp = np.arctan2(ca + cb, d - sa - sb) - np.arctan2(2.0, p)
+    t, q = mod2pi(alpha - tmp), mod2pi(beta - tmp)
+    _clamp(t, p, q)
+    t[p_sq < -SEGMENT_EPS] = np.inf
+    yield None, t, p, q
+
+    # RLR / LRL need |tmp| <= 1 (outer circles at most 4 rho apart), which
+    # holds for about 12 % of a 20-task plan's pairs; each word is computed
+    # only there.  The subset comes from that test, not from a bound on d,
+    # so rounding cannot drop a feasible pair.  tmp is x / 8, which is
+    # exact, so |x| <= 8 is the same test.  The headings between the turn
+    # centers are those of RSR and LSL.
+    ccc = 6.0 - dd + cab2
+    x = ccc + y0
+    sub = np.flatnonzero(np.abs(x) <= 8.0)
+    a, b = alpha.take(sub), beta.take(sub)
+    p = mod2pi(TWO_PI - np.arccos(x.take(sub) / 8.0))
+    t = mod2pi(a - tmp1.take(sub) + p / 2.0)
+    q = mod2pi(a - b - t + p)
+    yield (sub,) + _clamp(t, p, q)
+
+    x = ccc + y1
+    sub = np.flatnonzero(np.abs(x) <= 8.0)
+    a, b = alpha.take(sub), beta.take(sub)
+    p = mod2pi(TWO_PI - np.arccos(x.take(sub) / 8.0))
+    t = mod2pi(-a + tmp0.take(sub) + p / 2.0)
+    q = mod2pi(b - a - t + p)
+    yield (sub,) + _clamp(t, p, q)
+
+
+def _frame(dx, dy, theta_a, theta_b, rho):
+    """The standard normalized frame of _words, start at the origin and goal
+    at (d, 0), from offsets (dx, dy) between positions and the headings at
+    either end, which broadcast against them.  Each term is computed at the
+    shape of its own inputs and then copied out to the broadcast shape,
+    which _words needs contiguous; returns that shape and _words' inputs,
+    flattened."""
+    line = np.arctan2(dy, dx)
+    alpha = mod2pi(theta_a - line)
+    beta = mod2pi(theta_b - line)
+    shape = np.broadcast_shapes(alpha.shape, beta.shape)
+    return shape, [np.broadcast_to(x, shape).ravel() for x in (
+        alpha, beta, np.hypot(dx, dy) / rho, np.sin(alpha), np.cos(alpha),
+        np.sin(beta), np.cos(beta))]
 
 
 def _segments(a, b, rho):
@@ -124,86 +229,18 @@ def _segments(a, b, rho):
 
     a and b are arrays of (x, y, theta) rows that broadcast against each
     other.  Each result has shape (6,) + the broadcast shape, words in WORDS
-    order.  Curve parameters are turn angles; for CSC words p is the straight
-    length over rho.  Segments below SEGMENT_EPS are clamped to zero.
-    Entries of infeasible words are finite but meaningless, so callers mask
-    them with ok: LSR and RSL are computed from clamped inputs, which keeps
-    sqrt free of NaN and warnings, and RLR and LRL are zero wherever
-    neither of them is feasible.
+    order, as _words gives them; entries of infeasible words are 0.0 or
+    +inf in t, and callers mask them with ok.
     """
-    dx = b[..., 0] - a[..., 0]
-    dy = b[..., 1] - a[..., 1]
-    line = np.arctan2(dy, dx)
-    # standard normalized frame: start at the origin, goal at (d, 0)
-    alpha = mod2pi(a[..., 2] - line)
-    beta = mod2pi(b[..., 2] - line)
-    d = np.hypot(dx, dy) / rho
-
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    cab = np.cos(alpha - beta)
-    shape = (6,) + np.shape(d)
-    t, p, q = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    ok = np.ones(shape, dtype=bool)
-
-    # LSL / RSR are always feasible; p is the distance between the two turn
-    # centers and tmp the heading from one to the other.
-    p_sq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sa - sb)
-    cx, cy = d + sa - sb, cb - ca
-    p[0] = _center_distance(p_sq, cx, cy)
-    tmp = np.arctan2(cy, cx)
-    t[0], q[0] = mod2pi(tmp - alpha), mod2pi(beta - tmp)
-    _unloop(t[0], q[0], p[0], beta - alpha)
-
-    p_sq = 2.0 + d * d - 2.0 * cab + 2.0 * d * (sb - sa)
-    cx, cy = d - sa + sb, ca - cb
-    p[1] = _center_distance(p_sq, cx, cy)
-    tmp = np.arctan2(cy, cx)
-    t[1], q[1] = mod2pi(alpha - tmp), mod2pi(tmp - beta)
-    _unloop(t[1], q[1], p[1], alpha - beta)
-
-    # LSR / RSL need circles that do not overlap, p^2 >= 0.  Where they
-    # touch, rounding can make p^2 slightly negative, and rejecting the word
-    # there can leave a path a whole loop longer.
-    p_sq = -2.0 + d * d + 2.0 * cab + 2.0 * d * (sa + sb)
-    ok[2] = p_sq >= -SEGMENT_EPS
-    p[2] = np.sqrt(np.maximum(p_sq, 0.0))
-    tmp = np.arctan2(-ca - cb, d + sa + sb) - np.arctan2(-2.0, p[2])
-    t[2], q[2] = mod2pi(tmp - alpha), mod2pi(tmp - beta)
-
-    p_sq = -2.0 + d * d + 2.0 * cab - 2.0 * d * (sa + sb)
-    ok[3] = p_sq >= -SEGMENT_EPS
-    p[3] = np.sqrt(np.maximum(p_sq, 0.0))
-    tmp = np.arctan2(ca + cb, d - sa - sb) - np.arctan2(2.0, p[3])
-    t[3], q[3] = mod2pi(alpha - tmp), mod2pi(beta - tmp)
-
-    # RLR / LRL need |tmp| <= 1 (outer circles at most 4 rho apart), which
-    # holds for about 12 % of a 20-task plan's pairs; their angles are
-    # computed only there.  The subset comes from ok, not from a bound on d,
-    # so rounding cannot drop a feasible pair.  Elsewhere both words are 0.
-    tmp4 = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sa - sb)) / 8.0
-    tmp5 = (6.0 - d * d + 2.0 * cab + 2.0 * d * (sb - sa)) / 8.0
-    ok[4] = np.abs(tmp4) <= 1.0
-    ok[5] = np.abs(tmp5) <= 1.0
-    sub = np.flatnonzero(ok[4] | ok[5])
-    # from here on these names hold the subset, flattened
-    alpha, beta, d, sa, ca, sb, cb, tmp4, tmp5 = (
-        x.take(sub) for x in (alpha, beta, d, sa, ca, sb, cb, tmp4, tmp5))
-
-    p4 = mod2pi(TWO_PI - np.arccos(np.clip(tmp4, -1.0, 1.0)))
-    t4 = mod2pi(alpha - np.arctan2(ca - cb, d - sa + sb) + p4 / 2.0)
-    q4 = mod2pi(alpha - beta - t4 + p4)
-
-    p5 = mod2pi(TWO_PI - np.arccos(np.clip(tmp5, -1.0, 1.0)))
-    t5 = mod2pi(-alpha + np.arctan2(cb - ca, d + sa - sb) + p5 / 2.0)
-    q5 = mod2pi(beta - alpha - t5 + p5)
-    for seg, v4, v5 in ((t, t4, t5), (p, p4, p5), (q, q4, q5)):
-        seg[4].put(sub, v4)
-        seg[5].put(sub, v5)
-
-    for seg in (t, p, q):
-        seg[seg < SEGMENT_EPS] = 0.0
-    return t, p, q, ok
+    shape, frame = _frame(b[..., 0] - a[..., 0], b[..., 1] - a[..., 1],
+                          a[..., 2], b[..., 2], rho)
+    t, p, q = (np.zeros((6, frame[0].size)) for _ in range(3))
+    ok = np.zeros(t.shape, dtype=bool)
+    for k, (sub, tk, pk, qk) in enumerate(_words(*frame)):
+        at = slice(None) if sub is None else sub
+        t[k, at], p[k, at], q[k, at] = tk, pk, qk
+        ok[k, at] = tk < np.inf
+    return tuple(x.reshape((6,) + shape) for x in (t, p, q, ok))
 
 
 def shortest_paths(starts, ends, rho: float) -> list[DubinsPath]:
@@ -295,16 +332,48 @@ def pose_array(poses) -> np.ndarray:
     return np.asarray(seq, dtype=float).reshape(len(seq), 3)
 
 
+def _run_length(xy):
+    """Largest H such that the rows of xy split into runs of H consecutive
+    rows with bitwise equal (x, y): 1 when no two neighbours share one."""
+    bits = np.ascontiguousarray(xy).view(np.uint64)
+    starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+    return max(1, math.gcd(len(xy), *starts.tolist()))
+
+
 def length_matrix(from_poses, to_poses, rho: float) -> np.ndarray:
     """Dubins shortest-path lengths between two pose sets, shape (n, m).
 
-    Accepts sequences of Pose or arrays of rows (x, y, theta).
+    Accepts sequences of Pose or arrays of rows (x, y, theta).  Each set is
+    split into positions that H consecutive poses share (H = 1 when no
+    neighbours share one), so the bearing and distance are computed once
+    per position pair, alpha once per (from-pose, to-position) and beta
+    once per (from-position, to-pose).  A chunk of from-positions is laid
+    out (Ha, Hb, positions, Pb), the minimum is kept over one word at a
+    time, and the chunk is transposed into the result.
     """
     a = pose_array(from_poses)
     b = pose_array(to_poses)
+    ha, hb = _run_length(a[:, :2]), _run_length(b[:, :2])
     out = np.empty((len(a), len(b)))
-    rows = max(1, LENGTH_CHUNK_PAIRS // max(1, len(b)))
-    for i in range(0, len(a), rows):
-        t, p, q, ok = _segments(a[i:i + rows, None, :], b[None, :, :], rho)
-        out[i:i + rows] = rho * np.where(ok, t + p + q, np.inf).min(axis=0)
+    # positions and (H, positions) headings of each side
+    ax, ay, ath = a[::ha, 0], a[::ha, 1], a[:, 2].reshape(-1, ha).T
+    bx, by, bth = b[::hb, 0], b[::hb, 1], b[:, 2].reshape(-1, hb).T
+    rows = max(1, LENGTH_CHUNK_PAIRS // max(1, ha * len(b)))
+    for i in range(0, len(ax), rows):
+        shape, frame = _frame(bx - ax[i:i + rows, None],
+                              by - ay[i:i + rows, None],
+                              ath[:, None, i:i + rows, None],
+                              bth[None, :, None, :], rho)
+        best = None
+        for sub, t, p, q in _words(*frame):
+            cost = t + p
+            cost += q
+            if sub is None:
+                best = cost if best is None else np.minimum(best, cost,
+                                                            out=best)
+            else:
+                best.put(sub, np.minimum(best.take(sub), cost))
+        block = out[i * ha:(i + rows) * ha].reshape(shape[2], ha, -1, hb)
+        np.multiply(best.reshape(shape).transpose(2, 0, 3, 1), rho,
+                    out=block)
     return out

@@ -129,6 +129,8 @@ def benchmark_speed(instances: Sequence[Instance], bundle: ModelBundle,
     number; absolute values are machine-dependent."""
     if len(instances) < 10:
         raise ValueError(f"need at least 10 instances, got {len(instances)}")
+    for x in instances:
+        check_common_dim(bundle, x.n_tasks)
     expert_times = []
     for x in instances:
         t0 = time.perf_counter()

@@ -24,8 +24,12 @@ from .instance import Instance
 # noise cannot keep the local search moving.
 IMPROVE_EPS = 1e-9
 
-# Cap on the elements of one (prefixes, m, m) DP temporary, 16 MB of float64.
-DP_CHUNK_ELEMENTS = 1 << 21
+# Cap on the elements of one (prefixes, m, m) DP temporary: 512 KB of
+# float64, which stays in a core's L2 cache.  On a 2-core x86 machine (2 MB
+# L2 a core), 2^16 was the fastest of 2^13 to 2^21 for solve_gtsp on 8x4
+# plans: 17-21 % under 2^21 at 20 tasks and 27 % at 40 tasks.  Smaller
+# chunks pay more per-chunk Python overhead, larger ones miss the cache.
+DP_CHUNK_ELEMENTS = 1 << 16
 
 # Largest DP work of one search round over all first clusters (clusters k,
 # padded cluster size m: (k-1) starts * neighbours * k layers * m * m) for
@@ -33,9 +37,10 @@ DP_CHUNK_ELEMENTS = 1 << 21
 # sampling the bound falls between 7 tasks (restarted search 35 ms, cost
 # matrix 46 ms on a 2-core x86 machine) and 8 tasks (70 ms against 56 ms),
 # timed when every neighbour was scored by the full DP and every CCC word
-# computed on every pair.  On the same machine with today's search and
-# kernel, 7 tasks take 23 ms (restarted) against 27 ms, 8 tasks 6 ms (one
-# descent) against 41 ms (medians over 10 instances).
+# computed on every pair.  On the same machine with the search and kernel
+# of 2026-10, 7 tasks take 19 ms (restarted) against 16 ms, 8 tasks 4-5 ms
+# (one descent) against 18-20 ms (medians over generate(k, 0..9), 3 runs
+# each, in three runs).
 RESTART_WORK = 1 << 22
 
 # Most sampled poses per task; the planner's pose-pair costs grow as N^2.

@@ -227,29 +227,104 @@ def random_pose_array(rng, n):
                             rng.uniform(-math.pi, math.pi, n)])
 
 
+def pose_grid(n_tasks, seed, n_pos, n_head, span=300.0):
+    """The planner's poses: the start cluster, then n_pos positions of
+    n_head headings around each task."""
+    clusters = sample_poses(generate(n_tasks, seed, map_size=(span, span)),
+                            n_pos, n_head)
+    return pose_array([p for g in (clusters.start_cluster,) + clusters.clusters
+                       for p in g])
+
+
+def reference_length_matrix(a, b):
+    """The length matrix of reference_segments, 16 rows of a at a time."""
+    out = np.empty((len(a), len(b)))
+    for i in range(0, len(a), 16):
+        t, p, q, ok = reference_segments(a[i:i + 16, None], b[None], RHO)
+        out[i:i + 16] = RHO * np.where(ok, t + p + q, np.inf).min(axis=0)
+    return out
+
+
+def assert_matrix_matches_reference(a, b, runs):
+    assert (dubins_mod._run_length(a[:, :2]),
+            dubins_mod._run_length(b[:, :2])) == runs
+    assert (length_matrix(a, b, RHO).tobytes()
+            == reference_length_matrix(a, b).tobytes())
+
+
+@pytest.mark.parametrize("n_tasks, n_pos, n_head",
+                         [(20, 1, 1), (5, 8, 4), (10, 3, 5), (1, 16, 16)])
+def test_length_matrix_matches_reference_on_pose_grids(n_tasks, n_pos,
+                                                       n_head):
+    poses = pose_grid(n_tasks, 3, n_pos, n_head)
+    assert_matrix_matches_reference(poses, poses, (n_head, n_head))
+
+
+def test_length_matrix_matches_reference_across_groupings():
+    rng = np.random.default_rng(45)
+    grid = pose_grid(4, 5, 8, 4)
+    loose = random_pose_array(rng, 40)
+    loose[:, :2] *= 300.0 / 800.0
+    # raw headings outside [-pi, pi)
+    raw = grid.copy()
+    raw[:, 2] = rng.uniform(-10.0, 10.0, len(raw))
+    # unequal runs: the first position twice, the rest once
+    uneven = loose[:9].copy()
+    uneven[1, :2] = uneven[0, :2]
+    # runs of 4 and 8 group by 4
+    mixed = grid[:16].copy()
+    mixed[8:12, :2] = mixed[4:8, :2]
+    # 0.0 and -0.0 are equal but give different bearings, so they do not
+    # share a position
+    zeros = np.array([[0.0, 0.0, 0.5], [-0.0, 0.0, -1.0], [0.0, -0.0, 2.0],
+                      [-0.0, -0.0, 3.0], [60.0, 0.0, 0.0], [60.0, 0.0, 1.0]])
+    assert_matrix_matches_reference(loose, loose, (1, 1))
+    assert_matrix_matches_reference(raw, grid, (4, 4))
+    assert_matrix_matches_reference(grid, loose, (4, 1))
+    assert_matrix_matches_reference(loose, raw, (1, 4))
+    assert_matrix_matches_reference(pose_grid(3, 6, 5, 3), grid, (3, 4))
+    assert_matrix_matches_reference(uneven, grid, (1, 4))
+    assert_matrix_matches_reference(mixed, uneven, (4, 1))
+    assert_matrix_matches_reference(zeros, zeros, (1, 1))
+    assert_matrix_matches_reference(grid[:0], grid, (1, 4))
+
+
+def repeated_poses(rng, n, runs):
+    """n poses at n // runs random positions, runs consecutive poses each,
+    with random headings."""
+    poses = np.repeat(random_pose_array(rng, n // runs), runs, axis=0)
+    poses[:, 2] = rng.uniform(-math.pi, math.pi, n)
+    return poses
+
+
 def test_length_matrix_chunks_match_one_kernel_call(monkeypatch):
     rng = np.random.default_rng(43)
-    a, b = random_pose_array(rng, 37), random_pose_array(rng, 11)
-    t, p, q, ok = _segments(a[:, None, :], b[None, :, :], RHO)
-    whole = RHO * np.where(ok, t + p + q, np.inf).min(axis=0)
-    for pairs in (1, 7, 11, 50, 10**6):
-        monkeypatch.setattr(dubins_mod, "LENGTH_CHUNK_PAIRS", pairs)
-        assert length_matrix(a, b, RHO).tobytes() == whole.tobytes()
-    assert length_matrix(a, b[:0], RHO).shape == (37, 0)
-    assert length_matrix(a[:0], b, RHO).shape == (0, 11)
+    # runs of poses that share a position on both sides, or none
+    for runs in (1, 4):
+        a = repeated_poses(rng, 37 * runs, runs)
+        b = repeated_poses(rng, 11 * runs, runs)
+        t, p, q, ok = _segments(a[:, None, :], b[None, :, :], RHO)
+        whole = RHO * np.where(ok, t + p + q, np.inf).min(axis=0)
+        for pairs in (1, 7, 11, 50, 10**6):
+            monkeypatch.setattr(dubins_mod, "LENGTH_CHUNK_PAIRS", pairs)
+            assert length_matrix(a, b, RHO).tobytes() == whole.tobytes()
+        assert length_matrix(a, b[:0], RHO).shape == (len(a), 0)
+        assert length_matrix(a[:0], b, RHO).shape == (0, len(b))
 
 
 def test_length_matrix_memory_stays_bounded():
-    # 1,000 poses: the output is 8 MB; unchunked, the kernel's temporaries
-    # peaked near 290 MB
-    poses = random_pose_array(np.random.default_rng(44), 1000)
-    tracemalloc.start()
-    try:
-        length_matrix(poses, poses, RHO)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # 1,000 poses, at 1,000 positions or at 250 of 4 headings each: the
+    # output is 8 MB; unchunked, the kernel's temporaries peaked near 290 MB
+    rng = np.random.default_rng(44)
+    for runs in (1, 4):
+        poses = repeated_poses(rng, 1000, runs)
+        tracemalloc.start()
+        try:
+            length_matrix(poses, poses, RHO)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_pose_theta_normalization():
@@ -373,7 +448,7 @@ def assert_matches_reference(a, b, pairs):
     for x, y in zip(new[:3], old[:3]):
         assert np.where(ok, x, 0.0).tobytes() == np.where(ok, y, 0.0).tobytes()
     assert (length_matrix(a, b, RHO).tobytes()
-            == reference(length_matrix, a, b, RHO).tobytes())
+            == reference_length_matrix(a, b).tobytes())
     starts = [Pose(*a[i]) for i, _ in pairs]
     ends = [Pose(*b[j]) for _, j in pairs]
     batched = shortest_paths(starts, ends, RHO)

@@ -1,4 +1,5 @@
 import glob
+import importlib
 import json
 import os
 import shlex
@@ -544,6 +545,26 @@ def test_cli_train_ppo_checks_the_checkpoint_before_planning(
     assert ("checkpoint expects common dim 15, instances with 20 tasks "
             "produce 83") in capsys.readouterr().err
     assert planned == [] and not (tmp_path / "x.ckpt").exists()
+
+
+def refuse_to_plan(*args, **kwargs):
+    raise AssertionError("planned before the checkpoint was checked")
+
+
+@pytest.mark.parametrize("stage, module", [("plot", "dtspn.cli"),
+                                           ("bench", "dtspn.evaluate")])
+def test_cli_plot_and_bench_check_the_checkpoint_before_planning(
+        tmp_path, monkeypatch, capsys, stage, module):
+    # dtspn.evaluate the attribute is the function, so fetch the module
+    monkeypatch.setattr(importlib.import_module(module), "plan",
+                        refuse_to_plan)
+    save_bundle(init_bundle(15, seed=0), str(tmp_path / "b.ckpt"))
+    out = ["--out", str(tmp_path / "x.svg")] if stage == "plot" else []
+    assert run_cli(stage, "--ckpt", str(tmp_path / "b.ckpt"), "--tasks", "5",
+                   "--map", "300", "300", *out) == 1
+    assert ("checkpoint expects common dim 15, instances with 5 tasks "
+            "produce 23") in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_cli_distill_checks_the_checkpoint_against_the_data(tmp_path, capsys,

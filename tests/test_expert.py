@@ -302,11 +302,14 @@ def test_solve_gtsp_local_optimum_and_consistent_path():
 
 def test_solve_gtsp_chunking_and_determinism(monkeypatch):
     rng = np.random.default_rng(7)
-    g = make_gtsp(rng, [4] + [3] * 9)
-    want = ex.solve_gtsp(g)
-    assert ex.solve_gtsp(g) == want
+    x = inst.generate(20, 104, map_size=(800, 800))
+    # a random problem and a 20-task planner problem at the default chunk
+    problems = [make_gtsp(rng, [4] + [3] * 9),
+                ex.build_gtsp(ex.sample_poses(x, 8, 4), x.turn_radius)]
+    want = [ex.solve_gtsp(g) for g in problems]
+    assert [ex.solve_gtsp(g) for g in problems] == want
     monkeypatch.setattr(ex, "DP_CHUNK_ELEMENTS", 1)
-    assert ex.solve_gtsp(g) == want
+    assert [ex.solve_gtsp(g) for g in problems] == want
 
 
 def test_solve_gtsp_robust_to_last_bit_cost_changes():
