@@ -184,11 +184,11 @@ def _words(alpha, beta, d, sa, ca, sb, cb):
     t[p_sq < -SEGMENT_EPS] = np.inf
     yield None, t, p, q
 
-    # RLR / LRL need |tmp| <= 1 (outer circles at most 4 rho apart), which
-    # holds for about 12 % of a 20-task plan's pairs; each word is computed
-    # only there.  The subset comes from that test, not from a bound on d,
-    # so rounding cannot drop a feasible pair.  tmp is x / 8, which is
-    # exact, so |x| <= 8 is the same test.  The headings between the turn
+    # RLR / LRL need |x / 8| <= 1 (outer circles at most 4 rho apart),
+    # which holds for about 12 % of a 20-task plan's pairs; each word is
+    # computed only there.  The subset comes from that test, not from a
+    # bound on d, so rounding cannot drop a feasible pair; dividing by 8 is
+    # exact, so the test reads |x| <= 8.  The headings between the turn
     # centers are those of RSR and LSL.
     ccc = 6.0 - dd + cab2
     x = ccc + y0
