@@ -253,6 +253,12 @@ def cmd_eval(args) -> int:
     metrics, records = evaluate(policy, instances, config=cfg,
                                 pi_eval=args.pi_eval,
                                 n_pos=args.pos, n_head=args.heads)
+    if args.log is not None:
+        with _json_lines(args.log) as log:
+            for x, rec in zip(instances, records):
+                log({"seed": x.seed, "steps": len(rec),
+                     "n_sensed": rec.n_sensed, "reward": rec.total_reward(),
+                     "wall_time": rec.wall_time})
     kv = dict(episodes=metrics.episodes, sensing_rate=metrics.sensing_rate,
               avg_reward=metrics.avg_reward, avg_return=metrics.avg_return)
     if metrics.mean_time is not None:
@@ -414,6 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi-eval", action="store_true",
                    help="use the encoder on expert privileged obs instead "
                         "of the adaptation net")
+    p.add_argument("--log", type=str, default=None, metavar="PATH",
+                   help="write one JSON line per episode")
 
     p = stage("bench", cmd_bench, "expert vs policy wall-clock benchmark",
               *env)

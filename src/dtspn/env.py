@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .dubins import advance, normalize_angle
+from .dubins import TWO_PI, advance, normalize_angle
 from .instance import Instance
 
 if TYPE_CHECKING:           # expert imports config_for from here
@@ -156,9 +156,10 @@ class EnvBatch:
     Row i holds an env's instance and expert path (load) and rolls episodes
     through reset(rows) and step(actions).  State is lists with one entry
     per row: pose tuples, sensed flag lists (which _pass marks in place),
-    all_sensed, done, t and progress.  _pass tests a task against the
-    substeps only within r_sense + step_dist of the step's end, which drops
-    no hit: a chord is no longer than its arc.  Expert polylines share one
+    all_sensed, done, t and progress.  A step advances each pose by the
+    whole dt; _pass builds the earlier substep points only for a task
+    within r_sense + step_dist of the step's end, which drops no hit: a
+    chord is no longer than its arc.  Expert polylines share one
     padded width of segments: each row repeats its last segment, which
     leaves every nearest-point minimum unchanged.  common and privileged
     are arrays of each row's latest observation, for the networks; they
@@ -248,10 +249,14 @@ class EnvBatch:
         return np.sqrt(np.minimum.reduce(np.add.reduce(gap * gap, axis=1),
                                          axis=1))
 
-    def _pass(self, i, flags, x, y, th, path=(), progress=0):
-        """Row i's sensing and observations at pose (x, y, th), reached
-        through the earlier substep poses path.  Marks the tasks within
-        range of any of those points in flags, row i's sensed list.  Returns
+    def _pass(self, i, flags, x, y, th, before=None, progress=0):
+        """Row i's sensing and observations at pose (x, y, th), reached by a
+        step from before, the pre-step pose and turn rate (x, y, theta,
+        omega), or None at reset.  Marks the tasks within range of the pose
+        or of the step's earlier substep points in flags, row i's sensed
+        list; the substep points are built only for an unsensed task within
+        r_sense + step_dist but beyond r_sense, the one test that reads
+        them.  Returns
         the common row [pose, per-task (dx, dy, bearing) in the body frame,
         flags], positions normalized by the map half-extents and angles by
         pi; the count of newly sensed tasks; and the privileged row with
@@ -265,21 +270,32 @@ class EnvBatch:
         crossing (waypoints are one env step apart, so the agent gains at
         most one index per step)."""
         tasks, (hw, hh, scale), r2, near2, waypoints = self._consts[i]
+        pi = math.pi
         c, s = math.cos(th), math.sin(th)
-        row = [(x - hw) / hw, (y - hh) / hh, th / math.pi]
-        newly = 0
+        row = [(x - hw) / hw, (y - hh) / hh, th / pi]
+        newly, path = 0, () if before is None else None
         for j, (tx, ty) in enumerate(tasks):
             dx, dy = tx - x, ty - y
             if not flags[j]:
                 d2 = dx * dx + dy * dy
-                if d2 <= near2 and (d2 <= r2 or any(
-                        (tx - px) * (tx - px) + (ty - py) * (ty - py) <= r2
-                        for px, py, _ in path)):
-                    flags[j] = True
-                    newly += 1
-            row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale,
-                    normalize_angle(math.atan2(dy, dx) - th) / math.pi
-                    if dx or dy else 0.0)
+                if d2 <= near2:
+                    if d2 > r2 and path is None:
+                        cfg = self.config
+                        path = [advance(*before, cfg.v, dt)
+                                for dt in cfg.substeps[:-1]]
+                    if d2 <= r2 or any(
+                            (tx - px) * (tx - px) + (ty - py) * (ty - py)
+                            <= r2 for px, py, _ in path):
+                        flags[j] = True
+                        newly += 1
+            if dx or dy:    # the bearing, wrapped as normalize_angle does
+                b = math.atan2(dy, dx) - th
+                if not -pi <= b < pi:
+                    b = (b + pi) % TWO_PI - pi
+                b /= pi
+            else:
+                b = 0.0
+            row += ((c * dx + s * dy) / scale, (-s * dx + c * dy) / scale, b)
         row += flags
         if waypoints is None:
             return row, newly, None, progress
@@ -341,7 +357,7 @@ class EnvBatch:
             raise RuntimeError("a row is done or was never reset; reset it "
                                "before stepping")
         cfg = self.config
-        v, substeps, omegas = cfg.v, cfg.substeps, cfg.omegas
+        v, dt, omegas = cfg.v, cfg.dt, cfg.omegas
         actions = actions.tolist()
         for a in actions:
             if not 0 <= a < cfg.n_actions:
@@ -349,12 +365,13 @@ class EnvBatch:
                                  f"[0, {cfg.n_actions})")
         poses, commons, newly, privs, progress, all_sensed = \
             [], [], [], [], [], []
-        for i, ((x, y, theta), a, flags, k) in enumerate(zip(
+        for i, ((x0, y0, th0), a, flags, k) in enumerate(zip(
                 self.pose, actions, self.sensed, self.progress)):
-            path = [advance(x, y, theta, omegas[a], v, dt) for dt in substeps]
-            x, y, theta = path.pop()
+            w = omegas[a]
+            x, y, theta = advance(x0, y0, th0, w, v, dt)
             theta = normalize_angle(theta)
-            row, n, priv, k = self._pass(i, flags, x, y, theta, path, k)
+            row, n, priv, k = self._pass(i, flags, x, y, theta,
+                                         (x0, y0, th0, w), k)
             poses.append((x, y, theta))
             commons.append(row)
             newly.append(n)

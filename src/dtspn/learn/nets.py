@@ -1,7 +1,9 @@
 """Dense feedforward networks with hand-derived reverse-mode gradients.
 
 Everything is float64 numpy.  Layers are x @ W + b with tanh on hidden
-layers and identity on the output.  The backward pass returns parameter
+layers and identity on the output.  A forward pass takes one input row
+(1-D), as a one-env rollout step does, or a batch of rows (2-D); a row
+gives the bits of row 0 of its one-row batch.  The backward pass takes a batch's cache and returns parameter
 gradients and the gradient with respect to the input, which is how policy
 gradients chain back into the encoder.
 
@@ -106,9 +108,13 @@ def _as_batch(x: np.ndarray, d: int, what: str) -> np.ndarray:
 
 
 def forward_cached(params: NetworkParams, x: np.ndarray):
-    """Returns (output, post-activation cache).  cache[i] is the input to
-    layer i; cache[-1] is the network output."""
-    h = _as_batch(x, params.in_dim, "forward input")
+    """Returns (output, post-activation cache) of x, one input row (1-D)
+    or a batch of rows (2-D); the output has x's number of dims.
+    cache[i] is the input to layer i; cache[-1] is the network output."""
+    h = np.asarray(x, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[-1] != params.in_dim:
+        raise ValueError(f"forward input: expected ({params.in_dim},) or "
+                         f"(batch, {params.in_dim}), got {h.shape}")
     cache = [h]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -123,10 +129,14 @@ def forward_cached(params: NetworkParams, x: np.ndarray):
 def backward(params: NetworkParams, cache, upstream: np.ndarray):
     """Gradients of sum(output * upstream) w.r.t. parameters and input.
 
-    upstream has the output's batch shape.  Returns (grad, input grad),
-    grad a NetworkParams of params' dims summed over the batch, so pass
-    upstream already scaled by 1/batch for means.
+    cache comes from a forward over a batch (2-D); upstream has the
+    output's batch shape.  Returns (grad, input grad), grad a NetworkParams
+    of params' dims summed over the batch, so pass upstream already scaled
+    by 1/batch for means.
     """
+    if cache[0].ndim != 2:
+        raise ValueError(f"backward needs the cache of a batch forward, "
+                         f"got input shape {cache[0].shape}")
     g = _as_batch(upstream, params.out_dim, "upstream")
     if g.shape[0] != cache[0].shape[0]:
         raise ValueError(f"upstream batch {g.shape[0]} != cached batch "
@@ -261,15 +271,16 @@ def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarra
 
 def actor_forward(bundle: ModelBundle, commons: np.ndarray,
                   privs: Optional[np.ndarray] = None):
-    """Policy logits of rows of commons, with z from the encoder on
-    [commons, privs] or, without privs, from the adaptation net.  Returns
-    (logits, x, caches): x = [commons, z] is also the critic's input."""
+    """Policy logits of commons, one row or a batch of rows, with z from
+    the encoder on [commons, privs] or, without privs, from the adaptation
+    net.  Returns (logits, x, caches): x = [commons, z] is also the
+    critic's input."""
     if privs is None:
         z, lat_cache = forward_cached(bundle.adaptation, commons)
     else:
         z, lat_cache = forward_cached(
-            bundle.encoder, np.concatenate([commons, privs], axis=1))
-    x = np.concatenate([commons, z], axis=1)
+            bundle.encoder, np.concatenate([commons, privs], axis=-1))
+    x = np.concatenate([commons, z], axis=-1)
     logits, pol_cache = forward_cached(bundle.policy, x)
     return logits, x, (lat_cache, pol_cache)
 
@@ -287,22 +298,14 @@ def actor_step(bundle: ModelBundle, caches, dlogits: np.ndarray, states,
 
 
 def act(bundle: ModelBundle, common_obs: np.ndarray, use_privileged: bool,
-        privileged_obs: Optional[np.ndarray] = None, deterministic: bool = True,
-        rng: Optional[np.random.Generator] = None) -> int:
-    """Action from the PI path (encoder) or the PI-free path (adaptation).
-    argmax breaks ties toward the lowest index; sampling needs an rng."""
-    privs = None
-    if use_privileged:
-        if privileged_obs is None:
-            raise ValueError("privileged_obs required when use_privileged")
-        privs = np.asarray(privileged_obs, dtype=float)[None]
-    logits = actor_forward(bundle, np.asarray(common_obs, dtype=float)[None],
-                           privs)[0]
-    if deterministic:
-        return int(logits.argmax())
-    if rng is None:
-        raise ValueError("sampling requires an rng")
-    return int(sample_categorical(np.exp(log_softmax(logits)), rng)[0])
+        privileged_obs: Optional[np.ndarray] = None) -> int:
+    """Greedy action of one observation row from the PI path (encoder) or
+    the PI-free path (adaptation).  argmax breaks ties toward the lowest
+    index."""
+    if use_privileged and privileged_obs is None:
+        raise ValueError("privileged_obs required when use_privileged")
+    privs = privileged_obs if use_privileged else None
+    return int(actor_forward(bundle, common_obs, privs)[0].argmax())
 
 
 def _pack_network(params: NetworkParams) -> bytes:

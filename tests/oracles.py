@@ -578,15 +578,14 @@ def shortest_path_length(start, end, rho):
 
 def forward(params, x):
     """Network output of one input row (1-D x) or of a batch of rows."""
-    xs = np.asarray(x, dtype=float)
-    out, _ = forward_cached(params, xs)
-    return out[0] if xs.ndim == 1 else out
+    return forward_cached(params, x)[0]
 
 
 def gradients(params, x, upstream):
     """forward_cached then backward, in one call: (weight grads, bias
-    grads, input grad), the parameter grads as per-layer lists."""
-    _, cache = forward_cached(params, x)
+    grads, input grad), the parameter grads as per-layer lists.  A row x
+    runs as a one-row batch, whose cache backward takes."""
+    _, cache = forward_cached(params, np.atleast_2d(x))
     grad, gin = backward(params, cache, upstream)
     return grad.weights, grad.biases, gin
 

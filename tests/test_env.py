@@ -878,7 +878,7 @@ def test_far_task_filter_never_drops_a_hit(theta, a, r_sense, slack,
     ex, ey, eth = pts[-1]
     flags = [False] * len(tasks)
     _, newly, _, _ = b._pass(0, flags, ex, ey, normalize_angle(eth),
-                             pts[:-1])
+                             (x0, y0, theta, cfg.omegas[a]))
     want = np.zeros((1, len(tasks)), dtype=bool)
     k, _ = sense(x.task_array().T[None, :, None], np.full((1, 1, 1),
                  r_sense * r_sense), np.array(pts)[:, 0:2].T[None], want)

@@ -12,11 +12,12 @@ import pytest
 from dtspn.cli import _load_config, build_parser, main
 from dtspn.demos import collect, collect_batch, load_dataset, tracker
 from dtspn.env import DtspnEnv, run_episode
-from dtspn.evaluate import (Metrics, benchmark_speed, evaluate,
+from dtspn.evaluate import (Metrics, benchmark_speed, bundle_actor, evaluate,
                             load_episode_csv, save_episode_csv)
 from dtspn.expert import SensingGap, plan
 from dtspn.instance import generate, load as load_instance
 from dtspn.learn import init_bundle, load_bundle, save_bundle
+from dtspn.learn.nets import actor_forward
 from dtspn.svg import emit_trajectory_svg
 
 
@@ -129,6 +130,40 @@ def test_benchmark_speed_shape_and_guards(tiny_bundle):
     assert report["ratio"] == report["expert_median_s"] / report["policy_median_s"]
     with pytest.raises(ValueError):
         benchmark_speed(insts[:9], tiny_bundle)
+
+
+def test_benchmark_speed_plans_and_rolls_out_each_instance_in_turn(
+        tiny_bundle, monkeypatch):
+    ev = sys.modules["dtspn.evaluate"]     # dtspn.evaluate is the function
+    calls = []
+    monkeypatch.setattr(ev, "plan", lambda x, **kw: calls.append(
+        ("plan", x.seed)))
+    monkeypatch.setattr(ev, "run_episode", lambda env, fn: (
+        calls.append(("rollout", env.instance.seed)) or run_episode(env, fn)))
+    insts = small_instances(10, base=700)
+    benchmark_speed(insts, tiny_bundle)
+    assert calls == [(kind, x.seed) for x in insts
+                     for kind in ("plan", "rollout")]
+
+
+def test_bundle_actor_episode_matches_one_row_batch_forwards():
+    # the row path of act gives the episode the one-row batch path gives,
+    # byte for byte, on both latent paths at 20 tasks
+    x = generate(20, 8000)
+    b = init_bundle(common_dim=83, seed=0)
+    zeros = np.zeros(b.priv_dim)
+    for pi_eval in (False, True):
+        def batch_actor(obs):
+            c = obs.common[None]
+            p = zeros[None] if pi_eval else None
+            return int(actor_forward(b, c, p)[0].argmax())
+        recs = [run_episode(DtspnEnv(x, mode="eval"), fn)
+                for fn in (bundle_actor(b, pi_eval), batch_actor)]
+        for name in ("commons", "poses", "actions", "r_imitation", "r_goal",
+                     "newly_sensed", "dones"):
+            assert getattr(recs[0], name).tobytes() == \
+                getattr(recs[1], name).tobytes(), (pi_eval, name)
+        assert recs[0].sensed_events == recs[1].sensed_events
 
 
 def test_benchmark_single_task_report_well_formed():
@@ -463,6 +498,24 @@ def test_cli_train_ppo_dense_baseline_and_log(tmp_path):
     assert {"approx_kl", "clip_frac", "entropy", "value_loss",
             "explained_var", "rollout_s", "update_s",
             "steps_per_s"} <= set(records[0])
+
+
+def test_cli_eval_log_writes_one_json_line_per_episode(tmp_path, tiny_bundle):
+    d = str(tmp_path)
+    save_bundle(tiny_bundle, f"{d}/b.ckpt")
+    assert run_cli("eval", "--ckpt", f"{d}/b.ckpt", "--tasks", "3", "--map",
+                   "300", "300", "--seed", "40", "--episodes", "3",
+                   "--log", f"{d}/eval.jsonl") == 0
+    with open(f"{d}/eval.jsonl") as f:
+        lines = [json.loads(line) for line in f]
+    _, records = evaluate(tiny_bundle, small_instances(3, base=40))
+    assert [l["seed"] for l in lines] == [40, 41, 42]
+    for line, rec in zip(lines, records):
+        assert set(line) == {"seed", "steps", "n_sensed", "reward",
+                             "wall_time"}
+        assert (line["steps"], line["n_sensed"], line["reward"]) == \
+            (len(rec), rec.n_sensed, rec.total_reward())
+        assert line["wall_time"] > 0
 
 
 def test_cli_train_ppo_gives_up_when_every_plan_fails(tmp_path, monkeypatch,

@@ -268,16 +268,6 @@ def test_act_paths_and_tie_break():
         assert False, "missing privileged obs accepted"
     except ValueError:
         pass
-    try:
-        act(b, c, use_privileged=True, privileged_obs=p, deterministic=False)
-        assert False, "sampling without rng accepted"
-    except ValueError:
-        pass
-    s1 = act(b, c, True, p, deterministic=False,
-             rng=np.random.default_rng(7))
-    s2 = act(b, c, True, p, deterministic=False,
-             rng=np.random.default_rng(7))
-    assert s1 == s2
 
 
 def test_act_logit_shift_invariance():
@@ -309,6 +299,53 @@ def test_act_on_each_row_matches_one_actor_forward_over_all_rows():
             assert np.allclose(one[0], logits[i], rtol=0.0, atol=1e-12)
             assert act(b, commons[i], use_privileged, privs[i]) == \
                 int(logits[i].argmax())
+
+
+@pytest.mark.parametrize("common_dim", [15, 83])
+def test_forward_on_a_row_is_row_0_of_its_one_row_batch(common_dim):
+    b = init_bundle(common_dim=common_dim, seed=common_dim)
+    rng = np.random.default_rng(common_dim)
+    for net in b.networks:
+        for _ in range(20):
+            x = rng.normal(size=net.in_dim)
+            out, cache = forward_cached(net, x)
+            out_b, cache_b = forward_cached(net, x[None])
+            assert out.shape == (net.out_dim,)
+            assert out.tobytes() == out_b[0].tobytes()
+            assert [h.tobytes() for h in cache] == \
+                [h[0].tobytes() for h in cache_b]
+    with pytest.raises(ValueError):
+        forward_cached(b.policy, np.zeros(b.policy.in_dim + 1))
+    with pytest.raises(ValueError):
+        forward_cached(b.policy, np.zeros((1, 1, b.policy.in_dim)))
+
+
+def test_act_is_the_argmax_of_the_one_row_batch_forward():
+    b = init_bundle(common_dim=15, seed=4)
+    zb = init_bundle(common_dim=15, seed=4)
+    zb.policy.flat[...] = 0.0       # uniform logits: the tie goes to 0
+    rng = np.random.default_rng(6)
+    for bundle in (b, zb):
+        for _ in range(50):
+            c, p = rng.normal(size=15), rng.normal(size=12)
+            for privs in (p, None):
+                logits = actor_forward(bundle, c[None], None if privs is None
+                                       else privs[None])[0]
+                row = actor_forward(bundle, c, privs)[0]
+                assert row.tobytes() == logits[0].tobytes()
+                assert act(bundle, c, privs is not None, privs) == \
+                    int(logits.argmax())
+        if bundle is zb:
+            assert act(zb, c, False) == act(zb, c, True, p) == 0
+
+
+def test_backward_rejects_the_cache_of_a_row():
+    net = small_net((4, 8, 3))
+    _, cache = forward_cached(net, np.ones(4))
+    with pytest.raises(ValueError, match="batch"):
+        backward(net, cache, np.ones(3))
+    with pytest.raises(ValueError, match="batch"):
+        backward(net, cache, np.ones((1, 3)))
 
 
 def test_softmax_rows_sum_to_one():
@@ -623,24 +660,11 @@ def test_sample_categorical_matches_generator_choice():
     ref = np.random.default_rng(99)
     theirs = [ref.choice(7, p=row) for row in probs]
     assert ours.tolist() == theirs
-    # act(deterministic=False) draws through the same sampler
-    b = init_bundle(common_dim=9, seed=0)
-    c = np.random.default_rng(1).normal(size=9)
-    logits = forward(b.policy, np.concatenate([c, forward(b.adaptation, c)]))
-    draws = [act(b, c, False, deterministic=False, rng=g)
-             for g in [np.random.default_rng(5)] for _ in range(200)]
-    ref = np.random.default_rng(5)
-    assert draws == [ref.choice(7, p=softmax(logits)) for _ in range(200)]
     for bad in (np.nan, np.inf):
         p = probs[:3].copy()
         p[1, 4] = bad
         with pytest.raises(ValueError):
             sample_categorical(p, np.random.default_rng(0))
-    nan_bundle = init_bundle(common_dim=9, seed=0)
-    nan_bundle.policy.biases[-1][...] = np.nan
-    with pytest.raises(ValueError):
-        act(nan_bundle, c, False, deterministic=False,
-            rng=np.random.default_rng(0))
 
 
 def test_clipped_surrogate_properties():
