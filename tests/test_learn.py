@@ -335,16 +335,15 @@ def test_act_is_the_argmax_of_the_one_row_batch_forward():
                 assert row.tobytes() == logits[0].tobytes()
                 assert act(bundle, c, privs is not None, privs) == \
                     int(logits.argmax())
-        if bundle is zb:
-            assert act(zb, c, False) == act(zb, c, True, p) == 0
+    assert act(zb, c, False) == act(zb, c, True, p) == 0
 
 
 def test_backward_rejects_the_cache_of_a_row():
     net = small_net((4, 8, 3))
     _, cache = forward_cached(net, np.ones(4))
-    with pytest.raises(ValueError, match="batch"):
+    with pytest.raises(ValueError, match="cache of a batch"):
         backward(net, cache, np.ones(3))
-    with pytest.raises(ValueError, match="batch"):
+    with pytest.raises(ValueError, match="cache of a batch"):
         backward(net, cache, np.ones((1, 3)))
 
 
