@@ -21,7 +21,7 @@ from . import expert as expert_mod
 from . import instance as instance_mod
 from .demos import collect_batch, load_dataset, save_dataset, tracker
 from .env import DtspnEnv, EnvConfig, config_for, run_episode
-from .evaluate import (benchmark_speed, bundle_actor, check_common_dim,
+from .evaluate import (benchmark_speed, bundle_actor, check_bundle,
                        evaluate, save_episode_csv)
 from .expert import SensingGap, plan
 from .learn import (TrainConfig, bc_pretrain, critic_init,
@@ -117,6 +117,8 @@ def _instances(args, count: int = 1):
     """The stage's instances, the --instance file or count generated from
     --seed on, and the env config they run under: config_for's, with the
     --config file's env keys.  The file excludes generation flags."""
+    if count < 1:
+        raise ValueError(f"--episodes must be >= 1, got {count}")
     if getattr(args, "instance", None) is not None:
         clash = [f"--{f}" for f in sorted(getattr(args, "given", ()))
                  if f != "episodes" or args.episodes != 1]
@@ -183,9 +185,10 @@ def cmd_train_ppo(args) -> int:
         raise ValueError(f"--pool must be >= 1, got {args.pool}")
     if args.ckpt is not None:
         bundle = load_bundle(args.ckpt)
-        check_common_dim(bundle, args.tasks)
+        check_bundle(bundle, args.tasks, cfg)
     elif args.dense:
-        bundle = init_bundle(3 + 4 * args.tasks, seed=tc.seed)
+        bundle = init_bundle(3 + 4 * args.tasks, n_actions=cfg.n_actions,
+                             seed=tc.seed)
     else:
         raise ValueError("train-ppo requires --ckpt PATH (or --dense for a "
                          "from-scratch baseline)")
@@ -232,7 +235,8 @@ def cmd_distill(args) -> int:
     tc = _train_config(args)
     dataset = load_dataset(args.data)
     bundle = load_bundle(args.ckpt)
-    check_common_dim(bundle, dataset.meta.n_tasks, "demonstrations")
+    check_bundle(bundle, dataset.meta.n_tasks, dataset.meta.config,
+                 "demonstrations")
     _, metrics = distill_adaptation(dataset, bundle, tc, epochs=args.epochs)
     save_bundle(bundle, args.out)
     _summary("distill", epochs=args.epochs,
@@ -242,7 +246,18 @@ def cmd_distill(args) -> int:
     return 0
 
 
+def _check_policy_flags(args) -> None:
+    """--expert excludes --ckpt and --pi-eval, and --pi-eval needs --ckpt."""
+    clash = [flag for flag, given in (("--ckpt", args.ckpt is not None),
+                                      ("--pi-eval", args.pi_eval)) if given]
+    if args.expert and clash:
+        raise ValueError(f"--expert excludes {', '.join(clash)}")
+    if args.pi_eval and args.ckpt is None:
+        raise ValueError("--pi-eval requires --ckpt")
+
+
 def cmd_eval(args) -> int:
+    _check_policy_flags(args)
     instances, cfg = _instances(args, args.episodes)
     if args.expert:
         policy = "expert"
@@ -289,11 +304,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    _check_policy_flags(args)
     (inst,), cfg = _instances(args)
     bundle = None
-    if not args.expert and args.ckpt is not None:
+    if args.ckpt is not None:
         bundle = load_bundle(args.ckpt)
-        check_common_dim(bundle, inst.n_tasks)
+        check_bundle(bundle, inst.n_tasks, cfg)
     epath = plan(inst, n_pos=args.pos, n_head=args.heads, config=cfg)
     # the expert path rides along even for policy plots: it supplies the
     # dashed overlay and the imitation column of the record

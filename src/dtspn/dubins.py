@@ -224,50 +224,42 @@ def _frame(dx, dy, theta_a, theta_b, rho):
         np.sin(beta), np.cos(beta))]
 
 
-def _segments(a, b, rho):
-    """Normalized segment parameters (t, p, q) of every word, and feasibility.
-
-    a and b are arrays of (x, y, theta) rows that broadcast against each
-    other.  Each result has shape (6,) + the broadcast shape, words in WORDS
-    order, as _words gives them; entries of infeasible words are 0.0 or
-    +inf in t, and callers mask them with ok.
-    """
-    shape, frame = _frame(b[..., 0] - a[..., 0], b[..., 1] - a[..., 1],
-                          a[..., 2], b[..., 2], rho)
-    t, p, q = (np.zeros((6, frame[0].size)) for _ in range(3))
-    ok = np.zeros(t.shape, dtype=bool)
-    for k, (sub, tk, pk, qk) in enumerate(_words(*frame)):
-        at = slice(None) if sub is None else sub
-        t[k, at], p[k, at], q[k, at] = tk, pk, qk
-        ok[k, at] = tk < np.inf
-    return tuple(x.reshape((6,) + shape) for x in (t, p, q, ok))
-
-
 def shortest_paths(starts, ends, rho: float) -> list[DubinsPath]:
-    """Minimum-length Dubins path of each (start, end) pose pair with
+    """Minimum-length Dubins path of each (start, end) Pose pair with
     turning radius rho, through one kernel call.
 
-    Every pose pair admits at least one word, so this always succeeds.
-    Near-zero segments are clamped to exactly zero; length ties within 1e-9
+    Every pair of finite poses admits at least one word.  Near-zero
+    segments are clamped to exactly zero; as _words yields each word, it
+    replaces a pair's best only if more than 1e-9 shorter, so length ties
     go to the earlier word in WORDS.
     """
     if rho <= 0.0:
         raise ValueError("turning radius must be positive")
     if len(starts) != len(ends):
         raise ValueError(f"{len(starts)} starts but {len(ends)} ends")
-    t, p, q, ok = (x.T.tolist() for x in
-                   _segments(pose_array(starts), pose_array(ends), rho))
+    if not all(isinstance(p, Pose) for p in (*starts, *ends)):
+        raise ValueError("starts and ends must be Pose objects")
+    a, b = pose_array(starts), pose_array(ends)
+    _, frame = _frame(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1], a[:, 2], b[:, 2],
+                      rho)
+    word = np.zeros(len(a), dtype=np.intp)
+    best = np.full(len(a), np.inf)
+    t, p, q = np.zeros((3, len(a)))
+    for k, (sub, tk, pk, qk) in enumerate(_words(*frame)):
+        cost = tk + pk
+        cost += qk
+        won = cost < (best if sub is None else best.take(sub)) - 1e-9
+        at = won if sub is None else sub[won]
+        word[at] = k
+        best[at], t[at], p[at], q[at] = cost[won], tk[won], pk[won], qk[won]
+    if np.isinf(best).any():
+        raise ValueError("no Dubins word joins non-finite poses")
     paths = []
-    for start, tk, pk, qk, okk in zip(starts, t, p, q, ok):
-        best, best_cost = None, math.inf
-        for k in range(len(WORDS)):
-            cost = tk[k] + pk[k] + qk[k]
-            if okk[k] and cost < best_cost - 1e-9:
-                best, best_cost = k, cost
-        word = WORDS[best]
-        straight = rho if word[1] == "S" else 1.0
-        params = (tk[best], pk[best] * straight, qk[best])
-        paths.append(DubinsPath(start=start, word=word, segment_params=params,
+    for start, k, tk, pk, qk in zip(starts, word.tolist(), t.tolist(),
+                                    p.tolist(), q.tolist()):
+        straight = rho if WORDS[k][1] == "S" else 1.0
+        paths.append(DubinsPath(start=start, word=WORDS[k],
+                                segment_params=(tk, pk * straight, qk),
                                 rho=rho))
     return paths
 

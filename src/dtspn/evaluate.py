@@ -44,13 +44,20 @@ def bundle_actor(bundle: ModelBundle,
                            zeros if obs.privileged is None else obs.privileged)
 
 
-def check_common_dim(bundle: ModelBundle, n_tasks: int,
-                     source: str = "instances") -> None:
-    """ValueError unless bundle takes the common observation of n_tasks."""
+def check_bundle(bundle: ModelBundle, n_tasks: int,
+                 config: Optional[EnvConfig],
+                 source: str = "instances") -> None:
+    """ValueError unless bundle takes the common observation of n_tasks and
+    picks one of config's n_actions actions (config_for's default, the
+    EnvConfig default, when config is None)."""
     if bundle.common_dim != 3 + 4 * n_tasks:
         raise ValueError(f"checkpoint expects common dim {bundle.common_dim}, "
                          f"{source} with {n_tasks} tasks produce "
                          f"{3 + 4 * n_tasks}")
+    n_actions = (config or EnvConfig()).n_actions
+    if bundle.n_actions != n_actions:
+        raise ValueError(f"checkpoint has {bundle.n_actions} actions, "
+                         f"the env config {n_actions}")
 
 
 def _expert_episode(x: Instance, config: Optional[EnvConfig],
@@ -87,7 +94,7 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
     paths = [None] * len(instances)
     if isinstance(policy, ModelBundle):
         for x in instances:
-            check_common_dim(policy, x.n_tasks)
+            check_bundle(policy, x.n_tasks, config)
         if pi_eval:
             paths = [plan(x, n_pos=n_pos, n_head=n_head, config=config)
                      for x in instances]
@@ -132,7 +139,7 @@ def benchmark_speed(instances: Sequence[Instance], bundle: ModelBundle,
     if len(instances) < 10:
         raise ValueError(f"need at least 10 instances, got {len(instances)}")
     for x in instances:
-        check_common_dim(bundle, x.n_tasks)
+        check_bundle(bundle, x.n_tasks, config)
     act_fn = bundle_actor(bundle, pi_eval=False)
     expert_times, policy_times = [], []
     for x in instances:

@@ -8,7 +8,10 @@ differences.  Slower than the real code on purpose.  The exceptions are:
 - reference_segments, the Dubins kernel as it was before it computed CCC
   words only where they are feasible and wrapped angles with fmod: every
   word on every pair, wrapped with %.  It is kept as the byte-for-byte
-  reference for the kernel.
+  reference for the kernel, and reference_shortest_paths picks each pair's
+  word from it by the package's rule.
+- kernel_segments, every word of the package's kernel (_frame and _words)
+  laid out as reference_segments lays them out, for comparing the two.
 - apply_segment and reference_pose_at, the sampler's per-segment step as it
   was before sample_path flew segments with advance, the simulator's step.
   They are kept as the byte-for-byte reference for sample_path.
@@ -35,7 +38,8 @@ import struct
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar, root
 
-from dtspn.dubins import (SEGMENT_EPS, Pose, normalize_angle, path_length,
+from dtspn.dubins import (SEGMENT_EPS, WORDS, DubinsPath, Pose, _frame,
+                          _words, normalize_angle, path_length, pose_array,
                           shortest_path)
 from dtspn.env import (ALL, PROGRESS_WINDOW, EnvBatch, RewardBreakdown,
                        advance, goal_reward, imitation_reward)
@@ -125,9 +129,10 @@ def _unloop(t, q, p, total):
 
 
 def reference_segments(a, b, rho):
-    """dubins._segments as it was with every word computed on every pair and
-    every angle wrapped with %; same arguments and results.  Its entries of
-    infeasible words differ from the kernel's, the feasible ones may not."""
+    """kernel_segments as the kernel was with every word computed on every
+    pair and every angle wrapped with %; same arguments and results.  Its
+    entries of infeasible words differ from the kernel's, the feasible ones
+    may not."""
     dx = b[..., 0] - a[..., 0]
     dy = b[..., 1] - a[..., 1]
     line = np.arctan2(dy, dx)
@@ -183,6 +188,43 @@ def reference_segments(a, b, rho):
     for seg in (t, p, q):
         seg[seg < SEGMENT_EPS] = 0.0
     return t, p, q, ok
+
+
+def kernel_segments(a, b, rho):
+    """Normalized segment parameters (t, p, q) of every word from the
+    package's kernel, and feasibility, for arrays of (x, y, theta) rows a
+    and b that broadcast against each other.  Each result has shape (6,) +
+    the broadcast shape, words in WORDS order, as reference_segments gives
+    them; entries of infeasible words are 0.0 or +inf in t, masked by ok."""
+    shape, frame = _frame(b[..., 0] - a[..., 0], b[..., 1] - a[..., 1],
+                          a[..., 2], b[..., 2], rho)
+    t, p, q = (np.zeros((6, frame[0].size)) for _ in range(3))
+    ok = np.zeros(t.shape, dtype=bool)
+    for k, (sub, tk, pk, qk) in enumerate(_words(*frame)):
+        at = slice(None) if sub is None else sub
+        t[k, at], p[k, at], q[k, at] = tk, pk, qk
+        ok[k, at] = tk < np.inf
+    return tuple(x.reshape((6,) + shape) for x in (t, p, q, ok))
+
+
+def reference_shortest_paths(starts, ends, rho):
+    """shortest_paths over reference_segments, one pair at a time: the
+    first feasible word in WORDS order whose length t + p + q is more than
+    1e-9 below the best so far."""
+    t, p, q, ok = (x.T.tolist() for x in reference_segments(
+        pose_array(starts), pose_array(ends), rho))
+    paths = []
+    for start, tk, pk, qk, okk in zip(starts, t, p, q, ok):
+        best, best_cost = None, math.inf
+        for k in range(len(WORDS)):
+            cost = tk[k] + pk[k] + qk[k]
+            if okk[k] and cost < best_cost - 1e-9:
+                best, best_cost = k, cost
+        straight = rho if WORDS[best][1] == "S" else 1.0
+        paths.append(DubinsPath(start=start, word=WORDS[best], rho=rho,
+                                segment_params=(tk[best], pk[best] * straight,
+                                                qk[best])))
+    return paths
 
 
 def _csc_eval(word, p0, p1, rho, t):

@@ -12,7 +12,6 @@ from dtspn.dubins import (
     DubinsPath,
     Pose,
     WORDS,
-    _segments,
     length_matrix,
     mod2pi,
     path_length,
@@ -23,9 +22,10 @@ from dtspn.dubins import (
 )
 from dtspn.expert import sample_poses
 from dtspn.instance import generate
-from oracles import (dubins_oracle_length, reference_pose_at,
-                     reference_segments, shortest_path_length, straight_step,
-                     turn_step, wrap)
+from oracles import (dubins_oracle_length, kernel_segments,
+                     reference_pose_at, reference_segments,
+                     reference_shortest_paths, shortest_path_length,
+                     straight_step, turn_step, wrap)
 
 RHO = 30.0
 
@@ -101,7 +101,7 @@ def test_length_lower_bound_and_word_optimality():
         a, b = random_pose(rng, span), random_pose(rng, span)
         best = shortest_path_length(a, b, RHO)
         assert best >= math.hypot(b.x - a.x, b.y - a.y) - 1e-9
-        t, p, q, ok = _segments(pose_array([a]), pose_array([b]), RHO)
+        t, p, q, ok = kernel_segments(pose_array([a]), pose_array([b]), RHO)
         for k, word in enumerate(WORDS):
             if not ok[k, 0]:
                 continue
@@ -167,6 +167,15 @@ def test_shortest_paths_pairs_up_starts_and_ends():
         shortest_paths([a, b], [b], RHO)
     with pytest.raises(ValueError):
         shortest_paths([a], [b], 0.0)
+    # a row would become the path's start, which sample_path cannot fly
+    for starts, ends in (([(0.0, 0.0, 0.0)], [b]),
+                         ([a], [np.array([100.0, 0.0, 0.0])])):
+        with pytest.raises(ValueError, match="Pose objects"):
+            shortest_paths(starts, ends, RHO)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"), \
+                np.errstate(invalid="ignore"):
+            shortest_paths([a, Pose(bad, 0.0, 0.0)], [b, b], RHO)
 
 
 segment_params = st.one_of(st.just(0.0), st.floats(1e-12, 2.0 * math.pi))
@@ -303,7 +312,7 @@ def test_length_matrix_chunks_match_one_kernel_call(monkeypatch):
     for runs in (1, 4):
         a = repeated_poses(rng, 37 * runs, runs)
         b = repeated_poses(rng, 11 * runs, runs)
-        t, p, q, ok = _segments(a[:, None, :], b[None, :, :], RHO)
+        t, p, q, ok = kernel_segments(a[:, None, :], b[None, :, :], RHO)
         whole = RHO * np.where(ok, t + p + q, np.inf).min(axis=0)
         for pairs in (1, 7, 11, 50, 10**6):
             monkeypatch.setattr(dubins_mod, "LENGTH_CHUNK_PAIRS", pairs)
@@ -430,18 +439,12 @@ def test_mod2pi_matches_remainder_bit_for_bit():
     assert (zeros == 0.0).all() and not np.signbit(zeros).any()
 
 
-def reference(fn, *args):
-    """fn(*args) with the kernel swapped for reference_segments."""
-    with mock.patch.object(dubins_mod, "_segments", reference_segments):
-        return fn(*args)
-
-
 def assert_matches_reference(a, b, pairs):
     """Pose rows a (n, 3) against b (m, 3): feasibility and every feasible
     word's (t, p, q), the length matrix, and the shortest paths of the
     (i, j) pairs listed, one pair at a time and all in one shortest_paths
     call, keep the reference kernel's bits."""
-    new = _segments(a[:, None], b[None], RHO)
+    new = kernel_segments(a[:, None], b[None], RHO)
     old = reference_segments(a[:, None], b[None], RHO)
     ok = old[3]
     assert new[3].tobytes() == ok.tobytes()
@@ -452,8 +455,8 @@ def assert_matches_reference(a, b, pairs):
     starts = [Pose(*a[i]) for i, _ in pairs]
     ends = [Pose(*b[j]) for _, j in pairs]
     batched = shortest_paths(starts, ends, RHO)
-    for s, e, one in zip(starts, ends, batched):
-        ref = reference(shortest_path, s, e, RHO)
+    refs = reference_shortest_paths(starts, ends, RHO)
+    for s, e, one, ref in zip(starts, ends, batched, refs):
         for path in (shortest_path(s, e, RHO), one):
             assert path.word == ref.word
             assert (np.array(path.segment_params).tobytes()

@@ -715,3 +715,64 @@ def test_cli_stages_reject_flags_they_do_not_read(tmp_path, tiny_demos):
         assert run_cli(*argv, "--out", f"{d}/x") == 1, argv
     assert run_cli("bench", "--ckpt", f"{d}/b.ckpt", "--out", f"{d}/x") == 1
     assert not os.path.exists(f"{d}/x")
+
+
+def test_checkpoint_action_count_must_match_the_env(tmp_path, capsys):
+    # action k of a 5-action checkpoint would fly another turn rate in the
+    # default 7-action env
+    five = init_bundle(15, n_actions=5, seed=0)
+    with pytest.raises(ValueError, match="checkpoint has 5 actions, the env "
+                       "config 7"):
+        evaluate(five, small_instances(1))
+    with pytest.raises(ValueError, match="5 actions"):
+        benchmark_speed(small_instances(10), five)
+    d = str(tmp_path)
+    save_bundle(five, f"{d}/five.ckpt")
+    gen = ["--tasks", "3", "--map", "300", "300"]
+    for argv in (["eval", "--ckpt", f"{d}/five.ckpt", "--episodes", "1"],
+                 ["bench", "--ckpt", f"{d}/five.ckpt"],
+                 ["plot", "--ckpt", f"{d}/five.ckpt", "--out", f"{d}/x.svg"],
+                 ["train-ppo", "--ckpt", f"{d}/five.ckpt", "--steps", "16",
+                  "--out", f"{d}/x.ckpt"]):
+        assert run_cli(*argv, *gen) == 1, argv
+        assert "checkpoint has 5 actions" in capsys.readouterr().err, argv
+    assert not os.path.exists(f"{d}/x.svg")
+    assert not os.path.exists(f"{d}/x.ckpt")
+
+
+@pytest.mark.parametrize("n_actions", [5, 9])
+def test_cli_train_ppo_dense_takes_the_config_action_count(tmp_path,
+                                                          n_actions):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_actions": n_actions}))
+    out = str(tmp_path / "dense.ckpt")
+    assert run_cli("train-ppo", "--dense", "--tasks", "3", "--map", "300",
+                   "300", "--steps", "16", "--pool", "2",
+                   "--config", str(cfg), "--out", out) == 0
+    assert load_bundle(out).n_actions == n_actions
+
+
+def test_cli_eval_and_bench_reject_no_episodes(tmp_path, capsys):
+    for episodes in ("0", "-2"):
+        for argv in (["eval", "--expert"],
+                     ["bench", "--ckpt", str(tmp_path / "none.ckpt")]):
+            assert run_cli(*argv, "--episodes", episodes) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--episodes" in err, argv
+
+
+def test_cli_eval_and_plot_reject_conflicting_policy_flags(tmp_path, capsys):
+    d = str(tmp_path)
+    gen = ["--tasks", "2", "--map", "300", "300"]
+    for stage in (["eval"], ["plot", "--out", f"{d}/x.svg"]):
+        assert run_cli(*stage, *gen, "--expert", "--ckpt", f"{d}/none.ckpt",
+                       "--pi-eval") == 1, stage
+        assert "--expert excludes --ckpt, --pi-eval" in \
+            capsys.readouterr().err, stage
+        assert run_cli(*stage, *gen, "--expert", "--pi-eval") == 1, stage
+        assert "--expert excludes --pi-eval" in capsys.readouterr().err
+        assert run_cli(*stage, *gen, "--pi-eval") == 1, stage
+        assert "--pi-eval requires --ckpt" in capsys.readouterr().err, stage
+    assert not os.path.exists(f"{d}/x.svg")
+    # with neither flag, plot still draws the expert
+    assert run_cli("plot", *gen, "--out", f"{d}/e.svg") == 0
