@@ -108,6 +108,13 @@ def _json_lines(path: Optional[str]):
         yield write
 
 
+def _log_epochs(log, phase: str, metrics: dict, keys) -> None:
+    """One JSON line per epoch of the per-epoch curves metrics[key]."""
+    if log is not None:
+        for epoch, values in enumerate(zip(*(metrics[k] for k in keys)), 1):
+            log({"phase": phase, "epoch": epoch, **dict(zip(keys, values))})
+
+
 def _generate(args, seed: int) -> instance_mod.Instance:
     return instance_mod.generate(args.tasks, seed, map_size=tuple(args.map),
                                  r_sense=args.sense, turn_radius=args.turn)
@@ -167,8 +174,12 @@ def cmd_train_bc(args) -> int:
     meta = dataset.meta
     bundle = init_bundle(meta.common_dim, meta.priv_dim,
                          n_actions=meta.config.n_actions, seed=tc.seed)
-    _, metrics = bc_pretrain(dataset, bundle, tc)
-    _, critic = critic_init(dataset, bundle, tc)
+    with _json_lines(args.log) as log:
+        _, metrics = bc_pretrain(dataset, bundle, tc)
+        _log_epochs(log, "bc", metrics,
+                    ("train_loss", "train_acc", "val_loss", "val_acc"))
+        _, critic = critic_init(dataset, bundle, tc)
+        _log_epochs(log, "critic", critic, ("train_mse", "val_mse"))
     save_bundle(bundle, args.out)
     _summary("train-bc", demos=len(dataset), epochs=tc.bc_epochs,
              val_acc=_last(metrics["val_acc"]),
@@ -237,7 +248,13 @@ def cmd_distill(args) -> int:
     bundle = load_bundle(args.ckpt)
     check_bundle(bundle, dataset.meta.n_tasks, dataset.meta.config,
                  "demonstrations")
-    _, metrics = distill_adaptation(dataset, bundle, tc, epochs=args.epochs)
+    with _json_lines(args.log) as log:
+        _, metrics = distill_adaptation(dataset, bundle, tc,
+                                        epochs=args.epochs)
+        _log_epochs(log, "distill", metrics, ("train_mse",))
+        if log is not None:
+            log({"phase": "heldout", **{k: metrics[k] for k in (
+                "heldout_mse", "heldout_z_variance", "action_agreement")}})
     save_bundle(bundle, args.out)
     _summary("distill", epochs=args.epochs,
              heldout_mse=metrics["heldout_mse"],
@@ -400,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
               "behavior cloning + critic warm start", _add_config, _add_out)
     p.add_argument("--data", type=str, required=True, metavar="PATH",
                    help="demonstration dataset")
+    p.add_argument("--log", type=str, default=None, metavar="PATH",
+                   help="write one JSON line per cloning and critic epoch")
 
     p = stage("train-ppo", cmd_train_ppo, "on-policy fine-tuning",
               *env, _add_out)
@@ -422,6 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=str, required=True, metavar="PATH")
     p.add_argument("--ckpt", type=str, required=True, metavar="PATH")
     p.add_argument("--epochs", type=int, default=20, metavar="N")
+    p.add_argument("--log", type=str, default=None, metavar="PATH",
+                   help="write one JSON line per epoch, then the held-out "
+                        "metrics")
 
     p = stage("eval", cmd_eval, "run eval episodes and report metrics",
               *env, _add_instance)

@@ -9,16 +9,17 @@ from .nets import ModelBundle, forward_cached
 
 
 def _agreement(bundle: ModelBundle, commons, z_true, z_pred) -> float:
+    """Rate at which the policy's argmax action under z_pred matches the
+    one under z_true.  Each chunk's first argmax is taken before the second
+    forward, which may overwrite the first's logits."""
     hits = 0
     for s in range(0, len(commons), EVAL_CHUNK):
         c = commons[s:s + EVAL_CHUNK]
-        lt, _ = forward_cached(bundle.policy,
-                               np.concatenate([c, z_true[s:s + EVAL_CHUNK]],
-                                              axis=1))
-        lp, _ = forward_cached(bundle.policy,
-                               np.concatenate([c, z_pred[s:s + EVAL_CHUNK]],
-                                              axis=1))
-        hits += int((np.argmax(lt, axis=1) == np.argmax(lp, axis=1)).sum())
+        actions = [np.argmax(forward_cached(
+            bundle.policy, np.concatenate([c, z[s:s + EVAL_CHUNK]],
+                                          axis=1))[0], axis=1)
+            for z in (z_true, z_pred)]
+        hits += int((actions[0] == actions[1]).sum())
     return hits / len(commons)
 
 

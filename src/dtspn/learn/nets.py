@@ -11,6 +11,14 @@ A network's parameters are one contiguous float64 buffer, flat, laid out
 w0, b0, w1, b1, ... (weights row-major) as checkpoints store them; its
 weights and biases lists hold views of it, made by _views alone.
 Gradients and Adam's moments are buffers of the same layout.
+
+Batch training steps write into the network's own workspace, sized by its
+largest batch backward so far (a shorter batch uses its leading rows):
+fresh per-step temporaries would re-fault their pages each time glibc
+trims its heap.  So a batch forward's output and cache stay valid until
+that network's next batch forward, and backward's gradient and input
+gradient until its next backward.  A forward of a row, or of a batch
+larger than the workspace, allocates its own arrays.
 """
 
 import hashlib
@@ -64,6 +72,7 @@ class NetworkParams:
         self.layer_dims = dims
         self.flat = flat
         self.weights, self.biases = _views(flat, dims)
+        self.work: Optional[_Workspace] = None
 
     @property
     def in_dim(self) -> int:
@@ -78,6 +87,28 @@ class NetworkParams:
 
     def finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
+
+
+class _Workspace:
+    """One network's training buffers for batches of up to rows rows: each
+    layer's output, each layer input's backward delta and each hidden
+    layer's 1 - h**2, a gradient in the parameters' layout, and Adam's two
+    parameter-sized temporaries."""
+
+    def __init__(self, dims: Tuple[int, ...], rows: int):
+        self.rows = rows
+        self.outs = [np.empty((rows, d)) for d in dims[1:]]
+        self.deltas = [np.empty((rows, d)) for d in dims[:-1]]
+        self.slopes = [np.empty((rows, d)) for d in dims[1:-1]]
+        self.grad = NetworkParams(dims, np.empty(n_params(dims)))
+        self.adam = np.empty((2, n_params(dims)))
+
+
+def _workspace(params: NetworkParams, rows: int = 0) -> _Workspace:
+    """params' workspace, made (or remade larger) to hold rows rows."""
+    if params.work is None or params.work.rows < rows:
+        params.work = _Workspace(params.layer_dims, rows)
+    return params.work
 
 
 def init_network(layer_dims: Sequence[int], rng: np.random.Generator,
@@ -115,10 +146,13 @@ def forward_cached(params: NetworkParams, x: np.ndarray):
     if h.ndim not in (1, 2) or h.shape[-1] != params.in_dim:
         raise ValueError(f"forward input: expected ({params.in_dim},) or "
                          f"(batch, {params.in_dim}), got {h.shape}")
+    n, work = len(h), params.work
+    outs = (work.outs if h.ndim == 2 and work is not None and n <= work.rows
+            else None)
     cache = [h]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w
+        h = h @ w if outs is None else np.matmul(h, w, out=outs[i][:n])
         h += b
         if i != last:
             np.tanh(h, out=h)
@@ -141,13 +175,17 @@ def backward(params: NetworkParams, cache, upstream: np.ndarray):
     if g.shape[0] != cache[0].shape[0]:
         raise ValueError(f"upstream batch {g.shape[0]} != cached batch "
                          f"{cache[0].shape[0]}")
-    grad = NetworkParams(params.layer_dims, np.empty_like(params.flat))
+    n = len(g)
+    work = _workspace(params, n)
+    grad = work.grad
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(cache[i].T, g, out=grad.weights[i])
         g.sum(axis=0, out=grad.biases[i])
-        g = g @ params.weights[i].T
+        g = np.matmul(g, params.weights[i].T, out=work.deltas[i][:n])
         if i > 0:
-            g = g * (1.0 - cache[i] ** 2)
+            slope = np.square(cache[i], out=work.slopes[i - 1][:n])
+            np.subtract(1.0, slope, out=slope)
+            g *= slope
     return grad, g
 
 
@@ -170,11 +208,21 @@ def adam_step(params: NetworkParams, grad: NetworkParams, state: AdamState,
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
     g, m, v = grad.flat, state.m, state.v
+    step, denom = _workspace(params).adam
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += np.multiply(1.0 - beta1, g, out=step)
     v *= beta2
-    v += (1.0 - beta2) * g * g
-    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    np.multiply(1.0 - beta2, g, out=step)
+    step *= g
+    v += step
+    # params -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+    np.divide(m, c1, out=step)
+    np.multiply(lr, step, out=step)
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params.flat -= step
 
 
 @dataclass

@@ -23,6 +23,11 @@ differences.  Slower than the real code on purpose.  The exceptions are:
   gradients and moments shared one flat buffer per network: one array per
   layer's weights and biases, and a loop over them.  They are kept as the
   byte-for-byte reference for backward, adam_step and save_bundle.
+- reference_forward_cached, and reference_backward_params and
+  reference_adam_step_params (the two above with the package's
+  signatures): the network code as it ran before batch steps wrote into
+  each network's workspace, with fresh arrays for every layer output,
+  delta, gradient and Adam temporary.
 - encode_privileged, the simulator's privileged encoding as it ran over
   arrays of padded waypoints before it joined the per-row pass.
 - ReferenceBatch, EnvBatch with the array-level sensing, common encoding
@@ -43,7 +48,7 @@ from dtspn.dubins import (SEGMENT_EPS, WORDS, DubinsPath, Pose, _frame,
                           shortest_path)
 from dtspn.env import (ALL, PROGRESS_WINDOW, EnvBatch, RewardBreakdown,
                        advance, goal_reward, imitation_reward)
-from dtspn.learn.nets import backward, forward_cached
+from dtspn.learn.nets import NetworkParams, backward, forward_cached
 
 TWO_PI = 2.0 * math.pi
 
@@ -626,10 +631,26 @@ def forward(params, x):
 def gradients(params, x, upstream):
     """forward_cached then backward, in one call: (weight grads, bias
     grads, input grad), the parameter grads as per-layer lists.  A row x
-    runs as a one-row batch, whose cache backward takes."""
+    runs as a one-row batch, whose cache backward takes.  The results are
+    copies: backward's own live in the network's workspace, which its next
+    backward overwrites."""
     _, cache = forward_cached(params, np.atleast_2d(x))
     grad, gin = backward(params, cache, upstream)
-    return grad.weights, grad.biases, gin
+    grad = grad.copy()
+    return grad.weights, grad.biases, gin.copy()
+
+
+def reference_forward_cached(params, x):
+    """forward_cached with a fresh array per layer output."""
+    h = np.asarray(x, dtype=float)
+    cache = [h]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w
+        h += b
+        if i != len(params.weights) - 1:
+            np.tanh(h, out=h)
+        cache.append(h)
+    return cache[-1], cache
 
 
 def reference_backward(params, cache, upstream):
@@ -676,6 +697,28 @@ def reference_adam_step(params, gws, gbs, state, lr, beta1=0.9,
             v *= beta2
             v += (1.0 - beta2) * g * g
             p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def reference_backward_params(params, cache, upstream):
+    """reference_backward with backward's signature and results: (grad as
+    a NetworkParams of params' dims, input grad)."""
+    gws, gbs, gin = reference_backward(params, cache, upstream)
+    flat = np.concatenate([a.ravel() for wb in zip(gws, gbs) for a in wb])
+    return NetworkParams(params.layer_dims, flat), gin
+
+
+def reference_adam_step_params(params, grad, state, lr, beta1=0.9,
+                               beta2=0.999, eps=1e-8):
+    """reference_adam_step with adam_step's signature: it steps an
+    AdamState's flat moments through their per-layer views."""
+    m, v = (NetworkParams(params.layer_dims, a) for a in (state.m, state.v))
+    ref = ReferenceAdam.__new__(ReferenceAdam)
+    ref.m_w, ref.m_b, ref.v_w, ref.v_b = m.weights, m.biases, v.weights, \
+        v.biases
+    ref.t = state.t
+    reference_adam_step(params, grad.weights, grad.biases, ref, lr, beta1,
+                        beta2, eps)
+    state.t = ref.t
 
 
 def reference_pack_network(params):

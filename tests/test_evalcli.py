@@ -586,6 +586,48 @@ def test_cli_distill_rejects_negative_epochs(tmp_path, capsys, tiny_demos):
     assert not os.path.exists(f"{d}/out.ckpt")
 
 
+def read_json_lines(path):
+    with open(path) as f:
+        return [json.loads(line) for line in f]
+
+
+def test_cli_train_bc_and_distill_log_every_epoch(tmp_path, tiny_demos):
+    from dtspn.learn import (TrainConfig, bc_pretrain, critic_init,
+                             distill_adaptation)
+    d = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"bc_epochs": 3}')
+    assert run_cli("train-bc", "--data", tiny_demos, "--config", str(cfg),
+                   "--seed", "2", "--out", f"{d}/bc.ckpt",
+                   "--log", f"{d}/bc.jsonl") == 0
+    assert run_cli("distill", "--data", tiny_demos, "--ckpt", f"{d}/bc.ckpt",
+                   "--epochs", "2", "--seed", "2", "--out", f"{d}/ada.ckpt",
+                   "--log", f"{d}/distill.jsonl") == 0
+
+    # the lines carry the values the library returns, in epoch order
+    dataset, tc = load_dataset(tiny_demos), TrainConfig(bc_epochs=3, seed=2)
+    meta = dataset.meta
+    bundle = init_bundle(meta.common_dim, meta.priv_dim,
+                         n_actions=meta.config.n_actions, seed=2)
+    _, bc = bc_pretrain(dataset, bundle, tc)
+    _, critic = critic_init(dataset, bundle, tc)
+    _, ada = distill_adaptation(dataset, bundle, tc, epochs=2)
+    want_bc = [{"phase": "bc", "epoch": k + 1,
+                **{key: bc[key][k] for key in ("train_loss", "train_acc",
+                                               "val_loss", "val_acc")}}
+               for k in range(3)]
+    want_critic = [{"phase": "critic", "epoch": k + 1,
+                    "train_mse": critic["train_mse"][k],
+                    "val_mse": critic["val_mse"][k]} for k in range(3)]
+    assert read_json_lines(f"{d}/bc.jsonl") == want_bc + want_critic
+    assert read_json_lines(f"{d}/distill.jsonl") == [
+        {"phase": "distill", "epoch": 1, "train_mse": ada["train_mse"][0]},
+        {"phase": "distill", "epoch": 2, "train_mse": ada["train_mse"][1]},
+        {"phase": "heldout", "heldout_mse": ada["heldout_mse"],
+         "heldout_z_variance": ada["heldout_z_variance"],
+         "action_agreement": ada["action_agreement"]}]
+
+
 def test_cli_train_ppo_checks_the_checkpoint_before_planning(
         tmp_path, monkeypatch, capsys):
     planned = []

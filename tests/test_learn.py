@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +19,14 @@ from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
                          return_to_go, sample_categorical, save_bundle)
 from dtspn.learn.bc import regress
 from dtspn.learn.nets import (CKPT_MAGIC, CKPT_VERSION, _pack_network,
-                              actor_forward, backward, forward_cached)
+                              actor_forward, actor_step, backward,
+                              forward_cached)
 
+import oracles
 from oracles import (ReferenceAdam, discounted_returns, fd_gradients, forward,
                      gradients, reference_adam_step, reference_backward,
-                     reference_pack_network, softmax)
+                     reference_forward_cached, reference_pack_network,
+                     softmax)
 
 
 def small_net(dims, seed=0):
@@ -157,6 +162,122 @@ def test_adam_step_matches_the_per_layer_reference():
             assert all(a.tobytes() == b.tobytes()
                        for a, b in zip(ours, theirs))
     assert st.t == 4
+
+
+def test_batch_steps_in_the_workspace_match_the_fresh_array_reference():
+    # the four 3-task networks through batches of 512, 146, 16 and 512
+    # rows: the first backward sizes the workspace, shorter batches use its
+    # leading rows, and every output, cache entry, gradient, input gradient,
+    # parameter and moment equals the fresh-array code's bytes
+    rng = np.random.default_rng(21)
+    for net in init_bundle(common_dim=15, seed=9).networks:
+        ref = net.copy()
+        st, ref_st = AdamState(net), ReferenceAdam(ref)
+        for k, rows in enumerate((512, 146, 16, 512)):
+            x = rng.normal(size=(rows, net.in_dim))
+            out, cache = forward_cached(net, x)
+            ref_out, ref_cache = reference_forward_cached(ref, x)
+            assert out is cache[-1] and len(cache) == len(ref_cache)
+            for ours, theirs in zip(cache, ref_cache):
+                assert ours.shape == theirs.shape
+                assert ours.tobytes() == theirs.tobytes()
+            assert (net.work is not None) == (k > 0)
+            if k > 0:
+                assert net.work.rows == 512
+                assert np.shares_memory(out, net.work.outs[-1])
+
+            up = rng.normal(size=(rows, net.out_dim))
+            grad, gin = backward(net, cache, up)
+            gws, gbs, ref_gin = reference_backward(ref, ref_cache, up)
+            for ours, theirs in zip(grad.weights + grad.biases + [gin],
+                                    gws + gbs + [ref_gin]):
+                assert ours.shape == theirs.shape
+                assert ours.tobytes() == theirs.tobytes()
+            assert np.shares_memory(gin, net.work.deltas[0])
+
+            adam_step(net, grad, st, 0.003)
+            reference_adam_step(ref, gws, gbs, ref_st, 0.003)
+            assert net.flat.tobytes() == ref.flat.tobytes()
+            m, v = (NetworkParams(net.layer_dims, a) for a in (st.m, st.v))
+            for ours, theirs in ((m.weights, ref_st.m_w),
+                                 (m.biases, ref_st.m_b),
+                                 (v.weights, ref_st.v_w),
+                                 (v.biases, ref_st.v_b)):
+                assert all(a.tobytes() == b.tobytes()
+                           for a, b in zip(ours, theirs))
+
+        # a forward-only batch larger than the workspace allocates its own
+        # arrays and leaves the workspace as it was
+        x = rng.normal(size=(600, net.in_dim))
+        out, cache = forward_cached(net, x)
+        assert out.tobytes() == reference_forward_cached(ref, x)[0].tobytes()
+        assert net.work.rows == 512
+        assert not any(np.shares_memory(a, b) for a in cache[1:]
+                       for b in net.work.outs)
+
+
+def traced_peak(step) -> int:
+    """Peak bytes that numpy and Python allocate while step() runs."""
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_warm_512_row_training_step_allocates_no_batch_sized_array():
+    # one (512, 128) float64 temporary alone is 512 KiB; the fresh-array
+    # code peaked at 2.1 MiB for actor_step and 2.9-3.2 MiB for a regress
+    # minibatch at these dims
+    b = init_bundle(common_dim=15, seed=3)
+    rng = np.random.default_rng(4)
+    c, p = rng.normal(size=(512, 15)), rng.normal(size=(512, 12))
+    dlogits = rng.normal(size=(512, 7)) / 512
+    states = [AdamState(b.encoder), AdamState(b.policy)]
+    for _ in range(2):      # a warm-up step, then the measured one
+        caches = actor_forward(b, c, p)[2]
+        peak = traced_peak(lambda: actor_step(b, caches, dlogits, states,
+                                              0.001))
+    assert peak < 512 * 1024
+
+    for net, targets in ((b.critic, 1), (b.adaptation, 32)):
+        x = rng.normal(size=(512, net.in_dim))
+        steps = regress(net, x, rng.normal(size=(512, targets)), 0.001, 512,
+                        2, rng)
+        next(steps)         # the first epoch is one warm-up minibatch
+        assert traced_peak(lambda: next(steps)) < 512 * 1024
+
+
+def test_training_matches_the_fresh_array_reference_end_to_end(monkeypatch):
+    # cloning, the critic warm start, two PPO batches and distillation, as
+    # shipped and with the fresh-array network code patched in: parameters
+    # and every metric, action_agreement included, are equal
+    def train():
+        b = init_bundle(common_dim=15, seed=7)
+        ds = synthetic_dataset(n_episodes=12, ep_len=40, common_dim=15,
+                               seed=3, reward_from_obs=True)
+        cfg = TrainConfig(bc_epochs=3, bc_batch=128, steps_budget=1024,
+                          rollout_steps=512, minibatch=128, seed=5)
+        _, bc = bc_pretrain(ds, b, cfg)
+        _, critic = critic_init(ds, b, cfg, epochs=3)
+        _, curve = ppo_finetune(make_env_factory(), b, cfg)
+        _, ada = distill_adaptation(ds, b, cfg, epochs=3)
+        return b, ([net.flat.tobytes() for net in b.networks],
+                   repr((bc, critic, curve, ada)))
+
+    b, shipped = train()
+    assert all(net.work is not None for net in b.networks)
+    for name, ref in (("forward_cached", reference_forward_cached),
+                      ("backward", oracles.reference_backward_params),
+                      ("adam_step", oracles.reference_adam_step_params)):
+        for module in ("nets", "bc", "distill", "ppo"):
+            mod = importlib.import_module(f"dtspn.learn.{module}")
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, ref)
+    b, reference = train()
+    assert all(net.work is None for net in b.networks)
+    assert reference == shipped
 
 
 def test_parameter_views_share_the_flat_buffer():
