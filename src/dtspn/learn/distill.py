@@ -15,10 +15,12 @@ def _agreement(bundle: ModelBundle, commons, z_true, z_pred) -> float:
     hits = 0
     for s in range(0, len(commons), EVAL_CHUNK):
         c = commons[s:s + EVAL_CHUNK]
-        actions = [np.argmax(forward_cached(
-            bundle.policy, np.concatenate([c, z[s:s + EVAL_CHUNK]],
-                                          axis=1))[0], axis=1)
-            for z in (z_true, z_pred)]
+        actions = []
+        for z in (z_true, z_pred):
+            logits, _ = forward_cached(
+                bundle.policy,
+                np.concatenate([c, z[s:s + EVAL_CHUNK]], axis=1))
+            actions.append(np.argmax(logits, axis=1))
         hits += int((actions[0] == actions[1]).sum())
     return hits / len(commons)
 

@@ -141,7 +141,8 @@ def _as_batch(x: np.ndarray, d: int, what: str) -> np.ndarray:
 def forward_cached(params: NetworkParams, x: np.ndarray):
     """Returns (output, post-activation cache) of x, one input row (1-D)
     or a batch of rows (2-D); the output has x's number of dims.
-    cache[i] is the input to layer i; cache[-1] is the network output."""
+    cache[i] is the input to layer i; cache[-1] is the network output.
+    A batch that fits params' workspace is written into it."""
     h = np.asarray(x, dtype=float)
     if h.ndim not in (1, 2) or h.shape[-1] != params.in_dim:
         raise ValueError(f"forward input: expected ({params.in_dim},) or "
@@ -166,7 +167,8 @@ def backward(params: NetworkParams, cache, upstream: np.ndarray):
     cache comes from a forward over a batch (2-D); upstream has the
     output's batch shape.  Returns (grad, input grad), grad a NetworkParams
     of params' dims summed over the batch, so pass upstream already scaled
-    by 1/batch for means.
+    by 1/batch for means.  Both live in params' workspace until its next
+    backward.
     """
     if cache[0].ndim != 2:
         raise ValueError(f"backward needs the cache of a batch forward, "

@@ -39,6 +39,7 @@ differences.  Slower than the real code on purpose.  The exceptions are:
 import itertools
 import math
 import struct
+import types
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar, root
@@ -712,10 +713,8 @@ def reference_adam_step_params(params, grad, state, lr, beta1=0.9,
     """reference_adam_step with adam_step's signature: it steps an
     AdamState's flat moments through their per-layer views."""
     m, v = (NetworkParams(params.layer_dims, a) for a in (state.m, state.v))
-    ref = ReferenceAdam.__new__(ReferenceAdam)
-    ref.m_w, ref.m_b, ref.v_w, ref.v_b = m.weights, m.biases, v.weights, \
-        v.biases
-    ref.t = state.t
+    ref = types.SimpleNamespace(m_w=m.weights, m_b=m.biases, v_w=v.weights,
+                                v_b=v.biases, t=state.t)
     reference_adam_step(params, grad.weights, grad.biases, ref, lr, beta1,
                         beta2, eps)
     state.t = ref.t
