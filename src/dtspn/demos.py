@@ -15,8 +15,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .dubins import Pose, advance
-from .env import (PRIV_DIM, DtspnEnv, EnvConfig, Observation, config_for,
-                  run_episode)
+from .env import (PRIV_DIM, DtspnEnv, EnvConfig, EpisodeRecord, Observation,
+                  config_for, run_episode)
 from .expert import MAX_POSES_PER_TASK, ExpertPath, plan
 from .instance import Instance, generate
 from .learn import discounted_return
@@ -192,26 +192,29 @@ def tracker(env: DtspnEnv) -> Callable[[Observation], int]:
     return act_fn
 
 
-def step_cap(expert_path: ExpertPath) -> int:
-    """Step bound for tracking an expert path in a train-mode env, which
-    otherwise stops only on the cutoff or once every task is sensed."""
-    return max(4 * len(expert_path.waypoints), 400)
+def track(instance: Instance, expert_path: ExpertPath,
+          config: Optional[EnvConfig] = None
+          ) -> Tuple[DtspnEnv, EpisodeRecord]:
+    """Roll the greedy controller along expert_path through a train-mode
+    env, which stops on the cutoff or once every task is sensed, for at most
+    max(4 * waypoints, 400) steps.  Returns the env and its record."""
+    env = DtspnEnv(instance, expert_path, mode="train", config=config)
+    cap = max(4 * len(expert_path.waypoints), 400)
+    return env, run_episode(env, tracker(env), max_steps=cap)
 
 
 def collect(instance: Instance, expert_path: ExpertPath,
             config: Optional[EnvConfig] = None) -> Demonstration:
-    """Roll the greedy controller through a train-mode env and record the
-    episode.  Raises TrackingFailure if the episode hits the cutoff, stalls
-    past the step cap, or ends without sensing every task."""
-    env = DtspnEnv(instance, expert_path, mode="train", config=config)
-    cap = step_cap(expert_path)
-    rec = run_episode(env, tracker(env), max_steps=cap)
+    """Track the expert path (see track) and record the episode.  Raises
+    TrackingFailure if the episode hits the cutoff, stalls past the step
+    cap, or ends without sensing every task."""
+    env, rec = track(instance, expert_path, config)
     if not rec.sensed_all:
         max_dev = float(env.batch.expert_distance(rec.poses[:, 0:2, None])
                         .max())
         what = (f"controller left the expert corridor at step {len(rec)}"
                 if env.batch.done[0]
-                else f"episode did not finish within {cap} steps")
+                else f"episode did not finish within {len(rec)} steps")
         raise TrackingFailure(f"{what} (max deviation {max_dev:.2f} m)",
                               max_dev, len(rec))
     return Demonstration(instance.seed, rec.commons, rec.privileged,

@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .demos import GAMMA, step_cap, tracker
+from .demos import GAMMA, track
 from .env import DtspnEnv, EnvConfig, EpisodeRecord, Observation, run_episode
 from .expert import plan
 from .instance import Instance
@@ -68,8 +68,7 @@ def _expert_episode(x: Instance, config: Optional[EnvConfig],
     path = plan(x, n_pos=n_pos, n_head=n_head, config=config)
     # train mode: the expert is scored on its full tour, which can outlast
     # the policy step cap; the demo collector's bound applies instead
-    env = DtspnEnv(x, path, mode="train", config=config)
-    rec = run_episode(env, tracker(env), max_steps=step_cap(path))
+    _, rec = track(x, path, config)
     rec.wall_time = time.perf_counter() - t0
     return rec
 

@@ -1,10 +1,13 @@
 """Sampling-based DTSPN heuristic expert.
 
 Candidate visiting poses are sampled on a circle inside each task's sensing
-disk.  A generalized TSP over the clusters (Dubins edge costs) is solved for
-an open path from the start: local search over the cluster order, with each
-order scored by a dynamic program that picks one pose per cluster.  The
-chosen poses are stitched into a densified waypoint polyline.
+disk, one group of (x, y, theta) rows per task plus the start group.  Their
+Dubins lengths are laid out as padded blocks between groups, the only form
+the search reads.  A generalized TSP over the groups is solved for an open
+path from the start: local search over the cluster order, with each order
+scored by a dynamic program that picks one pose per cluster, gives the
+order and one slot per cluster.  The chosen poses are stitched into a
+densified waypoint polyline.
 """
 
 import functools
@@ -15,8 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dubins import (TWO_PI, Pose, length_matrix, path_length, pose_array,
-                     sample_path, shortest_paths)
+from .dubins import (TWO_PI, Pose, length_matrix, normalize_angle,
+                     path_length, pose_array, sample_path, shortest_paths)
 from .env import EnvConfig, config_for
 from .instance import Instance
 
@@ -58,30 +61,6 @@ class SensingGap(RuntimeError):
         self.distance = distance
 
 
-@dataclass(frozen=True)
-class PoseClusterSet:
-    """Candidate visiting poses per task plus the start cluster.
-
-    The start cluster carries one variant per sampled heading; the solver's
-    pick fixes the agent's initial heading.
-    """
-
-    clusters: Tuple[Tuple[Pose, ...], ...]
-    start_cluster: Tuple[Pose, ...]
-
-
-@dataclass
-class GtspProblem:
-    cost: np.ndarray            # (n, n), +inf on diagonal / intra-cluster
-    cluster_of: np.ndarray      # node -> cluster, cluster 0 is the start
-    n_clusters: int
-    poses: Optional[Tuple[Pose, ...]] = None
-
-    @property
-    def n(self):
-        return len(self.cost)
-
-
 @dataclass
 class ExpertPath:
     """Visit order and densified waypoint polyline of the heuristic tour."""
@@ -96,66 +75,46 @@ class ExpertPath:
         return pose_array(self.waypoints)
 
 
-def sample_poses(instance: Instance, n_pos: int, n_head: int) -> PoseClusterSet:
-    """n_pos positions equally spaced on a circle of radius 0.8 * r_sense
-    around each task, each with n_head equally spaced headings."""
+def sample_poses(instance: Instance, n_pos: int, n_head: int):
+    """The start group and one group per task, each an array of (x, y,
+    theta) rows.  The start group holds the start position with n_head
+    equally spaced headings; a task's group holds n_pos positions equally
+    spaced on a circle of radius 0.8 * r_sense around it, each with those
+    headings, so its n_head poses at a position are adjacent rows."""
     if n_pos < 1 or n_head < 1 or n_pos * n_head > MAX_POSES_PER_TASK:
         raise ValueError(f"n_pos and n_head must be >= 1 and n_pos * n_head "
                          f"<= {MAX_POSES_PER_TASK}, got ({n_pos}, {n_head})")
     radius = 0.8 * instance.r_sense
-    headings = [TWO_PI * k / n_head for k in range(n_head)]
-    clusters = []
-    for tx, ty in instance.tasks:
-        cands = []
-        for j in range(n_pos):
-            ang = TWO_PI * j / n_pos
-            px = tx + radius * math.cos(ang)
-            py = ty + radius * math.sin(ang)
-            cands.extend(Pose(px, py, h) for h in headings)
-        clusters.append(tuple(cands))
+    headings = [normalize_angle(TWO_PI * k / n_head) for k in range(n_head)]
+    angles = [TWO_PI * j / n_pos for j in range(n_pos)]
+    ring = [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+    tasks = [np.array([(tx + dx, ty + dy, h) for dx, dy in ring
+                       for h in headings]) for tx, ty in instance.tasks]
     start = instance.start
-    start_cluster = tuple(Pose(start.x, start.y, h) for h in headings)
-    return PoseClusterSet(clusters=tuple(clusters), start_cluster=start_cluster)
+    return np.array([(start.x, start.y, h) for h in headings]), tasks
 
 
-def build_gtsp(clusters: PoseClusterSet, rho: float) -> GtspProblem:
-    """Pairwise Dubins costs between candidates of different clusters; the
-    start cluster is cluster 0."""
-    groups = [clusters.start_cluster] + list(clusters.clusters)
-    if any(len(g) == 0 for g in groups):
-        raise ValueError("empty candidate cluster")
-    poses = tuple(p for g in groups for p in g)
-    cluster_of = np.concatenate(
-        [np.full(len(g), i, dtype=int) for i, g in enumerate(groups)])
+def build_gtsp(groups, rho: float):
+    """Dubins lengths between pose groups, the start group first, as blocks
+    (k, k, m, m) padded to the largest group size m: blocks[a, b, i, j] runs
+    from pose i of group a to pose j of group b, +inf where i or j is a pad.
+    Also returns the start group's DP vector (0 on its poses, +inf at pads).
+    One length_matrix call prices every pair."""
+    groups = [pose_array(g) for g in groups]
+    sizes = [len(g) for g in groups]
+    if min(sizes) == 0:
+        raise ValueError(f"pose group {sizes.index(0)} is empty")
+    poses = np.concatenate(groups)
     cost = length_matrix(poses, poses, rho)
-    same = cluster_of[:, None] == cluster_of[None, :]
-    cost[same] = np.inf
-    return GtspProblem(cost=cost, cluster_of=cluster_of,
-                       n_clusters=len(groups), poses=poses)
-
-
-def _blocks(gtsp: GtspProblem):
-    """Cost blocks between clusters, each padded to the largest cluster size m.
-
-    Returns blocks (k, k, m, m) with +inf at pads, the DP vector of the start
-    cluster (0 on its nodes, +inf at pads) and nodes (k, m), the node id at
-    each padded slot.
-    """
-    k = gtsp.n_clusters
-    members = [np.nonzero(gtsp.cluster_of == c)[0] for c in range(k)]
-    empty = [c for c, ids in enumerate(members) if len(ids) == 0]
-    if empty:
-        raise ValueError(f"cluster {empty[0]} is empty")
-    m = max(len(ids) for ids in members)
-    nodes = np.zeros((k, m), dtype=int)
-    real = np.zeros((k, m), dtype=bool)
-    for c, ids in enumerate(members):
-        nodes[c, :len(ids)] = ids
-        real[c, :len(ids)] = True
-    blocks = gtsp.cost[nodes[:, None, :, None], nodes[None, :, None, :]]
-    blocks[~(real[:, None, :, None] & real[None, :, None, :])] = np.inf
-    start = np.where(real[0], 0.0, np.inf)
-    return blocks, start, nodes
+    k, m = len(groups), max(sizes)
+    cuts = np.cumsum(sizes)[:-1]
+    blocks = np.full((k, k, m, m), np.inf)
+    for a, rows in enumerate(np.split(cost, cuts)):
+        for b, block in enumerate(np.split(rows, cuts, axis=1)):
+            blocks[a, b, :sizes[a], :sizes[b]] = block
+    start = np.full(m, np.inf)
+    start[:sizes[0]] = 0.0
+    return blocks, start
 
 
 def _step(blocks, v, a, b):
@@ -272,8 +231,10 @@ def _descend(blocks, start, order, cost, moves, tree):
     return order, cost
 
 
-def solve_gtsp(gtsp: GtspProblem) -> list:
-    """One node per cluster, start cluster first, for a short open path.
+def solve_gtsp(blocks: np.ndarray, start: np.ndarray):
+    """A short open path through the clusters of build_gtsp's blocks, one
+    pose each: the cluster order (start cluster first) and the chosen slot
+    in each cluster, in that order.
 
     The cluster order starts from greedy DP extension and is improved by
     best-improvement local search over segment moves and reversals; every
@@ -281,12 +242,12 @@ def solve_gtsp(gtsp: GtspProblem) -> list:
     moves do not already reach every order (more than 3 task clusters) but
     a descent costs little, one descent can stop short of the optimum, so
     the search runs once per choice of first cluster and keeps the best.
-    Costs must be non-negative (inf allowed).
+    Costs must be non-negative (inf allowed); no block from a cluster to
+    itself is read.
     """
-    if not (gtsp.cost >= 0).all():
+    if not (blocks >= 0).all():
         raise ValueError("GTSP costs must be non-negative and not NaN")
-    blocks, start, nodes = _blocks(gtsp)
-    k, m = nodes.shape
+    k, m = len(blocks), len(start)
     moves, tree = _moves(k)
     exhaustive = len(moves) + 1 == math.factorial(k - 1)
     restart = (not exhaustive
@@ -305,7 +266,7 @@ def solve_gtsp(gtsp: GtspProblem) -> list:
     for a, b, v in reversed(list(zip(order, order[1:], vs))):
         slot = int(np.argmin(v[0] + blocks[a, b][:, slot]))
         chosen.append(slot)
-    return [int(nodes[c, s]) for c, s in zip(order, reversed(chosen))]
+    return order.tolist(), chosen[::-1]
 
 
 def plan(instance: Instance, n_pos: int = 8, n_head: int = 4,
@@ -334,12 +295,12 @@ def plan(instance: Instance, n_pos: int = 8, n_head: int = 4,
                           visiting_poses=(start,),
                           solve_time=time.perf_counter() - t0)
 
-    sampled = sample_poses(instance, n_pos, n_head)
-    subset = PoseClusterSet(
-        clusters=tuple(sampled.clusters[i] for i in remaining),
-        start_cluster=sampled.start_cluster)
-    gtsp = build_gtsp(subset, instance.turn_radius)
-    visiting = tuple(gtsp.poses[u] for u in solve_gtsp(gtsp))
+    start_group, task_groups = sample_poses(instance, n_pos, n_head)
+    groups = [start_group] + [task_groups[i] for i in remaining]
+    order, slots = solve_gtsp(*build_gtsp(groups, instance.turn_radius))
+    # Python floats, so that waypoints and the saved text hold no np.float64
+    visiting = tuple(Pose(*groups[c][s].tolist())
+                     for c, s in zip(order, slots))
 
     waypoints = [visiting[0]]
     total = 0.0

@@ -107,6 +107,10 @@ def save(instance: Instance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# the numbers on each once-only line, in the order save writes them
+_COUNTS = {"map": 2, "sense": 1, "turn": 1, "start": 3, "seed": 1}
+
+
 def _floats(parts, count, key, line_no):
     if len(parts) != count:
         raise InstanceFormatError(
@@ -133,36 +137,30 @@ def load(path) -> Instance:
         if not line or line.startswith("#"):
             continue
         key, *parts = line.split()
-        if key == "map":
-            fields["map"] = _floats(parts, 2, "map", line_no)
-        elif key == "sense":
-            fields["sense"] = _floats(parts, 1, "sense", line_no)[0]
-        elif key == "turn":
-            fields["turn"] = _floats(parts, 1, "turn", line_no)[0]
-        elif key == "start":
-            fields["start"] = _floats(parts, 3, "start", line_no)
+        if key == "task":
+            tasks.append(tuple(_floats(parts, 2, "task", line_no)))
+        elif key not in _COUNTS:
+            raise InstanceFormatError(f"unknown field '{key}'", line_no)
+        elif key in fields:
+            raise InstanceFormatError(f"field '{key}' is repeated", line_no)
         elif key == "seed":
             try:
-                fields["seed"] = int(parts[0]) if parts else None
+                (fields["seed"],) = map(int, parts)
             except ValueError:
-                fields["seed"] = None
-            if fields["seed"] is None:
-                raise InstanceFormatError(f"field 'seed' is not an integer: {parts}",
-                                          line_no)
-        elif key == "task":
-            tasks.append(tuple(_floats(parts, 2, "task", line_no)))
+                raise InstanceFormatError(
+                    f"field 'seed' is not one integer: {parts}", line_no)
         else:
-            raise InstanceFormatError(f"unknown field '{key}'", line_no)
-    for key in ("map", "sense", "turn", "start", "seed"):
+            fields[key] = _floats(parts, _COUNTS[key], key, line_no)
+    for key in _COUNTS:
         if key not in fields:
             raise InstanceFormatError(f"missing field '{key}'")
     if not tasks:
         raise InstanceFormatError("missing field 'task' (no tasks)")
-    sx, sy, sth = fields["start"]
+    (width, height), (sense,), (turn,) = (fields["map"], fields["sense"],
+                                          fields["turn"])
     try:
-        return Instance(map_width=fields["map"][0], map_height=fields["map"][1],
-                        tasks=tuple(tasks), r_sense=fields["sense"],
-                        turn_radius=fields["turn"], start=Pose(sx, sy, sth),
-                        seed=fields["seed"])
+        return Instance(map_width=width, map_height=height,
+                        tasks=tuple(tasks), r_sense=sense, turn_radius=turn,
+                        start=Pose(*fields["start"]), seed=fields["seed"])
     except ValueError as exc:
         raise InstanceFormatError(str(exc))

@@ -84,15 +84,17 @@ def test_cluster_tour_matches_exhaustive_enumeration():
         def pose():
             return Pose(*rng.uniform(0.0, 300.0, size=2),
                         rng.uniform(-math.pi, math.pi))
-        cs = ex.PoseClusterSet(
-            clusters=tuple(tuple(pose() for _ in range(s)) for s in sizes[1:]),
-            start_cluster=tuple(pose() for _ in range(sizes[0])))
-        g = ex.build_gtsp(cs, 30.0)
-        path = ex.solve_gtsp(g)
-        got = sum(g.cost[u, v] for u, v in zip(path, path[1:]))
-        clusters = [list(np.nonzero(g.cluster_of == c)[0])
-                    for c in range(g.n_clusters)]
-        best, _ = gtsp_brute_force(g.cost, clusters)
+        tasks = [[pose() for _ in range(s)] for s in sizes[1:]]
+        groups = [[pose() for _ in range(sizes[0])]] + tasks
+        blocks, start = ex.build_gtsp(groups, 30.0)
+        order, slots = ex.solve_gtsp(blocks, start)
+        got = sum(blocks[a, b, i, j] for a, b, i, j in
+                  zip(order, order[1:], slots, slots[1:]))
+        # the blocks as one matrix over padded slots, pads in no cluster
+        k, m = blocks.shape[1:3]
+        cost = blocks.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+        clusters = [[c * m + i for i in range(s)] for c, s in enumerate(sizes)]
+        best, _ = gtsp_brute_force(cost, clusters)
         if got <= 1.05 * best + 1e-9:
             hits += 1
         if all_singleton:

@@ -239,10 +239,9 @@ def random_pose_array(rng, n):
 def pose_grid(n_tasks, seed, n_pos, n_head, span=300.0):
     """The planner's poses: the start cluster, then n_pos positions of
     n_head headings around each task."""
-    clusters = sample_poses(generate(n_tasks, seed, map_size=(span, span)),
-                            n_pos, n_head)
-    return pose_array([p for g in (clusters.start_cluster,) + clusters.clusters
-                       for p in g])
+    start, tasks = sample_poses(generate(n_tasks, seed, map_size=(span, span)),
+                                n_pos, n_head)
+    return np.concatenate([start] + tasks)
 
 
 def reference_length_matrix(a, b):
@@ -466,9 +465,9 @@ def assert_matches_reference(a, b, pairs):
 @pytest.mark.parametrize("n_tasks, span", [(3, 300.0), (20, 800.0)])
 @pytest.mark.parametrize("seed", [0, 1, 104])
 def test_kernel_matches_reference_on_planner_poses(n_tasks, span, seed):
-    clusters = sample_poses(generate(n_tasks, seed, map_size=(span, span)), 8, 4)
-    poses = pose_array([p for g in (clusters.start_cluster,) + clusters.clusters
-                        for p in g])
+    start, tasks = sample_poses(generate(n_tasks, seed, map_size=(span, span)),
+                                8, 4)
+    poses = np.concatenate([start] + tasks)
     # shortest paths of 200 pairs where a CCC word is feasible and 100 others
     ok = reference_segments(poses[:, None], poses[None], RHO)[3]
     ccc = ok[4] | ok[5]

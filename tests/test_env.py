@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtspn.demos import collect_batch, greedy_action, step_cap, tracker
+from dtspn.demos import collect_batch, greedy_action, track
 from dtspn.dubins import Pose, normalize_angle
 from dtspn.env import (DtspnEnv, EnvBatch, EnvConfig, Observation, advance,
                        goal_reward, imitation_reward, run_episode)
@@ -825,18 +825,18 @@ def test_run_episode_matches_reference_steps():
     assert len(rec) == 120 and rec.privileged is None
     _assert_record_matches(rec, want)
 
-    # a train row tracking its expert path, with a step cap
+    # a train row tracking its expert path, with the step cap of track
     x = generate(3, 4101, map_size=(300.0, 300.0))
     path = plan(x)
-    env = DtspnEnv(x, path, mode="train")
+    env, rec = track(x, path)
     last = len(path.waypoints) - 1
 
     def follow(ref, obs):
         target = path.waypoints[min(int(ref.progress[0]) + 2, last)]
         return greedy_action(*ref.pose[0].tolist(), target, env.config)
 
-    rec = run_episode(env, tracker(env), max_steps=step_cap(path))
-    want = _reference_record(env, follow, max_steps=step_cap(path))
+    want = _reference_record(env, follow,
+                             max_steps=max(4 * len(path.waypoints), 400))
     assert rec.sensed_all and rec.privileged is not None
     _assert_record_matches(rec, want)
 
@@ -854,7 +854,7 @@ def test_run_episode_matches_reference_steps():
     _assert_record_matches(rec, want)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.floats(-math.pi, math.pi), st.integers(0, 6),
        st.floats(0.5, 120.0), st.floats(-1e-9, 1e-9),
        st.sampled_from([0.5, 2.0, 5.0, 1e9]), st.integers(0, 2 ** 32 - 1))

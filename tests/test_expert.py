@@ -1,25 +1,29 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dtspn.dubins import Pose
+from dtspn.dubins import Pose, length_matrix, normalize_angle, pose_array
 from dtspn import expert as ex
-from dtspn.env import DtspnEnv, EnvConfig
+from dtspn.env import DtspnEnv, EnvConfig, config_for
 from dtspn import instance as inst
-from oracles import (gtsp_brute_force, gtsp_moves, gtsp_open_costs,
-                     gtsp_search_full_rescoring, held_karp_atsp,
-                     shortest_path_length)
+from oracles import (gtsp_blocks, gtsp_brute_force, gtsp_moves,
+                     gtsp_open_costs, gtsp_search_full_rescoring,
+                     held_karp_atsp, shortest_path_length)
 
 
 def make_gtsp(rng, sizes, lo=1.0, hi=100.0):
-    """Random asymmetric GTSP with the given cluster sizes (cluster 0 first)."""
+    """Random asymmetric GTSP node costs with the given cluster sizes
+    (cluster 0 first), +inf within a cluster."""
     n = sum(sizes)
     cluster_of = np.concatenate([np.full(s, i) for i, s in enumerate(sizes)])
     cost = rng.uniform(lo, hi, size=(n, n))
     cost[cluster_of[:, None] == cluster_of[None, :]] = np.inf
-    return ex.GtspProblem(cost=cost, cluster_of=cluster_of, n_clusters=len(sizes))
+    return SimpleNamespace(cost=cost, cluster_of=cluster_of,
+                           n_clusters=len(sizes))
 
 
 def rough_gtsp(rng, k, max_size=5):
@@ -37,6 +41,39 @@ def rough_gtsp(rng, k, max_size=5):
             0.0, 1e-6, size=int(finite.sum()))
     g.cost[rng.random(g.cost.shape) < rng.uniform(0.0, 0.3)] = np.inf
     return g
+
+
+def blocks_of(g):
+    """The blocks, start vector and slot node ids of a node-cost GTSP."""
+    return gtsp_blocks(g.cost, g.cluster_of, g.n_clusters)
+
+
+def solve(g):
+    """ex.solve_gtsp on the blocks of a node-cost GTSP, as a node path."""
+    blocks, start, nodes = blocks_of(g)
+    order, slots = ex.solve_gtsp(blocks, start)
+    return [int(nodes[c, s]) for c, s in zip(order, slots)]
+
+
+def planner_groups(x, n_pos=8, n_head=4):
+    """sample_poses' groups, the start group first."""
+    start, tasks = ex.sample_poses(x, n_pos, n_head)
+    return [start] + tasks
+
+
+def node_gtsp(groups, rho):
+    """The node form of pose groups: the length matrix over all their
+    poses, with no sentinels, and the group of each pose."""
+    poses = np.concatenate([pose_array(g) for g in groups])
+    cluster_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return SimpleNamespace(cost=length_matrix(poses, poses, rho),
+                           cluster_of=cluster_of, n_clusters=len(groups))
+
+
+def node_path(groups, order, slots):
+    """solve_gtsp's (order, slots) as ids into the concatenated groups."""
+    offsets = np.cumsum([0] + [len(g) for g in groups])
+    return [int(offsets[c] + s) for c, s in zip(order, slots)]
 
 
 def score(blocks, start, orders, bound=np.inf):
@@ -59,42 +96,54 @@ def clusters_from(cluster_of):
     return [list(np.nonzero(np.asarray(cluster_of) == c)[0]) for c in range(k)]
 
 
+def random_pose_groups(rng, sizes):
+    """Groups of uniform random Poses on a 300 m square, as gate 2 draws
+    them."""
+    return [[Pose(*rng.uniform(0.0, 300.0, size=2),
+                  rng.uniform(-math.pi, math.pi)) for _ in range(s)]
+            for s in sizes]
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_sample_poses_smallest_budget():
     x = inst.generate(3, seed=2)
-    cs = ex.sample_poses(x, 1, 1)
-    assert all(len(c) == 1 for c in cs.clusters)
-    for (tx, ty), c in zip(x.tasks, cs.clusters):
-        p = c[0]
-        assert p.x == pytest.approx(tx + 0.8 * 58.0, abs=1e-9)
-        assert p.y == pytest.approx(ty, abs=1e-9)
-        assert p.theta == 0.0
-    assert len(cs.start_cluster) == 1
-    assert cs.start_cluster[0].x == x.start.x
+    start, tasks = ex.sample_poses(x, 1, 1)
+    assert all(t.shape == (1, 3) for t in tasks)
+    for (tx, ty), t in zip(x.tasks, tasks):
+        px, py, theta = t[0].tolist()
+        assert px == pytest.approx(tx + 0.8 * 58.0, abs=1e-9)
+        assert py == pytest.approx(ty, abs=1e-9)
+        assert theta == 0.0
+    assert start.tolist() == [[x.start.x, x.start.y, 0.0]]
 
 
 def test_sample_poses_geometry():
     x = inst.generate(4, seed=5)
-    cs = ex.sample_poses(x, 8, 4)
-    for (tx, ty), c in zip(x.tasks, cs.clusters):
-        assert len(c) == 32
-        for p in c:
-            d = math.hypot(p.x - tx, p.y - ty)
+    start, tasks = ex.sample_poses(x, 8, 4)
+    headings = [normalize_angle(2 * math.pi * h / 4) for h in range(4)]
+    for (tx, ty), t in zip(x.tasks, tasks):
+        assert t.shape == (32, 3)
+        for px, py, _ in t.tolist():
+            d = math.hypot(px - tx, py - ty)
             assert d == pytest.approx(0.8 * 58.0, abs=1e-9)
-            ang = math.atan2(p.y - ty, p.x - tx) % (2 * math.pi)
+            ang = math.atan2(py - ty, px - tx) % (2 * math.pi)
             r = ang % (math.pi / 4)
             assert min(r, math.pi / 4 - r) < 1e-9
-        headings = {round(p.theta, 12) for p in c}
-        assert len(headings) == 4
-    assert len(cs.start_cluster) == 4
+        # the ring from math.cos and math.sin, headings as a Pose keeps them
+        ring = [(tx + 0.8 * 58.0 * math.cos(2 * math.pi * j / 8),
+                 ty + 0.8 * 58.0 * math.sin(2 * math.pi * j / 8))
+                for j in range(8)]
+        assert t.tolist() == [[px, py, h] for px, py in ring for h in headings]
+    assert start.tolist() == [[x.start.x, x.start.y, h] for h in headings]
     with pytest.raises(ValueError):
         ex.sample_poses(x, 0, 1)
 
 
 def test_sample_poses_bounds_the_pose_budget():
     x = inst.generate(1, seed=5)
-    assert len(ex.sample_poses(x, 16, 16).clusters[0]) == ex.MAX_POSES_PER_TASK
+    _, tasks = ex.sample_poses(x, 16, 16)
+    assert len(tasks[0]) == ex.MAX_POSES_PER_TASK
     for n_pos, n_head in ((17, 16), (16, 17), (257, 1)):
         with pytest.raises(ValueError, match="256"):
             ex.sample_poses(x, n_pos, n_head)
@@ -105,33 +154,82 @@ def test_sample_poses_bounds_the_pose_budget():
 def test_build_gtsp_costs_and_sentinels():
     a = Pose(0, 0, 0)
     b = Pose(100, 50, 1.0)
-    cs = ex.PoseClusterSet(clusters=((b,),), start_cluster=(a,))
-    g = ex.build_gtsp(cs, 30.0)
-    assert g.n == 2 and g.n_clusters == 2
-    assert g.cost[0, 1] == pytest.approx(shortest_path_length(a, b, 30.0))
-    assert g.cost[1, 0] == pytest.approx(shortest_path_length(b, a, 30.0))
-    assert g.cost[0, 1] != g.cost[1, 0]       # Dubins costs are asymmetric
-    assert not np.isfinite(g.cost[0, 0])
-    assert not np.isfinite(g.cost[1, 1])
+    c = Pose(-80, 20, 2.0)
+    blocks, start = ex.build_gtsp([[a], [b, c]], 30.0)
+    assert blocks.shape == (2, 2, 2, 2)
+    for (g, i, p), (h, j, q) in (((0, 0, a), (1, 0, b)), ((1, 0, b), (0, 0, a)),
+                                 ((1, 1, c), (0, 0, a))):
+        assert blocks[g, h, i, j] == pytest.approx(
+            shortest_path_length(p, q, 30.0))
+    assert blocks[0, 1, 0, 0] != blocks[1, 0, 0, 0]   # Dubins is asymmetric
+    # the start group pads to two slots: +inf from and to the pad
+    assert np.isinf(blocks[0, :, 1]).all()
+    assert np.isinf(blocks[:, 0, :, 1]).all()
+    assert np.isfinite(blocks[1, 1]).all()
+    assert start.tolist() == [0.0, math.inf]
 
 
 def test_build_gtsp_seven_node_count():
     rng = np.random.default_rng(0)
     poses = [Pose(*rng.uniform((0, 0, -3), (300, 300, 3))) for _ in range(7)]
-    cs = ex.PoseClusterSet(
-        clusters=(tuple(poses[1:3]), tuple(poses[3:5]), tuple(poses[5:7])),
-        start_cluster=(poses[0],))
-    g = ex.build_gtsp(cs, 30.0)
-    assert g.n == 7
-    assert np.isfinite(g.cost).sum() == 6 * (7 - 1)
-    with pytest.raises(ValueError):
-        ex.build_gtsp(ex.PoseClusterSet(clusters=((),), start_cluster=(poses[0],)), 30.0)
+    groups = [poses[:1], poses[1:3], poses[3:5], poses[5:7]]
+    blocks, start = ex.build_gtsp(groups, 30.0)
+    assert blocks.shape == (4, 4, 2, 2) and start.shape == (2,)
+    # every pose pair once, the pads of the start group +inf
+    assert np.isfinite(blocks).sum() == 7 * 7
+
+
+def test_build_gtsp_rejects_empty_group():
+    p = Pose(0.0, 0.0, 0.0)
+    for groups in ([[p], [], [p]], [[], [p]]):
+        with pytest.raises(ValueError, match="empty"):
+            ex.build_gtsp(groups, 30.0)
+
+
+@pytest.mark.parametrize("n_tasks, span", [(3, 300.0), (7, 500.0),
+                                           (20, 800.0)])
+@pytest.mark.parametrize("n_pos, n_head", [(8, 4), (3, 5), (1, 1)])
+def test_build_gtsp_equals_reference_blocks_on_planner_groups(
+        n_tasks, span, n_pos, n_head):
+    # the blocks and start vector are the reference layout of the full
+    # length matrix, bit for bit, +inf pads included
+    x = inst.generate(n_tasks, 900 + n_tasks, map_size=(span, span))
+    groups = planner_groups(x, n_pos, n_head)
+    g = node_gtsp(groups, x.turn_radius)
+    blocks, start = ex.build_gtsp(groups, x.turn_radius)
+    want_blocks, want_start, _ = blocks_of(g)
+    assert blocks.shape == want_blocks.shape
+    assert blocks.tobytes() == want_blocks.tobytes()
+    assert start.tobytes() == want_start.tobytes()
+    # the solver's pick as node ids, against the full-rescoring search
+    assert (node_path(groups, *ex.solve_gtsp(blocks, start))
+            == search_reference(g))
+
+
+def test_build_gtsp_equals_reference_blocks_on_random_pose_groups():
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        sizes = list(rng.integers(1, 4, size=int(rng.integers(1, 6))))
+        groups = random_pose_groups(rng, sizes)
+        g = node_gtsp(groups, 30.0)
+        blocks, start = ex.build_gtsp(groups, 30.0)
+        want_blocks, want_start, _ = blocks_of(g)
+        assert blocks.tobytes() == want_blocks.tobytes()
+        assert start.tobytes() == want_start.tobytes()
+        assert (node_path(groups, *ex.solve_gtsp(blocks, start))
+                == search_reference(g))
 
 
 # ---------------------------------------------------------------- solve_gtsp
 
 def open_cost(g, path):
     return sum(g.cost[u, v] for u, v in zip(path, path[1:]))
+
+
+def block_cost(blocks, order, slots):
+    """Open-path length of solve_gtsp's (order, slots) in blocks."""
+    return sum(blocks[a, b, i, j] for a, b, i, j in
+               zip(order, order[1:], slots, slots[1:]))
 
 
 def open_dp(g, order):
@@ -162,9 +260,9 @@ def neighbours(order):
 def test_solve_gtsp_trivial_sizes():
     rng = np.random.default_rng(4)
     g = make_gtsp(rng, [3])
-    assert ex.solve_gtsp(g) == [0]
+    assert ex.solve_gtsp(*blocks_of(g)[:2]) == ([0], [0])
     g = make_gtsp(rng, [2, 3])
-    path = ex.solve_gtsp(g)
+    path = solve(g)
     assert open_cost(g, path) == g.cost[:2, 2:].min()
     assert list(g.cluster_of[path]) == [0, 1]
 
@@ -176,7 +274,7 @@ def test_solve_gtsp_near_optimal_small():
         rng = np.random.default_rng(1000 + seed)
         n = int(rng.integers(4, 10))
         g = make_gtsp(rng, [1] * n)
-        path = ex.solve_gtsp(g)
+        path = solve(g)
         assert sorted(path) == list(range(n)) and path[0] == 0
         free_return = g.cost.copy()
         free_return[1:, 0] = 0.0
@@ -195,7 +293,7 @@ def test_solve_gtsp_exact_up_to_three_task_clusters(monkeypatch):
         sizes = list(rng.integers(1, 4, size=int(rng.integers(2, 5))))
         g = make_gtsp(rng, sizes)
         best, _ = gtsp_brute_force(g.cost, clusters_from(g.cluster_of))
-        assert open_cost(g, ex.solve_gtsp(g)) == pytest.approx(best, rel=1e-12)
+        assert open_cost(g, solve(g)) == pytest.approx(best, rel=1e-12)
 
 
 def test_dp_matches_brute_force_over_pose_choices():
@@ -204,7 +302,7 @@ def test_dp_matches_brute_force_over_pose_choices():
         sizes = list(rng.integers(1, 4, size=5))
         g = make_gtsp(rng, sizes)
         cl = clusters_from(g.cluster_of)
-        blocks, start, _ = ex._blocks(g)
+        blocks, start, _ = blocks_of(g)
         orders = np.array([[0] + list(rng.permutation(np.arange(1, 5)))
                            for _ in range(6)])
         got = score(blocks, start, orders)
@@ -229,7 +327,7 @@ def test_open_costs_equal_plain_dp_on_every_neighbour(monkeypatch, chunk):
     rng = np.random.default_rng(40)
     for _ in range(12 if chunk == 1 else 40):
         g = rough_gtsp(rng, int(rng.integers(2, 11)))
-        blocks, start, _ = ex._blocks(g)
+        blocks, start, _ = blocks_of(g)
         order = np.concatenate(([0], 1 + rng.permutation(g.n_clusters - 1)))
         rows, tree = ex._moves(g.n_clusters)
         cands = order[rows]
@@ -246,7 +344,7 @@ def test_open_costs_with_a_bound_drops_only_rows_that_cannot_beat_it():
     dropped = 0
     for _ in range(60):
         g = rough_gtsp(rng, int(rng.integers(3, 11)))
-        blocks, start, _ = ex._blocks(g)
+        blocks, start, _ = blocks_of(g)
         order = np.concatenate(([0], 1 + rng.permutation(g.n_clusters - 1)))
         rows, tree = ex._moves(g.n_clusters)
         cands = order[rows]
@@ -266,14 +364,17 @@ def test_solve_gtsp_matches_full_rescoring_search_on_random_gtsps():
     rng = np.random.default_rng(42)
     for _ in range(120):
         g = rough_gtsp(rng, int(rng.integers(1, 12)), max_size=4)
-        assert ex.solve_gtsp(g) == search_reference(g)
+        assert solve(g) == search_reference(g)
 
 
 def test_solve_gtsp_matches_full_rescoring_search_on_planner_instances():
     for n, seed in itertools.product(range(3, 13), (500, 600)):
         x = inst.generate(n, seed + n)
-        g = ex.build_gtsp(ex.sample_poses(x, 8, 4), x.turn_radius)
-        assert ex.solve_gtsp(g) == search_reference(g), (n, seed)
+        groups = planner_groups(x)
+        blocks, start = ex.build_gtsp(groups, x.turn_radius)
+        assert (node_path(groups, *ex.solve_gtsp(blocks, start))
+                == search_reference(node_gtsp(groups, x.turn_radius))), \
+            (n, seed)
 
 
 @pytest.mark.parametrize("bad", [-1e-12, np.nan])
@@ -281,14 +382,14 @@ def test_solve_gtsp_rejects_negative_and_nan_costs(bad):
     g = make_gtsp(np.random.default_rng(9), [2, 3, 2])
     g.cost[0, 3] = bad
     with pytest.raises(ValueError, match="non-negative"):
-        ex.solve_gtsp(g)
+        solve(g)
 
 
 def test_solve_gtsp_local_optimum_and_consistent_path():
     # termination means no single segment move or reversal improves the order
     rng = np.random.default_rng(6)
     g = make_gtsp(rng, [2] + list(rng.integers(1, 5, size=11)))
-    path = ex.solve_gtsp(g)
+    path = solve(g)
     order = [int(c) for c in g.cluster_of[path]]
     assert order[0] == 0 and sorted(order) == list(range(12))
     base = open_cost(g, path)
@@ -304,12 +405,12 @@ def test_solve_gtsp_chunking_and_determinism(monkeypatch):
     rng = np.random.default_rng(7)
     x = inst.generate(20, 104, map_size=(800, 800))
     # a random problem and a 20-task planner problem at the default chunk
-    problems = [make_gtsp(rng, [4] + [3] * 9),
-                ex.build_gtsp(ex.sample_poses(x, 8, 4), x.turn_radius)]
-    want = [ex.solve_gtsp(g) for g in problems]
-    assert [ex.solve_gtsp(g) for g in problems] == want
+    problems = [blocks_of(make_gtsp(rng, [4] + [3] * 9))[:2],
+                ex.build_gtsp(planner_groups(x), x.turn_radius)]
+    want = [ex.solve_gtsp(*p) for p in problems]
+    assert [ex.solve_gtsp(*p) for p in problems] == want
     monkeypatch.setattr(ex, "DP_CHUNK_ELEMENTS", 1)
-    assert [ex.solve_gtsp(g) for g in problems] == want
+    assert [ex.solve_gtsp(*p) for p in problems] == want
 
 
 def test_solve_gtsp_robust_to_last_bit_cost_changes():
@@ -317,20 +418,12 @@ def test_solve_gtsp_robust_to_last_bit_cost_changes():
     rng = np.random.default_rng(8)
     for i in range(60):
         x = inst.generate(3, 401000 + i, map_size=(300, 300))
-        g = ex.build_gtsp(ex.sample_poses(x, 8, 4), x.turn_radius)
-        noisy = ex.GtspProblem(
-            cost=g.cost * (1.0 + 2.2e-16 * rng.choice((-1.0, 1.0), g.cost.shape)),
-            cluster_of=g.cluster_of, n_clusters=g.n_clusters)
-        a = open_cost(g, ex.solve_gtsp(g))
-        b = open_cost(g, ex.solve_gtsp(noisy))
+        blocks, start = ex.build_gtsp(planner_groups(x), x.turn_radius)
+        noisy = blocks * (1.0 + 2.2e-16 * rng.choice((-1.0, 1.0),
+                                                     blocks.shape))
+        a = block_cost(blocks, *ex.solve_gtsp(blocks, start))
+        b = block_cost(blocks, *ex.solve_gtsp(noisy, start))
         assert abs(a - b) <= 1e-9 * a, (i, a, b)
-
-
-def test_solve_gtsp_rejects_empty_cluster():
-    g = ex.GtspProblem(cost=np.full((3, 3), np.inf),
-                       cluster_of=np.array([0, 0, 2]), n_clusters=3)
-    with pytest.raises(ValueError, match="empty"):
-        ex.solve_gtsp(g)
 
 
 # ---------------------------------------------------------------- plan
@@ -387,8 +480,7 @@ def test_plan_matches_exhaustive_gtsp_oracle():
     x = inst.generate(3, seed=21)
     n_pos, n_head = 3, 2
     ep = ex.plan(x, n_pos=n_pos, n_head=n_head)
-    sampled = ex.sample_poses(x, n_pos, n_head)
-    g = ex.build_gtsp(sampled, x.turn_radius)
+    g = node_gtsp(planner_groups(x, n_pos, n_head), x.turn_radius)
     best, tour = gtsp_brute_force(g.cost, clusters_from(g.cluster_of))
     # plan optimizes the open path: no leg back to the start
     assert ep.total_length == pytest.approx(best, abs=1e-6)
@@ -416,6 +508,58 @@ def test_plan_monotone_in_sampling_budget():
     diff = np.asarray(lo) - np.asarray(hi)
     se = diff.std(ddof=1) / math.sqrt(len(diff))
     assert diff.mean() >= -se
+
+
+@st.composite
+def degenerate_instances(draw):
+    """1-6 tasks on corners and edges of the map, on top of an earlier
+    task, within r_sense of the start, or anywhere."""
+    w, h = draw(st.sampled_from([60.0, 300.0, 800.0])), draw(
+        st.sampled_from([60.0, 300.0, 800.0]))
+    r_sense = draw(st.sampled_from([5.0, 58.0, 150.0]))
+    unit = st.floats(0.0, 1.0)
+    start = Pose(draw(unit) * w, draw(unit) * h,
+                 draw(st.floats(-math.pi, math.pi)))
+    tasks = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["corner", "edge", "same", "near",
+                                     "free"]))
+        if kind == "corner":
+            t = (draw(st.sampled_from([0.0, w])),
+                 draw(st.sampled_from([0.0, h])))
+        elif kind == "edge":
+            u = draw(unit)
+            t = draw(st.sampled_from([(u * w, 0.0), (u * w, h),
+                                      (0.0, u * h), (w, u * h)]))
+        elif kind == "same" and tasks:
+            t = draw(st.sampled_from(tasks))
+        elif kind == "near":
+            # clipping to the map only moves it closer to the start
+            r, phi = draw(unit) * r_sense, draw(st.floats(-math.pi, math.pi))
+            t = (min(max(start.x + r * math.cos(phi), 0.0), w),
+                 min(max(start.y + r * math.sin(phi), 0.0), h))
+        else:
+            t = (draw(unit) * w, draw(unit) * h)
+        tasks.append(t)
+    return inst.Instance(w, h, tuple(tasks), r_sense,
+                         draw(st.sampled_from([10.0, 30.0])), start, 0)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(degenerate_instances(),
+       st.sampled_from([(1, 1), (2, 1), (3, 5), (8, 4)]))
+def test_plan_on_degenerate_geometry_senses_every_task_or_reports_a_gap(
+        x, sampling):
+    try:
+        ep = ex.plan(x, *sampling)
+    except ex.SensingGap:
+        return
+    assert (ep.waypoints[0].x, ep.waypoints[0].y) == (x.start.x, x.start.y)
+    wp = ep.waypoint_array()
+    gaps = np.hypot(np.diff(wp[:, 0]), np.diff(wp[:, 1]))
+    assert gaps.max(initial=0.0) <= config_for(x, None).step_dist * (1 + 1e-9)
+    for tx, ty in x.tasks:
+        assert np.hypot(wp[:, 0] - tx, wp[:, 1] - ty).min() <= x.r_sense
 
 
 # ---------------------------------------------------------------- file io

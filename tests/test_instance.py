@@ -148,6 +148,34 @@ def test_load_rejects_unknown_field(tmp_path):
         inst.load(p)
 
 
+def test_load_rejects_junk_after_the_seed(tmp_path):
+    x = inst.generate(2, seed=7)
+    p = tmp_path / "i.txt"
+    inst.save(x, p)
+    text = p.read_text()
+    for bad in ("seed 7 junk", "seed 7 8", "seed", "seed 7.0"):
+        p.write_text(text.replace("seed 7", bad))
+        with pytest.raises(inst.InstanceFormatError,
+                           match="line 6: field 'seed'"):
+            inst.load(p)
+
+
+@pytest.mark.parametrize("line", ["map 50.0 50.0", "sense 1.0", "turn 5.0",
+                                  "start 1.0 1.0 0.0", "seed 8"])
+def test_load_rejects_a_repeated_field(tmp_path, line):
+    x = inst.generate(2, seed=7)
+    p = tmp_path / "i.txt"
+    inst.save(x, p)
+    p.write_text(p.read_text() + line + "\n")
+    key = line.split()[0]
+    with pytest.raises(inst.InstanceFormatError,
+                       match=f"line 9: field '{key}' is repeated"):
+        inst.load(p)
+    # tasks repeat, one line each
+    p.write_text(p.read_text().replace(line + "\n", "task 1.0 1.0\n"))
+    assert inst.load(p).n_tasks == 3
+
+
 def test_generation_matches_philox_stream():
     x = inst.generate(5, seed=123)
     rng = np.random.Generator(np.random.Philox(key=123))
