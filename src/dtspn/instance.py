@@ -156,11 +156,11 @@ def load(path) -> Instance:
             raise InstanceFormatError(f"missing field '{key}'")
     if not tasks:
         raise InstanceFormatError("missing field 'task' (no tasks)")
-    (width, height), (sense,), (turn,) = (fields["map"], fields["sense"],
-                                          fields["turn"])
     try:
-        return Instance(map_width=width, map_height=height,
-                        tasks=tuple(tasks), r_sense=sense, turn_radius=turn,
+        return Instance(map_width=fields["map"][0],
+                        map_height=fields["map"][1], tasks=tuple(tasks),
+                        r_sense=fields["sense"][0],
+                        turn_radius=fields["turn"][0],
                         start=Pose(*fields["start"]), seed=fields["seed"])
     except ValueError as exc:
         raise InstanceFormatError(str(exc))
