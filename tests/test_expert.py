@@ -96,14 +96,6 @@ def clusters_from(cluster_of):
     return [list(np.nonzero(np.asarray(cluster_of) == c)[0]) for c in range(k)]
 
 
-def random_pose_groups(rng, sizes):
-    """Groups of uniform random Poses on a 300 m square, as gate 2 draws
-    them."""
-    return [[Pose(*rng.uniform(0.0, 300.0, size=2),
-                  rng.uniform(-math.pi, math.pi)) for _ in range(s)]
-            for s in sizes]
-
-
 # ---------------------------------------------------------------- sampling
 
 def test_sample_poses_smallest_budget():
@@ -207,10 +199,12 @@ def test_build_gtsp_equals_reference_blocks_on_planner_groups(
 
 
 def test_build_gtsp_equals_reference_blocks_on_random_pose_groups():
+    # groups of 1-3 uniform random Poses on a 300 m square, as in gate 2
     rng = np.random.default_rng(77)
     for _ in range(40):
-        sizes = list(rng.integers(1, 4, size=int(rng.integers(1, 6))))
-        groups = random_pose_groups(rng, sizes)
+        groups = [[Pose(*rng.uniform(0.0, 300.0, size=2),
+                        rng.uniform(-math.pi, math.pi)) for _ in range(s)]
+                  for s in rng.integers(1, 4, size=int(rng.integers(1, 6)))]
         g = node_gtsp(groups, 30.0)
         blocks, start = ex.build_gtsp(groups, 30.0)
         want_blocks, want_start, _ = blocks_of(g)
