@@ -23,15 +23,31 @@ def episode_split(n_episodes: int, rng: np.random.Generator):
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
+def split_rows(dataset, rng: np.random.Generator,
+               use_privileged: bool = True):
+    """episode_split's training and validation episodes, each as (episode
+    indices, commons, privileged, actions) from dataset.rows_of.  Raises
+    ValueError if either split has no transitions."""
+    splits = [(eps, *dataset.rows_of(eps, use_privileged))
+              for eps in episode_split(len(dataset), rng)]
+    if any(len(rows[1]) == 0 for rows in splits):
+        raise ValueError("a split has no transitions")
+    return splits
+
+
+def forward_rows(net, x: np.ndarray) -> np.ndarray:
+    """net's output on each row of x, forwarded in EVAL_CHUNK-row chunks
+    and copied into an array of its own, so it holds no workspace view."""
+    out = np.empty((len(x), net.out_dim))
+    for s in range(0, len(x), EVAL_CHUNK):
+        out[s:s + EVAL_CHUNK] = forward_cached(net, x[s:s + EVAL_CHUNK])[0]
+    return out
+
+
 def encode(bundle: ModelBundle, commons, privs) -> np.ndarray:
     """Encoder latents of many rows, computed in chunks."""
-    out = np.empty((len(commons), bundle.z_dim))
-    for s in range(0, len(commons), EVAL_CHUNK):
-        out[s:s + EVAL_CHUNK], _ = forward_cached(
-            bundle.encoder,
-            np.concatenate([commons[s:s + EVAL_CHUNK], privs[s:s + EVAL_CHUNK]],
-                           axis=1))
-    return out
+    return forward_rows(bundle.encoder,
+                        np.concatenate([commons, privs], axis=1))
 
 
 def return_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
@@ -75,19 +91,11 @@ def regress(net, inputs, targets, lr: float, batch: int, epochs: int,
 
 def _ce_eval(bundle: ModelBundle, commons, privs, actions):
     """Mean cross-entropy and accuracy, computed in chunks."""
+    z = encode(bundle, commons, privs)
+    logits = forward_rows(bundle.policy, np.concatenate([commons, z], axis=1))
     n = len(actions)
-    if n == 0:
-        return float("nan"), float("nan")
-    loss = 0.0
-    correct = 0
-    for s in range(0, n, EVAL_CHUNK):
-        c, p, a = commons[s:s + EVAL_CHUNK], privs[s:s + EVAL_CHUNK], \
-            actions[s:s + EVAL_CHUNK]
-        logits = actor_forward(bundle, c, p)[0]
-        lp = log_softmax(logits)
-        loss -= lp[np.arange(len(a)), a].sum()
-        correct += int((np.argmax(logits, axis=1) == a).sum())
-    return loss / n, correct / n
+    loss = -log_softmax(logits)[np.arange(n), actions].sum()
+    return loss / n, int((np.argmax(logits, axis=1) == actions).sum()) / n
 
 
 def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
@@ -96,12 +104,8 @@ def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
     With use_privileged False the privileged block is zeroed, which is the
     no-PI ablation.  Returns (bundle, metrics) with per-epoch curves."""
     rng = np.random.default_rng(config.seed)
-    train_eps, val_eps = episode_split(len(dataset), rng)
-    xc, xp, y = dataset.rows_of(train_eps, use_privileged)
-    vc, vp, vy = dataset.rows_of(val_eps, use_privileged)
+    (_, xc, xp, y), (_, vc, vp, vy) = split_rows(dataset, rng, use_privileged)
     n = len(y)
-    if n == 0:
-        raise ValueError("training split has no transitions")
 
     states = [AdamState(bundle.encoder), AdamState(bundle.policy)]
     metrics = {"train_loss": [], "train_acc": [], "val_loss": [], "val_acc": []}
@@ -140,18 +144,10 @@ def critic_init(dataset, bundle: ModelBundle, config: TrainConfig,
     if epochs is None:
         epochs = config.bc_epochs
     rng = np.random.default_rng(config.seed + 1)
-    train_eps, val_eps = episode_split(len(dataset), rng)
-
-    def targets(idxs):
-        return np.concatenate(
-            [return_to_go(dataset[i].rewards, config.gamma) for i in idxs])
-
-    xc, xp, _ = dataset.rows_of(train_eps, use_privileged)
-    vc, vp, _ = dataset.rows_of(val_eps, use_privileged)
-    ty, vty = targets(train_eps), targets(val_eps)
-    if len(ty) == 0:
-        raise ValueError("training split has no transitions")
-
+    (train_eps, xc, xp, _), (val_eps, vc, vp, _) = split_rows(
+        dataset, rng, use_privileged)
+    ty, vty = (np.concatenate([return_to_go(dataset[i].rewards, config.gamma)
+                               for i in eps]) for eps in (train_eps, val_eps))
     xin = np.concatenate([xc, encode(bundle, xc, xp)], axis=1)
     vin = np.concatenate([vc, encode(bundle, vc, vp)], axis=1)
 
@@ -159,7 +155,7 @@ def critic_init(dataset, bundle: ModelBundle, config: TrainConfig,
                "val_target_variance": float(np.var(vty))}
     for mse in regress(bundle.critic, xin, ty[:, None], config.ppo_critic_lr,
                        config.bc_batch, epochs, rng):
-        vv, _ = forward_cached(bundle.critic, vin)
+        vv = forward_rows(bundle.critic, vin)
         metrics["train_mse"].append(mse)
         metrics["val_mse"].append(float(np.mean((vv[:, 0] - vty) ** 2)))
     if not bundle.critic.finite():

@@ -4,25 +4,17 @@ frozen encoder's latent from common observations alone."""
 import numpy as np
 
 from .config import TrainConfig
-from .bc import EVAL_CHUNK, encode, episode_split, regress
-from .nets import ModelBundle, forward_cached
+from .bc import encode, forward_rows, regress, split_rows
+from .nets import ModelBundle
 
 
 def _agreement(bundle: ModelBundle, commons, z_true, z_pred) -> float:
     """Rate at which the policy's argmax action under z_pred matches the
-    one under z_true.  Each chunk's first argmax is taken before the second
-    forward, which may overwrite the first's logits."""
-    hits = 0
-    for s in range(0, len(commons), EVAL_CHUNK):
-        c = commons[s:s + EVAL_CHUNK]
-        actions = []
-        for z in (z_true, z_pred):
-            logits, _ = forward_cached(
-                bundle.policy,
-                np.concatenate([c, z[s:s + EVAL_CHUNK]], axis=1))
-            actions.append(np.argmax(logits, axis=1))
-        hits += int((actions[0] == actions[1]).sum())
-    return hits / len(commons)
+    one under z_true."""
+    true, pred = (np.argmax(forward_rows(
+        bundle.policy, np.concatenate([commons, z], axis=1)), axis=1)
+        for z in (z_true, z_pred))
+    return int((true == pred).sum()) / len(commons)
 
 
 def distill_adaptation(dataset, bundle: ModelBundle, config: TrainConfig,
@@ -36,11 +28,7 @@ def distill_adaptation(dataset, bundle: ModelBundle, config: TrainConfig,
     the policy's argmax action under z' matches the one under z.
     """
     rng = np.random.default_rng(config.seed + 2)
-    train_eps, val_eps = episode_split(len(dataset), rng)
-    xc, xp, _ = dataset.rows_of(train_eps)
-    vc, vp, _ = dataset.rows_of(val_eps)
-    if len(xc) == 0 or len(vc) == 0:
-        raise ValueError("a split has no transitions")
+    (_, xc, xp, _), (_, vc, vp, _) = split_rows(dataset, rng)
     zt = encode(bundle, xc, xp)
     vzt = encode(bundle, vc, vp)
 
@@ -49,7 +37,7 @@ def distill_adaptation(dataset, bundle: ModelBundle, config: TrainConfig,
     if not bundle.adaptation.finite():
         raise RuntimeError("non-finite adaptation parameters")
 
-    vzp, _ = forward_cached(bundle.adaptation, vc)
+    vzp = forward_rows(bundle.adaptation, vc)
     heldout_mse = float(np.mean(np.sum((vzp - vzt) ** 2, axis=1)))
     z_var = float(np.mean(np.sum((vzt - vzt.mean(axis=0)) ** 2, axis=1)))
     metrics = {

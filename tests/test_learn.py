@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtspn.demos import DemoDataset, Demonstration
+from dtspn.demos import DemoDataset, Demonstration, collect, collect_batch
+from dtspn.dubins import Pose
 from dtspn.env import DtspnEnv
-from dtspn.expert import plan
-from dtspn.instance import generate
+from dtspn.expert import ExpertPath, plan
+from dtspn.instance import Instance, generate
 from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
                          NetworkParams, TrainConfig, act, adam_step,
                          bc_pretrain, clipped_surrogate, compute_gae,
@@ -278,6 +279,52 @@ def test_training_matches_the_fresh_array_reference_end_to_end(monkeypatch):
     b, reference = train()
     assert all(net.work is None for net in b.networks)
     assert reference == shipped
+
+
+def test_stages_match_bit_for_bit_at_any_evaluation_chunk(monkeypatch):
+    # cloning, the critic warm start and distillation with 64-row chunks
+    # against one chunk: parameters and every metric are equal.  Chunks of
+    # 1, 3 or 9 rows may change a matmul's last bits under OpenBLAS; 64
+    # rows do not
+    ds = synthetic_dataset(n_episodes=20, ep_len=100, common_dim=15,
+                           seed=3, reward_from_obs=True)
+    cfg = TrainConfig(bc_epochs=2, bc_batch=256, seed=5)
+    for k in range(3):      # each validation split spans several chunks
+        _, val = episode_split(len(ds), np.random.default_rng(cfg.seed + k))
+        assert len(val) * 100 > 2 * 64
+
+    def train():
+        b = init_bundle(common_dim=15, seed=7)
+        _, bc = bc_pretrain(ds, b, cfg)
+        _, critic = critic_init(ds, b, cfg)
+        _, ada = distill_adaptation(ds, b, cfg, epochs=2)
+        return ([net.flat.tobytes() for net in b.networks],
+                repr((bc, critic, ada)))
+
+    whole = train()
+    monkeypatch.setattr("dtspn.learn.bc.EVAL_CHUNK", 64)
+    assert train() == whole
+
+
+def test_every_stage_refuses_an_empty_split():
+    real, _ = collect_batch(3, base_seed=0, n_tasks=1,
+                            map_size=(300.0, 300.0), n_pos=3, n_head=2)
+    x = Instance(200.0, 200.0, ((110.0, 20.0),), 50.0, 30.0,
+                 Pose(100.0, 10.0, 0.0), 0)
+    empty = collect(x, ExpertPath(waypoints=(x.start,), total_length=0.0,
+                                  sensed_order=(0,)))
+    assert len(empty) == 0 and min(map(len, real)) > 0
+    cfg = TrainConfig(bc_epochs=1, seed=4)
+    for offset, stage in enumerate((bc_pretrain, critic_init,
+                                    distill_adaptation)):
+        # the empty episode is the stage's whole validation split
+        _, (val,) = episode_split(4, np.random.default_rng(cfg.seed + offset))
+        demos = list(real)
+        demos.insert(val, empty)
+        ds = DemoDataset(demos, meta=real.meta)
+        bundle = init_bundle(real.meta.common_dim, seed=0)
+        with pytest.raises(ValueError, match="a split has no transitions"):
+            stage(ds, bundle, cfg)
 
 
 def test_parameter_views_share_the_flat_buffer():
