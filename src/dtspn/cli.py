@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expert as expert_mod
 from . import instance as instance_mod
-from .demos import collect_batch, load_dataset, save_dataset, tracker
+from .demos import collect_batch, load_dataset, save_dataset, track
 from .env import DtspnEnv, EnvConfig, config_for, run_episode
 from .evaluate import (benchmark_speed, bundle_actor, check_bundle,
                        evaluate, save_episode_csv)
@@ -168,9 +168,23 @@ def cmd_demos(args) -> int:
     return 0
 
 
+def _dataset(args):
+    """The --data dataset.  Training runs under the env config it was
+    collected with, so an env key of --config must repeat its value."""
+    dataset = load_dataset(args.data)
+    env_kw, _ = _load_config(args.config)
+    for key, val in env_kw.items():
+        have = getattr(dataset.meta.config, key)
+        if val != have:
+            raise ValueError(f"config {args.config}: '{key}' is "
+                             f"{json.dumps(val)}, but --data {args.data} "
+                             f"was collected with {json.dumps(have)}")
+    return dataset
+
+
 def cmd_train_bc(args) -> int:
     tc = _train_config(args)
-    dataset = load_dataset(args.data)
+    dataset = _dataset(args)
     meta = dataset.meta
     bundle = init_bundle(meta.common_dim, meta.priv_dim,
                          n_actions=meta.config.n_actions, seed=tc.seed)
@@ -244,7 +258,7 @@ def cmd_train_ppo(args) -> int:
 
 def cmd_distill(args) -> int:
     tc = _train_config(args)
-    dataset = load_dataset(args.data)
+    dataset = _dataset(args)
     bundle = load_bundle(args.ckpt)
     check_bundle(bundle, dataset.meta.n_tasks, dataset.meta.config,
                  "demonstrations")
@@ -328,14 +342,14 @@ def cmd_plot(args) -> int:
         bundle = load_bundle(args.ckpt)
         check_bundle(bundle, inst.n_tasks, cfg)
     epath = plan(inst, n_pos=args.pos, n_head=args.heads, config=cfg)
-    # the expert path rides along even for policy plots: it supplies the
-    # dashed overlay and the imitation column of the record
-    env = DtspnEnv(inst, epath, mode="eval", config=cfg)
     if bundle is None:
-        act_fn = tracker(env)
+        # the episode eval --expert scores: the whole tour, in train mode
+        _, record = track(inst, epath, cfg)
     else:
-        act_fn = bundle_actor(bundle, args.pi_eval)
-    record = run_episode(env, act_fn)
+        # the expert path rides along for policy plots: it supplies the
+        # dashed overlay and the imitation column of the record
+        record = run_episode(DtspnEnv(inst, epath, mode="eval", config=cfg),
+                             bundle_actor(bundle, args.pi_eval))
     emit_trajectory_svg(record, inst, expert_path=epath, path=args.out)
     _summary("plot", steps=len(record), sensed=record.n_sensed,
              tasks=inst.n_tasks, out=args.out)

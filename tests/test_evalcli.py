@@ -470,7 +470,9 @@ def test_cli_eval_expert_and_mismatch(tmp_path, capsys):
     assert run_cli("demos", "--tasks", "2", "--map", "300", "300",
                    "--seed", "870", "--demos", "4",
                    "--out", f"{d}/demos.bin") == 0
-    assert run_cli("train-bc", "--data", f"{d}/demos.bin",
+    # seed 2: these demos' episode 2 has no transitions, and seed 0 would
+    # validate cloning on it alone
+    assert run_cli("train-bc", "--data", f"{d}/demos.bin", "--seed", "2",
                    "--config", str(cfg), "--out", f"{d}/bc.ckpt") == 0
     capsys.readouterr()
     assert run_cli("eval", "--tasks", "6", "--ckpt", f"{d}/bc.ckpt",
@@ -559,6 +561,8 @@ def tiny_demos(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("demos") / "demos.bin")
     assert run_cli("demos", "--tasks", "2", "--map", "300", "300",
                    "--seed", "870", "--demos", "4", "--out", path) == 0
+    # episode 2 senses every task at reset and has no transitions, so a
+    # seed that validates on it alone (0 for cloning) is refused
     return path
 
 
@@ -569,10 +573,10 @@ def test_cli_train_bc_with_no_epochs_saves_the_initial_bundle(tmp_path,
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"bc_epochs": 0}')
     assert run_cli("train-bc", "--data", tiny_demos, "--config", str(cfg),
-                   "--out", f"{d}/bc.ckpt") == 0
+                   "--seed", "2", "--out", f"{d}/bc.ckpt") == 0
     assert "val_acc=nan val_loss=nan critic_val_mse=nan" in \
         capsys.readouterr().out
-    save_bundle(init_bundle(11, seed=0), f"{d}/fresh.ckpt")
+    save_bundle(init_bundle(11, seed=2), f"{d}/fresh.ckpt")
     with open(f"{d}/bc.ckpt", "rb") as a, open(f"{d}/fresh.ckpt", "rb") as b:
         assert a.read() == b.read()
 
@@ -818,3 +822,50 @@ def test_cli_eval_and_plot_reject_conflicting_policy_flags(tmp_path, capsys):
     assert not os.path.exists(f"{d}/x.svg")
     # with neither flag, plot still draws the expert
     assert run_cli("plot", *gen, "--out", f"{d}/e.svg") == 0
+
+
+def summary_fields(out: str, stage: str) -> dict:
+    """The key=value pairs of the last stage=<stage> summary line."""
+    line = [l for l in out.splitlines() if l.startswith(f"stage={stage} ")]
+    return dict(kv.split("=", 1) for kv in line[-1].split())
+
+
+def test_cli_plot_expert_draws_the_episode_eval_scores(tmp_path, capsys):
+    # under a 10-step eval cap the eval-mode episode would stop after 10
+    # steps with 1 of 3 tasks sensed; eval --expert flies the whole tour
+    d = str(tmp_path)
+    cfg = tmp_path / "cap.json"
+    cfg.write_text('{"max_steps_eval": 10}')
+    gen = ["--tasks", "3", "--map", "300", "300", "--seed", "5",
+           "--config", str(cfg)]
+    assert run_cli("eval", *gen, "--expert", "--episodes", "1",
+                   "--log", f"{d}/e.jsonl") == 0
+    (episode,) = read_json_lines(f"{d}/e.jsonl")
+    assert run_cli("plot", *gen, "--expert", "--out", f"{d}/e.svg") == 0
+    plot = summary_fields(capsys.readouterr().out, "plot")
+    assert (int(plot["steps"]), int(plot["sensed"])) == \
+        (episode["steps"], episode["n_sensed"])
+    assert episode["steps"] > 10 and episode["n_sensed"] == 3
+
+
+@pytest.mark.parametrize("stage", ["train-bc", "distill"])
+def test_cli_training_rejects_env_keys_that_differ_from_the_data(
+        tmp_path, capsys, tiny_demos, stage):
+    d = str(tmp_path)
+    save_bundle(init_bundle(11, seed=0), f"{d}/b.ckpt")
+    ckpt = ["--ckpt", f"{d}/b.ckpt"] if stage == "distill" else []
+    cfg = tmp_path / "cfg.json"
+    argv = [stage, "--data", tiny_demos, *ckpt, "--seed", "2",
+            "--config", str(cfg), "--out", f"{d}/out.ckpt"]
+    for key, val in (("n_actions", "9"), ("dt", "0.05"),
+                     ("max_steps_eval", "5")):
+        cfg.write_text(f'{{"{key}": {val}, "bc_epochs": 1}}')
+        assert run_cli(*argv) == 1, key
+        err = capsys.readouterr().err
+        assert f"'{key}' is {val}" in err and tiny_demos in err, key
+        assert not os.path.exists(f"{d}/out.ckpt")
+    # the values the data was collected with pass, so one config file can
+    # serve every stage
+    cfg.write_text('{"n_actions": 7, "dt": 0.2, "max_steps_eval": 300, '
+                   '"bc_epochs": 1}')
+    assert run_cli(*argv) == 0
