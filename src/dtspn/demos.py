@@ -229,7 +229,9 @@ def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
                   max_attempts: Optional[int] = None):
     """Collect demonstrations over consecutive instance seeds until n_demos
     are accepted (or max_attempts seeds tried).  Returns (dataset, report)
-    where report lists every rejected seed with its reason."""
+    where report lists every rejected seed with its reason.  An episode
+    whose start already senses every task has no transitions and is
+    rejected too."""
     if n_demos < 0:
         raise ValueError(f"n_demos must be >= 0, got {n_demos}")
     if max_attempts is None:
@@ -245,10 +247,15 @@ def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
                      r_sense=r_sense, turn_radius=turn_radius)
         try:
             path = plan(x, n_pos=n_pos, n_head=n_head, config=meta.config)
-            demos.append(collect(x, path, config=config))
+            demo = collect(x, path, config=config)
         except RuntimeError as e:
             # TrackingFailure from collect or SensingGap from plan
             rejected.append((seed, str(e)))
+        else:
+            if len(demo):
+                demos.append(demo)
+            else:
+                rejected.append((seed, "start senses every task"))
         seed += 1
         attempts += 1
     report = {

@@ -546,6 +546,19 @@ def test_collect_batch_reports_rejections():
         assert report["accept_rate"] == 0.0
 
 
+def test_collect_batch_rejects_an_episode_whose_start_senses_every_task():
+    # instance 872's start already senses both tasks: collect records no
+    # transition, and the batch moves on to the next seed
+    ds, report = collect_batch(4, base_seed=870, n_tasks=2,
+                               map_size=(300.0, 300.0))
+    x = generate(n_tasks=2, seed=872, map_size=(300.0, 300.0))
+    assert len(collect(x, plan(x))) == 0
+    assert [d.seed for d in ds] == [870, 871, 873, 874]
+    assert all(len(d) > 0 for d in ds)
+    assert report["rejected"] == [(872, "start senses every task")]
+    assert (report["attempted"], report["accepted"]) == (5, 4)
+
+
 def test_collect_batch_of_zero_demos_saves_an_empty_dataset(tmp_path):
     ds, report = collect_batch(0, n_tasks=3, map_size=(300.0, 300.0),
                                n_pos=3, n_head=2)

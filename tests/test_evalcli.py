@@ -470,9 +470,7 @@ def test_cli_eval_expert_and_mismatch(tmp_path, capsys):
     assert run_cli("demos", "--tasks", "2", "--map", "300", "300",
                    "--seed", "870", "--demos", "4",
                    "--out", f"{d}/demos.bin") == 0
-    # seed 2: these demos' episode 2 has no transitions, and seed 0 would
-    # validate cloning on it alone
-    assert run_cli("train-bc", "--data", f"{d}/demos.bin", "--seed", "2",
+    assert run_cli("train-bc", "--data", f"{d}/demos.bin",
                    "--config", str(cfg), "--out", f"{d}/bc.ckpt") == 0
     capsys.readouterr()
     assert run_cli("eval", "--tasks", "6", "--ckpt", f"{d}/bc.ckpt",
@@ -561,8 +559,6 @@ def tiny_demos(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("demos") / "demos.bin")
     assert run_cli("demos", "--tasks", "2", "--map", "300", "300",
                    "--seed", "870", "--demos", "4", "--out", path) == 0
-    # episode 2 senses every task at reset and has no transitions, so a
-    # seed that validates on it alone (0 for cloning) is refused
     return path
 
 
@@ -573,10 +569,10 @@ def test_cli_train_bc_with_no_epochs_saves_the_initial_bundle(tmp_path,
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"bc_epochs": 0}')
     assert run_cli("train-bc", "--data", tiny_demos, "--config", str(cfg),
-                   "--seed", "2", "--out", f"{d}/bc.ckpt") == 0
+                   "--out", f"{d}/bc.ckpt") == 0
     assert "val_acc=nan val_loss=nan critic_val_mse=nan" in \
         capsys.readouterr().out
-    save_bundle(init_bundle(11, seed=2), f"{d}/fresh.ckpt")
+    save_bundle(init_bundle(11, seed=0), f"{d}/fresh.ckpt")
     with open(f"{d}/bc.ckpt", "rb") as a, open(f"{d}/fresh.ckpt", "rb") as b:
         assert a.read() == b.read()
 
@@ -855,8 +851,8 @@ def test_cli_training_rejects_env_keys_that_differ_from_the_data(
     save_bundle(init_bundle(11, seed=0), f"{d}/b.ckpt")
     ckpt = ["--ckpt", f"{d}/b.ckpt"] if stage == "distill" else []
     cfg = tmp_path / "cfg.json"
-    argv = [stage, "--data", tiny_demos, *ckpt, "--seed", "2",
-            "--config", str(cfg), "--out", f"{d}/out.ckpt"]
+    argv = [stage, "--data", tiny_demos, *ckpt, "--config", str(cfg),
+            "--out", f"{d}/out.ckpt"]
     for key, val in (("n_actions", "9"), ("dt", "0.05"),
                      ("max_steps_eval", "5")):
         cfg.write_text(f'{{"{key}": {val}, "bc_epochs": 1}}')
