@@ -18,7 +18,9 @@ fresh per-step temporaries would re-fault their pages each time glibc
 trims its heap.  So a batch forward's output and cache stay valid until
 that network's next batch forward, and backward's gradient and input
 gradient until its next backward.  A forward of a row, or of a batch
-larger than the workspace, allocates its own arrays.
+larger than the workspace, allocates its own arrays.  Workspaces are not
+shared between networks, so two threads may step two networks at once,
+but one network is touched by one thread at a time.
 """
 
 import hashlib

@@ -496,8 +496,9 @@ def test_cli_train_ppo_dense_baseline_and_log(tmp_path):
     assert len(records) == 1
     assert records[0]["batch"] == 1 and records[0]["env_steps"] == 4096
     assert {"approx_kl", "clip_frac", "entropy", "value_loss",
-            "explained_var", "rollout_s", "update_s",
+            "explained_var", "rollout_s", "update_s", "critic_wait_s",
             "steps_per_s"} <= set(records[0])
+    assert 0.0 <= records[0]["critic_wait_s"] <= records[0]["update_s"]
 
 
 def test_cli_eval_log_writes_one_json_line_per_episode(tmp_path, tiny_bundle):

@@ -1,7 +1,10 @@
 import hashlib
 import importlib
 import struct
+import threading
 import tracemalloc
+import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
                          critic_init, distill_adaptation, episode_split,
                          init_bundle, init_network, load_bundle, ppo_finetune,
                          return_to_go, sample_categorical, save_bundle)
+from dtspn.learn import ppo
 from dtspn.learn.bc import regress
 from dtspn.learn.nets import (CKPT_MAGIC, CKPT_VERSION, _pack_network,
                               actor_forward, actor_step, backward,
@@ -922,32 +926,112 @@ def test_ppo_log_has_one_record_per_batch_and_changes_nothing():
     assert len(records) == len(curve) == 2
     keys = {"batch", "env_steps", "avg_reward", "approx_kl", "clip_frac",
             "entropy", "value_loss", "explained_var", "rollout_s",
-            "update_s", "steps_per_s"}
+            "update_s", "critic_wait_s", "steps_per_s"}
     for k, rec in enumerate(records, 1):
         assert set(rec) == keys
         assert rec["batch"] == k and rec["env_steps"] == 512 * k
         assert 0.0 <= rec["clip_frac"] <= 1.0 and rec["approx_kl"] >= -1e-12
         assert rec["entropy"] > 0.0 and rec["value_loss"] >= 0.0
         assert rec["rollout_s"] > 0.0 and rec["update_s"] > 0.0
+        assert 0.0 <= rec["critic_wait_s"] <= rec["update_s"]
         assert np.isclose(rec["steps_per_s"],
                           512 / (rec["rollout_s"] + rec["update_s"]))
 
 
-def test_ppo_divergence_guard():
-    factory = make_env_factory(seed=2)
+def diverging_bundle():
     b = init_bundle(common_dim=15, seed=0)
     # saturate the critic's first layer and blow up its head: the backward
     # pass then produces inf * 0 = nan parameter gradients
     b.critic.weights[0][...] = 1e200
     b.critic.weights[-1][...] = 1e300
-    cfg = TrainConfig(steps_budget=256, rollout_steps=256, minibatch=64,
-                      seed=0)
+    return b
+
+
+DIVERGING = TrainConfig(steps_budget=256, rollout_steps=256, minibatch=64,
+                        seed=0)
+
+
+def test_ppo_divergence_guard():
     try:
         with np.errstate(all="ignore"):
-            ppo_finetune(factory, b, cfg)
+            ppo_finetune(make_env_factory(seed=2), diverging_bundle(),
+                         DIVERGING)
         assert False, "non-finite parameters not caught"
     except RuntimeError as e:
         assert "non-finite" in str(e)
+
+
+def test_ppo_critic_steps_under_the_callers_errstate():
+    # the critic's overflows happen on the worker thread; they stay as
+    # quiet as the caller asked, so no RuntimeWarning turns into an error
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            ppo_finetune(make_env_factory(seed=2), diverging_bundle(),
+                         DIVERGING)
+
+
+class InlineExecutor:
+    """ThreadPoolExecutor's surface, running each call as it is submitted."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def test_ppo_overlapped_critic_matches_the_inline_steps(monkeypatch):
+    cfg = TrainConfig(steps_budget=1536, rollout_steps=512, minibatch=128,
+                      entropy_coef=0.0, seed=6)
+    runs = []
+    for inline in (False, True):
+        if inline:
+            monkeypatch.setattr(ppo, "ThreadPoolExecutor", InlineExecutor)
+        records = []
+        b, curve = ppo_finetune(make_env_factory(seed=9),
+                                init_bundle(common_dim=15, seed=3), cfg,
+                                critic_warmup_steps=512, log=records.append)
+        stats = [[rec[k] for k in ("approx_kl", "clip_frac", "entropy",
+                                   "value_loss", "explained_var")]
+                 for rec in records]
+        assert len(records) == 3
+        runs.append(([net.flat.tobytes() for net in b.networks],
+                     repr(curve), repr(stats)))
+    assert runs[0] == runs[1]
+
+
+def test_ppo_leaves_no_thread_behind():
+    start = threading.active_count()
+    cfg = TrainConfig(steps_budget=512, rollout_steps=256, minibatch=64,
+                      seed=0)
+    ppo_finetune(make_env_factory(), init_bundle(common_dim=15, seed=4), cfg)
+    assert threading.active_count() == start
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError):
+        ppo_finetune(make_env_factory(seed=2), diverging_bundle(), DIVERGING)
+    assert threading.active_count() == start
+
+    # an env factory that fails in the second batch's rollout (the first
+    # takes 30 envs), after the first batch's update started the worker
+    factory, calls = make_env_factory(), [0]
+
+    def failing():
+        calls[0] += 1
+        if calls[0] > 40:
+            raise ValueError("no more envs")
+        return factory()
+
+    with pytest.raises(ValueError, match="no more envs"):
+        ppo_finetune(failing, init_bundle(common_dim=15, seed=4), cfg)
+    assert threading.active_count() == start
 
 
 def test_distill_realizable_target_and_zero_epochs():
