@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import struct
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -997,9 +998,17 @@ def test_ppo_overlapped_critic_matches_the_inline_steps(monkeypatch):
         if inline:
             monkeypatch.setattr(ppo, "ThreadPoolExecutor", InlineExecutor)
         records = []
-        b, curve = ppo_finetune(make_env_factory(seed=9),
-                                init_bundle(common_dim=15, seed=3), cfg,
-                                critic_warmup_steps=512, log=records.append)
+        # a short switch interval interleaves the two threads finely, so
+        # a network touched by both would show in the bytes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            b, curve = ppo_finetune(make_env_factory(seed=9),
+                                    init_bundle(common_dim=15, seed=3), cfg,
+                                    critic_warmup_steps=512,
+                                    log=records.append)
+        finally:
+            sys.setswitchinterval(interval)
         stats = [[rec[k] for k in ("approx_kl", "clip_frac", "entropy",
                                    "value_loss", "explained_var")]
                  for rec in records]
