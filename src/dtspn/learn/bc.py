@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .nets import (AdamState, ModelBundle, actor_forward, actor_step,
-                   adam_step, backward, forward_cached, log_softmax)
+                   forward_cached, log_softmax, squared_error_step)
 
 EVAL_CHUNK = 8192
 
@@ -81,11 +81,8 @@ def regress(net, inputs, targets, lr: float, batch: int, epochs: int,
         se = 0.0
         for s in range(0, n, batch):
             mb = order[s:s + batch]
-            out, cache = forward_cached(net, inputs[mb])
-            err = out - targets[mb]
+            err = squared_error_step(net, inputs[mb], targets[mb], state, lr)
             se += float(np.sum(err ** 2))
-            grad, _ = backward(net, cache, (2.0 / len(mb)) * err)
-            adam_step(net, grad, state, lr)
         yield se / n
 
 

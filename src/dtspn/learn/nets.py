@@ -349,6 +349,18 @@ def actor_step(bundle: ModelBundle, caches, dlogits: np.ndarray, states,
     adam_step(bundle.encoder, grad_e, enc_state, lr)
 
 
+def squared_error_step(net: NetworkParams, x: np.ndarray,
+                       targets: np.ndarray, state: AdamState,
+                       lr: float) -> np.ndarray:
+    """One Adam step of net on the mean squared error of its batch output
+    on x against targets (one row each); returns the error rows."""
+    out, cache = forward_cached(net, x)
+    err = out - targets
+    grad, _ = backward(net, cache, (2.0 / len(err)) * err)
+    adam_step(net, grad, state, lr)
+    return err
+
+
 def act(bundle: ModelBundle, common_obs: np.ndarray, use_privileged: bool,
         privileged_obs: Optional[np.ndarray] = None) -> int:
     """Greedy action of one observation row from the PI path (encoder) or

@@ -18,8 +18,8 @@ import numpy as np
 from ..env import EnvBatch
 from .config import TrainConfig
 from .nets import (AdamState, ModelBundle, actor_forward, actor_step,
-                   adam_step, backward, forward_cached, log_softmax,
-                   sample_categorical)
+                   forward_cached, log_softmax, sample_categorical,
+                   squared_error_step)
 
 # Envs rolled in lockstep.  On a 2-core x86-64 machine one forward of the
 # three networks plus the action draw costs 110-130 us for one env and
@@ -104,14 +104,6 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 raise RuntimeError(
                     "env factory produced 1000 pre-finished episodes")
 
-    def critic_step(x, target):
-        v, cache = forward_cached(bundle.critic, x)
-        err = v[:, 0] - target
-        grad, _ = backward(bundle.critic, cache,
-                           (2.0 / len(err)) * err[:, None])
-        adam_step(bundle.critic, grad, cri_state, config.ppo_critic_lr)
-        return err
-
     def observed():
         if use_privileged and envs.privileged is not None:
             return envs.common, envs.privileged
@@ -188,8 +180,9 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                                                       privs[mb])
                     # the copied context carries the caller's np.errstate
                     critic = critic_worker.submit(
-                        contextvars.copy_context().run, critic_step, x,
-                        rets[mb])
+                        contextvars.copy_context().run, squared_error_step,
+                        bundle.critic, x, rets[mb][:, None], cri_state,
+                        config.ppo_critic_lr)
                     lsm = log_softmax(logits)
                     probs = np.exp(lsm)
                     lp = lsm[np.arange(b), actions[mb]]
