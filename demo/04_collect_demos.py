@@ -12,10 +12,13 @@ import os
 
 import numpy as np
 
-from dtspn.demos import collect_batch, load_dataset, replay_rewards, save_dataset
+from dtspn.demos import (DemoMeta, collect_batch, load_dataset, replay_rewards,
+                         save_dataset)
 
-dataset, report = collect_batch(n_demos=20, base_seed=100, n_tasks=5,
-                                map_size=(400.0, 400.0))
+# the instance family: 5 tasks on a 400 m map, the other fields at their
+# defaults; the dataset's header records it, which is what replay reads
+family = DemoMeta(n_tasks=5, map_width=400.0, map_height=400.0)
+dataset, report = collect_batch(family, 20, base_seed=100)
 print(f"accepted {report['accepted']} of {report['attempted']} attempts "
       f"(rate {report['accept_rate']:.2f})")
 

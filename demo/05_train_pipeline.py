@@ -12,18 +12,20 @@ Everything here is toy-sized so the script finishes in about a minute;
 the same calls scale to the real corpus.
 """
 
+import itertools
+
 import numpy as np
 
-from dtspn import DtspnEnv, TrainConfig, generate, init_bundle, plan
-from dtspn.demos import collect_batch
+from dtspn import DtspnEnv, TrainConfig, generate, init_bundle
+from dtspn.demos import DemoMeta, collect_batch
 from dtspn.evaluate import evaluate
 from dtspn.learn import bc_pretrain, critic_init, distill_adaptation, ppo_finetune
 
-dataset, _ = collect_batch(n_demos=60, base_seed=0, n_tasks=3,
-                           map_size=(300.0, 300.0))
+family = DemoMeta(n_tasks=3, map_width=300.0, map_height=300.0)
+dataset, _ = collect_batch(family, 60)
 cfg = TrainConfig(seed=0, bc_epochs=25)
 
-bundle = init_bundle(common_dim=3 + 4 * 3, seed=0)
+bundle = init_bundle(common_dim=family.common_dim, seed=0)
 bundle, bc_metrics = bc_pretrain(dataset, bundle, cfg)
 print(f"cloning: val accuracy {bc_metrics['val_acc'][0]:.3f} -> "
       f"{bc_metrics['val_acc'][-1]:.3f} over {len(bc_metrics['val_acc'])} epochs")
@@ -32,14 +34,11 @@ _, cr_metrics = critic_init(dataset, bundle, cfg, epochs=6)
 print(f"critic fit: val mse {cr_metrics['val_mse'][-1]:.3f}")
 
 # a small pool of planned instances feeds the on-policy phase
-pool = [(x, plan(x)) for x in
-        (generate(3, 1000 + s, map_size=(300.0, 300.0)) for s in range(8))]
-state = {"i": 0}
+pool = itertools.cycle([(x, family.expert_path(x)) for x in
+                        map(family.instance_for, range(1000, 1008))])
 
 def factory():
-    x, p = pool[state["i"] % len(pool)]
-    state["i"] += 1
-    return DtspnEnv(x, p, mode="train")
+    return DtspnEnv(*next(pool), mode="train")
 
 bundle, curve = ppo_finetune(factory, bundle, TrainConfig(seed=0, steps_budget=8192))
 shown = ["nan" if not np.isfinite(v) else f"{v:.1f}" for v in curve]

@@ -8,6 +8,7 @@ blowups)."""
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import expert as expert_mod
 from . import instance as instance_mod
-from .demos import collect_batch, load_dataset, save_dataset, track
+from .demos import (DemoMeta, collect_batch, load_dataset, save_dataset,
+                    track)
 from .env import DtspnEnv, EnvConfig, config_for, run_episode
 from .evaluate import (benchmark_speed, bundle_actor, check_bundle,
                        evaluate, save_episode_csv)
@@ -155,12 +157,17 @@ def cmd_expert(args) -> int:
     return 0
 
 
+def _family(args) -> DemoMeta:
+    """The instance family of the generation and sampling flags, under the
+    env config for --turn with the --config file's env keys."""
+    env_kw, _ = _load_config(args.config)
+    return DemoMeta(args.tasks, *args.map, args.sense,
+                    EnvConfig(turn_radius=args.turn, **env_kw),
+                    args.pos, args.heads)
+
+
 def cmd_demos(args) -> int:
-    _, cfg = _instances(args)
-    dataset, report = collect_batch(
-        args.demos, base_seed=args.seed, n_tasks=args.tasks,
-        map_size=tuple(args.map), r_sense=args.sense, turn_radius=args.turn,
-        n_pos=args.pos, n_head=args.heads, config=cfg)
+    dataset, report = collect_batch(_family(args), args.demos, args.seed)
     save_dataset(dataset, args.out)
     _summary("demos", accepted=report["accepted"],
              attempted=report["attempted"],
@@ -204,42 +211,37 @@ def cmd_train_bc(args) -> int:
 
 def cmd_train_ppo(args) -> int:
     tc = _train_config(args, steps_budget=args.steps)
-    _, cfg = _instances(args)
+    meta = _family(args)
     use_privileged = not args.dense
     if args.pool < 1:
         raise ValueError(f"--pool must be >= 1, got {args.pool}")
     if args.ckpt is not None:
         bundle = load_bundle(args.ckpt)
-        check_bundle(bundle, args.tasks, cfg)
+        check_bundle(bundle, meta.n_tasks, meta.config)
     elif args.dense:
-        bundle = init_bundle(3 + 4 * args.tasks, n_actions=cfg.n_actions,
+        bundle = init_bundle(meta.common_dim, n_actions=meta.config.n_actions,
                              seed=tc.seed)
     else:
         raise ValueError("train-ppo requires --ckpt PATH (or --dense for a "
                          "from-scratch baseline)")
 
     pool = []
-    seed, want = args.seed, args.pool
-    while len(pool) < want:
-        if seed - args.seed > 4 * want + 40:
-            raise RuntimeError("could not assemble a training pool: too many "
-                               "instances failed expert planning")
-        inst = _generate(args, seed)
-        seed += 1
+    for seed in range(args.seed, args.seed + 4 * args.pool + 41):
+        if len(pool) == args.pool:
+            break
+        inst = meta.instance_for(seed)
         # train-mode envs need expert paths in both modes: they shape the
         # reward and cut episodes off; --dense only hides them from the
         # encoder
-        try:
-            pool.append((inst, plan(inst, n_pos=args.pos, n_head=args.heads,
-                                    config=cfg)))
-        except SensingGap:
-            continue
-    counter = [0]
+        with contextlib.suppress(SensingGap):
+            pool.append((inst, meta.expert_path(inst)))
+    if len(pool) < args.pool:
+        raise RuntimeError("could not assemble a training pool: too many "
+                           "instances failed expert planning")
+    envs = itertools.cycle(pool)
 
     def env_factory() -> DtspnEnv:
-        inst, epath = pool[counter[0] % len(pool)]
-        counter[0] += 1
-        return DtspnEnv(inst, epath, mode="train", config=cfg)
+        return DtspnEnv(*next(envs), mode="train", config=meta.config)
 
     t0 = time.perf_counter()
     with _json_lines(args.log) as log:
@@ -248,7 +250,7 @@ def cmd_train_ppo(args) -> int:
                                 critic_warmup_steps=args.warmup, log=log)
     save_bundle(bundle, args.out)
     finite = [c for c in curve if np.isfinite(c)]
-    _summary("train-ppo", steps=tc.steps_budget, pool=len(pool),
+    _summary("train-ppo", steps=len(curve) * tc.rollout_steps, pool=len(pool),
              best_avg_return=max(finite) if finite else float("nan"),
              last_avg_return=_last(curve),
              wall_s=time.perf_counter() - t0,
@@ -438,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
               *env, _add_out)
     p.add_argument("--ckpt", type=str, default=None, metavar="PATH")
     p.add_argument("--steps", type=int, default=TrainConfig.steps_budget,
-                   metavar="N", help="environment step budget")
+                   metavar="N", help="environment step budget, rounded up "
+                                     "to whole rollouts")
     p.add_argument("--pool", type=int, default=32, metavar="N",
                    help="training instance pool size")
     p.add_argument("--warmup", type=int, default=0, metavar="N",

@@ -18,7 +18,7 @@ from .dubins import Pose, advance
 from .env import (PRIV_DIM, DtspnEnv, EnvConfig, EpisodeRecord, Observation,
                   config_for, run_episode)
 from .expert import MAX_POSES_PER_TASK, ExpertPath, plan
-from .instance import Instance, generate
+from .instance import DEFAULT_MAP, DEFAULT_SENSE, Instance, generate
 from .learn import discounted_return
 
 MAGIC = b"DTSPDEMO"
@@ -71,16 +71,18 @@ class Demonstration:
 
 @dataclass(frozen=True)
 class DemoMeta:
-    """Everything needed to rebuild the envs that produced a dataset: the
-    instance family, the env config and the planner's pose sampling."""
+    """An instance family and how its demonstrations are made: the
+    generator's task count, map and sensing radius, the env config (whose
+    turning radius the instances take) and the planner's pose sampling.
+    A dataset's header records it, so every episode can be rebuilt."""
 
     n_tasks: int
-    map_width: float
-    map_height: float
-    r_sense: float
-    config: EnvConfig
-    n_pos: int
-    n_head: int
+    map_width: float = DEFAULT_MAP[0]
+    map_height: float = DEFAULT_MAP[1]
+    r_sense: float = DEFAULT_SENSE
+    config: EnvConfig = EnvConfig()
+    n_pos: int = 8
+    n_head: int = 4
     priv_dim = PRIV_DIM     # a class constant, not a field
 
     def __post_init__(self):
@@ -106,6 +108,11 @@ class DemoMeta:
                         map_size=(self.map_width, self.map_height),
                         r_sense=self.r_sense,
                         turn_radius=self.config.turn_radius)
+
+    def expert_path(self, instance: Instance) -> ExpertPath:
+        """The family's expert path through one of its instances."""
+        return plan(instance, n_pos=self.n_pos, n_head=self.n_head,
+                    config=self.config)
 
 
 def _transition_dtype(common_dim: int, priv_dim: int) -> np.dtype:
@@ -155,12 +162,10 @@ class DemoDataset:
         return commons, privs, self.rows["action"][idx].astype(np.int64)
 
 
-def make_meta(instance: Instance, config: Optional[EnvConfig] = None,
-              n_pos: int = 8, n_head: int = 4) -> DemoMeta:
-    return DemoMeta(
-        n_tasks=instance.n_tasks, map_width=instance.map_width,
-        map_height=instance.map_height, r_sense=instance.r_sense,
-        config=config_for(instance, config), n_pos=n_pos, n_head=n_head)
+def make_meta(instance: Instance) -> DemoMeta:
+    """instance's family, under its default config and sampling."""
+    return DemoMeta(instance.n_tasks, instance.map_width, instance.map_height,
+                    instance.r_sense, config_for(instance, None))
 
 
 def greedy_action(x: float, y: float, theta: float, target: Pose,
@@ -221,33 +226,23 @@ def collect(instance: Instance, expert_path: ExpertPath,
                          rec.actions.astype(np.uint8), rec.rewards, rec.dones)
 
 
-def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
-                  map_size: Tuple[float, float] = (800.0, 800.0),
-                  r_sense: float = 58.0, turn_radius: float = 30.0,
-                  n_pos: int = 8, n_head: int = 4,
-                  config: Optional[EnvConfig] = None,
-                  max_attempts: Optional[int] = None):
-    """Collect demonstrations over consecutive instance seeds until n_demos
-    are accepted (or max_attempts seeds tried).  Returns (dataset, report)
-    where report lists every rejected seed with its reason.  An episode
-    whose start already senses every task has no transitions and is
-    rejected too."""
-    if n_demos < 0:
-        raise ValueError(f"n_demos must be >= 0, got {n_demos}")
-    if max_attempts is None:
-        max_attempts = 2 * n_demos + 20
-    meta = make_meta(generate(n_tasks, base_seed, map_size, r_sense,
-                              turn_radius), config, n_pos=n_pos, n_head=n_head)
+def collect_batch(meta: DemoMeta, n_demos: int, base_seed: int = 0):
+    """Collect demonstrations of meta's family over consecutive instance
+    seeds from base_seed until n_demos are accepted or 2 * n_demos + 20
+    seeds are tried.  Returns (dataset, report) where report lists every
+    rejected seed with its reason.  An episode whose start already senses
+    every task has no transitions and is rejected too."""
+    if min(n_demos, base_seed) < 0:
+        raise ValueError(f"n_demos and base_seed must be >= 0, got "
+                         f"{n_demos} and {base_seed}")
     demos = []
     rejected = []
-    seed = base_seed
-    attempts = 0
-    while len(demos) < n_demos and attempts < max_attempts:
-        x = generate(n_tasks=n_tasks, seed=seed, map_size=map_size,
-                     r_sense=r_sense, turn_radius=turn_radius)
+    for seed in range(base_seed, base_seed + 2 * n_demos + 20):
+        if len(demos) == n_demos:
+            break
+        x = meta.instance_for(seed)
         try:
-            path = plan(x, n_pos=n_pos, n_head=n_head, config=meta.config)
-            demo = collect(x, path, config=config)
+            demo = collect(x, meta.expert_path(x), meta.config)
         except RuntimeError as e:
             # TrackingFailure from collect or SensingGap from plan
             rejected.append((seed, str(e)))
@@ -256,8 +251,7 @@ def collect_batch(n_demos: int, base_seed: int = 0, n_tasks: int = 20,
                 demos.append(demo)
             else:
                 rejected.append((seed, "start senses every task"))
-        seed += 1
-        attempts += 1
+    attempts = len(demos) + len(rejected)
     report = {
         "attempted": attempts,
         "accepted": len(demos),
@@ -372,8 +366,7 @@ def replay_rewards(demo: Demonstration, meta: DemoMeta) -> np.ndarray:
     path from the metadata and feeding the recorded actions back through a
     fresh env.  Byte-identical output is the replay determinism check."""
     x = meta.instance_for(demo.seed)
-    path = plan(x, n_pos=meta.n_pos, n_head=meta.n_head, config=meta.config)
-    env = DtspnEnv(x, path, mode="train", config=meta.config)
+    env = DtspnEnv(x, meta.expert_path(x), mode="train", config=meta.config)
     actions = iter(demo.actions)
     return run_episode(env, lambda obs: int(next(actions)),
                        max_steps=len(demo)).rewards

@@ -135,14 +135,13 @@ def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
 
 
 def critic_init(dataset, bundle: ModelBundle, config: TrainConfig,
-                use_privileged: bool = True, epochs: Optional[int] = None):
+                epochs: Optional[int] = None):
     """Regress the critic onto discounted expert return-to-go with the
     encoder frozen.  Returns (critic, metrics)."""
     if epochs is None:
         epochs = config.bc_epochs
     rng = np.random.default_rng(config.seed + 1)
-    (train_eps, xc, xp, _), (val_eps, vc, vp, _) = split_rows(
-        dataset, rng, use_privileged)
+    (train_eps, xc, xp, _), (val_eps, vc, vp, _) = split_rows(dataset, rng)
     ty, vty = (np.concatenate([return_to_go(dataset[i].rewards, config.gamma)
                                for i in eps]) for eps in (train_eps, val_eps))
     xin = np.concatenate([xc, encode(bundle, xc, xp)], axis=1)

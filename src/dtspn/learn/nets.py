@@ -35,6 +35,7 @@ CKPT_VERSION = 1
 
 Z_DIM = 32
 HIDDEN = 128
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class CheckpointError(ValueError):
@@ -204,19 +205,18 @@ class AdamState:
 
 
 def adam_step(params: NetworkParams, grad: NetworkParams, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              lr: float) -> None:
     if lr == 0.0:
         return
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
     g, m, v = grad.flat, state.m, state.v
     step, denom = _workspace(params).adam
-    m *= beta1
-    m += np.multiply(1.0 - beta1, g, out=step)
-    v *= beta2
-    np.multiply(1.0 - beta2, g, out=step)
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, g, out=step)
+    v *= BETA2
+    np.multiply(1.0 - BETA2, g, out=step)
     step *= g
     v += step
     # params -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
@@ -224,7 +224,7 @@ def adam_step(params: NetworkParams, grad: NetworkParams, state: AdamState,
     np.multiply(lr, step, out=step)
     np.divide(v, c2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += EPS
     step /= denom
     params.flat -= step
 

@@ -15,7 +15,7 @@ import pytest
 
 import dtspn.expert as ex
 from dtspn.dubins import Pose, shortest_path
-from dtspn.demos import collect_batch, replay_rewards
+from dtspn.demos import DemoMeta, collect_batch, replay_rewards
 from dtspn.env import DtspnEnv, goal_reward, imitation_reward
 from dtspn.evaluate import benchmark_speed, evaluate
 from dtspn.instance import generate
@@ -185,8 +185,8 @@ def test_network_gradients_match_finite_differences():
 
 @pytest.fixture(scope="module")
 def mid_scale_demos():
-    dataset, rep = collect_batch(500, base_seed=20000, n_tasks=5,
-                                 map_size=(400.0, 400.0))
+    dataset, rep = collect_batch(
+        DemoMeta(n_tasks=5, map_width=400.0, map_height=400.0), 500, 20000)
     assert rep["accepted"] == 500
     return dataset
 
@@ -253,8 +253,8 @@ def _copy(b: ModelBundle) -> ModelBundle:
 
 def test_distilled_policy_beats_dense_baseline_at_desk_scale():
     t0 = time.perf_counter()
-    dataset, rep = collect_batch(400, base_seed=0, n_tasks=3,
-                                 map_size=(300.0, 300.0))
+    dataset, rep = collect_batch(
+        DemoMeta(n_tasks=3, map_width=300.0, map_height=300.0), 400)
     assert rep["accepted"] == 400
 
     bundle = init_bundle(common_dim=15, seed=0)
@@ -324,8 +324,8 @@ def test_policy_rollout_is_order_of_magnitude_faster_than_planner():
 
 def test_recorded_streams_and_training_are_deterministic():
     t0 = time.perf_counter()
-    dataset, _ = collect_batch(6, base_seed=9100, n_tasks=3,
-                               map_size=(300.0, 300.0))
+    dataset, _ = collect_batch(
+        DemoMeta(n_tasks=3, map_width=300.0, map_height=300.0), 6, 9100)
     replay_ok = all(
         np.array_equal(replay_rewards(d, dataset.meta), d.rewards)
         for d in dataset)

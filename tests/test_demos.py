@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dtspn.demos as demos_mod
-from dtspn.demos import (DemoDataset, DemoFormatError, Demonstration, GAMMA,
+from dtspn.demos import (DemoDataset, DemoFormatError, DemoMeta,
+                         Demonstration, GAMMA,
                          TrackingFailure, _HEADER, _RECORD, MAGIC,
                          MAX_POSES_PER_TASK, _transition_dtype, collect,
                          collect_batch,
@@ -18,6 +20,11 @@ from dtspn.env import DtspnEnv, EnvConfig, advance, run_episode
 from dtspn.expert import ExpertPath, plan
 from dtspn.instance import Instance, generate
 from dtspn.learn import discounted_return
+
+
+# a 3-task family on a 300 m map, sampled at 3 x 2 poses a task
+SMALL = DemoMeta(n_tasks=3, map_width=300.0, map_height=300.0, n_pos=3,
+                 n_head=2)
 
 
 def straight_path(start: Pose, n: int, spacing: float) -> ExpertPath:
@@ -147,8 +154,7 @@ def test_tracking_deviation_is_small_on_planned_paths():
 
 
 def test_collect_batch_and_roundtrip(tmp_path):
-    ds, report = collect_batch(3, base_seed=0, n_tasks=3,
-                               map_size=(300.0, 300.0), n_pos=3, n_head=2)
+    ds, report = collect_batch(SMALL, 3)
     assert len(ds) == 3
     assert report["accepted"] == 3
     assert report["accepted"] + len(report["rejected"]) == report["attempted"]
@@ -175,9 +181,35 @@ def test_collect_batch_and_roundtrip(tmp_path):
         assert np.array_equal(a.dones, b.dones)
 
 
+def test_collect_batch_matches_the_per_seed_pipeline(tmp_path):
+    # a family off every default; seed 80's start senses both tasks
+    cfg = EnvConfig(turn_radius=20.0, dt=0.15, literal_goal_sum=True)
+    meta = DemoMeta(n_tasks=2, map_width=300.0, map_height=300.0,
+                    r_sense=40.0, config=cfg, n_pos=5, n_head=3)
+    ds, report = collect_batch(meta, 5, 78)
+    demos, rejected = [], []
+    for seed in range(78, 84):
+        x = generate(2, seed, map_size=(300.0, 300.0), r_sense=40.0,
+                     turn_radius=20.0)
+        try:
+            demo = collect(x, plan(x, n_pos=5, n_head=3, config=cfg), cfg)
+        except RuntimeError as e:
+            rejected.append((seed, str(e)))
+        else:
+            if len(demo):
+                demos.append(demo)
+            else:
+                rejected.append((seed, "start senses every task"))
+    assert report["rejected"] == rejected == [(80, "start senses every task")]
+    assert (report["attempted"], report["accepted"]) == (6, 5)
+    save_dataset(ds, str(tmp_path / "batch.bin"))
+    save_dataset(DemoDataset(demos, meta=meta), str(tmp_path / "want.bin"))
+    assert (tmp_path / "batch.bin").read_bytes() == \
+        (tmp_path / "want.bin").read_bytes()
+
+
 def test_replay_reproduces_rewards_exactly(tmp_path):
-    ds, _ = collect_batch(2, base_seed=10, n_tasks=3,
-                          map_size=(300.0, 300.0), n_pos=3, n_head=2)
+    ds, _ = collect_batch(SMALL, 2, 10)
     for d in ds:
         again = replay_rewards(d, ds.meta)
         assert len(again) == len(d)
@@ -195,9 +227,8 @@ def test_waypoints_follow_env_step_and_replay_stays_exact(monkeypatch):
         return planned[-1]
 
     monkeypatch.setattr(demos_mod, "plan", recording_plan)
-    ds, report = collect_batch(2, base_seed=10, n_tasks=3,
-                               map_size=(300.0, 300.0), n_pos=3, n_head=2,
-                               config=cfg)
+    ds, report = collect_batch(dataclasses.replace(SMALL, config=cfg), 2,
+                               10)
     assert report["accepted"] == 2
     for d in ds:
         assert replay_rewards(d, ds.meta).tobytes() == d.rewards.tobytes()
@@ -388,8 +419,7 @@ def reference_save_dataset(demos, path: str) -> None:
 
 @pytest.fixture(scope="module")
 def small_batch():
-    ds, report = collect_batch(2, base_seed=0, n_tasks=1,
-                               map_size=(300.0, 300.0), n_pos=3, n_head=2)
+    ds, report = collect_batch(dataclasses.replace(SMALL, n_tasks=1), 2)
     assert report["accepted"] == 2
     return ds
 
@@ -536,21 +566,20 @@ def test_load_fuzz_raises_only_format_errors(tmp_path_factory, demo_bytes,
 
 def test_collect_batch_reports_rejections():
     # a point-size sensing radius makes the expert planner fail on purpose
-    ds, report = collect_batch(1, base_seed=0, n_tasks=3,
-                               map_size=(300.0, 300.0), r_sense=1e-6,
-                               n_pos=1, n_head=1, max_attempts=2)
-    assert len(ds) <= 1
-    assert report["attempted"] == 2 or report["accepted"] == 1
-    if report["accepted"] == 0:
-        assert len(report["rejected"]) == 2
-        assert report["accept_rate"] == 0.0
+    ds, report = collect_batch(dataclasses.replace(
+        SMALL, r_sense=1e-6, n_pos=1, n_head=1), 1)
+    # every seed fails, so the batch stops at its bound of 2 * 1 + 20 seeds
+    assert len(ds) == 0
+    assert report["attempted"] == 22 and report["accepted"] == 0
+    assert [seed for seed, _ in report["rejected"]] == list(range(22))
+    assert report["accept_rate"] == 0.0
 
 
 def test_collect_batch_rejects_an_episode_whose_start_senses_every_task():
     # instance 872's start already senses both tasks: collect records no
     # transition, and the batch moves on to the next seed
-    ds, report = collect_batch(4, base_seed=870, n_tasks=2,
-                               map_size=(300.0, 300.0))
+    ds, report = collect_batch(
+        DemoMeta(n_tasks=2, map_width=300.0, map_height=300.0), 4, 870)
     x = generate(n_tasks=2, seed=872, map_size=(300.0, 300.0))
     assert len(collect(x, plan(x))) == 0
     assert [d.seed for d in ds] == [870, 871, 873, 874]
@@ -560,13 +589,14 @@ def test_collect_batch_rejects_an_episode_whose_start_senses_every_task():
 
 
 def test_collect_batch_of_zero_demos_saves_an_empty_dataset(tmp_path):
-    ds, report = collect_batch(0, n_tasks=3, map_size=(300.0, 300.0),
-                               n_pos=3, n_head=2)
+    ds, report = collect_batch(SMALL, 0)
     assert len(ds) == 0 and report["attempted"] == 0
-    assert ds.meta == make_meta(generate(3, 0, map_size=(300.0, 300.0)),
-                                n_pos=3, n_head=2)
+    assert ds.meta == dataclasses.replace(
+        make_meta(generate(3, 0, map_size=(300.0, 300.0))), n_pos=3, n_head=2)
     save_dataset(ds, str(tmp_path / "e.bin"))
     back = load_dataset(str(tmp_path / "e.bin"))
     assert len(back) == 0 and back.meta == ds.meta
     with pytest.raises(ValueError, match="n_demos"):
-        collect_batch(-2, n_tasks=3)
+        collect_batch(SMALL, -2)
+    with pytest.raises(ValueError, match="base_seed"):
+        collect_batch(SMALL, 0, -1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtspn.demos import collect_batch, greedy_action, track
+from dtspn.demos import DemoMeta, collect_batch, greedy_action, track
 from dtspn.dubins import Pose, normalize_angle
 from dtspn.env import (DtspnEnv, EnvBatch, EnvConfig, Observation, advance,
                        goal_reward, imitation_reward, run_episode)
@@ -522,8 +522,8 @@ def test_batch_rows_match_single_env_runs(mode):
 
 
 def test_batch_reproduces_collected_demo_bytes():
-    dataset, rep = collect_batch(8, base_seed=4100, n_tasks=3,
-                                 map_size=(300.0, 300.0))
+    dataset, rep = collect_batch(
+        DemoMeta(n_tasks=3, map_width=300.0, map_height=300.0), 8, 4100)
     assert rep["accepted"] == 8
     meta = dataset.meta
     envs = [DtspnEnv(meta.instance_for(d.seed),

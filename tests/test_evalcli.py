@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from dtspn.cli import _load_config, build_parser, main
-from dtspn.demos import collect, collect_batch, load_dataset, tracker
-from dtspn.env import DtspnEnv, run_episode
+from dtspn.demos import (DemoMeta, collect, collect_batch, load_dataset,
+                         save_dataset, tracker)
+from dtspn.env import DtspnEnv, EnvConfig, run_episode
 from dtspn.evaluate import (Metrics, benchmark_speed, bundle_actor, evaluate,
                             load_episode_csv, save_episode_csv)
 from dtspn.expert import SensingGap, plan
@@ -74,8 +75,8 @@ def test_broken_policy_senses_little_and_reports_no_time():
 
 
 def test_expert_replay_senses_all_on_accepted_instances():
-    dataset, report = collect_batch(5, base_seed=620, n_tasks=3,
-                                    map_size=(300.0, 300.0))
+    dataset, report = collect_batch(
+        DemoMeta(n_tasks=3, map_width=300.0, map_height=300.0), 5, 620)
     assert report["accepted"] == 5
     insts = [dataset.meta.instance_for(d.seed) for d in dataset]
     metrics, records = evaluate("expert", insts)
@@ -89,8 +90,8 @@ def test_expert_replay_senses_all_on_accepted_instances():
 @pytest.fixture(scope="module")
 def tiny_bundle():
     from dtspn.learn import TrainConfig, bc_pretrain, init_bundle
-    dataset, _ = collect_batch(4, base_seed=640, n_tasks=3,
-                               map_size=(300.0, 300.0))
+    dataset, _ = collect_batch(
+        DemoMeta(n_tasks=3, map_width=300.0, map_height=300.0), 4, 640)
     b = init_bundle(common_dim=15, seed=0)
     b, _ = bc_pretrain(dataset, b, TrainConfig(seed=0, bc_epochs=2))
     return b
@@ -168,8 +169,8 @@ def test_bundle_actor_episode_matches_one_row_batch_forwards():
 
 def test_benchmark_single_task_report_well_formed():
     from dtspn.learn import TrainConfig, bc_pretrain, init_bundle
-    dataset, _ = collect_batch(2, base_seed=660, n_tasks=1,
-                               map_size=(300.0, 300.0))
+    dataset, _ = collect_batch(
+        DemoMeta(n_tasks=1, map_width=300.0, map_height=300.0), 2, 660)
     b = init_bundle(common_dim=7, seed=0)
     b, _ = bc_pretrain(dataset, b, TrainConfig(seed=0, bc_epochs=1))
     insts = [generate(1, 700 + i, map_size=(300.0, 300.0)) for i in range(10)]
@@ -386,6 +387,23 @@ def test_cli_demos_zero_writes_empty_dataset(tmp_path, capsys):
     assert "n_demos" in capsys.readouterr().err
 
 
+def test_cli_demos_collects_the_family_its_flags_describe(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"dt": 0.15, "literal_goal_sum": true}')
+    out = tmp_path / "d.bin"
+    assert run_cli("demos", "--tasks", "2", "--map", "300", "300",
+                   "--sense", "40", "--turn", "20", "--pos", "5",
+                   "--heads", "3", "--config", str(cfg), "--seed", "78",
+                   "--demos", "5", "--out", str(out)) == 0
+    meta = DemoMeta(2, 300.0, 300.0, 40.0,
+                    EnvConfig(turn_radius=20.0, dt=0.15,
+                              literal_goal_sum=True), 5, 3)
+    dataset, report = collect_batch(meta, 5, 78)
+    assert [seed for seed, _ in report["rejected"]] == [80]
+    save_dataset(dataset, str(tmp_path / "want.bin"))
+    assert out.read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+
 def test_readme_commands_parse():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as f:
@@ -527,13 +545,49 @@ def test_cli_train_ppo_gives_up_when_every_plan_fails(tmp_path, monkeypatch,
         tried.append(inst.seed)
         raise SensingGap(0, 99.0)
 
-    monkeypatch.setattr("dtspn.cli.plan", failing_plan)
+    monkeypatch.setattr("dtspn.demos.plan", failing_plan)
     assert run_cli("train-ppo", "--dense", "--tasks", "3", "--map", "300",
                    "300", "--pool", "2", "--steps", "16",
                    "--out", str(tmp_path / "x.ckpt")) == 2
     assert "could not assemble a training pool" in capsys.readouterr().err
     # the seed bound, 4 * pool + 40, is checked once per seed tried
     assert tried == list(range(4 * 2 + 41))
+
+
+def test_cli_train_ppo_skips_a_failed_plan_and_hands_out_the_pool_in_order(
+        tmp_path, monkeypatch, capsys):
+    def plan_but_seed_1(inst, **kwargs):
+        if inst.seed == 1:
+            raise SensingGap(0, 99.0)
+        return plan(inst, **kwargs)
+
+    handed = []
+
+    def five_envs(env_factory, bundle, tc, **_):
+        handed.extend(env_factory() for _ in range(5))
+        return bundle, []
+
+    monkeypatch.setattr("dtspn.demos.plan", plan_but_seed_1)
+    monkeypatch.setattr("dtspn.cli.ppo_finetune", five_envs)
+    assert run_cli("train-ppo", "--dense", "--tasks", "3", "--map", "300",
+                   "300", "--pool", "2", "--out", str(tmp_path / "x.ckpt")) == 0
+    assert " pool=2 " in capsys.readouterr().out
+    assert [env.instance.seed for env in handed] == [0, 2, 0, 2, 0]
+    for env in handed[:2]:
+        want = plan(generate(3, env.instance.seed, map_size=(300.0, 300.0)))
+        assert env.expert_path == want
+    assert all(a.expert_path is b.expert_path
+               for a, b in zip(handed, handed[2:]))
+
+
+def test_cli_train_ppo_reports_the_steps_it_ran(tmp_path, capsys):
+    # ppo_finetune runs whole rollouts, so a 100-step budget runs one
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"rollout_steps": 256, "minibatch": 64}')
+    assert run_cli("train-ppo", "--dense", "--tasks", "3", "--map", "300",
+                   "300", "--pool", "2", "--steps", "100", "--config",
+                   str(cfg), "--out", str(tmp_path / "x.ckpt")) == 0
+    assert " steps=256 " in capsys.readouterr().out
 
 
 def test_cli_train_ppo_rejects_an_empty_pool(tmp_path, capsys):
@@ -632,7 +686,7 @@ def test_cli_train_bc_and_distill_log_every_epoch(tmp_path, tiny_demos):
 def test_cli_train_ppo_checks_the_checkpoint_before_planning(
         tmp_path, monkeypatch, capsys):
     planned = []
-    monkeypatch.setattr("dtspn.cli.plan",
+    monkeypatch.setattr("dtspn.demos.plan",
                         lambda *a, **k: planned.append(a) or plan(*a, **k))
     save_bundle(init_bundle(15, seed=0), str(tmp_path / "b.ckpt"))
     assert run_cli("train-ppo", "--ckpt", str(tmp_path / "b.ckpt"),

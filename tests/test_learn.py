@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtspn.demos import DemoDataset, Demonstration, collect, collect_batch
+from dtspn.demos import (DemoDataset, DemoMeta, Demonstration, collect,
+                         collect_batch)
 from dtspn.dubins import Pose
 from dtspn.env import DtspnEnv
 from dtspn.expert import ExpertPath, plan
@@ -312,8 +313,8 @@ def test_stages_match_bit_for_bit_at_any_evaluation_chunk(monkeypatch):
 
 
 def test_every_stage_refuses_an_empty_split():
-    real, _ = collect_batch(3, base_seed=0, n_tasks=1,
-                            map_size=(300.0, 300.0), n_pos=3, n_head=2)
+    real, _ = collect_batch(DemoMeta(n_tasks=1, map_width=300.0,
+                                     map_height=300.0, n_pos=3, n_head=2), 3)
     x = Instance(200.0, 200.0, ((110.0, 20.0),), 50.0, 30.0,
                  Pose(100.0, 10.0, 0.0), 0)
     empty = collect(x, ExpertPath(waypoints=(x.start,), total_length=0.0,
