@@ -22,7 +22,6 @@ from dtspn.instance import Instance, generate
 from dtspn.learn import discounted_return
 
 
-# a 3-task family on a 300 m map, sampled at 3 x 2 poses a task
 SMALL = DemoMeta(n_tasks=3, map_width=300.0, map_height=300.0, n_pos=3,
                  n_head=2)
 
@@ -227,8 +226,7 @@ def test_waypoints_follow_env_step_and_replay_stays_exact(monkeypatch):
         return planned[-1]
 
     monkeypatch.setattr(demos_mod, "plan", recording_plan)
-    ds, report = collect_batch(dataclasses.replace(SMALL, config=cfg), 2,
-                               10)
+    ds, report = collect_batch(dataclasses.replace(SMALL, config=cfg), 2, 10)
     assert report["accepted"] == 2
     for d in ds:
         assert replay_rewards(d, ds.meta).tobytes() == d.rewards.tobytes()
