@@ -12,11 +12,9 @@ Everything here is toy-sized so the script finishes in about a minute;
 the same calls scale to the real corpus.
 """
 
-import itertools
-
 import numpy as np
 
-from dtspn import DtspnEnv, TrainConfig, generate, init_bundle
+from dtspn import TrainConfig, generate, init_bundle
 from dtspn.demos import DemoMeta, collect_batch
 from dtspn.evaluate import evaluate
 from dtspn.learn import bc_pretrain, critic_init, distill_adaptation, ppo_finetune
@@ -34,12 +32,7 @@ _, cr_metrics = critic_init(dataset, bundle, cfg, epochs=6)
 print(f"critic fit: val mse {cr_metrics['val_mse'][-1]:.3f}")
 
 # a small pool of planned instances feeds the on-policy phase
-pool = itertools.cycle([(x, family.expert_path(x)) for x in
-                        map(family.instance_for, range(1000, 1008))])
-
-def factory():
-    return DtspnEnv(*next(pool), mode="train")
-
+factory = family.train_envs(1000, 8)
 bundle, curve = ppo_finetune(factory, bundle, TrainConfig(seed=0, steps_budget=8192))
 shown = ["nan" if not np.isfinite(v) else f"{v:.1f}" for v in curve]
 print(f"ppo: {len(curve)} batches, mean episode reward per batch: "

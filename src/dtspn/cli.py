@@ -8,7 +8,6 @@ blowups)."""
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -20,12 +19,11 @@ import numpy as np
 
 from . import expert as expert_mod
 from . import instance as instance_mod
-from .demos import (DemoMeta, collect_batch, load_dataset, save_dataset,
-                    track)
-from .env import DtspnEnv, EnvConfig, config_for, run_episode
+from .demos import (DemoMeta, collect_batch, load_dataset, make_meta,
+                    save_dataset, track)
+from .env import DtspnEnv, EnvConfig, run_episode
 from .evaluate import (benchmark_speed, bundle_actor, check_bundle,
                        evaluate, save_episode_csv)
-from .expert import SensingGap, plan
 from .learn import (TrainConfig, bc_pretrain, critic_init,
                     distill_adaptation, init_bundle, load_bundle,
                     ppo_finetune, save_bundle)
@@ -117,39 +115,43 @@ def _log_epochs(log, phase: str, metrics: dict, keys) -> None:
             log({"phase": phase, "epoch": epoch, **dict(zip(keys, values))})
 
 
-def _generate(args, seed: int) -> instance_mod.Instance:
-    return instance_mod.generate(args.tasks, seed, map_size=tuple(args.map),
-                                 r_sense=args.sense, turn_radius=args.turn)
-
-
-def _instances(args, count: int = 1):
-    """The stage's instances, the --instance file or count generated from
-    --seed on, and the env config they run under: config_for's, with the
-    --config file's env keys.  The file excludes generation flags."""
-    if count < 1:
-        raise ValueError(f"--episodes must be >= 1, got {count}")
-    if getattr(args, "instance", None) is not None:
-        clash = [f"--{f}" for f in sorted(getattr(args, "given", ()))
-                 if f != "episodes" or args.episodes != 1]
-        if clash:
-            raise ValueError(f"--instance excludes {', '.join(clash)}")
-        xs = [instance_mod.load(args.instance)]
-    else:
-        xs = [_generate(args, args.seed + i) for i in range(count)]
+def _family(args, count: int = 0):
+    """The stage's instance family and count of its instances generated
+    from --seed on, or the --instance file's one instance and family (which
+    excludes the generation flags).  The family runs under the env config
+    for its turning radius with the --config file's env keys, and plans
+    with --pos and --heads."""
+    if getattr(args, "episodes", 1) < 1:
+        raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
     env_kw, _ = _load_config(args.config)
-    return xs, dataclasses.replace(config_for(xs[0], None), **env_kw)
+    if getattr(args, "instance", None) is None:
+        meta = DemoMeta(args.tasks, *args.map, args.sense,
+                        EnvConfig(turn_radius=args.turn, **env_kw),
+                        args.pos, args.heads)
+        return meta, [meta.instance_for(args.seed + i) for i in range(count)]
+    clash = [f"--{f}" for f in sorted(getattr(args, "given", ()))
+             if f != "episodes" or args.episodes != 1]
+    if clash:
+        raise ValueError(f"--instance excludes {', '.join(clash)}")
+    x = instance_mod.load(args.instance)
+    meta = make_meta(x)
+    return dataclasses.replace(
+        meta, config=dataclasses.replace(meta.config, **env_kw),
+        n_pos=args.pos, n_head=args.heads), [x]
 
 
 def cmd_gen(args) -> int:
-    inst = _generate(args, args.seed)
+    inst = instance_mod.generate(args.tasks, args.seed,
+                                 map_size=tuple(args.map),
+                                 r_sense=args.sense, turn_radius=args.turn)
     instance_mod.save(inst, args.out)
     _summary("gen", tasks=inst.n_tasks, seed=inst.seed, out=args.out)
     return 0
 
 
 def cmd_expert(args) -> int:
-    (inst,), cfg = _instances(args)
-    path = plan(inst, n_pos=args.pos, n_head=args.heads, config=cfg)
+    meta, (inst,) = _family(args, 1)
+    path = meta.expert_path(inst)
     expert_mod.save(path, args.out)
     _summary("expert", tasks=inst.n_tasks, length=path.total_length,
              waypoints=len(path.waypoints), solve_s=path.solve_time,
@@ -157,17 +159,9 @@ def cmd_expert(args) -> int:
     return 0
 
 
-def _family(args) -> DemoMeta:
-    """The instance family of the generation and sampling flags, under the
-    env config for --turn with the --config file's env keys."""
-    env_kw, _ = _load_config(args.config)
-    return DemoMeta(args.tasks, *args.map, args.sense,
-                    EnvConfig(turn_radius=args.turn, **env_kw),
-                    args.pos, args.heads)
-
-
 def cmd_demos(args) -> int:
-    dataset, report = collect_batch(_family(args), args.demos, args.seed)
+    meta, _ = _family(args)
+    dataset, report = collect_batch(meta, args.demos, args.seed)
     save_dataset(dataset, args.out)
     _summary("demos", accepted=report["accepted"],
              attempted=report["attempted"],
@@ -211,8 +205,7 @@ def cmd_train_bc(args) -> int:
 
 def cmd_train_ppo(args) -> int:
     tc = _train_config(args, steps_budget=args.steps)
-    meta = _family(args)
-    use_privileged = not args.dense
+    meta, _ = _family(args)
     if args.pool < 1:
         raise ValueError(f"--pool must be >= 1, got {args.pool}")
     if args.ckpt is not None:
@@ -224,33 +217,15 @@ def cmd_train_ppo(args) -> int:
     else:
         raise ValueError("train-ppo requires --ckpt PATH (or --dense for a "
                          "from-scratch baseline)")
-
-    pool = []
-    for seed in range(args.seed, args.seed + 4 * args.pool + 41):
-        if len(pool) == args.pool:
-            break
-        inst = meta.instance_for(seed)
-        # train-mode envs need expert paths in both modes: they shape the
-        # reward and cut episodes off; --dense only hides them from the
-        # encoder
-        with contextlib.suppress(SensingGap):
-            pool.append((inst, meta.expert_path(inst)))
-    if len(pool) < args.pool:
-        raise RuntimeError("could not assemble a training pool: too many "
-                           "instances failed expert planning")
-    envs = itertools.cycle(pool)
-
-    def env_factory() -> DtspnEnv:
-        return DtspnEnv(*next(envs), mode="train", config=meta.config)
-
+    env_factory = meta.train_envs(args.seed, args.pool)
     t0 = time.perf_counter()
     with _json_lines(args.log) as log:
         _, curve = ppo_finetune(env_factory, bundle, tc,
-                                use_privileged=use_privileged,
+                                use_privileged=not args.dense,
                                 critic_warmup_steps=args.warmup, log=log)
     save_bundle(bundle, args.out)
     finite = [c for c in curve if np.isfinite(c)]
-    _summary("train-ppo", steps=len(curve) * tc.rollout_steps, pool=len(pool),
+    _summary("train-ppo", steps=len(curve) * tc.rollout_steps, pool=args.pool,
              best_avg_return=max(finite) if finite else float("nan"),
              last_avg_return=_last(curve),
              wall_s=time.perf_counter() - t0,
@@ -291,16 +266,14 @@ def _check_policy_flags(args) -> None:
 
 def cmd_eval(args) -> int:
     _check_policy_flags(args)
-    instances, cfg = _instances(args, args.episodes)
+    meta, instances = _family(args, args.episodes)
     if args.expert:
         policy = "expert"
     else:
         if args.ckpt is None:
             raise ValueError("eval requires --ckpt PATH or --expert")
         policy = load_bundle(args.ckpt)
-    metrics, records = evaluate(policy, instances, config=cfg,
-                                pi_eval=args.pi_eval,
-                                n_pos=args.pos, n_head=args.heads)
+    metrics, records = evaluate(policy, instances, meta, args.pi_eval)
     if args.log is not None:
         with _json_lines(args.log) as log:
             for x, rec in zip(instances, records):
@@ -325,10 +298,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    instances, cfg = _instances(args, args.episodes)
-    bundle = load_bundle(args.ckpt)
-    report = benchmark_speed(instances, bundle, config=cfg,
-                             n_pos=args.pos, n_head=args.heads)
+    meta, instances = _family(args, args.episodes)
+    report = benchmark_speed(instances, load_bundle(args.ckpt), meta)
     _summary("bench", instances=report["instances"],
              expert_median_s=report["expert_median_s"],
              policy_median_s=report["policy_median_s"],
@@ -338,12 +309,13 @@ def cmd_bench(args) -> int:
 
 def cmd_plot(args) -> int:
     _check_policy_flags(args)
-    (inst,), cfg = _instances(args)
+    meta, (inst,) = _family(args, 1)
+    cfg = meta.config
     bundle = None
     if args.ckpt is not None:
         bundle = load_bundle(args.ckpt)
         check_bundle(bundle, inst.n_tasks, cfg)
-    epath = plan(inst, n_pos=args.pos, n_head=args.heads, config=cfg)
+    epath = meta.expert_path(inst)
     if bundle is None:
         # the episode eval --expert scores: the whole tour, in train mode
         _, record = track(inst, epath, cfg)

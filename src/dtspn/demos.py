@@ -7,6 +7,8 @@ ever hitting the train-mode cutoff; everything else raises TrackingFailure so
 batch collection can report rejected seeds instead of silently dropping them.
 """
 
+import contextlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import numpy as np
 from .dubins import Pose, advance
 from .env import (PRIV_DIM, DtspnEnv, EnvConfig, EpisodeRecord, Observation,
                   config_for, run_episode)
-from .expert import MAX_POSES_PER_TASK, ExpertPath, plan
+from .expert import MAX_POSES_PER_TASK, ExpertPath, SensingGap, plan
 from .instance import DEFAULT_MAP, DEFAULT_SENSE, Instance, generate
 from .learn import discounted_return
 
@@ -113,6 +115,30 @@ class DemoMeta:
         """The family's expert path through one of its instances."""
         return plan(instance, n_pos=self.n_pos, n_head=self.n_head,
                     config=self.config)
+
+    def train_envs(self, base_seed: int, size: int
+                   ) -> Callable[[], DtspnEnv]:
+        """A zero-argument factory of train-mode envs over a pool of size
+        instances with their expert paths, the first that plan of the
+        4 * size + 41 seeds from base_seed on, handed out in seed order and
+        then around again.  Expert paths shape the train-mode reward and
+        cut episodes off even when the encoder never sees them.  Raises
+        RuntimeError if too few seeds plan."""
+        if size < 1:
+            raise ValueError(f"pool size must be >= 1, got {size}")
+        pool = []
+        for seed in range(base_seed, base_seed + 4 * size + 41):
+            if len(pool) == size:
+                break
+            x = self.instance_for(seed)
+            with contextlib.suppress(SensingGap):
+                pool.append((x, self.expert_path(x)))
+        if len(pool) < size:
+            raise RuntimeError("could not assemble a training pool: too many "
+                               "instances failed expert planning")
+        turn = itertools.count()
+        return lambda: DtspnEnv(*pool[next(turn) % size], mode="train",
+                                config=self.config)
 
 
 def _transition_dtype(common_dim: int, priv_dim: int) -> np.dtype:

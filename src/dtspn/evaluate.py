@@ -8,9 +8,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .demos import GAMMA, track
+from .demos import GAMMA, DemoMeta, make_meta, track
 from .env import DtspnEnv, EnvConfig, EpisodeRecord, Observation, run_episode
-from .expert import plan
 from .instance import Instance
 from .learn import ModelBundle, act, discounted_return
 
@@ -44,42 +43,39 @@ def bundle_actor(bundle: ModelBundle,
                            zeros if obs.privileged is None else obs.privileged)
 
 
-def check_bundle(bundle: ModelBundle, n_tasks: int,
-                 config: Optional[EnvConfig],
+def check_bundle(bundle: ModelBundle, n_tasks: int, config: EnvConfig,
                  source: str = "instances") -> None:
     """ValueError unless bundle takes the common observation of n_tasks and
-    picks one of config's n_actions actions (config_for's default, the
-    EnvConfig default, when config is None)."""
+    picks one of config's n_actions actions."""
     if bundle.common_dim != 3 + 4 * n_tasks:
         raise ValueError(f"checkpoint expects common dim {bundle.common_dim}, "
                          f"{source} with {n_tasks} tasks produce "
                          f"{3 + 4 * n_tasks}")
-    n_actions = (config or EnvConfig()).n_actions
-    if bundle.n_actions != n_actions:
+    if bundle.n_actions != config.n_actions:
         raise ValueError(f"checkpoint has {bundle.n_actions} actions, "
-                         f"the env config {n_actions}")
+                         f"the env config {config.n_actions}")
 
 
-def _expert_episode(x: Instance, config: Optional[EnvConfig],
-                    n_pos: int, n_head: int) -> EpisodeRecord:
+def _expert_episode(x: Instance, family: DemoMeta) -> EpisodeRecord:
     # plan time is inside the clock on purpose: the expert row's cost is
     # solving plus tracking
     t0 = time.perf_counter()
-    path = plan(x, n_pos=n_pos, n_head=n_head, config=config)
+    path = family.expert_path(x)
     # train mode: the expert is scored on its full tour, which can outlast
     # the policy step cap; the demo collector's bound applies instead
-    _, rec = track(x, path, config)
+    _, rec = track(x, path, family.config)
     rec.wall_time = time.perf_counter() - t0
     return rec
 
 
 def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
              instances: Sequence[Instance],
-             config: Optional[EnvConfig] = None,
-             pi_eval: bool = False,
-             n_pos: int = 8, n_head: int = 4):
+             family: Optional[DemoMeta] = None,
+             pi_eval: bool = False):
     """Run eval-mode episodes over the instances and aggregate Metrics;
-    avg_return discounts by the demonstrations' GAMMA.
+    avg_return discounts by the demonstrations' GAMMA.  The instances run
+    under family's env config and are planned with its sampling (by
+    default each instance's make_meta family).
 
     policy is a ModelBundle (adaptation path, or encoder path with pi_eval),
     the string "expert" (plan + greedy tracking, plan time on the clock), or
@@ -90,13 +86,13 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
     """
     if not instances:
         raise ValueError("no instances to evaluate")
+    families = [family or make_meta(x) for x in instances]
     paths = [None] * len(instances)
     if isinstance(policy, ModelBundle):
-        for x in instances:
-            check_bundle(policy, x.n_tasks, config)
+        for x, f in zip(instances, families):
+            check_bundle(policy, x.n_tasks, f.config)
         if pi_eval:
-            paths = [plan(x, n_pos=n_pos, n_head=n_head, config=config)
-                     for x in instances]
+            paths = [f.expert_path(x) for x, f in zip(instances, families)]
         act_fn = bundle_actor(policy, pi_eval)
     elif policy == "expert":
         act_fn = None
@@ -107,11 +103,11 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
                          f"got {type(policy).__name__}")
 
     records = []
-    for x, path in zip(instances, paths):
+    for x, f, path in zip(instances, families, paths):
         if act_fn is None:
-            rec = _expert_episode(x, config, n_pos, n_head)
+            rec = _expert_episode(x, f)
         else:
-            env = DtspnEnv(x, path, mode="eval", config=config)
+            env = DtspnEnv(x, path, mode="eval", config=f.config)
             rec = run_episode(env, act_fn)
         records.append(rec)
 
@@ -128,24 +124,24 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
 
 
 def benchmark_speed(instances: Sequence[Instance], bundle: ModelBundle,
-                    config: Optional[EnvConfig] = None,
-                    n_pos: int = 8, n_head: int = 4) -> dict:
-    """Median wall-clock of expert plan() vs PI-free policy rollout (an
-    eval episode's wall_time, as evaluate runs it) per instance.  Each
-    instance is planned and then rolled out before the next, so a slow
-    spell of a shared machine reaches both halves.  The ratio is the
-    headline number; absolute values are machine-dependent."""
+                    family: Optional[DemoMeta] = None) -> dict:
+    """Median wall-clock of the family's expert plan (see evaluate) vs
+    PI-free policy rollout (an eval episode's wall_time, as evaluate runs
+    it) per instance.  Each instance is planned and then rolled out before
+    the next, so a slow spell of a shared machine reaches both halves.  The
+    ratio is the headline number; absolute values are machine-dependent."""
     if len(instances) < 10:
         raise ValueError(f"need at least 10 instances, got {len(instances)}")
-    for x in instances:
-        check_bundle(bundle, x.n_tasks, config)
+    families = [family or make_meta(x) for x in instances]
+    for x, f in zip(instances, families):
+        check_bundle(bundle, x.n_tasks, f.config)
     act_fn = bundle_actor(bundle, pi_eval=False)
     expert_times, policy_times = [], []
-    for x in instances:
+    for x, f in zip(instances, families):
         t0 = time.perf_counter()
-        plan(x, n_pos=n_pos, n_head=n_head, config=config)
+        f.expert_path(x)
         expert_times.append(time.perf_counter() - t0)
-        env = DtspnEnv(x, mode="eval", config=config)
+        env = DtspnEnv(x, mode="eval", config=f.config)
         policy_times.append(run_episode(env, act_fn).wall_time)
     report = {
         "instances": len(instances),

@@ -16,7 +16,7 @@ import pytest
 import dtspn.expert as ex
 from dtspn.dubins import Pose, shortest_path
 from dtspn.demos import DemoMeta, collect_batch, replay_rewards
-from dtspn.env import DtspnEnv, goal_reward, imitation_reward
+from dtspn.env import goal_reward, imitation_reward
 from dtspn.evaluate import benchmark_speed, evaluate
 from dtspn.instance import generate
 from dtspn.learn import (ModelBundle, TrainConfig, act, bc_pretrain,
@@ -253,28 +253,17 @@ def _copy(b: ModelBundle) -> ModelBundle:
 
 def test_distilled_policy_beats_dense_baseline_at_desk_scale():
     t0 = time.perf_counter()
-    dataset, rep = collect_batch(
-        DemoMeta(n_tasks=3, map_width=300.0, map_height=300.0), 400)
+    family = DemoMeta(n_tasks=3, map_width=300.0, map_height=300.0)
+    dataset, rep = collect_batch(family, 400)
     assert rep["accepted"] == 400
 
     bundle = init_bundle(common_dim=15, seed=0)
     bundle, _ = bc_pretrain(dataset, bundle, TrainConfig(seed=0, bc_epochs=40))
     critic_init(dataset, bundle, TrainConfig(seed=0), epochs=20)
 
-    pool = []
-    for s in range(1000, 1064):
-        x = generate(3, s, map_size=(300.0, 300.0))
-        try:
-            pool.append((x, ex.plan(x)))
-        except ex.SensingGap:
-            pass
-    state = {"i": 0}
-
-    def factory():
-        x, p = pool[state["i"] % len(pool)]
-        state["i"] += 1
-        return DtspnEnv(x, p, mode="train")
-
+    # one factory for both runs: the dense run takes the pool up where the
+    # distilled run left it
+    factory = family.train_envs(1000, 64)
     cfg = TrainConfig(steps_budget=200_000, seed=0)
     bundle, _ = ppo_finetune(factory, bundle, cfg)
     distill_adaptation(dataset, bundle, TrainConfig(seed=0), epochs=80)

@@ -598,3 +598,9 @@ def test_collect_batch_of_zero_demos_saves_an_empty_dataset(tmp_path):
         collect_batch(SMALL, -2)
     with pytest.raises(ValueError, match="base_seed"):
         collect_batch(SMALL, 0, -1)
+
+
+def test_train_envs_rejects_an_empty_pool():
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="pool size"):
+            SMALL.train_envs(0, size)

@@ -1,5 +1,4 @@
 import glob
-import importlib
 import json
 import os
 import shlex
@@ -137,7 +136,7 @@ def test_benchmark_speed_plans_and_rolls_out_each_instance_in_turn(
         tiny_bundle, monkeypatch):
     ev = sys.modules["dtspn.evaluate"]     # dtspn.evaluate is the function
     calls = []
-    monkeypatch.setattr(ev, "plan", lambda x, **kw: calls.append(
+    monkeypatch.setattr("dtspn.demos.plan", lambda x, **kw: calls.append(
         ("plan", x.seed)))
     monkeypatch.setattr(ev, "run_episode", lambda env, fn: (
         calls.append(("rollout", env.instance.seed)) or run_episode(env, fn)))
@@ -698,16 +697,14 @@ def test_cli_train_ppo_checks_the_checkpoint_before_planning(
 
 
 def refuse_to_plan(*args, **kwargs):
-    raise AssertionError("planned before the checkpoint was checked")
+    raise AssertionError("planned before the flags and the checkpoint were "
+                         "checked")
 
 
-@pytest.mark.parametrize("stage, module", [("plot", "dtspn.cli"),
-                                           ("bench", "dtspn.evaluate")])
+@pytest.mark.parametrize("stage", ["plot", "bench"])
 def test_cli_plot_and_bench_check_the_checkpoint_before_planning(
-        tmp_path, monkeypatch, capsys, stage, module):
-    # dtspn.evaluate the attribute is the function, so fetch the module
-    monkeypatch.setattr(importlib.import_module(module), "plan",
-                        refuse_to_plan)
+        tmp_path, monkeypatch, capsys, stage):
+    monkeypatch.setattr("dtspn.demos.plan", refuse_to_plan)
     save_bundle(init_bundle(15, seed=0), str(tmp_path / "b.ckpt"))
     out = ["--out", str(tmp_path / "x.svg")] if stage == "plot" else []
     assert run_cli(stage, "--ckpt", str(tmp_path / "b.ckpt"), "--tasks", "5",
@@ -734,6 +731,21 @@ def test_cli_expert_rejects_a_pose_budget_over_the_bound(tmp_path, capsys):
                    "--out", out) == 1
     assert "256" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag", ["--pos", "--heads"])
+@pytest.mark.parametrize("stage", ["expert", "eval", "bench", "plot"])
+def test_cli_stages_reject_empty_pose_sampling_before_planning(
+        tmp_path, monkeypatch, capsys, stage, flag):
+    monkeypatch.setattr("dtspn.demos.plan", refuse_to_plan)
+    d = str(tmp_path)
+    save_bundle(init_bundle(15, seed=0), f"{d}/b.ckpt")
+    out = ["--out", f"{d}/x"] if stage in ("expert", "plot") else []
+    ckpt = ["--ckpt", f"{d}/b.ckpt"] if stage != "expert" else []
+    assert run_cli(stage, *ckpt, "--tasks", "3", "--map", "300", "300",
+                   flag, "0", *out) == 1
+    assert "n_pos and n_head must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(f"{d}/x")
 
 
 def test_cli_expert_spacing_follows_config(tmp_path):

@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 from dtspn.demos import (DemoDataset, DemoMeta, Demonstration, collect,
                          collect_batch)
 from dtspn.dubins import Pose
-from dtspn.env import DtspnEnv
-from dtspn.expert import ExpertPath, plan
-from dtspn.instance import Instance, generate
+from dtspn.expert import ExpertPath
+from dtspn.instance import Instance
 from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
                          NetworkParams, TrainConfig, act, adam_step,
                          bc_pretrain, clipped_surrogate, compute_gae,
@@ -858,14 +857,8 @@ def test_clipped_surrogate_properties():
     assert np.allclose(obj[inside], ratio[inside] * adv[inside])
 
 
-def make_env_factory(seed=5, n_tasks=3):
-    x = generate(n_tasks=n_tasks, seed=seed, map_size=(300.0, 300.0))
-    path = plan(x, n_pos=3, n_head=2)
-
-    def factory():
-        return DtspnEnv(x, path, mode="train")
-
-    return factory
+def make_env_factory(seed=5):
+    return DemoMeta(3, 300.0, 300.0, n_pos=3, n_head=2).train_envs(seed, 1)
 
 
 def test_ppo_zero_lr_is_identity():
