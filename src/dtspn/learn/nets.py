@@ -3,9 +3,10 @@
 Everything is float64 numpy.  Layers are x @ W + b with tanh on hidden
 layers and identity on the output.  A forward pass takes one input row
 (1-D), as a one-env rollout step does, or a batch of rows (2-D); a row
-gives the bits of row 0 of its one-row batch.  The backward pass takes a batch's cache and returns parameter
-gradients and the gradient with respect to the input, which is how policy
-gradients chain back into the encoder.
+gives the bits of row 0 of its one-row batch.  The backward pass takes a
+batch's cache and returns parameter gradients and, unless asked not to,
+the gradient with respect to the input, which is how policy gradients
+chain back into the encoder.
 
 A network's parameters are one contiguous float64 buffer, flat, laid out
 w0, b0, w1, b1, ... (weights row-major) as checkpoints store them; its
@@ -17,10 +18,12 @@ largest batch backward so far (a shorter batch uses its leading rows):
 fresh per-step temporaries would re-fault their pages each time glibc
 trims its heap.  So a batch forward's output and cache stay valid until
 that network's next batch forward, and backward's gradient and input
-gradient until its next backward.  A forward of a row, or of a batch
-larger than the workspace, allocates its own arrays.  Workspaces are not
-shared between networks, so two threads may step two networks at once,
-but one network is touched by one thread at a time.
+gradient until its next backward.  backward consumes the cache's hidden
+entries (cache[1:-1]), writing each layer's slope over its activations;
+its input cache[0] and output cache[-1] stay as they were.  A forward of
+a row, or of a batch larger than the workspace, allocates its own arrays.
+Workspaces are not shared between networks, so two threads may step two
+networks at once, but one network is touched by one thread at a time.
 """
 
 import hashlib
@@ -94,15 +97,13 @@ class NetworkParams:
 
 class _Workspace:
     """One network's training buffers for batches of up to rows rows: each
-    layer's output, each layer input's backward delta and each hidden
-    layer's 1 - h**2, a gradient in the parameters' layout, and Adam's two
-    parameter-sized temporaries."""
+    layer's output, each layer input's backward delta, a gradient in the
+    parameters' layout, and Adam's two parameter-sized temporaries."""
 
     def __init__(self, dims: Tuple[int, ...], rows: int):
         self.rows = rows
         self.outs = [np.empty((rows, d)) for d in dims[1:]]
         self.deltas = [np.empty((rows, d)) for d in dims[:-1]]
-        self.slopes = [np.empty((rows, d)) for d in dims[1:-1]]
         self.grad = NetworkParams(dims, np.empty(n_params(dims)))
         self.adam = np.empty((2, n_params(dims)))
 
@@ -164,14 +165,17 @@ def forward_cached(params: NetworkParams, x: np.ndarray):
     return cache[-1], cache
 
 
-def backward(params: NetworkParams, cache, upstream: np.ndarray):
+def backward(params: NetworkParams, cache, upstream: np.ndarray,
+             input_grad: bool = True):
     """Gradients of sum(output * upstream) w.r.t. parameters and input.
 
     cache comes from a forward over a batch (2-D); upstream has the
     output's batch shape.  Returns (grad, input grad), grad a NetworkParams
     of params' dims summed over the batch, so pass upstream already scaled
     by 1/batch for means.  Both live in params' workspace until its next
-    backward.
+    backward.  With input_grad False the input gradient is not computed
+    and None stands in its place.  Each hidden cache entry h is left
+    holding its slope 1 - h**2.
     """
     if cache[0].ndim != 2:
         raise ValueError(f"backward needs the cache of a batch forward, "
@@ -186,9 +190,11 @@ def backward(params: NetworkParams, cache, upstream: np.ndarray):
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(cache[i].T, g, out=grad.weights[i])
         g.sum(axis=0, out=grad.biases[i])
+        if i == 0 and not input_grad:
+            return grad, None
         g = np.matmul(g, params.weights[i].T, out=work.deltas[i][:n])
         if i > 0:
-            slope = np.square(cache[i], out=work.slopes[i - 1][:n])
+            slope = np.square(cache[i], out=cache[i])
             np.subtract(1.0, slope, out=slope)
             g *= slope
     return grad, g
@@ -344,7 +350,8 @@ def actor_step(bundle: ModelBundle, caches, dlogits: np.ndarray, states,
     enc_cache, pol_cache = caches
     enc_state, pol_state = states
     grad_p, gin = backward(bundle.policy, pol_cache, dlogits)
-    grad_e, _ = backward(bundle.encoder, enc_cache, gin[:, bundle.common_dim:])
+    grad_e, _ = backward(bundle.encoder, enc_cache, gin[:, bundle.common_dim:],
+                         input_grad=False)
     adam_step(bundle.policy, grad_p, pol_state, lr)
     adam_step(bundle.encoder, grad_e, enc_state, lr)
 
@@ -356,7 +363,7 @@ def squared_error_step(net: NetworkParams, x: np.ndarray,
     on x against targets (one row each); returns the error rows."""
     out, cache = forward_cached(net, x)
     err = out - targets
-    grad, _ = backward(net, cache, (2.0 / len(err)) * err)
+    grad, _ = backward(net, cache, (2.0 / len(err)) * err, input_grad=False)
     adam_step(net, grad, state, lr)
     return err
 

@@ -66,15 +66,21 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
     rollout_steps) envs roll in lockstep, so every batch is exactly
     rollout_steps env steps; a slot whose episode ends takes the next env
     from env_factory.  The curve holds the mean completed-episode reward of
-    each rollout batch, measured under the parameters that collected it;
-    the returned bundle is the checkpoint with the best curve entry.  Actor
-    updates are skipped for the first critic_warmup_steps env steps.
+    each rollout batch, measured under the parameters that collected it.
+    Every batch but the last is followed by an update; after the last
+    rollout an update would feed no batch and reach no caller, so none
+    runs.  The returned bundle holds the parameters that collected the
+    batch with the best curve entry or, if no batch ended an episode, the
+    last batch.  Actor updates are skipped for the first
+    critic_warmup_steps env steps.
 
     log, if given, is called once per batch with a dict: batch, env_steps,
     avg_reward, approx_kl, clip_frac, entropy, value_loss (means over the
-    batch's minibatches), explained_var (of the rollout's value targets by
+    update's minibatches), explained_var (of the rollout's value targets by
     its values), rollout_s, update_s, critic_wait_s (of update_s, the time
-    the caller blocked on the critic's steps) and steps_per_s.
+    the caller blocked on the critic's steps) and steps_per_s (env steps
+    per second of rollout and update).  The last batch's record has
+    update_s and critic_wait_s 0.0 and the four update means nan.
     """
     rng = np.random.default_rng(config.seed)
     cd, pd = bundle.common_dim, bundle.priv_dim
@@ -108,6 +114,54 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
         if use_privileged and envs.privileged is not None:
             return envs.common, envs.privileged
         return envs.common, no_priv
+
+    def update(critic_worker, commons, privs, actions, logp_old, adv, rets):
+        """One batch's epochs of minibatch steps.  Returns the means over
+        its minibatches of approx_kl, clip_frac, entropy and value_loss,
+        and the time the caller blocked on the critic's steps."""
+        n = len(actions)
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        actor_on = steps_done > critic_warmup_steps
+        idx = np.arange(n)
+        stats = np.zeros(4)
+        n_mb = 0
+        critic_wait = 0.0
+        for _ in range(config.epochs_per_batch):
+            rng.shuffle(idx)
+            for s in range(0, n, config.minibatch):
+                mb = idx[s:s + config.minibatch]
+                b = len(mb)
+                logits, x, caches = actor_forward(bundle, commons[mb],
+                                                  privs[mb])
+                # the copied context carries the caller's np.errstate
+                critic = critic_worker.submit(
+                    contextvars.copy_context().run, squared_error_step,
+                    bundle.critic, x, rets[mb][:, None], cri_state,
+                    config.ppo_critic_lr)
+                lsm = log_softmax(logits)
+                probs = np.exp(lsm)
+                lp = lsm[np.arange(b), actions[mb]]
+                log_ratio = lp - logp_old[mb]
+                ratio = np.exp(log_ratio)
+                _, dobj = clipped_surrogate(ratio, adv[mb], config.ppo_clip)
+                dlp = -dobj / b
+                dlogits = dlp[:, None] * (-probs)
+                dlogits[np.arange(b), actions[mb]] += dlp
+                ent = -(probs * lsm).sum(axis=1, keepdims=True)
+                if config.entropy_coef != 0.0:
+                    dlogits += ((config.entropy_coef / b) * probs *
+                                (lsm + ent))
+                if actor_on:
+                    actor_step(bundle, caches, dlogits, actor_states,
+                               config.ppo_actor_lr)
+                tw = time.perf_counter()
+                err = critic.result()
+                critic_wait += time.perf_counter() - tw
+                stats += (np.mean(ratio - 1.0 - log_ratio),
+                          np.mean(np.abs(ratio - 1.0) > config.ppo_clip),
+                          ent.mean(), np.mean(err * err))
+                n_mb += 1
+        return stats / n_mb, critic_wait
 
     refill(np.flatnonzero(envs.done))
     with ThreadPoolExecutor(1) as critic_worker:
@@ -150,14 +204,11 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
             adv, rets = compute_gae(rewards, values, dones, last_value,
                                     config.gamma, config.gae_lambda)
             n = config.rollout_steps
-            commons, privs = commons.reshape(n, cd), privs.reshape(n, pd)
-            actions, logp_old = actions.reshape(n), logp_old.reshape(n)
-            adv, rets = adv.reshape(n), rets.reshape(n)
+            rets = rets.reshape(n)
             var = float(np.var(rets))
             explained_var = (
                 1.0 - float(np.var(rets - values.reshape(n))) / var
                 if var > 0 else float("nan"))
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
             avg_reward = (float(np.mean(ep_returns)) if ep_returns
                           else float("nan"))
@@ -166,51 +217,15 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 best_reward = avg_reward
                 bundle.copy(out=best)
 
-            actor_on = steps_done > critic_warmup_steps
-            idx = np.arange(n)
-            stats = np.zeros(4)  # approx_kl, clip_frac, entropy, value_loss
-            n_mb = 0
-            critic_wait = 0.0
-            for _ in range(config.epochs_per_batch):
-                rng.shuffle(idx)
-                for s in range(0, n, config.minibatch):
-                    mb = idx[s:s + config.minibatch]
-                    b = len(mb)
-                    logits, x, caches = actor_forward(bundle, commons[mb],
-                                                      privs[mb])
-                    # the copied context carries the caller's np.errstate
-                    critic = critic_worker.submit(
-                        contextvars.copy_context().run, squared_error_step,
-                        bundle.critic, x, rets[mb][:, None], cri_state,
-                        config.ppo_critic_lr)
-                    lsm = log_softmax(logits)
-                    probs = np.exp(lsm)
-                    lp = lsm[np.arange(b), actions[mb]]
-                    log_ratio = lp - logp_old[mb]
-                    ratio = np.exp(log_ratio)
-                    _, dobj = clipped_surrogate(ratio, adv[mb],
-                                                config.ppo_clip)
-                    dlp = -dobj / b
-                    dlogits = dlp[:, None] * (-probs)
-                    dlogits[np.arange(b), actions[mb]] += dlp
-                    ent = -(probs * lsm).sum(axis=1, keepdims=True)
-                    if config.entropy_coef != 0.0:
-                        dlogits += ((config.entropy_coef / b) * probs *
-                                    (lsm + ent))
-                    if actor_on:
-                        actor_step(bundle, caches, dlogits, actor_states,
-                                   config.ppo_actor_lr)
-                    tw = time.perf_counter()
-                    err = critic.result()
-                    critic_wait += time.perf_counter() - tw
-                    stats += (np.mean(ratio - 1.0 - log_ratio),
-                              np.mean(np.abs(ratio - 1.0) > config.ppo_clip),
-                              ent.mean(), np.mean(err * err))
-                    n_mb += 1
-            t2 = time.perf_counter()
+            stats, critic_wait, t2 = np.full(4, np.nan), 0.0, t1
+            if steps_done < config.steps_budget:
+                stats, critic_wait = update(
+                    critic_worker, commons.reshape(n, cd),
+                    privs.reshape(n, pd), actions.reshape(n),
+                    logp_old.reshape(n), adv.reshape(n), rets)
+                t2 = time.perf_counter()
             if log is not None:
-                approx_kl, clip_frac, entropy, value_loss = (
-                    stats / n_mb).tolist()
+                approx_kl, clip_frac, entropy, value_loss = stats.tolist()
                 log({"batch": len(curve), "env_steps": steps_done,
                      "avg_reward": avg_reward, "approx_kl": approx_kl,
                      "clip_frac": clip_frac, "entropy": entropy,

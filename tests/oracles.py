@@ -700,12 +700,13 @@ def reference_adam_step(params, gws, gbs, state, lr, beta1=0.9,
             p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def reference_backward_params(params, cache, upstream):
+def reference_backward_params(params, cache, upstream, input_grad=True):
     """reference_backward with backward's signature and results: (grad as
-    a NetworkParams of params' dims, input grad)."""
+    a NetworkParams of params' dims, input grad, or None without
+    input_grad)."""
     gws, gbs, gin = reference_backward(params, cache, upstream)
     flat = np.concatenate([a.ravel() for wb in zip(gws, gbs) for a in wb])
-    return NetworkParams(params.layer_dims, flat), gin
+    return NetworkParams(params.layer_dims, flat), gin if input_grad else None
 
 
 def reference_adam_step_params(params, grad, state, lr, beta1=0.9,

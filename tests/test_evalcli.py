@@ -504,18 +504,27 @@ def test_cli_train_ppo_dense_baseline_and_log(tmp_path):
     # train-mode envs still carry expert paths
     d = str(tmp_path)
     assert run_cli("train-ppo", "--dense", "--tasks", "3", "--map", "300",
-                   "300", "--steps", "256", "--pool", "4",
+                   "300", "--steps", "4097", "--pool", "4",
                    "--out", f"{d}/dense.ckpt", "--log", f"{d}/log.jsonl") == 0
     assert load_bundle(f"{d}/dense.ckpt").common_dim == 15
     with open(f"{d}/log.jsonl") as f:
         records = [json.loads(line) for line in f]
-    # the default rollout is 4096 steps, so a 256-step budget is one batch
-    assert len(records) == 1
-    assert records[0]["batch"] == 1 and records[0]["env_steps"] == 4096
-    assert {"approx_kl", "clip_frac", "entropy", "value_loss",
-            "explained_var", "rollout_s", "update_s", "critic_wait_s",
-            "steps_per_s"} <= set(records[0])
+    # the default rollout is 4096 steps, so a 4097-step budget is two
+    # batches, and only the first is followed by an update
+    assert len(records) == 2
+    assert [(r["batch"], r["env_steps"]) for r in records] == \
+        [(1, 4096), (2, 8192)]
+    for rec in records:
+        assert {"approx_kl", "clip_frac", "entropy", "value_loss",
+                "explained_var", "rollout_s", "update_s", "critic_wait_s",
+                "steps_per_s"} <= set(rec)
     assert 0.0 <= records[0]["critic_wait_s"] <= records[0]["update_s"]
+    assert records[0]["update_s"] > 0.0
+    last = records[1]
+    assert last["update_s"] == last["critic_wait_s"] == 0.0
+    # nan update statistics are written as null
+    assert all(last[k] is None for k in ("approx_kl", "clip_frac",
+                                         "entropy", "value_loss"))
 
 
 def test_cli_eval_log_writes_one_json_line_per_episode(tmp_path, tiny_bundle):

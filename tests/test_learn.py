@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import math
 import struct
 import sys
 import threading
@@ -141,13 +142,45 @@ def test_backward_matches_the_per_layer_reference(common_dim):
         for rows in (1, 512):
             _, cache = forward_cached(net, rng.normal(size=(rows, net.in_dim)))
             up = rng.normal(size=(rows, net.out_dim))
+            # backward consumes the hidden entries, so the reference runs
+            # on the forward's cache as it was
+            before = [a.copy() for a in cache]
             grad, gin = backward(net, cache, up)
-            gws, gbs, ref_gin = reference_backward(net, cache, up)
+            gws, gbs, ref_gin = reference_backward(net, before, up)
             assert grad.layer_dims == net.layer_dims
             for ours, ref in zip(grad.weights + grad.biases + [gin],
                                  gws + gbs + [ref_gin]):
                 assert ours.shape == ref.shape
                 assert ours.tobytes() == ref.tobytes()
+
+
+def test_backward_without_the_input_gradient_gives_the_same_gradient():
+    rng = np.random.default_rng(11)
+    for net in init_bundle(common_dim=83, seed=5).networks:
+        x = rng.normal(size=(512, net.in_dim))
+        up = rng.normal(size=(512, net.out_dim))
+        grads = []
+        for input_grad in (True, False):
+            _, cache = forward_cached(net, x)
+            grad, gin = backward(net, cache, up, input_grad=input_grad)
+            assert (gin is None) == (not input_grad)
+            grads.append(grad.flat.tobytes())
+        assert grads[0] == grads[1]
+
+
+def test_backward_leaves_each_hidden_cache_entry_holding_its_slope():
+    rng = np.random.default_rng(12)
+    for net in init_bundle(common_dim=15, seed=5).networks:
+        for input_grad in (True, False):
+            x = rng.normal(size=(146, net.in_dim))
+            _, cache = forward_cached(net, x)
+            before = [a.copy() for a in cache]
+            backward(net, cache, rng.normal(size=(146, net.out_dim)),
+                     input_grad=input_grad)
+            assert cache[0].tobytes() == before[0].tobytes()
+            assert cache[-1].tobytes() == before[-1].tobytes()
+            for h, slope in zip(before[1:-1], cache[1:-1]):
+                assert slope.tobytes() == (1.0 - h ** 2).tobytes()
 
 
 def test_adam_step_matches_the_per_layer_reference():
@@ -886,11 +919,11 @@ def test_ppo_critic_warmup_over_the_whole_budget_trains_only_the_critic():
         live.append([_pack_network(net)
                      for net in (b.encoder, b.policy, b.critic)])
 
-    cfg = TrainConfig(steps_budget=512, rollout_steps=256, minibatch=64,
+    cfg = TrainConfig(steps_budget=768, rollout_steps=256, minibatch=64,
                       seed=0)
-    ppo_finetune(make_env_factory(), b, cfg, critic_warmup_steps=512,
+    ppo_finetune(make_env_factory(), b, cfg, critic_warmup_steps=768,
                  log=log)
-    assert len(live) == 2
+    assert len(live) == 3
     for enc, pol, cri in live:
         assert enc == before[0] and pol == before[1]
         assert cri != before[2]
@@ -908,8 +941,26 @@ def test_ppo_smoke_runs_and_tracks_best():
     assert all(np.isfinite(c) for c in curve)
 
 
+LOG_KEYS = {"batch", "env_steps", "avg_reward", "approx_kl", "clip_frac",
+            "entropy", "value_loss", "explained_var", "rollout_s",
+            "update_s", "critic_wait_s", "steps_per_s"}
+
+
+def assert_last_batch_record(rec, batch, rollout_steps):
+    """The record of a batch that no update follows."""
+    assert set(rec) == LOG_KEYS
+    assert rec["batch"] == batch
+    assert rec["env_steps"] == batch * rollout_steps
+    assert all(np.isnan(rec[k]) for k in ("approx_kl", "clip_frac",
+                                          "entropy", "value_loss"))
+    assert rec["update_s"] == rec["critic_wait_s"] == 0.0
+    assert rec["rollout_s"] > 0.0
+    assert rec["steps_per_s"] == rollout_steps / rec["rollout_s"]
+    assert np.isfinite(rec["explained_var"])
+
+
 def test_ppo_log_has_one_record_per_batch_and_changes_nothing():
-    cfg = TrainConfig(steps_budget=1024, rollout_steps=512, minibatch=128,
+    cfg = TrainConfig(steps_budget=1536, rollout_steps=512, minibatch=128,
                       seed=4)
     runs, records = [], []
     for log in (None, records.append):
@@ -918,12 +969,10 @@ def test_ppo_log_has_one_record_per_batch_and_changes_nothing():
         runs.append(b"".join(a.tobytes() for net in b.networks
                              for a in net.weights + net.biases))
     assert runs[0] == runs[1]
-    assert len(records) == len(curve) == 2
-    keys = {"batch", "env_steps", "avg_reward", "approx_kl", "clip_frac",
-            "entropy", "value_loss", "explained_var", "rollout_s",
-            "update_s", "critic_wait_s", "steps_per_s"}
-    for k, rec in enumerate(records, 1):
-        assert set(rec) == keys
+    assert len(records) == len(curve) == 3
+    assert_last_batch_record(records[-1], 3, 512)
+    for k, rec in enumerate(records[:-1], 1):
+        assert set(rec) == LOG_KEYS
         assert rec["batch"] == k and rec["env_steps"] == 512 * k
         assert 0.0 <= rec["clip_frac"] <= 1.0 and rec["approx_kl"] >= -1e-12
         assert rec["entropy"] > 0.0 and rec["value_loss"] >= 0.0
@@ -942,7 +991,8 @@ def diverging_bundle():
     return b
 
 
-DIVERGING = TrainConfig(steps_budget=256, rollout_steps=256, minibatch=64,
+# two batches: the first batch's update diverges
+DIVERGING = TrainConfig(steps_budget=512, rollout_steps=256, minibatch=64,
                         seed=0)
 
 
@@ -985,7 +1035,7 @@ class InlineExecutor:
 
 
 def test_ppo_overlapped_critic_matches_the_inline_steps(monkeypatch):
-    cfg = TrainConfig(steps_budget=1536, rollout_steps=512, minibatch=128,
+    cfg = TrainConfig(steps_budget=2048, rollout_steps=512, minibatch=128,
                       entropy_coef=0.0, seed=6)
     runs = []
     for inline in (False, True):
@@ -1006,7 +1056,7 @@ def test_ppo_overlapped_critic_matches_the_inline_steps(monkeypatch):
         stats = [[rec[k] for k in ("approx_kl", "clip_frac", "entropy",
                                    "value_loss", "explained_var")]
                  for rec in records]
-        assert len(records) == 3
+        assert len(records) == 4
         runs.append(([net.flat.tobytes() for net in b.networks],
                      repr(curve), repr(stats)))
     assert runs[0] == runs[1]
@@ -1035,6 +1085,62 @@ def test_ppo_leaves_no_thread_behind():
     with pytest.raises(ValueError, match="no more envs"):
         ppo_finetune(failing, init_bundle(common_dim=15, seed=4), cfg)
     assert threading.active_count() == start
+
+
+def count_training_steps(monkeypatch):
+    """Counts of PPO's actor_step and squared_error_step calls, as they
+    run."""
+    calls = {"actor_step": 0, "squared_error_step": 0}
+    for name in calls:
+        def counted(*args, _name=name, _step=getattr(ppo, name)):
+            calls[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(ppo, name, counted)
+    return calls
+
+
+def test_ppo_runs_no_update_after_the_last_rollout(monkeypatch):
+    calls = count_training_steps(monkeypatch)
+    b = init_bundle(common_dim=15, seed=4)
+    before = [net.flat.tobytes() for net in b.networks]
+    records = []
+    cfg = TrainConfig(steps_budget=256, rollout_steps=256, minibatch=64,
+                      seed=0)
+    out, curve = ppo_finetune(make_env_factory(), b, cfg,
+                              log=records.append)
+    assert out is b and len(curve) == len(records) == 1
+    assert calls == {"actor_step": 0, "squared_error_step": 0}
+    assert [net.flat.tobytes() for net in b.networks] == before
+    assert_last_batch_record(records[0], 1, 256)
+
+
+def test_ppo_updates_after_every_batch_but_the_last(monkeypatch):
+    calls = count_training_steps(monkeypatch)
+    cfg = TrainConfig(steps_budget=768, rollout_steps=256, minibatch=100,
+                      epochs_per_batch=2, seed=0)
+    _, curve = ppo_finetune(make_env_factory(), init_bundle(common_dim=15,
+                                                            seed=4), cfg)
+    assert len(curve) == 3
+    steps = 2 * cfg.epochs_per_batch * math.ceil(256 / 100)
+    assert calls == {"actor_step": steps, "squared_error_step": steps}
+
+
+def test_ppo_without_a_finished_episode_returns_the_last_collectors():
+    # a one-step rollout ends no episode, so no batch has a curve entry:
+    # the result is the parameters that collected the last batch, that is
+    # the parameters after every update but the last batch's
+    cfg = TrainConfig(steps_budget=3, rollout_steps=1, minibatch=1,
+                      seed=0)
+    live = []
+
+    def log(_):
+        live.append([net.flat.tobytes() for net in b.networks])
+
+    b = init_bundle(common_dim=15, seed=4)
+    out, curve = ppo_finetune(make_env_factory(), b, cfg, log=log)
+    assert len(curve) == 3 and all(np.isnan(c) for c in curve)
+    assert live[0] != live[1] == live[2]
+    assert [net.flat.tobytes() for net in out.networks] == live[2]
 
 
 def test_distill_realizable_target_and_zero_epochs():
