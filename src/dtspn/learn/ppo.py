@@ -217,6 +217,8 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 best_reward = avg_reward
                 bundle.copy(out=best)
 
+            # an update after the last rollout would reach no batch and no
+            # caller, so its record keeps nan statistics and zero times
             stats, critic_wait, t2 = np.full(4, np.nan), 0.0, t1
             if steps_done < config.steps_budget:
                 stats, critic_wait = update(

@@ -1126,9 +1126,9 @@ def test_ppo_updates_after_every_batch_but_the_last(monkeypatch):
 
 
 def test_ppo_without_a_finished_episode_returns_the_last_collectors():
-    # a one-step rollout ends no episode, so no batch has a curve entry:
-    # the result is the parameters that collected the last batch, that is
-    # the parameters after every update but the last batch's
+    # a one-step rollout ends no episode, so every curve entry is nan and
+    # the result is the parameters that collected the last batch: those
+    # after the second batch's update, since no update follows the third
     cfg = TrainConfig(steps_budget=3, rollout_steps=1, minibatch=1,
                       seed=0)
     live = []
