@@ -19,11 +19,10 @@ import numpy as np
 
 from . import expert as expert_mod
 from . import instance as instance_mod
-from .demos import (DemoMeta, collect_batch, load_dataset, make_meta,
-                    save_dataset, track)
-from .env import DtspnEnv, EnvConfig, run_episode
-from .evaluate import (benchmark_speed, bundle_actor, check_bundle,
-                       evaluate, save_episode_csv)
+from .demos import DemoMeta, collect_batch, load_dataset, save_dataset
+from .env import EnvConfig
+from .evaluate import (benchmark_speed, check_bundle, evaluate,
+                       save_episode_csv)
 from .learn import (TrainConfig, bc_pretrain, critic_init,
                     distill_adaptation, init_bundle, load_bundle,
                     ppo_finetune, save_bundle)
@@ -85,13 +84,6 @@ def _load_config(path: Optional[str]):
     return env_kw, train_kw
 
 
-def _train_config(args, **flags) -> TrainConfig:
-    """--seed and the given flag values, with the --config file's train
-    keys."""
-    _, train_kw = _load_config(args.config)
-    return TrainConfig(seed=args.seed, **flags, **train_kw)
-
-
 @contextlib.contextmanager
 def _json_lines(path: Optional[str]):
     """A callable writing each dict it gets to path as one JSON line (nan
@@ -123,21 +115,21 @@ def _family(args, count: int = 0):
     with --pos and --heads."""
     if getattr(args, "episodes", 1) < 1:
         raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
-    env_kw, _ = _load_config(args.config)
-    if getattr(args, "instance", None) is None:
-        meta = DemoMeta(args.tasks, *args.map, args.sense,
-                        EnvConfig(turn_radius=args.turn, **env_kw),
-                        args.pos, args.heads)
-        return meta, [meta.instance_for(args.seed + i) for i in range(count)]
-    clash = [f"--{f}" for f in sorted(getattr(args, "given", ()))
-             if f != "episodes" or args.episodes != 1]
-    if clash:
-        raise ValueError(f"--instance excludes {', '.join(clash)}")
-    x = instance_mod.load(args.instance)
-    meta = make_meta(x)
-    return dataclasses.replace(
-        meta, config=dataclasses.replace(meta.config, **env_kw),
-        n_pos=args.pos, n_head=args.heads), [x]
+    x = None
+    tasks, (w, h), sense, turn = args.tasks, args.map, args.sense, args.turn
+    if getattr(args, "instance", None) is not None:
+        clash = [f"--{f}" for f in sorted(getattr(args, "given", ()))
+                 if f != "episodes" or args.episodes != 1]
+        if clash:
+            raise ValueError(f"--instance excludes {', '.join(clash)}")
+        x = instance_mod.load(args.instance)
+        tasks, w, h = x.n_tasks, x.map_width, x.map_height
+        sense, turn = x.r_sense, x.turn_radius
+    config = EnvConfig(turn_radius=turn, **args.env_kw)
+    meta = DemoMeta(tasks, w, h, sense, config, args.pos, args.heads)
+    if x is not None:
+        return meta, [x]
+    return meta, [meta.instance_for(args.seed + i) for i in range(count)]
 
 
 def cmd_gen(args) -> int:
@@ -173,8 +165,7 @@ def _dataset(args):
     """The --data dataset.  Training runs under the env config it was
     collected with, so an env key of --config must repeat its value."""
     dataset = load_dataset(args.data)
-    env_kw, _ = _load_config(args.config)
-    for key, val in env_kw.items():
+    for key, val in args.env_kw.items():
         have = getattr(dataset.meta.config, key)
         if val != have:
             raise ValueError(f"config {args.config}: '{key}' is "
@@ -184,7 +175,7 @@ def _dataset(args):
 
 
 def cmd_train_bc(args) -> int:
-    tc = _train_config(args)
+    tc = TrainConfig(seed=args.seed, **args.train_kw)
     dataset = _dataset(args)
     meta = dataset.meta
     bundle = init_bundle(meta.common_dim, meta.priv_dim,
@@ -204,7 +195,7 @@ def cmd_train_bc(args) -> int:
 
 
 def cmd_train_ppo(args) -> int:
-    tc = _train_config(args, steps_budget=args.steps)
+    tc = TrainConfig(seed=args.seed, steps_budget=args.steps, **args.train_kw)
     meta, _ = _family(args)
     if args.pool < 1:
         raise ValueError(f"--pool must be >= 1, got {args.pool}")
@@ -234,7 +225,7 @@ def cmd_train_ppo(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    tc = _train_config(args)
+    tc = TrainConfig(seed=args.seed, **args.train_kw)
     dataset = _dataset(args)
     bundle = load_bundle(args.ckpt)
     check_bundle(bundle, dataset.meta.n_tasks, dataset.meta.config,
@@ -254,25 +245,23 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def _check_policy_flags(args) -> None:
-    """--expert excludes --ckpt and --pi-eval, and --pi-eval needs --ckpt."""
+def _policy(args):
+    """The --ckpt bundle, or "expert" without one.  --expert excludes --ckpt
+    and --pi-eval, and --pi-eval needs --ckpt."""
     clash = [flag for flag, given in (("--ckpt", args.ckpt is not None),
                                       ("--pi-eval", args.pi_eval)) if given]
     if args.expert and clash:
         raise ValueError(f"--expert excludes {', '.join(clash)}")
     if args.pi_eval and args.ckpt is None:
         raise ValueError("--pi-eval requires --ckpt")
+    return "expert" if args.ckpt is None else load_bundle(args.ckpt)
 
 
 def cmd_eval(args) -> int:
-    _check_policy_flags(args)
     meta, instances = _family(args, args.episodes)
-    if args.expert:
-        policy = "expert"
-    else:
-        if args.ckpt is None:
-            raise ValueError("eval requires --ckpt PATH or --expert")
-        policy = load_bundle(args.ckpt)
+    policy = _policy(args)
+    if args.ckpt is None and not args.expert:
+        raise ValueError("eval requires --ckpt PATH or --expert")
     metrics, records = evaluate(policy, instances, meta, args.pi_eval)
     if args.log is not None:
         with _json_lines(args.log) as log:
@@ -308,22 +297,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    _check_policy_flags(args)
     meta, (inst,) = _family(args, 1)
-    cfg = meta.config
-    bundle = None
-    if args.ckpt is not None:
-        bundle = load_bundle(args.ckpt)
-        check_bundle(bundle, inst.n_tasks, cfg)
-    epath = meta.expert_path(inst)
-    if bundle is None:
-        # the episode eval --expert scores: the whole tour, in train mode
-        _, record = track(inst, epath, cfg)
-    else:
-        # the expert path rides along for policy plots: it supplies the
-        # dashed overlay and the imitation column of the record
-        record = run_episode(DtspnEnv(inst, epath, mode="eval", config=cfg),
-                             bundle_actor(bundle, args.pi_eval))
+    (record,) = evaluate(_policy(args), [inst], meta, args.pi_eval)[1]
+    # the dashed overlay, planned here only for a PI-free checkpoint episode
+    epath = record.expert_path or meta.expert_path(inst)
     emit_trajectory_svg(record, inst, expert_path=epath, path=args.out)
     _summary("plot", steps=len(record), sensed=record.n_sensed,
              tasks=inst.n_tasks, out=args.out)
@@ -386,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         for add in groups:
             add(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, config=None)    # gen takes no --config
         return p
 
     env = (_add_generation, _add_sampling, _add_config)
@@ -473,6 +450,7 @@ def main(argv=None) -> int:
         # token); fold that into the validation-error code
         return 0 if e.code == 0 else 1
     try:
+        args.env_kw, args.train_kw = _load_config(args.config)
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dubins import Pose, advance
 from .env import (PRIV_DIM, DtspnEnv, EnvConfig, EpisodeRecord, Observation,
-                  config_for, run_episode)
+                  common_width, config_for, run_episode)
 from .expert import MAX_POSES_PER_TASK, ExpertPath, SensingGap, plan
 from .instance import DEFAULT_MAP, DEFAULT_SENSE, Instance, generate
 from .learn import discounted_return
@@ -103,7 +103,7 @@ class DemoMeta:
 
     @property
     def common_dim(self) -> int:
-        return 3 + 4 * self.n_tasks
+        return common_width(self.n_tasks)
 
     def instance_for(self, seed: int) -> Instance:
         return generate(n_tasks=self.n_tasks, seed=seed,
@@ -323,9 +323,9 @@ def load_dataset(path: str) -> DemoDataset:
         raise DemoFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise DemoFormatError(f"unsupported version {version}, expected {VERSION}")
-    if common_dim != 3 + 4 * n_tasks:
+    if common_dim != common_width(n_tasks):
         raise DemoFormatError(
-            f"common dim mismatch: expected {3 + 4 * n_tasks} for "
+            f"common dim mismatch: expected {common_width(n_tasks)} for "
             f"{n_tasks} tasks, found {common_dim}")
     if priv_dim != PRIV_DIM:
         raise DemoFormatError(f"privileged dim mismatch: expected "

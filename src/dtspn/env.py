@@ -147,6 +147,10 @@ PROGRESS_WINDOW = 8
 PRIV_DIM = 12               # four waypoints of (dx, dy, dtheta)
 
 
+def common_width(n_tasks: int) -> int:
+    return 3 + 4 * n_tasks    # pose, per task (dx, dy, bearing), flags
+
+
 ALL = slice(None)
 
 
@@ -189,7 +193,7 @@ class EnvBatch:
         self.sensed = [[False] * n for _ in range(e)]
         self.all_sensed, self.done = [False] * e, [True] * e
         self.t, self.progress = [0] * e, [0] * e
-        self.common = np.zeros((e, 3 + 4 * n))
+        self.common = np.zeros((e, common_width(n)))
         self.privileged = np.zeros((e, PRIV_DIM)) if self.has_path else None
         for i, env in enumerate(envs):
             self.load(i, env)
@@ -351,14 +355,16 @@ class EnvBatch:
         """Advance every row by its action (an (E,) int array of indices
         into config.omegas).  Returns the rows' rewards; done and
         all_sensed hold the new flags.  Raises RuntimeError if any row is
-        done (as every row is until its first reset) and ValueError on an
-        action outside [0, n_actions), before changing any state."""
+        done (as every row is until its first reset) and ValueError unless
+        there are E actions in [0, n_actions), before changing any state."""
         if True in self.done:
             raise RuntimeError("a row is done or was never reset; reset it "
                                "before stepping")
         cfg = self.config
         v, dt, omegas = cfg.v, cfg.dt, cfg.omegas
         actions = actions.tolist()
+        if len(actions) != len(self.t):
+            raise ValueError(f"{len(actions)} actions for {len(self.t)} rows")
         for a in actions:
             if not 0 <= a < cfg.n_actions:
                 raise ValueError(f"action {a} out of range "
@@ -435,7 +441,7 @@ class EpisodeRecord:
     sensed_events lists (step index, task index) pairs in sensing order."""
 
     start_pose: Tuple[float, float, float]
-    commons: np.ndarray        # (T, 3 + 4 * n_tasks)
+    commons: np.ndarray        # (T, common_width(n_tasks))
     privileged: Optional[np.ndarray]  # (T, PRIV_DIM), None without expert path
     poses: np.ndarray          # (T, 3) pose after each action
     actions: np.ndarray        # (T,)
@@ -448,6 +454,7 @@ class EpisodeRecord:
     sensed_all: bool = False
     n_sensed: int = 0
     wall_time: float = 0.0
+    expert_path: Optional["ExpertPath"] = None   # the env's, if it had one
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -463,9 +470,10 @@ class EpisodeRecord:
 def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
                 max_steps: Optional[int] = None) -> EpisodeRecord:
     """Reset env's batch and step it with act_fn until done or max_steps
-    actions.  wall_time covers reset, stepping and act_fn calls, nothing
-    else.  max_steps bounds train-mode envs, which otherwise stop only on
-    the cutoff or once every task is sensed."""
+    actions, and record the episode with env's expert path.  wall_time
+    covers reset, stepping and act_fn calls, nothing else.  max_steps
+    bounds train-mode envs, which otherwise stop only on the cutoff or once
+    every task is sensed."""
     t0 = time.perf_counter()
     b = env.batch
     b.reset()
@@ -496,7 +504,7 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
     n = len(actions)
     return EpisodeRecord(
         start_pose=start,
-        commons=np.array(commons, dtype=float).reshape(n, 3 + 4 * env.n_tasks),
+        commons=np.array(commons, dtype=float).reshape(n, b.common.shape[1]),
         privileged=(None if env.expert_path is None else
                     np.array(privs, dtype=float).reshape(n, PRIV_DIM)),
         poses=np.array(poses, dtype=float).reshape(n, 3),
@@ -508,4 +516,5 @@ def run_episode(env: DtspnEnv, act_fn: Callable[[Observation], int],
         sensed_events=events,
         sensed_all=b.all_sensed[0],
         n_sensed=sum(flags),
-        wall_time=wall)
+        wall_time=wall,
+        expert_path=env.expert_path)

@@ -9,7 +9,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .demos import GAMMA, DemoMeta, make_meta, track
-from .env import DtspnEnv, EnvConfig, EpisodeRecord, Observation, run_episode
+from .env import (DtspnEnv, EnvConfig, EpisodeRecord, Observation,
+                  common_width, run_episode)
 from .instance import Instance
 from .learn import ModelBundle, act, discounted_return
 
@@ -47,10 +48,10 @@ def check_bundle(bundle: ModelBundle, n_tasks: int, config: EnvConfig,
                  source: str = "instances") -> None:
     """ValueError unless bundle takes the common observation of n_tasks and
     picks one of config's n_actions actions."""
-    if bundle.common_dim != 3 + 4 * n_tasks:
+    if bundle.common_dim != common_width(n_tasks):
         raise ValueError(f"checkpoint expects common dim {bundle.common_dim}, "
                          f"{source} with {n_tasks} tasks produce "
-                         f"{3 + 4 * n_tasks}")
+                         f"{common_width(n_tasks)}")
     if bundle.n_actions != config.n_actions:
         raise ValueError(f"checkpoint has {bundle.n_actions} actions, "
                          f"the env config {config.n_actions}")
@@ -68,6 +69,33 @@ def _expert_episode(x: Instance, family: DemoMeta) -> EpisodeRecord:
     return rec
 
 
+def _setup(policy, instances, family, pi_eval):
+    """evaluate's set-up: each instance's family, the expert path its env
+    carries (planned only with pi_eval) and the act_fn (None for the
+    expert).  A bundle is checked against every family before planning."""
+    if not instances:
+        raise ValueError("no instances to evaluate")
+    families = [family or make_meta(x) for x in instances]
+    paths = [None] * len(instances)
+    if isinstance(policy, ModelBundle):
+        for x, f in zip(instances, families):
+            check_bundle(policy, x.n_tasks, f.config)
+        if pi_eval:
+            paths = [f.expert_path(x) for x, f in zip(instances, families)]
+        act_fn = bundle_actor(policy, pi_eval)
+    elif pi_eval:
+        raise ValueError(f"pi_eval needs a ModelBundle policy, got "
+                         f"{type(policy).__name__}")
+    elif policy == "expert":
+        act_fn = None
+    elif callable(policy):
+        act_fn = policy
+    else:
+        raise ValueError(f"policy must be a bundle, 'expert', or callable, "
+                         f"got {type(policy).__name__}")
+    return families, paths, act_fn
+
+
 def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
              instances: Sequence[Instance],
              family: Optional[DemoMeta] = None,
@@ -79,29 +107,12 @@ def evaluate(policy: Union[ModelBundle, str, Callable[[Observation], int]],
 
     policy is a ModelBundle (adaptation path, or encoder path with pi_eval),
     the string "expert" (plan + greedy tracking, plan time on the clock), or
-    a callable observation -> action.  With pi_eval, expert paths are
-    planned outside the timed region and attached to the envs, so the
-    encoder sees privileged observations and records carry imitation
-    rewards.
+    a callable observation -> action.  With pi_eval, which only a bundle
+    takes, expert paths are planned outside the timed region and attached
+    to the envs, so the encoder sees privileged observations and records
+    carry imitation rewards.
     """
-    if not instances:
-        raise ValueError("no instances to evaluate")
-    families = [family or make_meta(x) for x in instances]
-    paths = [None] * len(instances)
-    if isinstance(policy, ModelBundle):
-        for x, f in zip(instances, families):
-            check_bundle(policy, x.n_tasks, f.config)
-        if pi_eval:
-            paths = [f.expert_path(x) for x, f in zip(instances, families)]
-        act_fn = bundle_actor(policy, pi_eval)
-    elif policy == "expert":
-        act_fn = None
-    elif callable(policy):
-        act_fn = policy
-    else:
-        raise ValueError(f"policy must be a bundle, 'expert', or callable, "
-                         f"got {type(policy).__name__}")
-
+    families, paths, act_fn = _setup(policy, instances, family, pi_eval)
     records = []
     for x, f, path in zip(instances, families, paths):
         if act_fn is None:
@@ -132,10 +143,7 @@ def benchmark_speed(instances: Sequence[Instance], bundle: ModelBundle,
     ratio is the headline number; absolute values are machine-dependent."""
     if len(instances) < 10:
         raise ValueError(f"need at least 10 instances, got {len(instances)}")
-    families = [family or make_meta(x) for x in instances]
-    for x, f in zip(instances, families):
-        check_bundle(bundle, x.n_tasks, f.config)
-    act_fn = bundle_actor(bundle, pi_eval=False)
+    families, _, act_fn = _setup(bundle, instances, family, False)
     expert_times, policy_times = [], []
     for x, f in zip(instances, families):
         t0 = time.perf_counter()

@@ -33,6 +33,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..env import PRIV_DIM, EnvConfig
+
 CKPT_MAGIC = b"DTSPNET1"
 CKPT_VERSION = 1
 
@@ -298,8 +300,9 @@ class ModelBundle:
         return all(net.finite() for net in self.networks)
 
 
-def init_bundle(common_dim: int, priv_dim: int = 12, z_dim: int = Z_DIM,
-                hidden: int = HIDDEN, n_actions: int = 7,
+def init_bundle(common_dim: int, priv_dim: int = PRIV_DIM,
+                z_dim: int = Z_DIM, hidden: int = HIDDEN,
+                n_actions: int = EnvConfig.n_actions,
                 seed: int = 0) -> ModelBundle:
     rng = np.random.default_rng(seed)
     enc = init_network((common_dim + priv_dim, hidden, hidden, z_dim), rng)

@@ -421,6 +421,20 @@ def test_reset_of_no_rows_changes_nothing():
         assert _state_bytes(two) == before
 
 
+def test_step_rejects_an_action_count_other_than_the_rows():
+    x = small_instance([(180.0, 180.0)])
+    three = EnvBatch([DtspnEnv(x, mode="eval") for _ in range(3)])
+    three.reset()
+    before = _state_bytes(three)
+    # too few actions once dropped rows; too many were ignored
+    for actions in ([3], [3, 3, 3, 3], []):
+        with pytest.raises(ValueError, match="actions for 3 rows"):
+            three.step(np.array(actions, dtype=int))
+        assert _state_bytes(three) == before
+    three.step(np.array([3, 3, 3]))
+    assert three.t == [1, 1, 1] and len(three.common) == 3
+
+
 def test_step_after_done_raises():
     start = default_start(200.0, 200.0)
     x = small_instance([(start.x + 20.0, start.y)], r_sense=50.0)

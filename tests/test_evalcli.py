@@ -113,6 +113,13 @@ def test_evaluate_checks_every_instance_against_the_bundle(tiny_bundle):
         evaluate(tiny_bundle, small_instances(1) + [generate(7, 3)])
 
 
+def test_evaluate_takes_pi_eval_only_with_a_bundle(monkeypatch):
+    monkeypatch.setattr("dtspn.demos.plan", refuse_to_plan)
+    for policy in ("expert", hard_left):
+        with pytest.raises(ValueError, match="pi_eval"):
+            evaluate(policy, small_instances(1), pi_eval=True)
+
+
 def test_evaluate_sensing_rate_divides_by_each_instance_task_count():
     insts = [generate(5, 1, map_size=(300.0, 300.0)),
              generate(3, 0, map_size=(300.0, 300.0))]
@@ -941,3 +948,64 @@ def test_cli_training_rejects_env_keys_that_differ_from_the_data(
     cfg.write_text('{"n_actions": 7, "dt": 0.2, "max_steps_eval": 300, '
                    '"bc_epochs": 1}')
     assert run_cli(*argv) == 0
+
+
+def test_cli_plot_checkpoint_draws_the_episode_eval_scores(tmp_path, capsys):
+    # seed 0's expert path starts at another heading than the instance, so
+    # an episode started from the expert's heading senses 2 tasks, not 0
+    x = generate(3, 0, map_size=(300.0, 300.0))
+    assert plan(x).waypoint_array()[0, 2] != x.start.theta
+    d = str(tmp_path)
+    save_bundle(init_bundle(15, seed=0), f"{d}/b.ckpt")
+    gen = ["--tasks", "3", "--map", "300", "300", "--seed", "0",
+           "--ckpt", f"{d}/b.ckpt"]
+    assert run_cli("eval", *gen, "--episodes", "1",
+                   "--log", f"{d}/e.jsonl") == 0
+    (episode,) = read_json_lines(f"{d}/e.jsonl")
+    assert run_cli("plot", *gen, "--out", f"{d}/p.svg") == 0
+    plot = summary_fields(capsys.readouterr().out, "plot")
+    assert (int(plot["steps"]), int(plot["sensed"])) == \
+        (episode["steps"], episode["n_sensed"])
+
+
+@pytest.mark.parametrize("policy", [["--expert"], ["--ckpt"],
+                                    ["--ckpt", "--pi-eval"]])
+def test_cli_plot_plans_once(tmp_path, monkeypatch, policy):
+    planned = []
+    monkeypatch.setattr("dtspn.demos.plan",
+                        lambda *a, **k: planned.append(a) or plan(*a, **k))
+    d = str(tmp_path)
+    save_bundle(init_bundle(15, seed=0), f"{d}/b.ckpt")
+    if policy[0] == "--ckpt":
+        policy = [policy[0], f"{d}/b.ckpt", *policy[1:]]
+    assert run_cli("plot", "--tasks", "3", "--map", "300", "300", *policy,
+                   "--out", f"{d}/p.svg") == 0
+    assert len(planned) == 1
+    # the dashed expert overlay is drawn
+    with open(f"{d}/p.svg") as f:
+        assert 'stroke="#d62728"' in f.read()
+
+
+@pytest.mark.parametrize("stage", ["train-bc", "train-ppo", "distill"])
+def test_cli_training_stages_read_the_config_once(tmp_path, monkeypatch,
+                                                  tiny_demos, stage):
+    d = str(tmp_path)
+    cfg = str(tmp_path / "cfg.json")
+    with open(cfg, "w") as f:
+        f.write('{"n_actions": 7, "bc_epochs": 1}')
+    save_bundle(init_bundle(11, seed=0), f"{d}/b.ckpt")
+    argv = {"train-bc": ["--data", tiny_demos],
+            "train-ppo": ["--dense", "--tasks", "2", "--map", "300", "300",
+                          "--steps", "16", "--pool", "2"],
+            "distill": ["--data", tiny_demos, "--ckpt", f"{d}/b.ckpt",
+                        "--epochs", "1"]}[stage]
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr("dtspn.cli.open", counting_open, raising=False)
+    assert run_cli(stage, *argv, "--config", cfg,
+                   "--out", f"{d}/out.ckpt") == 0
+    assert opened.count(cfg) == 1
