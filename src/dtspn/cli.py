@@ -195,19 +195,20 @@ def cmd_train_bc(args) -> int:
 
 
 def cmd_train_ppo(args) -> int:
+    if args.dense == (args.ckpt is not None):
+        raise ValueError("--dense excludes --ckpt" if args.dense else
+                         "train-ppo requires --ckpt PATH (or --dense for a "
+                         "from-scratch baseline)")
     tc = TrainConfig(seed=args.seed, steps_budget=args.steps, **args.train_kw)
     meta, _ = _family(args)
     if args.pool < 1:
         raise ValueError(f"--pool must be >= 1, got {args.pool}")
-    if args.ckpt is not None:
-        bundle = load_bundle(args.ckpt)
-        check_bundle(bundle, meta.n_tasks, meta.config)
-    elif args.dense:
+    if args.dense:
         bundle = init_bundle(meta.common_dim, n_actions=meta.config.n_actions,
                              seed=tc.seed)
     else:
-        raise ValueError("train-ppo requires --ckpt PATH (or --dense for a "
-                         "from-scratch baseline)")
+        bundle = load_bundle(args.ckpt)
+        check_bundle(bundle, meta.n_tasks, meta.config)
     env_factory = meta.train_envs(args.seed, args.pool)
     t0 = time.perf_counter()
     with _json_lines(args.log) as log:

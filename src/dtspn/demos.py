@@ -177,15 +177,13 @@ class DemoDataset:
         return Demonstration(self.seeds[i], r["common"], r["priv"],
                              r["action"], r["reward"], r["done"])
 
-    def rows_of(self, episodes, use_privileged: bool = True):
+    def rows_of(self, episodes):
         """The given episodes' rows in order: contiguous commons, privileged
-        (zeros without use_privileged) and int64 actions."""
+        and int64 actions, each an array of its own."""
         idx = np.concatenate([np.arange(0)] + [
             np.arange(self.offsets[i], self.offsets[i + 1]) for i in episodes])
-        commons = self.rows["common"][idx]
-        privs = (self.rows["priv"][idx] if use_privileged
-                 else np.zeros((len(idx), PRIV_DIM)))
-        return commons, privs, self.rows["action"][idx].astype(np.int64)
+        return (self.rows["common"][idx], self.rows["priv"][idx],
+                self.rows["action"][idx].astype(np.int64))
 
 
 def make_meta(instance: Instance) -> DemoMeta:

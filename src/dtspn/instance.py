@@ -50,6 +50,8 @@ def validate(instance: Instance) -> None:
         if not 0.0 < getattr(instance, name) < math.inf:    # NaN fails too
             raise ValueError(f"{name} must be positive and finite, "
                              f"got {getattr(instance, name)}")
+    if instance.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {instance.seed}")
     start = instance.start
     if not all(map(math.isfinite, (start.x, start.y, start.theta))):
         raise ValueError(f"start pose must be finite, got {start}")

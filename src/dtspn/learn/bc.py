@@ -8,9 +8,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .nets import (AdamState, ModelBundle, actor_forward, actor_step,
-                   forward_cached, log_softmax, squared_error_step)
-
-EVAL_CHUNK = 8192
+                   forward_rows, log_softmax, squared_error_step)
 
 
 def episode_split(n_episodes: int, rng: np.random.Generator):
@@ -23,31 +21,15 @@ def episode_split(n_episodes: int, rng: np.random.Generator):
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
-def split_rows(dataset, rng: np.random.Generator,
-               use_privileged: bool = True):
+def split_rows(dataset, rng: np.random.Generator):
     """episode_split's training and validation episodes, each as (episode
     indices, commons, privileged, actions) from dataset.rows_of.  Raises
     ValueError if either split has no transitions."""
-    splits = [(eps, *dataset.rows_of(eps, use_privileged))
+    splits = [(eps, *dataset.rows_of(eps))
               for eps in episode_split(len(dataset), rng)]
     if any(len(rows[1]) == 0 for rows in splits):
         raise ValueError("a split has no transitions")
     return splits
-
-
-def forward_rows(net, x: np.ndarray) -> np.ndarray:
-    """net's output on each row of x, forwarded in EVAL_CHUNK-row chunks
-    and copied into an array of its own, so it holds no workspace view."""
-    out = np.empty((len(x), net.out_dim))
-    for s in range(0, len(x), EVAL_CHUNK):
-        out[s:s + EVAL_CHUNK] = forward_cached(net, x[s:s + EVAL_CHUNK])[0]
-    return out
-
-
-def encode(bundle: ModelBundle, commons, privs) -> np.ndarray:
-    """Encoder latents of many rows, computed in chunks."""
-    return forward_rows(bundle.encoder,
-                        np.concatenate([commons, privs], axis=1))
 
 
 def return_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
@@ -88,8 +70,8 @@ def regress(net, inputs, targets, lr: float, batch: int, epochs: int,
 
 def _ce_eval(bundle: ModelBundle, commons, privs, actions):
     """Mean cross-entropy and accuracy, computed in chunks."""
-    z = encode(bundle, commons, privs)
-    logits = forward_rows(bundle.policy, np.concatenate([commons, z], axis=1))
+    z = forward_rows(bundle.encoder, commons, privs)
+    logits = forward_rows(bundle.policy, commons, z)
     n = len(actions)
     loss = -log_softmax(logits)[np.arange(n), actions].sum()
     return loss / n, int((np.argmax(logits, axis=1) == actions).sum()) / n
@@ -98,10 +80,12 @@ def _ce_eval(bundle: ModelBundle, commons, privs, actions):
 def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
                 use_privileged: bool = True):
     """Cross-entropy training of encoder + policy on recorded expert actions.
-    With use_privileged False the privileged block is zeroed, which is the
+    With use_privileged False the privileged rows are zeroed, which is the
     no-PI ablation.  Returns (bundle, metrics) with per-epoch curves."""
     rng = np.random.default_rng(config.seed)
-    (_, xc, xp, y), (_, vc, vp, vy) = split_rows(dataset, rng, use_privileged)
+    (_, xc, xp, y), (_, vc, vp, vy) = split_rows(dataset, rng)
+    if not use_privileged:
+        xp[...] = vp[...] = 0.0
     n = len(y)
 
     states = [AdamState(bundle.encoder), AdamState(bundle.policy)]
@@ -144,14 +128,14 @@ def critic_init(dataset, bundle: ModelBundle, config: TrainConfig,
     (train_eps, xc, xp, _), (val_eps, vc, vp, _) = split_rows(dataset, rng)
     ty, vty = (np.concatenate([return_to_go(dataset[i].rewards, config.gamma)
                                for i in eps]) for eps in (train_eps, val_eps))
-    xin = np.concatenate([xc, encode(bundle, xc, xp)], axis=1)
-    vin = np.concatenate([vc, encode(bundle, vc, vp)], axis=1)
+    xin = np.concatenate([xc, forward_rows(bundle.encoder, xc, xp)], axis=1)
+    vz = forward_rows(bundle.encoder, vc, vp)
 
     metrics = {"train_mse": [], "val_mse": [],
                "val_target_variance": float(np.var(vty))}
     for mse in regress(bundle.critic, xin, ty[:, None], config.ppo_critic_lr,
                        config.bc_batch, epochs, rng):
-        vv = forward_rows(bundle.critic, vin)
+        vv = forward_rows(bundle.critic, vc, vz)
         metrics["train_mse"].append(mse)
         metrics["val_mse"].append(float(np.mean((vv[:, 0] - vty) ** 2)))
     if not bundle.critic.finite():

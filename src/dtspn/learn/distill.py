@@ -4,16 +4,15 @@ frozen encoder's latent from common observations alone."""
 import numpy as np
 
 from .config import TrainConfig
-from .bc import encode, forward_rows, regress, split_rows
-from .nets import ModelBundle
+from .bc import regress, split_rows
+from .nets import ModelBundle, forward_rows
 
 
 def _agreement(bundle: ModelBundle, commons, z_true, z_pred) -> float:
     """Rate at which the policy's argmax action under z_pred matches the
     one under z_true."""
-    true, pred = (np.argmax(forward_rows(
-        bundle.policy, np.concatenate([commons, z], axis=1)), axis=1)
-        for z in (z_true, z_pred))
+    true, pred = (np.argmax(forward_rows(bundle.policy, commons, z), axis=1)
+                  for z in (z_true, z_pred))
     return int((true == pred).sum()) / len(commons)
 
 
@@ -29,8 +28,8 @@ def distill_adaptation(dataset, bundle: ModelBundle, config: TrainConfig,
     """
     rng = np.random.default_rng(config.seed + 2)
     (_, xc, xp, _), (_, vc, vp, _) = split_rows(dataset, rng)
-    zt = encode(bundle, xc, xp)
-    vzt = encode(bundle, vc, vp)
+    zt = forward_rows(bundle.encoder, xc, xp)
+    vzt = forward_rows(bundle.encoder, vc, vp)
 
     train_curve = list(regress(bundle.adaptation, xc, zt, config.bc_lr,
                                config.bc_batch, epochs, rng))

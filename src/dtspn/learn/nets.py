@@ -13,15 +13,15 @@ w0, b0, w1, b1, ... (weights row-major) as checkpoints store them; its
 weights and biases lists hold views of it, made by _views alone.
 Gradients and Adam's moments are buffers of the same layout.
 
-Batch training steps write into the network's own workspace, sized by its
-largest batch backward so far (a shorter batch uses its leading rows):
-fresh per-step temporaries would re-fault their pages each time glibc
-trims its heap.  So a batch forward's output and cache stay valid until
-that network's next batch forward, and backward's gradient and input
-gradient until its next backward.  backward consumes the cache's hidden
-entries (cache[1:-1]), writing each layer's slope over its activations;
-its input cache[0] and output cache[-1] stay as they were.  A forward of
-a row, or of a batch larger than the workspace, allocates its own arrays.
+Batch training steps write into the network's own workspace (a shorter
+batch uses its leading rows): fresh per-step temporaries would re-fault
+their pages each time glibc trims its heap.  So a batch forward's output
+and cache stay valid until that network's next batch forward, and
+backward's gradient and input gradient until its next backward.  backward
+consumes the cache's hidden entries (cache[1:-1]), writing each layer's
+slope over its activations; its input cache[0] and output cache[-1] stay
+as they were.  A row gets arrays of its own; a batch forward grows the
+workspace to its rows, so pass many rows through forward_rows.
 Workspaces are not shared between networks, so two threads may step two
 networks at once, but one network is touched by one thread at a time.
 """
@@ -41,6 +41,7 @@ CKPT_VERSION = 1
 Z_DIM = 32
 HIDDEN = 128
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+EVAL_ROWS = 512     # forward_rows' chunk bound when the workspace is smaller
 
 
 class CheckpointError(ValueError):
@@ -148,23 +149,37 @@ def forward_cached(params: NetworkParams, x: np.ndarray):
     """Returns (output, post-activation cache) of x, one input row (1-D)
     or a batch of rows (2-D); the output has x's number of dims.
     cache[i] is the input to layer i; cache[-1] is the network output.
-    A batch that fits params' workspace is written into it."""
+    A batch is written into params' workspace, grown to hold it."""
     h = np.asarray(x, dtype=float)
     if h.ndim not in (1, 2) or h.shape[-1] != params.in_dim:
         raise ValueError(f"forward input: expected ({params.in_dim},) or "
                          f"(batch, {params.in_dim}), got {h.shape}")
-    n, work = len(h), params.work
-    outs = (work.outs if h.ndim == 2 and work is not None and n <= work.rows
-            else None)
+    outs = _workspace(params, len(h)).outs if h.ndim == 2 else None
     cache = [h]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w if outs is None else np.matmul(h, w, out=outs[i][:n])
+        h = h @ w if outs is None else np.matmul(h, w, out=outs[i][:len(h)])
         h += b
         if i != last:
             np.tanh(h, out=h)
         cache.append(h)
     return cache[-1], cache
+
+
+def forward_rows(params: NetworkParams, *blocks: np.ndarray) -> np.ndarray:
+    """params' output on each row of its column blocks side by side, in an
+    array of its own.  The rows go through the workspace in the fewest even
+    chunks of at most its rows (or EVAL_ROWS): no chunk of a longer input
+    is one row, whose product numpy takes by another BLAS routine."""
+    n, work = len(blocks[0]), params.work
+    k = -(-n // max(EVAL_ROWS, work.rows if work else 0))
+    out = np.empty((n, params.out_dim))
+    x = np.empty((-(-n // max(k, 1)), params.in_dim))
+    for i in range(k):
+        s, e = i * n // k, (i + 1) * n // k
+        np.concatenate([b[s:e] for b in blocks], axis=1, out=x[:e - s])
+        out[s:e] = forward_cached(params, x[:e - s])[0]
+    return out
 
 
 def backward(params: NetworkParams, cache, upstream: np.ndarray,

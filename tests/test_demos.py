@@ -439,13 +439,10 @@ def test_save_matches_reference_writer(tmp_path, small_batch):
         assert (tmp_path / "again.bin").read_bytes() == raw
 
 
-def reference_stack(dataset, idxs, use_privileged: bool, priv_dim: int):
+def reference_stack(dataset, idxs):
     """Per-episode vstack that predates DemoDataset.rows_of."""
     commons = np.vstack([dataset[i].commons for i in idxs])
-    if use_privileged:
-        privs = np.vstack([dataset[i].privileged for i in idxs])
-    else:
-        privs = np.zeros((len(commons), priv_dim))
+    privs = np.vstack([dataset[i].privileged for i in idxs])
     actions = np.concatenate([dataset[i].actions for i in idxs]).astype(np.int64)
     return commons, privs, actions
 
@@ -466,16 +463,13 @@ def test_rows_of_matches_per_episode_stack():
                for k in (1, 2, 3, 5, 8) for _ in range(4)]
     subsets += [np.sort(s) for s in subsets] + [[1, 5]]
     for idxs in subsets:
-        for use_privileged in (True, False):
-            new = ds.rows_of(idxs, use_privileged)
-            old = reference_stack(ds, idxs, use_privileged, 12)
-            for a, b in zip(new, old):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.flags.c_contiguous
-                assert a.tobytes() == b.tobytes()
+        for a, b in zip(ds.rows_of(idxs), reference_stack(ds, idxs)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.c_contiguous and not np.shares_memory(a, ds.rows)
+            assert a.tobytes() == b.tobytes()
     # the vstack needs at least one episode; the row store yields no rows
     with pytest.raises(ValueError):
-        reference_stack(ds, [], True, 12)
+        reference_stack(ds, [])
     c, p, a = ds.rows_of([])
     assert c.shape == (0, 11) and p.shape == (0, 12) and a.shape == (0,)
     assert (c.dtype, p.dtype, a.dtype) == (np.float64, np.float64, np.int64)

@@ -612,6 +612,24 @@ def test_cli_train_ppo_rejects_an_empty_pool(tmp_path, capsys):
         assert "--pool" in capsys.readouterr().err
 
 
+def test_cli_train_ppo_dense_refuses_a_checkpoint(tmp_path, capsys,
+                                                  monkeypatch):
+    # --dense starts from fresh nets, so a --ckpt would be fine-tuned with
+    # its privileged input zeroed; it is refused before any load or plan
+    import dtspn.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("loaded or planned")
+
+    monkeypatch.setattr(cli, "load_bundle", forbidden)
+    monkeypatch.setattr(cli, "_family", forbidden)
+    assert run_cli("train-ppo", "--dense", "--ckpt",
+                   str(tmp_path / "none.ckpt"), "--tasks", "3",
+                   "--out", str(tmp_path / "x.ckpt")) == 1
+    assert "--dense excludes --ckpt" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_cli_train_ppo_with_no_steps_saves_the_unchanged_bundle(tmp_path,
                                                                 capsys):
     d = str(tmp_path)

@@ -160,6 +160,21 @@ def test_load_rejects_junk_after_the_seed(tmp_path):
             inst.load(p)
 
 
+def test_a_negative_seed_is_refused(tmp_path):
+    # generate refuses seed -1; a loaded file or a replaced field must too,
+    # or a demo of such an instance cannot be saved
+    x = inst.generate(2, seed=7)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        dataclasses.replace(x, seed=-1)
+    p = tmp_path / "i.txt"
+    inst.save(x, p)
+    p.write_text(p.read_text().replace("seed 7", "seed -1"))
+    with pytest.raises(inst.InstanceFormatError,
+                       match="seed must be nonnegative"):
+        inst.load(p)
+    assert dataclasses.replace(x, seed=0).seed == 0
+
+
 @pytest.mark.parametrize("line", ["map 50.0 50.0", "sense 1.0", "turn 5.0",
                                   "start 1.0 1.0 0.0", "seed 8"])
 def test_load_rejects_a_repeated_field(tmp_path, line):

@@ -23,11 +23,11 @@ from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
                          critic_init, distill_adaptation, episode_split,
                          init_bundle, init_network, load_bundle, ppo_finetune,
                          return_to_go, sample_categorical, save_bundle)
-from dtspn.learn import ppo
+from dtspn.learn import nets, ppo
 from dtspn.learn.bc import regress
 from dtspn.learn.nets import (CKPT_MAGIC, CKPT_VERSION, _pack_network,
                               actor_forward, actor_step, backward,
-                              forward_cached)
+                              forward_cached, forward_rows)
 
 import oracles
 from oracles import (ReferenceAdam, discounted_returns, fd_gradients, forward,
@@ -205,7 +205,7 @@ def test_adam_step_matches_the_per_layer_reference():
 
 def test_batch_steps_in_the_workspace_match_the_fresh_array_reference():
     # the four 3-task networks through batches of 512, 146, 16 and 512
-    # rows: the first backward sizes the workspace, shorter batches use its
+    # rows: the first forward sizes the workspace, shorter batches use its
     # leading rows, and every output, cache entry, gradient, input gradient,
     # parameter and moment equals the fresh-array code's bytes
     rng = np.random.default_rng(21)
@@ -220,10 +220,8 @@ def test_batch_steps_in_the_workspace_match_the_fresh_array_reference():
             for ours, theirs in zip(cache, ref_cache):
                 assert ours.shape == theirs.shape
                 assert ours.tobytes() == theirs.tobytes()
-            assert (net.work is not None) == (k > 0)
-            if k > 0:
-                assert net.work.rows == 512
-                assert np.shares_memory(out, net.work.outs[-1])
+            assert net.work.rows == 512
+            assert np.shares_memory(out, net.work.outs[-1])
 
             up = rng.normal(size=(rows, net.out_dim))
             grad, gin = backward(net, cache, up)
@@ -245,14 +243,14 @@ def test_batch_steps_in_the_workspace_match_the_fresh_array_reference():
                 assert all(a.tobytes() == b.tobytes()
                            for a, b in zip(ours, theirs))
 
-        # a forward-only batch larger than the workspace allocates its own
-        # arrays and leaves the workspace as it was
+        # a batch larger than the workspace grows it and is written into
+        # the grown one
         x = rng.normal(size=(600, net.in_dim))
         out, cache = forward_cached(net, x)
         assert out.tobytes() == reference_forward_cached(ref, x)[0].tobytes()
-        assert net.work.rows == 512
-        assert not any(np.shares_memory(a, b) for a in cache[1:]
-                       for b in net.work.outs)
+        assert net.work.rows == 600
+        assert all(np.shares_memory(a, b)
+                   for a, b in zip(cache[1:], net.work.outs))
 
 
 def traced_peak(step) -> int:
@@ -320,16 +318,17 @@ def test_training_matches_the_fresh_array_reference_end_to_end(monkeypatch):
 
 
 def test_stages_match_bit_for_bit_at_any_evaluation_chunk(monkeypatch):
-    # cloning, the critic warm start and distillation with 64-row chunks
-    # against one chunk: parameters and every metric are equal.  Chunks of
-    # 1, 3 or 9 rows may change a matmul's last bits under OpenBLAS; 64
-    # rows do not
+    # cloning, the critic warm start and distillation with the shipped
+    # workspace-sized chunks against one whole-split chunk: parameters and
+    # every metric are equal.  A one-row chunk may change a matmul's last
+    # bits, since numpy takes it by another BLAS routine; forward_rows
+    # never makes one of a longer input
     ds = synthetic_dataset(n_episodes=20, ep_len=100, common_dim=15,
                            seed=3, reward_from_obs=True)
     cfg = TrainConfig(bc_epochs=2, bc_batch=256, seed=5)
-    for k in range(3):      # each validation split spans several chunks
-        _, val = episode_split(len(ds), np.random.default_rng(cfg.seed + k))
-        assert len(val) * 100 > 2 * 64
+    for k in range(3):      # each training split spans several chunks
+        train, _ = episode_split(len(ds), np.random.default_rng(cfg.seed + k))
+        assert len(train) * 100 > 2 * nets.EVAL_ROWS
 
     def train():
         b = init_bundle(common_dim=15, seed=7)
@@ -339,9 +338,33 @@ def test_stages_match_bit_for_bit_at_any_evaluation_chunk(monkeypatch):
         return ([net.flat.tobytes() for net in b.networks],
                 repr((bc, critic, ada)))
 
-    whole = train()
-    monkeypatch.setattr("dtspn.learn.bc.EVAL_CHUNK", 64)
-    assert train() == whole
+    shipped = train()
+    monkeypatch.setattr(nets, "EVAL_ROWS", 1 << 20)
+    assert train() == shipped
+
+
+@pytest.mark.parametrize("n", [3 * 512 + 7, 2 * 512 + 1])
+def test_forward_rows_of_two_blocks_matches_one_forward_of_the_whole(n):
+    # the 20-task encoder over commons and privileged rows, as cloning's
+    # validation pass sees them: byte for byte one fresh-array forward of
+    # the concatenated rows, in an array of its own (at 2 * 512 + 1 rows,
+    # 512-row chunks would leave a one-row chunk, whose last bits differ);
+    # a warm call allocates no more than its output and one chunk
+    enc = init_bundle(common_dim=83, seed=2).encoder
+    rng = np.random.default_rng(8)
+    c, p = rng.normal(size=(n, 83)), rng.normal(size=(n, 12))
+    ref = reference_forward_cached(enc, np.concatenate([c, p], axis=1))[0]
+    for _ in range(2):      # a cold call makes the workspace, a warm one not
+        out = forward_rows(enc, c, p)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+        assert enc.work.rows <= nets.EVAL_ROWS
+        assert not np.shares_memory(out, enc.work.outs[-1])
+    chunk = nets.EVAL_ROWS * enc.in_dim * 8
+    assert traced_peak(lambda: forward_rows(enc, c, p)) < out.nbytes + chunk
+    # one block works too; no rows give no output rows
+    x = np.concatenate([c, p], axis=1)
+    assert forward_rows(enc, x).tobytes() == ref.tobytes()
+    assert forward_rows(enc, x[:0]).shape == (0, 32)
 
 
 def test_every_stage_refuses_an_empty_split():
@@ -778,9 +801,11 @@ def test_bc_privileged_gap_on_synthetic_labels():
     cfg = TrainConfig(bc_epochs=25, bc_batch=64, bc_lr=0.003, seed=1)
     _, with_pi = bc_pretrain(ds, init_bundle(common_dim=9, seed=2), cfg,
                              use_privileged=True)
+    rows = ds.rows.tobytes()
     _, without = bc_pretrain(ds, init_bundle(common_dim=9, seed=2), cfg,
                              use_privileged=False)
     assert with_pi["val_acc"][-1] - without["val_acc"][-1] >= 0.25
+    assert ds.rows.tobytes() == rows    # the ablation zeroes its own copies
 
 
 def test_bc_rejects_tiny_dataset():
