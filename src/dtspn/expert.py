@@ -1,13 +1,14 @@
 """Sampling-based DTSPN heuristic expert.
 
 Candidate visiting poses are sampled on a circle inside each task's sensing
-disk, one group of (x, y, theta) rows per task plus the start group.  Their
-Dubins lengths are laid out as padded blocks between groups, the only form
-the search reads.  A generalized TSP over the groups is solved for an open
-path from the start: local search over the cluster order, with each order
-scored by a dynamic program that picks one pose per cluster, gives the
-order and one slot per cluster.  The chosen poses are stitched into a
-densified waypoint polyline.
+disk, one group of (x, y, theta) rows per task plus the start group.  The
+Dubins lengths between different groups, except those into the start group,
+are laid out as padded blocks between groups, the only form the search
+reads; no open path from the start uses the rest.  A generalized TSP over
+the groups is solved for an open path from the start: local search over
+the cluster order, with each order scored by a dynamic program that picks
+one pose per cluster, gives the order and one slot per cluster.  The chosen
+poses are stitched into a densified waypoint polyline.
 """
 
 import functools
@@ -97,21 +98,27 @@ def sample_poses(instance: Instance, n_pos: int, n_head: int):
 def build_gtsp(groups, rho: float):
     """Dubins lengths between pose groups, the start group first, as blocks
     (k, k, m, m) padded to the largest group size m: blocks[a, b, i, j] runs
-    from pose i of group a to pose j of group b, +inf where i or j is a pad.
-    Also returns the start group's DP vector (0 on its poses, +inf at pads).
-    One length_matrix call prices every pair."""
+    from pose i of group a to pose j of group b.  Also returns the start
+    group's DP vector (0 on its poses, +inf at pads).
+
+    Only the blocks an open tour from the start can use are priced: a != b
+    and b != 0, one length_matrix call per source group to the poses of
+    every other task group.  Blocks within a group or into the start group,
+    and pads, are +inf."""
     groups = [pose_array(g) for g in groups]
     sizes = [len(g) for g in groups]
     if min(sizes) == 0:
         raise ValueError(f"pose group {sizes.index(0)} is empty")
-    poses = np.concatenate(groups)
-    cost = length_matrix(poses, poses, rho)
     k, m = len(groups), max(sizes)
-    cuts = np.cumsum(sizes)[:-1]
+    poses = np.concatenate(groups)
+    # the group of each pose and its row within that group
+    owner = np.repeat(np.arange(k), sizes)
+    slot = np.concatenate([np.arange(s) for s in sizes])
     blocks = np.full((k, k, m, m), np.inf)
-    for a, rows in enumerate(np.split(cost, cuts)):
-        for b, block in enumerate(np.split(rows, cuts, axis=1)):
-            blocks[a, b, :sizes[a], :sizes[b]] = block
+    for a, g in enumerate(groups):
+        to = (owner != a) & (owner != 0)
+        blocks[a, owner[to], :len(g), slot[to]] = length_matrix(
+            g, poses[to], rho).T
     start = np.full(m, np.inf)
     start[:sizes[0]] = 0.0
     return blocks, start
@@ -243,7 +250,7 @@ def solve_gtsp(blocks: np.ndarray, start: np.ndarray):
     a descent costs little, one descent can stop short of the optimum, so
     the search runs once per choice of first cluster and keeps the best.
     Costs must be non-negative (inf allowed); no block from a cluster to
-    itself is read.
+    itself, and no block into the start cluster, is read.
     """
     if not (blocks >= 0).all():
         raise ValueError("GTSP costs must be non-negative and not NaN")

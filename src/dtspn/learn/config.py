@@ -1,5 +1,6 @@
 """Training hyperparameters shared by BC, PPO, and distillation."""
 
+import math
 from dataclasses import dataclass
 
 
@@ -23,17 +24,16 @@ class TrainConfig:
     def __post_init__(self):
         # zero learning rates are allowed: they make a pass a recorded no-op,
         # which is how "train only the critic" style stages are expressed
-        for name in ("bc_lr", "ppo_actor_lr", "ppo_critic_lr"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in ("bc_lr", "ppo_actor_lr", "ppo_critic_lr", "entropy_coef"):
+            if not 0.0 <= getattr(self, name) < math.inf:    # NaN fails too
+                raise ValueError(f"{name} must be >= 0 and finite, "
+                                 f"got {getattr(self, name)}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if not 0.0 < self.ppo_clip < 1.0:
             raise ValueError(f"ppo_clip must be in (0, 1), got {self.ppo_clip}")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
-        if self.entropy_coef < 0:
-            raise ValueError("entropy_coef must be >= 0")
         for name in ("bc_batch", "minibatch", "epochs_per_batch", "rollout_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -665,6 +665,36 @@ def test_cli_train_bc_with_no_epochs_saves_the_initial_bundle(tmp_path,
         assert a.read() == b.read()
 
 
+@pytest.mark.parametrize("stage, key, value", [
+    ("train-bc", "bc_lr", "NaN"), ("train-bc", "bc_lr", "Infinity"),
+    ("train-ppo", "entropy_coef", "NaN"),
+    ("train-ppo", "ppo_actor_lr", "Infinity"),
+    ("distill", "ppo_critic_lr", "NaN")])
+def test_cli_rejects_non_finite_train_config_before_training(
+        tmp_path, capsys, monkeypatch, tiny_demos, stage, key, value):
+    # json reads NaN and Infinity; they are validation errors (exit 1)
+    # raised before any dataset, bundle or training stage is touched
+    import dtspn.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("trained")
+
+    for name in ("bc_pretrain", "critic_init", "ppo_finetune",
+                 "distill_adaptation", "load_bundle", "_dataset", "_family"):
+        monkeypatch.setattr(cli, name, forbidden)
+    d = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {value}}}')
+    inputs = {"train-bc": ["--data", tiny_demos],
+              "train-ppo": ["--dense", "--tasks", "3", "--map", "300", "300",
+                            "--pool", "2", "--steps", "4096"],
+              "distill": ["--data", tiny_demos, "--ckpt", f"{d}/b.ckpt"]}
+    assert run_cli(stage, *inputs[stage], "--config", str(cfg),
+                   "--out", f"{d}/out.ckpt") == 1
+    assert f"{key} must be >= 0 and finite" in capsys.readouterr().err
+    assert not os.path.exists(f"{d}/out.ckpt")
+
+
 def test_cli_distill_rejects_negative_epochs(tmp_path, capsys, tiny_demos):
     d = str(tmp_path)
     save_bundle(init_bundle(11, seed=0), f"{d}/b.ckpt")

@@ -143,22 +143,49 @@ def test_sample_poses_bounds_the_pose_budget():
 
 # ---------------------------------------------------------------- build_gtsp
 
+def read_blocks(k):
+    """The (a, b) blocks an open tour from cluster 0 can use: a != b and
+    b != 0."""
+    read = ~np.eye(k, dtype=bool)
+    read[:, 0] = False
+    return read
+
+
+def check_blocks(groups, rho):
+    """build_gtsp on groups against the reference layout of the full length
+    matrix: every read block bit for bit, every other block +inf, and the
+    start vector bit for bit.  Returns the blocks, start and node form."""
+    g = node_gtsp(groups, rho)
+    blocks, start = ex.build_gtsp(groups, rho)
+    want_blocks, want_start, _ = blocks_of(g)
+    read = read_blocks(len(groups))
+    assert blocks.shape == want_blocks.shape
+    assert blocks[read].tobytes() == want_blocks[read].tobytes()
+    assert np.isposinf(blocks[~read]).all()
+    assert start.tobytes() == want_start.tobytes()
+    return blocks, start, g
+
+
 def test_build_gtsp_costs_and_sentinels():
     a = Pose(0, 0, 0)
     b = Pose(100, 50, 1.0)
     c = Pose(-80, 20, 2.0)
     blocks, start = ex.build_gtsp([[a], [b, c]], 30.0)
     assert blocks.shape == (2, 2, 2, 2)
-    for (g, i, p), (h, j, q) in (((0, 0, a), (1, 0, b)), ((1, 0, b), (0, 0, a)),
-                                 ((1, 1, c), (0, 0, a))):
-        assert blocks[g, h, i, j] == pytest.approx(
-            shortest_path_length(p, q, 30.0))
-    assert blocks[0, 1, 0, 0] != blocks[1, 0, 0, 0]   # Dubins is asymmetric
-    # the start group pads to two slots: +inf from and to the pad
-    assert np.isinf(blocks[0, :, 1]).all()
-    assert np.isinf(blocks[:, 0, :, 1]).all()
-    assert np.isfinite(blocks[1, 1]).all()
+    for j, q in enumerate((b, c)):
+        assert blocks[0, 1, 0, j] == pytest.approx(
+            shortest_path_length(a, q, 30.0))
+    # only the start-to-task block is read: the rest, and the pads of the
+    # start group, are +inf
+    assert np.isinf(blocks[0, 1, 1]).all()
+    assert np.isinf(blocks[1]).all() and np.isinf(blocks[0, 0]).all()
     assert start.tolist() == [0.0, math.inf]
+
+
+def test_dubins_length_matrix_is_asymmetric():
+    a, b = Pose(0, 0, 0), Pose(100, 50, 1.0)
+    cost = length_matrix([a, b], [a, b], 30.0)
+    assert cost[0, 1] != cost[1, 0]
 
 
 def test_build_gtsp_seven_node_count():
@@ -167,8 +194,9 @@ def test_build_gtsp_seven_node_count():
     groups = [poses[:1], poses[1:3], poses[3:5], poses[5:7]]
     blocks, start = ex.build_gtsp(groups, 30.0)
     assert blocks.shape == (4, 4, 2, 2) and start.shape == (2,)
-    # every pose pair once, the pads of the start group +inf
-    assert np.isfinite(blocks).sum() == 7 * 7
+    # the start pose to each of the 6 task poses, and each task pose to the
+    # 4 poses of the other task groups
+    assert np.isfinite(blocks).sum() == 6 + 6 * 4
 
 
 def test_build_gtsp_rejects_empty_group():
@@ -183,16 +211,11 @@ def test_build_gtsp_rejects_empty_group():
 @pytest.mark.parametrize("n_pos, n_head", [(8, 4), (3, 5), (1, 1)])
 def test_build_gtsp_equals_reference_blocks_on_planner_groups(
         n_tasks, span, n_pos, n_head):
-    # the blocks and start vector are the reference layout of the full
-    # length matrix, bit for bit, +inf pads included
+    # the read blocks and the start vector are the reference layout of the
+    # full length matrix, bit for bit, +inf pads included
     x = inst.generate(n_tasks, 900 + n_tasks, map_size=(span, span))
     groups = planner_groups(x, n_pos, n_head)
-    g = node_gtsp(groups, x.turn_radius)
-    blocks, start = ex.build_gtsp(groups, x.turn_radius)
-    want_blocks, want_start, _ = blocks_of(g)
-    assert blocks.shape == want_blocks.shape
-    assert blocks.tobytes() == want_blocks.tobytes()
-    assert start.tobytes() == want_start.tobytes()
+    blocks, start, g = check_blocks(groups, x.turn_radius)
     # the solver's pick as node ids, against the full-rescoring search
     assert (node_path(groups, *ex.solve_gtsp(blocks, start))
             == search_reference(g))
@@ -205,13 +228,66 @@ def test_build_gtsp_equals_reference_blocks_on_random_pose_groups():
         groups = [[Pose(*rng.uniform(0.0, 300.0, size=2),
                         rng.uniform(-math.pi, math.pi)) for _ in range(s)]
                   for s in rng.integers(1, 4, size=int(rng.integers(1, 6)))]
-        g = node_gtsp(groups, 30.0)
-        blocks, start = ex.build_gtsp(groups, 30.0)
-        want_blocks, want_start, _ = blocks_of(g)
-        assert blocks.tobytes() == want_blocks.tobytes()
-        assert start.tobytes() == want_start.tobytes()
+        blocks, start, g = check_blocks(groups, 30.0)
         assert (node_path(groups, *ex.solve_gtsp(blocks, start))
                 == search_reference(g))
+
+
+def test_build_gtsp_equals_reference_blocks_on_mixed_groups():
+    # planner groups (runs of n_head poses at a position) beside a one-pose
+    # group, a random-pose group (run length 1) and a copy of a task group
+    # (two tasks at one position), so each length_matrix call splits its
+    # poses into runs other than the full matrix's
+    x = inst.generate(3, 907, map_size=(300.0, 300.0))
+    rng = np.random.default_rng(907)
+    groups = planner_groups(x) + [
+        [Pose(150.0, 150.0, 0.5)],
+        [Pose(*rng.uniform(0.0, 300.0, size=2), rng.uniform(-math.pi, math.pi))
+         for _ in range(5)],
+        planner_groups(x)[2]]
+    blocks, start, g = check_blocks(groups, x.turn_radius)
+    assert (node_path(groups, *ex.solve_gtsp(blocks, start))
+            == search_reference(g))
+
+
+@pytest.mark.parametrize("n_tasks, span", [(3, 300.0), (7, 500.0),
+                                           (20, 800.0)])
+def test_solve_gtsp_reads_no_block_within_a_cluster_or_into_the_start(
+        n_tasks, span):
+    # the full reference blocks with the unread ones poisoned by 0.0 or
+    # +inf give build_gtsp's order and slots
+    x = inst.generate(n_tasks, 930 + n_tasks, map_size=(span, span))
+    groups = planner_groups(x)
+    want = ex.solve_gtsp(*ex.build_gtsp(groups, x.turn_radius))
+    full, start, _ = blocks_of(node_gtsp(groups, x.turn_radius))
+    unread = ~read_blocks(len(groups))
+    assert ex.solve_gtsp(full, start) == want
+    for poison in (0.0, np.inf):
+        blocks = full.copy()
+        blocks[unread] = poison
+        assert ex.solve_gtsp(blocks, start) == want, poison
+
+
+@pytest.mark.parametrize("n_tasks, span, seed, pairs", [
+    (3, 300.0, 105, 6_528), (20, 800.0, 105, 391_680)])
+def test_plan_prices_only_the_pairs_the_search_reads(monkeypatch, n_tasks,
+                                                     span, seed, pairs):
+    # 8x4 sampling: the 4 start poses to every task pose, and each task's
+    # 32 poses to those of the other tasks
+    x = inst.generate(n_tasks, seed, map_size=(span, span))
+    start = x.start
+    assert all(math.hypot(tx - start.x, ty - start.y) > x.r_sense
+               for tx, ty in x.tasks)
+    priced = []
+
+    def counting(a, b, rho):
+        priced.append(len(a) * len(b))
+        return length_matrix(a, b, rho)
+
+    monkeypatch.setattr(ex, "length_matrix", counting)
+    ex.plan(x)
+    assert sum(priced) == pairs
+    assert len(priced) == n_tasks + 1
 
 
 # ---------------------------------------------------------------- solve_gtsp

@@ -462,6 +462,19 @@ def test_bundle_validation():
         pass
 
 
+def test_train_config_rejects_bad_rates_nan_and_inf():
+    TrainConfig(bc_lr=0.0, ppo_actor_lr=0.0, ppo_critic_lr=0.0,
+                entropy_coef=0.0)
+    for name in ("bc_lr", "ppo_actor_lr", "ppo_critic_lr", "entropy_coef"):
+        for bad in (-1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: bad})
+    for kw in ({"gamma": math.nan}, {"ppo_clip": math.nan},
+               {"gae_lambda": math.nan}):
+        with pytest.raises(ValueError):
+            TrainConfig(**kw)
+
+
 def pi_free_twin(common_dim=9, seed=4):
     """Bundle whose encoder ignores its privileged block and whose adaptation
     is the same function restricted to the common inputs."""
