@@ -98,13 +98,10 @@ def sample_poses(instance: Instance, n_pos: int, n_head: int):
 def build_gtsp(groups, rho: float):
     """Dubins lengths between pose groups, the start group first, as blocks
     (k, k, m, m) padded to the largest group size m: blocks[a, b, i, j] runs
-    from pose i of group a to pose j of group b.  Also returns the start
-    group's DP vector (0 on its poses, +inf at pads).
-
-    Only the blocks an open tour from the start can use are priced: a != b
-    and b != 0, one length_matrix call per source group to the poses of
-    every other task group.  Blocks within a group or into the start group,
-    and pads, are +inf."""
+    from pose i of group a to pose j of group b.  Only the blocks an open
+    tour from the start can use (a != b, b != 0) are priced, one
+    length_matrix call per source group; the rest, and pads, are +inf.
+    Also returns the start group's DP vector (0 on its poses, +inf at pads)."""
     groups = [pose_array(g) for g in groups]
     sizes = [len(g) for g in groups]
     if min(sizes) == 0:
