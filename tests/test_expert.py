@@ -240,11 +240,11 @@ def test_build_gtsp_equals_reference_blocks_on_mixed_groups():
     # poses into runs other than the full matrix's
     x = inst.generate(3, 907, map_size=(300.0, 300.0))
     rng = np.random.default_rng(907)
-    groups = planner_groups(x) + [
-        [Pose(150.0, 150.0, 0.5)],
-        [Pose(*rng.uniform(0.0, 300.0, size=2), rng.uniform(-math.pi, math.pi))
-         for _ in range(5)],
-        planner_groups(x)[2]]
+    groups = planner_groups(x)
+    groups += [[Pose(150.0, 150.0, 0.5)],
+               [Pose(*rng.uniform(0.0, 300.0, size=2),
+                     rng.uniform(-math.pi, math.pi)) for _ in range(5)],
+               groups[2]]
     blocks, start, g = check_blocks(groups, x.turn_radius)
     assert (node_path(groups, *ex.solve_gtsp(blocks, start))
             == search_reference(g))
