@@ -49,21 +49,22 @@ def discounted_return(rewards: np.ndarray, gamma: float) -> float:
     return float(return_to_go(rewards, gamma)[0]) if len(rewards) else 0.0
 
 
-def regress(net, inputs, targets, lr: float, batch: int, epochs: int,
+def regress(net, blocks, targets, lr: float, batch: int, epochs: int,
             rng: np.random.Generator):
-    """Fit net to targets (one row per input row) by minibatch squared
-    error under its own Adam state, in a fresh rng.permutation order each
-    epoch.  Yields each epoch's training squared error per row."""
+    """Fit net on the column blocks to targets (one row each) by minibatch
+    squared error under its own Adam state, in a fresh rng.permutation
+    order each epoch.  Yields each epoch's training squared error per row."""
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     state = AdamState(net)
-    n = len(inputs)
+    n = len(targets)
     for _ in range(epochs):
         order = rng.permutation(n)
         se = 0.0
         for s in range(0, n, batch):
             mb = order[s:s + batch]
-            err = squared_error_step(net, inputs[mb], targets[mb], state, lr)
+            err = squared_error_step(net, [b[mb] for b in blocks],
+                                     targets[mb], state, lr)
             se += float(np.sum(err ** 2))
         yield se / n
 
@@ -128,13 +129,13 @@ def critic_init(dataset, bundle: ModelBundle, config: TrainConfig,
     (train_eps, xc, xp, _), (val_eps, vc, vp, _) = split_rows(dataset, rng)
     ty, vty = (np.concatenate([return_to_go(dataset[i].rewards, config.gamma)
                                for i in eps]) for eps in (train_eps, val_eps))
-    xin = np.concatenate([xc, forward_rows(bundle.encoder, xc, xp)], axis=1)
+    z = forward_rows(bundle.encoder, xc, xp)
     vz = forward_rows(bundle.encoder, vc, vp)
 
     metrics = {"train_mse": [], "val_mse": [],
                "val_target_variance": float(np.var(vty))}
-    for mse in regress(bundle.critic, xin, ty[:, None], config.ppo_critic_lr,
-                       config.bc_batch, epochs, rng):
+    for mse in regress(bundle.critic, (xc, z), ty[:, None],
+                       config.ppo_critic_lr, config.bc_batch, epochs, rng):
         vv = forward_rows(bundle.critic, vc, vz)
         metrics["train_mse"].append(mse)
         metrics["val_mse"].append(float(np.mean((vv[:, 0] - vty) ** 2)))

@@ -31,7 +31,7 @@ def distill_adaptation(dataset, bundle: ModelBundle, config: TrainConfig,
     zt = forward_rows(bundle.encoder, xc, xp)
     vzt = forward_rows(bundle.encoder, vc, vp)
 
-    train_curve = list(regress(bundle.adaptation, xc, zt, config.bc_lr,
+    train_curve = list(regress(bundle.adaptation, (xc,), zt, config.bc_lr,
                                config.bc_batch, epochs, rng))
     if not bundle.adaptation.finite():
         raise RuntimeError("non-finite adaptation parameters")

@@ -1,29 +1,28 @@
 """Dense feedforward networks with hand-derived reverse-mode gradients.
 
 Everything is float64 numpy.  Layers are x @ W + b with tanh on hidden
-layers and identity on the output.  A forward pass takes one input row
-(1-D), as a one-env rollout step does, or a batch of rows (2-D); a row
-gives the bits of row 0 of its one-row batch.  The backward pass takes a
-batch's cache and returns parameter gradients and, unless asked not to,
-the gradient with respect to the input, which is how policy gradients
-chain back into the encoder.
+layers and identity on the output.  forward_cached alone joins a
+network's input from its column blocks: one row (1-D), as a one-env
+rollout step has, or a batch of rows (2-D); a row gives the bits of row 0
+of its one-row batch.  The backward pass takes a batch's cache and
+returns parameter gradients and, unless asked not to, the input gradient,
+which is how policy gradients chain back into the encoder.
 
 A network's parameters are one contiguous float64 buffer, flat, laid out
 w0, b0, w1, b1, ... (weights row-major) as checkpoints store them; its
 weights and biases lists hold views of it, made by _views alone.
 Gradients and Adam's moments are buffers of the same layout.
 
-Batch training steps write into the network's own workspace (a shorter
-batch uses its leading rows): fresh per-step temporaries would re-fault
-their pages each time glibc trims its heap.  So a batch forward's output
-and cache stay valid until that network's next batch forward, and
-backward's gradient and input gradient until its next backward.  backward
-consumes the cache's hidden entries (cache[1:-1]), writing each layer's
-slope over its activations; its input cache[0] and output cache[-1] stay
-as they were.  A row gets arrays of its own; a batch forward grows the
-workspace to its rows, so pass many rows through forward_rows.
-Workspaces are not shared between networks, so two threads may step two
-networks at once, but one network is touched by one thread at a time.
+Batch steps write into the network's own workspace (a shorter batch uses
+its leading rows): fresh per-step temporaries would re-fault their pages
+each time glibc trims its heap.  So a batch forward's input, output and
+cache live until that network's next batch forward, and backward's
+gradients until its next backward, which writes each hidden layer's slope
+over its activations, cache[1:-1].  A row gets arrays of its own; a batch
+forward grows the workspace to its rows, so pass many rows through
+forward_rows.  A network is touched by one thread at a time, save that
+PPO's critic worker reads the policy's input while actor_step only reads
+it, before the next actor_forward writes it.
 """
 
 import hashlib
@@ -99,12 +98,13 @@ class NetworkParams:
 
 
 class _Workspace:
-    """One network's training buffers for batches of up to rows rows: each
-    layer's output, each layer input's backward delta, a gradient in the
-    parameters' layout, and Adam's two parameter-sized temporaries."""
+    """One network's training buffers for batches of up to rows rows: the
+    input, each layer's output, each layer input's backward delta, a gradient
+    in the parameters' layout, and Adam's two parameter-sized temporaries."""
 
     def __init__(self, dims: Tuple[int, ...], rows: int):
         self.rows = rows
+        self.inp = np.empty((rows, dims[0]))
         self.outs = [np.empty((rows, d)) for d in dims[1:]]
         self.deltas = [np.empty((rows, d)) for d in dims[:-1]]
         self.grad = NetworkParams(dims, np.empty(n_params(dims)))
@@ -145,20 +145,23 @@ def _as_batch(x: np.ndarray, d: int, what: str) -> np.ndarray:
     return x
 
 
-def forward_cached(params: NetworkParams, x: np.ndarray):
-    """Returns (output, post-activation cache) of x, one input row (1-D)
-    or a batch of rows (2-D); the output has x's number of dims.
-    cache[i] is the input to layer i; cache[-1] is the network output.
-    A batch is written into params' workspace, grown to hold it."""
-    h = np.asarray(x, dtype=float)
+def forward_cached(params: NetworkParams, *blocks: np.ndarray):
+    """Returns (output, post-activation cache) of the column blocks side by
+    side, one input row (1-D blocks) or a batch of rows (2-D); the output
+    has their number of dims.  cache[i] is the input to layer i; cache[-1]
+    is the output.  A batch, input included, is written into the workspace."""
+    if np.ndim(blocks[0]) == 1:
+        ws, h = None, np.concatenate(blocks, dtype=float)
+    else:
+        ws = _workspace(params, len(blocks[0]))
+        h = np.concatenate(blocks, axis=1, out=ws.inp[:len(blocks[0])])
     if h.ndim not in (1, 2) or h.shape[-1] != params.in_dim:
         raise ValueError(f"forward input: expected ({params.in_dim},) or "
                          f"(batch, {params.in_dim}), got {h.shape}")
-    outs = _workspace(params, len(h)).outs if h.ndim == 2 else None
     cache = [h]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w if outs is None else np.matmul(h, w, out=outs[i][:len(h)])
+        h = h @ w if ws is None else np.matmul(h, w, out=ws.outs[i][:len(h)])
         h += b
         if i != last:
             np.tanh(h, out=h)
@@ -174,11 +177,9 @@ def forward_rows(params: NetworkParams, *blocks: np.ndarray) -> np.ndarray:
     n, work = len(blocks[0]), params.work
     k = -(-n // max(EVAL_ROWS, work.rows if work else 0))
     out = np.empty((n, params.out_dim))
-    x = np.empty((-(-n // max(k, 1)), params.in_dim))
     for i in range(k):
         s, e = i * n // k, (i + 1) * n // k
-        np.concatenate([b[s:e] for b in blocks], axis=1, out=x[:e - s])
-        out[s:e] = forward_cached(params, x[:e - s])[0]
+        out[s:e] = forward_cached(params, *(b[s:e] for b in blocks))[0]
     return out
 
 
@@ -349,16 +350,14 @@ def actor_forward(bundle: ModelBundle, commons: np.ndarray,
                   privs: Optional[np.ndarray] = None):
     """Policy logits of commons, one row or a batch of rows, with z from
     the encoder on [commons, privs] or, without privs, from the adaptation
-    net.  Returns (logits, x, caches): x = [commons, z] is also the
-    critic's input."""
+    net.  Returns (logits, x, caches): x = [commons, z], the policy's
+    input, is also the critic's."""
     if privs is None:
         z, lat_cache = forward_cached(bundle.adaptation, commons)
     else:
-        z, lat_cache = forward_cached(
-            bundle.encoder, np.concatenate([commons, privs], axis=-1))
-    x = np.concatenate([commons, z], axis=-1)
-    logits, pol_cache = forward_cached(bundle.policy, x)
-    return logits, x, (lat_cache, pol_cache)
+        z, lat_cache = forward_cached(bundle.encoder, commons, privs)
+    logits, pol_cache = forward_cached(bundle.policy, commons, z)
+    return logits, pol_cache[0], (lat_cache, pol_cache)
 
 
 def actor_step(bundle: ModelBundle, caches, dlogits: np.ndarray, states,
@@ -374,12 +373,12 @@ def actor_step(bundle: ModelBundle, caches, dlogits: np.ndarray, states,
     adam_step(bundle.encoder, grad_e, enc_state, lr)
 
 
-def squared_error_step(net: NetworkParams, x: np.ndarray,
+def squared_error_step(net: NetworkParams, blocks: Sequence[np.ndarray],
                        targets: np.ndarray, state: AdamState,
                        lr: float) -> np.ndarray:
     """One Adam step of net on the mean squared error of its batch output
-    on x against targets (one row each); returns the error rows."""
-    out, cache = forward_cached(net, x)
+    on blocks against targets (one row each); returns the error rows."""
+    out, cache = forward_cached(net, *blocks)
     err = out - targets
     grad, _ = backward(net, cache, (2.0 / len(err)) * err, input_grad=False)
     adam_step(net, grad, state, lr)

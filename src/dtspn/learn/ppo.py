@@ -61,18 +61,18 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                  log=None):
     """Train encoder + policy + critic on-policy until steps_budget env steps.
 
-    env_factory() must return a fresh env each call (train mode, so
-    episodes carry expert paths and the shaped reward).  gcd(ROLLOUT_ENVS,
-    rollout_steps) envs roll in lockstep, so every batch is exactly
-    rollout_steps env steps; a slot whose episode ends takes the next env
-    from env_factory.  The curve holds the mean completed-episode reward of
-    each rollout batch, measured under the parameters that collected it.
-    Every batch but the last is followed by an update; after the last
-    rollout an update would feed no batch and reach no caller, so none
-    runs.  The returned bundle holds the parameters that collected the
-    batch with the best curve entry or, if no batch ended an episode, the
-    last batch.  Actor updates are skipped for the first
-    critic_warmup_steps env steps.
+    env_factory() must return a fresh env each call, in train mode
+    (another mode raises ValueError), so episodes carry expert paths and
+    the shaped reward.  gcd(ROLLOUT_ENVS, rollout_steps) envs roll in
+    lockstep, so every batch is exactly rollout_steps env steps; a slot
+    whose episode ends takes the next env from env_factory.  The curve
+    holds the mean completed-episode reward of each rollout batch,
+    measured under the parameters that collected it.  Every batch but
+    the last is followed by an update; after the last rollout an update
+    would feed no batch and reach no caller, so none runs.  The returned
+    bundle holds the parameters that collected the batch with the best
+    curve entry or, if no batch ended an episode, the last batch.  Actor
+    updates are skipped for the first critic_warmup_steps env steps.
 
     log, if given, is called once per batch with a dict: batch, env_steps,
     avg_reward, approx_kl, clip_frac, entropy, value_loss (means over the
@@ -94,6 +94,8 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
     curve = []
     steps_done = 0
     envs = EnvBatch(env_factory() for _ in range(n_env))
+    if envs.mode != "train":
+        raise ValueError(f"PPO needs train-mode envs, got mode {envs.mode!r}")
     envs.reset()
     ep_acc = np.zeros(n_env)
     rows = np.arange(n_env)
@@ -111,9 +113,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                     "env factory produced 1000 pre-finished episodes")
 
     def observed():
-        if use_privileged and envs.privileged is not None:
-            return envs.common, envs.privileged
-        return envs.common, no_priv
+        return envs.common, envs.privileged if use_privileged else no_priv
 
     def update(critic_worker, commons, privs, actions, logp_old, adv, rets):
         """One batch's epochs of minibatch steps.  Returns the means over
@@ -136,7 +136,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 # the copied context carries the caller's np.errstate
                 critic = critic_worker.submit(
                     contextvars.copy_context().run, squared_error_step,
-                    bundle.critic, x, rets[mb][:, None], cri_state,
+                    bundle.critic, (x,), rets[mb][:, None], cri_state,
                     config.ppo_critic_lr)
                 lsm = log_softmax(logits)
                 probs = np.exp(lsm)

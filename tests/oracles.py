@@ -641,9 +641,10 @@ def gradients(params, x, upstream):
     return grad.weights, grad.biases, gin.copy()
 
 
-def reference_forward_cached(params, x):
-    """forward_cached with a fresh array per layer output."""
-    h = np.asarray(x, dtype=float)
+def reference_forward_cached(params, *blocks):
+    """forward_cached with a fresh array for the joined column blocks and
+    for each layer output."""
+    h = np.concatenate(blocks, axis=-1, dtype=float)
     cache = [h]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w

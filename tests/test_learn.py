@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from dtspn.demos import (DemoDataset, DemoMeta, Demonstration, collect,
                          collect_batch)
 from dtspn.dubins import Pose
+from dtspn.env import DtspnEnv, EnvBatch
 from dtspn.expert import ExpertPath
 from dtspn.instance import Instance
 from dtspn.learn import (AdamState, CheckpointError, ModelBundle,
@@ -266,22 +267,28 @@ def traced_peak(step) -> int:
 def test_a_warm_512_row_training_step_allocates_no_batch_sized_array():
     # one (512, 128) float64 temporary alone is 512 KiB; the fresh-array
     # code peaked at 2.1 MiB for actor_step and 2.9-3.2 MiB for a regress
-    # minibatch at these dims
-    b = init_bundle(common_dim=15, seed=3)
-    rng = np.random.default_rng(4)
-    c, p = rng.normal(size=(512, 15)), rng.normal(size=(512, 12))
-    dlogits = rng.normal(size=(512, 7)) / 512
-    states = [AdamState(b.encoder), AdamState(b.policy)]
-    for _ in range(2):      # a warm-up step, then the measured one
-        caches = actor_forward(b, c, p)[2]
-        peak = traced_peak(lambda: actor_step(b, caches, dlogits, states,
-                                              0.001))
-    assert peak < 512 * 1024
+    # minibatch at 3-task dims, and joining each network's input outside
+    # its workspace peaked at 906 KiB for a warm actor_forward plus
+    # actor_step at 20-task dims
+    for common_dim in (15, 83):
+        b = init_bundle(common_dim=common_dim, seed=3)
+        rng = np.random.default_rng(4)
+        c = rng.normal(size=(512, common_dim))
+        p = rng.normal(size=(512, 12))
+        dlogits = rng.normal(size=(512, 7)) / 512
+        states = [AdamState(b.encoder), AdamState(b.policy)]
+        for _ in range(2):      # a warm-up step, then the measured one
+            peak = traced_peak(lambda: actor_step(
+                b, actor_forward(b, c, p)[2], dlogits, states, 0.001))
+        assert peak < 512 * 1024, common_dim
 
+    # a regress minibatch at 3-task dims: at 20-task dims its row gathers
+    # alone come to 460 KiB
+    b = init_bundle(common_dim=15, seed=3)
     for net, targets in ((b.critic, 1), (b.adaptation, 32)):
         x = rng.normal(size=(512, net.in_dim))
-        steps = regress(net, x, rng.normal(size=(512, targets)), 0.001, 512,
-                        2, rng)
+        steps = regress(net, (x,), rng.normal(size=(512, targets)), 0.001,
+                        512, 2, rng)
         next(steps)         # the first epoch is one warm-up minibatch
         assert traced_peak(lambda: next(steps)) < 512 * 1024
 
@@ -289,32 +296,38 @@ def test_a_warm_512_row_training_step_allocates_no_batch_sized_array():
 def test_training_matches_the_fresh_array_reference_end_to_end(monkeypatch):
     # cloning, the critic warm start, two PPO batches and distillation, as
     # shipped and with the fresh-array network code patched in: parameters
-    # and every metric, action_agreement included, are equal
-    def train():
-        b = init_bundle(common_dim=15, seed=7)
-        ds = synthetic_dataset(n_episodes=12, ep_len=40, common_dim=15,
-                               seed=3, reward_from_obs=True)
+    # and every metric, action_agreement included, are equal, at 3-task
+    # dims and at 20-task dims (common dim 83), each with a pool of one
+    def train(family):
+        b = init_bundle(common_dim=family.common_dim, seed=7)
+        ds = synthetic_dataset(n_episodes=12, ep_len=40,
+                               common_dim=family.common_dim, seed=3,
+                               reward_from_obs=True)
         cfg = TrainConfig(bc_epochs=3, bc_batch=128, steps_budget=1024,
                           rollout_steps=512, minibatch=128, seed=5)
         _, bc = bc_pretrain(ds, b, cfg)
         _, critic = critic_init(ds, b, cfg, epochs=3)
-        _, curve = ppo_finetune(make_env_factory(), b, cfg)
+        _, curve = ppo_finetune(family.train_envs(5, 1), b, cfg)
         _, ada = distill_adaptation(ds, b, cfg, epochs=3)
         return b, ([net.flat.tobytes() for net in b.networks],
                    repr((bc, critic, curve, ada)))
 
-    b, shipped = train()
-    assert all(net.work is not None for net in b.networks)
-    for name, ref in (("forward_cached", reference_forward_cached),
-                      ("backward", oracles.reference_backward_params),
-                      ("adam_step", oracles.reference_adam_step_params)):
-        for module in ("nets", "bc", "distill", "ppo"):
-            mod = importlib.import_module(f"dtspn.learn.{module}")
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, ref)
-    b, reference = train()
-    assert all(net.work is None for net in b.networks)
-    assert reference == shipped
+    for family in (DemoMeta(3, 300.0, 300.0, n_pos=3, n_head=2),
+                   DemoMeta(20, 800.0, 800.0, n_pos=3, n_head=2)):
+        b, shipped = train(family)
+        assert all(net.work is not None for net in b.networks)
+        with monkeypatch.context() as patch:
+            for name, ref in (
+                    ("forward_cached", reference_forward_cached),
+                    ("backward", oracles.reference_backward_params),
+                    ("adam_step", oracles.reference_adam_step_params)):
+                for module in ("nets", "bc", "distill", "ppo"):
+                    mod = importlib.import_module(f"dtspn.learn.{module}")
+                    if hasattr(mod, name):
+                        patch.setattr(mod, name, ref)
+            b, reference = train(family)
+        assert all(net.work is None for net in b.networks)
+        assert reference == shipped, family.n_tasks
 
 
 def test_stages_match_bit_for_bit_at_any_evaluation_chunk(monkeypatch):
@@ -560,6 +573,38 @@ def test_forward_on_a_row_is_row_0_of_its_one_row_batch(common_dim):
         forward_cached(b.policy, np.zeros(b.policy.in_dim + 1))
     with pytest.raises(ValueError):
         forward_cached(b.policy, np.zeros((1, 1, b.policy.in_dim)))
+
+
+def test_forward_of_column_blocks_matches_the_reference_on_the_joined_rows():
+    # the four 20-task networks, each on its input's column blocks: a row,
+    # then batches of 1, 16, 512 and 600 rows (the last grows the
+    # workspace) give the fresh-array forward's bytes on the joined input,
+    # with a batch's input written into the workspace
+    b = init_bundle(common_dim=83, seed=13)
+    rng = np.random.default_rng(13)
+    widths = ((83, 12), (83, 32), (83, 32), (83,))
+    for net, cols in zip(b.networks, widths):
+        for rows in (None, 1, 16, 512, 600):
+            shape = () if rows is None else (rows,)
+            blocks = [rng.normal(size=shape + (w,)) for w in cols]
+            out, cache = forward_cached(net, *blocks)
+            ref_out, ref_cache = reference_forward_cached(
+                net, np.concatenate(blocks, axis=-1))
+            assert out.tobytes() == ref_out.tobytes()
+            assert [a.shape for a in cache] == [a.shape for a in ref_cache]
+            assert all(a.tobytes() == r.tobytes()
+                       for a, r in zip(cache, ref_cache))
+            assert not any(np.shares_memory(cache[0], x) for x in blocks)
+            if rows is not None:
+                assert np.shares_memory(cache[0], net.work.inp)
+        assert net.work.rows == 600
+        for bad in ([np.zeros(83), np.zeros(cols[-1] + 1)],
+                    [np.zeros((4, 83)), np.zeros((4, cols[-1] - 1))],
+                    [np.zeros((4, 83)), np.zeros((5, cols[-1]))],
+                    [np.zeros((4, 83)), np.zeros(cols[-1])],
+                    [np.zeros((1, 1, net.in_dim))]):
+            with pytest.raises(ValueError):
+                forward_cached(net, *bad)
 
 
 def test_act_is_the_argmax_of_the_one_row_batch_forward():
@@ -849,7 +894,7 @@ def test_regress_at_zero_lr_changes_no_parameter():
     before = _pack_network(net)
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(50, 5)), rng.normal(size=(50, 2))
-    curve = list(regress(net, x, y, 0.0, 16, 3, rng))
+    curve = list(regress(net, (x,), y, 0.0, 16, 3, rng))
     assert _pack_network(net) == before
     # nothing moved, so every epoch sees the same error up to the order
     # its minibatches are summed in
@@ -1123,6 +1168,33 @@ def test_ppo_leaves_no_thread_behind():
     with pytest.raises(ValueError, match="no more envs"):
         ppo_finetune(failing, init_bundle(common_dim=15, seed=4), cfg)
     assert threading.active_count() == start
+
+
+def test_ppo_refuses_envs_not_in_train_mode(monkeypatch):
+    # an eval-mode env may carry no expert path, whose privileged rows the
+    # encoder would read as zeros: PPO raises before any env step, with
+    # no worker started and no parameter changed
+    family = DemoMeta(3, 300.0, 300.0, n_pos=3, n_head=2)
+    x = family.instance_for(5)
+    path = family.expert_path(x)
+
+    def forbidden(*_):
+        raise AssertionError("an env was reset or stepped")
+
+    monkeypatch.setattr(EnvBatch, "reset", forbidden)
+    monkeypatch.setattr(EnvBatch, "step", forbidden)
+    b = init_bundle(common_dim=15, seed=4)
+    before = [net.flat.tobytes() for net in b.networks]
+    start = threading.active_count()
+    cfg = TrainConfig(steps_budget=512, rollout_steps=256, minibatch=64,
+                      seed=0)
+    for factory in (lambda: DtspnEnv(x, mode="eval"),
+                    lambda: DtspnEnv(x, path, mode="eval")):
+        for use_privileged in (True, False):
+            with pytest.raises(ValueError, match="'eval'"):
+                ppo_finetune(factory, b, cfg, use_privileged=use_privileged)
+    assert threading.active_count() == start
+    assert [net.flat.tobytes() for net in b.networks] == before
 
 
 def count_training_steps(monkeypatch):
