@@ -2,9 +2,12 @@
 
 A Dubins path for a forward-only vehicle with minimum turning radius rho is
 one of six segment words (LSL, RSR, LSR, RSL, RLR, LRL).  This module finds
-the minimum-length words for pose pairs, evaluates lengths in bulk for cost
-matrices, and samples poses exactly on the path arc with advance, the one
-exact-arc step that the simulator flies too.
+the minimum-length words for pose pairs, prices lengths in bulk, and samples
+poses exactly on the path arc with advance, the one exact-arc step that the
+simulator flies too.  Bulk lengths come from one chunked loop, pair_lengths,
+over a list of position pairs that each carry all of their heading
+combinations; a chunk may span any number of from-positions (or planner
+groups), and length_matrix is its all-pairs call.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ WORDS = ("LSL", "RSR", "LSR", "RSL", "RLR", "LRL")
 # paths from flipping between adjacent words.
 SEGMENT_EPS = 1e-9
 
-# Pose pairs per chunk of length_matrix.  A chunk's peak is about 250-280
-# bytes per pair (tracemalloc), so one chunk needs about 4 MB however many
-# poses there are, near the 2 MB L2 cache a core of a 2-core x86 machine
-# has.  There, 20-task and 40-task cost matrices took about as long at
-# 2^14 and 2^15 pairs, and 5-15 % longer at 2^13 and 2^16.
+# Pose pairs per chunk of pair_lengths, whatever positions or groups the
+# chunk's position pairs come from.  A chunk's peak is about 250-280 bytes
+# per pair (tracemalloc), so one chunk needs about 4 MB however many poses
+# there are, near the 2 MB L2 cache a core of a 2-core x86 machine has.
+# There, 20-task and 40-task cost matrices took about as long at 2^14 and
+# 2^15 pairs, and 5-15 % longer at 2^13 and 2^16.
 LENGTH_CHUNK_PAIRS = 1 << 14
 
 
@@ -214,7 +218,11 @@ def _frame(dx, dy, theta_a, theta_b, rho):
     either end, which broadcast against them.  Each term is computed at the
     shape of its own inputs and then copied out to the broadcast shape,
     which _words needs contiguous; returns that shape and _words' inputs,
-    flattened."""
+    flattened.  Every kernel call comes through here, so the turning radius
+    is checked here."""
+    if not 0.0 < rho < math.inf:    # NaN fails too
+        raise ValueError(f"turning radius must be positive and finite, "
+                         f"got {rho}")
     line = np.arctan2(dy, dx)
     alpha = mod2pi(theta_a - line)
     beta = mod2pi(theta_b - line)
@@ -233,8 +241,6 @@ def shortest_paths(starts, ends, rho: float) -> list[DubinsPath]:
     replaces a pair's best only if more than 1e-9 shorter, so length ties
     go to the earlier word in WORDS.
     """
-    if rho <= 0.0:
-        raise ValueError("turning radius must be positive")
     if len(starts) != len(ends):
         raise ValueError(f"{len(starts)} starts but {len(ends)} ends")
     if not all(isinstance(p, Pose) for p in (*starts, *ends)):
@@ -324,7 +330,7 @@ def pose_array(poses) -> np.ndarray:
     return np.asarray(seq, dtype=float).reshape(len(seq), 3)
 
 
-def _run_length(xy):
+def run_length(xy):
     """Largest H such that the rows of xy split into runs of H consecutive
     rows with bitwise equal (x, y): 1 when no two neighbours share one."""
     bits = np.ascontiguousarray(xy).view(np.uint64)
@@ -332,30 +338,37 @@ def _run_length(xy):
     return max(1, math.gcd(len(xy), *starts.tolist()))
 
 
-def length_matrix(from_poses, to_poses, rho: float) -> np.ndarray:
-    """Dubins shortest-path lengths between two pose sets, shape (n, m).
+def pair_lengths(from_poses, to_poses, pairs, rho: float, runs):
+    """Dubins shortest-path lengths between the poses at each listed pair of
+    positions, one chunk of pairs at a time.
 
-    Accepts sequences of Pose or arrays of rows (x, y, theta).  Each set is
-    split into positions that H consecutive poses share (H = 1 when no
-    neighbours share one), so the bearing and distance are computed once
-    per position pair, alpha once per (from-pose, to-position) and beta
-    once per (from-position, to-pose).  A chunk of from-positions is laid
-    out (Ha, Hb, positions, Pb), the minimum is kept over one word at a
-    time, and the chunk is transposed into the result.
+    Position i of a pose set is its rows i * H to i * H + H - 1, which must
+    share one (x, y) bit for bit; runs = (Ha, Hb) gives H for the from- and
+    to-set (1 always fits), and each H must divide run_length of its set.
+    pairs holds (from-position, to-position) rows.  Yields (rows, lengths)
+    for each chunk of LENGTH_CHUNK_PAIRS // (Ha * Hb) pairs, rows being the
+    chunk's slice of pairs: lengths[i, j, n] is the length from heading i
+    of from-position pairs[rows][n, 0] to heading j of to-position
+    pairs[rows][n, 1], shape (Ha, Hb, chunk).  The bearing and distance are computed once per
+    position pair, alpha once per (from-heading, pair) and beta once per
+    (to-heading, pair), and the minimum is kept over one word at a time.
     """
-    a = pose_array(from_poses)
-    b = pose_array(to_poses)
-    ha, hb = _run_length(a[:, :2]), _run_length(b[:, :2])
-    out = np.empty((len(a), len(b)))
+    a, b = pose_array(from_poses), pose_array(to_poses)
+    ha, hb = runs
+    for poses, h in ((a, ha), (b, hb)):
+        if run_length(poses[:, :2]) % h:
+            raise ValueError(f"poses do not come in runs of {h} at one "
+                             f"position")
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     # positions and (H, positions) headings of each side
     ax, ay, ath = a[::ha, 0], a[::ha, 1], a[:, 2].reshape(-1, ha).T
     bx, by, bth = b[::hb, 0], b[::hb, 1], b[:, 2].reshape(-1, hb).T
-    rows = max(1, LENGTH_CHUNK_PAIRS // max(1, ha * len(b)))
-    for i in range(0, len(ax), rows):
-        shape, frame = _frame(bx - ax[i:i + rows, None],
-                              by - ay[i:i + rows, None],
-                              ath[:, None, i:i + rows, None],
-                              bth[None, :, None, :], rho)
+    step = max(1, LENGTH_CHUNK_PAIRS // (ha * hb))
+    for lo in range(0, len(pairs), step):
+        rows = slice(lo, min(lo + step, len(pairs)))
+        i, j = pairs[rows].T
+        shape, frame = _frame(bx[j] - ax[i], by[j] - ay[i],
+                              ath[:, None, i], bth[None, :, j], rho)
         best = None
         for sub, t, p, q in _words(*frame):
             cost = t + p
@@ -365,7 +378,23 @@ def length_matrix(from_poses, to_poses, rho: float) -> np.ndarray:
                                                             out=best)
             else:
                 best.put(sub, np.minimum(best.take(sub), cost))
-        block = out[i * ha:(i + rows) * ha].reshape(shape[2], ha, -1, hb)
-        np.multiply(best.reshape(shape).transpose(2, 0, 3, 1), rho,
-                    out=block)
-    return out
+        best *= rho
+        yield rows, best.reshape(shape)
+
+
+def length_matrix(from_poses, to_poses, rho: float) -> np.ndarray:
+    """Dubins shortest-path lengths between two pose sets, shape (n, m).
+
+    Accepts sequences of Pose or arrays of rows (x, y, theta).  The all-pairs
+    call of pair_lengths: each set is split into the positions that
+    run_length consecutive poses share, and every (from-position,
+    to-position) pair is priced.
+    """
+    a, b = pose_array(from_poses), pose_array(to_poses)
+    ha, hb = run_length(a[:, :2]), run_length(b[:, :2])
+    out = np.empty((len(a) // ha, ha, len(b) // hb, hb))
+    pairs = np.indices((len(out), out.shape[2])).reshape(2, -1).T
+    for rows, lengths in pair_lengths(a, b, pairs, rho, (ha, hb)):
+        i, j = pairs[rows].T
+        out[i, :, j] = lengths.transpose(2, 0, 1)
+    return out.reshape(len(a), len(b))

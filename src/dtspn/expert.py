@@ -3,8 +3,9 @@
 Candidate visiting poses are sampled on a circle inside each task's sensing
 disk, one group of (x, y, theta) rows per task plus the start group.  The
 Dubins lengths between different groups, except those into the start group,
-are laid out as padded blocks between groups, the only form the search
-reads; no open path from the start uses the rest.  A generalized TSP over
+are priced in one kernel pass over the plan's position pairs and laid out
+as padded blocks between groups, the only form the search reads; no open
+path from the start uses the rest.  A generalized TSP over
 the groups is solved for an open path from the start: local search over
 the cluster order, with each order scored by a dynamic program that picks
 one pose per cluster, gives the order and one slot per cluster.  The chosen
@@ -19,8 +20,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dubins import (TWO_PI, Pose, length_matrix, normalize_angle,
-                     path_length, pose_array, sample_path, shortest_paths)
+from .dubins import (TWO_PI, Pose, normalize_angle, pair_lengths, path_length,
+                     pose_array, run_length, sample_path, shortest_paths)
 from .env import EnvConfig, config_for
 from .instance import Instance
 
@@ -99,23 +100,33 @@ def build_gtsp(groups, rho: float):
     """Dubins lengths between pose groups, the start group first, as blocks
     (k, k, m, m) padded to the largest group size m: blocks[a, b, i, j] runs
     from pose i of group a to pose j of group b.  Only the blocks an open
-    tour from the start can use (a != b, b != 0) are priced, one
-    length_matrix call per source group; the rest, and pads, are +inf.
-    Also returns the start group's DP vector (0 on its poses, +inf at pads)."""
+    tour from the start can use (a != b, b != 0) are priced, in one
+    pair_lengths pass over every position pair between such groups, each
+    chunk written straight into the blocks; the rest, and pads, are +inf.
+    A position is a run of H poses that share one (x, y), H being the
+    largest run length that divides every group's (1 if a group's poses do
+    not come in equal runs).  Also returns the start group's DP vector (0 on
+    its poses, +inf at pads)."""
     groups = [pose_array(g) for g in groups]
     sizes = [len(g) for g in groups]
     if min(sizes) == 0:
         raise ValueError(f"pose group {sizes.index(0)} is empty")
     k, m = len(groups), max(sizes)
+    h = math.gcd(*(run_length(g[:, :2]) for g in groups))
+    # the group of each position and the row of its first pose in the group
+    owner = np.repeat(np.arange(k), [s // h for s in sizes])
+    row = np.concatenate([np.arange(0, s, h) for s in sizes])
+    pairs = np.argwhere((owner[:, None] != owner) & (owner != 0))
+    a, b = owner[pairs[:, 0]], owner[pairs[:, 1]]
+    # flat index into blocks of each pair's first pose pair, and the offset
+    # of each (from-heading, to-heading) from it
+    first = ((a * k + b) * m + row[pairs[:, 0]]) * m + row[pairs[:, 1]]
+    offset = (np.arange(h)[:, None] * m + np.arange(h))[:, :, None]
     poses = np.concatenate(groups)
-    # the group of each pose and its row within that group
-    owner = np.repeat(np.arange(k), sizes)
-    slot = np.concatenate([np.arange(s) for s in sizes])
     blocks = np.full((k, k, m, m), np.inf)
-    for a, g in enumerate(groups):
-        to = (owner != a) & (owner != 0)
-        blocks[a, owner[to], :len(g), slot[to]] = length_matrix(
-            g, poses[to], rho).T
+    flat = blocks.reshape(-1)
+    for rows, lengths in pair_lengths(poses, poses, pairs, rho, (h, h)):
+        flat[offset + first[rows]] = lengths
     start = np.full(m, np.inf)
     start[:sizes[0]] = 0.0
     return blocks, start

@@ -254,8 +254,8 @@ def reference_length_matrix(a, b):
 
 
 def assert_matrix_matches_reference(a, b, runs):
-    assert (dubins_mod._run_length(a[:, :2]),
-            dubins_mod._run_length(b[:, :2])) == runs
+    assert (dubins_mod.run_length(a[:, :2]),
+            dubins_mod.run_length(b[:, :2])) == runs
     assert (length_matrix(a, b, RHO).tobytes()
             == reference_length_matrix(a, b).tobytes())
 
@@ -333,6 +333,86 @@ def test_length_matrix_memory_stays_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def priced(a, b, pairs, runs):
+    """pair_lengths' chunks of position pairs joined in order, as one
+    (pairs, Ha, Hb) array."""
+    ha, hb = runs
+    out = np.empty((len(pairs), ha, hb))
+    end = 0
+    for rows, lengths in dubins_mod.pair_lengths(a, b, pairs, RHO, runs):
+        assert rows.start == end and lengths.shape[:2] == runs
+        end = rows.stop
+        out[rows] = lengths.transpose(2, 0, 1)
+    assert end == len(pairs)
+    return out
+
+
+def assert_pairs_match(a, b, pairs, runs):
+    """The lengths of each listed position pair equal length_matrix's
+    entries bit for bit, and reference_shortest_paths' lengths within
+    1e-9."""
+    ha, hb = runs
+    got = priced(a, b, pairs, runs)
+    full = length_matrix(a, b, RHO).reshape(len(a) // ha, ha, len(b) // hb,
+                                            hb)
+    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    assert got.tobytes() == full[i, :, j].tobytes()
+    starts = [Pose(*a[k * ha + u]) for k in i for u in range(ha)
+              for _ in range(hb)]
+    ends = [Pose(*b[k * hb + v]) for k in j for _ in range(ha)
+            for v in range(hb)]
+    want = [path_length(p) for p in reference_shortest_paths(starts, ends,
+                                                             RHO)]
+    np.testing.assert_allclose(got.ravel(), want, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("chunk", [7, 50, 10**6])
+def test_pair_lengths_match_length_matrix_on_pair_lists(monkeypatch, chunk):
+    monkeypatch.setattr(dubins_mod, "LENGTH_CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng(46)
+    four = repeated_poses(rng, 48, 4)
+    three = repeated_poses(rng, 27, 3)
+    loose = random_pose_array(rng, 10)
+    # random subsets of position pairs, not a cross product, each side at
+    # its own run length, at run length 1, or at a run that divides it
+    for a, b, runs in ((four, three, (4, 3)), (three, four, (3, 4)),
+                       (four, loose, (4, 1)), (loose, loose, (1, 1)),
+                       (four, three, (1, 1)), (four, four, (2, 4))):
+        na, nb = len(a) // runs[0], len(b) // runs[1]
+        every = np.indices((na, nb)).reshape(2, -1).T
+        pairs = every[rng.random(len(every)) < 0.4]
+        assert_pairs_match(a, b, rng.permutation(pairs), runs)
+    # coincident positions (d = 0), repeated pairs, and an empty list
+    assert_pairs_match(four, four, [(0, 0), (3, 3), (3, 3), (5, 2)], (4, 4))
+    assert_pairs_match(loose, loose, [(2, 2)], (1, 1))
+    assert_pairs_match(four, three, [], (4, 3))
+    assert priced(four, three, np.empty((0, 2), dtype=int), (4, 3)).size == 0
+
+
+def test_pair_lengths_reject_runs_that_split_a_position():
+    rng = np.random.default_rng(47)
+    four = repeated_poses(rng, 16, 4)
+    for runs in ((3, 4), (4, 8), (4, 3)):
+        with pytest.raises(ValueError, match="runs of"):
+            list(dubins_mod.pair_lengths(four, four, [(0, 1)], RHO, runs))
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+def test_kernel_rejects_a_turning_radius_not_positive_and_finite(rho):
+    # a 10 m straight pair: unchecked, length_matrix reads NaN at 0 and
+    # inf and -16.28 at -1, and shortest_paths gives an LSL path of NaN
+    # length at inf
+    a, b = Pose(0.0, 0.0, 0.0), Pose(10.0, 0.0, 0.0)
+    poses = pose_array([a, b])
+    for call in (lambda: shortest_paths([a], [b], rho),
+                 lambda: length_matrix([a], [b], rho),
+                 lambda: list(dubins_mod.pair_lengths(poses, poses, [(0, 1)],
+                                                      rho, (1, 1)))):
+        with pytest.raises(ValueError, match="turning radius must be "
+                                             "positive and finite"):
+            call()
 
 
 def test_pose_theta_normalization():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtspn.dubins import Pose, length_matrix, normalize_angle, pose_array
+import dtspn.dubins as dubins_mod
+from dtspn.dubins import (Pose, length_matrix, normalize_angle, pair_lengths,
+                          pose_array)
 from dtspn import expert as ex
 from dtspn.env import DtspnEnv, EnvConfig, config_for
 from dtspn import instance as inst
@@ -273,21 +275,46 @@ def test_solve_gtsp_reads_no_block_within_a_cluster_or_into_the_start(
 def test_plan_prices_only_the_pairs_the_search_reads(monkeypatch, n_tasks,
                                                      span, seed, pairs):
     # 8x4 sampling: the 4 start poses to every task pose, and each task's
-    # 32 poses to those of the other tasks
+    # 32 poses to those of the other tasks, in one pair_lengths pass
     x = inst.generate(n_tasks, seed, map_size=(span, span))
     start = x.start
     assert all(math.hypot(tx - start.x, ty - start.y) > x.r_sense
                for tx, ty in x.tasks)
-    priced = []
+    passes, priced = [], []
 
-    def counting(a, b, rho):
-        priced.append(len(a) * len(b))
-        return length_matrix(a, b, rho)
+    def counting(*args):
+        passes.append(args)
+        for rows, lengths in pair_lengths(*args):
+            priced.append(lengths.size)
+            yield rows, lengths
 
-    monkeypatch.setattr(ex, "length_matrix", counting)
+    monkeypatch.setattr(ex, "pair_lengths", counting)
     ex.plan(x)
     assert sum(priced) == pairs
-    assert len(priced) == n_tasks + 1
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("n_tasks, span, position_pairs, chunks", [
+    (3, 300.0, 408, 1), (20, 800.0, 24_480, 24)])
+def test_plan_prices_in_chunks_that_span_source_groups(
+        monkeypatch, n_tasks, span, position_pairs, chunks):
+    # 8x4 sampling: 16 pose pairs per position pair, so a chunk holds
+    # LENGTH_CHUNK_PAIRS // 16 position pairs from any source groups (at 20
+    # tasks, 42 chunks when each source group was priced on its own)
+    assert chunks == math.ceil(position_pairs
+                               / (dubins_mod.LENGTH_CHUNK_PAIRS // 16))
+    x = inst.generate(n_tasks, 105, map_size=(span, span))
+    frames = []
+
+    def counting(*args):
+        frames.append(args)
+        return frame(*args)
+
+    frame = dubins_mod._frame
+    monkeypatch.setattr(dubins_mod, "_frame", counting)
+    ex.plan(x)
+    # the pricing chunks, then the one shortest_paths call that stitches
+    assert len(frames) == chunks + 1
 
 
 # ---------------------------------------------------------------- solve_gtsp
