@@ -339,19 +339,18 @@ def run_length(xy):
 
 
 def pair_lengths(from_poses, to_poses, pairs, rho: float, runs):
-    """Dubins shortest-path lengths between the poses at each listed pair of
-    positions, one chunk of pairs at a time.
+    """Dubins shortest-path lengths between the poses at listed pairs of
+    positions, one chunk of LENGTH_CHUNK_PAIRS // (Ha * Hb) pairs at a time.
 
-    Position i of a pose set is its rows i * H to i * H + H - 1, which must
-    share one (x, y) bit for bit; runs = (Ha, Hb) gives H for the from- and
-    to-set (1 always fits), and each H must divide run_length of its set.
-    pairs holds (from-position, to-position) rows.  Yields (rows, lengths)
-    for each chunk of LENGTH_CHUNK_PAIRS // (Ha * Hb) pairs, rows being the
-    chunk's slice of pairs: lengths[i, j, n] is the length from heading i
-    of from-position pairs[rows][n, 0] to heading j of to-position
-    pairs[rows][n, 1], shape (Ha, Hb, chunk).  The bearing and distance are computed once per
-    position pair, alpha once per (from-heading, pair) and beta once per
-    (to-heading, pair), and the minimum is kept over one word at a time.
+    Position i of a pose set is its rows i * H to i * H + H - 1, with H
+    from runs = (Ha, Hb) for the from- and to-set; each H must divide
+    run_length of its set (1 always does).  pairs holds (from-position,
+    to-position) rows.  Yields (rows, lengths) per chunk: rows is its slice
+    of pairs, and lengths[i, j, n], shape (Ha, Hb, chunk), runs from
+    heading i of from-position pairs[rows][n, 0] to heading j of
+    to-position pairs[rows][n, 1].  Bearing and distance are computed once
+    per position pair, alpha once per (from-heading, pair) and beta once
+    per (to-heading, pair).
     """
     a, b = pose_array(from_poses), pose_array(to_poses)
     ha, hb = runs

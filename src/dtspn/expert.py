@@ -5,11 +5,11 @@ disk, one group of (x, y, theta) rows per task plus the start group.  The
 Dubins lengths between different groups, except those into the start group,
 are priced in one kernel pass over the plan's position pairs and laid out
 as padded blocks between groups, the only form the search reads; no open
-path from the start uses the rest.  A generalized TSP over
-the groups is solved for an open path from the start: local search over
-the cluster order, with each order scored by a dynamic program that picks
-one pose per cluster, gives the order and one slot per cluster.  The chosen
-poses are stitched into a densified waypoint polyline.
+path from the start uses the rest.  A generalized TSP over the groups is
+solved for an open path from the start: local search over the cluster
+order, with each order scored by a dynamic program that picks one pose per
+cluster, gives the order and one slot per cluster.  The chosen poses are
+stitched into a densified waypoint polyline.
 """
 
 import functools
@@ -101,12 +101,12 @@ def build_gtsp(groups, rho: float):
     (k, k, m, m) padded to the largest group size m: blocks[a, b, i, j] runs
     from pose i of group a to pose j of group b.  Only the blocks an open
     tour from the start can use (a != b, b != 0) are priced, in one
-    pair_lengths pass over every position pair between such groups, each
+    pair_lengths pass over the position pairs between such groups, each
     chunk written straight into the blocks; the rest, and pads, are +inf.
-    A position is a run of H poses that share one (x, y), H being the
-    largest run length that divides every group's (1 if a group's poses do
-    not come in equal runs).  Also returns the start group's DP vector (0 on
-    its poses, +inf at pads)."""
+    A position is a run of H poses at one (x, y), H dividing every group's
+    run_length (H = 1 if some group's poses do not come in equal runs).
+    Also returns the start group's DP vector (0 on its poses, +inf at
+    pads)."""
     groups = [pose_array(g) for g in groups]
     sizes = [len(g) for g in groups]
     if min(sizes) == 0:
@@ -117,10 +117,10 @@ def build_gtsp(groups, rho: float):
     owner = np.repeat(np.arange(k), [s // h for s in sizes])
     row = np.concatenate([np.arange(0, s, h) for s in sizes])
     pairs = np.argwhere((owner[:, None] != owner) & (owner != 0))
-    a, b = owner[pairs[:, 0]], owner[pairs[:, 1]]
+    i, j = pairs.T
     # flat index into blocks of each pair's first pose pair, and the offset
     # of each (from-heading, to-heading) from it
-    first = ((a * k + b) * m + row[pairs[:, 0]]) * m + row[pairs[:, 1]]
+    first = ((owner[i] * k + owner[j]) * m + row[i]) * m + row[j]
     offset = (np.arange(h)[:, None] * m + np.arange(h))[:, :, None]
     poses = np.concatenate(groups)
     blocks = np.full((k, k, m, m), np.inf)

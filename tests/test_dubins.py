@@ -388,7 +388,6 @@ def test_pair_lengths_match_length_matrix_on_pair_lists(monkeypatch, chunk):
     assert_pairs_match(four, four, [(0, 0), (3, 3), (3, 3), (5, 2)], (4, 4))
     assert_pairs_match(loose, loose, [(2, 2)], (1, 1))
     assert_pairs_match(four, three, [], (4, 3))
-    assert priced(four, three, np.empty((0, 2), dtype=int), (4, 3)).size == 0
 
 
 def test_pair_lengths_reject_runs_that_split_a_position():

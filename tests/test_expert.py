@@ -299,8 +299,8 @@ def test_plan_prices_only_the_pairs_the_search_reads(monkeypatch, n_tasks,
 def test_plan_prices_in_chunks_that_span_source_groups(
         monkeypatch, n_tasks, span, position_pairs, chunks):
     # 8x4 sampling: 16 pose pairs per position pair, so a chunk holds
-    # LENGTH_CHUNK_PAIRS // 16 position pairs from any source groups (at 20
-    # tasks, 42 chunks when each source group was priced on its own)
+    # LENGTH_CHUNK_PAIRS // 16 position pairs from any source groups;
+    # pricing each source group on its own would take 42 chunks at 20 tasks
     assert chunks == math.ceil(position_pairs
                                / (dubins_mod.LENGTH_CHUNK_PAIRS // 16))
     x = inst.generate(n_tasks, 105, map_size=(span, span))
