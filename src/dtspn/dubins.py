@@ -5,9 +5,10 @@ one of six segment words (LSL, RSR, LSR, RSL, RLR, LRL).  This module finds
 the minimum-length words for pose pairs, prices lengths in bulk, and samples
 poses exactly on the path arc with advance, the one exact-arc step that the
 simulator flies too.  Bulk lengths come from one chunked loop, pair_lengths,
-over a list of position pairs that each carry all of their heading
-combinations; a chunk may span any number of from-positions (or planner
-groups), and length_matrix is its all-pairs call.
+which prices positions x headings: it takes positions, the same number of
+headings at each, and a list of position pairs, and prices every heading
+combination of each pair.  A chunk may span any number of from-positions
+(or planner groups); which poses share a position is for the caller to say.
 """
 
 from __future__ import annotations
@@ -330,44 +331,28 @@ def pose_array(poses) -> np.ndarray:
     return np.asarray(seq, dtype=float).reshape(len(seq), 3)
 
 
-def run_length(xy):
-    """Largest H such that the rows of xy split into runs of H consecutive
-    rows with bitwise equal (x, y): 1 when no two neighbours share one."""
-    bits = np.ascontiguousarray(xy).view(np.uint64)
-    starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
-    return max(1, math.gcd(len(xy), *starts.tolist()))
-
-
-def pair_lengths(from_poses, to_poses, pairs, rho: float, runs):
+def pair_lengths(positions, headings, pairs, rho: float):
     """Dubins shortest-path lengths between the poses at listed pairs of
-    positions, one chunk of LENGTH_CHUNK_PAIRS // (Ha * Hb) pairs at a time.
+    positions, one chunk of LENGTH_CHUNK_PAIRS // H^2 pairs at a time.
 
-    Position i of a pose set is its rows i * H to i * H + H - 1, with H
-    from runs = (Ha, Hb) for the from- and to-set; each H must divide
-    run_length of its set (1 always does).  pairs holds (from-position,
-    to-position) rows.  Yields (rows, lengths) per chunk: rows is its slice
-    of pairs, and lengths[i, j, n], shape (Ha, Hb, chunk), runs from
-    heading i of from-position pairs[rows][n, 0] to heading j of
-    to-position pairs[rows][n, 1].  Bearing and distance are computed once
-    per position pair, alpha once per (from-heading, pair) and beta once
-    per (to-heading, pair).
+    positions is (P, 2) rows (x, y) and headings (P, H) the H headings at
+    each position, so position p holds the poses (x, y, headings[p, i]).
+    pairs holds (from-position, to-position) rows.  Yields (rows, lengths)
+    per chunk: rows is its slice of pairs, and lengths[i, j, n], shape (H,
+    H, chunk), runs from heading i of position pairs[rows][n, 0] to heading
+    j of position pairs[rows][n, 1].  Bearing and distance are computed
+    once per position pair, alpha once per (from-heading, pair) and beta
+    once per (to-heading, pair).
     """
-    a, b = pose_array(from_poses), pose_array(to_poses)
-    ha, hb = runs
-    for poses, h in ((a, ha), (b, hb)):
-        if run_length(poses[:, :2]) % h:
-            raise ValueError(f"poses do not come in runs of {h} at one "
-                             f"position")
+    x, y = np.asarray(positions, dtype=float).T
+    th = np.asarray(headings, dtype=float).T
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    # positions and (H, positions) headings of each side
-    ax, ay, ath = a[::ha, 0], a[::ha, 1], a[:, 2].reshape(-1, ha).T
-    bx, by, bth = b[::hb, 0], b[::hb, 1], b[:, 2].reshape(-1, hb).T
-    step = max(1, LENGTH_CHUNK_PAIRS // (ha * hb))
+    step = max(1, LENGTH_CHUNK_PAIRS // len(th) ** 2)
     for lo in range(0, len(pairs), step):
         rows = slice(lo, min(lo + step, len(pairs)))
         i, j = pairs[rows].T
-        shape, frame = _frame(bx[j] - ax[i], by[j] - ay[i],
-                              ath[:, None, i], bth[None, :, j], rho)
+        shape, frame = _frame(x[j] - x[i], y[j] - y[i], th[:, None, i],
+                              th[None, :, j], rho)
         best = None
         for sub, t, p, q in _words(*frame):
             cost = t + p
@@ -379,21 +364,3 @@ def pair_lengths(from_poses, to_poses, pairs, rho: float, runs):
                 best.put(sub, np.minimum(best.take(sub), cost))
         best *= rho
         yield rows, best.reshape(shape)
-
-
-def length_matrix(from_poses, to_poses, rho: float) -> np.ndarray:
-    """Dubins shortest-path lengths between two pose sets, shape (n, m).
-
-    Accepts sequences of Pose or arrays of rows (x, y, theta).  The all-pairs
-    call of pair_lengths: each set is split into the positions that
-    run_length consecutive poses share, and every (from-position,
-    to-position) pair is priced.
-    """
-    a, b = pose_array(from_poses), pose_array(to_poses)
-    ha, hb = run_length(a[:, :2]), run_length(b[:, :2])
-    out = np.empty((len(a) // ha, ha, len(b) // hb, hb))
-    pairs = np.indices((len(out), out.shape[2])).reshape(2, -1).T
-    for rows, lengths in pair_lengths(a, b, pairs, rho, (ha, hb)):
-        i, j = pairs[rows].T
-        out[i, :, j] = lengths.transpose(2, 0, 1)
-    return out.reshape(len(a), len(b))

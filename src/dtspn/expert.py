@@ -1,15 +1,17 @@
 """Sampling-based DTSPN heuristic expert.
 
 Candidate visiting poses are sampled on a circle inside each task's sensing
-disk, one group of (x, y, theta) rows per task plus the start group.  The
-Dubins lengths between different groups, except those into the start group,
-are priced in one kernel pass over the plan's position pairs and laid out
-as padded blocks between groups, the only form the search reads; no open
-path from the start uses the rest.  A generalized TSP over the groups is
-solved for an open path from the start: local search over the cluster
-order, with each order scored by a dynamic program that picks one pose per
-cluster, gives the order and one slot per cluster.  The chosen poses are
-stitched into a densified waypoint polyline.
+disk, one group of (x, y, theta) rows per task plus the start group, each
+position's headings in one run of adjacent rows.  build_gtsp finds those
+runs, and the Dubins lengths between different groups, except those into
+the start group, are priced in one kernel pass over the plan's position
+pairs and laid out as padded blocks between groups, the only form the
+search reads; no open path from the start uses the rest.  A generalized
+TSP over the groups is solved for an open path from the start: local
+search over the cluster order, with each order scored by a dynamic
+program that picks one pose per cluster, gives the order and one slot per
+cluster.  The chosen poses are stitched into a densified waypoint
+polyline.
 """
 
 import functools
@@ -21,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dubins import (TWO_PI, Pose, normalize_angle, pair_lengths, path_length,
-                     pose_array, run_length, sample_path, shortest_paths)
+                     pose_array, sample_path, shortest_paths)
 from .env import EnvConfig, config_for
 from .instance import Instance
 
@@ -96,6 +98,15 @@ def sample_poses(instance: Instance, n_pos: int, n_head: int):
     return np.array([(start.x, start.y, h) for h in headings]), tasks
 
 
+def _run_length(xy):
+    """Largest H such that the rows of xy split into runs of H consecutive
+    rows with bitwise equal (x, y): 1 when no two neighbours share one.
+    Bits, not values: 0.0 and -0.0 can give different bearings."""
+    bits = np.ascontiguousarray(xy).view(np.uint64)
+    starts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+    return max(1, math.gcd(len(xy), *starts.tolist()))
+
+
 def build_gtsp(groups, rho: float):
     """Dubins lengths between pose groups, the start group first, as blocks
     (k, k, m, m) padded to the largest group size m: blocks[a, b, i, j] runs
@@ -103,16 +114,16 @@ def build_gtsp(groups, rho: float):
     tour from the start can use (a != b, b != 0) are priced, in one
     pair_lengths pass over the position pairs between such groups, each
     chunk written straight into the blocks; the rest, and pads, are +inf.
-    A position is a run of H poses at one (x, y), H dividing every group's
-    run_length (H = 1 if some group's poses do not come in equal runs).
-    Also returns the start group's DP vector (0 on its poses, +inf at
-    pads)."""
+    This is the one place that finds the positions the kernel prices: runs
+    of H poses at one (x, y), H the gcd of every group's _run_length (1 if
+    some group's poses do not come in equal runs).  Also returns the start
+    group's DP vector (0 on its poses, +inf at pads)."""
     groups = [pose_array(g) for g in groups]
     sizes = [len(g) for g in groups]
     if min(sizes) == 0:
         raise ValueError(f"pose group {sizes.index(0)} is empty")
     k, m = len(groups), max(sizes)
-    h = math.gcd(*(run_length(g[:, :2]) for g in groups))
+    h = math.gcd(*(_run_length(g[:, :2]) for g in groups))
     # the group of each position and the row of its first pose in the group
     owner = np.repeat(np.arange(k), [s // h for s in sizes])
     row = np.concatenate([np.arange(0, s, h) for s in sizes])
@@ -125,7 +136,8 @@ def build_gtsp(groups, rho: float):
     poses = np.concatenate(groups)
     blocks = np.full((k, k, m, m), np.inf)
     flat = blocks.reshape(-1)
-    for rows, lengths in pair_lengths(poses, poses, pairs, rho, (h, h)):
+    for rows, lengths in pair_lengths(poses[::h, :2],
+                                      poses[:, 2].reshape(-1, h), pairs, rho):
         flat[offset + first[rows]] = lengths
     start = np.full(m, np.inf)
     start[:sizes[0]] = 0.0
@@ -324,16 +336,16 @@ def plan(instance: Instance, n_pos: int = 8, n_head: int = 4,
         total += path_length(leg)
         waypoints.extend(sample_path(leg, step_dist)[1:])
 
+    # (waypoints, tasks) distances; a task's first hit orders it, ties by
+    # task index
     wp = np.array([(p.x, p.y) for p in waypoints])
-    first_idx = np.empty(instance.n_tasks, dtype=int)
-    for t in range(instance.n_tasks):
-        d = np.hypot(wp[:, 0] - tasks[t, 0], wp[:, 1] - tasks[t, 1])
-        hits = np.nonzero(d <= instance.r_sense)[0]
-        if len(hits) == 0:
-            raise SensingGap(t, float(d.min()))
-        first_idx[t] = hits[0]
-    sensed_order = tuple(sorted(range(instance.n_tasks),
-                                key=lambda t: (first_idx[t], t)))
+    d = np.hypot(wp[:, 0, None] - tasks[:, 0], wp[:, 1, None] - tasks[:, 1])
+    hit = d <= instance.r_sense
+    missed = np.flatnonzero(~hit.any(axis=0))
+    if len(missed):
+        raise SensingGap(int(missed[0]), float(d[:, missed[0]].min()))
+    sensed_order = tuple(np.argsort(hit.argmax(axis=0), kind="stable")
+                         .tolist())
 
     return ExpertPath(waypoints=tuple(waypoints), total_length=total,
                       sensed_order=sensed_order, visiting_poses=visiting,

@@ -134,17 +134,6 @@ def init_network(layer_dims: Sequence[int], rng: np.random.Generator,
     return net
 
 
-def _as_batch(x: np.ndarray, d: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != d:
-            raise ValueError(f"{what}: expected dim {d}, got {x.shape[0]}")
-        return x[None, :]
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ValueError(f"{what}: expected (batch, {d}), got {x.shape}")
-    return x
-
-
 def forward_cached(params: NetworkParams, *blocks: np.ndarray):
     """Returns (output, post-activation cache) of the column blocks side by
     side, one input row (1-D blocks) or a batch of rows (2-D); the output
@@ -187,8 +176,8 @@ def backward(params: NetworkParams, cache, upstream: np.ndarray,
              input_grad: bool = True):
     """Gradients of sum(output * upstream) w.r.t. parameters and input.
 
-    cache comes from a forward over a batch (2-D); upstream has the
-    output's batch shape.  Returns (grad, input grad), grad a NetworkParams
+    cache comes from a forward over a batch (2-D); upstream must have the
+    cached output's shape.  Returns (grad, input grad), grad a NetworkParams
     of params' dims summed over the batch, so pass upstream already scaled
     by 1/batch for means.  Both live in params' workspace until its next
     backward.  With input_grad False the input gradient is not computed
@@ -198,11 +187,10 @@ def backward(params: NetworkParams, cache, upstream: np.ndarray,
     if cache[0].ndim != 2:
         raise ValueError(f"backward needs the cache of a batch forward, "
                          f"got input shape {cache[0].shape}")
-    g = _as_batch(upstream, params.out_dim, "upstream")
-    if g.shape[0] != cache[0].shape[0]:
-        raise ValueError(f"upstream batch {g.shape[0]} != cached batch "
-                         f"{cache[0].shape[0]}")
-    n = len(g)
+    if np.shape(upstream) != cache[-1].shape:
+        raise ValueError(f"upstream shape {np.shape(upstream)} != output "
+                         f"shape {cache[-1].shape}")
+    g, n = upstream, len(upstream)
     work = _workspace(params, n)
     grad = work.grad
     for i in range(len(params.weights) - 1, -1, -1):

@@ -16,8 +16,11 @@ differences.  Slower than the real code on purpose.  The exceptions are:
   was before sample_path flew segments with advance, the simulator's step.
   They are kept as the byte-for-byte reference for sample_path.
 - forward, gradients and softmax, one-call conveniences over the package's
-  forward_cached and backward that only tests use, and shortest_path_length
-  over shortest_path and path_length.
+  forward_cached and backward that only tests use, shortest_path_length
+  over shortest_path and path_length, and length_matrix, the all-pairs
+  call of pair_lengths.
+- sensing, the expert's sensing check as the loop over tasks it was
+  before it became one array, kept as the reference for plan's.
 - reference_backward, ReferenceAdam, reference_adam_step and
   reference_pack_network, the network code as it ran before parameters,
   gradients and moments shared one flat buffer per network: one array per
@@ -45,8 +48,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar, root
 
 from dtspn.dubins import (SEGMENT_EPS, WORDS, DubinsPath, Pose, _frame,
-                          _words, normalize_angle, path_length, pose_array,
-                          shortest_path)
+                          _words, normalize_angle, pair_lengths, path_length,
+                          pose_array, shortest_path)
 from dtspn.env import (ALL, PROGRESS_WINDOW, EnvBatch, RewardBreakdown,
                        advance, goal_reward, imitation_reward)
 from dtspn.learn.nets import NetworkParams, backward, forward_cached
@@ -624,6 +627,41 @@ def shortest_path_length(start, end, rho):
     return path_length(shortest_path(start, end, rho))
 
 
+def sensing(waypoints, tasks, r_sense):
+    """The expert's sensing check as a loop over tasks, as plan ran it
+    before one (waypoints, tasks) array: ("gap", task, closest approach)
+    for the first task no waypoint senses, else ("ok", the tasks in order
+    of their first sensing waypoint, ties by task)."""
+    wp = pose_array(waypoints)
+    first = []
+    for t, (tx, ty) in enumerate(tasks):
+        d = np.hypot(wp[:, 0] - tx, wp[:, 1] - ty)
+        hits = np.nonzero(d <= r_sense)[0]
+        if len(hits) == 0:
+            return "gap", t, float(d.min())
+        first.append(hits[0])
+    return "ok", tuple(sorted(range(len(tasks)),
+                              key=lambda t: (first[t], t)))
+
+
+def length_matrix(a, b, rho, h=1):
+    """Dubins lengths from every pose of a to every pose of b, shape (n, m),
+    in one pair_lengths call over every (a-position, b-position) pair.
+    Poses are Pose objects or (x, y, theta) rows; a position is a run of h
+    consecutive poses, which must share their (x, y) (h = 1 always
+    does)."""
+    a, b = pose_array(a), pose_array(b)
+    poses = np.concatenate([a, b])
+    na, nb = len(a) // h, len(b) // h
+    pairs = np.indices((na, nb)).reshape(2, -1).T + [0, na]
+    out = np.empty((na, h, nb, h))
+    for rows, lengths in pair_lengths(poses[::h, :2],
+                                      poses[:, 2].reshape(-1, h), pairs, rho):
+        i, j = pairs[rows].T
+        out[i, :, j - na] = lengths.transpose(2, 0, 1)
+    return out.reshape(len(a), len(b))
+
+
 def forward(params, x):
     """Network output of one input row (1-D x) or of a batch of rows."""
     return forward_cached(params, x)[0]
@@ -632,11 +670,11 @@ def forward(params, x):
 def gradients(params, x, upstream):
     """forward_cached then backward, in one call: (weight grads, bias
     grads, input grad), the parameter grads as per-layer lists.  A row x
-    runs as a one-row batch, whose cache backward takes.  The results are
-    copies: backward's own live in the network's workspace, which its next
-    backward overwrites."""
+    and its upstream run as a one-row batch, whose cache backward takes.
+    The results are copies: backward's own live in the network's workspace,
+    which its next backward overwrites."""
     _, cache = forward_cached(params, np.atleast_2d(x))
-    grad, gin = backward(params, cache, upstream)
+    grad, gin = backward(params, cache, np.atleast_2d(upstream))
     grad = grad.copy()
     return grad.weights, grad.biases, gin.copy()
 

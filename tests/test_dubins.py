@@ -12,8 +12,8 @@ from dtspn.dubins import (
     DubinsPath,
     Pose,
     WORDS,
-    length_matrix,
     mod2pi,
+    pair_lengths,
     path_length,
     pose_array,
     sample_path,
@@ -22,7 +22,7 @@ from dtspn.dubins import (
 )
 from dtspn.expert import sample_poses
 from dtspn.instance import generate
-from oracles import (dubins_oracle_length, kernel_segments,
+from oracles import (dubins_oracle_length, kernel_segments, length_matrix,
                      reference_pose_at, reference_segments,
                      reference_shortest_paths, shortest_path_length,
                      straight_step, turn_step, wrap)
@@ -253,11 +253,12 @@ def reference_length_matrix(a, b):
     return out
 
 
-def assert_matrix_matches_reference(a, b, runs):
-    assert (dubins_mod.run_length(a[:, :2]),
-            dubins_mod.run_length(b[:, :2])) == runs
-    assert (length_matrix(a, b, RHO).tobytes()
-            == reference_length_matrix(a, b).tobytes())
+def assert_matrix_matches_reference(a, b, h):
+    """length_matrix of a and b, each pose its own position and at
+    positions of h headings, equals the reference bit for bit."""
+    want = reference_length_matrix(a, b).tobytes()
+    for runs in {1, h}:
+        assert length_matrix(a, b, RHO, runs).tobytes() == want
 
 
 @pytest.mark.parametrize("n_tasks, n_pos, n_head",
@@ -265,7 +266,7 @@ def assert_matrix_matches_reference(a, b, runs):
 def test_length_matrix_matches_reference_on_pose_grids(n_tasks, n_pos,
                                                        n_head):
     poses = pose_grid(n_tasks, 3, n_pos, n_head)
-    assert_matrix_matches_reference(poses, poses, (n_head, n_head))
+    assert_matrix_matches_reference(poses, poses, n_head)
 
 
 def test_length_matrix_matches_reference_across_groupings():
@@ -276,25 +277,22 @@ def test_length_matrix_matches_reference_across_groupings():
     # raw headings outside [-pi, pi)
     raw = grid.copy()
     raw[:, 2] = rng.uniform(-10.0, 10.0, len(raw))
-    # unequal runs: the first position twice, the rest once
-    uneven = loose[:9].copy()
-    uneven[1, :2] = uneven[0, :2]
-    # runs of 4 and 8 group by 4
+    # a run of 8 poses at one position priced as two positions of 4
     mixed = grid[:16].copy()
     mixed[8:12, :2] = mixed[4:8, :2]
-    # 0.0 and -0.0 are equal but give different bearings, so they do not
-    # share a position
+    # coincident positions at 0.0 and -0.0 (build_gtsp's tests check that
+    # they are not one position)
     zeros = np.array([[0.0, 0.0, 0.5], [-0.0, 0.0, -1.0], [0.0, -0.0, 2.0],
                       [-0.0, -0.0, 3.0], [60.0, 0.0, 0.0], [60.0, 0.0, 1.0]])
-    assert_matrix_matches_reference(loose, loose, (1, 1))
-    assert_matrix_matches_reference(raw, grid, (4, 4))
-    assert_matrix_matches_reference(grid, loose, (4, 1))
-    assert_matrix_matches_reference(loose, raw, (1, 4))
-    assert_matrix_matches_reference(pose_grid(3, 6, 5, 3), grid, (3, 4))
-    assert_matrix_matches_reference(uneven, grid, (1, 4))
-    assert_matrix_matches_reference(mixed, uneven, (4, 1))
-    assert_matrix_matches_reference(zeros, zeros, (1, 1))
-    assert_matrix_matches_reference(grid[:0], grid, (1, 4))
+    assert_matrix_matches_reference(loose, loose, 1)
+    assert_matrix_matches_reference(raw, grid, 4)
+    assert_matrix_matches_reference(grid, loose, 1)
+    assert_matrix_matches_reference(loose, raw, 1)
+    assert_matrix_matches_reference(pose_grid(3, 6, 5, 3), grid, 1)
+    assert_matrix_matches_reference(mixed, grid, 4)
+    assert_matrix_matches_reference(grid, mixed, 2)
+    assert_matrix_matches_reference(zeros, zeros, 1)
+    assert_matrix_matches_reference(grid[:0], grid, 4)
 
 
 def repeated_poses(rng, n, runs):
@@ -315,54 +313,64 @@ def test_length_matrix_chunks_match_one_kernel_call(monkeypatch):
         whole = RHO * np.where(ok, t + p + q, np.inf).min(axis=0)
         for pairs in (1, 7, 11, 50, 10**6):
             monkeypatch.setattr(dubins_mod, "LENGTH_CHUNK_PAIRS", pairs)
-            assert length_matrix(a, b, RHO).tobytes() == whole.tobytes()
-        assert length_matrix(a, b[:0], RHO).shape == (len(a), 0)
-        assert length_matrix(a[:0], b, RHO).shape == (0, len(b))
+            assert (length_matrix(a, b, RHO, runs).tobytes()
+                    == whole.tobytes())
+        assert length_matrix(a, b[:0], RHO, runs).shape == (len(a), 0)
+        assert length_matrix(a[:0], b, RHO, runs).shape == (0, len(b))
+        # an empty pair list yields no chunk
+        assert list(pair_lengths(a[::runs, :2], a[:, 2].reshape(-1, runs),
+                                 np.empty((0, 2)), RHO)) == []
 
 
 def test_length_matrix_memory_stays_bounded():
-    # 1,000 poses, at 1,000 positions or at 250 of 4 headings each: the
-    # output is 8 MB; unchunked, the kernel's temporaries peaked near 290 MB
+    # all pairs of 1,000 poses, at 1,000 positions or at 250 of 4 headings
+    # each, into an 8 MB output; unchunked, the kernel's temporaries peaked
+    # near 290 MB.  The pair list (up to 16 MB) and the output are made
+    # before tracing, so the peak is the chunks' own.
     rng = np.random.default_rng(44)
     for runs in (1, 4):
         poses = repeated_poses(rng, 1000, runs)
+        xy, th = poses[::runs, :2], poses[:, 2].reshape(-1, runs)
+        pairs = np.indices((len(xy), len(xy))).reshape(2, -1).T
+        out = np.empty((len(xy), len(xy), runs, runs))
         tracemalloc.start()
         try:
-            length_matrix(poses, poses, RHO)
+            for rows, lengths in pair_lengths(xy, th, pairs, RHO):
+                i, j = pairs[rows].T
+                out[i, j] = lengths.transpose(2, 0, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def priced(a, b, pairs, runs):
-    """pair_lengths' chunks of position pairs joined in order, as one
-    (pairs, Ha, Hb) array."""
-    ha, hb = runs
-    out = np.empty((len(pairs), ha, hb))
+def priced(poses, h, pairs):
+    """pair_lengths' chunks of position pairs of poses (runs of h at one
+    position) joined in order, as one (pairs, h, h) array."""
+    out = np.empty((len(pairs), h, h))
     end = 0
-    for rows, lengths in dubins_mod.pair_lengths(a, b, pairs, RHO, runs):
-        assert rows.start == end and lengths.shape[:2] == runs
+    for rows, lengths in pair_lengths(poses[::h, :2],
+                                      poses[:, 2].reshape(-1, h), pairs, RHO):
+        assert rows.start == end and lengths.shape[:2] == (h, h)
         end = rows.stop
         out[rows] = lengths.transpose(2, 0, 1)
     assert end == len(pairs)
     return out
 
 
-def assert_pairs_match(a, b, pairs, runs):
+def assert_pairs_match(poses, h, pairs):
     """The lengths of each listed position pair equal length_matrix's
-    entries bit for bit, and reference_shortest_paths' lengths within
-    1e-9."""
-    ha, hb = runs
-    got = priced(a, b, pairs, runs)
-    full = length_matrix(a, b, RHO).reshape(len(a) // ha, ha, len(b) // hb,
-                                            hb)
+    entries, each pose its own position, bit for bit, and
+    reference_shortest_paths' lengths within 1e-9."""
+    got = priced(poses, h, pairs)
+    n = len(poses) // h
+    full = length_matrix(poses, poses, RHO).reshape(n, h, n, h)
     i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     assert got.tobytes() == full[i, :, j].tobytes()
-    starts = [Pose(*a[k * ha + u]) for k in i for u in range(ha)
-              for _ in range(hb)]
-    ends = [Pose(*b[k * hb + v]) for k in j for _ in range(ha)
-            for v in range(hb)]
+    starts = [Pose(*poses[k * h + u]) for k in i for u in range(h)
+              for _ in range(h)]
+    ends = [Pose(*poses[k * h + v]) for k in j for _ in range(h)
+            for v in range(h)]
     want = [path_length(p) for p in reference_shortest_paths(starts, ends,
                                                              RHO)]
     np.testing.assert_allclose(got.ravel(), want, rtol=0.0, atol=1e-9)
@@ -375,40 +383,30 @@ def test_pair_lengths_match_length_matrix_on_pair_lists(monkeypatch, chunk):
     four = repeated_poses(rng, 48, 4)
     three = repeated_poses(rng, 27, 3)
     loose = random_pose_array(rng, 10)
-    # random subsets of position pairs, not a cross product, each side at
-    # its own run length, at run length 1, or at a run that divides it
-    for a, b, runs in ((four, three, (4, 3)), (three, four, (3, 4)),
-                       (four, loose, (4, 1)), (loose, loose, (1, 1)),
-                       (four, three, (1, 1)), (four, four, (2, 4))):
-        na, nb = len(a) // runs[0], len(b) // runs[1]
-        every = np.indices((na, nb)).reshape(2, -1).T
+    # random subsets of position pairs, not a cross product, at the poses'
+    # own run length, at 1, or at a run that divides it
+    for poses, h in ((four, 4), (three, 3), (loose, 1), (four, 1), (four, 2),
+                     (np.concatenate([four, three, loose]), 1)):
+        n = len(poses) // h
+        every = np.indices((n, n)).reshape(2, -1).T
         pairs = every[rng.random(len(every)) < 0.4]
-        assert_pairs_match(a, b, rng.permutation(pairs), runs)
+        assert_pairs_match(poses, h, rng.permutation(pairs))
     # coincident positions (d = 0), repeated pairs, and an empty list
-    assert_pairs_match(four, four, [(0, 0), (3, 3), (3, 3), (5, 2)], (4, 4))
-    assert_pairs_match(loose, loose, [(2, 2)], (1, 1))
-    assert_pairs_match(four, three, [], (4, 3))
-
-
-def test_pair_lengths_reject_runs_that_split_a_position():
-    rng = np.random.default_rng(47)
-    four = repeated_poses(rng, 16, 4)
-    for runs in ((3, 4), (4, 8), (4, 3)):
-        with pytest.raises(ValueError, match="runs of"):
-            list(dubins_mod.pair_lengths(four, four, [(0, 1)], RHO, runs))
+    assert_pairs_match(four, 4, [(0, 0), (3, 3), (3, 3), (5, 2)])
+    assert_pairs_match(loose, 1, [(2, 2)])
+    assert_pairs_match(three, 3, [])
 
 
 @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
 def test_kernel_rejects_a_turning_radius_not_positive_and_finite(rho):
-    # a 10 m straight pair: unchecked, length_matrix reads NaN at 0 and
+    # a 10 m straight pair: unchecked, pair_lengths reads NaN at 0 and
     # inf and -16.28 at -1, and shortest_paths gives an LSL path of NaN
     # length at inf
     a, b = Pose(0.0, 0.0, 0.0), Pose(10.0, 0.0, 0.0)
     poses = pose_array([a, b])
     for call in (lambda: shortest_paths([a], [b], rho),
-                 lambda: length_matrix([a], [b], rho),
-                 lambda: list(dubins_mod.pair_lengths(poses, poses, [(0, 1)],
-                                                      rho, (1, 1)))):
+                 lambda: list(pair_lengths(poses[:, :2], poses[:, 2:],
+                                           [(0, 1)], rho))):
         with pytest.raises(ValueError, match="turning radius must be "
                                              "positive and finite"):
             call()
@@ -517,19 +515,21 @@ def test_mod2pi_matches_remainder_bit_for_bit():
     assert (zeros == 0.0).all() and not np.signbit(zeros).any()
 
 
-def assert_matches_reference(a, b, pairs):
+def assert_matches_reference(a, b, pairs, h=1):
     """Pose rows a (n, 3) against b (m, 3): feasibility and every feasible
-    word's (t, p, q), the length matrix, and the shortest paths of the
-    (i, j) pairs listed, one pair at a time and all in one shortest_paths
-    call, keep the reference kernel's bits."""
+    word's (t, p, q), the length matrix (each pose its own position, and
+    at positions of h headings), and the shortest paths of the (i, j)
+    pairs listed, one pair at a time and all in one shortest_paths call,
+    keep the reference kernel's bits."""
     new = kernel_segments(a[:, None], b[None], RHO)
     old = reference_segments(a[:, None], b[None], RHO)
     ok = old[3]
     assert new[3].tobytes() == ok.tobytes()
     for x, y in zip(new[:3], old[:3]):
         assert np.where(ok, x, 0.0).tobytes() == np.where(ok, y, 0.0).tobytes()
-    assert (length_matrix(a, b, RHO).tobytes()
-            == reference_length_matrix(a, b).tobytes())
+    want = reference_length_matrix(a, b).tobytes()
+    for runs in {1, h}:
+        assert length_matrix(a, b, RHO, runs).tobytes() == want
     starts = [Pose(*a[i]) for i, _ in pairs]
     ends = [Pose(*b[j]) for _, j in pairs]
     batched = shortest_paths(starts, ends, RHO)
@@ -553,7 +553,7 @@ def test_kernel_matches_reference_on_planner_poses(n_tasks, span, seed):
     rng = np.random.default_rng(seed)
     pairs = [pair for where, k in ((ccc, 200), (~ccc, 100))
              for pair in rng.permutation(np.argwhere(where))[:k].tolist()]
-    assert_matches_reference(poses, poses, pairs)
+    assert_matches_reference(poses, poses, pairs, 4)
 
 
 def ulps_from(x, k):

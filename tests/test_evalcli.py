@@ -1,8 +1,6 @@
-import glob
 import json
 import os
 import shlex
-import subprocess
 import sys
 
 import numpy as np
@@ -419,21 +417,6 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
-
-
-REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-
-
-@pytest.mark.parametrize("script", sorted(
-    glob.glob(os.path.join(REPO, "demo", "*.py"))), ids=os.path.basename)
-def test_demo_script_runs(script, tmp_path):
-    # in tmp_path, so the files a demo writes stay out of the checkout
-    path = [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]
-    run = subprocess.run(
-        [sys.executable, script], cwd=tmp_path, capture_output=True,
-        text=True, timeout=600,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
-    assert run.returncode == 0, run.stderr
 
 
 def test_cli_full_pipeline_desk_scale(tmp_path, capsys):

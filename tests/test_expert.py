@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dtspn.dubins as dubins_mod
-from dtspn.dubins import (Pose, length_matrix, normalize_angle, pair_lengths,
-                          pose_array)
+from dtspn.dubins import Pose, normalize_angle, pair_lengths, pose_array
 from dtspn import expert as ex
 from dtspn.env import DtspnEnv, EnvConfig, config_for
 from dtspn import instance as inst
 from oracles import (gtsp_blocks, gtsp_brute_force, gtsp_moves,
                      gtsp_open_costs, gtsp_search_full_rescoring,
-                     held_karp_atsp, shortest_path_length)
+                     held_karp_atsp, length_matrix, sensing,
+                     shortest_path_length)
 
 
 def make_gtsp(rng, sizes, lo=1.0, hi=100.0):
@@ -65,7 +65,8 @@ def planner_groups(x, n_pos=8, n_head=4):
 
 def node_gtsp(groups, rho):
     """The node form of pose groups: the length matrix over all their
-    poses, with no sentinels, and the group of each pose."""
+    poses, each its own position, with no sentinels, and the group of each
+    pose."""
     poses = np.concatenate([pose_array(g) for g in groups])
     cluster_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     return SimpleNamespace(cost=length_matrix(poses, poses, rho),
@@ -238,8 +239,7 @@ def test_build_gtsp_equals_reference_blocks_on_random_pose_groups():
 def test_build_gtsp_equals_reference_blocks_on_mixed_groups():
     # planner groups (runs of n_head poses at a position) beside a one-pose
     # group, a random-pose group (run length 1) and a copy of a task group
-    # (two tasks at one position), so each length_matrix call splits its
-    # poses into runs other than the full matrix's
+    # (two tasks at one position), so build_gtsp prices at H = 1
     x = inst.generate(3, 907, map_size=(300.0, 300.0))
     rng = np.random.default_rng(907)
     groups = planner_groups(x)
@@ -250,6 +250,39 @@ def test_build_gtsp_equals_reference_blocks_on_mixed_groups():
     blocks, start, g = check_blocks(groups, x.turn_radius)
     assert (node_path(groups, *ex.solve_gtsp(blocks, start))
             == search_reference(g))
+
+
+def test_build_gtsp_finds_positions_by_bits(monkeypatch):
+    # build_gtsp is the one place that splits groups into positions: runs
+    # of H poses with bitwise equal (x, y), H the gcd over the groups.  The
+    # read blocks equal the node form's, each pose its own position.
+    runs = []
+
+    def recording(positions, headings, pairs, rho):
+        runs.append(headings.shape[1])
+        return pair_lengths(positions, headings, pairs, rho)
+
+    monkeypatch.setattr(ex, "pair_lengths", recording)
+    x = inst.generate(3, 908, map_size=(300.0, 300.0))
+    grid = planner_groups(x)
+    # 0.0 and -0.0 are equal but can give different bearings (arctan2 of
+    # +-0.0 over -1 is +-pi), so they do not share a position
+    zeros = [np.array([[0.0, 0.0, 0.5], [-0.0, 0.0, -1.0]]),
+             np.array([[0.0, -0.0, 2.0], [-0.0, -0.0, 3.0]]),
+             np.array([[60.0, 0.0, 0.0], [60.0, 0.0, 1.0]])]
+    # unequal runs: the first position twice, the rest once
+    uneven = grid[1][::4].copy()
+    uneven[1, :2] = uneven[0, :2]
+    # runs of 2 and 6 beside runs of 4 group by 2
+    mixed = grid[1][:16].copy()
+    mixed[2:4, :2] = mixed[4:6, :2]
+    for groups, rho, h in ((zeros, 30.0, 1), (zeros[2:] * 2, 30.0, 2),
+                           ([grid[0], uneven, grid[2]], x.turn_radius, 1),
+                           ([grid[0], mixed, grid[2]], x.turn_radius, 2),
+                           (grid, x.turn_radius, 4)):
+        runs.clear()
+        check_blocks(groups, rho)
+        assert runs == [h]
 
 
 @pytest.mark.parametrize("n_tasks, span", [(3, 300.0), (7, 500.0),
@@ -545,9 +578,8 @@ def test_plan_senses_all_and_length_consistent():
         assert d.min() <= x.r_sense
     assert sorted(ep.sensed_order) == list(range(4))
     # spacing bound along the polyline
-    step = 0.12 * math.pi * x.turn_radius
     gaps = np.hypot(np.diff(wp[:, 0]), np.diff(wp[:, 1]))
-    assert gaps.max() <= step + 1e-6
+    assert gaps.max() <= config_for(x, None).step_dist * (1 + 1e-9)
     # recorded length equals the sum of Dubins legs between visiting poses
     legs = sum(shortest_path_length(a, b, x.turn_radius)
                for a, b in zip(ep.visiting_poses, ep.visiting_poses[1:]))
@@ -555,6 +587,33 @@ def test_plan_senses_all_and_length_consistent():
     # the polyline starts at the start position with the chosen heading
     assert ep.waypoints[0].x == x.start.x
     assert ep.waypoints[0].y == x.start.y
+
+
+def test_plan_sensing_check_matches_the_loop_over_tasks(monkeypatch):
+    # legs sampled up to 8 steps apart leave gaps: the first task missed
+    # and its closest approach, or the sensed order, are the loop's
+    sample = ex.sample_path
+    outcomes = []
+    for seed in range(16):
+        x = inst.generate(3 + seed % 4, seed)
+        rng = np.random.default_rng(seed)
+        legs = []
+
+        def thinned(path, spacing):
+            s = sample(path, spacing)
+            k = int(rng.integers(1, 9))
+            legs.append(s[:1] + s[k::k])
+            return legs[-1]
+
+        monkeypatch.setattr(ex, "sample_path", thinned)
+        try:
+            got = ("ok", ex.plan(x, 3, 2).sensed_order)
+        except ex.SensingGap as e:
+            got = ("gap", e.task, e.distance)
+        waypoints = legs[0][:1] + [p for leg in legs for p in leg[1:]]
+        assert got == sensing(waypoints, x.tasks, x.r_sense)
+        outcomes.append(got[0])
+    assert {"ok", "gap"} <= set(outcomes)
 
 
 def test_plan_spacing_follows_the_env_config_of_the_instance():

@@ -634,6 +634,17 @@ def test_backward_rejects_the_cache_of_a_row():
         backward(net, cache, np.ones((1, 3)))
 
 
+def test_backward_rejects_an_upstream_not_of_the_output_shape():
+    net = small_net((4, 8, 3))
+    _, cache = forward_cached(net, np.ones((5, 4)))
+    # a row, a transposed batch, another batch size, another output width
+    for shape in ((3,), (3, 5), (4, 3), (5, 2), (5, 3, 1)):
+        with pytest.raises(ValueError, match="upstream shape"):
+            backward(net, cache, np.ones(shape))
+    grad, _ = backward(net, cache, np.ones((5, 3)))
+    assert np.isfinite(grad.flat).all()
+
+
 def test_softmax_rows_sum_to_one():
     x = np.array([[1.0, 2.0, 3.0], [1000.0, 1000.0, 999.0]])
     p = softmax(x)
