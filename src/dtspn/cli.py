@@ -318,19 +318,21 @@ class _Given(argparse.Action):
 
 def _add_generation(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tasks", type=int, default=20, action=_Given)
-    p.add_argument("--map", nargs=2, type=float, default=(800.0, 800.0),
-                   metavar=("W", "H"), action=_Given)
-    p.add_argument("--sense", type=float, default=58.0, metavar="R",
+    p.add_argument("--map", nargs=2, type=float,
+                   default=instance_mod.DEFAULT_MAP, metavar=("W", "H"),
                    action=_Given)
-    p.add_argument("--turn", type=float, default=30.0, metavar="RHO",
-                   action=_Given, help="turning radius of generated "
-                                       "instances, which the env takes too")
+    p.add_argument("--sense", type=float, default=instance_mod.DEFAULT_SENSE,
+                   metavar="R", action=_Given)
+    p.add_argument("--turn", type=float, default=instance_mod.DEFAULT_TURN,
+                   metavar="RHO", action=_Given,
+                   help="turning radius of generated instances, which the "
+                        "env takes too")
 
 
 def _add_sampling(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pos", type=int, default=8,
+    p.add_argument("--pos", type=int, default=expert_mod.DEFAULT_POS,
                    help="candidate positions per sensing circle")
-    p.add_argument("--heads", type=int, default=4,
+    p.add_argument("--heads", type=int, default=expert_mod.DEFAULT_HEADS,
                    help="candidate headings per position")
 
 

@@ -19,8 +19,10 @@ import numpy as np
 from .dubins import Pose, advance
 from .env import (PRIV_DIM, DtspnEnv, EnvConfig, EpisodeRecord, Observation,
                   common_width, config_for, run_episode)
-from .expert import MAX_POSES_PER_TASK, ExpertPath, SensingGap, plan
-from .instance import DEFAULT_MAP, DEFAULT_SENSE, Instance, generate
+from .expert import (DEFAULT_HEADS, DEFAULT_POS, ExpertPath, SensingGap,
+                     check_sampling, plan)
+from .instance import (DEFAULT_MAP, DEFAULT_SENSE, Instance, generate,
+                       positive_finite)
 from .learn import discounted_return
 
 MAGIC = b"DTSPDEMO"
@@ -76,30 +78,28 @@ class DemoMeta:
     """An instance family and how its demonstrations are made: the
     generator's task count, map and sensing radius, the env config (whose
     turning radius the instances take) and the planner's pose sampling.
-    A dataset's header records it, so every episode can be rebuilt."""
+    A dataset's header records it, so every episode can be rebuilt.  It
+    defaults to generate's and plan's defaults, and raises ValueError on
+    values they refuse (or over 255 actions) before any planning."""
 
     n_tasks: int
     map_width: float = DEFAULT_MAP[0]
     map_height: float = DEFAULT_MAP[1]
     r_sense: float = DEFAULT_SENSE
     config: EnvConfig = EnvConfig()
-    n_pos: int = 8
-    n_head: int = 4
+    n_pos: int = DEFAULT_POS
+    n_head: int = DEFAULT_HEADS
     priv_dim = PRIV_DIM     # a class constant, not a field
 
     def __post_init__(self):
-        if min(self.n_tasks, self.n_pos, self.n_head) < 1 or \
-                self.n_pos * self.n_head > MAX_POSES_PER_TASK:
-            raise ValueError(f"n_tasks, n_pos and n_head must be >= 1 and "
-                             f"n_pos * n_head <= {MAX_POSES_PER_TASK}, got "
-                             f"{(self.n_tasks, self.n_pos, self.n_head)}")
+        if self.n_tasks < 1:
+            raise ValueError(f"n_tasks must be >= 1, got {self.n_tasks}")
+        check_sampling(self.n_pos, self.n_head)
         if self.config.n_actions > 255:
             raise ValueError(f"n_actions must fit a u1, got "
                              f"{self.config.n_actions}")
         for name in ("map_width", "map_height", "r_sense"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
+            positive_finite(name, getattr(self, name))
 
     @property
     def common_dim(self) -> int:
@@ -341,7 +341,7 @@ def load_dataset(path: str) -> DemoDataset:
                         n_head=n_head)
     except ValueError as e:
         raise DemoFormatError(f"invalid header: {e}") from None
-    if abs(v - config.v) > 1e-9:
+    if not abs(v - config.v) <= 1e-9:     # so that NaN fails too
         raise DemoFormatError(
             f"inconsistent kinematics: v {v} != omega_max * turn_radius "
             f"{config.v}")

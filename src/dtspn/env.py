@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 import numpy as np
 
 from .dubins import TWO_PI, advance, normalize_angle
-from .instance import Instance
+from .instance import DEFAULT_TURN, Instance, positive_finite
 
 if TYPE_CHECKING:           # expert imports config_for from here
     from .expert import ExpertPath
@@ -37,7 +37,7 @@ if TYPE_CHECKING:           # expert imports config_for from here
 class EnvConfig:
     """Simulator constants."""
 
-    turn_radius: float = 30.0
+    turn_radius: float = DEFAULT_TURN
     omega_max: float = 0.6 * math.pi
     dt: float = 0.2
     n_actions: int = 7
@@ -50,9 +50,7 @@ class EnvConfig:
         if self.n_actions < 2 or self.n_actions % 2 == 0:
             raise ValueError(f"n_actions must be odd and >= 3, got {self.n_actions}")
         for name in ("turn_radius", "omega_max", "dt", "sense_substep"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
+            positive_finite(name, getattr(self, name))
         for name, low in (("max_steps_eval", 1), ("train_cutoff_dist", 0.0)):
             if not getattr(self, name) >= low:    # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, "
@@ -356,12 +354,15 @@ class EnvBatch:
         into config.omegas).  Returns the rows' rewards; done and
         all_sensed hold the new flags.  Raises RuntimeError if any row is
         done (as every row is until its first reset) and ValueError unless
-        there are E actions in [0, n_actions), before changing any state."""
+        actions holds E integers in [0, n_actions), before changing any
+        state."""
         if True in self.done:
             raise RuntimeError("a row is done or was never reset; reset it "
                                "before stepping")
         cfg = self.config
         v, dt, omegas = cfg.v, cfg.dt, cfg.omegas
+        if actions.dtype.kind not in "iu":
+            raise ValueError(f"actions must be integers, got {actions.dtype}")
         actions = actions.tolist()
         if len(actions) != len(self.t):
             raise ValueError(f"{len(actions)} actions for {len(self.t)} rows")

@@ -50,7 +50,9 @@ DP_CHUNK_ELEMENTS = 1 << 16
 # each, in three runs).
 RESTART_WORK = 1 << 22
 
-# Most sampled poses per task; the planner's pose-pair costs grow as N^2.
+# Default positions per sensing circle and headings per position, and the
+# most sampled poses per task; the planner's pose-pair costs grow as N^2.
+DEFAULT_POS, DEFAULT_HEADS = 8, 4
 MAX_POSES_PER_TASK = 256
 
 
@@ -79,15 +81,21 @@ class ExpertPath:
         return pose_array(self.waypoints)
 
 
+def check_sampling(n_pos: int, n_head: int) -> None:
+    """ValueError unless n_pos and n_head are >= 1 and their product is at
+    most MAX_POSES_PER_TASK."""
+    if n_pos < 1 or n_head < 1 or n_pos * n_head > MAX_POSES_PER_TASK:
+        raise ValueError(f"n_pos and n_head must be >= 1 and n_pos * n_head "
+                         f"<= {MAX_POSES_PER_TASK}, got ({n_pos}, {n_head})")
+
+
 def sample_poses(instance: Instance, n_pos: int, n_head: int):
     """The start group and one group per task, each an array of (x, y,
     theta) rows.  The start group holds the start position with n_head
     equally spaced headings; a task's group holds n_pos positions equally
     spaced on a circle of radius 0.8 * r_sense around it, each with those
     headings, so its n_head poses at a position are adjacent rows."""
-    if n_pos < 1 or n_head < 1 or n_pos * n_head > MAX_POSES_PER_TASK:
-        raise ValueError(f"n_pos and n_head must be >= 1 and n_pos * n_head "
-                         f"<= {MAX_POSES_PER_TASK}, got ({n_pos}, {n_head})")
+    check_sampling(n_pos, n_head)
     radius = 0.8 * instance.r_sense
     headings = [normalize_angle(TWO_PI * k / n_head) for k in range(n_head)]
     angles = [TWO_PI * j / n_pos for j in range(n_pos)]
@@ -296,9 +304,11 @@ def solve_gtsp(blocks: np.ndarray, start: np.ndarray):
     return order.tolist(), chosen[::-1]
 
 
-def plan(instance: Instance, n_pos: int = 8, n_head: int = 4,
+def plan(instance: Instance, n_pos: int = DEFAULT_POS,
+         n_head: int = DEFAULT_HEADS,
          config: Optional[EnvConfig] = None) -> ExpertPath:
-    """Full expert pipeline for one instance.
+    """Full expert pipeline for one instance, sampling n_pos positions
+    with n_head headings each per task (see sample_poses).
 
     The tour is an open path: it starts at the start pose, with the heading
     the solver picks, and ends at the last visiting pose, with no return leg.

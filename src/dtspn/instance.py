@@ -45,11 +45,16 @@ class Instance:
         return np.asarray(self.tasks, dtype=float)
 
 
+def positive_finite(name: str, value: float) -> float:
+    """value, or ValueError naming it unless it is positive and finite."""
+    if not 0.0 < value < math.inf:    # NaN fails too
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def validate(instance: Instance) -> None:
     for name in ("map_width", "map_height", "r_sense", "turn_radius"):
-        if not 0.0 < getattr(instance, name) < math.inf:    # NaN fails too
-            raise ValueError(f"{name} must be positive and finite, "
-                             f"got {getattr(instance, name)}")
+        positive_finite(name, getattr(instance, name))
     if instance.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {instance.seed}")
     start = instance.start
@@ -82,10 +87,9 @@ def generate(n_tasks: int, seed: int,
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    w, h = float(map_size[0]), float(map_size[1])
-    if not (0.0 < w < math.inf and 0.0 < h < math.inf):    # NaN fails too
-        raise ValueError(f"map dimensions must be positive and finite, "
-                         f"got {w} x {h}")
+    # before the draw, which raises OverflowError on a non-finite bound
+    w = positive_finite("map_width", float(map_size[0]))
+    h = positive_finite("map_height", float(map_size[1]))
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = rng.uniform((0.0, 0.0), (w, h), size=(n_tasks, 2))
     if start is None:

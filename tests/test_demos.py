@@ -10,14 +10,14 @@ import dtspn.demos as demos_mod
 from dtspn.demos import (DemoDataset, DemoFormatError, DemoMeta,
                          Demonstration, GAMMA,
                          TrackingFailure, _HEADER, _RECORD, MAGIC,
-                         MAX_POSES_PER_TASK, _transition_dtype, collect,
+                         _transition_dtype, collect,
                          collect_batch,
                          greedy_action, load_dataset,
                          make_meta, replay_rewards, save_dataset,
                          tracker)
 from dtspn.dubins import Pose
 from dtspn.env import DtspnEnv, EnvConfig, advance, run_episode
-from dtspn.expert import ExpertPath, plan
+from dtspn.expert import MAX_POSES_PER_TASK, ExpertPath, plan
 from dtspn.instance import Instance, generate
 from dtspn.learn import discounted_return
 
@@ -323,6 +323,7 @@ def test_load_rejects_invalid_header_values(tmp_path):
     raw = p.read_bytes()
     for field, value, word in ((10, 6, "n_actions"), (3, -300.0, "map_width"),
                                (5, -58.0, "r_sense"), (5, math.nan, "r_sense"),
+                               (7, math.nan, "kinematics"),
                                (8, -0.2, "dt"), (13, 0.0, "sense_substep"),
                                (14, 2, "literal_goal_sum"), (15, 0, "n_pos"),
                                # one flipped high byte of n_actions (7),

@@ -395,7 +395,7 @@ def test_env_argument_errors():
     assert b.t[0] == 0
     b.reset()
     start = np.array(b.pose)
-    for a in (-1, b.config.n_actions):
+    for a in (-1, b.config.n_actions, True, 1.5, 2.0):
         with pytest.raises(ValueError):
             b.step(np.array([a]))
     # a rejected step changes no row, and a good one still runs

@@ -8,11 +8,11 @@ import pytest
 
 from dtspn.cli import _load_config, build_parser, main
 from dtspn.demos import (DemoMeta, collect, collect_batch, load_dataset,
-                         save_dataset, tracker)
+                         make_meta, save_dataset, tracker)
 from dtspn.env import DtspnEnv, EnvConfig, run_episode
 from dtspn.evaluate import (Metrics, benchmark_speed, bundle_actor, evaluate,
                             load_episode_csv, save_episode_csv)
-from dtspn.expert import SensingGap, plan
+from dtspn.expert import SensingGap, plan, save as expert_save
 from dtspn.instance import generate, load as load_instance
 from dtspn.learn import init_bundle, load_bundle, save_bundle
 from dtspn.learn.nets import actor_forward
@@ -793,6 +793,17 @@ def test_cli_stages_reject_empty_pose_sampling_before_planning(
                    flag, "0", *out) == 1
     assert "n_pos and n_head must be >= 1" in capsys.readouterr().err
     assert not os.path.exists(f"{d}/x")
+
+
+def test_cli_default_family_is_the_librarys(tmp_path):
+    # every flag but --tasks, --seed and --out at its default
+    out, want = tmp_path / "cli.txt", tmp_path / "lib.txt"
+    assert run_cli("expert", "--tasks", "3", "--seed", "4",
+                   "--out", str(out)) == 0
+    x = generate(3, 4)
+    expert_save(plan(x), str(want))
+    assert out.read_bytes() == want.read_bytes()
+    assert make_meta(x).expert_path(x) == plan(x)
 
 
 def test_cli_expert_spacing_follows_config(tmp_path):
