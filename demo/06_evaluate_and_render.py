@@ -11,6 +11,7 @@ function from observation to action.
 import numpy as np
 
 from dtspn import generate
+from dtspn.env import common_width
 from dtspn.evaluate import (benchmark_speed, evaluate, load_episode_csv,
                             save_episode_csv)
 from dtspn.learn import init_bundle
@@ -44,7 +45,7 @@ print("wrote episode.csv and episode.svg")
 # rollout speed is what the learned policy is for: same decision cadence,
 # none of the tour solving
 bench = benchmark_speed([generate(20, 700 + i) for i in range(10)],
-                        init_bundle(common_dim=3 + 4 * 20, seed=0))
+                        init_bundle(common_dim=common_width(20), seed=0))
 print(f"20-task timing: expert {bench['expert_median_s']*1e3:.0f} ms, "
       f"policy {bench['policy_median_s']*1e3:.1f} ms, "
       f"ratio {bench['ratio']:.0f}x")

@@ -26,6 +26,7 @@ from .evaluate import (benchmark_speed, check_bundle, evaluate,
 from .learn import (TrainConfig, bc_pretrain, critic_init,
                     distill_adaptation, init_bundle, load_bundle,
                     ppo_finetune, save_bundle)
+from .learn.distill import DEFAULT_EPOCHS
 from .svg import emit_trajectory_svg
 
 _ENV_FIELDS = {f.name: f.type for f in dataclasses.fields(EnvConfig)}
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
               _add_config, _add_out)
     p.add_argument("--data", type=str, required=True, metavar="PATH")
     p.add_argument("--ckpt", type=str, required=True, metavar="PATH")
-    p.add_argument("--epochs", type=int, default=20, metavar="N")
+    p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS, metavar="N")
     p.add_argument("--log", type=str, default=None, metavar="PATH",
                    help="write one JSON line per epoch, then the held-out "
                         "metrics")

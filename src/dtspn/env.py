@@ -363,9 +363,10 @@ class EnvBatch:
         v, dt, omegas = cfg.v, cfg.dt, cfg.omegas
         if actions.dtype.kind not in "iu":
             raise ValueError(f"actions must be integers, got {actions.dtype}")
+        if actions.shape != (len(self.t),):
+            raise ValueError(f"actions for {len(self.t)} rows must have shape "
+                             f"({len(self.t)},), got {actions.shape}")
         actions = actions.tolist()
-        if len(actions) != len(self.t):
-            raise ValueError(f"{len(actions)} actions for {len(self.t)} rows")
         for a in actions:
             if not 0 <= a < cfg.n_actions:
                 raise ValueError(f"action {a} out of range "

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .demos import GAMMA, DemoMeta, make_meta, track
-from .env import (DtspnEnv, EnvConfig, EpisodeRecord, Observation,
+from .env import (PRIV_DIM, DtspnEnv, EnvConfig, EpisodeRecord, Observation,
                   common_width, run_episode)
 from .instance import Instance
 from .learn import ModelBundle, act, discounted_return
@@ -47,11 +47,15 @@ def bundle_actor(bundle: ModelBundle,
 def check_bundle(bundle: ModelBundle, n_tasks: int, config: EnvConfig,
                  source: str = "instances") -> None:
     """ValueError unless bundle takes the common observation of n_tasks and
-    picks one of config's n_actions actions."""
+    the env's privileged observation, and picks one of config's n_actions
+    actions."""
     if bundle.common_dim != common_width(n_tasks):
         raise ValueError(f"checkpoint expects common dim {bundle.common_dim}, "
                          f"{source} with {n_tasks} tasks produce "
                          f"{common_width(n_tasks)}")
+    if bundle.priv_dim != PRIV_DIM:
+        raise ValueError(f"checkpoint expects privileged dim "
+                         f"{bundle.priv_dim}, the env produces {PRIV_DIM}")
     if bundle.n_actions != config.n_actions:
         raise ValueError(f"checkpoint has {bundle.n_actions} actions, "
                          f"the env config {config.n_actions}")

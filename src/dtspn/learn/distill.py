@@ -7,6 +7,8 @@ from .config import TrainConfig
 from .bc import regress, split_rows
 from .nets import ModelBundle, forward_rows
 
+DEFAULT_EPOCHS = 20
+
 
 def _agreement(bundle: ModelBundle, commons, z_true, z_pred) -> float:
     """Rate at which the policy's argmax action under z_pred matches the
@@ -17,7 +19,7 @@ def _agreement(bundle: ModelBundle, commons, z_true, z_pred) -> float:
 
 
 def distill_adaptation(dataset, bundle: ModelBundle, config: TrainConfig,
-                       epochs: int = 20):
+                       epochs: int = DEFAULT_EPOCHS):
     """MSE-regress adaptation(common) onto encoder(common, privileged) over
     the demonstration transitions; encoder and policy stay frozen.
 

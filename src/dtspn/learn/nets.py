@@ -20,9 +20,7 @@ cache live until that network's next batch forward, and backward's
 gradients until its next backward, which writes each hidden layer's slope
 over its activations, cache[1:-1].  A row gets arrays of its own; a batch
 forward grows the workspace to its rows, so pass many rows through
-forward_rows.  A network is touched by one thread at a time, save that
-PPO's critic worker reads the policy's input while actor_step only reads
-it, before the next actor_forward writes it.
+forward_rows.  A network is touched by one thread at a time.
 """
 
 import hashlib

@@ -1,17 +1,11 @@
 """Clipped-surrogate policy-gradient fine-tuning with generalized advantage
 estimation.  The encoder and policy share the actor optimizer; the critic
-trains on its own with the latent treated as a constant input, so once a
-minibatch's critic input exists the two steps share no data: the critic
-steps on one worker thread while the caller's thread steps the actor.  Each
-network is touched by one thread at a time, in the same order of
-arithmetic as one thread would run, so parameters and curves do not depend
-on the overlap.  Rollouts step several envs in lockstep through one
-EnvBatch, with one forward of each network over all of them per step."""
+trains on its own with the latent treated as a constant input.  Rollouts
+step several envs in lockstep through one EnvBatch, with one forward of
+each network over all of them per step."""
 
-import contextvars
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,10 +71,9 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
     log, if given, is called once per batch with a dict: batch, env_steps,
     avg_reward, approx_kl, clip_frac, entropy, value_loss (means over the
     update's minibatches), explained_var (of the rollout's value targets by
-    its values), rollout_s, update_s, critic_wait_s (of update_s, the time
-    the caller blocked on the critic's steps) and steps_per_s (env steps
-    per second of rollout and update).  The last batch's record has
-    update_s and critic_wait_s 0.0 and the four update means nan.
+    its values), rollout_s, update_s and steps_per_s (env steps per second
+    of rollout and update).  The last batch's record has update_s 0.0 and
+    the four update means nan.
     """
     rng = np.random.default_rng(config.seed)
     cd, pd = bundle.common_dim, bundle.priv_dim
@@ -115,17 +108,15 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
     def observed():
         return envs.common, envs.privileged if use_privileged else no_priv
 
-    def update(critic_worker, commons, privs, actions, logp_old, adv, rets):
+    def update(commons, privs, actions, logp_old, adv, rets):
         """One batch's epochs of minibatch steps.  Returns the means over
-        its minibatches of approx_kl, clip_frac, entropy and value_loss,
-        and the time the caller blocked on the critic's steps."""
+        its minibatches of approx_kl, clip_frac, entropy and value_loss."""
         n = len(actions)
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
         actor_on = steps_done > critic_warmup_steps
         idx = np.arange(n)
         stats = np.zeros(4)
         n_mb = 0
-        critic_wait = 0.0
         for _ in range(config.epochs_per_batch):
             rng.shuffle(idx)
             for s in range(0, n, config.minibatch):
@@ -133,11 +124,9 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 b = len(mb)
                 logits, x, caches = actor_forward(bundle, commons[mb],
                                                   privs[mb])
-                # the copied context carries the caller's np.errstate
-                critic = critic_worker.submit(
-                    contextvars.copy_context().run, squared_error_step,
-                    bundle.critic, (x,), rets[mb][:, None], cri_state,
-                    config.ppo_critic_lr)
+                err = squared_error_step(bundle.critic, (x,),
+                                         rets[mb][:, None], cri_state,
+                                         config.ppo_critic_lr)
                 lsm = log_softmax(logits)
                 probs = np.exp(lsm)
                 lp = lsm[np.arange(b), actions[mb]]
@@ -154,92 +143,84 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 if actor_on:
                     actor_step(bundle, caches, dlogits, actor_states,
                                config.ppo_actor_lr)
-                tw = time.perf_counter()
-                err = critic.result()
-                critic_wait += time.perf_counter() - tw
                 stats += (np.mean(ratio - 1.0 - log_ratio),
                           np.mean(np.abs(ratio - 1.0) > config.ppo_clip),
                           ent.mean(), np.mean(err * err))
                 n_mb += 1
-        return stats / n_mb, critic_wait
+        return stats / n_mb
 
     refill(np.flatnonzero(envs.done))
-    with ThreadPoolExecutor(1) as critic_worker:
-        while steps_done < config.steps_budget:
-            t0 = time.perf_counter()
-            commons = np.empty((t_len, n_env, cd))
-            privs = np.empty((t_len, n_env, pd))
-            actions = np.empty((t_len, n_env), dtype=np.int64)
-            rewards = np.empty((t_len, n_env))
-            dones = np.empty((t_len, n_env), dtype=bool)
-            values = np.empty((t_len, n_env))
-            logp_old = np.empty((t_len, n_env))
-            ep_returns = []
+    while steps_done < config.steps_budget:
+        t0 = time.perf_counter()
+        commons = np.empty((t_len, n_env, cd))
+        privs = np.empty((t_len, n_env, pd))
+        actions = np.empty((t_len, n_env), dtype=np.int64)
+        rewards = np.empty((t_len, n_env))
+        dones = np.empty((t_len, n_env), dtype=bool)
+        values = np.empty((t_len, n_env))
+        logp_old = np.empty((t_len, n_env))
+        ep_returns = []
 
-            for t in range(t_len):
-                c, p = observed()
-                logits, x, _ = actor_forward(bundle, c, p)
-                lsm = log_softmax(logits)
-                a = sample_categorical(np.exp(lsm), rng)
-                v, _ = forward_cached(bundle.critic, x)
-                rew = envs.step(a)
-                commons[t] = c
-                privs[t] = p
-                actions[t] = a
-                rewards[t] = rew.total
-                dones[t] = envs.done
-                values[t] = v[:, 0]
-                logp_old[t] = lsm[rows, a]
-                ep_acc += rew.total
-                if True in envs.done:
-                    ended = np.flatnonzero(envs.done)
-                    ep_returns.extend(ep_acc[ended].tolist())
-                    ep_acc[ended] = 0.0
-                    refill(ended)
-            steps_done += config.rollout_steps
-            x = actor_forward(bundle, *observed())[1]
-            last_value = forward_cached(bundle.critic, x)[0][:, 0]
-            t1 = time.perf_counter()
+        for t in range(t_len):
+            c, p = observed()
+            logits, x, _ = actor_forward(bundle, c, p)
+            lsm = log_softmax(logits)
+            a = sample_categorical(np.exp(lsm), rng)
+            v, _ = forward_cached(bundle.critic, x)
+            rew = envs.step(a)
+            commons[t] = c
+            privs[t] = p
+            actions[t] = a
+            rewards[t] = rew.total
+            dones[t] = envs.done
+            values[t] = v[:, 0]
+            logp_old[t] = lsm[rows, a]
+            ep_acc += rew.total
+            if True in envs.done:
+                ended = np.flatnonzero(envs.done)
+                ep_returns.extend(ep_acc[ended].tolist())
+                ep_acc[ended] = 0.0
+                refill(ended)
+        steps_done += config.rollout_steps
+        x = actor_forward(bundle, *observed())[1]
+        last_value = forward_cached(bundle.critic, x)[0][:, 0]
+        t1 = time.perf_counter()
 
-            adv, rets = compute_gae(rewards, values, dones, last_value,
-                                    config.gamma, config.gae_lambda)
-            n = config.rollout_steps
-            rets = rets.reshape(n)
-            var = float(np.var(rets))
-            explained_var = (
-                1.0 - float(np.var(rets - values.reshape(n))) / var
-                if var > 0 else float("nan"))
+        adv, rets = compute_gae(rewards, values, dones, last_value,
+                                config.gamma, config.gae_lambda)
+        n = config.rollout_steps
+        rets = rets.reshape(n)
+        var = float(np.var(rets))
+        explained_var = (
+            1.0 - float(np.var(rets - values.reshape(n))) / var
+            if var > 0 else float("nan"))
 
-            avg_reward = (float(np.mean(ep_returns)) if ep_returns
-                          else float("nan"))
-            curve.append(avg_reward)
-            if ep_returns and avg_reward > best_reward:
-                best_reward = avg_reward
-                bundle.copy(out=best)
+        avg_reward = (float(np.mean(ep_returns)) if ep_returns
+                      else float("nan"))
+        curve.append(avg_reward)
+        if ep_returns and avg_reward > best_reward:
+            best_reward = avg_reward
+            bundle.copy(out=best)
 
-            # an update after the last rollout would reach no batch and no
-            # caller, so its record keeps nan statistics and zero times
-            stats, critic_wait, t2 = np.full(4, np.nan), 0.0, t1
-            if steps_done < config.steps_budget:
-                stats, critic_wait = update(
-                    critic_worker, commons.reshape(n, cd),
-                    privs.reshape(n, pd), actions.reshape(n),
-                    logp_old.reshape(n), adv.reshape(n), rets)
-                t2 = time.perf_counter()
-            if log is not None:
-                approx_kl, clip_frac, entropy, value_loss = stats.tolist()
-                log({"batch": len(curve), "env_steps": steps_done,
-                     "avg_reward": avg_reward, "approx_kl": approx_kl,
-                     "clip_frac": clip_frac, "entropy": entropy,
-                     "value_loss": value_loss,
-                     "explained_var": explained_var,
-                     "rollout_s": t1 - t0, "update_s": t2 - t1,
-                     "critic_wait_s": critic_wait,
-                     "steps_per_s": n / (t2 - t0)})
-            if not bundle.finite():
-                raise RuntimeError(
-                    f"divergence after {steps_done} steps "
-                    f"(batch {len(curve)}): non-finite parameters")
+        # an update after the last rollout would reach no batch and no
+        # caller, so its record keeps nan statistics and a zero update time
+        stats, t2 = np.full(4, np.nan), t1
+        if steps_done < config.steps_budget:
+            stats = update(commons.reshape(n, cd), privs.reshape(n, pd),
+                           actions.reshape(n), logp_old.reshape(n),
+                           adv.reshape(n), rets)
+            t2 = time.perf_counter()
+        if log is not None:
+            approx_kl, clip_frac, entropy, value_loss = stats.tolist()
+            log({"batch": len(curve), "env_steps": steps_done,
+                 "avg_reward": avg_reward, "approx_kl": approx_kl,
+                 "clip_frac": clip_frac, "entropy": entropy,
+                 "value_loss": value_loss, "explained_var": explained_var,
+                 "rollout_s": t1 - t0, "update_s": t2 - t1,
+                 "steps_per_s": n / (t2 - t0)})
+        if not bundle.finite():
+            raise RuntimeError(f"divergence after {steps_done} steps "
+                               f"(batch {len(curve)}): non-finite parameters")
 
     if best_reward > -np.inf:
         best.copy(out=bundle)

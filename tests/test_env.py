@@ -398,6 +398,10 @@ def test_env_argument_errors():
     for a in (-1, b.config.n_actions, True, 1.5, 2.0):
         with pytest.raises(ValueError):
             b.step(np.array([a]))
+    # one row takes a (1,) array, not a (1, 1) or 0-d one
+    for actions in (np.array([[3]]), np.array(3)):
+        with pytest.raises(ValueError, match=r"got \("):
+            b.step(actions)
     # a rejected step changes no row, and a good one still runs
     two = EnvBatch([DtspnEnv(x, mode="eval"), DtspnEnv(x, mode="eval")])
     two.reset()

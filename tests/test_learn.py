@@ -2,11 +2,9 @@ import hashlib
 import importlib
 import math
 import struct
-import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -1037,7 +1035,7 @@ def test_ppo_smoke_runs_and_tracks_best():
 
 LOG_KEYS = {"batch", "env_steps", "avg_reward", "approx_kl", "clip_frac",
             "entropy", "value_loss", "explained_var", "rollout_s",
-            "update_s", "critic_wait_s", "steps_per_s"}
+            "update_s", "steps_per_s"}
 
 
 def assert_last_batch_record(rec, batch, rollout_steps):
@@ -1047,7 +1045,7 @@ def assert_last_batch_record(rec, batch, rollout_steps):
     assert rec["env_steps"] == batch * rollout_steps
     assert all(np.isnan(rec[k]) for k in ("approx_kl", "clip_frac",
                                           "entropy", "value_loss"))
-    assert rec["update_s"] == rec["critic_wait_s"] == 0.0
+    assert rec["update_s"] == 0.0
     assert rec["rollout_s"] > 0.0
     assert rec["steps_per_s"] == rollout_steps / rec["rollout_s"]
     assert np.isfinite(rec["explained_var"])
@@ -1071,7 +1069,6 @@ def test_ppo_log_has_one_record_per_batch_and_changes_nothing():
         assert 0.0 <= rec["clip_frac"] <= 1.0 and rec["approx_kl"] >= -1e-12
         assert rec["entropy"] > 0.0 and rec["value_loss"] >= 0.0
         assert rec["rollout_s"] > 0.0 and rec["update_s"] > 0.0
-        assert 0.0 <= rec["critic_wait_s"] <= rec["update_s"]
         assert np.isclose(rec["steps_per_s"],
                           512 / (rec["rollout_s"] + rec["update_s"]))
 
@@ -1101,8 +1098,8 @@ def test_ppo_divergence_guard():
 
 
 def test_ppo_critic_steps_under_the_callers_errstate():
-    # the critic's overflows happen on the worker thread; they stay as
-    # quiet as the caller asked, so no RuntimeWarning turns into an error
+    # the critic's overflows stay as quiet as the caller asked, so no
+    # RuntimeWarning turns into an error
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeError, match="non-finite"):
@@ -1110,64 +1107,19 @@ def test_ppo_critic_steps_under_the_callers_errstate():
                          DIVERGING)
 
 
-class InlineExecutor:
-    """ThreadPoolExecutor's surface, running each call as it is submitted."""
+def test_ppo_starts_no_thread(monkeypatch):
+    def forbidden(self):
+        raise AssertionError(f"PPO started thread {self.name}")
 
-    def __init__(self, max_workers):
-        assert max_workers == 1
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
-def test_ppo_overlapped_critic_matches_the_inline_steps(monkeypatch):
-    cfg = TrainConfig(steps_budget=2048, rollout_steps=512, minibatch=128,
-                      entropy_coef=0.0, seed=6)
-    runs = []
-    for inline in (False, True):
-        if inline:
-            monkeypatch.setattr(ppo, "ThreadPoolExecutor", InlineExecutor)
-        records = []
-        # a short switch interval interleaves the two threads finely, so
-        # a network touched by both would show in the bytes
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            b, curve = ppo_finetune(make_env_factory(seed=9),
-                                    init_bundle(common_dim=15, seed=3), cfg,
-                                    critic_warmup_steps=512,
-                                    log=records.append)
-        finally:
-            sys.setswitchinterval(interval)
-        stats = [[rec[k] for k in ("approx_kl", "clip_frac", "entropy",
-                                   "value_loss", "explained_var")]
-                 for rec in records]
-        assert len(records) == 4
-        runs.append(([net.flat.tobytes() for net in b.networks],
-                     repr(curve), repr(stats)))
-    assert runs[0] == runs[1]
-
-
-def test_ppo_leaves_no_thread_behind():
-    start = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", forbidden)
     cfg = TrainConfig(steps_budget=512, rollout_steps=256, minibatch=64,
                       seed=0)
     ppo_finetune(make_env_factory(), init_bundle(common_dim=15, seed=4), cfg)
-    assert threading.active_count() == start
     with np.errstate(all="ignore"), pytest.raises(RuntimeError):
         ppo_finetune(make_env_factory(seed=2), diverging_bundle(), DIVERGING)
-    assert threading.active_count() == start
 
     # an env factory that fails in the second batch's rollout (the first
-    # takes 30 envs), after the first batch's update started the worker
+    # takes 30 envs), after the first batch's update
     factory, calls = make_env_factory(), [0]
 
     def failing():
@@ -1178,13 +1130,12 @@ def test_ppo_leaves_no_thread_behind():
 
     with pytest.raises(ValueError, match="no more envs"):
         ppo_finetune(failing, init_bundle(common_dim=15, seed=4), cfg)
-    assert threading.active_count() == start
 
 
 def test_ppo_refuses_envs_not_in_train_mode(monkeypatch):
     # an eval-mode env may carry no expert path, whose privileged rows the
     # encoder would read as zeros: PPO raises before any env step, with
-    # no worker started and no parameter changed
+    # no parameter changed
     family = DemoMeta(3, 300.0, 300.0, n_pos=3, n_head=2)
     x = family.instance_for(5)
     path = family.expert_path(x)
@@ -1196,7 +1147,6 @@ def test_ppo_refuses_envs_not_in_train_mode(monkeypatch):
     monkeypatch.setattr(EnvBatch, "step", forbidden)
     b = init_bundle(common_dim=15, seed=4)
     before = [net.flat.tobytes() for net in b.networks]
-    start = threading.active_count()
     cfg = TrainConfig(steps_budget=512, rollout_steps=256, minibatch=64,
                       seed=0)
     for factory in (lambda: DtspnEnv(x, mode="eval"),
@@ -1204,7 +1154,6 @@ def test_ppo_refuses_envs_not_in_train_mode(monkeypatch):
         for use_privileged in (True, False):
             with pytest.raises(ValueError, match="'eval'"):
                 ppo_finetune(factory, b, cfg, use_privileged=use_privileged)
-    assert threading.active_count() == start
     assert [net.flat.tobytes() for net in b.networks] == before
 
 
