@@ -35,9 +35,9 @@ _TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 _SET_ELSEWHERE = {"seed": "--seed", "steps_budget": "--steps",
                   "turn_radius": "the instances (--turn or the --instance "
                                  "file)"}
-# the JSON values each field type accepts; bool is an int subclass, so
-# true and false are told apart from numbers separately
-_JSON_TYPES = {bool: bool, int: int, float: (int, float)}
+# the JSON values each field type accepts; no field is a bool, and bool is
+# an int subclass, so true and false are refused separately
+_JSON_TYPES = {int: int, float: (int, float)}
 
 
 def _fmt(v) -> str:
@@ -60,8 +60,8 @@ def _load_config(path: Optional[str]):
     """Split a flat JSON dict into env-config and train-config overrides.
     Unknown keys, keys set elsewhere (_SET_ELSEWHERE) and values whose JSON
     type does not match their field (integers for int fields, numbers for
-    float fields, true or false for bool fields) are validation errors
-    naming the offending key."""
+    float fields, never true or false) are validation errors naming the
+    offending key."""
     if path is None:
         return {}, {}
     with open(path) as f:
@@ -77,8 +77,7 @@ def _load_config(path: Optional[str]):
         kind = _ENV_FIELDS.get(key) or _TRAIN_FIELDS.get(key)
         if kind is None:
             raise ValueError(f"config {path}: unknown key '{key}'")
-        if isinstance(val, bool) != (kind is bool) or \
-                not isinstance(val, _JSON_TYPES[kind]):
+        if isinstance(val, bool) or not isinstance(val, _JSON_TYPES[kind]):
             raise ValueError(f"config {path}: '{key}' must be "
                              f"{kind.__name__}, got {json.dumps(val)}")
         (env_kw if key in _ENV_FIELDS else train_kw)[key] = val
@@ -214,8 +213,7 @@ def cmd_train_ppo(args) -> int:
     t0 = time.perf_counter()
     with _json_lines(args.log) as log:
         _, curve = ppo_finetune(env_factory, bundle, tc,
-                                use_privileged=not args.dense,
-                                critic_warmup_steps=args.warmup, log=log)
+                                use_privileged=not args.dense, log=log)
     save_bundle(bundle, args.out)
     finite = [c for c in curve if np.isfinite(c)]
     _summary("train-ppo", steps=len(curve) * tc.rollout_steps, pool=args.pool,
@@ -397,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "to whole rollouts")
     p.add_argument("--pool", type=int, default=32, metavar="N",
                    help="training instance pool size")
-    p.add_argument("--warmup", type=int, default=0, metavar="N",
-                   help="critic-only steps before joint updates")
     p.add_argument("--dense", action="store_true",
                    help="from-scratch baseline: fresh nets, no privileged "
                         "encoder input")

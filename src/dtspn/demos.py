@@ -28,10 +28,11 @@ from .learn import discounted_return
 MAGIC = b"DTSPDEMO"
 # 2: plan() optimizes an open path, so replaying a version-1 file from its
 # header would track different expert paths.
-VERSION = 2
+# 3: the header drops the byte of the removed cumulative goal-reward flag.
+VERSION = 3
 GAMMA = 0.95
 
-_HEADER = struct.Struct("<8sII4d3dIIddBIIIII")
+_HEADER = struct.Struct("<8sII4d3dIIddIIIII")
 
 
 class TrackingFailure(RuntimeError):
@@ -298,8 +299,7 @@ def save_dataset(demos: DemoDataset, path: str) -> None:
         MAGIC, VERSION, meta.n_tasks,
         meta.map_width, meta.map_height, meta.r_sense, cfg.turn_radius,
         cfg.v, cfg.dt, cfg.omega_max, cfg.n_actions, cfg.max_steps_eval,
-        cfg.train_cutoff_dist, cfg.sense_substep,
-        int(cfg.literal_goal_sum), meta.n_pos, meta.n_head,
+        cfg.train_cutoff_dist, cfg.sense_substep, meta.n_pos, meta.n_head,
         meta.common_dim, meta.priv_dim, len(demos))
     with open(path, "wb") as f:
         f.write(header)
@@ -315,8 +315,8 @@ def load_dataset(path: str) -> DemoDataset:
     if len(raw) < _HEADER.size:
         raise DemoFormatError(f"truncated header: {len(raw)} bytes")
     (magic, version, n_tasks, map_w, map_h, r_sense, turn_radius, v, dt_,
-     omega_max, n_actions, max_steps, cutoff, substep, literal, n_pos,
-     n_head, common_dim, priv_dim, count) = _HEADER.unpack_from(raw, 0)
+     omega_max, n_actions, max_steps, cutoff, substep, n_pos, n_head,
+     common_dim, priv_dim, count) = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise DemoFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
@@ -328,14 +328,11 @@ def load_dataset(path: str) -> DemoDataset:
     if priv_dim != PRIV_DIM:
         raise DemoFormatError(f"privileged dim mismatch: expected "
                               f"{PRIV_DIM}, found {priv_dim}")
-    if literal > 1:
-        raise DemoFormatError(f"literal_goal_sum flag {literal} is not 0 or 1")
     try:
         config = EnvConfig(
             turn_radius=turn_radius, omega_max=omega_max, dt=dt_,
             n_actions=n_actions, max_steps_eval=max_steps,
-            train_cutoff_dist=cutoff, sense_substep=substep,
-            literal_goal_sum=bool(literal))
+            train_cutoff_dist=cutoff, sense_substep=substep)
         meta = DemoMeta(n_tasks=n_tasks, map_width=map_w, map_height=map_h,
                         r_sense=r_sense, config=config, n_pos=n_pos,
                         n_head=n_head)

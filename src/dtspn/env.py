@@ -44,13 +44,14 @@ class EnvConfig:
     max_steps_eval: int = 300
     train_cutoff_dist: float = 60.0
     sense_substep: float = 5.0
-    literal_goal_sum: bool = False
 
     def __post_init__(self):
         if self.n_actions < 2 or self.n_actions % 2 == 0:
             raise ValueError(f"n_actions must be odd and >= 3, got {self.n_actions}")
         for name in ("turn_radius", "omega_max", "dt", "sense_substep"):
             positive_finite(name, getattr(self, name))
+        positive_finite("step length omega_max * turn_radius * dt",
+                        self.step_dist)
         for name, low in (("max_steps_eval", 1), ("train_cutoff_dist", 0.0)):
             if not getattr(self, name) >= low:    # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, "
@@ -108,19 +109,13 @@ def imitation_reward(r: float) -> float:
     return 0.0
 
 
-def goal_reward(newly_sensed: int, all_sensed: bool,
-                total_sensed: Optional[int] = None) -> float:
+def goal_reward(newly_sensed: int, all_sensed: bool) -> float:
     """Sensing reward: 10 on completing all tasks, 5 per newly sensed task on
-    top of the 0.1 living bonus, else 0.1.
-
-    Given total_sensed (the literal_goal_sum variant), the middle branch
-    pays 5 per *cumulative* sensed task on activation steps instead.
-    """
+    top of the 0.1 living bonus, else 0.1."""
     if all_sensed:
         return 10.0
     if newly_sensed > 0:
-        count = newly_sensed if total_sensed is None else total_sensed
-        return 0.1 + 5.0 * count
+        return 0.1 + 5.0 * newly_sensed
     return 0.1
 
 
@@ -397,11 +392,7 @@ class EnvBatch:
                 if self.mode == "train" else
                 [k >= cfg.max_steps_eval for k in t])
         self.done = [a or e for a, e in zip(all_sensed, ends)]
-        if cfg.literal_goal_sum:
-            r_goal = list(map(goal_reward, newly, all_sensed,
-                              map(sum, self.sensed)))
-        else:
-            r_goal = list(map(goal_reward, newly, all_sensed))
+        r_goal = list(map(goal_reward, newly, all_sensed))
         self._observe(ALL, commons, privs)
         total = [a + b for a, b in zip(r_im, r_goal)]
         return RewardBreakdown(r_im, r_goal, total, dist, newly)

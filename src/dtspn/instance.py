@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -79,10 +79,10 @@ def default_start(map_width: float, map_height: float) -> Pose:
 def generate(n_tasks: int, seed: int,
              map_size: Tuple[float, float] = DEFAULT_MAP,
              r_sense: float = DEFAULT_SENSE,
-             turn_radius: float = DEFAULT_TURN,
-             start: Optional[Pose] = None) -> Instance:
+             turn_radius: float = DEFAULT_TURN) -> Instance:
     """Uniform i.i.d. task positions from a counter-based generator, so the
-    same (seed, config) reproduces the same instance on any platform."""
+    same (seed, config) reproduces the same instance on any platform.  The
+    vehicle starts at default_start."""
     if n_tasks < 1:
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     if seed < 0:
@@ -92,12 +92,10 @@ def generate(n_tasks: int, seed: int,
     h = positive_finite("map_height", float(map_size[1]))
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = rng.uniform((0.0, 0.0), (w, h), size=(n_tasks, 2))
-    if start is None:
-        start = default_start(w, h)
     return Instance(map_width=w, map_height=h,
                     tasks=tuple(map(tuple, pts.tolist())),
                     r_sense=float(r_sense), turn_radius=float(turn_radius),
-                    start=start, seed=int(seed))
+                    start=default_start(w, h), seed=int(seed))
 
 
 def save(instance: Instance, path) -> None:

@@ -51,8 +51,7 @@ def clipped_surrogate(ratio, adv, clip):
 
 
 def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
-                 use_privileged: bool = True, critic_warmup_steps: int = 0,
-                 log=None):
+                 use_privileged: bool = True, log=None):
     """Train encoder + policy + critic on-policy until steps_budget env steps.
 
     env_factory() must return a fresh env each call, in train mode
@@ -65,8 +64,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
     the last is followed by an update; after the last rollout an update
     would feed no batch and reach no caller, so none runs.  The returned
     bundle holds the parameters that collected the batch with the best
-    curve entry or, if no batch ended an episode, the last batch.  Actor
-    updates are skipped for the first critic_warmup_steps env steps.
+    curve entry or, if no batch ended an episode, the last batch.
 
     log, if given, is called once per batch with a dict: batch, env_steps,
     avg_reward, approx_kl, clip_frac, entropy, value_loss (means over the
@@ -113,7 +111,6 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
         its minibatches of approx_kl, clip_frac, entropy and value_loss."""
         n = len(actions)
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        actor_on = steps_done > critic_warmup_steps
         idx = np.arange(n)
         stats = np.zeros(4)
         n_mb = 0
@@ -140,9 +137,8 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                 if config.entropy_coef != 0.0:
                     dlogits += ((config.entropy_coef / b) * probs *
                                 (lsm + ent))
-                if actor_on:
-                    actor_step(bundle, caches, dlogits, actor_states,
-                               config.ppo_actor_lr)
+                actor_step(bundle, caches, dlogits, actor_states,
+                           config.ppo_actor_lr)
                 stats += (np.mean(ratio - 1.0 - log_ratio),
                           np.mean(np.abs(ratio - 1.0) > config.ppo_clip),
                           ent.mean(), np.mean(err * err))

@@ -978,12 +978,7 @@ class ReferenceBatch(EnvBatch):
         else:
             self.done = all_sensed | (self.t >= cfg.max_steps_eval)
         r_im = list(map(imitation_reward, r.tolist()))
-        if cfg.literal_goal_sum:
-            r_goal = [goal_reward(k, a, s) for k, a, s in zip(
-                newly.tolist(), all_sensed.tolist(),
-                self.sensed.sum(axis=1).tolist())]
-        else:
-            r_goal = list(map(goal_reward, newly.tolist(), all_sensed.tolist()))
+        r_goal = list(map(goal_reward, newly.tolist(), all_sensed.tolist()))
         im, goal, total = np.array(
             [r_im, r_goal, [a + b for a, b in zip(r_im, r_goal)]])
         self._observe_offsets(ALL, offsets)

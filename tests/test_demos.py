@@ -182,7 +182,7 @@ def test_collect_batch_and_roundtrip(tmp_path):
 
 def test_collect_batch_matches_the_per_seed_pipeline(tmp_path):
     # a family off every default; seed 80's start senses both tasks
-    cfg = EnvConfig(turn_radius=20.0, dt=0.15, literal_goal_sum=True)
+    cfg = EnvConfig(turn_radius=20.0, dt=0.15)
     meta = DemoMeta(n_tasks=2, map_width=300.0, map_height=300.0,
                     r_sense=40.0, config=cfg, n_pos=5, n_head=3)
     ds, report = collect_batch(meta, 5, 78)
@@ -239,11 +239,23 @@ def test_waypoints_follow_env_step_and_replay_stays_exact(monkeypatch):
 
 def test_empty_dataset_roundtrip(tmp_path):
     x = generate(n_tasks=4, seed=0, map_size=(300.0, 300.0))
-    ds = DemoDataset([], meta=make_meta(x))
-    p = tmp_path / "empty.bin"
-    save_dataset(ds, str(p))
-    back = load_dataset(str(p))
-    assert len(back) == 0 and back.meta == ds.meta
+    # a family with every field off its default, and the tables name every
+    # field, so a header that drops one fails the comparison
+    config_kw = {"turn_radius": 25.0, "omega_max": 1.5, "dt": 0.15,
+                 "n_actions": 9, "max_steps_eval": 120,
+                 "train_cutoff_dist": 45.0, "sense_substep": 4.0}
+    meta_kw = {"n_tasks": 5, "map_width": 350.0, "map_height": 420.0,
+               "r_sense": 45.0, "config": EnvConfig(**config_kw),
+               "n_pos": 6, "n_head": 5}
+    for kw, cls in ((config_kw, EnvConfig), (meta_kw, DemoMeta)):
+        fields = dataclasses.fields(cls)
+        assert set(kw) == {f.name for f in fields}
+        assert all(kw[f.name] != f.default for f in fields)
+    for meta in (make_meta(x), DemoMeta(**meta_kw)):
+        p = tmp_path / "empty.bin"
+        save_dataset(DemoDataset([], meta=meta), str(p))
+        back = load_dataset(str(p))
+        assert len(back) == 0 and back.meta == meta
 
 
 def test_load_rejects_malformed_files(tmp_path):
@@ -267,17 +279,16 @@ def test_load_rejects_malformed_files(tmp_path):
         load_dataset(str(tmp_path / "v.bin"))
         assert False
     except DemoFormatError as e:
-        assert "99" in str(e) and "2" in str(e)
+        assert "99" in str(e) and "3" in str(e)
 
     # version 1 files were planned with the closed-tour solver; replaying
-    # them against today's planner would give different rewards
-    v1 = raw[:8] + (1).to_bytes(4, "little") + raw[12:]
-    (tmp_path / "v1.bin").write_bytes(v1)
-    try:
-        load_dataset(str(tmp_path / "v1.bin"))
-        assert False
-    except DemoFormatError as e:
-        assert "version 1" in str(e)
+    # them against today's planner would give different rewards; version 2
+    # headers hold one more byte, the removed cumulative goal-reward flag
+    for old in (1, 2):
+        (tmp_path / "old.bin").write_bytes(
+            raw[:8] + old.to_bytes(4, "little") + raw[12:])
+        with pytest.raises(DemoFormatError, match=f"version {old}"):
+            load_dataset(str(tmp_path / "old.bin"))
 
     (tmp_path / "t.bin").write_bytes(raw[: _HEADER.size - 3])
     try:
@@ -295,7 +306,7 @@ def test_load_rejects_malformed_files(tmp_path):
 
     # header whose declared common dim disagrees with its task count
     vals = list(_HEADER.unpack_from(raw, 0))
-    vals[17] = 50  # common_dim; for 3 tasks the encoder produces 15
+    vals[16] = 50  # common_dim; for 3 tasks the encoder produces 15
     (tmp_path / "d.bin").write_bytes(_HEADER.pack(*vals) + raw[_HEADER.size:])
     try:
         load_dataset(str(tmp_path / "d.bin"))
@@ -325,13 +336,13 @@ def test_load_rejects_invalid_header_values(tmp_path):
                                (5, -58.0, "r_sense"), (5, math.nan, "r_sense"),
                                (7, math.nan, "kinematics"),
                                (8, -0.2, "dt"), (13, 0.0, "sense_substep"),
-                               (14, 2, "literal_goal_sum"), (15, 0, "n_pos"),
+                               (14, 0, "n_pos"),
                                # one flipped high byte of n_actions (7),
                                # n_pos (8) or n_head (4)
                                (10, 7 + 2 ** 24, "n_actions"),
                                (10, 7 + 2 ** 8, "n_actions"),
-                               (15, 8 + 2 ** 24, "n_pos"),
-                               (16, 4 + 2 ** 16, "n_head")):
+                               (14, 8 + 2 ** 24, "n_pos"),
+                               (15, 4 + 2 ** 16, "n_head")):
         vals = list(_HEADER.unpack_from(raw, 0))
         vals[field] = value
         bad = tmp_path / "h.bin"
@@ -390,15 +401,14 @@ def test_load_rejects_records_whose_stored_fields_disagree_with_rows(tmp_path):
 
 def reference_save_dataset(demos, path: str) -> None:
     """The record-by-record writer that predates the row store, kept to pin
-    the file layout."""
+    the file layout (version 3)."""
     meta = demos.meta
     cfg = meta.config
-    header = _HEADER.pack(
-        MAGIC, 2, meta.n_tasks,
+    header = struct.Struct("<8sII4d3dIIddIIIII").pack(
+        MAGIC, 3, meta.n_tasks,
         meta.map_width, meta.map_height, meta.r_sense, cfg.turn_radius,
         cfg.v, cfg.dt, cfg.omega_max, cfg.n_actions, cfg.max_steps_eval,
-        cfg.train_cutoff_dist, cfg.sense_substep,
-        int(cfg.literal_goal_sum), meta.n_pos, meta.n_head,
+        cfg.train_cutoff_dist, cfg.sense_substep, meta.n_pos, meta.n_head,
         meta.common_dim, meta.priv_dim, len(demos))
     rec = struct.Struct("<QIBdd")
     dt = _transition_dtype(meta.common_dim, meta.priv_dim)

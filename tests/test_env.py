@@ -81,9 +81,6 @@ def test_goal_reward_exact_values():
     assert goal_reward(2, False) == 10.1
     assert goal_reward(0, True) == 10.0
     assert goal_reward(1, True) == 10.0
-    # literal cumulative-sum variant pays per sensed task on activation steps
-    assert goal_reward(1, False, total_sensed=3) == 15.1
-    assert goal_reward(0, False, total_sensed=3) == 0.1
 
 
 def test_config_defaults_and_validation():
@@ -639,12 +636,10 @@ def _run_pair(envs, pool, actions_of):
 def test_step_and_reset_match_the_array_reference(e, n, mode):
     # random actions over instances whose rows end at different steps and
     # are refilled; train rows follow a polyline through the tasks, eval
-    # rows fly without one, except with e=4, where they carry one and the
-    # goal reward sums cumulatively
+    # rows fly without one, except with e=4, where they carry one
     size = (300.0, 300.0) if n == 3 else (800.0, 800.0)
     with_path = mode == "train" or e == 4
-    config = EnvConfig(max_steps_eval=30, train_cutoff_dist=25.0,
-                       literal_goal_sum=mode == "eval" and e == 4)
+    config = EnvConfig(max_steps_eval=30, train_cutoff_dist=25.0)
     pool = []
     for seed in range(e + 12):
         x = generate(n, 6000 + seed, map_size=size)
@@ -905,7 +900,8 @@ def test_far_task_filter_never_drops_a_hit(theta, a, r_sense, slack,
 
 def test_config_rejects_empty_eval_cap_and_bad_cutoff():
     for kw in ({"max_steps_eval": 0}, {"max_steps_eval": -3},
-               {"train_cutoff_dist": -1.0}, {"train_cutoff_dist": math.nan}):
+               {"train_cutoff_dist": -1.0}, {"train_cutoff_dist": math.nan},
+               {"dt": 1e307}):
         with pytest.raises(ValueError, match=next(iter(kw))):
             EnvConfig(**kw)
     assert EnvConfig(max_steps_eval=1, train_cutoff_dist=0.0).max_steps_eval == 1

@@ -343,11 +343,11 @@ def test_cli_config_validation(tmp_path, capsys):
     assert run_cli("demos", "--demos", "1", "--config", str(cfg),
                    "--out", str(tmp_path / "d.bin")) == 1
     # a value must have its field's JSON type: integers for int fields,
-    # numbers for float fields, true or false for bool fields
+    # numbers for float fields; no field takes true or false
     for key, value in (("dt", '"0.2"'), ("bc_epochs", '"3"'),
                        ("n_actions", "7.0"), ("n_actions", "true"),
-                       ("gamma", "false"), ("literal_goal_sum", "1"),
-                       ("bc_batch", "null"), ("omega_max", "[30]")):
+                       ("gamma", "false"), ("bc_batch", "null"),
+                       ("omega_max", "[30]")):
         cfg.write_text(f'{{"{key}": {value}}}')
         assert run_cli("demos", "--demos", "1", "--config", str(cfg),
                        "--out", str(tmp_path / "d.bin")) == 1, (key, value)
@@ -361,10 +361,9 @@ def test_cli_config_validation(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"'{key}'" in err and flag in err
     assert not (tmp_path / "d.bin").exists()
-    cfg.write_text('{"dt": 1, "n_actions": 5, "literal_goal_sum": true, '
-                   '"gamma": 0.9, "bc_epochs": 0}')
+    cfg.write_text('{"dt": 1, "n_actions": 5, "gamma": 0.9, "bc_epochs": 0}')
     env_kw, train_kw = _load_config(str(cfg))
-    assert env_kw == {"dt": 1, "n_actions": 5, "literal_goal_sum": True}
+    assert env_kw == {"dt": 1, "n_actions": 5}
     assert train_kw == {"gamma": 0.9, "bc_epochs": 0}
 
 
@@ -372,7 +371,7 @@ def test_cli_config_rejects_empty_eval_cap_and_bad_cutoff(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     for key, value in (("max_steps_eval", "0"), ("max_steps_eval", "-1"),
                        ("train_cutoff_dist", "-2.0"),
-                       ("train_cutoff_dist", "NaN")):
+                       ("train_cutoff_dist", "NaN"), ("dt", "1e307")):
         cfg.write_text(f'{{"{key}": {value}}}')
         assert run_cli("demos", "--demos", "1", "--config", str(cfg),
                        "--out", str(tmp_path / "d.bin")) == 1, (key, value)
@@ -393,15 +392,14 @@ def test_cli_demos_zero_writes_empty_dataset(tmp_path, capsys):
 
 def test_cli_demos_collects_the_family_its_flags_describe(tmp_path):
     cfg = tmp_path / "c.json"
-    cfg.write_text('{"dt": 0.15, "literal_goal_sum": true}')
+    cfg.write_text('{"dt": 0.15}')
     out = tmp_path / "d.bin"
     assert run_cli("demos", "--tasks", "2", "--map", "300", "300",
                    "--sense", "40", "--turn", "20", "--pos", "5",
                    "--heads", "3", "--config", str(cfg), "--seed", "78",
                    "--demos", "5", "--out", str(out)) == 0
     meta = DemoMeta(2, 300.0, 300.0, 40.0,
-                    EnvConfig(turn_radius=20.0, dt=0.15,
-                              literal_goal_sum=True), 5, 3)
+                    EnvConfig(turn_radius=20.0, dt=0.15), 5, 3)
     dataset, report = collect_batch(meta, 5, 78)
     assert [seed for seed, _ in report["rejected"]] == [80]
     save_dataset(dataset, str(tmp_path / "want.bin"))
@@ -816,17 +814,11 @@ def test_cli_expert_spacing_follows_config(tmp_path):
     assert gaps.max() <= 0.6 * np.pi * 30.0 * 0.1 + 1e-9
 
 
-def test_cli_expert_plot_and_literal_flag(tmp_path):
+def test_cli_expert_plot(tmp_path):
     d = str(tmp_path)
     assert run_cli("plot", "--tasks", "2", "--map", "300", "300",
                    "--seed", "880", "--expert", "--out", f"{d}/e.svg") == 0
     assert os.path.getsize(f"{d}/e.svg") > 500
-    cfg = tmp_path / "lit.json"
-    cfg.write_text('{"literal_goal_sum": true}')
-    assert run_cli("demos", "--tasks", "2", "--map", "300", "300",
-                   "--seed", "890", "--demos", "2", "--config", str(cfg),
-                   "--out", f"{d}/lit.bin") == 0
-    assert load_dataset(f"{d}/lit.bin").meta.config.literal_goal_sum
 
 
 def test_cli_instance_file_sets_the_env_radius(tmp_path):

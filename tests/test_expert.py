@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -561,7 +562,7 @@ def test_solve_gtsp_robust_to_last_bit_cost_changes():
 def test_plan_trivial_when_all_tasks_at_start():
     probe = inst.generate(1, seed=0)
     tx, ty = probe.tasks[0]
-    x = inst.generate(1, seed=0, start=Pose(tx + 10.0, ty, 0.0))
+    x = dataclasses.replace(probe, start=Pose(tx + 10.0, ty, 0.0))
     ep = ex.plan(x)
     assert ep.waypoints == (x.start,)
     assert ep.total_length == 0.0

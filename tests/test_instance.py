@@ -95,14 +95,15 @@ def test_task_within_sense_of_start():
     # expert tour for this instance is trivially empty
     probe = inst.generate(1, seed=0)
     tx, ty = probe.tasks[0]
-    x = inst.generate(1, seed=0, start=Pose(tx, ty, 0.0))
+    x = dataclasses.replace(probe, start=Pose(tx, ty, 0.0))
     d = math.hypot(x.tasks[0][0] - x.start.x, x.tasks[0][1] - x.start.y)
     assert d < x.r_sense
 
 
 def test_round_trip_exact(tmp_path):
-    x = inst.generate(9, seed=4, map_size=(300.0, 400.0), r_sense=40.0,
-                      start=Pose(150.0, 20.0, 0.7))
+    x = dataclasses.replace(
+        inst.generate(9, seed=4, map_size=(300.0, 400.0), r_sense=40.0),
+        start=Pose(150.0, 20.0, 0.7))
     p = tmp_path / "i.txt"
     inst.save(x, p)
     y = inst.load(p)

@@ -1002,7 +1002,7 @@ def test_ppo_zero_lr_is_identity():
             assert c0.tobytes() == c1.tobytes()
 
 
-def test_ppo_critic_warmup_over_the_whole_budget_trains_only_the_critic():
+def test_ppo_zero_actor_lr_trains_only_the_critic():
     b = init_bundle(common_dim=15, seed=4)
     before = [_pack_network(net) for net in (b.encoder, b.policy, b.critic)]
     live = []   # the parameters in training after each batch's update
@@ -1012,9 +1012,8 @@ def test_ppo_critic_warmup_over_the_whole_budget_trains_only_the_critic():
                      for net in (b.encoder, b.policy, b.critic)])
 
     cfg = TrainConfig(steps_budget=768, rollout_steps=256, minibatch=64,
-                      seed=0)
-    ppo_finetune(make_env_factory(), b, cfg, critic_warmup_steps=768,
-                 log=log)
+                      ppo_actor_lr=0.0, seed=0)
+    ppo_finetune(make_env_factory(), b, cfg, log=log)
     assert len(live) == 3
     for enc, pol, cri in live:
         assert enc == before[0] and pol == before[1]
