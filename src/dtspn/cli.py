@@ -15,8 +15,6 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
 from . import expert as expert_mod
 from . import instance as instance_mod
 from .demos import DemoMeta, collect_batch, load_dataset, save_dataset
@@ -180,6 +178,7 @@ def cmd_train_bc(args) -> int:
     meta = dataset.meta
     bundle = init_bundle(meta.common_dim, meta.priv_dim,
                          n_actions=meta.config.n_actions, seed=tc.seed)
+    t0 = time.perf_counter()
     with _json_lines(args.log) as log:
         _, metrics = bc_pretrain(dataset, bundle, tc)
         _log_epochs(log, "bc", metrics,
@@ -190,7 +189,8 @@ def cmd_train_bc(args) -> int:
     _summary("train-bc", demos=len(dataset), epochs=tc.bc_epochs,
              val_acc=_last(metrics["val_acc"]),
              val_loss=_last(metrics["val_loss"]),
-             critic_val_mse=_last(critic["val_mse"]), out=args.out)
+             critic_val_mse=_last(critic["val_mse"]),
+             wall_s=time.perf_counter() - t0, out=args.out)
     return 0
 
 
@@ -210,15 +210,22 @@ def cmd_train_ppo(args) -> int:
         bundle = load_bundle(args.ckpt)
         check_bundle(bundle, meta.n_tasks, meta.config)
     env_factory = meta.train_envs(args.seed, args.pool)
+    last = {"kept_batch": 0, "kept_return": float("nan")}   # no batch ran
     t0 = time.perf_counter()
     with _json_lines(args.log) as log:
+        def record(rec: dict) -> None:
+            last.update(rec)
+            if log is not None:
+                log(rec)
+
         _, curve = ppo_finetune(env_factory, bundle, tc,
-                                use_privileged=not args.dense, log=log)
+                                use_privileged=not args.dense, log=record)
     save_bundle(bundle, args.out)
-    finite = [c for c in curve if np.isfinite(c)]
+    # the kept batch's return is the curve's best: ppo_finetune keeps the
+    # first best batch, or the last batch if none ended an episode
     _summary("train-ppo", steps=len(curve) * tc.rollout_steps, pool=args.pool,
-             best_avg_return=max(finite) if finite else float("nan"),
-             last_avg_return=_last(curve),
+             best_avg_return=last["kept_return"],
+             last_avg_return=_last(curve), kept_batch=last["kept_batch"],
              wall_s=time.perf_counter() - t0,
              out=args.out)
     return 0
@@ -230,6 +237,7 @@ def cmd_distill(args) -> int:
     bundle = load_bundle(args.ckpt)
     check_bundle(bundle, dataset.meta.n_tasks, dataset.meta.config,
                  "demonstrations")
+    t0 = time.perf_counter()
     with _json_lines(args.log) as log:
         _, metrics = distill_adaptation(dataset, bundle, tc,
                                         epochs=args.epochs)
@@ -241,7 +249,8 @@ def cmd_distill(args) -> int:
     _summary("distill", epochs=args.epochs,
              heldout_mse=metrics["heldout_mse"],
              heldout_z_variance=metrics["heldout_z_variance"],
-             action_agreement=metrics["action_agreement"], out=args.out)
+             action_agreement=metrics["action_agreement"],
+             wall_s=time.perf_counter() - t0, out=args.out)
     return 0
 
 

@@ -32,6 +32,10 @@ from .instance import DEFAULT_TURN, Instance, positive_finite
 if TYPE_CHECKING:           # expert imports config_for from here
     from .expert import ExpertPath
 
+# Sensing substeps per step an EnvConfig may ask for: the default config
+# takes 3, and a 0.5 m substep at the default turning radius 23.
+MAX_SUBSTEPS = 1000
+
 
 @dataclass(frozen=True)
 class EnvConfig:
@@ -52,6 +56,12 @@ class EnvConfig:
             positive_finite(name, getattr(self, name))
         positive_finite("step length omega_max * turn_radius * dt",
                         self.step_dist)
+        # substeps holds one entry per substep; the ratio is a float, so
+        # this refuses a count that would not fit in memory, or be infinite
+        if not self.step_dist / self.sense_substep <= MAX_SUBSTEPS:
+            raise ValueError(f"sense_substep {self.sense_substep} splits a "
+                             f"{self.step_dist} m step into more than "
+                             f"{MAX_SUBSTEPS} sensing substeps")
         for name, low in (("max_steps_eval", 1), ("train_cutoff_dist", 0.0)):
             if not getattr(self, name) >= low:    # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, "

@@ -8,7 +8,8 @@ import numpy as np
 
 from .config import TrainConfig
 from .nets import (AdamState, ModelBundle, actor_forward, actor_step,
-                   forward_rows, log_softmax, squared_error_step)
+                   forward_rows, log_softmax, squared_error_step,
+                   working_copy)
 
 
 def episode_split(n_episodes: int, rng: np.random.Generator):
@@ -74,48 +75,50 @@ def _ce_eval(bundle: ModelBundle, commons, privs, actions):
     z = forward_rows(bundle.encoder, commons, privs)
     logits = forward_rows(bundle.policy, commons, z)
     n = len(actions)
-    loss = -log_softmax(logits)[np.arange(n), actions].sum()
+    loss = -float(log_softmax(logits)[np.arange(n), actions].sum())
     return loss / n, int((np.argmax(logits, axis=1) == actions).sum()) / n
 
 
 def bc_pretrain(dataset, bundle: ModelBundle, config: TrainConfig,
                 use_privileged: bool = True):
-    """Cross-entropy training of encoder + policy on recorded expert actions.
-    With use_privileged False the privileged rows are zeroed, which is the
-    no-PI ablation.  Returns (bundle, metrics) with per-epoch curves."""
+    """Cross-entropy training of encoder + policy on recorded expert actions,
+    on a working_copy of bundle.  With use_privileged False the privileged
+    rows are zeroed, which is the no-PI ablation.  Returns (bundle,
+    metrics) with per-epoch curves."""
     rng = np.random.default_rng(config.seed)
     (_, xc, xp, y), (_, vc, vp, vy) = split_rows(dataset, rng)
     if not use_privileged:
         xp[...] = vp[...] = 0.0
     n = len(y)
-
-    states = [AdamState(bundle.encoder), AdamState(bundle.policy)]
     metrics = {"train_loss": [], "train_acc": [], "val_loss": [], "val_acc": []}
 
-    for _ in range(config.bc_epochs):
-        order = rng.permutation(n)
-        ep_loss = 0.0
-        ep_correct = 0
-        for s in range(0, n, config.bc_batch):
-            mb = order[s:s + config.bc_batch]
-            c, p, a = xc[mb], xp[mb], y[mb]
-            b = len(mb)
-            logits, _, caches = actor_forward(bundle, c, p)
-            lp = log_softmax(logits)
-            probs = np.exp(lp)
-            ep_loss -= lp[np.arange(b), a].sum()
-            ep_correct += int((np.argmax(logits, axis=1) == a).sum())
-            dlogits = probs
-            dlogits[np.arange(b), a] -= 1.0
-            dlogits /= b
-            actor_step(bundle, caches, dlogits, states, config.bc_lr)
-        if not (bundle.encoder.finite() and bundle.policy.finite()):
-            raise RuntimeError("non-finite parameters during cloning")
-        vl, va = _ce_eval(bundle, vc, vp, vy)
-        metrics["train_loss"].append(ep_loss / n)
-        metrics["train_acc"].append(ep_correct / n)
-        metrics["val_loss"].append(vl)
-        metrics["val_acc"].append(va)
+    with working_copy(bundle, ("encoder", "policy"),
+                      xc, xp, vc, vp) as (work, xc, xp, vc, vp):
+        states = [AdamState(work.encoder), AdamState(work.policy)]
+        for _ in range(config.bc_epochs):
+            order = rng.permutation(n)
+            ep_loss = 0.0
+            ep_correct = 0
+            for s in range(0, n, config.bc_batch):
+                mb = order[s:s + config.bc_batch]
+                c, p, a = xc[mb], xp[mb], y[mb]
+                b = len(mb)
+                logits, _, caches = actor_forward(work, c, p)
+                lp = log_softmax(logits)
+                probs = np.exp(lp)
+                ep_loss -= float(lp[np.arange(b), a].sum())
+                ep_correct += int((np.argmax(logits, axis=1) == a).sum())
+                dlogits = probs
+                dlogits[np.arange(b), a] -= 1.0
+                dlogits /= b
+                actor_step(work, caches, dlogits, states, config.bc_lr)
+            if not (work.encoder.finite() and work.policy.finite()):
+                raise RuntimeError("non-finite parameters during cloning")
+            vl, va = _ce_eval(work, vc, vp, vy)
+            metrics["train_loss"].append(ep_loss / n)
+            metrics["train_acc"].append(ep_correct / n)
+            metrics["val_loss"].append(vl)
+            metrics["val_acc"].append(va)
     return bundle, metrics
 
 

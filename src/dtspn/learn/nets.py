@@ -1,17 +1,22 @@
 """Dense feedforward networks with hand-derived reverse-mode gradients.
 
-Everything is float64 numpy.  Layers are x @ W + b with tanh on hidden
-layers and identity on the output.  forward_cached alone joins a
-network's input from its column blocks: one row (1-D), as a one-env
-rollout step has, or a batch of rows (2-D); a row gives the bits of row 0
-of its one-row batch.  The backward pass takes a batch's cache and
-returns parameter gradients and, unless asked not to, the input gradient,
-which is how policy gradients chain back into the encoder.
+Layers are x @ W + b with tanh on hidden layers and identity on the
+output.  forward_cached alone joins a network's input from its column
+blocks: one row (1-D), as a one-env rollout step has, or a batch of rows
+(2-D); a row gives the bits of row 0 of its one-row batch.  The backward
+pass takes a batch's cache and returns parameter gradients and, unless
+asked not to, the input gradient, which is how policy gradients chain
+back into the encoder.
 
-A network's parameters are one contiguous float64 buffer, flat, laid out
-w0, b0, w1, b1, ... (weights row-major) as checkpoints store them; its
-weights and biases lists hold views of it, made by _views alone.
-Gradients and Adam's moments are buffers of the same layout.
+A network's parameters are one contiguous float32 or float64 buffer,
+flat, laid out w0, b0, w1, b1, ... (weights row-major) as checkpoints
+store them; its weights and biases lists hold views of it, made by _views
+alone.  Gradients and Adam's moments are buffers of the same layout and
+dtype, and a batch runs in that dtype too (its rows are cast on the way
+into the workspace).  A one-row forward joins its row as float64: it is
+act's path, and the bundle, checkpoints, PPO, critic fitting, act and
+evaluation are float64.  Cloning and distillation train TRAIN_DTYPE
+copies of the networks and rows instead, through working_copy.
 
 Batch steps write into the network's own workspace (a shorter batch uses
 its leading rows): fresh per-step temporaries would re-fault their pages
@@ -23,6 +28,7 @@ forward grows the workspace to its rows, so pass many rows through
 forward_rows.  A network is touched by one thread at a time.
 """
 
+import contextlib
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -39,6 +45,12 @@ Z_DIM = 32
 HIDDEN = 128
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 EVAL_ROWS = 512     # forward_rows' chunk bound when the workspace is smaller
+# The precision cloning and distillation train in.  On a 2-core x86-64
+# machine a 512-row float32 step takes about half a float64 one, and
+# cloning's validation accuracy did not move.  Float32 PPO drifted, so PPO
+# stays float64, and so does critic fitting, whose float32 rounding alone
+# flipped which batch a later PPO run kept.
+TRAIN_DTYPE = np.float32
 
 
 class CheckpointError(ValueError):
@@ -61,9 +73,9 @@ def _views(flat: np.ndarray, dims: Tuple[int, ...]):
 
 
 class NetworkParams:
-    """The parameters of one network: flat, a 1-D C-contiguous float64
-    buffer of n_params(layer_dims) entries, and the per-layer weights and
-    biases lists of views of it."""
+    """The parameters of one network: flat, a 1-D C-contiguous native
+    float32 or float64 buffer of n_params(layer_dims) entries, and the
+    per-layer weights and biases lists of views of it."""
 
     def __init__(self, layer_dims: Sequence[int], flat: np.ndarray):
         dims = tuple(int(d) for d in layer_dims)
@@ -71,10 +83,11 @@ class NetworkParams:
             raise ValueError(f"a network needs two or more layer dims, "
                              f"got {dims}")
         if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and
-                flat.dtype == np.float64 and flat.flags.c_contiguous and
-                flat.size == n_params(dims)):
+                flat.dtype in (np.float32, np.float64) and
+                flat.flags.c_contiguous and flat.size == n_params(dims)):
             raise ValueError(f"layer dims {dims} take a 1-D contiguous "
-                             f"float64 array of {n_params(dims)} parameters")
+                             f"float32 or float64 array of "
+                             f"{n_params(dims)} parameters")
         self.layer_dims = dims
         self.flat = flat
         self.weights, self.biases = _views(flat, dims)
@@ -96,23 +109,24 @@ class NetworkParams:
 
 
 class _Workspace:
-    """One network's training buffers for batches of up to rows rows: the
-    input, each layer's output, each layer input's backward delta, a gradient
-    in the parameters' layout, and Adam's two parameter-sized temporaries."""
+    """One network's training buffers for batches of up to rows rows, in
+    its dtype: the input, each layer's output, each layer input's backward
+    delta, a gradient in the parameters' layout, and Adam's two
+    parameter-sized temporaries."""
 
-    def __init__(self, dims: Tuple[int, ...], rows: int):
+    def __init__(self, dims: Tuple[int, ...], rows: int, dtype: np.dtype):
         self.rows = rows
-        self.inp = np.empty((rows, dims[0]))
-        self.outs = [np.empty((rows, d)) for d in dims[1:]]
-        self.deltas = [np.empty((rows, d)) for d in dims[:-1]]
-        self.grad = NetworkParams(dims, np.empty(n_params(dims)))
-        self.adam = np.empty((2, n_params(dims)))
+        self.inp = np.empty((rows, dims[0]), dtype)
+        self.outs = [np.empty((rows, d), dtype) for d in dims[1:]]
+        self.deltas = [np.empty((rows, d), dtype) for d in dims[:-1]]
+        self.grad = NetworkParams(dims, np.empty(n_params(dims), dtype))
+        self.adam = np.empty((2, n_params(dims)), dtype)
 
 
 def _workspace(params: NetworkParams, rows: int = 0) -> _Workspace:
     """params' workspace, made (or remade larger) to hold rows rows."""
     if params.work is None or params.work.rows < rows:
-        params.work = _Workspace(params.layer_dims, rows)
+        params.work = _Workspace(params.layer_dims, rows, params.flat.dtype)
     return params.work
 
 
@@ -158,12 +172,13 @@ def forward_cached(params: NetworkParams, *blocks: np.ndarray):
 
 def forward_rows(params: NetworkParams, *blocks: np.ndarray) -> np.ndarray:
     """params' output on each row of its column blocks side by side, in an
-    array of its own.  The rows go through the workspace in the fewest even
-    chunks of at most its rows (or EVAL_ROWS): no chunk of a longer input
-    is one row, whose product numpy takes by another BLAS routine."""
+    array of its own of params' dtype.  The rows go through the workspace
+    in the fewest even chunks of at most its rows (or EVAL_ROWS): no chunk
+    of a longer input is one row, whose product numpy takes by another BLAS
+    routine."""
     n, work = len(blocks[0]), params.work
     k = -(-n // max(EVAL_ROWS, work.rows if work else 0))
-    out = np.empty((n, params.out_dim))
+    out = np.empty((n, params.out_dim), params.flat.dtype)
     for i in range(k):
         s, e = i * n // k, (i + 1) * n // k
         out[s:e] = forward_cached(params, *(b[s:e] for b in blocks))[0]
@@ -300,6 +315,24 @@ class ModelBundle:
 
     def finite(self) -> bool:
         return all(net.finite() for net in self.networks)
+
+
+@contextlib.contextmanager
+def working_copy(bundle: ModelBundle, trained: Sequence[str], *rows):
+    """TRAIN_DTYPE copies of bundle and of the row arrays rows, made once,
+    for a supervised stage to train on: yields (copy of bundle, *copies of
+    rows).  When the block exits normally, each parameter of the networks
+    named in trained (attribute names of ModelBundle) that the stage moved
+    in its copy is cast back into bundle.  Every other byte of bundle
+    keeps its value, so a stage that takes no step, or fails, changes
+    none."""
+    work = ModelBundle(*(NetworkParams(net.layer_dims,
+                                       net.flat.astype(TRAIN_DTYPE))
+                         for net in bundle.networks))
+    yield (work, *(r.astype(TRAIN_DTYPE, copy=False) for r in rows))
+    for name in trained:
+        dst, src = getattr(bundle, name).flat, getattr(work, name).flat
+        np.copyto(dst, src, where=src != dst.astype(TRAIN_DTYPE))
 
 
 def init_bundle(common_dim: int, priv_dim: int = PRIV_DIM,

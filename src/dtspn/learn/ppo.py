@@ -69,9 +69,11 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
     log, if given, is called once per batch with a dict: batch, env_steps,
     avg_reward, approx_kl, clip_frac, entropy, value_loss (means over the
     update's minibatches), explained_var (of the rollout's value targets by
-    its values), rollout_s, update_s and steps_per_s (env steps per second
-    of rollout and update).  The last batch's record has update_s 0.0 and
-    the four update means nan.
+    its values), rollout_s, update_s, steps_per_s (env steps per second
+    of rollout and update), and kept_batch and kept_return: the batch
+    whose parameters the run would return if it ended there, and its curve
+    entry.  So the last record names the batch returned.  The last batch's
+    record has update_s 0.0 and the four update means nan.
     """
     rng = np.random.default_rng(config.seed)
     cd, pd = bundle.common_dim, bundle.priv_dim
@@ -81,7 +83,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
     cri_state = AdamState(bundle.critic)
 
     best = bundle.copy()
-    best_reward = -np.inf
+    best_reward, best_batch = -np.inf, 0
     curve = []
     steps_done = 0
     envs = EnvBatch(env_factory() for _ in range(n_env))
@@ -195,7 +197,7 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
                       else float("nan"))
         curve.append(avg_reward)
         if ep_returns and avg_reward > best_reward:
-            best_reward = avg_reward
+            best_reward, best_batch = avg_reward, len(curve)
             bundle.copy(out=best)
 
         # an update after the last rollout would reach no batch and no
@@ -208,16 +210,18 @@ def ppo_finetune(env_factory, bundle: ModelBundle, config: TrainConfig,
             t2 = time.perf_counter()
         if log is not None:
             approx_kl, clip_frac, entropy, value_loss = stats.tolist()
+            kept = best_batch or len(curve)
             log({"batch": len(curve), "env_steps": steps_done,
                  "avg_reward": avg_reward, "approx_kl": approx_kl,
                  "clip_frac": clip_frac, "entropy": entropy,
                  "value_loss": value_loss, "explained_var": explained_var,
                  "rollout_s": t1 - t0, "update_s": t2 - t1,
-                 "steps_per_s": n / (t2 - t0)})
+                 "steps_per_s": n / (t2 - t0), "kept_batch": kept,
+                 "kept_return": curve[kept - 1]})
         if not bundle.finite():
             raise RuntimeError(f"divergence after {steps_done} steps "
                                f"(batch {len(curve)}): non-finite parameters")
 
-    if best_reward > -np.inf:
+    if best_batch:
         best.copy(out=bundle)
     return bundle, curve

@@ -30,7 +30,8 @@ differences.  Slower than the real code on purpose.  The exceptions are:
   reference_adam_step_params (the two above with the package's
   signatures): the network code as it ran before batch steps wrote into
   each network's workspace, with fresh arrays for every layer output,
-  delta, gradient and Adam temporary.
+  delta, gradient and Adam temporary.  Like the package, they compute in
+  the parameters' dtype, float32 or float64.
 - encode_privileged, the simulator's privileged encoding as it ran over
   arrays of padded waypoints before it joined the per-row pass.
 - ReferenceBatch, EnvBatch with the array-level sensing, common encoding
@@ -681,8 +682,8 @@ def gradients(params, x, upstream):
 
 def reference_forward_cached(params, *blocks):
     """forward_cached with a fresh array for the joined column blocks and
-    for each layer output."""
-    h = np.concatenate(blocks, axis=-1, dtype=float)
+    for each layer output, in params' dtype."""
+    h = np.concatenate(blocks, axis=-1, dtype=params.flat.dtype)
     cache = [h]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w
@@ -694,9 +695,9 @@ def reference_forward_cached(params, *blocks):
 
 
 def reference_backward(params, cache, upstream):
-    """backward with a fresh array per layer gradient: returns (weight
-    grads, bias grads, input grad)."""
-    g = np.asarray(upstream, dtype=float).reshape(len(cache[0]), -1)
+    """backward with a fresh array per layer gradient, in params' dtype:
+    returns (weight grads, bias grads, input grad)."""
+    g = np.asarray(upstream, params.flat.dtype).reshape(len(cache[0]), -1)
     n = len(params.weights)
     gws, gbs = [None] * n, [None] * n
     for i in range(n - 1, -1, -1):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from dtspn.demos import DemoMeta, collect_batch, greedy_action, track
 from dtspn.dubins import Pose, normalize_angle
-from dtspn.env import (DtspnEnv, EnvBatch, EnvConfig, Observation, advance,
-                       goal_reward, imitation_reward, run_episode)
+from dtspn.env import (MAX_SUBSTEPS, DtspnEnv, EnvBatch, EnvConfig,
+                       Observation, advance, goal_reward, imitation_reward,
+                       run_episode)
 from dtspn.evaluate import bundle_actor
 from dtspn.learn import init_bundle
 from dtspn.expert import ExpertPath, plan
@@ -906,3 +908,21 @@ def test_config_rejects_empty_eval_cap_and_bad_cutoff():
             EnvConfig(**kw)
     assert EnvConfig(max_steps_eval=1, train_cutoff_dist=0.0).max_steps_eval == 1
     assert EnvConfig(train_cutoff_dist=math.inf).train_cutoff_dist == math.inf
+
+
+def test_config_refuses_more_sensing_substeps_than_its_cap():
+    # 1e-300 m would ask substeps for about 1e301 entries, and 5e-324 m
+    # for infinitely many: each is refused in __post_init__, with no more
+    # allocated than the error takes
+    step = EnvConfig().step_dist
+    for tiny in (1e-300, 5e-324, step / (MAX_SUBSTEPS + 0.5)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="sense_substep"):
+                EnvConfig(sense_substep=tiny)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, tiny
+    assert len(EnvConfig(sense_substep=step / (MAX_SUBSTEPS - 0.5))
+               .substeps) == MAX_SUBSTEPS

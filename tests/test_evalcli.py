@@ -371,7 +371,8 @@ def test_cli_config_rejects_empty_eval_cap_and_bad_cutoff(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     for key, value in (("max_steps_eval", "0"), ("max_steps_eval", "-1"),
                        ("train_cutoff_dist", "-2.0"),
-                       ("train_cutoff_dist", "NaN"), ("dt", "1e307")):
+                       ("train_cutoff_dist", "NaN"), ("dt", "1e307"),
+                       ("sense_substep", "1e-300")):
         cfg.write_text(f'{{"{key}": {value}}}')
         assert run_cli("demos", "--demos", "1", "--config", str(cfg),
                        "--out", str(tmp_path / "d.bin")) == 1, (key, value)
@@ -487,13 +488,14 @@ def test_cli_eval_expert_and_mismatch(tmp_path, capsys):
                    "--out", f"{d}/x.ckpt") == 1   # no --ckpt, no --dense
 
 
-def test_cli_train_ppo_dense_baseline_and_log(tmp_path):
+def test_cli_train_ppo_dense_baseline_and_log(tmp_path, capsys):
     # --dense trains from scratch with the privileged input zeroed; its
     # train-mode envs still carry expert paths
     d = str(tmp_path)
     assert run_cli("train-ppo", "--dense", "--tasks", "3", "--map", "300",
                    "300", "--steps", "4097", "--pool", "4",
                    "--out", f"{d}/dense.ckpt", "--log", f"{d}/log.jsonl") == 0
+    summary = dict(kv.split("=") for kv in capsys.readouterr().out.split())
     assert load_bundle(f"{d}/dense.ckpt").common_dim == 15
     with open(f"{d}/log.jsonl") as f:
         records = [json.loads(line) for line in f]
@@ -512,6 +514,12 @@ def test_cli_train_ppo_dense_baseline_and_log(tmp_path):
     # nan update statistics are written as null
     assert all(last[k] is None for k in ("approx_kl", "clip_frac",
                                          "entropy", "value_loss"))
+    # the summary names the batch the last record says was kept, and its
+    # return is the best one
+    assert last["kept_batch"] in (1, 2)
+    assert summary["kept_batch"] == str(last["kept_batch"])
+    assert summary["best_avg_return"] == f"{last['kept_return']:.6g}"
+    assert float(summary["wall_s"]) > 0.0
 
 
 def test_cli_eval_log_writes_one_json_line_per_episode(tmp_path, tiny_bundle):
@@ -689,7 +697,8 @@ def read_json_lines(path):
         return [json.loads(line) for line in f]
 
 
-def test_cli_train_bc_and_distill_log_every_epoch(tmp_path, tiny_demos):
+def test_cli_train_bc_and_distill_log_every_epoch(tmp_path, capsys,
+                                                  tiny_demos):
     from dtspn.learn import (TrainConfig, bc_pretrain, critic_init,
                              distill_adaptation)
     d = str(tmp_path)
@@ -701,6 +710,8 @@ def test_cli_train_bc_and_distill_log_every_epoch(tmp_path, tiny_demos):
     assert run_cli("distill", "--data", tiny_demos, "--ckpt", f"{d}/bc.ckpt",
                    "--epochs", "2", "--seed", "2", "--out", f"{d}/ada.ckpt",
                    "--log", f"{d}/distill.jsonl") == 0
+    for line in capsys.readouterr().out.splitlines():   # both stages timed
+        assert float(dict(kv.split("=") for kv in line.split())["wall_s"]) > 0
 
     # the lines carry the values the library returns, in epoch order
     dataset, tc = load_dataset(tiny_demos), TrainConfig(bc_epochs=3, seed=2)

@@ -280,15 +280,22 @@ def test_a_warm_512_row_training_step_allocates_no_batch_sized_array():
                 b, actor_forward(b, c, p)[2], dlogits, states, 0.001))
         assert peak < 512 * 1024, common_dim
 
-    # a regress minibatch at 3-task dims: at 20-task dims its row gathers
-    # alone come to 460 KiB
-    b = init_bundle(common_dim=15, seed=3)
-    for net, targets in ((b.critic, 1), (b.adaptation, 32)):
-        x = rng.normal(size=(512, net.in_dim))
-        steps = regress(net, (x,), rng.normal(size=(512, targets)), 0.001,
-                        512, 2, rng)
-        next(steps)         # the first epoch is one warm-up minibatch
-        assert traced_peak(lambda: next(steps)) < 512 * 1024
+    # a regress minibatch on float32 networks and rows, as the stages train
+    # them: at 20-task dims it peaked at 276,656 B for the critic and
+    # 372,992 B for the adaptation net (546,992 and 739,588 B at float64,
+    # where the row gathers alone came to 460 KiB), and at 3-task dims at
+    # 137,392 and 233,728 B
+    for common_dim in (15, 83):
+        with nets.working_copy(init_bundle(common_dim=common_dim, seed=3),
+                               ()) as (b,):
+            for net, targets in ((b.critic, 1), (b.adaptation, 32)):
+                assert net.flat.dtype == np.float32
+                x, y = (rng.normal(size=(512, cols)).astype(np.float32)
+                        for cols in (net.in_dim, targets))
+                steps = regress(net, (x,), y, 0.001, 512, 2, rng)
+                next(steps)     # the first epoch is one warm-up minibatch
+                assert traced_peak(lambda: next(steps)) < 512 * 1024, \
+                    (common_dim, targets)
 
 
 def test_training_matches_the_fresh_array_reference_end_to_end(monkeypatch):
@@ -313,7 +320,9 @@ def test_training_matches_the_fresh_array_reference_end_to_end(monkeypatch):
     for family in (DemoMeta(3, 300.0, 300.0, n_pos=3, n_head=2),
                    DemoMeta(20, 800.0, 800.0, n_pos=3, n_head=2)):
         b, shipped = train(family)
-        assert all(net.work is not None for net in b.networks)
+        # PPO steps the bundle's networks; the other stages train copies
+        assert [net.work is not None for net in b.networks] == \
+            [True, True, True, False]
         with monkeypatch.context() as patch:
             for name, ref in (
                     ("forward_cached", reference_forward_cached),
@@ -432,10 +441,11 @@ def test_bundle_copy_into_out_keeps_out_buffers():
 
 def test_network_params_rejects_bad_buffers():
     dims = (3, 4, 2)
-    NetworkParams(dims, np.zeros(26))
-    for bad in (np.zeros((2, 13)), np.zeros(26, dtype=np.float32),
-                np.zeros(25), np.zeros(27), np.zeros(52)[::2],
-                np.zeros(26, dtype=">f8"), [0.0] * 26):
+    for dtype in (np.float32, np.float64):
+        NetworkParams(dims, np.zeros(26, dtype))
+    for bad in (np.zeros((2, 13)), np.zeros(26, dtype=np.float16),
+                np.zeros(26, dtype=np.int64), np.zeros(25), np.zeros(27),
+                np.zeros(52)[::2], np.zeros(26, dtype=">f8"), [0.0] * 26):
         with pytest.raises(ValueError):
             NetworkParams(dims, bad)
     for short in ((), (3,)):
@@ -898,6 +908,73 @@ def test_critic_init_beats_mean_predictor_and_freezes_encoder():
         assert w0.tobytes() == w1.tobytes()
 
 
+def test_a_stage_that_moves_no_parameter_changes_no_byte():
+    # cloning and distillation at bc_lr 0 and critic fitting at
+    # ppo_critic_lr 0 step every minibatch, and move nothing: no byte of
+    # the float64 bundle changes, although cloning and distillation trained
+    # float32 copies, whose cast back would round almost every parameter
+    ds = synthetic_dataset(n_episodes=12, ep_len=30, seed=3,
+                           reward_from_obs=True)
+    cfg = TrainConfig(bc_epochs=2, bc_batch=64, bc_lr=0.0,
+                      ppo_critic_lr=0.0, seed=1)
+    b = init_bundle(common_dim=9, seed=2)
+    before = [net.flat.tobytes() for net in b.networks]
+    _, bc = bc_pretrain(ds, b, cfg)
+    _, critic = critic_init(ds, b, cfg)
+    _, ada = distill_adaptation(ds, b, cfg, epochs=2)
+    assert len(bc["val_acc"]) == len(critic["val_mse"]) == 2
+    assert len(ada["train_mse"]) == 2
+    assert [net.flat.tobytes() for net in b.networks] == before
+
+    # a parameter no step moves keeps its bytes while the rest train: the
+    # no-PI ablation zeroes the privileged rows, so their first-layer
+    # encoder weights get zero gradients
+    enc = b.encoder.weights[0]
+    priv, common = enc[9:].tobytes(), enc[:9].tobytes()
+    bc_pretrain(ds, b, TrainConfig(bc_epochs=2, bc_batch=64, seed=1),
+                use_privileged=False)
+    assert enc[9:].tobytes() == priv and enc[:9].tobytes() != common
+    assert all(net.flat.dtype == np.float64 for net in b.networks)
+
+
+def test_supervised_stages_in_float32_agree_with_float64_copies(
+        monkeypatch):
+    # the precision contract of the float32 working copies, against the
+    # same stages on float64 copies (bit for bit the float64 code), with
+    # critic fitting, float64 in both, between them.  Over six seeds of
+    # this dataset and of 3-task demos, 5 epochs each, the continuous
+    # metrics differed by at most 3.9e-7 relative, and the accuracy and
+    # agreement rates not at all; the bounds are 1e-5 and one validation
+    # row
+    ds = synthetic_dataset(n_episodes=12, ep_len=40, common_dim=15, seed=3,
+                           reward_from_obs=True)
+    rate_keys = {"train_acc", "val_acc", "action_agreement"}
+
+    def train():
+        b = init_bundle(common_dim=15, seed=3)
+        cfg = TrainConfig(bc_epochs=5, bc_batch=128, seed=3)
+        _, bc = bc_pretrain(ds, b, cfg)
+        _, critic = critic_init(ds, b, cfg)
+        _, ada = distill_adaptation(ds, b, cfg, epochs=5)
+        assert all(net.flat.dtype == np.float64 for net in b.networks)
+        return b"".join(net.flat.tobytes() for net in b.networks), \
+            (bc, critic, ada)
+
+    params32, ours = train()
+    monkeypatch.setattr(nets, "TRAIN_DTYPE", np.float64)
+    params64, wide = train()
+    assert params32 != params64
+    for m32, m64 in zip(ours, wide):
+        assert m32.keys() == m64.keys()
+        for key in m32:
+            x, y = np.asarray(m32[key]), np.asarray(m64[key])
+            assert x.shape == y.shape, key
+            if key in rate_keys:
+                assert np.abs(x - y).max() <= 1 / 40, key
+            else:
+                assert np.allclose(x, y, rtol=1e-5, atol=0.0), key
+
+
 def test_regress_at_zero_lr_changes_no_parameter():
     net = small_net((5, 8, 2), seed=4)
     before = _pack_network(net)
@@ -1034,7 +1111,7 @@ def test_ppo_smoke_runs_and_tracks_best():
 
 LOG_KEYS = {"batch", "env_steps", "avg_reward", "approx_kl", "clip_frac",
             "entropy", "value_loss", "explained_var", "rollout_s",
-            "update_s", "steps_per_s"}
+            "update_s", "steps_per_s", "kept_batch", "kept_return"}
 
 
 def assert_last_batch_record(rec, batch, rollout_steps):
@@ -1062,6 +1139,14 @@ def test_ppo_log_has_one_record_per_batch_and_changes_nothing():
     assert runs[0] == runs[1]
     assert len(records) == len(curve) == 3
     assert_last_batch_record(records[-1], 3, 512)
+    # each record names the batch the run would return if it ended there:
+    # the first with the best finite curve entry so far, else its own
+    for k, rec in enumerate(records, 1):
+        seen = [c for c in curve[:k] if np.isfinite(c)]
+        kept = curve.index(max(seen)) + 1 if seen else k
+        assert rec["kept_batch"] == kept
+        assert np.array_equal(rec["kept_return"], curve[kept - 1],
+                              equal_nan=True)
     for k, rec in enumerate(records[:-1], 1):
         assert set(rec) == LOG_KEYS
         assert rec["batch"] == k and rec["env_steps"] == 512 * k
@@ -1200,14 +1285,16 @@ def test_ppo_without_a_finished_episode_returns_the_last_collectors():
     # after the second batch's update, since no update follows the third
     cfg = TrainConfig(steps_budget=3, rollout_steps=1, minibatch=1,
                       seed=0)
-    live = []
+    live, kept = [], []
 
-    def log(_):
+    def log(rec):
         live.append([net.flat.tobytes() for net in b.networks])
+        kept.append((rec["kept_batch"], math.isnan(rec["kept_return"])))
 
     b = init_bundle(common_dim=15, seed=4)
     out, curve = ppo_finetune(make_env_factory(), b, cfg, log=log)
     assert len(curve) == 3 and all(np.isnan(c) for c in curve)
+    assert kept == [(1, True), (2, True), (3, True)]
     assert live[0] != live[1] == live[2]
     assert [net.flat.tobytes() for net in out.networks] == live[2]
 
