@@ -59,13 +59,18 @@ def regress(net, blocks, targets, lr: float, batch: int, epochs: int,
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     state = AdamState(net)
     n = len(targets)
+    arrays = (*blocks, targets)
+    # each minibatch is gathered into these: a fresh gather per step is a
+    # batch-sized array (mode "clip" keeps take from buffering its out)
+    bufs = [np.empty((min(batch, n),) + a.shape[1:], a.dtype) for a in arrays]
     for _ in range(epochs):
         order = rng.permutation(n)
         se = 0.0
         for s in range(0, n, batch):
             mb = order[s:s + batch]
-            err = squared_error_step(net, [b[mb] for b in blocks],
-                                     targets[mb], state, lr)
+            *xs, y = (np.take(a, mb, axis=0, out=buf[:len(mb)], mode="clip")
+                      for a, buf in zip(arrays, bufs))
+            err = squared_error_step(net, xs, y, state, lr)
             se += float(np.sum(err ** 2))
         yield se / n
 

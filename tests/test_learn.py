@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import importlib
 import math
@@ -280,19 +281,26 @@ def test_a_warm_512_row_training_step_allocates_no_batch_sized_array():
                 b, actor_forward(b, c, p)[2], dlogits, states, 0.001))
         assert peak < 512 * 1024, common_dim
 
-    # a regress minibatch on float32 networks and rows, as the stages train
-    # them: at 20-task dims it peaked at 276,656 B for the critic and
-    # 372,992 B for the adaptation net (546,992 and 739,588 B at float64,
-    # where the row gathers alone came to 460 KiB), and at 3-task dims at
-    # 137,392 and 233,728 B
+    # a regress minibatch at 3- and 20-task dims, in the dtype each stage
+    # trains: critic_init regresses the bundle's float64 critic on common
+    # and latent blocks, and distillation a float32 copy of the adaptation
+    # net.  Gathering each minibatch with fancy indexing came to 460 KiB
+    # at 20-task float64 critic dims alone (a 547,072 B peak); gathered
+    # into buffers made once, the critic peaked at 72,088 B and the
+    # adaptation net at 137,560 B at both dims
     for common_dim in (15, 83):
-        with nets.working_copy(init_bundle(common_dim=common_dim, seed=3),
-                               ()) as (b,):
-            for net, targets in ((b.critic, 1), (b.adaptation, 32)):
-                assert net.flat.dtype == np.float32
-                x, y = (rng.normal(size=(512, cols)).astype(np.float32)
-                        for cols in (net.in_dim, targets))
-                steps = regress(net, (x,), y, 0.001, 512, 2, rng)
+        b = init_bundle(common_dim=common_dim, seed=3)
+        with nets.working_copy(b, ()) as (work,):
+            for net, cols, targets in (
+                    (b.critic, (common_dim, nets.Z_DIM), 1),
+                    (work.adaptation, (common_dim,), nets.Z_DIM)):
+                dtype = net.flat.dtype
+                assert dtype == (np.float64 if net is b.critic
+                                 else np.float32)
+                x = tuple(rng.normal(size=(512, k)).astype(dtype)
+                          for k in cols)
+                y = rng.normal(size=(512, targets)).astype(dtype)
+                steps = regress(net, x, y, 0.001, 512, 2, rng)
                 next(steps)     # the first epoch is one warm-up minibatch
                 assert traced_peak(lambda: next(steps)) < 512 * 1024, \
                     (common_dim, targets)
@@ -302,8 +310,22 @@ def test_training_matches_the_fresh_array_reference_end_to_end(monkeypatch):
     # cloning, the critic warm start, two PPO batches and distillation, as
     # shipped and with the fresh-array network code patched in: parameters
     # and every metric, action_agreement included, are equal, at 3-task
-    # dims and at 20-task dims (common dim 83), each with a pool of one
+    # dims and at 20-task dims (common dim 83), each with a pool of one.
+    # Cloning and distillation train working copies, recorded here
+    copied = []
+
+    @contextlib.contextmanager
+    def recorded_copy(bundle, trained, *rows):
+        with nets.working_copy(bundle, trained, *rows) as out:
+            yield out
+        copied.append([getattr(out[0], name) for name in trained])
+
+    for module in ("bc", "distill"):
+        monkeypatch.setattr(f"dtspn.learn.{module}.working_copy",
+                            recorded_copy)
+
     def train(family):
+        copied.clear()
         b = init_bundle(common_dim=family.common_dim, seed=7)
         ds = synthetic_dataset(n_episodes=12, ep_len=40,
                                common_dim=family.common_dim, seed=3,
@@ -320,9 +342,13 @@ def test_training_matches_the_fresh_array_reference_end_to_end(monkeypatch):
     for family in (DemoMeta(3, 300.0, 300.0, n_pos=3, n_head=2),
                    DemoMeta(20, 800.0, 800.0, n_pos=3, n_head=2)):
         b, shipped = train(family)
-        # PPO steps the bundle's networks; the other stages train copies
-        assert [net.work is not None for net in b.networks] == \
-            [True, True, True, False]
+        # every trained network went through its workspace: PPO and critic
+        # fitting step the bundle's networks, and the other stages copies
+        # of the encoder and policy, then of the adaptation net
+        trained = [b.encoder, b.policy, b.critic] + sum(copied, [])
+        assert len(trained) == 6
+        assert all(net.work is not None for net in trained)
+        assert b.adaptation.work is None
         with monkeypatch.context() as patch:
             for name, ref in (
                     ("forward_cached", reference_forward_cached),
@@ -333,7 +359,8 @@ def test_training_matches_the_fresh_array_reference_end_to_end(monkeypatch):
                     if hasattr(mod, name):
                         patch.setattr(mod, name, ref)
             b, reference = train(family)
-        assert all(net.work is None for net in b.networks)
+        assert all(net.work is None
+                   for net in [*b.networks, *sum(copied, [])])
         assert reference == shipped, family.n_tasks
 
 
